@@ -24,8 +24,7 @@ path) — the committed ``docs/cli.md`` is kept in sync by CI.
 
 ``--fidelity`` picks a named resolution profile (``full`` reproduces
 the paper's axes, ``fast`` thins sweeps, ``smoke`` is a seconds-scale
-sanity pass); the old ``--fast`` boolean remains as a deprecated alias
-for ``--fidelity fast``.  ``--set key=value`` overrides any field of
+sanity pass).  ``--set key=value`` overrides any field of
 the scenario's base parameter preset and ``--protocols`` narrows the
 protocol set, so arbitrary scenario variants run with no new code.
 ``--format`` renders text tables (default), per-panel CSV, or a
@@ -55,12 +54,11 @@ from collections.abc import Sequence
 
 from repro.analysis.sensitivity import robustness_report
 from repro.core.protocols import Protocol
-from repro.experiments import experiment_ids, run_scenario, scenario
+from repro.experiments import experiment_ids, run_experiments, run_scenario, scenario
 from repro.experiments.claims import render_report
 from repro.experiments.diagrams import render_multihop_chain, render_singlehop_chain
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.spec import (
-    FAST,
     FIDELITIES,
     FULL,
     SMOKE,
@@ -71,7 +69,6 @@ from repro.runtime import (
     effective_jobs,
     failure_report,
     global_cache,
-    run_experiments,
     using_jobs,
     using_tolerance,
 )
@@ -150,17 +147,12 @@ def _add_verbose_flag(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fidelity_flags(command: argparse.ArgumentParser, default: str = FULL) -> None:
+def _add_fidelity_flag(command: argparse.ArgumentParser, default: str = FULL) -> None:
     command.add_argument(
         "--fidelity",
         choices=FIDELITIES,
-        default=None,
+        default=default,
         help=f"resolution profile (default: {default})",
-    )
-    command.add_argument(
-        "--fast",
-        action="store_true",
-        help="(deprecated) alias for --fidelity fast",
     )
 
 
@@ -172,17 +164,6 @@ def _add_format_flag(command: argparse.ArgumentParser) -> None:
         help="output rendering: aligned text tables, per-panel CSV, "
         "or a versioned JSON artifact with provenance",
     )
-
-
-def _resolve_fidelity(args: argparse.Namespace) -> str:
-    if args.fast:
-        print(
-            "warning: --fast is deprecated; use --fidelity fast",
-            file=sys.stderr,
-        )
-        if args.fidelity is None:
-            return FAST
-    return args.fidelity or FULL
 
 
 def _print_cache_stats() -> None:
@@ -241,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(experiment_ids()),
         help="scenario id (see `list`)",
     )
-    _add_fidelity_flags(run_cmd)
+    _add_fidelity_flag(run_cmd)
     run_cmd.add_argument(
         "--set",
         dest="overrides",
@@ -268,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verbose_flag(run_cmd)
 
     all_cmd = commands.add_parser("all", help="run every scenario")
-    _add_fidelity_flags(all_cmd)
+    _add_fidelity_flag(all_cmd)
     _add_format_flag(all_cmd)
     all_cmd.add_argument(
         "--output-dir",
@@ -295,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(experiment_ids()) + ["all"],
         help="one scenario id, or 'all' (default) for every registered scenario",
     )
-    _add_fidelity_flags(validate_cmd, default=SMOKE)
+    _add_fidelity_flag(validate_cmd, default=SMOKE)
     validate_cmd.add_argument(
         "--format",
         choices=("text", "json"),
@@ -536,19 +517,16 @@ def _dispatch_validate(args: argparse.Namespace) -> int:
     """
     from repro.validation import validate_scenario
 
-    if args.fast:
-        print("warning: --fast is deprecated; use --fidelity fast", file=sys.stderr)
-    fidelity = args.fidelity or (FAST if args.fast else SMOKE)
     ids = sorted(experiment_ids()) if args.target == "all" else [args.target]
     reports = []
     with using_jobs(args.jobs), using_tolerance(**_tolerance_kwargs(args)):
         for scenario_id in ids:
             reports.append(
-                validate_scenario(scenario_id, fidelity, seed=args.seed)
+                validate_scenario(scenario_id, args.fidelity, seed=args.seed)
             )
     failed = [report.scenario_id for report in reports if not report.passed]
     summary = (
-        f"validated {len(reports)} scenario(s) at {fidelity} fidelity: "
+        f"validated {len(reports)} scenario(s) at {args.fidelity} fidelity: "
         + ("all passed" if not failed else f"FAILED: {', '.join(failed)}")
     )
     if args.output_dir is not None:
@@ -620,12 +598,11 @@ def _dispatch(argv: Sequence[str] | None) -> int:
             print(experiment_id)
         return 0
     if args.command == "run":
-        fidelity = _resolve_fidelity(args)
         overrides = parse_overrides(args.overrides)
         with using_jobs(args.jobs), using_tolerance(**_tolerance_kwargs(args)):
             result = run_scenario(
                 scenario(args.experiment),
-                fidelity,
+                args.fidelity,
                 overrides=overrides,
                 protocols=args.protocols,
             )
@@ -636,7 +613,6 @@ def _dispatch(argv: Sequence[str] | None) -> int:
             _print_cache_stats()
         return 0
     if args.command == "all":
-        fidelity = _resolve_fidelity(args)
         ids = sorted(experiment_ids())
         with using_tolerance(**_tolerance_kwargs(args)):
             if effective_jobs(args.jobs) <= 1:
@@ -644,11 +620,11 @@ def _dispatch(argv: Sequence[str] | None) -> int:
                 # completes, so a long run shows progress and a late
                 # crash cannot discard the artifacts already produced.
                 results = (
-                    run_experiments([experiment_id], fidelity=fidelity)[0]
+                    run_experiments([experiment_id], fidelity=args.fidelity)[0]
                     for experiment_id in ids
                 )
             else:
-                results = run_experiments(ids, fidelity=fidelity, jobs=args.jobs)
+                results = run_experiments(ids, fidelity=args.fidelity, jobs=args.jobs)
             for experiment_id, result in zip(ids, results):
                 output = (
                     args.output_dir / f"{experiment_id}{_EXTENSIONS[args.format]}"

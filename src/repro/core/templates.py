@@ -1464,47 +1464,57 @@ def solve_tree_iterative_tasks(
     )
 
 
+def _solve_gilbert_tasks(tasks, solve_iid, wrap_degenerate, group_key, template):
+    """Solve ``(protocol, params, gilbert)`` tasks, split by channel.
+
+    Degenerate channels (``loss_good == loss_bad``) take the i.i.d. path
+    ``solve_iid`` at the common loss and are wrapped verbatim by
+    ``wrap_degenerate``, so they stay bit-identical to the baseline
+    results; all other points solve through the compiled product
+    ``template(*group_key(task))``.
+    """
+    tasks = list(tasks)
+    results: list[object] = [None] * len(tasks)
+    degenerate = [p for p, task in enumerate(tasks) if task[2].is_degenerate]
+    rest = [p for p, task in enumerate(tasks) if not task[2].is_degenerate]
+    if degenerate:
+        base = solve_iid(
+            [
+                (protocol, params.replace(loss_rate=gilbert.loss_good))
+                for protocol, params, gilbert in (tasks[p] for p in degenerate)
+            ]
+        )
+        for position, solution in zip(degenerate, base):
+            _, params, gilbert = tasks[position]
+            results[position] = wrap_degenerate(params, gilbert, solution)
+    solved = _solve_grouped(
+        [tasks[p] for p in rest],
+        group_key,
+        lambda key, group: template(*key).solve_batch(
+            [(params, gilbert) for _, params, gilbert in group]
+        ),
+    )
+    for position, solution in zip(rest, solved):
+        results[position] = solution
+    return results
+
+
 def solve_gilbert_singlehop_tasks(
     tasks: Sequence[tuple[Protocol, SignalingParameters, GilbertElliottParameters]],
 ) -> list[GilbertSingleHopSolution]:
     """Solve ``(protocol, params, gilbert)`` tasks through templates.
 
-    Degenerate channels (``loss_good == loss_bad``) take the i.i.d.
-    template path at the common loss and are wrapped verbatim, so they
-    stay bit-identical to the baseline results; all other points solve
-    through the compiled product templates.
+    Degenerate channels delegate to the i.i.d. single-hop template path
+    (see :func:`_solve_gilbert_tasks`); the rest solve through the
+    compiled product templates.
     """
-    tasks = list(tasks)
-    results: list[GilbertSingleHopSolution | None] = [None] * len(tasks)
-    degenerate = [
-        (position, task) for position, task in enumerate(tasks) if task[2].is_degenerate
-    ]
-    if degenerate:
-        base = solve_singlehop_tasks(
-            [
-                (protocol, params.replace(loss_rate=gilbert.loss_good))
-                for _, (protocol, params, gilbert) in degenerate
-            ]
-        )
-        for (position, (_, params, gilbert)), solution in zip(degenerate, base):
-            results[position] = degenerate_singlehop_solution(
-                params, gilbert, solution
-            )
-    rest = [
-        (position, task)
-        for position, task in enumerate(tasks)
-        if not task[2].is_degenerate
-    ]
-    solved = _solve_grouped(
-        [task for _, task in rest],
-        lambda task: Protocol(task[0]),
-        lambda protocol, group: gilbert_singlehop_template(protocol).solve_batch(
-            [(params, gilbert) for _, params, gilbert in group]
-        ),
+    return _solve_gilbert_tasks(
+        tasks,
+        solve_singlehop_tasks,
+        degenerate_singlehop_solution,
+        lambda task: (Protocol(task[0]),),
+        gilbert_singlehop_template,
     )
-    for (position, _), solution in zip(rest, solved):
-        results[position] = solution
-    return results
 
 
 def solve_gilbert_multihop_tasks(
@@ -1513,35 +1523,13 @@ def solve_gilbert_multihop_tasks(
     """Solve multi-hop ``(protocol, params, gilbert)`` tasks through templates.
 
     Degenerate channels delegate to the i.i.d. multi-hop template path
-    (bit-identical to baseline); the rest solve through the compiled
-    product templates.
+    (see :func:`_solve_gilbert_tasks`); the rest solve through the
+    compiled product templates.
     """
-    tasks = list(tasks)
-    results: list[GilbertMultiHopSolution | None] = [None] * len(tasks)
-    degenerate = [
-        (position, task) for position, task in enumerate(tasks) if task[2].is_degenerate
-    ]
-    if degenerate:
-        base = solve_multihop_tasks(
-            [
-                (protocol, params.replace(loss_rate=gilbert.loss_good))
-                for _, (protocol, params, gilbert) in degenerate
-            ]
-        )
-        for (position, (_, params, gilbert)), solution in zip(degenerate, base):
-            results[position] = degenerate_multihop_solution(params, gilbert, solution)
-    rest = [
-        (position, task)
-        for position, task in enumerate(tasks)
-        if not task[2].is_degenerate
-    ]
-    solved = _solve_grouped(
-        [task for _, task in rest],
+    return _solve_gilbert_tasks(
+        tasks,
+        solve_multihop_tasks,
+        degenerate_multihop_solution,
         lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: gilbert_multihop_template(*key).solve_batch(
-            [(params, gilbert) for _, params, gilbert in group]
-        ),
+        gilbert_multihop_template,
     )
-    for (position, _), solution in zip(rest, solved):
-        results[position] = solution
-    return results

@@ -15,6 +15,8 @@ The pre-spec entry point is kept as a thin shim:
 >>> result = run_experiment("fig4", fast=True)
 """
 
+from collections.abc import Sequence
+
 from repro.experiments import (  # noqa: F401 - imported to populate the registry
     fig04,
     fig05,
@@ -58,6 +60,7 @@ from repro.experiments.spec import (
     scenario_ids,
     scenarios,
 )
+from repro.runtime import parallel_map, using_jobs
 
 __all__ = [
     "FAST",
@@ -79,6 +82,8 @@ __all__ = [
     "register_scenario",
     "registry",
     "run_experiment",
+    "run_experiment_task",
+    "run_experiments",
     "run_scenario",
     "scenario",
     "scenario_ids",
@@ -112,6 +117,26 @@ def run_experiment(experiment_id: str, fast: bool = False, **kwargs) -> Experime
         overrides.update(kwargs.pop("overrides", None) or {})
         kwargs["overrides"] = overrides
     return run_scenario(scenario(experiment_id), fidelity, **kwargs)
+
+
+def run_experiment_task(task: tuple[str, str]) -> ExperimentResult:
+    """Run one whole ``(scenario id, fidelity)`` experiment.
+
+    The pool task of ``repro-signaling all``.  The experiment's internal
+    sweeps run serially inside the worker, so cross-experiment
+    parallelism never nests process pools.
+    """
+    experiment_id, fidelity = task
+    with using_jobs(1):
+        return run_scenario(scenario(experiment_id), fidelity)
+
+
+def run_experiments(
+    experiment_ids: Sequence[str], fidelity: str = FULL, jobs: int | None = None
+) -> list[ExperimentResult]:
+    """Run several experiments, fanned across workers, in input order."""
+    tasks = [(experiment_id, fidelity) for experiment_id in experiment_ids]
+    return parallel_map(run_experiment_task, tasks, jobs=jobs)
 
 
 def _registry_entry(scenario_id: str):

@@ -9,10 +9,11 @@ package turns those loops into data-parallel batches:
   count (``--jobs`` on the CLI, ``REPRO_JOBS`` in the environment);
 * :mod:`repro.runtime.cache` — a content-keyed memo cache so repeated
   ``(model, parameters)`` solves are computed once across figures;
-* :mod:`repro.runtime.solvers` — picklable solve entry points used as
-  pool tasks, plus batch helpers that combine the cache, the
-  compiled-template fast path (:mod:`repro.core.templates`) and the
-  pool.
+* :mod:`repro.runtime.solvers` — the ``solve_*_batch`` entry points,
+  served from one table of model families (``FAMILIES``) by one
+  generic path that combines the cache, the compiled-template fast
+  path (:mod:`repro.core.templates`) and the pool, plus the parity
+  class of every backend entry point (``PARITY_CLASSES``).
 
 Batch cache misses solve through compiled chain templates —
 structure-cached, batched linear algebra that is bit-identical to the
@@ -35,14 +36,11 @@ from repro.runtime.executor import (
     using_tolerance,
 )
 from repro.runtime.solvers import (
-    run_experiment_task,
-    run_experiments,
     solve_chain_stationary,
     solve_gilbert_multihop_batch,
     solve_gilbert_singlehop_batch,
     solve_heterogeneous_batch,
     solve_multihop_batch,
-    solve_protocol_suite,
     solve_singlehop_batch,
     solve_tree_batch,
     templates_enabled,
@@ -60,14 +58,11 @@ __all__ = [
     "failure_report",
     "global_cache",
     "parallel_map",
-    "run_experiment_task",
-    "run_experiments",
     "solve_chain_stationary",
     "solve_gilbert_multihop_batch",
     "solve_gilbert_singlehop_batch",
     "solve_heterogeneous_batch",
     "solve_multihop_batch",
-    "solve_protocol_suite",
     "solve_singlehop_batch",
     "solve_transient_curve",
     "solve_transient_point",

@@ -1,27 +1,24 @@
-"""Picklable solve tasks and cache-aware batch helpers.
+"""Cache-aware batch solvers over one table of model families.
 
-Pool workers need module-level callables (closures don't pickle), so
-every model family gets a ``solve_*_point(task)`` function taking one
-plain-data task tuple — these run the reference per-point models and
-stay the ground truth the fast path is parity-tested against.
-
-The ``solve_*_batch`` helpers are what the sweep code calls: they
-dedupe tasks by content key, serve repeats from
-:func:`repro.runtime.cache.global_cache`, and push the misses through
-the compiled-template fast path (:mod:`repro.core.templates`) — grouped
-by chain structure and solved with batched/structure-cached linear
-algebra.  With ``jobs > 1`` the misses are split into contiguous chunks
-fanned across the process pool, each worker running the same template
-path, so parallel results are identical to serial ones.  Setting
-``REPRO_TEMPLATES=0`` in the environment falls back to the per-point
-reference solvers (an escape hatch for debugging the fast path).
+Each model family is one :class:`Family` row in :data:`FAMILIES`.  Every
+``solve_*_batch`` helper runs the same path: dedupe tasks by content
+key, serve repeats from :func:`repro.runtime.cache.global_cache`, and
+solve the misses through the compiled templates
+(:mod:`repro.core.templates`), partitioned by backend route.  With
+``jobs > 1`` the misses are split into contiguous chunks fanned across
+the process pool, so parallel results are identical to serial ones.
+``REPRO_TEMPLATES=0`` in the environment solves misses through the
+per-point reference models instead: the ground truth the fast path is
+parity-tested against.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import logging
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable
 
 from repro.core import templates as _templates
 from repro.core.gilbert.model import (
@@ -35,7 +32,7 @@ from repro.core.gilbert.model import (
 from repro.core.markov import ContinuousTimeMarkovChain, State
 from repro.core.multihop import MultiHopModel, MultiHopSolution
 from repro.core.multihop.heterogeneous import HeterogeneousHop, HeterogeneousMultiHopModel
-from repro.core.multihop.lumping import TREE_BACKENDS, LumpedTreeModel, select_tree_backend
+from repro.core.multihop.lumping import LumpedTreeModel, select_tree_backend
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import MAX_ENUMERATED_TREE_STATES
@@ -44,36 +41,19 @@ from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel, SingleHopSolution
 from repro.faults.gilbert import GilbertElliottParameters
 from repro.runtime.cache import cache_key, global_cache
-from repro.runtime.executor import (
-    effective_jobs,
-    failure_report,
-    parallel_map,
-    using_jobs,
-)
+from repro.runtime.executor import effective_jobs, failure_report, parallel_map
 
 __all__ = [
-    "run_experiment_task",
-    "run_experiments",
+    "FAMILIES",
+    "PARITY_CLASSES",
+    "Family",
     "solve_chain_stationary",
     "solve_gilbert_multihop_batch",
-    "solve_gilbert_multihop_point",
-    "solve_gilbert_multihop_template_chunk",
     "solve_gilbert_singlehop_batch",
-    "solve_gilbert_singlehop_point",
-    "solve_gilbert_singlehop_template_chunk",
     "solve_heterogeneous_batch",
-    "solve_heterogeneous_point",
-    "solve_heterogeneous_template_chunk",
     "solve_multihop_batch",
-    "solve_multihop_point",
-    "solve_multihop_template_chunk",
-    "solve_protocol_suite",
     "solve_singlehop_batch",
-    "solve_singlehop_point",
-    "solve_singlehop_template_chunk",
     "solve_tree_batch",
-    "solve_tree_point",
-    "solve_tree_template_chunk",
     "templates_enabled",
 ]
 
@@ -81,28 +61,53 @@ _LOGGER = logging.getLogger(__name__)
 
 _MISSING = object()
 
-_TEMPLATES_ENV = "REPRO_TEMPLATES"
-
+#: Task shapes.  Chain and tree tasks may add a trailing backend name;
+#: bare tuples mean ``"auto"`` (see :class:`Family`).
 SingleHopTask = tuple[Protocol, SignalingParameters]
-#: Chain tasks may carry an explicit backend as a trailing element; bare
-#: tuples mean ``"auto"`` (routed by state count — the structured
-#: O(hops) kernel at and above the sparse threshold, the exact template
-#: path below it).
-MultiHopTask = (
-    tuple[Protocol, MultiHopParameters] | tuple[Protocol, MultiHopParameters, str]
-)
+MultiHopTask = tuple[Protocol, MultiHopParameters] | tuple[Protocol, MultiHopParameters, str]
 HeterogeneousTask = (
     tuple[Protocol, MultiHopParameters, tuple[HeterogeneousHop, ...]]
     | tuple[Protocol, MultiHopParameters, tuple[HeterogeneousHop, ...], str]
 )
-#: Tree tasks may carry an explicit backend as a fourth element; bare
-#: 3-tuples mean ``"auto"`` (routed by projected state counts).
 TreeTask = (
     tuple[Protocol, MultiHopParameters, Topology]
     | tuple[Protocol, MultiHopParameters, Topology, str]
 )
 GilbertSingleHopTask = tuple[Protocol, SignalingParameters, GilbertElliottParameters]
 GilbertMultiHopTask = tuple[Protocol, MultiHopParameters, GilbertElliottParameters]
+
+#: Parity class of every public backend entry point (``core/templates.py``,
+#: ``core/markov.py``, ``runtime/transient.py``): ``"exact"`` paths must
+#: reproduce the dense reference bit for bit, ``"tolerance"`` paths agree
+#: within the bound of :mod:`repro.validation.parity`.  reprolint rule
+#: RL004 holds every entry point defined there to a class declared here.
+PARITY_CLASSES: dict[str, str] = {
+    "solve_singlehop_tasks": "exact",
+    "solve_multihop_tasks": "exact",
+    "solve_heterogeneous_tasks": "exact",
+    "solve_tree_tasks": "exact",
+    "solve_gilbert_singlehop_tasks": "exact",
+    "solve_gilbert_multihop_tasks": "exact",
+    "batched_stationary_dense": "exact",
+    "batched_absorption_times_dense": "exact",
+    # Uniformization truncates a Poisson series, so transient curves
+    # match the dense expm oracle to tolerance, never bit-exactly.
+    "solve_transient_point": "tolerance",
+    "solve_transient_curve": "tolerance",
+    # Orbit lumping is mathematically exact (proved in rational
+    # arithmetic by tests/core/test_tree_lumping.py) but aggregates
+    # float additions in a different order than the direct enumeration;
+    # the Krylov backend bounds a residual instead of factorizing.
+    # Both therefore declare tolerance, never bit parity.
+    "solve_tree_lumped_tasks": "tolerance",
+    "solve_tree_iterative_tasks": "tolerance",
+    # The block-Thomas chain kernel eliminates level by level, an
+    # entirely different operation order than any LU factorization;
+    # exact in exact arithmetic, tolerance in floats.
+    "batched_stationary_chain": "tolerance",
+    "solve_multihop_structured_tasks": "tolerance",
+    "solve_heterogeneous_structured_tasks": "tolerance",
+}
 
 #: Above this state count a dense rescue (an O(n^2) matrix plus an
 #: O(n^3) LAPACK factorization) costs more than it saves; the fallback
@@ -143,19 +148,12 @@ def solve_chain_stationary(chain: ContinuousTimeMarkovChain) -> dict[State, floa
         raise error
     failure_report().solver_fallbacks += 1
     for rescue in rescues:
-        if rescue == "dense":
-            _LOGGER.warning(
-                "%s stationary solve failed for a %d-state chain; recomputing densely",
-                chain.solver,
-                n,
-            )
-        else:
-            _LOGGER.warning(
-                "%s stationary solve failed for a %d-state chain; "
-                "retrying with the iterative backend",
-                chain.solver,
-                n,
-            )
+        _LOGGER.warning(
+            "%s stationary solve failed for a %d-state chain; %s",
+            chain.solver,
+            n,
+            "recomputing densely" if rescue == "dense" else "retrying with the iterative backend",
+        )
         try:
             return chain.with_solver(rescue).stationary_distribution()
         except (ValueError, RuntimeError) as exc:
@@ -169,509 +167,252 @@ def templates_enabled() -> bool:
     On by default; ``REPRO_TEMPLATES=0`` (or ``off``/``false``/``no``)
     reroutes batches through the per-point reference models.
     """
-    return os.environ.get(_TEMPLATES_ENV, "").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
+    setting = os.environ.get("REPRO_TEMPLATES", "").strip().lower()
+    return setting not in ("0", "off", "false", "no")
 
 
-def _singlehop_key(task: SingleHopTask) -> tuple:
-    protocol, params = task
-    return cache_key("singlehop", protocol, params)
+@dataclasses.dataclass(frozen=True)
+class Family:
+    """How one model family is keyed, routed and solved.
 
-
-def _chain_parity_class(backend: str) -> str:
-    """The parity class a chain backend's results belong to.
-
-    Baked into the cache key (mirroring the tree dispatch) so a
-    tolerance-class structured result can never be served to an
-    exact-path caller sharing the same ``(protocol, params)``.
+    A task is ``(protocol, params, *inputs)`` with ``arity`` elements;
+    ``key_inputs(*inputs)`` extends its cache key and
+    ``reference(route, protocol, params, *inputs)`` solves it per point.
+    ``routes`` maps each backend to the *name* of the
+    :mod:`repro.core.templates` entry point serving it, looked up at call
+    time.  With a ``select`` function the family is *routed*: a task may
+    add a trailing backend (``"auto"`` if absent, resolved by ``select``)
+    and the cache key carries the route and its parity class; ``label``
+    names the family in backend errors.
     """
-    return "tolerance" if backend == "structured" else "exact"
+
+    tag: str
+    arity: int
+    routes: dict[str, str]
+    reference: Callable[..., object]
+    key_inputs: Callable[..., Hashable] = lambda *inputs: ()
+    select: Callable[..., str] | None = None
+    label: str = ""
 
 
-def _normalized_multihop_task(
-    task: MultiHopTask,
-) -> tuple[Protocol, MultiHopParameters, str]:
-    """``(protocol, params, backend)`` with ``"auto"`` resolved.
-
-    Bare 2-tuples mean ``"auto"``; resolution happens before cache
-    keying so an ``"auto"`` task and its resolved explicit twin share
-    one cache entry, while distinct backends never collide.
-    """
-    if len(task) == 2:
-        protocol, params = task
-        backend = "auto"
-    else:
-        protocol, params, backend = task
-    if backend not in _templates.CHAIN_BACKENDS:
-        raise ValueError(
-            f"chain backend must be one of {_templates.CHAIN_BACKENDS}, "
-            f"got {backend!r}"
-        )
-    protocol = Protocol(protocol)
-    if backend == "auto":
-        backend = _templates.select_chain_backend(protocol, params.hops)
-    return protocol, params, backend
+def _chain_route(protocol: Protocol, params: MultiHopParameters, *_) -> str:
+    return _templates.select_chain_backend(protocol, params.hops)
 
 
-def _normalized_heterogeneous_task(
-    task: HeterogeneousTask,
-) -> tuple[Protocol, MultiHopParameters, tuple[HeterogeneousHop, ...], str]:
-    """``(protocol, params, hops, backend)`` with ``"auto"`` resolved."""
-    if len(task) == 3:
-        protocol, params, hops = task
-        backend = "auto"
-    else:
-        protocol, params, hops, backend = task
-    if backend not in _templates.CHAIN_BACKENDS:
-        raise ValueError(
-            f"chain backend must be one of {_templates.CHAIN_BACKENDS}, "
-            f"got {backend!r}"
-        )
-    protocol = Protocol(protocol)
-    if backend == "auto":
-        backend = _templates.select_chain_backend(protocol, params.hops)
-    return protocol, params, tuple(hops), backend
-
-
-def _multihop_key(task: MultiHopTask) -> tuple:
-    protocol, params, backend = _normalized_multihop_task(task)
-    return cache_key(
-        "multihop", protocol, params, (backend, _chain_parity_class(backend))
-    )
-
-
-def _heterogeneous_key(task: HeterogeneousTask) -> tuple:
-    protocol, params, hops, backend = _normalized_heterogeneous_task(task)
-    hop_key = tuple((h.loss_rate, h.delay) for h in hops)
-    return cache_key(
-        "heterogeneous",
-        protocol,
-        params,
-        (hop_key, backend, _chain_parity_class(backend)),
-    )
-
-
-def _normalized_tree_task(
-    task: TreeTask,
-) -> tuple[Protocol, MultiHopParameters, Topology, str]:
-    """``(protocol, params, topology, backend)`` with ``"auto"`` resolved.
-
-    Tree tasks arrive as bare 3-tuples (meaning ``"auto"``) or with an
-    explicit backend.  Resolution happens here — before cache keying —
-    so an ``"auto"`` task and its resolved explicit twin share one cache
-    entry, while distinct backends never collide.
-    """
-    if len(task) == 3:
-        protocol, params, topology = task
-        backend = "auto"
-    else:
-        protocol, params, topology, backend = task
-    if backend not in TREE_BACKENDS:
-        raise ValueError(
-            f"tree backend must be one of {TREE_BACKENDS}, got {backend!r}"
-        )
-    if backend == "auto":
-        backend = select_tree_backend(topology)
-    return Protocol(protocol), params, topology, backend
-
-
-def _tree_parity_class(backend: str) -> str:
-    """The parity class a backend's results belong to.
-
-    Baked into the cache key so a tolerance-class result (lumped or
-    iterative) can never be served to an exact-path caller that happens
-    to share the ``(protocol, params, topology)`` triple.
-    """
-    return "tolerance" if backend in ("lumped", "iterative") else "exact"
-
-
-def _tree_key(task: TreeTask) -> tuple:
-    protocol, params, topology, backend = _normalized_tree_task(task)
-    return cache_key(
-        "tree",
-        protocol,
-        params,
-        (topology.parents, backend, _tree_parity_class(backend)),
-    )
-
-
-def _gilbert_singlehop_key(task: GilbertSingleHopTask) -> tuple:
-    protocol, params, gilbert = task
-    return cache_key("gilbert-singlehop", protocol, params, gilbert)
-
-
-def _gilbert_multihop_key(task: GilbertMultiHopTask) -> tuple:
-    protocol, params, gilbert = task
-    return cache_key("gilbert-multihop", protocol, params, gilbert)
-
-
-def _memoized(key: tuple, compute):
-    cache = global_cache()
-    value = cache.get(key, _MISSING)
-    if value is _MISSING:
-        value = compute()
-        cache.put(key, value)
-    return value
-
-
-def _compute_singlehop(task: SingleHopTask) -> SingleHopSolution:
-    protocol, params = task
-    return SingleHopModel(protocol, params).solve()
-
-
-def _compute_multihop(task: MultiHopTask) -> MultiHopSolution:
-    # The reference path ignores the backend: with templates disabled
-    # (REPRO_TEMPLATES=0) every chain solves through the per-point
-    # reference model, bypassing the structured kernel entirely.
-    protocol, params, _ = _normalized_multihop_task(task)
-    return MultiHopModel(protocol, params).solve()
-
-
-def _compute_heterogeneous(task: HeterogeneousTask) -> MultiHopSolution:
-    protocol, params, hops, _ = _normalized_heterogeneous_task(task)
-    return HeterogeneousMultiHopModel(protocol, params, hops).solve()
-
-
-def _compute_tree(task: TreeTask) -> TreeSolution:
-    protocol, params, topology, backend = _normalized_tree_task(task)
-    if backend == "lumped":
+def _tree_reference(route, protocol, params, topology) -> TreeSolution:
+    if route == "lumped":
         model = LumpedTreeModel(protocol, params, topology)
-    elif backend == "iterative":
+    elif route == "iterative":
         model = TreeModel(
-            protocol,
-            params,
-            topology,
-            max_states=MAX_ENUMERATED_TREE_STATES,
-            solver="iterative",
+            protocol, params, topology, max_states=MAX_ENUMERATED_TREE_STATES, solver="iterative"
         )
     else:
         model = TreeModel(protocol, params, topology)
-    stationary = solve_chain_stationary(model.chain())
-    return model.solution_from_stationary(stationary)
+    return model.solution_from_stationary(solve_chain_stationary(model.chain()))
 
 
-def _compute_gilbert_singlehop(task: GilbertSingleHopTask) -> GilbertSingleHopSolution:
-    protocol, params, gilbert = task
-    model = GilbertSingleHopModel(protocol, params, gilbert)
+def _gilbert_reference(model_type, from_stationary, route, protocol, params, gilbert):
+    model = model_type(protocol, params, gilbert)
     if gilbert.is_degenerate:
         return model.solve()
-    stationary = solve_chain_stationary(model.chain())
-    return singlehop_solution_from_stationary(protocol, params, gilbert, stationary)
+    return from_stationary(protocol, params, gilbert, solve_chain_stationary(model.chain()))
 
 
-def _compute_gilbert_multihop(task: GilbertMultiHopTask) -> GilbertMultiHopSolution:
-    protocol, params, gilbert = task
-    model = GilbertMultiHopModel(protocol, params, gilbert)
-    if gilbert.is_degenerate:
-        return model.solve()
-    stationary = solve_chain_stationary(model.chain())
-    return multihop_solution_from_stationary(protocol, params, gilbert, stationary)
+#: The model families, by cache-key tag.  Chain references ignore the
+#: route: with templates off, no chain touches the structured kernel.
+FAMILIES: dict[str, Family] = {
+    family.tag: family
+    for family in (
+        Family(
+            tag="singlehop",
+            arity=2,
+            routes={"template": "solve_singlehop_tasks"},
+            reference=lambda route, *inputs: SingleHopModel(*inputs).solve(),
+        ),
+        Family(
+            tag="multihop",
+            arity=2,
+            routes={
+                "template": "solve_multihop_tasks",
+                "structured": "solve_multihop_structured_tasks",
+            },
+            reference=lambda route, *inputs: MultiHopModel(*inputs).solve(),
+            select=_chain_route,
+            label="chain",
+        ),
+        Family(
+            tag="heterogeneous",
+            arity=3,
+            routes={
+                "template": "solve_heterogeneous_tasks",
+                "structured": "solve_heterogeneous_structured_tasks",
+            },
+            reference=lambda route, *inputs: HeterogeneousMultiHopModel(*inputs).solve(),
+            key_inputs=lambda hops: (tuple((hop.loss_rate, hop.delay) for hop in hops),),
+            select=_chain_route,
+            label="chain",
+        ),
+        Family(
+            tag="tree",
+            arity=3,
+            routes={
+                "direct": "solve_tree_tasks",
+                "lumped": "solve_tree_lumped_tasks",
+                "iterative": "solve_tree_iterative_tasks",
+            },
+            reference=_tree_reference,
+            key_inputs=lambda topology: (topology.parents,),
+            select=lambda protocol, params, topology: select_tree_backend(topology),
+            label="tree",
+        ),
+        Family(
+            tag="gilbert-singlehop",
+            arity=3,
+            routes={"template": "solve_gilbert_singlehop_tasks"},
+            reference=functools.partial(
+                _gilbert_reference, GilbertSingleHopModel, singlehop_solution_from_stationary
+            ),
+            key_inputs=lambda gilbert: gilbert,
+        ),
+        Family(
+            tag="gilbert-multihop",
+            arity=3,
+            routes={"template": "solve_gilbert_multihop_tasks"},
+            reference=functools.partial(
+                _gilbert_reference, GilbertMultiHopModel, multihop_solution_from_stationary
+            ),
+            key_inputs=lambda gilbert: gilbert,
+        ),
+    )
+}
 
 
-def solve_singlehop_point(task: SingleHopTask) -> SingleHopSolution:
-    """Solve one single-hop ``(protocol, params)`` point (memoized)."""
-    return _memoized(_singlehop_key(task), lambda: _compute_singlehop(task))
+def _keyed(family: Family, task: tuple) -> tuple[tuple, tuple, str]:
+    """``(cache key, inputs, route)`` for one task, ``"auto"`` resolved.
 
-
-def solve_multihop_point(task: MultiHopTask) -> MultiHopSolution:
-    """Solve one multi-hop ``(protocol, params)`` point (memoized)."""
-    return _memoized(_multihop_key(task), lambda: _compute_multihop(task))
-
-
-def solve_heterogeneous_point(task: HeterogeneousTask) -> MultiHopSolution:
-    """Solve one heterogeneous ``(protocol, params, hops)`` point (memoized)."""
-    return _memoized(_heterogeneous_key(task), lambda: _compute_heterogeneous(task))
-
-
-def solve_tree_point(task: TreeTask) -> TreeSolution:
-    """Solve one tree ``(protocol, params, topology)`` point (memoized)."""
-    return _memoized(_tree_key(task), lambda: _compute_tree(task))
-
-
-def solve_gilbert_singlehop_point(task: GilbertSingleHopTask) -> GilbertSingleHopSolution:
-    """Solve one ``(protocol, params, gilbert)`` product point (memoized)."""
-    return _memoized(_gilbert_singlehop_key(task), lambda: _compute_gilbert_singlehop(task))
-
-
-def solve_gilbert_multihop_point(task: GilbertMultiHopTask) -> GilbertMultiHopSolution:
-    """Solve one multi-hop ``(protocol, params, gilbert)`` point (memoized)."""
-    return _memoized(_gilbert_multihop_key(task), lambda: _compute_gilbert_multihop(task))
-
-
-def solve_protocol_suite(
-    params: SignalingParameters,
-) -> dict[Protocol, SingleHopSolution]:
-    """Solve every protocol on one parameter set (memoized per point).
-
-    Drop-in for :func:`repro.core.singlehop.solve_all`, and picklable so
-    the sensitivity grid can fan whole parameterizations across workers.
+    Resolving before keying makes an ``"auto"`` task share one cache
+    entry with its explicit twin, while distinct routes never collide.
     """
-    return {protocol: solve_singlehop_point((protocol, params)) for protocol in Protocol}
+    protocol, params, *rest = task[: family.arity]
+    inputs = (Protocol(protocol), params, *rest)
+    extra = family.key_inputs(*rest)
+    if family.select is None:
+        (route,) = family.routes
+    else:
+        route = task[family.arity] if len(task) > family.arity else "auto"
+        if route == "auto":
+            route = family.select(*inputs)
+        elif route not in family.routes:
+            raise ValueError(
+                f"{family.label} backend must be one of {('auto', *family.routes)}, "
+                f"got {route!r}"
+            )
+        extra += (route, PARITY_CLASSES[family.routes[route]])
+    return cache_key(family.tag, protocol, params, extra), inputs, route
 
 
-# ----------------------------------------------------------------------
-# Template chunk workers (module-level so they pickle into the pool)
-# ----------------------------------------------------------------------
+def _solve_chunk(job: tuple[str, list]) -> list:
+    """Solve ``(family tag, [(inputs, route), ...])`` through templates.
 
-
-def solve_singlehop_template_chunk(
-    tasks: Sequence[SingleHopTask],
-) -> list[SingleHopSolution]:
-    """Solve a chunk of single-hop tasks through compiled templates."""
-    return _templates.solve_singlehop_tasks(list(tasks))
-
-
-def _solve_chain_partitioned(normalized, entry_points):
-    """Partition normalized chain tasks by backend and scatter back.
-
-    One chunk can mix backends (a hop sweep crossing the structured
-    threshold mid-axis) without extra round trips — the same shape as
-    the tree dispatch below.
+    A pool task (the family travels by name, so only module-level
+    functions pickle).  Each route's points go to its entry point at once.
     """
-    partitions: dict[str, list[int]] = {}
-    for position, task in enumerate(normalized):
-        partitions.setdefault(task[-1], []).append(position)
-    results = [None] * len(normalized)
-    for backend, positions in partitions.items():
-        solved = entry_points[backend]([normalized[p][:-1] for p in positions])
-        for position, solution in zip(positions, solved):
-            results[position] = solution
-    return results
-
-
-def solve_multihop_template_chunk(
-    tasks: Sequence[MultiHopTask],
-) -> list[MultiHopSolution]:
-    """Solve a chunk of homogeneous multi-hop tasks through templates.
-
-    Tasks are partitioned by their resolved backend: the exact template
-    path, or the structured O(hops) chain kernel.
-    """
-    return _solve_chain_partitioned(
-        [_normalized_multihop_task(task) for task in tasks],
-        {
-            "template": _templates.solve_multihop_tasks,
-            "structured": _templates.solve_multihop_structured_tasks,
-        },
+    tag, items = job
+    routes = FAMILIES[tag].routes
+    return _templates._solve_grouped(
+        items,
+        lambda item: item[1],
+        lambda route, group: getattr(_templates, routes[route])(
+            [inputs for inputs, _ in group]
+        ),
     )
 
 
-def solve_heterogeneous_template_chunk(
-    tasks: Sequence[HeterogeneousTask],
-) -> list[MultiHopSolution]:
-    """Solve a chunk of heterogeneous multi-hop tasks through templates.
+def _solve_reference(job: tuple[str, tuple[tuple, str]]):
+    """Solve ``(family tag, (inputs, route))`` per point (a pool task)."""
+    tag, (inputs, route) = job
+    return FAMILIES[tag].reference(route, *inputs)
 
-    Backend-partitioned exactly like
-    :func:`solve_multihop_template_chunk`.
+
+def _fan_chunks(tag: str, items: list, jobs: int | None) -> list:
+    """Run :func:`_solve_chunk` over contiguous chunks, one per worker.
+
+    One worker solves the whole list as one maximal template batch; more
+    trade some batching for processes, keeping deterministic order.
     """
-    return _solve_chain_partitioned(
-        [_normalized_heterogeneous_task(task) for task in tasks],
-        {
-            "template": _templates.solve_heterogeneous_tasks,
-            "structured": _templates.solve_heterogeneous_structured_tasks,
-        },
-    )
-
-
-def solve_tree_template_chunk(tasks: Sequence[TreeTask]) -> list[TreeSolution]:
-    """Solve a chunk of tree tasks through compiled templates.
-
-    Tasks are partitioned by their resolved backend and routed to the
-    matching template entry point — direct, lumped or iterative — then
-    scattered back to input order, so one chunk can mix backends (a
-    sweep crossing the direct cap mid-axis) without extra round trips.
-    """
-    normalized = [_normalized_tree_task(task) for task in tasks]
-    partitions: dict[str, list[int]] = {}
-    for position, (_, _, _, backend) in enumerate(normalized):
-        partitions.setdefault(backend, []).append(position)
-    entry_points = {
-        "direct": _templates.solve_tree_tasks,
-        "lumped": _templates.solve_tree_lumped_tasks,
-        "iterative": _templates.solve_tree_iterative_tasks,
-    }
-    results: list[TreeSolution] = [None] * len(normalized)
-    for backend, positions in partitions.items():
-        solved = entry_points[backend](
-            [normalized[p][:3] for p in positions]
-        )
-        for position, solution in zip(positions, solved):
-            results[position] = solution
-    return results
-
-
-def solve_gilbert_singlehop_template_chunk(
-    tasks: Sequence[GilbertSingleHopTask],
-) -> list[GilbertSingleHopSolution]:
-    """Solve a chunk of single-hop Gilbert-Elliott tasks through templates."""
-    return _templates.solve_gilbert_singlehop_tasks(list(tasks))
-
-
-def solve_gilbert_multihop_template_chunk(
-    tasks: Sequence[GilbertMultiHopTask],
-) -> list[GilbertMultiHopSolution]:
-    """Solve a chunk of multi-hop Gilbert-Elliott tasks through templates."""
-    return _templates.solve_gilbert_multihop_tasks(list(tasks))
-
-
-def _fan_chunks(chunk_fn, tasks: list, jobs: int | None) -> list:
-    """Run ``chunk_fn`` over contiguous task chunks, one per worker.
-
-    Serial execution (one worker) hands the whole list to one template
-    batch — maximal batching; parallel execution trades some batching
-    for process-level parallelism while keeping deterministic order.
-    """
-    workers = min(effective_jobs(jobs), len(tasks))
+    workers = min(effective_jobs(jobs), len(items))
     if workers <= 1:
-        return chunk_fn(tasks)
-    bounds = [round(i * len(tasks) / workers) for i in range(workers + 1)]
-    chunks = [tasks[bounds[i] : bounds[i + 1]] for i in range(workers)]
-    chunks = [chunk for chunk in chunks if chunk]
-    parts = parallel_map(chunk_fn, chunks, jobs=workers)
+        return _solve_chunk((tag, items))
+    bounds = [round(i * len(items) / workers) for i in range(workers + 1)]
+    chunks = [(tag, items[bounds[i] : bounds[i + 1]]) for i in range(workers)]
+    parts = parallel_map(_solve_chunk, chunks, jobs=workers)
     return [solution for part in parts for solution in part]
 
 
-def _solve_batch(compute_fn, chunk_fn, key_fn, tasks, jobs):
-    # compute_fn is the raw (unmemoized) reference solve; chunk_fn the
-    # compiled-template batch path.  Memoization happens once here, so
-    # batch points are neither double-counted in the cache stats nor
-    # double-written to the cache.
-    tasks = list(tasks)
-    keys = [key_fn(task) for task in tasks]
+def _solve_batch(tag: str, tasks: Iterable[tuple], jobs: int | None) -> list:
+    # Memoization happens once here, so batch points are neither
+    # double-counted in the cache stats nor double-written to the cache.
+    keyed = [_keyed(FAMILIES[tag], task) for task in tasks]
     cache = global_cache()
     resolved: dict[tuple, object] = {}
-    pending: dict[tuple, object] = {}
-    for key, task in zip(keys, tasks):
+    pending: dict[tuple, tuple] = {}
+    for key, inputs, route in keyed:
         if key in resolved or key in pending:
             continue
         value = cache.get(key, _MISSING)
         if value is _MISSING:
-            pending[key] = task
+            pending[key] = (inputs, route)
         else:
             resolved[key] = value
     if pending:
-        miss_tasks = list(pending.values())
+        items = list(pending.values())
         if templates_enabled():
-            computed = _fan_chunks(chunk_fn, miss_tasks, jobs)
+            computed = _fan_chunks(tag, items, jobs)
         else:
-            computed = parallel_map(compute_fn, miss_tasks, jobs=jobs)
+            computed = parallel_map(_solve_reference, [(tag, item) for item in items], jobs=jobs)
         for key, value in zip(pending, computed):
             cache.put(key, value)
             resolved[key] = value
-    return [resolved[key] for key in keys]
+    return [resolved[key] for key, _, _ in keyed]
 
 
 def solve_singlehop_batch(
     tasks: Iterable[SingleHopTask], jobs: int | None = None
 ) -> list[SingleHopSolution]:
     """Solve many single-hop points; results in task order."""
-    return _solve_batch(
-        _compute_singlehop,
-        solve_singlehop_template_chunk,
-        _singlehop_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("singlehop", tasks, jobs)
 
 
 def solve_multihop_batch(
     tasks: Iterable[MultiHopTask], jobs: int | None = None
 ) -> list[MultiHopSolution]:
     """Solve many multi-hop points; results in task order."""
-    return _solve_batch(
-        _compute_multihop,
-        solve_multihop_template_chunk,
-        _multihop_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("multihop", tasks, jobs)
 
 
 def solve_heterogeneous_batch(
     tasks: Iterable[HeterogeneousTask], jobs: int | None = None
 ) -> list[MultiHopSolution]:
     """Solve many heterogeneous multi-hop points; results in task order."""
-    return _solve_batch(
-        _compute_heterogeneous,
-        solve_heterogeneous_template_chunk,
-        _heterogeneous_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("heterogeneous", tasks, jobs)
 
 
 def solve_tree_batch(
     tasks: Iterable[TreeTask], jobs: int | None = None
 ) -> list[TreeSolution]:
     """Solve many tree points; results in task order."""
-    return _solve_batch(
-        _compute_tree,
-        solve_tree_template_chunk,
-        _tree_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("tree", tasks, jobs)
 
 
 def solve_gilbert_singlehop_batch(
     tasks: Iterable[GilbertSingleHopTask], jobs: int | None = None
 ) -> list[GilbertSingleHopSolution]:
     """Solve many single-hop Gilbert-Elliott points; results in task order."""
-    return _solve_batch(
-        _compute_gilbert_singlehop,
-        solve_gilbert_singlehop_template_chunk,
-        _gilbert_singlehop_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("gilbert-singlehop", tasks, jobs)
 
 
 def solve_gilbert_multihop_batch(
     tasks: Iterable[GilbertMultiHopTask], jobs: int | None = None
 ) -> list[GilbertMultiHopSolution]:
     """Solve many multi-hop Gilbert-Elliott points; results in task order."""
-    return _solve_batch(
-        _compute_gilbert_multihop,
-        solve_gilbert_multihop_template_chunk,
-        _gilbert_multihop_key,
-        tasks,
-        jobs,
-    )
-
-
-def run_experiment_task(task: tuple[str, bool | str]):
-    """Run one whole experiment (pool task for ``repro-signaling all``).
-
-    The task's second element is a fidelity name (``"full"``/``"fast"``/
-    ``"smoke"``), or a legacy ``fast`` boolean.  The experiment's
-    internal sweeps run serially inside the worker so cross-experiment
-    parallelism never nests process pools.
-    """
-    # The `all` pool task must live below parallel_map to stay
-    # picklable, yet runs a whole scenario, which lives above; the
-    # lazy import defers that deliberate upward edge to worker call
-    # time, so the runtime layer stays import-clean.
-    from repro.experiments import run_experiment  # reprolint: disable=RL001 -- deliberate lazy upward edge, see comment
-
-    experiment_id, fidelity = task
-    if isinstance(fidelity, bool):
-        fidelity = "fast" if fidelity else "full"
-    with using_jobs(1):
-        return run_experiment(experiment_id, fidelity=fidelity)
-
-
-def run_experiments(
-    experiment_ids: Sequence[str],
-    fast: bool = False,
-    jobs: int | None = None,
-    fidelity: str | None = None,
-):
-    """Run several experiments, fanned across workers, in input order."""
-    if fidelity is None:
-        fidelity = "fast" if fast else "full"
-    tasks = [(experiment_id, fidelity) for experiment_id in experiment_ids]
-    return parallel_map(run_experiment_task, tasks, jobs=jobs)
+    return _solve_batch("gilbert-multihop", tasks, jobs)

@@ -14,7 +14,7 @@ Tasks are plain data tuples (picklable, hashable)::
 where ``initial`` is ``"empty"`` or ``"stationary"``, ``faults`` is a
 frozen :class:`~repro.faults.schedule.FaultSchedule` and ``times`` is
 a sorted tuple of grid times.  Both entry points are registered in
-:data:`repro.validation.parity.PARITY_CLASSES` as ``tolerance``:
+:data:`repro.runtime.solvers.PARITY_CLASSES` as ``tolerance``:
 uniformization truncates a Poisson series, so results agree with the
 dense ``expm`` oracle to tolerance, not bit-exactly (see
 ``docs/transient.md``).

@@ -33,7 +33,9 @@ they run the same ``dgesv`` on the same matrices), while the sparse,
 lumped and iterative paths must agree within a tight tolerance (a
 different factorization cannot promise the same last bits).  The matrix
 spans protocols × hop counts × parameter points (the point list grows
-with fidelity).
+with fidelity).  Each backend entry point's class is declared once, in
+:data:`repro.runtime.solvers.PARITY_CLASSES` (re-exported here), where
+the batch solvers also key their memo cache on it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from repro.core.protocols import Protocol
 from repro.core.singlehop.model import SingleHopModel
 from repro.core.singlehop.states import SingleHopState as S
 from repro.faults.gilbert import GilbertElliottParameters
+from repro.runtime.solvers import PARITY_CLASSES
 from repro.validation.report import CheckResult, PointCheck
 
 __all__ = [
@@ -97,41 +100,6 @@ BACKENDS = (
     "lumped",
     "iterative",
 )
-
-#: Parity class of every public solver backend entry point
-#: (``core/templates.py``, ``core/markov.py``): ``"exact"`` paths must
-#: reproduce the dense reference bit for bit (``==``), ``"tolerance"``
-#: paths within the sparse bound below.  reprolint rule RL004
-#: cross-references this dict against the entry points actually
-#: defined, so a new backend cannot ship without declaring — and being
-#: held to — its parity class here.
-PARITY_CLASSES: dict[str, str] = {
-    "solve_singlehop_tasks": "exact",
-    "solve_multihop_tasks": "exact",
-    "solve_heterogeneous_tasks": "exact",
-    "solve_tree_tasks": "exact",
-    "solve_gilbert_singlehop_tasks": "exact",
-    "solve_gilbert_multihop_tasks": "exact",
-    "batched_stationary_dense": "exact",
-    "batched_absorption_times_dense": "exact",
-    # Uniformization truncates a Poisson series, so transient curves
-    # match the dense expm oracle to tolerance, never bit-exactly.
-    "solve_transient_point": "tolerance",
-    "solve_transient_curve": "tolerance",
-    # Orbit lumping is mathematically exact (proved in rational
-    # arithmetic by tests/core/test_tree_lumping.py) but aggregates
-    # float additions in a different order than the direct enumeration;
-    # the Krylov backend bounds a residual instead of factorizing.
-    # Both therefore declare tolerance, never bit parity.
-    "solve_tree_lumped_tasks": "tolerance",
-    "solve_tree_iterative_tasks": "tolerance",
-    # The block-Thomas chain kernel eliminates level by level, an
-    # entirely different operation order than any LU factorization;
-    # exact in exact arithmetic, tolerance in floats.
-    "batched_stationary_chain": "tolerance",
-    "solve_multihop_structured_tasks": "tolerance",
-    "solve_heterogeneous_structured_tasks": "tolerance",
-}
 
 #: Agreement bound for the sparse (splu) backend against the dense
 #: reference: ``|a - b| <= SPARSE_ABS_TOL + SPARSE_REL_TOL * |a|``.

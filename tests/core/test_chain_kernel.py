@@ -251,11 +251,16 @@ class TestBackendRouting:
 
     def test_auto_task_and_explicit_backend_share_cache_entry(self):
         params = MultiHopParameters(hops=200, loss_rate=0.0421)
-        auto_key = solvers._multihop_key((Protocol.SS, params))
-        explicit = solvers._multihop_key((Protocol.SS, params, "structured"))
-        template = solvers._multihop_key((Protocol.SS, params, "template"))
-        assert auto_key == explicit
-        assert auto_key != template
+        auto, explicit, template = solvers.solve_multihop_batch(
+            [
+                (Protocol.SS, params),
+                (Protocol.SS, params, "structured"),
+                (Protocol.SS, params, "template"),
+            ],
+            jobs=1,
+        )
+        assert auto is explicit
+        assert auto is not template
 
     def test_mixed_backend_chunk_preserves_order(self):
         tasks = [
@@ -263,7 +268,7 @@ class TestBackendRouting:
             (Protocol.SS, MultiHopParameters(hops=3, loss_rate=0.07), "structured"),
             (Protocol.SS_RT, MultiHopParameters(hops=2, loss_rate=0.07)),
         ]
-        solutions = solvers.solve_multihop_template_chunk(tasks)
+        solutions = solvers.solve_multihop_batch(tasks, jobs=1)
         assert [s.protocol for s in solutions] == [t[0] for t in tasks]
         assert solutions[0].inconsistency_ratio == pytest.approx(
             solutions[1].inconsistency_ratio, rel=RTOL

@@ -21,9 +21,9 @@ class TestParser:
             build_parser().parse_args(["run", "fig99"])
 
     def test_run_accepts_flags(self):
-        args = build_parser().parse_args(["run", "fig4", "--fast"])
+        args = build_parser().parse_args(["run", "fig4", "--fidelity", "fast"])
         assert args.experiment == "fig4"
-        assert args.fast
+        assert args.fidelity == "fast"
         assert args.jobs is None
 
     def test_jobs_flag_parsed(self):
@@ -45,13 +45,13 @@ class TestCommands:
         assert "SS+RTR" in out
 
     def test_run_fast_figure(self, capsys):
-        assert main(["run", "fig5", "--fast"]) == 0
+        assert main(["run", "fig5", "--fidelity", "fast"]) == 0
         out = capsys.readouterr().out
         assert "loss rate" in out
 
     def test_run_writes_output_file(self, tmp_path, capsys):
         target = tmp_path / "out" / "fig5.txt"
-        assert main(["run", "fig5", "--fast", "--output", str(target)]) == 0
+        assert main(["run", "fig5", "--fidelity", "fast", "--output", str(target)]) == 0
         assert target.exists()
         assert "loss rate" in target.read_text()
 
@@ -61,9 +61,9 @@ class TestCommands:
         assert "explicit removal" in out
 
     def test_run_with_jobs_matches_serial(self, capsys):
-        assert main(["run", "fig17", "--fast"]) == 0
+        assert main(["run", "fig17", "--fidelity", "fast"]) == 0
         serial = capsys.readouterr().out
-        assert main(["run", "fig17", "--fast", "--jobs", "2"]) == 0
+        assert main(["run", "fig17", "--fidelity", "fast", "--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert parallel == serial
 
@@ -73,16 +73,11 @@ class TestFidelity:
         args = build_parser().parse_args(["run", "fig4", "--fidelity", "smoke"])
         assert args.fidelity == "smoke"
 
-    def test_fast_is_deprecated_alias(self, capsys):
-        assert main(["run", "table1", "--fast"]) == 0
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_explicit_fidelity_wins_over_fast(self, capsys):
-        assert main(["run", "fig5", "--fast", "--fidelity", "smoke"]) == 0
-        smoke_rows = capsys.readouterr().out.count("\n")
-        assert main(["run", "fig5", "--fast"]) == 0
-        fast_rows = capsys.readouterr().out.count("\n")
-        assert smoke_rows < fast_rows
+    @pytest.mark.parametrize("command", [["run", "table1"], ["all"], ["validate", "fig4"]])
+    def test_removed_fast_flag_exits_2(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--fast"])
+        assert excinfo.value.code == 2
 
     def test_smoke_thins_sweeps(self, capsys):
         assert main(["run", "fig4", "--fidelity", "smoke"]) == 0

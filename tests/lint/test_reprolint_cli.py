@@ -60,3 +60,4 @@ class TestRealRepo:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["files_checked"] > 50
+        assert payload["suppressed"] == []

@@ -9,15 +9,14 @@ import pytest
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
+from repro.experiments import run_experiment, run_experiments
 from repro.runtime import (
     failure_report,
     global_cache,
-    run_experiments,
     solve_multihop_batch,
-    solve_protocol_suite,
     solve_singlehop_batch,
 )
-from repro.runtime.solvers import solve_chain_stationary, solve_singlehop_point
+from repro.runtime.solvers import FAMILIES, PARITY_CLASSES, solve_chain_stationary
 
 
 @pytest.fixture(autouse=True)
@@ -52,9 +51,7 @@ class TestSingleHopBatch:
         before = global_cache().stats()["misses"]
         second = solve_singlehop_batch(tasks)
         assert global_cache().stats()["misses"] == before
-        assert [s.inconsistency_ratio for s in first] == [
-            s.inconsistency_ratio for s in second
-        ]
+        assert all(a is b for a, b in zip(first, second))
 
     def test_content_equal_parameters_share_cache_entries(self):
         solve_singlehop_batch([(Protocol.SS, kazaa_defaults())])
@@ -78,11 +75,16 @@ class TestSingleHopBatch:
             s.message_breakdown for s in parallel
         ]
 
-    def test_point_solver_memoizes(self):
-        task = (Protocol.SS, kazaa_defaults())
-        first = solve_singlehop_point(task)
-        second = solve_singlehop_point(task)
-        assert first is second
+    def test_solutions_pickle(self):
+        import pickle
+
+        tasks = [(protocol, kazaa_defaults()) for protocol in Protocol]
+        solutions = solve_singlehop_batch(tasks)
+        clones = pickle.loads(pickle.dumps(solutions))
+        assert [c.protocol for c in clones] == list(Protocol)
+        assert [c.inconsistency_ratio for c in clones] == [
+            s.inconsistency_ratio for s in solutions
+        ]
 
 
 class TestMultiHopBatch:
@@ -121,58 +123,48 @@ class TestHeterogeneousBatch:
         assert len(global_cache()) == 2
 
 
-class TestProtocolSuite:
-    def test_covers_every_protocol(self):
-        suite = solve_protocol_suite(kazaa_defaults())
-        assert set(suite) == set(Protocol)
+class TestFamilyTable:
+    def test_every_task_entry_point_is_served_by_exactly_one_route(self):
+        served = [entry for family in FAMILIES.values() for entry in family.routes.values()]
+        task_entry_points = [
+            name
+            for name in PARITY_CLASSES
+            if name.startswith("solve_") and name.endswith("_tasks")
+        ]
+        assert task_entry_points
+        for name in task_entry_points:
+            assert served.count(name) == 1, name
 
-    def test_is_picklable(self):
-        import pickle
+    def test_every_route_names_a_registered_entry_point(self):
+        from repro.core import templates
 
-        suite = solve_protocol_suite(kazaa_defaults())
-        clone = pickle.loads(pickle.dumps(suite))
-        assert set(clone) == set(Protocol)
+        for family in FAMILIES.values():
+            for route, entry in family.routes.items():
+                assert entry in PARITY_CLASSES, (family.tag, route)
+                assert callable(getattr(templates, entry)), (family.tag, route)
+
+    def test_routed_families_accept_exactly_the_core_backends(self):
+        from repro.core.multihop.lumping import TREE_BACKENDS
+        from repro.core.templates import CHAIN_BACKENDS
+
+        assert ("auto", *FAMILIES["multihop"].routes) == CHAIN_BACKENDS
+        assert ("auto", *FAMILIES["heterogeneous"].routes) == CHAIN_BACKENDS
+        assert ("auto", *FAMILIES["tree"].routes) == TREE_BACKENDS
 
 
 class TestRunExperiments:
     def test_serial_fanout_matches_run_experiment(self):
-        from repro.experiments import run_experiment
-
-        direct = run_experiment("fig17", fast=True)
-        (fanned,) = run_experiments(["fig17"], fast=True)
+        direct = run_experiment("fig17", fidelity="fast")
+        (fanned,) = run_experiments(["fig17"], fidelity="fast")
         assert fanned.to_text() == direct.to_text()
 
     def test_parallel_fanout_matches_serial(self):
-        serial = run_experiments(["fig17", "table1"], fast=True, jobs=1)
-        parallel = run_experiments(["fig17", "table1"], fast=True, jobs=2)
+        serial = run_experiments(["fig17", "table1"], fidelity="fast", jobs=1)
+        parallel = run_experiments(["fig17", "table1"], fidelity="fast", jobs=2)
         assert [r.to_text() for r in serial] == [r.to_text() for r in parallel]
 
 
 class TestTreeBackendRouting:
-    def test_cache_key_separates_backends(self):
-        from repro.core.multihop import Topology
-        from repro.runtime.solvers import _tree_key
-
-        topology = Topology.star(2)
-        params = reservation_defaults().replace(hops=topology.num_edges)
-        keys = {
-            backend: _tree_key((Protocol.SS, params, topology, backend))
-            for backend in ("direct", "lumped", "iterative")
-        }
-        assert len(set(keys.values())) == 3
-
-    def test_auto_shares_cache_entry_with_resolved_backend(self):
-        from repro.core.multihop import Topology, select_tree_backend
-        from repro.runtime.solvers import _tree_key
-
-        topology = Topology.star(8)  # over the direct cap: resolves lumped
-        resolved = select_tree_backend(topology)
-        assert resolved == "lumped"
-        params = reservation_defaults().replace(hops=topology.num_edges)
-        auto_key = _tree_key((Protocol.SS, params, topology))
-        explicit_key = _tree_key((Protocol.SS, params, topology, resolved))
-        assert auto_key == explicit_key
-
     def test_batch_routes_mixed_backends_in_input_order(self):
         from repro.core.multihop import LumpedTreeModel, Topology, TreeModel
         from repro.runtime import solve_tree_batch

@@ -6,9 +6,10 @@ template == batched exactly, sparse within tolerance.  A new backend
 that never enters the matrix is unvalidated by construction.  This rule
 cross-references the public ``solve_*``/``batched_*`` functions defined
 in the files named by ``[rules.RL004] entrypoint_files`` against the
-``PARITY_CLASSES`` registry in the parity module: every entry point
-must be registered as ``"exact"`` or ``"tolerance"``, and the registry
-must not carry stale names.
+``PARITY_CLASSES`` registry in ``registry_file`` (``runtime/solvers.py``,
+where the batch solvers key their cache on it): every entry point must
+be registered as ``"exact"`` or ``"tolerance"``, and the registry must
+not carry stale names.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class ParityRegistrationRule:
     name = "parity-registration"
     description = (
         "public solve_*/batched_* backend entry points must be registered "
-        "in validation/parity.py PARITY_CLASSES as exact or tolerance"
+        "in runtime/solvers.py PARITY_CLASSES as exact or tolerance"
     )
 
     def check_project(self, context: LintContext) -> list[Finding]:
