@@ -32,15 +32,15 @@ lint:
 	ruff check src tests benchmarks examples tools
 	$(PYTHON) -m tools.reprolint
 
-# Regenerate the committed, manifest/argparse-derived docs: the CLI
-# reference and the layer-map block in docs/architecture.md.
+# Regenerate the committed, generated docs: the CLI reference and the
+# layer-map and family/route blocks in docs/architecture.md.
 docs:
 	$(PYTHON) tools/generate_cli_docs.py
 	$(PYTHON) tools/generate_layer_docs.py
 
 # What the `docs` CI job runs: doctests on the public surface, no
-# docs/cli.md or layer-map drift, no broken relative links in docs/
-# or README.
+# drift in docs/cli.md or the generated blocks of docs/architecture.md,
+# no broken relative links in docs/ or README.
 docs-check:
 	$(PYTHON) -m pytest --doctest-modules src/repro/api.py -q
 	$(PYTHON) tools/generate_cli_docs.py --check

@@ -9,11 +9,11 @@ performance trajectory.
 
 from __future__ import annotations
 
-from repro.experiments import run_experiment
+from repro.experiments import run_scenario
 
 
 def test_bench_burst_loss(run_once):
-    result = run_once(run_experiment, "burst_loss", fast=True)
+    result = run_once(run_scenario, "burst_loss", "fast")
     panel = result.panel("a: inconsistency ratio")
     model = panel.series_by_label("SS")
     sim = panel.series_by_label("SS sim")
@@ -27,7 +27,7 @@ def test_bench_burst_loss(run_once):
 
 
 def test_bench_link_flap(run_once):
-    result = run_once(run_experiment, "link_flap", fast=True)
+    result = run_once(run_scenario, "link_flap", "fast")
     panel = result.panel("a: inconsistency ratio")
     for series in panel.series:
         assert all(y >= 0 for y in series.y)

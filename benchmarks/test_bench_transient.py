@@ -9,11 +9,11 @@ path has its own performance trajectory.
 
 from __future__ import annotations
 
-from repro.experiments import run_experiment
+from repro.experiments import run_scenario
 
 
 def test_bench_time_to_consistency(run_once):
-    result = run_once(run_experiment, "time_to_consistency", fast=True)
+    result = run_once(run_scenario, "time_to_consistency", "fast")
     panel = result.panel("a: consistency probability over time")
     model = panel.series_by_label("SS")
     sim = panel.series_by_label("SS sim")
@@ -25,7 +25,7 @@ def test_bench_time_to_consistency(run_once):
 
 
 def test_bench_recovery_crash(run_once):
-    result = run_once(run_experiment, "recovery_crash", fast=True)
+    result = run_once(run_scenario, "recovery_crash", "fast")
     panel = result.panel("a: consistency through a silent crash (t = 5 .. 35)")
     model = panel.series_by_label("SS")
     by_time = dict(zip(model.x, model.y))

@@ -19,7 +19,7 @@ from repro.core.multihop import (
 )
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
-from repro.experiments import run_experiment
+from repro.experiments import run_scenario
 
 
 def _params_for(topology):
@@ -80,13 +80,13 @@ def test_bench_direct_vs_lumped_crossover(run_once):
 
 
 def test_bench_tree_deep_scenario(run_once):
-    result = run_once(run_experiment, "tree_deep", fast=True)
+    result = run_once(run_scenario, "tree_deep", "fast")
     series = result.panel("a: any-leaf inconsistency").series_by_label("SS binary")
     assert series.x == (1.0, 2.0, 3.0)
     assert all(math.isfinite(y) for y in series.y)
 
 
 def test_bench_tree_wide_scenario(run_once):
-    result = run_once(run_experiment, "tree_wide", fast=True)
+    result = run_once(run_scenario, "tree_wide", "fast")
     series = result.panel("a: any-leaf inconsistency").series_by_label("SS star")
     assert series.y[-1] > series.y[0]

@@ -49,7 +49,11 @@ from repro.core.multihop.transitions import supported_protocols
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.messages import message_rate_components
-from repro.core.singlehop.model import SingleHopModel, SingleHopSolution
+from repro.core.singlehop.model import (
+    FINITE_SESSION_REQUIRED,
+    SingleHopModel,
+    SingleHopSolution,
+)
 from repro.core.singlehop.states import SingleHopState as S
 from repro.core.singlehop.transitions import state_space
 from repro.faults.gilbert import GilbertElliottParameters
@@ -348,10 +352,7 @@ class GilbertSingleHopModel:
         gilbert: GilbertElliottParameters,
     ) -> None:
         if params.removal_rate <= 0:
-            raise ValueError(
-                "single-hop model requires a finite session (removal_rate > 0); "
-                "the multi-hop model covers the infinite-lifetime regime"
-            )
+            raise ValueError(FINITE_SESSION_REQUIRED)
         self.protocol = Protocol(protocol)
         self.params = params
         self.gilbert = gilbert

@@ -24,7 +24,14 @@ from repro.core.singlehop.messages import message_rate_components
 from repro.core.singlehop.states import SingleHopState as S
 from repro.core.singlehop.transitions import build_transition_rates, state_space
 
-__all__ = ["SingleHopModel", "SingleHopSolution"]
+__all__ = ["FINITE_SESSION_REQUIRED", "SingleHopModel", "SingleHopSolution"]
+
+#: Why a single-hop model rejects ``removal_rate <= 0``: the lifetime
+#: (time to absorption) of an infinite session does not exist.
+FINITE_SESSION_REQUIRED = (
+    "single-hop model requires a finite session (removal_rate > 0); "
+    "the multi-hop model covers the infinite-lifetime regime"
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,10 +76,7 @@ class SingleHopModel:
 
     def __init__(self, protocol: Protocol, params: SignalingParameters) -> None:
         if params.removal_rate <= 0:
-            raise ValueError(
-                "single-hop model requires a finite session (removal_rate > 0); "
-                "the multi-hop model covers the infinite-lifetime regime"
-            )
+            raise ValueError(FINITE_SESSION_REQUIRED)
         self.protocol = Protocol(protocol)
         self.params = params
         self._rates = build_transition_rates(self.protocol, params)

@@ -1,40 +1,48 @@
 """Compiled chain templates: structure-cached, batched CTMC solves.
 
 Every figure in the paper sweeps parameters over a chain whose
-*structure* — state space and transition graph — is fixed by
-``(protocol, hop count)`` while only the rates vary.  The per-point
-model classes (:class:`~repro.core.singlehop.model.SingleHopModel`,
-:class:`~repro.core.multihop.model.MultiHopModel`,
-:class:`~repro.core.multihop.heterogeneous.HeterogeneousMultiHopModel`)
-rebuild that structure from Python dicts of hashable states at every
-sweep point.  A template compiles it once:
+*structure* (state space and transition graph) is fixed by a model
+family's discrete inputs (the protocol, plus the hop count, tree
+topology or channel model) while only the rates vary.  The per-point
+reference models (:mod:`repro.core.singlehop`, :mod:`repro.core.multihop`
+and :mod:`repro.core.gilbert`) rebuild that structure from dicts of
+hashable states at every sweep point.  A template compiles it once, and
+one private base class, :class:`_CompiledTemplate`, runs everything
+after that:
 
-* integer COO index arrays (``rows``, ``cols``) over the fixed state
-  order, plus a per-edge *feature* index;
-* a rate evaluator mapping each parameter point to a derived-feature
-  vector, assembled into the ``(K, E)`` edge-rate matrix by numpy
-  fancy-indexing — no per-point dict churn.
+* the COO compile: integer ``rows``/``cols`` over the fixed state
+  order, plus, for each edge, the slot of the per-point *derived-rate
+  row* its rate comes from (times an integer multiplicity on lumped
+  orbits);
+* ``edge_rates``: the ``(K, E)`` edge-rate matrix, gathered from the
+  ``(K, F)`` derived rows by numpy fancy-indexing (no per-point dict
+  churn);
+* the stationary solve: one stacked LAPACK call for all K points below
+  :data:`~repro.core.markov.SPARSE_STATE_THRESHOLD` states; above it, a
+  per-point ``splu`` on a CSC pattern whose symbolic structure is
+  computed once (or ILU-preconditioned GMRES for the iterative tree
+  backend);
+* ``solve_batch``: any point the batch cannot certify (singular matrix,
+  residual check, non-finite result) is re-solved by the reference
+  model, so failure diagnostics are exactly the reference's.
 
-The derived features themselves are computed with the *reference
-modules' own helper functions* (``slow_path_recovery_rate``,
-``first_timeout_rate``, ``reach_profile``, …), so every edge rate is
-bit-identical to what the reference model builds; combined with stacked
-LAPACK solves (one ``numpy.linalg.solve`` call for all K points) the
-dense fast path reproduces the per-point dense results **bit for bit**,
-not merely within tolerance.
+A model family is a subclass that compiles its structure and supplies
+three hooks: ``_derived(point)`` validates one point and returns its
+whole derived-rate row, computed with the *reference modules' own
+helper functions* (``slow_path_recovery_rate``, ``tree_tag_rate``, …);
+``_solution(point, solved)`` wraps the point's solved row in the
+family's solution type; and ``_reference(point)`` solves the point with
+the reference model.  A family whose reference accumulates its rate dict
+from an ``(origin, destination, tag[, multiplicity])`` spec list
+subclasses :class:`_SpecTemplate`, which compiles that list with one
+derived slot per distinct tag.  A new family is therefore a spec list,
+a per-point rate hook, a solution wrapper and a reference model.
 
-Small chains (every single-hop figure, multi-hop below
-:data:`~repro.core.markov.SPARSE_STATE_THRESHOLD` states) solve all K
-points in one batched dense call.  Large chains keep the template's
-fixed sparsity pattern: the CSC symbolic structure (indices/indptr and
-the COO→CSC scatter) is computed once at compile time, each point only
-refreshes the ``.data`` vector and runs ``splu`` (scipy exposes no
-symbolic-only re-factorization, so the numeric factorization is the one
-per-point cost left).
-
-Any point the batched path cannot certify (singular matrix, residual
-check, non-finite result) falls back to the reference model for that
-point, so failure diagnostics are exactly the reference's.
+Each edge rate is the reference's own float, scattered in the
+reference's accumulation order, and the stacked ``numpy.linalg.solve``
+runs the same ``dgesv`` as the per-point dense path, so dense batches
+reproduce the per-point dense results **bit for bit**, not merely
+within tolerance.
 """
 
 from __future__ import annotations
@@ -107,7 +115,11 @@ from repro.core.multihop.tree_transitions import (
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.messages import message_rate_components
-from repro.core.singlehop.model import SingleHopModel, SingleHopSolution
+from repro.core.singlehop.model import (
+    FINITE_SESSION_REQUIRED,
+    SingleHopModel,
+    SingleHopSolution,
+)
 from repro.core.singlehop.states import SingleHopState as S
 from repro.core.singlehop.transitions import (
     effective_false_removal_rate,
@@ -146,56 +158,6 @@ __all__ = [
 
 
 _LOGGER = logging.getLogger(__name__)
-
-
-def _sparse_batch(
-    pattern: "_SparseStationaryPattern", rates: np.ndarray, label: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point sparse solves; failed points are flagged and logged.
-
-    A flagged point falls back to the reference model downstream — the
-    fallback must never be silent (see docs/robustness.md).
-    """
-    k = rates.shape[0]
-    pi = np.zeros((k, pattern.n))
-    bad = np.zeros(k, dtype=bool)
-    for point in range(k):
-        solved = pattern.stationary(rates[point])
-        if solved is None:
-            _LOGGER.warning(
-                "sparse template solve failed for %s point %d of %d; "
-                "falling back to the reference model",
-                label,
-                point,
-                k,
-            )
-            bad[point] = True
-        else:
-            pi[point] = solved
-    return pi, bad
-
-
-def _iterative_batch(
-    pattern: "_SparseStationaryPattern", rates: np.ndarray, label: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point ILU/GMRES solves; failed points fall back downstream."""
-    k = rates.shape[0]
-    pi = np.zeros((k, pattern.n))
-    bad = np.zeros(k, dtype=bool)
-    for point in range(k):
-        solved = pattern.stationary_iterative(rates[point])
-        if solved is None:
-            _LOGGER.warning(
-                "iterative template solve failed for %s point %d of %d; "
-                "falling back to the reference model",
-                label,
-                point,
-                k,
-            )
-            bad[point] = True
-        else:
-            pi[point] = solved
-    return pi, bad
 
 
 def _assemble_dense(
@@ -349,7 +311,147 @@ class _SparseStationaryPattern:
 
 
 # ----------------------------------------------------------------------
-# Single-hop templates
+# The shared compile-and-solve loop
+# ----------------------------------------------------------------------
+
+
+class _CompiledTemplate:
+    """One compiled chain structure, solved for many rate points at once.
+
+    A subclass calls :meth:`_compile` and supplies the hooks
+    ``_derived(point)`` (validate one point, return its whole derived-
+    rate row), ``_solution(point, solved)`` (wrap the point's row of
+    the batched solve, its stationary masses in ``states`` order) and
+    ``_reference(point)`` (the per-point reference solve).
+    """
+
+    #: ``"iterative"`` solves every point by ILU/GMRES on the sparse
+    #: pattern, whatever the state count; ``"direct"`` picks dense or splu.
+    solver = "direct"
+
+    def _compile(self, states, rows, cols, features, multiplicities=1.0) -> None:
+        """Fix the COO structure over ``states``.
+
+        Edge ``e`` runs ``states[rows[e]] -> states[cols[e]]`` at rate
+        ``derived[features[e]] * multiplicities[e]``; duplicate positions
+        accumulate in edge order, as the reference rate dicts do.
+        """
+        self.states = states
+        self.rows = np.array(rows, dtype=np.intp)
+        self.cols = np.array(cols, dtype=np.intp)
+        self._features = np.array(features, dtype=np.intp)
+        self._multiplicities = np.asarray(multiplicities, dtype=np.float64)
+        self._flat = self.rows * len(states) + self.cols
+        self._sparse_pattern: _SparseStationaryPattern | None = None
+
+    def derived_rows(self, points: Sequence) -> np.ndarray:
+        """The ``(K, F)`` derived-rate matrix for ``points``."""
+        return np.array([self._derived(point) for point in points], dtype=np.float64)
+
+    def edge_rates(self, points: Sequence) -> np.ndarray:
+        """The ``(K, E)`` edge-rate matrix for ``points``."""
+        rates = self.derived_rows(points)[:, self._features]
+        rates *= self._multiplicities  # in place: one (K, E) array alive, not two
+        return rates
+
+    def _use_sparse(self) -> bool:
+        return (
+            len(self.states) >= _markov.SPARSE_STATE_THRESHOLD
+            and _markov._sparse_modules() is not None
+        )
+
+    def _stationary(self, points: list) -> tuple[np.ndarray, np.ndarray]:
+        """``(pi, bad)`` for every point, dense-batched or sparse-looped.
+
+        A point the sparse or iterative solve fails is flagged for the
+        reference fallback, and logged: the fallback must never be
+        silent (see docs/robustness.md).
+        """
+        rates = self.edge_rates(points)
+        n = len(self.states)
+        if self.solver == "direct" and not self._use_sparse():
+            return batched_stationary_dense(
+                _fill_generator_diagonal(_assemble_dense(self._flat, rates, n))
+            )
+        if self._sparse_pattern is None:
+            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, n)
+        if self.solver == "iterative":
+            solve, kind = self._sparse_pattern.stationary_iterative, "iterative"
+        else:
+            solve, kind = self._sparse_pattern.stationary, "sparse"
+        k = len(points)
+        pi = np.zeros((k, n))
+        bad = np.zeros(k, dtype=bool)
+        for point in range(k):
+            solved = solve(rates[point])
+            if solved is None:
+                _LOGGER.warning(
+                    "%s template solve failed for %s point %d of %d; "
+                    "falling back to the reference model",
+                    kind,
+                    type(self).__name__,
+                    point,
+                    k,
+                )
+                bad[point] = True
+            else:
+                pi[point] = solved
+        return pi, bad
+
+    def solve_batch(self, points: Sequence) -> list:
+        """Solve every point; bit-identical to the per-point dense path."""
+        return self._solve_points(points, self._stationary)
+
+    def _solve_points(self, points: Sequence, stationary) -> list:
+        """Solve ``points`` with ``stationary``, then each flagged point
+        (or all of them, if the batch is singular) with the reference."""
+        points = list(points)
+        if not points:
+            return []
+        try:
+            pi, bad = stationary(points)
+        except np.linalg.LinAlgError:
+            return [self._reference(point) for point in points]
+        rows = pi.tolist()
+        return [
+            self._reference(point) if bad[k] else self._solution(point, rows[k])
+            for k, point in enumerate(points)
+        ]
+
+
+class _SpecTemplate(_CompiledTemplate):
+    """A template compiled from its reference model's shared spec list.
+
+    The reference accumulates its rate dict from the same
+    ``(origin, destination, tag[, multiplicity])`` list, so the COO
+    arrays scatter exactly the reference's edges in the reference's
+    order.  Each distinct tag is one derived slot, in first-seen order
+    (``_tags``): ``_derived`` returns one rate per tag.
+    """
+
+    def _compile_specs(self, states, specs) -> None:
+        index = {state: i for i, state in enumerate(states)}
+        self._tags = tuple(dict.fromkeys([spec[2] for spec in specs]))
+        slot = {tag: i for i, tag in enumerate(self._tags)}
+        self._compile(
+            states,
+            [index[spec[0]] for spec in specs],
+            [index[spec[1]] for spec in specs],
+            [slot[spec[2]] for spec in specs],
+            [spec[3] for spec in specs] if len(specs[0]) == 4 else 1.0,
+        )
+
+
+def _multihop_protocol(protocol: Protocol) -> Protocol:
+    """``protocol``, rejected unless the multi-hop analysis models it."""
+    protocol = Protocol(protocol)
+    if protocol not in Protocol.multihop_family():
+        raise ValueError(f"{protocol.value} is not part of the multi-hop analysis")
+    return protocol
+
+
+# ----------------------------------------------------------------------
+# Single-hop template
 # ----------------------------------------------------------------------
 
 #: Derived-feature order of the single-hop rate evaluator.
@@ -399,113 +501,86 @@ def _singlehop_edge_specs(protocol: Protocol) -> list[tuple[S, S, str]]:
     return specs
 
 
-def _singlehop_derived_row(
-    protocol: Protocol, params: SignalingParameters
-) -> tuple[float, ...]:
-    """One point's derived features, via the reference expressions."""
-    p = params.loss_rate
-    success = 1.0 - p
-    delta = params.delay
-    timeout = 1.0 / params.timeout_interval
-    retransmit = 1.0 / params.retransmission_interval
-    return (
-        success / delta,
-        p / delta,
-        params.update_rate,
-        params.removal_rate,
-        singlehop_recovery_rate(protocol, params),
-        effective_false_removal_rate(protocol, params),
-        timeout,
-        timeout + success * retransmit,
-        success * retransmit,
-    )
-
-
-class SingleHopTemplate:
+class SingleHopTemplate(_CompiledTemplate):
     """Compiled structure of one protocol's Fig. 3 chain.
+
+    Each batch solves the recurrent chain (the absorbing state merged
+    into the start state) for the stationary distribution, and the
+    transient chain for the mean time to absorption (the expected
+    receiver lifetime), which rides along as the last column.
 
     Use :func:`singlehop_template` to get the memoized instance.
     """
 
     def __init__(self, protocol: Protocol) -> None:
         self.protocol = Protocol(protocol)
-        self.states: tuple[S, ...] = state_space(self.protocol)
-        index = {state: i for i, state in enumerate(self.states)}
+        states: tuple[S, ...] = state_space(self.protocol)
+        index = {state: i for i, state in enumerate(states)}
         specs = _singlehop_edge_specs(self.protocol)
         self.edges: tuple[tuple[S, S], ...] = tuple((o, d) for o, d, _ in specs)
-        self.rows = np.array([index[o] for o, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _ in specs], dtype=np.intp)
-        self._features = np.array([_SH_INDEX[f] for _, _, f in specs], dtype=np.intp)
-        n = len(self.states)
-        self._n = n
-        self._absorbed = index[S.ABSORBED]
+        self._compile(
+            states,
+            [index[o] for o, _, _ in specs],
+            [index[d] for _, d, _ in specs],
+            [_SH_INDEX[f] for _, _, f in specs],
+        )
         self._start = index[S.S10_FAST]
         # Recurrent chain: the absorbing state (last) merged into the
         # start state — redirect its incoming edges, drop its row/column.
-        merged_cols = np.where(self.cols == self._absorbed, self._start, self.cols)
-        self._recurrent_flat = self.rows * (n - 1) + merged_cols
-        self._transient_flat = self.rows * n + self.cols
+        merged_cols = np.where(self.cols == index[S.ABSORBED], self._start, self.cols)
+        self._recurrent_flat = self.rows * (len(states) - 1) + merged_cols
 
-    def edge_rates(self, points: Sequence[SignalingParameters]) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        derived = np.array(
-            [_singlehop_derived_row(self.protocol, params) for params in points]
+    def _derived(self, params: SignalingParameters) -> tuple[float, ...]:
+        """One point's derived features, via the reference expressions."""
+        if params.removal_rate <= 0:
+            raise ValueError(FINITE_SESSION_REQUIRED)
+        p = params.loss_rate
+        success = 1.0 - p
+        delta = params.delay
+        timeout = 1.0 / params.timeout_interval
+        retransmit = 1.0 / params.retransmission_interval
+        return (
+            success / delta,
+            p / delta,
+            params.update_rate,
+            params.removal_rate,
+            singlehop_recovery_rate(self.protocol, params),
+            effective_false_removal_rate(self.protocol, params),
+            timeout,
+            timeout + success * retransmit,
+            success * retransmit,
         )
-        return derived[:, self._features]
 
-    def solve_batch(
-        self, points: Sequence[SignalingParameters]
-    ) -> list[SingleHopSolution]:
-        """Solve every point; bit-identical to the per-point dense path."""
-        points = list(points)
-        if not points:
-            return []
+    def _stationary(self, points: list) -> tuple[np.ndarray, np.ndarray]:
+        """``(solved, bad)``: each row the recurrent stationary
+        distribution, then the point's expected receiver lifetime."""
         rates = self.edge_rates(points)
-        n = self._n
-        m = n - 1  # both the recurrent and the transient block size
-        try:
-            recurrent = _fill_generator_diagonal(
-                _assemble_dense(self._recurrent_flat, rates, m)
-            )
-            pi, bad_pi = batched_stationary_dense(recurrent)
-            transient = _fill_generator_diagonal(
-                _assemble_dense(self._transient_flat, rates, n)
-            )
-            times, bad_times = batched_absorption_times_dense(
-                transient[:, :m, :m]
-            )
-        except np.linalg.LinAlgError:
-            return [self._reference(params) for params in points]
-        bad = bad_pi | bad_times
-        solutions: list[SingleHopSolution] = []
-        recurrent_states = self.states[:-1]
-        for k, params in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(recurrent_states)
-            }
-            solutions.append(
-                SingleHopSolution(
-                    protocol=self.protocol,
-                    params=params,
-                    stationary=stationary,
-                    inconsistency_ratio=1.0 - stationary[S.CONSISTENT],
-                    expected_receiver_lifetime=float(times[k, self._start]),
-                    message_breakdown=message_rate_components(
-                        self.protocol, params, stationary
-                    ),
-                )
-            )
-        return solutions
+        m = len(self.states) - 1  # both the recurrent and the transient block size
+        recurrent = _fill_generator_diagonal(
+            _assemble_dense(self._recurrent_flat, rates, m)
+        )
+        pi, bad_pi = batched_stationary_dense(recurrent)
+        transient = _fill_generator_diagonal(_assemble_dense(self._flat, rates, m + 1))
+        times, bad_times = batched_absorption_times_dense(transient[:, :m, :m])
+        return np.column_stack((pi, times[:, self._start])), bad_pi | bad_times
+
+    def _solution(self, params: SignalingParameters, solved: list) -> SingleHopSolution:
+        stationary = dict(zip(self.states, solved[:-1]))
+        return SingleHopSolution(
+            protocol=self.protocol,
+            params=params,
+            stationary=stationary,
+            inconsistency_ratio=1.0 - stationary[S.CONSISTENT],
+            expected_receiver_lifetime=solved[-1],
+            message_breakdown=message_rate_components(self.protocol, params, stationary),
+        )
 
     def _reference(self, params: SignalingParameters) -> SingleHopSolution:
         return SingleHopModel(self.protocol, params).solve()
 
 
 # ----------------------------------------------------------------------
-# Multi-hop templates (homogeneous and heterogeneous points)
+# Multi-hop chain template (homogeneous and heterogeneous points)
 # ----------------------------------------------------------------------
 
 
@@ -536,37 +611,33 @@ def select_chain_backend(protocol: Protocol, hops: int) -> str:
     return "template"
 
 
-class MultiHopTemplate:
+class MultiHopTemplate(_CompiledTemplate):
     """Compiled structure of the Fig. 15/16 chain for ``(protocol, hops)``.
 
     One template serves both homogeneous points (``hops=None`` in the
     task, rates derived with the homogeneous reference helpers) and
     heterogeneous points (per-hop vectors, rates derived with the
     heterogeneous profile functions), because the chain structure is
-    identical — only the rate values differ.
+    identical — only the rate values differ.  The derived row has the
+    fixed layout ``[update, advance(n), lose(n), recover(n), extra]``,
+    which the structured O(hops) kernel reads directly.
 
     Use :func:`multihop_template` to get the memoized instance.
     """
 
     def __init__(self, protocol: Protocol, hops: int) -> None:
-        self.protocol = Protocol(protocol)
-        if self.protocol not in Protocol.multihop_family():
-            raise ValueError(
-                f"{self.protocol.value} is not part of the multi-hop analysis"
-            )
+        self.protocol = _multihop_protocol(protocol)
         if hops < 1:
             raise ValueError(f"hops must be >= 1, got {hops}")
         self.hops = hops
         with_recovery = self.protocol is Protocol.HS
-        self.states = multihop_state_space(hops, with_recovery=with_recovery)
+        states = multihop_state_space(hops, with_recovery=with_recovery)
         n = hops
-        ns = len(self.states)
-        self._n_states = ns
+        ns = len(states)
         # State indexing mirrors multihop_state_space order:
         # fast (i,0) -> i for i in 0..n; slow (i,1) -> n+1+i; RECOVERY last.
         fast = lambda i: i  # noqa: E731 - tiny local alias
         slow = lambda i: n + 1 + i  # noqa: E731
-        # Feature layout: [update, advance(n), lose(n), recover(n), extra].
         self._f_update = 0
         self._f_advance = 1
         self._f_lose = 1 + n
@@ -581,7 +652,7 @@ class MultiHopTemplate:
             specs.append((fast(i), slow(i), self._f_lose + i))
             specs.append((slow(i), fast(i + 1), self._f_recover + i))
         if not with_recovery:
-            for si, state in enumerate(self.states):
+            for si, state in enumerate(states):
                 for j in range(state.consistent_hops):
                     specs.append((si, slow(j), self._f_extra + j))
         else:
@@ -589,13 +660,30 @@ class MultiHopTemplate:
             for si in range(ns - 1):
                 specs.append((si, recovery_index, self._f_extra))
             specs.append((recovery_index, fast(0), self._f_extra + 1))
-        self.rows = np.array([r for r, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([c for _, c, _ in specs], dtype=np.intp)
-        self._features = np.array([f for _, _, f in specs], dtype=np.intp)
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
+        self._compile(
+            states,
+            [r for r, _, _ in specs],
+            [c for _, c, _ in specs],
+            [f for _, _, f in specs],
+        )
 
     # -- rate evaluation ------------------------------------------------
+
+    def _derived(
+        self, point: tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]
+    ) -> np.ndarray:
+        params, hops = point
+        if params.hops != self.hops:
+            raise ValueError(
+                f"task has {params.hops} hops, template compiled for {self.hops}"
+            )
+        if hops is None:
+            return self._derived_homogeneous(params)
+        if len(hops) != self.hops:
+            raise ValueError(
+                f"hop vector length {len(hops)} != template hops {self.hops}"
+            )
+        return self._derived_heterogeneous(params, hops)
 
     def _derived_homogeneous(self, params: MultiHopParameters) -> np.ndarray:
         n = self.hops
@@ -639,49 +727,9 @@ class MultiHopTemplate:
             )
         return row
 
-    def derived_rows(
-        self,
-        points: Sequence[tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]],
-    ) -> np.ndarray:
-        """The ``(K, n_features)`` derived-feature matrix for ``points``."""
-        derived = np.empty((len(points), self.n_features))
-        for k, (params, hops) in enumerate(points):
-            if hops is None:
-                derived[k] = self._derived_homogeneous(params)
-            else:
-                derived[k] = self._derived_heterogeneous(params, hops)
-        return derived
-
-    def edge_rates(
-        self,
-        points: Sequence[tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]],
-    ) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        return self.derived_rows(points)[:, self._features]
-
     # -- solving --------------------------------------------------------
 
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
-        )
-
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(pi, bad)`` for all points, dense-batched or sparse-looped."""
-        ns = self._n_states
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
-            )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
-
-    def _stationary_structured(
-        self, derived: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _stationary_structured(self, points: list) -> tuple[np.ndarray, np.ndarray]:
         """``(pi, bad)`` through the O(hops) block-Thomas chain kernel.
 
         Feeds the derived-feature rows straight into
@@ -689,6 +737,7 @@ class MultiHopTemplate:
         structure never has to be scattered into a generator matrix, so
         per-point cost is linear in hops instead of cubic in states.
         """
+        derived = self.derived_rows(points)
         n = self.hops
         update = derived[:, self._f_update]
         advance = derived[:, self._f_advance : self._f_advance + n]
@@ -731,57 +780,28 @@ class MultiHopTemplate:
             )
         if backend == "auto":
             backend = select_chain_backend(self.protocol, self.hops)
-        points = list(points)
-        if not points:
-            return []
-        for params, hops in points:
-            if params.hops != self.hops:
-                raise ValueError(
-                    f"task has {params.hops} hops, template compiled for {self.hops}"
-                )
-            if hops is not None and len(hops) != self.hops:
-                raise ValueError(
-                    f"hop vector length {len(hops)} != template hops {self.hops}"
-                )
-        derived = self.derived_rows(points)
-        try:
-            if backend == "structured":
-                pi, bad = self._stationary_structured(derived)
-            else:
-                pi, bad = self._stationary_batch(derived[:, self._features])
-        except np.linalg.LinAlgError:
-            return [self._reference(params, hops) for params, hops in points]
-        solutions: list[MultiHopSolution] = []
-        for k, (params, hops) in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params, hops))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            if hops is None:
-                breakdown = multihop_message_components(
-                    self.protocol, params, stationary
-                )
-            else:
-                breakdown = heterogeneous_message_components(
-                    self.protocol, params, hops, stationary
-                )
-            solutions.append(
-                MultiHopSolution(
-                    protocol=self.protocol,
-                    params=params,
-                    stationary=stationary,
-                    message_breakdown=breakdown,
-                )
-            )
-        return solutions
+        if backend == "structured":
+            return self._solve_points(points, self._stationary_structured)
+        return self._solve_points(points, self._stationary)
 
-    def _reference(
-        self,
-        params: MultiHopParameters,
-        hops: tuple[HeterogeneousHop, ...] | None,
-    ) -> MultiHopSolution:
+    def _solution(self, point, solved: list) -> MultiHopSolution:
+        params, hops = point
+        stationary = dict(zip(self.states, solved))
+        if hops is None:
+            breakdown = multihop_message_components(self.protocol, params, stationary)
+        else:
+            breakdown = heterogeneous_message_components(
+                self.protocol, params, hops, stationary
+            )
+        return MultiHopSolution(
+            protocol=self.protocol,
+            params=params,
+            stationary=stationary,
+            message_breakdown=breakdown,
+        )
+
+    def _reference(self, point) -> MultiHopSolution:
+        params, hops = point
         if hops is None:
             return MultiHopModel(self.protocol, params).solve()
         return HeterogeneousMultiHopModel(self.protocol, params, hops).solve()
@@ -792,19 +812,14 @@ class MultiHopTemplate:
 # ----------------------------------------------------------------------
 
 
-class TreeTemplate:
+class TreeTemplate(_SpecTemplate):
     """Compiled structure of one ``(protocol, topology)`` tree chain.
 
-    The transition structure comes from the same
+    Compiled from the
     :func:`~repro.core.multihop.tree_transitions.tree_transition_specs`
-    list the reference model builds its rate dict from, so the COO
-    arrays scatter *exactly* the reference's edges in the reference's
-    accumulation order; each transition tag maps to one derived
-    feature whose value is computed by the shared
+    list the reference model builds its rate dict from; each tag's rate
+    is computed by the shared
     :func:`~repro.core.multihop.tree_transitions.tree_tag_rate` helper.
-    Dense batches therefore reproduce the per-point dense results bit
-    for bit, and above the sparse crossover the template keeps its
-    fixed CSC pattern exactly like :class:`MultiHopTemplate`.
 
     ``solver="iterative"`` compiles the same structure but solves every
     point through the pattern's ILU/GMRES path (with ``max_states``
@@ -817,6 +832,9 @@ class TreeTemplate:
     the memoized instances.
     """
 
+    _solution_type = TreeSolution
+    _breakdown = staticmethod(tree_message_components)
+
     def __init__(
         self,
         protocol: Protocol,
@@ -824,108 +842,39 @@ class TreeTemplate:
         max_states: int | None = None,
         solver: str = "direct",
     ) -> None:
-        self.protocol = Protocol(protocol)
-        if self.protocol not in Protocol.multihop_family():
-            raise ValueError(
-                f"{self.protocol.value} is not part of the multi-hop analysis"
-            )
+        self.protocol = _multihop_protocol(protocol)
         if solver not in ("direct", "iterative"):
             raise ValueError(f"solver must be 'direct' or 'iterative', got {solver!r}")
         self.topology = topology
         self.max_states = max_states
         self.solver = solver
-        with_recovery = self.protocol is Protocol.HS
-        self.states = tree_state_space(topology, with_recovery, max_states)
-        index = {state: i for i, state in enumerate(self.states)}
-        ns = len(self.states)
-        self._n_states = ns
-        specs = tree_transition_specs(self.protocol, topology, max_states)
-        # One derived feature per distinct transition tag, in first-seen
-        # order (the tag set is tiny: update/advance/lose plus one
-        # recover and timeout slot per depth, or the two HS extras).
-        tag_index: dict[tuple, int] = {}
-        features: list[int] = []
-        for _, _, tag in specs:
-            if tag not in tag_index:
-                tag_index[tag] = len(tag_index)
-            features.append(tag_index[tag])
-        self._tags = tuple(tag_index)
-        self.n_features = len(self._tags)
-        self.rows = np.array([index[o] for o, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _ in specs], dtype=np.intp)
-        self._features = np.array(features, dtype=np.intp)
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
-
-    def edge_rates(self, points: Sequence[MultiHopParameters]) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        derived = np.empty((len(points), self.n_features))
-        for k, params in enumerate(points):
-            for j, tag in enumerate(self._tags):
-                derived[k, j] = tree_tag_rate(
-                    self.protocol, params, self.topology, tag
-                )
-        return derived[:, self._features]
-
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
+        self._compile_specs(
+            tree_state_space(topology, self.protocol is Protocol.HS, max_states),
+            tree_transition_specs(self.protocol, topology, max_states),
         )
 
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns = self._n_states
-        if self.solver == "iterative":
-            if self._sparse_pattern is None:
-                self._sparse_pattern = _SparseStationaryPattern(
-                    self.rows, self.cols, ns
-                )
-            return _iterative_batch(self._sparse_pattern, rates, type(self).__name__)
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
+    def _derived(self, params: MultiHopParameters) -> list[float]:
+        if params.hops != self.topology.num_edges:
+            raise ValueError(
+                f"task has {params.hops} hops, template compiled for a "
+                f"{self.topology.num_edges}-edge topology"
             )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
+        return [
+            tree_tag_rate(self.protocol, params, self.topology, tag)
+            for tag in self._tags
+        ]
 
-    def solve_batch(self, points: Sequence[MultiHopParameters]) -> list[TreeSolution]:
-        """Solve every point; bit-identical to the per-point dense path."""
-        points = list(points)
-        if not points:
-            return []
-        for params in points:
-            if params.hops != self.topology.num_edges:
-                raise ValueError(
-                    f"task has {params.hops} hops, template compiled for a "
-                    f"{self.topology.num_edges}-edge topology"
-                )
-        rates = self.edge_rates(points)
-        try:
-            pi, bad = self._stationary_batch(rates)
-        except np.linalg.LinAlgError:
-            return [self._reference(params) for params in points]
-        solutions: list[TreeSolution] = []
-        for k, params in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            solutions.append(
-                TreeSolution(
-                    protocol=self.protocol,
-                    params=params,
-                    topology=self.topology,
-                    stationary=stationary,
-                    message_breakdown=tree_message_components(
-                        self.protocol, params, self.topology, stationary
-                    ),
-                )
-            )
-        return solutions
+    def _solution(self, params: MultiHopParameters, solved: list) -> TreeSolution:
+        stationary = dict(zip(self.states, solved))
+        return self._solution_type(
+            protocol=self.protocol,
+            params=params,
+            topology=self.topology,
+            stationary=stationary,
+            message_breakdown=self._breakdown(
+                self.protocol, params, self.topology, stationary
+            ),
+        )
 
     def _reference(self, params: MultiHopParameters) -> TreeSolution:
         return TreeModel(
@@ -937,119 +886,33 @@ class TreeTemplate:
         ).solve()
 
 
-class LumpedTreeTemplate:
+class LumpedTreeTemplate(TreeTemplate):
     """Compiled structure of one ``(protocol, topology)`` *lumped* chain.
 
-    The orbit-space twin of :class:`TreeTemplate`: the COO arrays come
-    from the same
+    The orbit-space twin of :class:`TreeTemplate`, with the same tag
+    rates: the COO arrays come from the
     :func:`~repro.core.multihop.lumping.lumped_transition_specs` list
-    :class:`~repro.core.multihop.lumping.LumpedTreeModel` accumulates
-    its rate dict from, each tag's base rate is computed by the shared
-    :func:`~repro.core.multihop.tree_transitions.tree_tag_rate` helper
-    and scaled by the spec's integer multiplicity — the identical float
-    product, scattered in the identical accumulation order — so the
-    template and the reference lumped model stay bit-identical to each
-    other.  (The *family* is a tolerance parity class relative to the
-    direct enumeration: orbit aggregation reorders float additions.)
+    :class:`~repro.core.multihop.lumping.LumpedTreeModel` accumulates its
+    rate dict from, each tag rate scaled by the spec's integer
+    multiplicity — the identical float product, scattered in the
+    identical accumulation order — so the template and the reference
+    lumped model stay bit-identical to each other.  (The *family* is a
+    tolerance parity class relative to the direct enumeration: orbit
+    aggregation reorders float additions.)
 
     Use :func:`lumped_tree_template` to get the memoized instance.
     """
 
+    _solution_type = LumpedTreeSolution
+    _breakdown = staticmethod(lumped_message_components)
+
     def __init__(self, protocol: Protocol, topology: Topology) -> None:
-        self.protocol = Protocol(protocol)
-        if self.protocol not in Protocol.multihop_family():
-            raise ValueError(
-                f"{self.protocol.value} is not part of the multi-hop analysis"
-            )
+        self.protocol = _multihop_protocol(protocol)
         self.topology = topology
-        with_recovery = self.protocol is Protocol.HS
-        self.states = lumped_state_space(topology, with_recovery)
-        index = {state: i for i, state in enumerate(self.states)}
-        ns = len(self.states)
-        self._n_states = ns
-        specs = lumped_transition_specs(self.protocol, topology)
-        tag_index: dict[tuple, int] = {}
-        features: list[int] = []
-        for _, _, tag, _ in specs:
-            if tag not in tag_index:
-                tag_index[tag] = len(tag_index)
-            features.append(tag_index[tag])
-        self._tags = tuple(tag_index)
-        self.n_features = len(self._tags)
-        self.rows = np.array([index[o] for o, _, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _, _ in specs], dtype=np.intp)
-        self._features = np.array(features, dtype=np.intp)
-        self._multiplicities = np.array(
-            [mult for _, _, _, mult in specs], dtype=np.float64
+        self._compile_specs(
+            lumped_state_space(topology, self.protocol is Protocol.HS),
+            lumped_transition_specs(self.protocol, topology),
         )
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
-
-    def edge_rates(self, points: Sequence[MultiHopParameters]) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix: tag rate x multiplicity."""
-        derived = np.empty((len(points), self.n_features))
-        for k, params in enumerate(points):
-            for j, tag in enumerate(self._tags):
-                derived[k, j] = tree_tag_rate(
-                    self.protocol, params, self.topology, tag
-                )
-        return derived[:, self._features] * self._multiplicities
-
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
-        )
-
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns = self._n_states
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
-            )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
-
-    def solve_batch(
-        self, points: Sequence[MultiHopParameters]
-    ) -> list[LumpedTreeSolution]:
-        """Solve every point; bit-identical to the per-point lumped model."""
-        points = list(points)
-        if not points:
-            return []
-        for params in points:
-            if params.hops != self.topology.num_edges:
-                raise ValueError(
-                    f"task has {params.hops} hops, template compiled for a "
-                    f"{self.topology.num_edges}-edge topology"
-                )
-        rates = self.edge_rates(points)
-        try:
-            pi, bad = self._stationary_batch(rates)
-        except np.linalg.LinAlgError:
-            return [self._reference(params) for params in points]
-        solutions: list[LumpedTreeSolution] = []
-        for k, params in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            solutions.append(
-                LumpedTreeSolution(
-                    protocol=self.protocol,
-                    params=params,
-                    topology=self.topology,
-                    stationary=stationary,
-                    message_breakdown=lumped_message_components(
-                        self.protocol, params, self.topology, stationary
-                    ),
-                )
-            )
-        return solutions
 
     def _reference(self, params: MultiHopParameters) -> LumpedTreeSolution:
         return LumpedTreeModel(self.protocol, params, self.topology).solve()
@@ -1060,210 +923,85 @@ class LumpedTreeTemplate:
 # ----------------------------------------------------------------------
 
 
-class GilbertSingleHopTemplate:
+class GilbertSingleHopTemplate(_SpecTemplate):
     """Compiled structure of one protocol's single-hop product chain.
 
-    Like :class:`TreeTemplate`, the COO arrays come from the same
-    shared spec list the reference model accumulates its rate dict
-    from (:func:`~repro.core.gilbert.transitions.gilbert_singlehop_specs`)
-    and each tag's rate is computed by the shared
-    :func:`~repro.core.gilbert.transitions.gilbert_singlehop_tag_rate`
-    helper, so dense batches reproduce the per-point dense reference
-    bit for bit.  Degenerate points (``loss_good == loss_bad``) never
-    reach a template — :func:`solve_gilbert_singlehop_tasks` partitions
-    them onto the i.i.d. template path first.
+    Compiled from the shared
+    :func:`~repro.core.gilbert.transitions.gilbert_singlehop_specs` list,
+    each tag's rate computed by
+    :func:`~repro.core.gilbert.transitions.gilbert_singlehop_tag_rate`.
+    Degenerate points (``loss_good == loss_bad``) never reach a
+    template — :func:`solve_gilbert_singlehop_tasks` partitions them
+    onto the i.i.d. template path first.
 
     Use :func:`gilbert_singlehop_template` for the memoized instance.
     """
 
     def __init__(self, protocol: Protocol) -> None:
         self.protocol = Protocol(protocol)
-        self.states = gilbert_singlehop_states(self.protocol)
-        index = {state: i for i, state in enumerate(self.states)}
-        ns = len(self.states)
-        self._n_states = ns
-        specs = gilbert_singlehop_specs(self.protocol)
-        tag_index: dict[tuple, int] = {}
-        features: list[int] = []
-        for _, _, tag in specs:
-            if tag not in tag_index:
-                tag_index[tag] = len(tag_index)
-            features.append(tag_index[tag])
-        self._tags = tuple(tag_index)
-        self.n_features = len(self._tags)
-        self.rows = np.array([index[o] for o, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _ in specs], dtype=np.intp)
-        self._features = np.array(features, dtype=np.intp)
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
-
-    def edge_rates(
-        self,
-        points: Sequence[tuple[SignalingParameters, GilbertElliottParameters]],
-    ) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        derived = np.empty((len(points), self.n_features))
-        for k, (params, gilbert) in enumerate(points):
-            check_singlehop_coverage(self.protocol, params, gilbert)
-            for j, tag in enumerate(self._tags):
-                derived[k, j] = gilbert_singlehop_tag_rate(
-                    self.protocol, params, gilbert, tag
-                )
-        return derived[:, self._features]
-
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
+        self._compile_specs(
+            gilbert_singlehop_states(self.protocol),
+            gilbert_singlehop_specs(self.protocol),
         )
 
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns = self._n_states
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
-            )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
+    def _derived(
+        self, point: tuple[SignalingParameters, GilbertElliottParameters]
+    ) -> list[float]:
+        params, gilbert = point
+        if params.removal_rate <= 0:
+            raise ValueError(FINITE_SESSION_REQUIRED)
+        check_singlehop_coverage(self.protocol, params, gilbert)
+        return [
+            gilbert_singlehop_tag_rate(self.protocol, params, gilbert, tag)
+            for tag in self._tags
+        ]
 
-    def solve_batch(
-        self,
-        points: Sequence[tuple[SignalingParameters, GilbertElliottParameters]],
-    ) -> list[GilbertSingleHopSolution]:
-        """Solve every point; bit-identical to the per-point dense path."""
-        points = list(points)
-        if not points:
-            return []
-        rates = self.edge_rates(points)
-        try:
-            pi, bad = self._stationary_batch(rates)
-        except np.linalg.LinAlgError:
-            return [self._reference(params, gilbert) for params, gilbert in points]
-        solutions: list[GilbertSingleHopSolution] = []
-        for k, (params, gilbert) in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params, gilbert))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            solutions.append(
-                singlehop_solution_from_stationary(
-                    self.protocol, params, gilbert, stationary
-                )
-            )
-        return solutions
+    def _solution(self, point, solved: list) -> GilbertSingleHopSolution:
+        return singlehop_solution_from_stationary(
+            self.protocol, *point, dict(zip(self.states, solved))
+        )
 
-    def _reference(
-        self, params: SignalingParameters, gilbert: GilbertElliottParameters
-    ) -> GilbertSingleHopSolution:
-        return GilbertSingleHopModel(self.protocol, params, gilbert).solve()
+    def _reference(self, point) -> GilbertSingleHopSolution:
+        return GilbertSingleHopModel(self.protocol, *point).solve()
 
 
-class GilbertMultiHopTemplate:
+class GilbertMultiHopTemplate(_SpecTemplate):
     """Compiled structure of the multi-hop product chain.
 
     Use :func:`gilbert_multihop_template` for the memoized instance.
     """
 
     def __init__(self, protocol: Protocol, hops: int) -> None:
-        self.protocol = Protocol(protocol)
-        if self.protocol not in Protocol.multihop_family():
-            raise ValueError(
-                f"{self.protocol.value} is not part of the multi-hop analysis"
-            )
+        self.protocol = _multihop_protocol(protocol)
         if hops < 1:
             raise ValueError(f"hops must be >= 1, got {hops}")
         self.hops = hops
-        self.states = gilbert_multihop_states(self.protocol, hops)
-        index = {state: i for i, state in enumerate(self.states)}
-        ns = len(self.states)
-        self._n_states = ns
-        specs = gilbert_multihop_specs(self.protocol, hops)
-        tag_index: dict[tuple, int] = {}
-        features: list[int] = []
-        for _, _, tag in specs:
-            if tag not in tag_index:
-                tag_index[tag] = len(tag_index)
-            features.append(tag_index[tag])
-        self._tags = tuple(tag_index)
-        self.n_features = len(self._tags)
-        self.rows = np.array([index[o] for o, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _ in specs], dtype=np.intp)
-        self._features = np.array(features, dtype=np.intp)
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
-
-    def edge_rates(
-        self,
-        points: Sequence[tuple[MultiHopParameters, GilbertElliottParameters]],
-    ) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        derived = np.empty((len(points), self.n_features))
-        for k, (params, gilbert) in enumerate(points):
-            check_multihop_coverage(self.protocol, params, gilbert)
-            for j, tag in enumerate(self._tags):
-                derived[k, j] = gilbert_multihop_tag_rate(
-                    self.protocol, params, gilbert, tag
-                )
-        return derived[:, self._features]
-
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
+        self._compile_specs(
+            gilbert_multihop_states(self.protocol, hops),
+            gilbert_multihop_specs(self.protocol, hops),
         )
 
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns = self._n_states
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
+    def _derived(
+        self, point: tuple[MultiHopParameters, GilbertElliottParameters]
+    ) -> list[float]:
+        params, gilbert = point
+        if params.hops != self.hops:
+            raise ValueError(
+                f"task has {params.hops} hops, template compiled for {self.hops}"
             )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
+        check_multihop_coverage(self.protocol, params, gilbert)
+        return [
+            gilbert_multihop_tag_rate(self.protocol, params, gilbert, tag)
+            for tag in self._tags
+        ]
 
-    def solve_batch(
-        self,
-        points: Sequence[tuple[MultiHopParameters, GilbertElliottParameters]],
-    ) -> list[GilbertMultiHopSolution]:
-        """Solve every point; bit-identical to the per-point dense path."""
-        points = list(points)
-        if not points:
-            return []
-        for params, _ in points:
-            if params.hops != self.hops:
-                raise ValueError(
-                    f"task has {params.hops} hops, template compiled for {self.hops}"
-                )
-        rates = self.edge_rates(points)
-        try:
-            pi, bad = self._stationary_batch(rates)
-        except np.linalg.LinAlgError:
-            return [self._reference(params, gilbert) for params, gilbert in points]
-        solutions: list[GilbertMultiHopSolution] = []
-        for k, (params, gilbert) in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params, gilbert))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            solutions.append(
-                multihop_solution_from_stationary(
-                    self.protocol, params, gilbert, stationary
-                )
-            )
-        return solutions
+    def _solution(self, point, solved: list) -> GilbertMultiHopSolution:
+        return multihop_solution_from_stationary(
+            self.protocol, *point, dict(zip(self.states, solved))
+        )
 
-    def _reference(
-        self, params: MultiHopParameters, gilbert: GilbertElliottParameters
-    ) -> GilbertMultiHopSolution:
-        return GilbertMultiHopModel(self.protocol, params, gilbert).solve()
+    def _reference(self, point) -> GilbertMultiHopSolution:
+        return GilbertMultiHopModel(self.protocol, *point).solve()
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,8 @@ batch solve path:
 >>> result = run_scenario("fig4", fidelity="fast")
 >>> print(result.to_text())
 
-The pre-spec entry point is kept as a thin shim:
-
->>> from repro.experiments import run_experiment
->>> result = run_experiment("fig4", fast=True)
+:func:`run_experiments` fans several whole scenarios across worker
+processes (the ``repro-signaling all`` path).
 """
 
 from collections.abc import Sequence
@@ -80,8 +78,6 @@ __all__ = [
     "geometric_sweep",
     "linear_sweep",
     "register_scenario",
-    "registry",
-    "run_experiment",
     "run_experiment_task",
     "run_experiments",
     "run_scenario",
@@ -94,29 +90,6 @@ __all__ = [
 def experiment_ids() -> tuple[str, ...]:
     """All registered scenario ids, in a stable order."""
     return scenario_ids()
-
-
-def run_experiment(experiment_id: str, fast: bool = False, **kwargs) -> ExperimentResult:
-    """Run one registered scenario by id (back-compat shim).
-
-    ``fast=True`` maps to the ``"fast"`` fidelity profile; use
-    :func:`run_scenario` directly for the full declarative surface
-    (named fidelities, parameter overrides, protocol subsets).  The
-    pre-spec per-module kwargs keep working: ``seed`` (the Fig. 11/12
-    simulation seed) maps to the executor's seed override, and a
-    ``params`` preset instance (Table I) becomes a full override set.
-    """
-    fidelity = kwargs.pop("fidelity", None) or (FAST if fast else FULL)
-    params = kwargs.pop("params", None)
-    if params is not None:
-        # The old table01.run(params=...) replaced the whole preset;
-        # field-by-field overrides reproduce it through the spec path.
-        import dataclasses
-
-        overrides = dataclasses.asdict(params)
-        overrides.update(kwargs.pop("overrides", None) or {})
-        kwargs["overrides"] = overrides
-    return run_scenario(scenario(experiment_id), fidelity, **kwargs)
 
 
 def run_experiment_task(task: tuple[str, str]) -> ExperimentResult:
@@ -137,17 +110,3 @@ def run_experiments(
     """Run several experiments, fanned across workers, in input order."""
     tasks = [(experiment_id, fidelity) for experiment_id in experiment_ids]
     return parallel_map(run_experiment_task, tasks, jobs=jobs)
-
-
-def _registry_entry(scenario_id: str):
-    def run(fast: bool = False, **kwargs) -> ExperimentResult:
-        return run_experiment(scenario_id, fast=fast, **kwargs)
-
-    run.__name__ = f"run_{scenario_id}"
-    run.__doc__ = f"Run the {scenario_id!r} scenario (registry back-compat view)."
-    return run
-
-
-def registry() -> dict:
-    """Back-compat view of the scenario registry: id -> ``run(fast)``."""
-    return {sid: _registry_entry(sid) for sid in scenario_ids()}

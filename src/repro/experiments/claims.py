@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable, Iterable
 
-from repro.experiments import run_experiment
+from repro.experiments import run_scenario
 from repro.experiments.runner import ExperimentResult
 
 __all__ = ["ClaimOutcome", "FigureClaim", "evaluate_claims", "figure_claims", "render_report"]
@@ -225,9 +225,7 @@ def evaluate_claims(
     outcomes = []
     for claim in claims:
         if claim.experiment_id not in cache:
-            cache[claim.experiment_id] = run_experiment(
-                claim.experiment_id, fidelity=fidelity
-            )
+            cache[claim.experiment_id] = run_scenario(claim.experiment_id, fidelity)
         outcomes.append(
             ClaimOutcome(claim=claim, holds=claim.check(cache[claim.experiment_id]))
         )

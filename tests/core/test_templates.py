@@ -28,7 +28,6 @@ from repro.core.parameters import (
 )
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
-from repro.core.singlehop.transitions import build_transition_rates
 from repro.core.templates import (
     multihop_template,
     singlehop_template,
@@ -81,19 +80,6 @@ def singlehop_grid() -> list[SignalingParameters]:
 
 class TestSingleHopTemplates:
     @pytest.mark.parametrize("protocol", Protocol)
-    def test_edge_rates_match_reference_table(self, protocol):
-        """Accumulated template edges reproduce Table I exactly."""
-        template = singlehop_template(protocol)
-        for params in singlehop_grid():
-            row = template.edge_rates([params])[0]
-            accumulated: dict = {}
-            for (origin, destination), rate in zip(template.edges, row):
-                if rate > 0.0:
-                    key = (origin, destination)
-                    accumulated[key] = accumulated.get(key, 0.0) + float(rate)
-            assert accumulated == build_transition_rates(protocol, params)
-
-    @pytest.mark.parametrize("protocol", Protocol)
     def test_solution_parity_across_grid(self, protocol):
         grid = singlehop_grid()
         solutions = singlehop_template(protocol).solve_batch(grid)
@@ -141,22 +127,6 @@ def multihop_grid() -> list[MultiHopParameters]:
 
 
 class TestMultiHopTemplates:
-    @pytest.mark.parametrize("protocol", Protocol.multihop_family())
-    def test_edge_rates_match_reference_rates(self, protocol):
-        """Accumulated template edges reproduce the Fig. 15/16 rates."""
-        for params in multihop_grid():
-            template = multihop_template(protocol, params.hops)
-            row = template.edge_rates([(params, None)])[0]
-            accumulated: dict = {}
-            for i, j, rate in zip(template.rows, template.cols, row):
-                if rate > 0.0:
-                    key = (template.states[i], template.states[j])
-                    accumulated[key] = accumulated.get(key, 0.0) + float(rate)
-            reference = MultiHopModel(protocol, params).transition_rates()
-            assert set(accumulated) == set(reference)
-            for key, rate in reference.items():
-                assert accumulated[key] == pytest.approx(rate, rel=1e-15)
-
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_homogeneous_parity(self, protocol):
         grid = multihop_grid()

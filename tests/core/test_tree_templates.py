@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro.core.multihop import Topology, TreeModel
-from repro.core.templates import TreeTemplate, solve_tree_tasks, tree_template
+from repro.core.templates import solve_tree_tasks, tree_template
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
 from repro.runtime import global_cache, solve_tree_batch
@@ -65,20 +65,6 @@ def test_template_memoized_per_protocol_and_topology():
     c = tree_template(Protocol.SS, Topology.chain(2))
     assert a is b
     assert a is not c
-
-
-def test_template_structure_matches_reference_rates():
-    topology = Topology.kary(2, 2)
-    template = TreeTemplate(Protocol.SS, topology)
-    params = params_for(topology)
-    rates = template.edge_rates([params])[0]
-    reference = TreeModel(Protocol.SS, params, topology).transition_rates()
-    accumulated: dict[tuple, float] = {}
-    for row, col, rate in zip(template.rows, template.cols, rates):
-        if rate > 0.0:
-            key = (template.states[row], template.states[col])
-            accumulated[key] = accumulated.get(key, 0.0) + rate
-    assert accumulated == reference
 
 
 def test_sparse_crossover_within_tolerance():

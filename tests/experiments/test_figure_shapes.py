@@ -13,59 +13,59 @@ from __future__ import annotations
 import pytest
 
 from repro.core.protocols import Protocol
-from repro.experiments import run_experiment
+from repro.experiments import run_scenario
 
 SS, SS_ER, SS_RT, SS_RTR, HS = (p.value for p in Protocol)
 
 
 @pytest.fixture(scope="module")
 def fig4():
-    return run_experiment("fig4")
+    return run_scenario("fig4")
 
 
 @pytest.fixture(scope="module")
 def fig5():
-    return run_experiment("fig5")
+    return run_scenario("fig5")
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return run_experiment("fig6")
+    return run_scenario("fig6")
 
 
 @pytest.fixture(scope="module")
 def fig7():
-    return run_experiment("fig7")
+    return run_scenario("fig7")
 
 
 @pytest.fixture(scope="module")
 def fig8():
-    return run_experiment("fig8")
+    return run_scenario("fig8")
 
 
 @pytest.fixture(scope="module")
 def fig9():
-    return run_experiment("fig9")
+    return run_scenario("fig9")
 
 
 @pytest.fixture(scope="module")
 def fig10():
-    return run_experiment("fig10")
+    return run_scenario("fig10")
 
 
 @pytest.fixture(scope="module")
 def fig17():
-    return run_experiment("fig17")
+    return run_scenario("fig17")
 
 
 @pytest.fixture(scope="module")
 def fig18():
-    return run_experiment("fig18")
+    return run_scenario("fig18")
 
 
 @pytest.fixture(scope="module")
 def fig19():
-    return run_experiment("fig19")
+    return run_scenario("fig19")
 
 
 def decreasing(values, tolerance=0.0):
@@ -78,13 +78,13 @@ def increasing(values, tolerance=0.0):
 
 class TestTable1:
     def test_columns_cover_all_protocols(self):
-        result = run_experiment("table1")
+        result = run_scenario("table1")
         assert result.panel("transition rates").labels() == tuple(
             p.value for p in Protocol
         )
 
     def test_hs_never_uses_soft_timers(self):
-        result = run_experiment("table1")
+        result = run_scenario("table1")
         panel = result.panel("transition rates")
         hs = panel.series_by_label(HS)
         ss = panel.series_by_label(SS)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import experiment_ids, registry, run_experiment
+from repro.experiments import experiment_ids
 from repro.experiments.runner import (
     ExperimentResult,
     Panel,
@@ -283,11 +283,3 @@ class TestRegistry:
 
     def test_every_paper_artifact_registered(self):
         assert set(experiment_ids()) == self.EXPECTED
-
-    def test_registry_returns_callables(self):
-        for run in registry().values():
-            assert callable(run)
-
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
-            run_experiment("fig99")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.protocols import Protocol
-from repro.experiments import experiment_ids, run_experiment
+from repro.experiments import experiment_ids, run_scenario
 from repro.experiments.scaling import (
     CLEAN_HOP,
     CONGESTED_EVERY,
@@ -42,7 +42,7 @@ class TestScalingExperiment:
         assert "scaling" in experiment_ids()
 
     def test_fast_run_shape(self):
-        result = run_experiment("scaling", fast=True)
+        result = run_scenario("scaling", "fast")
         assert result.experiment_id == "scaling"
         assert [panel.name for panel in result.panels] == [
             "end-to-end inconsistency",
@@ -63,7 +63,7 @@ class TestScalingExperiment:
         assert max(HOP_COUNTS) == 128
 
     def test_inconsistency_grows_with_path_length(self):
-        result = run_experiment("scaling", fast=True)
+        result = run_scenario("scaling", "fast")
         panel = result.panel("end-to-end inconsistency")
         for series in panel.series:
             assert list(series.y) == sorted(series.y), (
@@ -75,6 +75,6 @@ class TestScalingExperiment:
         assert ss.y[-1] > hs.y[-1]
 
     def test_probabilities_bounded(self):
-        result = run_experiment("scaling", fast=True)
+        result = run_scenario("scaling", "fast")
         for series in result.panel("end-to-end inconsistency").series:
             assert all(0.0 <= y <= 1.0 for y in series.y)

@@ -5,21 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.protocols import Protocol
-from repro.experiments import run_experiment, run_scenario, scenario
+from repro.experiments import run_scenario, scenario
 from repro.experiments.spec import SMOKE, ScenarioError
-
-
-class TestSpecPathParity:
-    @pytest.mark.parametrize("experiment_id", ["fig4", "fig9", "fig17", "table1"])
-    def test_fast_fidelity_matches_legacy_shim(self, experiment_id):
-        via_shim = run_experiment(experiment_id, fast=True)
-        via_spec = run_scenario(experiment_id, "fast")
-        assert via_spec.to_text() == via_shim.to_text()
-
-    def test_provenance_only_difference(self):
-        # The shim routes through the executor, so results are fully
-        # equal including the provenance block.
-        assert run_experiment("fig17", fast=True) == run_scenario("fig17", "fast")
 
 
 class TestFidelity:
@@ -90,27 +77,16 @@ class TestProtocolSelection:
             run_scenario("fig99", "fast")
 
 
-class TestLegacyShimKwargs:
-    def test_seed_kwarg_still_accepted(self):
-        # The pre-spec fig12 module exposed run(fast, seed=12); the
-        # shim must keep honoring it (different seed, different sims).
-        default = run_experiment("fig12", fidelity=SMOKE)
-        reseeded = run_experiment("fig12", fidelity=SMOKE, seed=99)
+class TestSimulationSeed:
+    def test_seed_override_reseeds_simulations(self):
+        # Fig. 12's default simulation seed is 12: another seed draws
+        # different simulations, the default one reproduces them.
+        default = run_scenario("fig12", SMOKE)
+        reseeded = run_scenario("fig12", SMOKE, seed=99)
         sim_default = default.panels[0].series_by_label("SS sim")
         sim_reseeded = reseeded.panels[0].series_by_label("SS sim")
         assert sim_default.y != sim_reseeded.y
-        assert run_experiment("fig12", fidelity=SMOKE, seed=12) == default
-
-    def test_params_kwarg_still_accepted(self):
-        # The pre-spec table01 module exposed run(fast, params=...).
-        from repro.core.parameters import SignalingParameters
-        from repro.experiments.table01 import ROW_LABELS, transition_table
-
-        params = SignalingParameters(loss_rate=0.05, delay=0.04)
-        result = run_experiment("table1", params=params)
-        table = transition_table(params)
-        series = result.panels[0].series_by_label(Protocol.SS.value)
-        assert series.y == tuple(table[Protocol.SS][label] for label in ROW_LABELS)
+        assert run_scenario("fig12", SMOKE, seed=12) == default
 
 
 class TestVariantScenario:

@@ -11,17 +11,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.protocols import Protocol
-from repro.experiments import run_experiment
+from repro.experiments import run_scenario
 
 
 @pytest.fixture(scope="module")
 def fig11():
-    return run_experiment("fig11", fast=True)
+    return run_scenario("fig11", "fast")
 
 
 @pytest.fixture(scope="module")
 def fig12():
-    return run_experiment("fig12", fast=True)
+    return run_scenario("fig12", "fast")
 
 
 def paired(panel, protocol):

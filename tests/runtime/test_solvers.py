@@ -9,10 +9,12 @@ import pytest
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
-from repro.experiments import run_experiment, run_experiments
+from repro.experiments import run_experiments, run_scenario
+from repro.faults.gilbert import GilbertElliottParameters
 from repro.runtime import (
     failure_report,
     global_cache,
+    solve_gilbert_singlehop_batch,
     solve_multihop_batch,
     solve_singlehop_batch,
 )
@@ -87,6 +89,33 @@ class TestSingleHopBatch:
         ]
 
 
+class TestInfiniteSessionRejected:
+    """``removal_rate = 0`` has no single-hop answer on either path.
+
+    The single-hop reference models raise for an infinite session; the
+    templates must raise the same error rather than return numbers from
+    a chain whose absorbing state is unreachable.
+    """
+
+    @pytest.mark.parametrize("templates", ["1", "0"], ids=["templates", "reference"])
+    @pytest.mark.parametrize("loss", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize(
+        "family", ["singlehop", "gilbert-degenerate", "gilbert-bursty"]
+    )
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    def test_batch_raises(self, protocol, family, loss, templates, monkeypatch):
+        monkeypatch.setenv("REPRO_TEMPLATES", templates)
+        params = kazaa_defaults().replace(loss_rate=loss, removal_rate=0.0)
+        if family == "singlehop":
+            solve, task = solve_singlehop_batch, (protocol, params)
+        else:
+            burstiness = 1.0 if family == "gilbert-bursty" else 0.0
+            channel = GilbertElliottParameters.matched_average(loss, burstiness)
+            solve, task = solve_gilbert_singlehop_batch, (protocol, params, channel)
+        with pytest.raises(ValueError, match="requires a finite session"):
+            solve([task])
+
+
 class TestMultiHopBatch:
     def test_matches_direct_solve(self):
         params = reservation_defaults()
@@ -153,8 +182,8 @@ class TestFamilyTable:
 
 
 class TestRunExperiments:
-    def test_serial_fanout_matches_run_experiment(self):
-        direct = run_experiment("fig17", fidelity="fast")
+    def test_serial_fanout_matches_run_scenario(self):
+        direct = run_scenario("fig17", "fast")
         (fanned,) = run_experiments(["fig17"], fidelity="fast")
         assert fanned.to_text() == direct.to_text()
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
-from repro.experiments import run_experiment
+from repro.experiments import run_scenario
 from repro.protocols.config import SingleHopSimConfig
 from repro.protocols.session import SingleHopSimulation
 from repro.sim.randomness import RandomStreams, Timer, TimerDiscipline
@@ -46,12 +46,12 @@ class TestJitteredTimer:
 
 class TestCsvExport:
     def test_csv_per_panel(self):
-        result = run_experiment("fig17", fast=True)
+        result = run_scenario("fig17", "fast")
         documents = result.to_csv()
         assert set(documents) == {"per-hop inconsistency"}
 
     def test_csv_header_and_rows(self):
-        result = run_experiment("fig17", fast=True)
+        result = run_scenario("fig17", "fast")
         csv_text = result.to_csv()["per-hop inconsistency"]
         lines = csv_text.strip().splitlines()
         header = lines[0].split(",")
@@ -60,13 +60,13 @@ class TestCsvExport:
         assert len(lines) == 1 + 20  # header + one row per hop
 
     def test_csv_includes_error_columns_for_sim_series(self):
-        result = run_experiment("fig11", fast=True)
+        result = run_scenario("fig11", "fast")
         csv_text = result.to_csv()["a: inconsistency ratio"]
         header = csv_text.splitlines()[0]
         assert "SS sim_err" in header
 
     def test_csv_values_roundtrip(self):
-        result = run_experiment("fig17", fast=True)
+        result = run_scenario("fig17", "fast")
         csv_text = result.to_csv()["per-hop inconsistency"]
         first_row = csv_text.splitlines()[1].split(",")
         series = result.panel("per-hop inconsistency").series_by_label("SS")

@@ -6,8 +6,9 @@ Three promises the ``docs`` CI job also enforces:
   ``repro.validation``, the spec dataclasses) actually run;
 * the committed ``docs/cli.md`` matches a fresh rendering of the
   argparse tree (regenerate with ``python tools/generate_cli_docs.py``);
-* the layer-map block in ``docs/architecture.md`` matches the layer
-  manifest (regenerate with ``python tools/generate_layer_docs.py``);
+* the generated blocks of ``docs/architecture.md`` match the layer
+  manifest and the ``FAMILIES`` table (regenerate with
+  ``python tools/generate_layer_docs.py``);
 * every relative link in ``docs/*.md`` and ``README.md`` resolves.
 """
 
@@ -148,6 +149,23 @@ def test_layer_docs_check_detects_drift():
         result = _run_layer_docs_check()
         assert result.returncode == 1
         assert "stray drift line" in result.stderr
+    finally:
+        doc.write_text(original)
+
+
+def test_family_routes_check_detects_drift():
+    doc = DOCS / "architecture.md"
+    original = doc.read_text()
+    try:
+        doc.write_text(
+            original.replace(
+                "`solve_tree_lumped_tasks` | tolerance |",
+                "`solve_tree_lumped_tasks` | exact |",
+            )
+        )
+        result = _run_layer_docs_check()
+        assert result.returncode == 1
+        assert "`solve_tree_lumped_tasks` | exact |" in result.stderr
     finally:
         doc.write_text(original)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.multihop.topology import Topology
@@ -114,3 +115,62 @@ class TestComputeTransientCurve:
         point = compute_transient_point(Protocol.SS, multihop_params, 2.0)
         curve = compute_transient_curve(Protocol.SS, multihop_params, (2.0,))
         assert point == curve.consistency[0]
+
+
+def _setup_horizon(params, points=512):
+    """A geometric grid from a tenth of Delta to ten refreshes past it."""
+    return tuple(
+        float(t)
+        for t in np.geomspace(
+            params.delay / 10.0, params.delay + 10.0 * params.refresh_interval, points
+        )
+    )
+
+
+class TestSingleHopColdStart:
+    """Physics of the single-hop curve from a cold start (setup at t=0)."""
+
+    def test_starts_at_zero(self, params):
+        curve = compute_transient_curve(Protocol.SS, params, (0.0,))
+        assert curve.consistency[0] == pytest.approx(0.0)
+
+    def test_rises_past_channel_delay(self, params):
+        curve = compute_transient_curve(
+            Protocol.SS, params, (params.delay / 10, params.delay, 5 * params.delay)
+        )
+        assert curve.consistency[0] < curve.consistency[1] < curve.consistency[2]
+
+    def test_matches_exponential_delay_race_at_2_delta(self, params):
+        # The model's delay is exponential, so at t = 2*Delta:
+        # P ~ (1 - p_l) * (1 - e^-2), not the deterministic (1 - p_l).
+        curve = compute_transient_curve(Protocol.SS, params, (2 * params.delay,))
+        expected = (1 - params.loss_rate) * (1 - math.exp(-2.0))
+        assert curve.consistency[0] == pytest.approx(expected, abs=0.02)
+
+    def test_approaches_one_minus_loss_by_10_delta(self, params):
+        # Once the delay race has resolved, one trigger attempt has
+        # succeeded with probability ~ 1 - p_l.
+        curve = compute_transient_curve(Protocol.SS, params, (10 * params.delay,))
+        assert curve.consistency[0] == pytest.approx(1 - params.loss_rate, abs=0.015)
+
+    def test_reliable_triggers_converge_faster_under_loss(self, params):
+        lossy = params.replace(loss_rate=0.3)
+        probe = (4 * lossy.retransmission_interval,)
+        ss = compute_transient_curve(Protocol.SS, lossy, probe)
+        rt = compute_transient_curve(Protocol.SS_RT, lossy, probe)
+        assert rt.consistency[0] > ss.consistency[0]
+
+    def test_t90_within_a_few_delays(self, params):
+        curve = compute_transient_curve(Protocol.SS, params, _setup_horizon(params))
+        t90 = time_to_consistency(curve, target=0.9)
+        assert params.delay * 0.5 <= t90 <= params.delay * 3
+
+    def test_tighter_target_takes_longer(self, params):
+        curve = compute_transient_curve(Protocol.SS_RT, params, _setup_horizon(params))
+        assert time_to_consistency(curve, 0.97) >= time_to_consistency(curve, 0.90)
+
+    def test_unreachable_target_is_inf(self, params):
+        # Updates and removals keep P(consistent) strictly below ~1;
+        # 0.9999 is unattainable at the Kazaa defaults.
+        curve = compute_transient_curve(Protocol.SS, params, _setup_horizon(params))
+        assert time_to_consistency(curve, target=0.9999) == math.inf

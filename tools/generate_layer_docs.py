@@ -1,16 +1,23 @@
 #!/usr/bin/env python
-"""Regenerate (or drift-check) the layer-map block of ``docs/architecture.md``.
+"""Regenerate (or drift-check) the generated blocks of ``docs/architecture.md``.
 
 Usage::
 
-    python tools/generate_layer_docs.py            # rewrite the block in place
+    python tools/generate_layer_docs.py            # rewrite the blocks in place
     python tools/generate_layer_docs.py --check    # exit 1 if out of sync
 
-The block between the ``<!-- layer-map:begin -->`` / ``<!-- layer-map:end -->``
-markers is rendered from ``tools/reprolint/layers.toml`` — the same
-manifest reprolint rule RL001 enforces — so the documented DAG and the
-enforced DAG cannot diverge (same pattern as ``generate_cli_docs.py``
-for the CLI reference).
+Two marked blocks are rendered (same pattern as ``generate_cli_docs.py``
+for the CLI reference):
+
+* ``<!-- layer-map:begin -->`` / ``<!-- layer-map:end -->`` from
+  ``tools/reprolint/layers.toml`` — the same manifest reprolint rule
+  RL001 enforces — so the documented DAG and the enforced DAG cannot
+  diverge;
+* ``<!-- family-routes:begin -->`` / ``<!-- family-routes:end -->``
+  from ``FAMILIES`` and ``PARITY_CLASSES`` in
+  ``src/repro/runtime/solvers.py``: each model family's backend routes,
+  the ``core/templates.py`` entry point serving each, and its parity
+  class.  ``src/`` is put on ``sys.path`` automatically.
 """
 
 from __future__ import annotations
@@ -22,12 +29,16 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from tools.reprolint.manifest import LayerManifest, load_manifest  # noqa: E402 - path setup first
+from repro.runtime.solvers import FAMILIES, PARITY_CLASSES  # noqa: E402 - path setup first
+from tools.reprolint.manifest import LayerManifest, load_manifest  # noqa: E402
 
 DOC_PATH = REPO_ROOT / "docs" / "architecture.md"
 BEGIN = "<!-- layer-map:begin -->"
 END = "<!-- layer-map:end -->"
+FAMILY_BEGIN = "<!-- family-routes:begin -->"
+FAMILY_END = "<!-- family-routes:end -->"
 
 
 def _display_path(manifest: LayerManifest, module: str) -> str:
@@ -72,17 +83,40 @@ def render_layer_map(manifest: LayerManifest) -> str:
     return "\n".join(lines)
 
 
-def spliced_document(manifest: LayerManifest) -> str:
-    """``docs/architecture.md`` with a freshly rendered layer-map block."""
-    text = DOC_PATH.read_text()
+def render_family_routes() -> str:
+    """The generated family/route table (markers included)."""
+    lines = [
+        FAMILY_BEGIN,
+        "<!-- generated from FAMILIES + PARITY_CLASSES (src/repro/runtime/solvers.py)",
+        "     by tools/generate_layer_docs.py; edit the table, not this block -->",
+        "",
+        "| Family | Route | Entry point (`core/templates.py`) | Parity class |",
+        "| --- | --- | --- | --- |",
+    ]
+    for family in FAMILIES.values():
+        for route, entry in family.routes.items():
+            lines.append(
+                f"| `{family.tag}` | `{route}` | `{entry}` | {PARITY_CLASSES[entry]} |"
+            )
+    lines.append(FAMILY_END)
+    return "\n".join(lines)
+
+
+def _splice(text: str, begin: str, end: str, block: str) -> str:
     try:
-        head, rest = text.split(BEGIN, 1)
-        _, tail = rest.split(END, 1)
+        head, rest = text.split(begin, 1)
+        _, tail = rest.split(end, 1)
     except ValueError:
         raise SystemExit(
-            f"{DOC_PATH}: missing {BEGIN} / {END} markers; cannot splice"
+            f"{DOC_PATH}: missing {begin} / {end} markers; cannot splice"
         ) from None
-    return head + render_layer_map(manifest) + tail
+    return head + block + tail
+
+
+def spliced_document(manifest: LayerManifest) -> str:
+    """``docs/architecture.md`` with freshly rendered generated blocks."""
+    text = _splice(DOC_PATH.read_text(), BEGIN, END, render_layer_map(manifest))
+    return _splice(text, FAMILY_BEGIN, FAMILY_END, render_family_routes())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -99,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     committed = DOC_PATH.read_text()
     if args.check:
         if committed == generated:
-            print(f"{DOC_PATH.relative_to(REPO_ROOT)} layer map is in sync")
+            print(f"{DOC_PATH.relative_to(REPO_ROOT)} generated blocks are in sync")
             return 0
         diff = difflib.unified_diff(
             committed.splitlines(keepends=True),
@@ -109,9 +143,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         sys.stderr.writelines(diff)
         print(
-            "docs/architecture.md layer map is out of sync with "
-            "tools/reprolint/layers.toml; regenerate with "
-            "`python tools/generate_layer_docs.py`",
+            "docs/architecture.md generated blocks are out of sync with "
+            "tools/reprolint/layers.toml or runtime/solvers.py FAMILIES; "
+            "regenerate with `python tools/generate_layer_docs.py`",
             file=sys.stderr,
         )
         return 1
