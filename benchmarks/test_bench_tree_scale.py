@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from repro.core.multihop import (
     LumpedTreeModel,
     Topology,
@@ -19,11 +21,38 @@ from repro.core.multihop import (
 )
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
+from repro.core.templates import solve_tree_lumped_tasks, solve_tree_tasks
 from repro.experiments import run_scenario
 
 
 def _params_for(topology):
     return reservation_defaults().replace(hops=topology.num_edges)
+
+
+@pytest.mark.parametrize(
+    ("topology", "backend", "solve", "model"),
+    [
+        (Topology.skewed(6), "direct", solve_tree_tasks, TreeModel),
+        (Topology.star(64), "lumped", solve_tree_lumped_tasks, LumpedTreeModel),
+    ],
+    ids=["skewed6_direct", "star64_lumped"],
+)
+def test_bench_sparse_sweep(run_once, topology, backend, solve, model):
+    # The sparse regime: 971 raw states and 2145 orbits, 12 points each
+    # (4 loss rates x SS/SS+RT/HS), compiled before the clock starts.
+    assert select_tree_backend(topology) == backend
+    base = _params_for(topology)
+    tasks = [
+        (protocol, base.replace(loss_rate=loss), topology)
+        for protocol in Protocol.multihop_family()
+        for loss in (0.01, 0.05, 0.1, 0.2)
+    ]
+    solve([(protocol, base, topology) for protocol in Protocol.multihop_family()])
+    solutions = run_once(solve, tasks)
+    protocol, params, _ = tasks[0]
+    reference = model(protocol, params, topology).solve()
+    assert solutions[0].stationary == reference.stationary
+    assert solutions[0].message_breakdown == reference.message_breakdown
 
 
 def test_bench_lumped_binary_depth3(run_once):

@@ -13,12 +13,13 @@ States may be arbitrary hashable objects; the chain is specified as a
 sparse mapping ``{(from_state, to_state): rate}``.
 
 Three linear-algebra backends are provided: the original dense
-``numpy.linalg.solve`` path, a ``scipy.sparse`` LU path that never
-materializes the O(n²) generator, and an ILU-preconditioned iterative
-path (GMRES, falling back to BiCGSTAB) for chains whose exact LU
-factorization fills in catastrophically — the tree models' raw state
-spaces being the motivating case.  The backend is chosen per chain via
-the ``solver`` argument — ``"auto"`` (the default) picks sparse once the
+``numpy.linalg.solve`` path, and a ``scipy.sparse`` LU path and an
+ILU-preconditioned iterative path (GMRES, falling back to BiCGSTAB)
+that both solve one :class:`SparseStationarySystem` — pinned, compiled
+once per positive-rate edge pattern, and shared with the compiled
+templates, which therefore match it bit for bit.  The backend is chosen
+per chain via the ``solver`` argument — ``"auto"`` (the default) picks
+sparse once the
 state count reaches :data:`SPARSE_STATE_THRESHOLD`, keeping the small
 paper chains bit-identical to the historical dense results while large
 multihop/heterogeneous chains scale.  ``"iterative"`` must be requested
@@ -39,6 +40,7 @@ __all__ = [
     "ITERATIVE_RTOL",
     "SPARSE_STATE_THRESHOLD",
     "ContinuousTimeMarkovChain",
+    "SparseStationarySystem",
     "batched_absorption_times_dense",
     "batched_stationary_chain",
     "batched_stationary_dense",
@@ -49,7 +51,7 @@ State = Hashable
 #: State count at which ``solver="auto"`` switches to the sparse backend.
 SPARSE_STATE_THRESHOLD = 256
 
-#: Relative residual target handed to the Krylov solvers.  Two decades
+#: Backward-error target handed to the Krylov solvers.  Two decades
 #: tighter than the universal ``1e-8``-relative acceptance check in
 #: :meth:`ContinuousTimeMarkovChain.stationary_distribution`, so an
 #: iterative solve either converges well inside the contract or is
@@ -60,13 +62,191 @@ _SOLVERS = ("auto", "dense", "sparse", "iterative")
 
 
 def _sparse_modules():
-    """``(scipy.sparse, scipy.sparse.linalg)``, or ``None`` if unavailable."""
+    """``(scipy.sparse, scipy.sparse.linalg)`` (csgraph loaded), or ``None``."""
     try:
         import scipy.sparse
+        import scipy.sparse.csgraph
         import scipy.sparse.linalg
     except ImportError:
         return None
     return scipy.sparse, scipy.sparse.linalg
+
+
+_NOT_UNIQUE = "stationary distribution is not unique or does not exist"
+
+
+def _accepted(pi: np.ndarray, residual: float, scale: float) -> np.ndarray:
+    """``pi`` after the acceptance test every backend applies (a residual
+    of ``Q^T pi = 0`` within ``1e-8 * scale``, no materially negative
+    mass), clipped and renormalized once."""
+    if residual > 1e-8 * scale or np.any(pi < -1e-9):
+        raise ValueError("stationary distribution solve failed (ill-conditioned chain)")
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+    return pi
+
+
+def _closed_class_pin(n: int, rows: np.ndarray, cols: np.ndarray) -> int | None:
+    """The closed-class state with the most distinct in-neighbours
+    (lowest index on ties), or ``None`` unless exactly one strong
+    component of the pattern is closed.  On every tree and chain this is
+    the start state, whose balance row every update edge feeds; outside
+    the closed class a state is transient, with mass 0."""
+    sparse, _ = _sparse_modules()
+    graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    _, labels = sparse.csgraph.connected_components(graph, connection="strong")
+    closed = np.ones(labels.max() + 1, dtype=bool)
+    closed[labels[rows[labels[rows] != labels[cols]]]] = False
+    if np.count_nonzero(closed) != 1:
+        return None
+    in_degree = np.bincount(cols, minlength=n)
+    return int(np.argmax(np.where(closed[labels], in_degree, -1)))
+
+
+def _fill_reducing_order(m: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A symmetric ordering of an ``m``-unknown system with a full
+    diagonal and off-diagonal entries at ``(rows, cols)``.
+
+    Reverse Cuthill-McKee of the symmetrized pattern, with every unknown
+    whose column holds only its diagonal ordered last.  Such a state
+    (HS ``RECOVERY``, which feeds only the pinned start state) adds no
+    fill when eliminated last, while its dense balance row would make it
+    a hub of the symmetrized graph that flattens the RCM levels.
+    """
+    sparse, _ = _sparse_modules()
+    last = np.bincount(cols, minlength=m) == 0
+    rest = np.flatnonzero(~last)
+    both = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    pattern = sparse.csr_matrix((np.ones(2 * rows.size), both), shape=(m, m))
+    order = sparse.csgraph.reverse_cuthill_mckee(pattern[rest][:, rest], symmetric_mode=True)
+    return np.concatenate([rest[order], np.flatnonzero(last)])
+
+
+class SparseStationarySystem:
+    """The sparse stationary system of one positive-rate edge pattern.
+
+    ``rows``/``cols`` are the pattern's distinct off-diagonal edges and
+    :meth:`stationary` takes their rates in that order, which fixes
+    every float accumulation: equal edges and rates give bit-identical
+    distributions.
+
+    * **Pin, don't normalize.**  The state of :func:`_closed_class_pin`
+      gets mass 1; its balance row and unknown drop out, leaving
+      ``A x = b`` on the other states (``A`` the rest of ``Q^T``, ``b``
+      minus the pin's out-rates).  No dense normalization row, and the
+      densest balance row is the one dropped.  Transient states get
+      exactly 0: their rows see only transient unknowns, and ``b`` is 0
+      there.
+    * **Symbolic work once.**  The ordering and the permuted CSC slots
+      are fixed here; a solve scatters values and runs a numeric
+      ``splu(..., permc_spec="NATURAL")`` or ILU/GMRES.  ``A`` is column
+      diagonally dominant, so pivoting keeps the diagonal.
+    """
+
+    def __init__(self, n: int, rows: Sequence[int], cols: Sequence[int]) -> None:
+        if _sparse_modules() is None:
+            raise RuntimeError("scipy is required for the sparse stationary system")
+        self.n = n
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.pin = _closed_class_pin(n, self.rows, self.cols)
+        if self.pin is None or n == 1:
+            return
+        m = n - 1
+        self._free = np.flatnonzero(np.arange(n) != self.pin)
+        reduced = np.full(n, -1, dtype=np.intp)
+        reduced[self._free] = np.arange(m)
+        self._inner = np.flatnonzero((self.rows != self.pin) & (self.cols != self.pin))
+        # An edge i -> j lands in j's balance row, in i's column.
+        a_rows = reduced[self.cols[self._inner]]
+        a_cols = reduced[self.rows[self._inner]]
+        self._position = np.empty(m, dtype=np.intp)
+        self._position[_fill_reducing_order(m, a_rows, a_cols)] = np.arange(m)
+        entry_rows = self._position[np.concatenate([a_rows, np.arange(m)])]
+        entry_cols = self._position[np.concatenate([a_cols, np.arange(m)])]
+        self._order = np.lexsort((entry_rows, entry_cols))
+        self._indices = entry_rows[self._order]
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_cols, minlength=m))))
+        self._from_pin = np.flatnonzero(self.rows == self.pin)
+        self._rhs_rows = self._position[reduced[self.cols[self._from_pin]]]
+
+    def stationary(self, values: np.ndarray, iterative: bool = False) -> np.ndarray:
+        """The stationary distribution for edge rates ``values``; raises
+        ``ValueError`` like the dense path when there is none, the solve
+        fails or its result fails :func:`_accepted`."""
+        if self.pin is None:
+            raise ValueError(_NOT_UNIQUE)
+        exit_rates = np.bincount(self.rows, weights=values, minlength=self.n)
+        x = np.ones(self.n)
+        if self.n > 1:
+            sparse, _ = _sparse_modules()
+            m = self.n - 1
+            entries = np.concatenate([values[self._inner], -exit_rates[self._free]])
+            data = entries[self._order]
+            matrix = sparse.csc_matrix((data, self._indices, self._indptr), shape=(m, m))
+            rhs = np.zeros(m)
+            rhs[self._rhs_rows] = -values[self._from_pin]
+            solve = self._iterative if iterative else self._direct
+            x[self._free] = solve(matrix, rhs)[self._position]
+        if not np.all(np.isfinite(x)):
+            raise ValueError(_NOT_UNIQUE)
+        pi = x / x.sum()
+        flow = np.bincount(self.cols, weights=values * pi[self.rows], minlength=self.n)
+        flow -= exit_rates * pi
+        # No rate exceeds its origin's exit rate: this is max |Q|.
+        scale = max(1.0, float(np.max(exit_rates)))
+        return _accepted(pi, float(np.max(np.abs(flow))), scale)
+
+    @staticmethod
+    def _direct(matrix, rhs: np.ndarray) -> np.ndarray:
+        _, sparse_linalg = _sparse_modules()
+        try:
+            return sparse_linalg.splu(matrix, permc_spec="NATURAL").solve(rhs)
+        except RuntimeError as exc:
+            raise ValueError(_NOT_UNIQUE) from exc
+
+    @staticmethod
+    def _iterative(matrix, rhs: np.ndarray) -> np.ndarray:
+        """ILU-preconditioned GMRES (BiCGSTAB retry), then ILU refinement.
+
+        Starts from the preconditioner's solve ``x0`` and stops at a
+        backward error ``|b - A x| <= ITERATIVE_RTOL |A| |x0|``: ``|b|``
+        is no yardstick when the pin's mass lies decades below the
+        largest, as ``|x|`` then dwarfs ``|b| / |A|``.
+        """
+        _, sparse_linalg = _sparse_modules()
+        try:
+            ilu = sparse_linalg.spilu(
+                matrix, drop_tol=1e-5, fill_factor=20.0, permc_spec="NATURAL"
+            )
+        except RuntimeError as exc:
+            raise ValueError(_NOT_UNIQUE) from exc
+        m = matrix.shape[0]
+        x0 = ilu.solve(rhs)
+        target = {
+            "M": sparse_linalg.LinearOperator((m, m), matvec=ilu.solve),
+            "rtol": 0.0,
+            "atol": ITERATIVE_RTOL * float(abs(matrix).max()) * float(np.max(np.abs(x0))),
+        }
+        x, info = sparse_linalg.gmres(matrix, rhs, x0=x0, maxiter=500, **target)
+        if info != 0:
+            x, info = sparse_linalg.bicgstab(matrix, rhs, x0=x0, maxiter=2000, **target)
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise ValueError(f"iterative stationary solve did not converge (info={info})")
+        # Krylov convergence leaves errors near the 1e-8 parity bound on
+        # small-magnitude metrics (1 - pi[full] cancels); each ILU
+        # refinement step contracts the error by the preconditioner's
+        # quality, down to the assembled system's precision floor.
+        rhs_norm = float(np.max(np.abs(rhs)))
+        for _ in range(3):
+            defect = rhs - matrix @ x
+            if float(np.max(np.abs(defect))) <= 1e-15 * rhs_norm:
+                break
+            refined = x + ilu.solve(defect)
+            if not np.all(np.isfinite(refined)):
+                break
+            x = refined
+        return x
 
 
 class ContinuousTimeMarkovChain:
@@ -107,8 +287,10 @@ class ContinuousTimeMarkovChain:
         self._index: dict[State, int] = {s: i for i, s in enumerate(self._states)}
         self._rates: dict[tuple[State, State], float] = {}
         # Per-state total exit rate, accumulated once here so holding
-        # times and generator assembly never rescan the transition map.
+        # times and generator assembly never rescan the transition map;
+        # the sparse system is compiled on the first sparse solve.
         self._exit_rates: list[float] = [0.0] * len(self._states)
+        self._system: SparseStationarySystem | None = None
         for (origin, destination), rate in rates.items():
             if origin not in self._index or destination not in self._index:
                 raise ValueError(f"transition {origin!r}->{destination!r} uses unknown state")
@@ -159,21 +341,12 @@ class ContinuousTimeMarkovChain:
             return True
         return n >= SPARSE_STATE_THRESHOLD and _sparse_modules() is not None
 
-    def _generator_triplets(self) -> tuple[list[int], list[int], list[float]]:
-        """COO triplets of ``Q`` (off-diagonal rates plus the diagonal)."""
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for (origin, destination), rate in self._rates.items():
-            rows.append(self._index[origin])
-            cols.append(self._index[destination])
-            data.append(rate)
-        for i, total in enumerate(self._exit_rates):
-            if total:
-                rows.append(i)
-                cols.append(i)
-                data.append(-total)
-        return rows, cols, data
+    def _edges(self) -> tuple[list[int], list[int]]:
+        """Origin and destination indices of the positive rates, in order."""
+        return (
+            [self._index[origin] for origin, _ in self._rates],
+            [self._index[destination] for _, destination in self._rates],
+        )
 
     def generator_matrix(self) -> np.ndarray:
         """The generator ``Q`` (rows sum to zero), densely materialized."""
@@ -192,8 +365,8 @@ class ContinuousTimeMarkovChain:
             raise RuntimeError("scipy is required for sparse_generator_matrix()")
         sparse, _ = modules
         n = len(self._states)
-        rows, cols, data = self._generator_triplets()
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+        rates = sparse.csr_matrix((list(self._rates.values()), self._edges()), shape=(n, n))
+        return rates - sparse.diags(self._exit_rates)
 
     def stationary_distribution(self) -> dict[State, float]:
         """Solve ``pi Q = 0`` with ``sum(pi) = 1``.
@@ -203,19 +376,18 @@ class ContinuousTimeMarkovChain:
         linear system is singular (e.g. several closed classes).
         """
         n = len(self._states)
-        if self._solver == "iterative":
-            pi, residual, scale = self._stationary_iterative(n)
-        elif self._use_sparse(n):
-            pi, residual, scale = self._stationary_sparse(n)
+        if self._use_sparse(n):
+            if self._system is None:
+                self._system = SparseStationarySystem(n, *self._edges())
+            pi = self._system.stationary(
+                np.fromiter(self._rates.values(), dtype=float, count=len(self._rates)),
+                iterative=self._solver == "iterative",
+            )
         else:
-            pi, residual, scale = self._stationary_dense(n)
-        if residual > 1e-8 * scale or np.any(pi < -1e-9):
-            raise ValueError("stationary distribution solve failed (ill-conditioned chain)")
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
+            pi = self._stationary_dense(n)
         return {state: float(pi[i]) for i, state in enumerate(self._states)}
 
-    def _stationary_dense(self, n: int) -> tuple[np.ndarray, float, float]:
+    def _stationary_dense(self, n: int) -> np.ndarray:
         q = self.generator_matrix()
         # Replace the last balance equation with the normalization row.
         a = q.T.copy()
@@ -228,105 +400,7 @@ class ContinuousTimeMarkovChain:
             raise ValueError("stationary distribution is not unique or does not exist") from exc
         residual = float(np.max(np.abs(q.T @ pi)))
         scale = max(1.0, float(np.max(np.abs(q))))
-        return pi, residual, scale
-
-    def _stationary_system(self, n: int):
-        """``(A, b, q_t, scale)`` of the sparse stationary system.
-
-        ``A`` is ``Q^T`` with the last balance row replaced by the
-        normalization row, assembled in CSC form; ``q_t`` is the plain
-        ``Q^T`` used for the residual check; ``scale`` bounds the rate
-        magnitudes for the relative acceptance test.  Shared verbatim by
-        the splu and iterative backends so both solve the identical
-        matrix.
-        """
-        sparse, _ = _sparse_modules()
-        rows, cols, data = self._generator_triplets()
-        q_t = sparse.csr_matrix((data, (cols, rows)), shape=(n, n))
-        a_rows: list[int] = []
-        a_cols: list[int] = []
-        a_data: list[float] = []
-        for i, j, value in zip(rows, cols, data):
-            if j == n - 1:
-                continue
-            a_rows.append(j)
-            a_cols.append(i)
-            a_data.append(value)
-        a_rows.extend([n - 1] * n)
-        a_cols.extend(range(n))
-        a_data.extend([1.0] * n)
-        a = sparse.csc_matrix((a_data, (a_rows, a_cols)), shape=(n, n))
-        b = np.zeros(n)
-        b[-1] = 1.0
-        scale = max(1.0, max((abs(v) for v in data), default=1.0))
-        return a, b, q_t, scale
-
-    def _stationary_sparse(self, n: int) -> tuple[np.ndarray, float, float]:
-        _, sparse_linalg = _sparse_modules()
-        a, b, q_t, scale = self._stationary_system(n)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", sparse_linalg.MatrixRankWarning)
-                pi = sparse_linalg.spsolve(a, b)
-        except (RuntimeError, sparse_linalg.MatrixRankWarning) as exc:
-            raise ValueError("stationary distribution is not unique or does not exist") from exc
-        if not np.all(np.isfinite(pi)):
-            raise ValueError("stationary distribution is not unique or does not exist")
-        residual = float(np.max(np.abs(q_t @ pi)))
-        return pi, residual, scale
-
-    def _stationary_iterative(self, n: int) -> tuple[np.ndarray, float, float]:
-        """ILU-preconditioned GMRES on the stationary system, with a
-        BiCGSTAB retry.
-
-        An incomplete LU keeps a *bounded* fraction of the fill-in the
-        exact factorization would produce, which is precisely what the
-        big tree generators need: spilu stays in memory where splu's
-        ~10^8-nonzero factors do not.  The Krylov iterations then drive
-        the preconditioned residual to :data:`ITERATIVE_RTOL`; the
-        universal residual/negativity acceptance check still runs on the
-        result, so a stagnated solve raises instead of returning junk.
-        """
-        if _sparse_modules() is None:
-            raise RuntimeError("solver='iterative' requested but scipy is unavailable")
-        _, sparse_linalg = _sparse_modules()
-        a, b, q_t, scale = self._stationary_system(n)
-        try:
-            ilu = sparse_linalg.spilu(a, drop_tol=1e-5, fill_factor=20.0)
-        except RuntimeError as exc:
-            raise ValueError(
-                "stationary distribution is not unique or does not exist"
-            ) from exc
-        preconditioner = sparse_linalg.LinearOperator(
-            (n, n), matvec=ilu.solve
-        )
-        pi, info = sparse_linalg.gmres(
-            a, b, M=preconditioner, rtol=ITERATIVE_RTOL, atol=0.0, maxiter=500
-        )
-        if info != 0:
-            pi, info = sparse_linalg.bicgstab(
-                a, b, M=preconditioner, rtol=ITERATIVE_RTOL, atol=0.0, maxiter=2000
-            )
-        if info != 0 or not np.all(np.isfinite(pi)):
-            raise ValueError(
-                f"iterative stationary solve did not converge (info={info})"
-            )
-        # Krylov convergence at ITERATIVE_RTOL leaves errors near the
-        # 1e-8 parity bound on small-magnitude metrics (1 - pi[full]
-        # cancels).  A few ILU refinement steps contract the error by
-        # the preconditioner quality per step, pushing the solution to
-        # the machine-precision floor of the assembled system.
-        b_norm = float(np.max(np.abs(b)))
-        for _ in range(3):
-            defect = b - a @ pi
-            if float(np.max(np.abs(defect))) <= 1e-15 * b_norm:
-                break
-            refined = pi + ilu.solve(defect)
-            if not np.all(np.isfinite(refined)):
-                break
-            pi = refined
-        residual = float(np.max(np.abs(q_t @ pi)))
-        return pi, residual, scale
+        return _accepted(pi, residual, scale)
 
     def mean_time_to_absorption(
         self,

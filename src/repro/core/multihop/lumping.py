@@ -322,12 +322,7 @@ def _config_events(
 
 
 def _state_sort_key(state: LumpedTreeState) -> tuple:
-    slow, consistent = 0, 0
-    for group in state.groups:
-        for member in group:
-            member_consistent, _, member_slow = _config_counts(member)
-            slow += member_slow
-            consistent += member_consistent
+    consistent, _, slow = _state_counts(state)
     return (slow, consistent, state.groups)
 
 
@@ -348,16 +343,25 @@ def _config_counts(config: Config) -> tuple[int, int, int]:
     return (consistent, fast, slow)
 
 
-def _state_counts(state: LumpedTreeState) -> tuple[int, int, int]:
-    """``(consistent_edges, fast_edges, slow_edges)`` of one orbit."""
+def _state_counts(state: object) -> tuple[int, int, int]:
+    """``(consistent_edges, fast_edges, slow_edges)`` of one orbit
+    (RECOVERY: all 0)."""
     consistent, fast, slow = 0, 0, 0
-    for group in state.groups:
+    for group in state.groups if isinstance(state, LumpedTreeState) else ():
         for member in group:
             member_consistent, member_fast, member_slow = _config_counts(member)
             consistent += member_consistent
             fast += member_fast
             slow += member_slow
     return (consistent, fast, slow)
+
+
+@functools.lru_cache(maxsize=128)
+def _state_space_counts(topology: Topology, with_recovery: bool) -> tuple:
+    """``(states, counts)``: the lumped state space and each orbit's
+    :func:`_state_counts`, computed once."""
+    states = lumped_state_space(topology, with_recovery)
+    return states, tuple(_state_counts(state) for state in states)
 
 
 @functools.lru_cache(maxsize=128)
@@ -568,12 +572,15 @@ def lumped_message_components(
     delta = params.delay
     retransmit = 1.0 / params.retransmission_interval
 
+    # The orbit counts of a distribution over the whole state space in
+    # canonical order (as every model and template builds it) are
+    # computed once per state space; other mappings are counted here.
+    states, counts = _state_space_counts(topology, protocol is Protocol.HS)
+    if tuple(stationary) != states:
+        counts = [_state_counts(state) for state in stationary]
     fast_edges = 0.0
     slow_edges = 0.0
-    for state, probability in stationary.items():
-        if not isinstance(state, LumpedTreeState):
-            continue
-        _, fast, slow = _state_counts(state)
+    for probability, (_, fast, slow) in zip(stationary.values(), counts):
         if fast:
             fast_edges += probability * fast
         if slow:

@@ -15,12 +15,17 @@ closed form (the geometric-series sum it generalizes).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 
 from repro.core.multihop.messages import expected_link_crossings
 from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
-from repro.core.multihop.tree_states import TreeState
+from repro.core.multihop.tree_states import (
+    MAX_ENUMERATED_TREE_STATES,
+    TreeState,
+    tree_state_space,
+)
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
@@ -51,6 +56,30 @@ def tree_expected_link_crossings(
     )
 
 
+def _frontier_counts(topology: Topology, state: object) -> tuple[int, int]:
+    """``(fast, slow)`` frontier edge counts of one state (RECOVERY: 0, 0)."""
+    if not isinstance(state, TreeState):
+        return (0, 0)
+    consistent = set(state.consistent)
+    slow = set(state.slow)
+    fast = sum(
+        1
+        for node in range(1, topology.num_nodes)
+        if node not in consistent
+        and node not in slow
+        and (topology.parent(node) == 0 or topology.parent(node) in consistent)
+    )
+    return (fast, len(state.slow))
+
+
+@functools.lru_cache(maxsize=256)
+def _state_space_counts(topology: Topology, with_recovery: bool) -> tuple:
+    """``(states, counts)``: the raw state space and each state's
+    :func:`_frontier_counts`, computed once."""
+    states = tree_state_space(topology, with_recovery, MAX_ENUMERATED_TREE_STATES)
+    return states, tuple(_frontier_counts(topology, state) for state in states)
+
+
 def tree_message_components(
     protocol: Protocol,
     params: MultiHopParameters,
@@ -63,33 +92,25 @@ def tree_message_components(
     success = 1.0 - params.loss_rate
     delta = params.delay
     retransmit = 1.0 / params.retransmission_interval
-    consistent_count = topology.num_edges
-
-    def frontier_fast_count(state: TreeState) -> int:
-        in_consistent = set(state.consistent)
-        in_slow = set(state.slow)
-        return sum(
-            1
-            for node in range(1, topology.num_nodes)
-            if node not in in_consistent
-            and node not in in_slow
-            and (topology.parent(node) == 0 or topology.parent(node) in in_consistent)
-        )
+    # The frontier counts of a distribution over the whole state space
+    # in canonical order (as every model and template builds it) are
+    # computed once per state space; other mappings are counted here.
+    states, counts = _state_space_counts(topology, protocol is Protocol.HS)
+    if tuple(stationary) != states:
+        counts = [_frontier_counts(topology, state) for state in stationary]
 
     # Mean in-flight (fast frontier) and waiting (slow frontier) edge
     # counts, iterated in state order.  On a chain both counts are 0/1,
     # so the sums equal the chain module's filtered probability sums.
     fast_edges = sum(
-        probability * count
-        for state, probability in stationary.items()
-        if isinstance(state, TreeState)
-        and len(state.consistent) < consistent_count
-        and (count := frontier_fast_count(state))
+        probability * fast
+        for probability, (fast, _) in zip(stationary.values(), counts)
+        if fast
     )
     slow_edges = sum(
-        probability * len(state.slow)
-        for state, probability in stationary.items()
-        if isinstance(state, TreeState) and state.slow
+        probability * slow
+        for probability, (_, slow) in zip(stationary.values(), counts)
+        if slow
     )
     recovery = stationary.get(RECOVERY, 0.0)
 

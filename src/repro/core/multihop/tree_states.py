@@ -49,12 +49,13 @@ __all__ = [
 
 #: Refuse to enumerate beyond this many states on the *direct* solve
 #: path.  The tree state count is exponential in fan-out x depth (a
-#: complete binary tree of depth 3 already has 15129 states), and
-#: beyond a few thousand states the tree generator's LU fill-in makes
-#: even the sparse direct solve impractical (the depth-3 binary system
-#: factors into ~10^8 nonzeros).  Larger topologies must go through
-#: the lumping or iterative backends (see
-#: :func:`repro.core.multihop.lumping.select_tree_backend`).
+#: complete binary tree of depth 3 already has 15129 states).  The LU
+#: fill-in that first set this cap came from two dense rows of the old
+#: sparse system, the normalization row and the start state's balance
+#: row; the pinned :class:`~repro.core.markov.SparseStationarySystem`
+#: has neither, but the cap stays: past it the lumping or iterative
+#: backends (see :func:`repro.core.multihop.lumping.select_tree_backend`)
+#: solve far fewer states, or keep only bounded fill.
 MAX_TREE_STATES = 4096
 
 #: Absolute enumeration ceiling for the iterative (ILU/GMRES) backend,
@@ -165,7 +166,6 @@ def _edge_configurations(
     return results
 
 
-@functools.lru_cache(maxsize=256)
 def tree_state_space(
     topology: Topology, with_recovery: bool, max_states: int | None = None
 ) -> tuple[object, ...]:
@@ -188,6 +188,13 @@ def tree_state_space(
     projected = projected_tree_states(topology)
     if projected > limit:
         raise StateSpaceLimitError(topology, projected, limit)
+    return _enumerated_tree_states(topology, with_recovery)
+
+
+@functools.lru_cache(maxsize=256)
+def _enumerated_tree_states(topology: Topology, with_recovery: bool) -> tuple[object, ...]:
+    """:func:`tree_state_space` past its cap check: one enumeration, and
+    one set of state objects, per space whatever cap the caller set."""
     configurations: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     for child in topology.children(0):
         child_configurations = _edge_configurations(topology, child)

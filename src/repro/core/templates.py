@@ -19,9 +19,9 @@ after that:
   churn);
 * the stationary solve: one stacked LAPACK call for all K points below
   :data:`~repro.core.markov.SPARSE_STATE_THRESHOLD` states; above it, a
-  per-point ``splu`` on a CSC pattern whose symbolic structure is
-  computed once (or ILU-preconditioned GMRES for the iterative tree
-  backend);
+  per-point numeric ``splu`` (or ILU/GMRES for the iterative tree
+  backend) on the :class:`~repro.core.markov.SparseStationarySystem` of
+  the point's positive-rate edges, compiled once per zero mask;
 * ``solve_batch``: any point the batch cannot certify (singular matrix,
   residual check, non-finite result) is re-solved by the reference
   model, so failure diagnostics are exactly the reference's.
@@ -42,13 +42,16 @@ Each edge rate is the reference's own float, scattered in the
 reference's accumulation order, and the stacked ``numpy.linalg.solve``
 runs the same ``dgesv`` as the per-point dense path, so dense batches
 reproduce the per-point dense results **bit for bit**, not merely
-within tolerance.
+within tolerance.  Above the threshold the template solves the very
+sparse system the reference chain builds from its rate dict, so it
+matches the reference bit for bit there as well.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -185,131 +188,6 @@ def _fill_generator_diagonal(q: np.ndarray) -> np.ndarray:
     return q
 
 
-class _SparseStationaryPattern:
-    """Fixed CSC structure for the sparse stationary system of a template.
-
-    The linear system is the same one
-    :meth:`ContinuousTimeMarkovChain._stationary_sparse` builds —
-    ``A = Q^T`` with the last balance row replaced by the normalization
-    row — but the COO→CSC symbolic analysis (sort order, duplicate
-    merging, indices/indptr) happens once here; each sweep point only
-    refreshes the numeric ``data`` vector.
-    """
-
-    def __init__(self, edge_rows: np.ndarray, edge_cols: np.ndarray, n: int) -> None:
-        self.n = n
-        self.edge_rows = edge_rows
-        # Generator triplets: every edge plus one diagonal slot per state.
-        diag = np.arange(n)
-        self.gen_rows = np.concatenate([edge_rows, diag])
-        self.gen_cols = np.concatenate([edge_cols, diag])
-        # A = Q^T without Q's last column (it becomes A's replaced last
-        # row), plus the dense normalization row of ones.
-        keep = self.gen_cols != n - 1
-        a_rows = np.concatenate([self.gen_cols[keep], np.full(n, n - 1)])
-        a_cols = np.concatenate([self.gen_rows[keep], diag])
-        order = np.lexsort((a_rows, a_cols))
-        sorted_rows = a_rows[order]
-        sorted_cols = a_cols[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (
-            sorted_cols[1:] != sorted_cols[:-1]
-        )
-        self._keep = keep
-        self._order = order
-        self._slot = np.cumsum(first) - 1
-        self.nnz = int(self._slot[-1]) + 1
-        self.indices = sorted_rows[first]
-        counts = np.bincount(sorted_cols[first], minlength=n)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-        self._rhs = np.zeros(n)
-        self._rhs[-1] = 1.0
-
-    def _assemble(self, edge_rates: np.ndarray):
-        """``(matrix, gen_data)`` of one point's system ``A x = rhs``."""
-        sparse, _ = _markov._sparse_modules()
-        n = self.n
-        exit_rates = np.bincount(self.edge_rows, weights=edge_rates, minlength=n)
-        gen_data = np.concatenate([edge_rates, -exit_rates])
-        values = np.concatenate([gen_data[self._keep], np.ones(n)])
-        data = np.bincount(
-            self._slot, weights=values[self._order], minlength=self.nnz
-        )
-        matrix = sparse.csc_matrix(
-            (data, self.indices, self.indptr), shape=(n, n)
-        )
-        return matrix, gen_data
-
-    def _accept(self, pi: np.ndarray, gen_data: np.ndarray) -> np.ndarray | None:
-        """The same acceptance test the reference applies: small residual
-        against ``Q^T`` and no materially negative mass."""
-        if not np.all(np.isfinite(pi)):
-            return None
-        flow = np.bincount(
-            self.gen_cols, weights=gen_data * pi[self.gen_rows], minlength=self.n
-        )
-        scale = max(1.0, float(np.max(np.abs(gen_data))))
-        if float(np.max(np.abs(flow))) > 1e-8 * scale or np.any(pi < -1e-9):
-            return None
-        pi = np.clip(pi, 0.0, None)
-        total = pi.sum()
-        if total <= 0.0:
-            return None
-        return pi / total
-
-    def stationary(self, edge_rates: np.ndarray) -> np.ndarray | None:
-        """Solve one point; ``None`` when the reference path must decide."""
-        if _markov._sparse_modules() is None:  # pragma: no cover - guarded by caller
-            return None
-        _, sparse_linalg = _markov._sparse_modules()
-        matrix, gen_data = self._assemble(edge_rates)
-        try:
-            pi = sparse_linalg.splu(matrix).solve(self._rhs)
-        except (RuntimeError, ValueError):
-            return None
-        return self._accept(pi, gen_data)
-
-    def stationary_iterative(self, edge_rates: np.ndarray) -> np.ndarray | None:
-        """One point through ILU-preconditioned GMRES (BiCGSTAB retry).
-
-        The incomplete factorization keeps bounded fill-in where the
-        tree generators' exact LU explodes; the result still passes the
-        universal residual/negativity acceptance or the point is flagged
-        for the reference fallback.
-        """
-        if _markov._sparse_modules() is None:  # pragma: no cover - guarded by caller
-            return None
-        _, sparse_linalg = _markov._sparse_modules()
-        matrix, gen_data = self._assemble(edge_rates)
-        try:
-            ilu = sparse_linalg.spilu(matrix, drop_tol=1e-5, fill_factor=20.0)
-        except (RuntimeError, ValueError):
-            return None
-        preconditioner = sparse_linalg.LinearOperator(
-            (self.n, self.n), matvec=ilu.solve
-        )
-        pi, info = sparse_linalg.gmres(
-            matrix,
-            self._rhs,
-            M=preconditioner,
-            rtol=_markov.ITERATIVE_RTOL,
-            atol=0.0,
-            maxiter=500,
-        )
-        if info != 0:
-            pi, info = sparse_linalg.bicgstab(
-                matrix,
-                self._rhs,
-                M=preconditioner,
-                rtol=_markov.ITERATIVE_RTOL,
-                atol=0.0,
-                maxiter=2000,
-            )
-        if info != 0:
-            return None
-        return self._accept(pi, gen_data)
-
-
 # ----------------------------------------------------------------------
 # The shared compile-and-solve loop
 # ----------------------------------------------------------------------
@@ -342,7 +220,8 @@ class _CompiledTemplate:
         self._features = np.array(features, dtype=np.intp)
         self._multiplicities = np.asarray(multiplicities, dtype=np.float64)
         self._flat = self.rows * len(states) + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
+        self._off_diagonal = self.rows != self.cols
+        self._systems: dict[bytes, tuple] = {}
 
     def derived_rows(self, points: Sequence) -> np.ndarray:
         """The ``(K, F)`` derived-rate matrix for ``points``."""
@@ -360,6 +239,32 @@ class _CompiledTemplate:
             and _markov._sparse_modules() is not None
         )
 
+    def _sparse_stationary(self, rates: np.ndarray, iterative: bool) -> np.ndarray:
+        """One point's edge ``rates`` solved on the sparse system of its
+        positive sub-pattern, compiled once per zero mask.
+
+        The reference rate dict holds the positive off-diagonal edges,
+        each key at its first positive spec edge, its rate the sum of its
+        spec edges in edge order; ``merge`` maps the spec edges onto the
+        keys alike, so the system is the one the reference chain solves.
+        """
+        positive = (rates > 0.0) & self._off_diagonal
+        mask = np.packbits(positive).tobytes()
+        if mask not in self._systems:
+            edges = np.flatnonzero(positive)
+            n = len(self.states)
+            _, first, merge = np.unique(
+                self.rows[edges] * n + self.cols[edges], return_index=True, return_inverse=True
+            )
+            keys = edges[np.sort(first)]
+            system = _markov.SparseStationarySystem(n, self.rows[keys], self.cols[keys])
+            # np.unique numbers the keys by position; renumber them in
+            # first-seen order, the order of ``keys``.
+            self._systems[mask] = (edges, np.argsort(np.argsort(first))[merge], system)
+        edges, merge, system = self._systems[mask]
+        values = np.bincount(merge, weights=rates[edges], minlength=system.rows.size)
+        return system.stationary(values, iterative=iterative)
+
     def _stationary(self, points: list) -> tuple[np.ndarray, np.ndarray]:
         """``(pi, bad)`` for every point, dense-batched or sparse-looped.
 
@@ -373,33 +278,27 @@ class _CompiledTemplate:
             return batched_stationary_dense(
                 _fill_generator_diagonal(_assemble_dense(self._flat, rates, n))
             )
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, n)
-        if self.solver == "iterative":
-            solve, kind = self._sparse_pattern.stationary_iterative, "iterative"
-        else:
-            solve, kind = self._sparse_pattern.stationary, "sparse"
+        iterative = self.solver == "iterative"
         k = len(points)
         pi = np.zeros((k, n))
         bad = np.zeros(k, dtype=bool)
         for point in range(k):
-            solved = solve(rates[point])
-            if solved is None:
+            try:
+                pi[point] = self._sparse_stationary(rates[point], iterative)
+            except (ValueError, RuntimeError):
                 _LOGGER.warning(
                     "%s template solve failed for %s point %d of %d; "
                     "falling back to the reference model",
-                    kind,
+                    "iterative" if iterative else "sparse",
                     type(self).__name__,
                     point,
                     k,
                 )
                 bad[point] = True
-            else:
-                pi[point] = solved
         return pi, bad
 
     def solve_batch(self, points: Sequence) -> list:
-        """Solve every point; bit-identical to the per-point dense path."""
+        """Solve every point; bit-identical to the per-point reference."""
         return self._solve_points(points, self._stationary)
 
     def _solve_points(self, points: Sequence, stationary) -> list:
@@ -585,9 +484,10 @@ class SingleHopTemplate(_CompiledTemplate):
 
 
 #: Chain solve backends: ``"template"`` is the historical exact-path
-#: default (batched dense LAPACK below the sparse threshold, splu above
-#: it); ``"structured"`` is the O(hops) block-Thomas kernel (tolerance
-#: class).  ``"auto"`` resolves per task via :func:`select_chain_backend`.
+#: default (batched dense LAPACK below the sparse threshold, the pinned
+#: sparse system above it); ``"structured"`` is the O(hops) block-Thomas
+#: kernel (tolerance class).  ``"auto"`` resolves per task via
+#: :func:`select_chain_backend`.
 CHAIN_BACKENDS = ("auto", "template", "structured")
 
 
@@ -598,9 +498,10 @@ def select_chain_backend(protocol: Protocol, hops: int) -> str:
     template's batched dense path stays the default — it is bit-identical
     to the historical per-point dense results, and the paper's own small
     chains must keep exact ``==`` parity.  At and above the threshold the
-    template would fall to per-point splu factorizations, which already
-    carry tolerance-class semantics; the structured O(hops) kernel takes
-    over there, trading like for like (tolerance for tolerance) while
+    template would fall to per-point sparse factorizations, which match
+    the dense oracle only to tolerance (though still the sparse
+    reference bit for bit); the structured O(hops) kernel takes over
+    there, trading like for like (tolerance for tolerance) while
     dropping the per-point cost from a numeric factorization to a single
     linear recursion.
     """
@@ -768,11 +669,11 @@ class MultiHopTemplate(_CompiledTemplate):
         """Solve every point (homogeneous or heterogeneous tasks).
 
         ``backend="template"`` is the historical fast path: batched
-        dense LAPACK below the sparse threshold (bit-identical to the
-        reference), structure-cached splu above it.  ``"structured"``
-        routes through the O(hops) chain kernel instead — tolerance
-        class, per-point fallback to the reference on any point the
-        kernel cannot certify.
+        dense LAPACK below the sparse threshold, the pinned sparse
+        system above it (bit-identical to the reference on both sides).
+        ``"structured"`` routes through the O(hops) chain kernel instead
+        — tolerance class, per-point fallback to the reference on any
+        point the kernel cannot certify.
         """
         if backend not in CHAIN_BACKENDS:
             raise ValueError(
@@ -1075,42 +976,49 @@ def _solve_grouped(tasks, group_key, solve_group):
     return results
 
 
+def _solve_on(template, group_key, point, tasks, **options):
+    """Solve ``tasks`` on ``template(*group_key(task))``, batched per
+    template; ``point(task)`` is the task's point of that template."""
+    return _solve_grouped(
+        list(tasks),
+        group_key,
+        lambda key, group: template(*key).solve_batch(
+            [point(task) for task in group], **options
+        ),
+    )
+
+
+def _chain_key(task) -> tuple:
+    return (Protocol(task[0]), task[1].hops)
+
+
+def _tree_key(task) -> tuple:
+    return (Protocol(task[0]), task[2])
+
+
+_params = operator.itemgetter(1)
+
+
 def solve_singlehop_tasks(
     tasks: Sequence[tuple[Protocol, SignalingParameters]],
 ) -> list[SingleHopSolution]:
     """Solve ``(protocol, params)`` tasks through compiled templates."""
-    return _solve_grouped(
-        list(tasks),
-        lambda task: Protocol(task[0]),
-        lambda protocol, group: singlehop_template(protocol).solve_batch(
-            [params for _, params in group]
-        ),
-    )
+    return _solve_on(singlehop_template, lambda task: (Protocol(task[0]),), _params, tasks)
 
 
 def solve_multihop_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters]],
 ) -> list[MultiHopSolution]:
     """Solve homogeneous ``(protocol, params)`` tasks through templates."""
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: multihop_template(*key).solve_batch(
-            [(params, None) for _, params in group]
-        ),
-    )
+    return _solve_on(multihop_template, _chain_key, lambda task: (task[1], None), tasks)
 
 
 def solve_heterogeneous_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters, tuple[HeterogeneousHop, ...]]],
 ) -> list[MultiHopSolution]:
     """Solve ``(protocol, params, hop_vector)`` tasks through templates."""
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: multihop_template(*key).solve_batch(
-            [(params, tuple(hops)) for _, params, hops in group]
-        ),
+    return _solve_on(
+        multihop_template, _chain_key, lambda task: (task[1], tuple(task[2])), tasks
     )
 
 
@@ -1124,12 +1032,8 @@ def solve_multihop_structured_tasks(
     factorization — tolerance parity class (the kernel reorders
     floating-point operations), with per-point reference fallback.
     """
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: multihop_template(*key).solve_batch(
-            [(params, None) for _, params in group], backend="structured"
-        ),
+    return _solve_on(
+        multihop_template, _chain_key, lambda task: (task[1], None), tasks, backend="structured"
     )
 
 
@@ -1142,13 +1046,12 @@ def solve_heterogeneous_structured_tasks(
     parity class, per-point reference fallback (see
     :func:`solve_multihop_structured_tasks`).
     """
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: multihop_template(*key).solve_batch(
-            [(params, tuple(hops)) for _, params, hops in group],
-            backend="structured",
-        ),
+    return _solve_on(
+        multihop_template,
+        _chain_key,
+        lambda task: (task[1], tuple(task[2])),
+        tasks,
+        backend="structured",
     )
 
 
@@ -1156,13 +1059,7 @@ def solve_tree_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters, Topology]],
 ) -> list[TreeSolution]:
     """Solve ``(protocol, params, topology)`` tasks through templates."""
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[2]),
-        lambda key, group: tree_template(*key).solve_batch(
-            [params for _, params, _ in group]
-        ),
-    )
+    return _solve_on(tree_template, _tree_key, _params, tasks)
 
 
 def solve_tree_lumped_tasks(
@@ -1174,13 +1071,7 @@ def solve_tree_lumped_tasks(
     aggregation reorders float additions (the lumping itself is exact —
     proved rationally in ``tests/core/test_tree_lumping.py``).
     """
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[2]),
-        lambda key, group: lumped_tree_template(*key).solve_batch(
-            [params for _, params, _ in group]
-        ),
-    )
+    return _solve_on(lumped_tree_template, _tree_key, _params, tasks)
 
 
 def solve_tree_iterative_tasks(
@@ -1193,13 +1084,7 @@ def solve_tree_iterative_tasks(
     exactly.  The raw-space escape hatch for topologies that neither
     fit the direct cap nor lump.
     """
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[2]),
-        lambda key, group: iterative_tree_template(*key).solve_batch(
-            [params for _, params, _ in group]
-        ),
-    )
+    return _solve_on(iterative_tree_template, _tree_key, _params, tasks)
 
 
 def _solve_gilbert_tasks(tasks, solve_iid, wrap_degenerate, group_key, template):
@@ -1225,13 +1110,7 @@ def _solve_gilbert_tasks(tasks, solve_iid, wrap_degenerate, group_key, template)
         for position, solution in zip(degenerate, base):
             _, params, gilbert = tasks[position]
             results[position] = wrap_degenerate(params, gilbert, solution)
-    solved = _solve_grouped(
-        [tasks[p] for p in rest],
-        group_key,
-        lambda key, group: template(*key).solve_batch(
-            [(params, gilbert) for _, params, gilbert in group]
-        ),
-    )
+    solved = _solve_on(template, group_key, lambda task: task[1:], [tasks[p] for p in rest])
     for position, solution in zip(rest, solved):
         results[position] = solution
     return results
@@ -1268,6 +1147,6 @@ def solve_gilbert_multihop_tasks(
         tasks,
         solve_multihop_tasks,
         degenerate_multihop_solution,
-        lambda task: (Protocol(task[0]), task[1].hops),
+        _chain_key,
         gilbert_multihop_template,
     )

@@ -120,7 +120,8 @@ def _parity_hop_counts(spec: ScenarioSpec) -> tuple[int, ...]:
     # Two hop counts in the dense regime: the scenario's own chain
     # length plus a short contrast chain.  Exact dense==template==
     # batched parity is only guaranteed below the sparse crossover
-    # (solver="auto" flips the reference itself to splu there), so the
+    # (solver="auto" flips the reference itself to the pinned sparse
+    # system there), so the
     # scenario's hop count is clamped: the largest chain is 2N+2
     # states (HS recovery state included).
     dense_limit = (SPARSE_STATE_THRESHOLD - 2) // 2 - 1

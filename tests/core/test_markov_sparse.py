@@ -94,6 +94,48 @@ class TestDenseSparseParity:
         assert np.allclose(chain.sparse_generator_matrix().toarray(), chain.generator_matrix())
 
 
+def transient_hub_chain(solver: str) -> ContinuousTimeMarkovChain:
+    """300 states: a transient hub (state 0) fed by 200 transient states
+    (1..200) and draining into a closed 99-state ring (201..299).  The
+    hub has the most in-neighbours of any state, yet its mass is 0."""
+    rates = {}
+    for i in range(1, 201):
+        rates[(i, 0)] = 1.0 + 0.01 * i
+        if i < 200:
+            rates[(i, i + 1)] = 0.5
+    rates[(0, 201)] = 3.0
+    for j in range(201, 299):
+        rates[(j, j + 1)] = 0.7
+        rates[(j + 1, j)] = 0.4
+    rates[(299, 201)] = 0.5
+    return ContinuousTimeMarkovChain(range(300), rates, solver=solver)
+
+
+class TestPinnedSystem:
+    @pytest.fixture(autouse=True)
+    def _need_scipy(self):
+        pytest.importorskip("scipy")
+
+    def test_transient_hub_gets_exactly_zero(self):
+        # The pinned state must come from the closed class: pinning the
+        # hub, the state with the most in-neighbours, leaves it a mass of
+        # about 4e-17 instead of 0.
+        from repro.runtime import failure_report, solve_chain_stationary
+
+        before = failure_report().solver_fallbacks
+        sparse = solve_chain_stationary(transient_hub_chain("sparse"))
+        assert failure_report().solver_fallbacks == before
+        dense = transient_hub_chain("dense").stationary_distribution()
+        assert all(sparse[state] == 0.0 for state in range(201))
+        assert sparse == pytest.approx(dense, abs=1e-12)
+
+    def test_pin_is_the_closed_class_hub(self):
+        chain = transient_hub_chain("sparse")
+        chain.stationary_distribution()
+        # Ring states 202..298 tie on two in-neighbours; 201 has three.
+        assert chain._system.pin == 201
+
+
 class TestSparseErrorHandling:
     @pytest.fixture(autouse=True)
     def _need_scipy(self):

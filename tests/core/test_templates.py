@@ -10,9 +10,11 @@ the ISSUE's 1e-12 budget but the dense cases typically agree exactly.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import markov
+from repro.core.gilbert.model import GilbertMultiHopModel
 from repro.core.multihop import MultiHopModel
 from repro.core.multihop.heterogeneous import (
     HeterogeneousHop,
@@ -28,7 +30,9 @@ from repro.core.parameters import (
 )
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
+from repro.faults.gilbert import GilbertElliottParameters
 from repro.core.templates import (
+    gilbert_multihop_template,
     multihop_template,
     singlehop_template,
     solve_heterogeneous_tasks,
@@ -203,6 +207,34 @@ class TestSparseCrossover:
             assert dense.stationary[state] == pytest.approx(
                 probability, abs=SPARSE_TOL
             )
+
+    @pytest.mark.parametrize("protocol", Protocol.multihop_family())
+    def test_zero_loss_above_threshold_is_bit_identical(self, protocol):
+        """At 128 hops and loss 0 the loss edges carry rate 0: the
+        template solves the positive sub-pattern, the one the reference
+        rate dict holds, so the two agree bit for bit."""
+        params = reservation_defaults().replace(hops=128, loss_rate=0.0)
+        solution = multihop_template(protocol, 128).solve_batch(
+            [(params, None)], backend="template"
+        )[0]
+        reference = MultiHopModel(protocol, params).solve()
+        assert list(solution.stationary.items()) == list(reference.stationary.items())
+        assert solution.message_breakdown == reference.message_breakdown
+
+    @pytest.mark.parametrize("protocol", Protocol.multihop_family())
+    def test_gilbert_70_hops_with_zero_rate_edges_is_bit_identical(self, protocol):
+        gilbert = GilbertElliottParameters(0.01, 0.5, 0.1, 1.0)
+        params = reservation_defaults().replace(hops=70)
+        template = gilbert_multihop_template(protocol, 70)
+        assert template._use_sparse()
+        if protocol is not Protocol.HS:
+            # Protocol edges this channel gives rate 0 in the bad state.
+            rates = template.edge_rates([(params, gilbert)])[0]
+            assert np.count_nonzero(rates == 0.0) == 256
+        solution = template.solve_batch([(params, gilbert)])[0]
+        reference = GilbertMultiHopModel(protocol, params, gilbert).solve()
+        assert list(solution.stationary.items()) == list(reference.stationary.items())
+        assert solution.message_breakdown == reference.message_breakdown
 
     def test_real_threshold_crossing_at_128_hops(self):
         """128 hops (257 states) crosses the real threshold; 96 does not."""

@@ -1,18 +1,25 @@
 """Compiled tree templates: exact parity with the reference model.
 
 Mirrors ``tests/core/test_templates.py`` for the tree family: the
-template path must be **bit-identical** to the per-point dense
-reference below the sparse crossover, tolerance-bounded above it, and
-the runtime batch helpers must dedupe and order results exactly like
-the chain families.
+template path must be **bit-identical** to the per-point reference on
+both sides of the sparse crossover (above it both solve the same
+pinned sparse system), within tolerance of the dense oracle, and the
+runtime batch helpers must dedupe and order results exactly like the
+chain families.
 """
 
 import math
 
 import pytest
 
-from repro.core.multihop import Topology, TreeModel
-from repro.core.templates import solve_tree_tasks, tree_template
+from repro.core import markov
+from repro.core.multihop import LumpedTreeModel, Topology, TreeModel
+from repro.core.templates import (
+    TreeTemplate,
+    solve_tree_lumped_tasks,
+    solve_tree_tasks,
+    tree_template,
+)
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
 from repro.runtime import global_cache, solve_tree_batch
@@ -25,6 +32,10 @@ SHAPES = (
     Topology.kary(2, 2),
     Topology.skewed(3),
     Topology.broom(2, 3),
+    # 729 and 323 states: above SPARSE_STATE_THRESHOLD, so the template
+    # and the reference both solve the pinned sparse system.
+    Topology.star(6),
+    Topology.skewed(5),
 )
 
 METRICS = (
@@ -67,24 +78,66 @@ def test_template_memoized_per_protocol_and_topology():
     assert a is not c
 
 
-def test_sparse_crossover_within_tolerance():
-    # star(6) has 729 states — above SPARSE_STATE_THRESHOLD, so the
-    # template keeps its CSC pattern and splu agrees within tolerance.
-    topology = Topology.star(6)
+@pytest.mark.parametrize(
+    ("topology", "solve", "model"),
+    [
+        (Topology.star(6), solve_tree_tasks, TreeModel),
+        (Topology.star(64), solve_tree_lumped_tasks, LumpedTreeModel),
+    ],
+    ids=["star6-direct", "star64-lumped"],
+)
+def test_sparse_crossover_within_tolerance(topology, solve, model):
+    # star(6) has 729 raw states and star(64) 2145 orbits (2146 with
+    # RECOVERY) — above SPARSE_STATE_THRESHOLD, so the template and its
+    # reference solve the same pinned sparse system bit for bit, and
+    # only the dense oracle is a tolerance comparison.
     params = params_for(topology)
     for protocol in MULTIHOP:
-        reference = TreeModel(protocol, params, topology).solve()
-        solution = solve_tree_tasks([(protocol, params, topology)])[0]
+        reference = model(protocol, params, topology).solve()
+        dense = model(protocol, params, topology, solver="dense").solve()
+        solution = solve([(protocol, params, topology)])[0]
+        assert list(solution.stationary.items()) == list(reference.stationary.items())
+        assert solution.message_breakdown == reference.message_breakdown
         for expected, observed in zip(
-            reference.stationary.values(), solution.stationary.values()
+            dense.stationary.values(), solution.stationary.values()
         ):
             assert math.isclose(expected, observed, rel_tol=1e-8, abs_tol=1e-12)
         assert math.isclose(
-            reference.inconsistency_ratio,
+            dense.inconsistency_ratio,
             solution.inconsistency_ratio,
             rel_tol=1e-8,
             abs_tol=1e-12,
         )
+
+
+def test_sparse_system_compiled_once_per_zero_mask(monkeypatch):
+    # The strong components and the ordering are structural: two batches
+    # on one template compute them once for each zero mask they meet.
+    calls = {"pin": 0, "order": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        markov, "_closed_class_pin", counted("pin", markov._closed_class_pin)
+    )
+    monkeypatch.setattr(
+        markov, "_fill_reducing_order", counted("order", markov._fill_reducing_order)
+    )
+    topology = Topology.star(6)
+    template = TreeTemplate(Protocol.SS, topology)
+    for loss in (0.01, 0.05):
+        template.solve_batch(
+            [params_for(topology, loss_rate=loss), params_for(topology, loss_rate=0.0)]
+        )
+    assert calls == {"pin": 2, "order": 2}
+    assert len(template._systems) == 2
+    # Every tree pins its start state: every update edge feeds it.
+    assert all(system.pin == 0 for _, _, system in template._systems.values())
 
 
 def test_solve_batch_rejects_hop_mismatch():

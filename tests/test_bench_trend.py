@@ -53,10 +53,10 @@ class TestCommittedSeries:
 
 
 class TestAppender:
-    def _report(self, tmp_path, commit="abc123", name="test_bench_thing"):
+    def _report(self, tmp_path, commit="abc123", name="test_bench_thing", dirty=False):
         report = {
             "datetime": "2026-08-07T03:17:00",
-            "commit_info": {"id": commit},
+            "commit_info": {"id": commit, "dirty": dirty},
             "benchmarks": [
                 {
                     "fullname": f"benchmarks/test_bench_thing.py::{name}",
@@ -65,7 +65,7 @@ class TestAppender:
                 }
             ],
         }
-        path = tmp_path / f"BENCH_{commit}_{name}.json"
+        path = tmp_path / f"BENCH_{commit}_{name}_{dirty}.json"
         path.write_text(json.dumps(report))
         return path
 
@@ -89,3 +89,12 @@ class TestAppender:
         )
         rows = list(csv.DictReader(trend.read_text().splitlines()))
         assert [row["commit"] for row in rows] == ["abc123", "def456"]
+
+    def test_dirty_tree_appends_its_own_row(self, tmp_path):
+        trend = tmp_path / "TREND.csv"
+        bench_trend.main([str(self._report(tmp_path)), "--trend", str(trend)])
+        bench_trend.main(
+            [str(self._report(tmp_path, dirty=True)), "--trend", str(trend)]
+        )
+        rows = list(csv.DictReader(trend.read_text().splitlines()))
+        assert [row["commit"] for row in rows] == ["abc123", "abc123+dirty"]

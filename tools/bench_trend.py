@@ -8,7 +8,9 @@ per benchmark to ``benchmarks/TREND.csv``::
 
 Rows already present for the same ``(commit, test)`` pair are skipped,
 so re-running on the same checkout is idempotent and the series never
-double-counts a commit.  The nightly bench job runs this after each
+double-counts a commit.  A report taken on a dirty work tree records
+its commit as ``<id>+dirty``, so a change measured before it is
+committed never collides with its base commit's rows.  The nightly bench job runs this after each
 suite and uploads the updated CSV; committing it back keeps a
 performance trajectory reviewable in-repo.
 
@@ -32,7 +34,11 @@ FIELDS = ("date", "commit", "file", "test", "median_seconds")
 
 def _rows_from_report(path: pathlib.Path) -> list[dict[str, str]]:
     report = json.loads(path.read_text())
-    commit = report.get("commit_info", {}).get("id") or "unknown"
+    commit_info = report.get("commit_info", {})
+    commit = commit_info.get("id") or "unknown"
+    if commit_info.get("dirty"):
+        # Measured on uncommitted changes over ``commit``: a distinct row.
+        commit += "+dirty"
     date = (report.get("datetime") or "")[:10] or datetime.date.today().isoformat()
     rows = []
     for bench in report.get("benchmarks", ()):
