@@ -12,8 +12,10 @@ implemented here on top of numpy/scipy linear algebra:
 States may be arbitrary hashable objects; the chain is specified as a
 sparse mapping ``{(from_state, to_state): rate}``.
 
-Three linear-algebra backends are provided: the original dense
-``numpy.linalg.solve`` path, and a ``scipy.sparse`` LU path and an
+Three linear-algebra backends are provided: the dense LAPACK path (one
+formulation, :func:`batched_stationary_dense` and
+:func:`batched_absorption_times_dense`, which a single chain calls with
+a stack of one), and a ``scipy.sparse`` LU path and an
 ILU-preconditioned iterative path (GMRES, falling back to BiCGSTAB)
 that both solve one :class:`SparseStationarySystem` — pinned, compiled
 once per positive-rate edge pattern, and shared with the compiled
@@ -73,14 +75,17 @@ def _sparse_modules():
 
 
 _NOT_UNIQUE = "stationary distribution is not unique or does not exist"
+_ILL_CONDITIONED = "stationary distribution solve failed (ill-conditioned chain)"
+_NOT_CERTAIN = "absorption is not certain from the given start state"
 
 
 def _accepted(pi: np.ndarray, residual: float, scale: float) -> np.ndarray:
-    """``pi`` after the acceptance test every backend applies (a residual
-    of ``Q^T pi = 0`` within ``1e-8 * scale``, no materially negative
-    mass), clipped and renormalized once."""
+    """``pi`` after the acceptance test every sparse backend applies (a
+    residual of ``Q^T pi = 0`` within ``1e-8 * scale``, no materially
+    negative mass), clipped and renormalized once.
+    :func:`batched_stationary_dense` applies the same test vectorized."""
     if residual > 1e-8 * scale or np.any(pi < -1e-9):
-        raise ValueError("stationary distribution solve failed (ill-conditioned chain)")
+        raise ValueError(_ILL_CONDITIONED)
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     return pi
@@ -384,23 +389,19 @@ class ContinuousTimeMarkovChain:
                 iterative=self._solver == "iterative",
             )
         else:
-            pi = self._stationary_dense(n)
+            pi = self._stationary_dense()
         return {state: float(pi[i]) for i, state in enumerate(self._states)}
 
-    def _stationary_dense(self, n: int) -> np.ndarray:
-        q = self.generator_matrix()
-        # Replace the last balance equation with the normalization row.
-        a = q.T.copy()
-        a[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
+    def _stationary_dense(self) -> np.ndarray:
+        """The dense solve: :func:`batched_stationary_dense` on a stack of
+        one, so the batched kernel and this path agree by construction."""
         try:
-            pi = np.linalg.solve(a, b)
+            pi, bad = batched_stationary_dense(self.generator_matrix()[None])
         except np.linalg.LinAlgError as exc:
-            raise ValueError("stationary distribution is not unique or does not exist") from exc
-        residual = float(np.max(np.abs(q.T @ pi)))
-        scale = max(1.0, float(np.max(np.abs(q))))
-        return _accepted(pi, residual, scale)
+            raise ValueError(_NOT_UNIQUE) from exc
+        if bad[0]:
+            raise ValueError(_ILL_CONDITIONED)
+        return pi[0]
 
     def mean_time_to_absorption(
         self,
@@ -434,13 +435,16 @@ class ContinuousTimeMarkovChain:
         return value
 
     def _absorption_times_dense(self, transient: list[State]) -> np.ndarray:
-        q = self.generator_matrix()
+        """:func:`batched_absorption_times_dense` on a stack of one."""
         rows = [self._index[s] for s in transient]
-        q_tt = q[np.ix_(rows, rows)]
+        q_tt = self.generator_matrix()[np.ix_(rows, rows)]
         try:
-            return np.linalg.solve(-q_tt, np.ones(len(transient)))
+            times, bad = batched_absorption_times_dense(q_tt[None])
         except np.linalg.LinAlgError as exc:
-            raise ValueError("absorption is not certain from the given start state") from exc
+            raise ValueError(_NOT_CERTAIN) from exc
+        if bad[0]:
+            raise ValueError(_NOT_CERTAIN)
+        return times[0]
 
     def _absorption_times_sparse(
         self, transient: list[State], t_index: dict[State, int]
@@ -472,9 +476,9 @@ class ContinuousTimeMarkovChain:
                 warnings.simplefilter("error", sparse_linalg.MatrixRankWarning)
                 times = sparse_linalg.spsolve(neg_q_tt, np.ones(m))
         except (RuntimeError, sparse_linalg.MatrixRankWarning) as exc:
-            raise ValueError("absorption is not certain from the given start state") from exc
+            raise ValueError(_NOT_CERTAIN) from exc
         if not np.all(np.isfinite(times)):
-            raise ValueError("absorption is not certain from the given start state")
+            raise ValueError(_NOT_CERTAIN)
         return np.atleast_1d(times)
 
     def absorption_probability_flow(self, absorbing: Sequence[State]) -> dict[State, float]:
@@ -536,9 +540,9 @@ def batched_stationary_dense(generators: np.ndarray) -> tuple[np.ndarray, np.nda
     """Stationary distributions of ``K`` stacked dense generators.
 
     ``generators`` is a ``(K, n, n)`` array of generator matrices (rows
-    summing to zero).  Solves every point with one stacked LAPACK call —
-    the same ``dgesv`` the per-chain dense path uses, applied per
-    matrix, so results are bit-identical to K separate
+    summing to zero).  Solves every point with one stacked LAPACK call
+    (``dgesv`` per matrix).  The per-chain dense path is this kernel with
+    ``K = 1``, so results are bit-identical to K separate
     :meth:`ContinuousTimeMarkovChain.stationary_distribution` calls.
 
     Returns ``(pi, bad)``: ``pi`` is ``(K, n)`` with each row clipped to
@@ -559,9 +563,9 @@ def batched_stationary_dense(generators: np.ndarray) -> tuple[np.ndarray, np.nda
     pi = np.linalg.solve(a, b)[..., 0]
     residual = np.abs(generators.transpose(0, 2, 1) @ pi[..., None])[..., 0].max(axis=1)
     scale = np.maximum(1.0, np.abs(generators).reshape(k, -1).max(axis=1))
-    bad = (residual > 1e-8 * scale) | np.any(pi < -1e-9, axis=1) | ~np.all(
-        np.isfinite(pi), axis=1
-    )
+    # False for a NaN, an infinity or materially negative mass.
+    sound = (pi.min(axis=1) >= -1e-9) & (pi.max(axis=1) < np.inf)
+    bad = (residual > 1e-8 * scale) | ~sound
     pi = np.clip(pi, 0.0, None)
     totals = pi.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0.0, totals, 1.0)
@@ -746,5 +750,5 @@ def batched_absorption_times_dense(
     k, m, _ = transient_generators.shape
     ones = np.ones((k, m, 1))
     times = np.linalg.solve(-transient_generators, ones)[..., 0]
-    bad = ~np.all(np.isfinite(times), axis=1) | np.any(times < 0.0, axis=1)
+    bad = ~((times.min(axis=1) >= 0.0) & (times.max(axis=1) < np.inf))
     return times, bad

@@ -19,8 +19,8 @@ Metrics aggregate over leaves instead of "the last hop":
 
 On ``Topology.chain(N)`` every number is **bit-identical** to the
 chain model: the state order, rate floats and metric summation orders
-all reduce to the Fig. 15/16 construction (enforced by
-``repro.validation.parity.tree_parity_checks``).
+all reduce to the Fig. 15/16 construction (enforced by the
+``unary==chain`` row of :data:`repro.validation.parity.REDUCTIONS`).
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ survive them:
   each protocol family.
 
 The ``burstiness = 0`` points are exactly degenerate channels, so the
-model curve anchors bit-identically to the i.i.d. baseline
-(:func:`repro.validation.parity.gilbert_parity_checks`).
+model curve anchors bit-identically to the i.i.d. baseline (the
+``degenerate==iid`` rows of :data:`repro.validation.parity.REDUCTIONS`).
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ All run SS, SS+RT and HS through the compiled tree-template batch
 path with per-topology backend auto-routing
 (:func:`~repro.core.multihop.lumping.select_tree_backend`); fan-out-1
 / depth-1 points are unary trees and therefore bit-identical to the
-chain model (see :func:`repro.validation.parity.tree_parity_checks`).
+chain model (the ``unary==chain`` row of
+:data:`repro.validation.parity.REDUCTIONS`).
 """
 
 from __future__ import annotations

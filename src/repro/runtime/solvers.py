@@ -180,16 +180,21 @@ class Family:
     ``reference(route, protocol, params, *inputs)`` solves it per point.
     ``routes`` maps each backend to the *name* of the
     :mod:`repro.core.templates` entry point serving it, looked up at call
-    time.  With a ``select`` function the family is *routed*: a task may
-    add a trailing backend (``"auto"`` if absent, resolved by ``select``)
-    and the cache key carries the route and its parity class; ``label``
-    names the family in backend errors.
+    time.  ``reference_chains[route](protocol, params, *inputs)`` builds
+    the chain a reference solves: the first entry is the family's direct
+    reference, which every unlisted route shares, and a route listed
+    after it has a reference model of its own.  With a ``select``
+    function the family is *routed*: a task may add a trailing backend
+    (``"auto"`` if absent, resolved by ``select``) and the cache key
+    carries the route and its parity class; ``label`` names the family
+    in backend errors.
     """
 
     tag: str
     arity: int
     routes: dict[str, str]
     reference: Callable[..., object]
+    reference_chains: dict[str, Callable[..., ContinuousTimeMarkovChain]]
     key_inputs: Callable[..., Hashable] = lambda *inputs: ()
     select: Callable[..., str] | None = None
     label: str = ""
@@ -199,15 +204,22 @@ def _chain_route(protocol: Protocol, params: MultiHopParameters, *_) -> str:
     return _templates.select_chain_backend(protocol, params.hops)
 
 
+def _chain_of(model_type, *inputs) -> ContinuousTimeMarkovChain:
+    return model_type(*inputs).chain()
+
+
+#: The tree reference model of each route, the direct one first.
+_TREE_MODELS = {
+    "direct": TreeModel,
+    "lumped": LumpedTreeModel,
+    "iterative": functools.partial(
+        TreeModel, max_states=MAX_ENUMERATED_TREE_STATES, solver="iterative"
+    ),
+}
+
+
 def _tree_reference(route, protocol, params, topology) -> TreeSolution:
-    if route == "lumped":
-        model = LumpedTreeModel(protocol, params, topology)
-    elif route == "iterative":
-        model = TreeModel(
-            protocol, params, topology, max_states=MAX_ENUMERATED_TREE_STATES, solver="iterative"
-        )
-    else:
-        model = TreeModel(protocol, params, topology)
+    model = _TREE_MODELS[route](protocol, params, topology)
     return model.solution_from_stationary(solve_chain_stationary(model.chain()))
 
 
@@ -228,6 +240,9 @@ FAMILIES: dict[str, Family] = {
             arity=2,
             routes={"template": "solve_singlehop_tasks"},
             reference=lambda route, *inputs: SingleHopModel(*inputs).solve(),
+            reference_chains={
+                "template": lambda *inputs: SingleHopModel(*inputs).recurrent_chain()
+            },
         ),
         Family(
             tag="multihop",
@@ -237,6 +252,7 @@ FAMILIES: dict[str, Family] = {
                 "structured": "solve_multihop_structured_tasks",
             },
             reference=lambda route, *inputs: MultiHopModel(*inputs).solve(),
+            reference_chains={"template": functools.partial(_chain_of, MultiHopModel)},
             select=_chain_route,
             label="chain",
         ),
@@ -248,6 +264,9 @@ FAMILIES: dict[str, Family] = {
                 "structured": "solve_heterogeneous_structured_tasks",
             },
             reference=lambda route, *inputs: HeterogeneousMultiHopModel(*inputs).solve(),
+            reference_chains={
+                "template": functools.partial(_chain_of, HeterogeneousMultiHopModel)
+            },
             key_inputs=lambda hops: (tuple((hop.loss_rate, hop.delay) for hop in hops),),
             select=_chain_route,
             label="chain",
@@ -261,6 +280,9 @@ FAMILIES: dict[str, Family] = {
                 "iterative": "solve_tree_iterative_tasks",
             },
             reference=_tree_reference,
+            reference_chains={
+                route: functools.partial(_chain_of, model) for route, model in _TREE_MODELS.items()
+            },
             key_inputs=lambda topology: (topology.parents,),
             select=lambda protocol, params, topology: select_tree_backend(topology),
             label="tree",
@@ -272,6 +294,7 @@ FAMILIES: dict[str, Family] = {
             reference=functools.partial(
                 _gilbert_reference, GilbertSingleHopModel, singlehop_solution_from_stationary
             ),
+            reference_chains={"template": functools.partial(_chain_of, GilbertSingleHopModel)},
             key_inputs=lambda gilbert: gilbert,
         ),
         Family(
@@ -281,6 +304,7 @@ FAMILIES: dict[str, Family] = {
             reference=functools.partial(
                 _gilbert_reference, GilbertMultiHopModel, multihop_solution_from_stationary
             ),
+            reference_chains={"template": functools.partial(_chain_of, GilbertMultiHopModel)},
             key_inputs=lambda gilbert: gilbert,
         ),
     )

@@ -3,7 +3,7 @@ property fuzzing.
 
 The paper's central evidence is *agreement*: CTMC predictions vs
 discrete-event simulations with 95% confidence intervals (§III-A.3),
-and — in this codebase — four solver backends that must reproduce one
+and — in this codebase — seven solver paths that must reproduce one
 another.  This package turns every registered
 :class:`~repro.experiments.spec.ScenarioSpec` into an executable
 validation plan:
@@ -13,9 +13,10 @@ validation plan:
   sim-vs-model checks per scenario);
 * :mod:`repro.validation.equivalence` — Student-t equivalence margins
   for the differential simulation checks;
-* :mod:`repro.validation.parity` — the dense/template/batched/sparse
-  backend parity matrix (exact where the repo guarantees bit parity,
-  tolerance-bounded for splu);
+* :mod:`repro.validation.parity` — the backend parity matrix,
+  generated from the ``FAMILIES`` table: every route against its
+  referee (exact where the repo guarantees bit parity, tolerance-bounded
+  otherwise), reductions between models, and ``dense~sparse``;
 * :mod:`repro.validation.report` — the versioned
   :class:`ValidationReport` artifact (JSON + text table);
 * :mod:`repro.validation.strategies` — Hypothesis strategies for the
@@ -52,14 +53,10 @@ from repro.validation.equivalence import (
 )
 from repro.validation.parity import (
     BACKENDS,
-    gilbert_multihop_parity_checks,
-    gilbert_parity_channels,
-    gilbert_singlehop_parity_checks,
-    heterogeneous_parity_check,
-    multihop_parity_checks,
+    REDUCTIONS,
     parity_parameter_points,
-    singlehop_parity_checks,
-    tree_parity_checks,
+    parity_points,
+    parity_slice,
 )
 from repro.validation.plan import (
     ValidationPlan,
@@ -78,6 +75,7 @@ from repro.validation.report import (
 
 __all__ = [
     "BACKENDS",
+    "REDUCTIONS",
     "CheckResult",
     "Coverage",
     "EquivalenceCriterion",
@@ -89,14 +87,9 @@ __all__ = [
     "build_plan",
     "equivalence_point",
     "execute_plan",
-    "gilbert_multihop_parity_checks",
-    "gilbert_parity_channels",
-    "gilbert_singlehop_parity_checks",
-    "heterogeneous_parity_check",
-    "multihop_parity_checks",
     "parity_parameter_points",
-    "singlehop_parity_checks",
-    "tree_parity_checks",
+    "parity_points",
+    "parity_slice",
     "validate_all",
     "validate_scenario",
 ]

@@ -1,93 +1,68 @@
-"""Backend parity matrix: one chain, every solver path, asserted agreement.
+"""Backend parity matrix: every solver route of every model family,
+checked against its referee.
 
-The repo ships four ways to solve the same CTMC point:
+The repo solves one CTMC point along seven paths (:data:`BACKENDS`):
+the per-point ``dense`` LAPACK solve, the compiled ``template`` batches
+(:mod:`repro.core.templates`), the stacked ``batched`` kernels, the
+pinned ``sparse`` system, the O(hops) ``structured`` chain kernel, the
+orbit-``lumped`` tree chain and the ILU/GMRES ``iterative`` tree solve.
 
-``dense``
-    the per-point reference models (:class:`SingleHopModel`,
-    :class:`MultiHopModel`, :class:`HeterogeneousMultiHopModel`) on the
-    per-chain dense LAPACK path — the ground truth;
-``template``
-    the compiled chain templates (:mod:`repro.core.templates`), which
-    batch points sharing a chain structure into stacked LAPACK solves;
-``batched``
-    the raw batched kernels
-    (:func:`~repro.core.markov.batched_stationary_dense`,
-    :func:`~repro.core.markov.batched_absorption_times_dense`) applied
-    to the reference chain's own generator matrices;
-``sparse``
-    the per-chain ``scipy.sparse`` splu path (what ``solver="auto"``
-    switches to above the crossover state count);
-``lumped``
-    the exact orbit-lumping of isomorphic sibling subtrees
-    (:mod:`repro.core.multihop.lumping`) — mathematically exact, but
-    aggregation reorders float additions, so it is held to tolerance
-    against the direct enumeration (and to bit parity against its own
-    compiled template);
-``iterative``
-    the ILU-preconditioned GMRES/BiCGSTAB path for raw tree spaces
-    beyond the direct cap — tolerance class by construction.
+The matrix is generated from :data:`repro.runtime.solvers.FAMILIES`.  A
+route's **referee** is ``Family.reference(route, ...)``, the per-point
+solve ``REPRO_TEMPLATES=0`` uses.  For each family tag, protocol and
+route, every plan point (:func:`parity_points`) is solved through the
+route's entry point and through its referee (a point beyond the direct
+referee's reach only on the route ``auto`` sends it to), and every
+metric the solution carries is compared, plus ``stationary`` state by
+state:
 
-The parity policy matches the repo's fast-path guarantees: the dense,
-template and batched paths must agree **exactly** (``==``, bit parity —
-they run the same ``dgesv`` on the same matrices), while the sparse,
-lumped and iterative paths must agree within a tight tolerance (a
-different factorization cannot promise the same last bits).  The matrix
-spans protocols × hop counts × parameter points (the point list grows
-with fidelity).  Each backend entry point's class is declared once, in
-:data:`repro.runtime.solvers.PARITY_CLASSES` (re-exported here), where
-the batch solvers also key their memo cache on it.
+* ``<route>==referee``: bit parity (``==``, tolerance 0.0).  It holds
+  whenever the referee is the route's own model (``lumped``,
+  ``iterative``) or the entry point's class in :data:`PARITY_CLASSES`
+  is ``"exact"``;
+* ``<route>~referee``: a route whose referee is the family's direct one
+  is held to its class, today only ``structured``;
+* ``<own>~<direct>``: each own referee against the family's direct
+  referee, on the points the direct one reaches;
+* :data:`REDUCTIONS`: one model reproducing another on shared points,
+  such as ``unary==chain`` and ``degenerate==iid``;
+* ``dense~sparse``: the direct referee's chain, re-solved through the
+  sparse system wherever the referee solved it densely.
+
+Tolerance means ``|a - b| <= SPARSE_ABS_TOL + SPARSE_REL_TOL * |a|``.
+``dense==batched`` holds by construction: the per-chain dense solve is
+the batched kernel with a stack of one.  A new ``Family`` row gets its
+parity rows from its routes and one entry in the plan-point table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
-
-import numpy as np
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from repro.core import templates as _templates
-from repro.core.markov import (
-    SPARSE_STATE_THRESHOLD,
-    ContinuousTimeMarkovChain,
-    batched_absorption_times_dense,
-    batched_stationary_dense,
-)
-from repro.core.multihop import lumping as _lumping
-from repro.core.multihop.tree_states import MAX_ENUMERATED_TREE_STATES
-from repro.core.multihop.heterogeneous import (
-    HeterogeneousHop,
-    HeterogeneousMultiHopModel,
-    hops_from_parameters,
-)
-from repro.core.gilbert.model import GilbertMultiHopModel, GilbertSingleHopModel
-from repro.core.multihop.model import MultiHopModel
+from repro.core.markov import SPARSE_STATE_THRESHOLD
+from repro.core.multihop.heterogeneous import HeterogeneousHop, hops_from_parameters
+from repro.core.multihop.lumping import select_tree_backend
 from repro.core.multihop.topology import Topology
-from repro.core.multihop.tree_model import TreeModel
-from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
-from repro.core.singlehop.model import SingleHopModel
-from repro.core.singlehop.states import SingleHopState as S
 from repro.faults.gilbert import GilbertElliottParameters
-from repro.runtime.solvers import PARITY_CLASSES
+from repro.runtime.solvers import FAMILIES, PARITY_CLASSES
 from repro.validation.report import CheckResult, PointCheck
 
 __all__ = [
     "BACKENDS",
     "PARITY_CLASSES",
-    "SPARSE_REL_TOL",
+    "REDUCTIONS",
     "SPARSE_ABS_TOL",
+    "SPARSE_REL_TOL",
     "STRUCTURED_CROSSOVER_HOPS",
-    "chain_backend_parity_checks",
-    "gilbert_multihop_parity_checks",
-    "gilbert_parity_channels",
-    "gilbert_singlehop_parity_checks",
-    "heterogeneous_parity_check",
-    "multihop_parity_checks",
+    "Reduction",
     "parity_parameter_points",
-    "singlehop_parity_checks",
-    "tree_parity_checks",
-    "tree_parity_topologies",
-    "tree_scale_parity_checks",
+    "parity_points",
+    "parity_slice",
 ]
 
 #: The solver paths the matrix covers, reference first.
@@ -101,19 +76,38 @@ BACKENDS = (
     "iterative",
 )
 
-#: Agreement bound for the sparse (splu) backend against the dense
-#: reference: ``|a - b| <= SPARSE_ABS_TOL + SPARSE_REL_TOL * |a|``.
+#: Agreement bound of the tolerance class against its referee:
+#: ``|a - b| <= SPARSE_ABS_TOL + SPARSE_REL_TOL * |a|``.
 SPARSE_REL_TOL = 1e-8
 SPARSE_ABS_TOL = 1e-12
+
+#: The smallest hop count whose chain reaches
+#: :data:`~repro.core.markov.SPARSE_STATE_THRESHOLD` states (2N+1 for
+#: the SS family): ``"auto"`` routes it to the structured kernel, and
+#: its referee solves the pinned sparse system.
+STRUCTURED_CROSSOVER_HOPS = (SPARSE_STATE_THRESHOLD + 1) // 2
+
+#: Every metric a solution may carry; each comparison takes those the
+#: expected side has.
+_METRICS = (
+    "inconsistency_ratio",
+    "expected_receiver_lifetime",
+    "message_rate",
+    "normalized_message_rate",
+    "mean_leaf_inconsistency",
+    "fanout_weighted_inconsistency",
+)
+
+# ----------------------------------------------------------------------
+# Plan points: one input axis per family tag
+# ----------------------------------------------------------------------
 
 
 def parity_parameter_points(base, fidelity: str) -> list[tuple[str, object]]:
     """Labelled parameter points for one fidelity.
 
     ``smoke`` checks the base preset only; ``fast`` adds lossy-channel
-    variants; ``full`` additionally stresses the timer couplings.  All
-    variants stay in the regime where ``solver="auto"`` is dense, so
-    the exact-parity assertions compare like with like.
+    variants; ``full`` additionally stresses the timer couplings.
     """
     points: list[tuple[str, object]] = [("base", base)]
     if fidelity == "smoke":
@@ -133,761 +127,11 @@ def parity_parameter_points(base, fidelity: str) -> list[tuple[str, object]]:
     return points
 
 
-def _state_label(state) -> str:
-    """Compact state name for point labels (enum values over reprs)."""
-    return str(getattr(state, "value", state))
+def _grid(base, fidelity: str) -> list[tuple[str, tuple]]:
+    return [(label, (params,)) for label, params in parity_parameter_points(base, fidelity)]
 
 
-def _exact_point(label: str, expected: float, observed: float) -> PointCheck:
-    return PointCheck(
-        label=label,
-        expected=expected,
-        observed=observed,
-        tolerance=0.0,
-        passed=expected == observed,
-    )
-
-
-def _close_point(label: str, expected: float, observed: float) -> PointCheck:
-    tolerance = SPARSE_ABS_TOL + SPARSE_REL_TOL * abs(expected)
-    return PointCheck(
-        label=label,
-        expected=expected,
-        observed=observed,
-        tolerance=tolerance,
-        passed=math.isclose(
-            expected, observed, rel_tol=SPARSE_REL_TOL, abs_tol=SPARSE_ABS_TOL
-        ),
-    )
-
-
-def _check(name: str, points: list[PointCheck], detail: str = "") -> CheckResult:
-    return CheckResult(
-        name=name,
-        kind="parity",
-        passed=all(point.passed for point in points),
-        detail=detail,
-        points=tuple(points),
-    )
-
-
-def _sparse_stationary_points(
-    chain: ContinuousTimeMarkovChain, reference: dict, label: str
-) -> list[PointCheck]:
-    """Re-solve ``chain`` through splu and compare the distribution."""
-    sparse_chain = ContinuousTimeMarkovChain(
-        chain.states, chain.rates, solver="sparse"
-    )
-    sparse_pi = sparse_chain.stationary_distribution()
-    return [
-        _close_point(
-            f"{label} pi[{_state_label(state)}]", reference[state], sparse_pi[state]
-        )
-        for state in chain.states
-    ]
-
-
-def _batched_stationary_points(
-    chain: ContinuousTimeMarkovChain, reference: dict, label: str
-) -> list[PointCheck]:
-    """Push the chain's own generator through the batched kernel."""
-    q = chain.generator_matrix()
-    pi, bad = batched_stationary_dense(q[None])
-    if bad[0]:
-        return [
-            PointCheck(
-                label=f"{label} batched solve rejected",
-                expected=1.0,
-                observed=0.0,
-                tolerance=0.0,
-                passed=False,
-            )
-        ]
-    return [
-        _exact_point(
-            f"{label} pi[{_state_label(state)}]", reference[state], float(pi[0, i])
-        )
-        for i, state in enumerate(chain.states)
-    ]
-
-
-def singlehop_parity_checks(
-    params: SignalingParameters,
-    protocols: Sequence[Protocol] = tuple(Protocol),
-    fidelity: str = "smoke",
-) -> list[CheckResult]:
-    """The single-hop slice of the parity matrix."""
-    checks: list[CheckResult] = []
-    for protocol in protocols:
-        template_points: list[PointCheck] = []
-        batched_points: list[PointCheck] = []
-        sparse_points: list[PointCheck] = []
-        for label, point_params in parity_parameter_points(params, fidelity):
-            model = SingleHopModel(protocol, point_params)
-            reference = model.solve()
-            template = _templates.solve_singlehop_tasks(
-                [(protocol, point_params)]
-            )[0]
-            for metric in (
-                "inconsistency_ratio",
-                "expected_receiver_lifetime",
-                "message_rate",
-                "normalized_message_rate",
-            ):
-                template_points.append(
-                    _exact_point(
-                        f"{label} {metric}",
-                        getattr(reference, metric),
-                        getattr(template, metric),
-                    )
-                )
-            recurrent = model.recurrent_chain()
-            batched_points.extend(
-                _batched_stationary_points(recurrent, reference.stationary, label)
-            )
-            batched_points.append(
-                _batched_lifetime_point(model, reference, label)
-            )
-            sparse_points.extend(
-                _sparse_stationary_points(recurrent, reference.stationary, label)
-            )
-        checks.append(
-            _check(
-                f"singlehop {protocol.value}: dense==template",
-                template_points,
-                detail="compiled-template metrics, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"singlehop {protocol.value}: dense==batched",
-                batched_points,
-                detail="stacked-LAPACK kernels, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"singlehop {protocol.value}: dense~sparse",
-                sparse_points,
-                detail=f"splu within rel {SPARSE_REL_TOL:g}",
-            )
-        )
-    return checks
-
-
-def _batched_lifetime_point(
-    model: SingleHopModel, reference, label: str
-) -> PointCheck:
-    """Batched absorption kernel vs the reference receiver lifetime."""
-    transient_chain = model.transient_chain()
-    states = transient_chain.states
-    q = transient_chain.generator_matrix()
-    transient = [i for i, state in enumerate(states) if state is not S.ABSORBED]
-    q_tt = q[np.ix_(transient, transient)]
-    times, bad = batched_absorption_times_dense(q_tt[None])
-    if bad[0]:
-        return PointCheck(
-            label=f"{label} batched absorption rejected",
-            expected=1.0,
-            observed=0.0,
-            tolerance=0.0,
-            passed=False,
-        )
-    start = transient.index(list(states).index(S.S10_FAST))
-    return _exact_point(
-        f"{label} expected_receiver_lifetime",
-        reference.expected_receiver_lifetime,
-        float(times[0, start]),
-    )
-
-
-def multihop_parity_checks(
-    params: MultiHopParameters,
-    hop_counts: Sequence[int],
-    protocols: Sequence[Protocol] = Protocol.multihop_family(),
-    fidelity: str = "smoke",
-) -> list[CheckResult]:
-    """The homogeneous multi-hop slice of the parity matrix."""
-    checks: list[CheckResult] = []
-    for protocol in protocols:
-        template_points: list[PointCheck] = []
-        batched_points: list[PointCheck] = []
-        sparse_points: list[PointCheck] = []
-        for hops in hop_counts:
-            hop_base = params.replace(hops=int(hops))
-            for label, point_params in parity_parameter_points(hop_base, fidelity):
-                label = f"N={hops} {label}"
-                model = MultiHopModel(protocol, point_params)
-                reference = model.solve()
-                template = _templates.solve_multihop_tasks(
-                    [(protocol, point_params)]
-                )[0]
-                for metric in ("inconsistency_ratio", "message_rate"):
-                    template_points.append(
-                        _exact_point(
-                            f"{label} {metric}",
-                            getattr(reference, metric),
-                            getattr(template, metric),
-                        )
-                    )
-                chain = model.chain()
-                batched_points.extend(
-                    _batched_stationary_points(chain, reference.stationary, label)
-                )
-                sparse_points.extend(
-                    _sparse_stationary_points(chain, reference.stationary, label)
-                )
-        hop_list = ",".join(str(h) for h in hop_counts)
-        checks.append(
-            _check(
-                f"multihop {protocol.value}: dense==template",
-                template_points,
-                detail=f"hops {hop_list}, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"multihop {protocol.value}: dense==batched",
-                batched_points,
-                detail=f"hops {hop_list}, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"multihop {protocol.value}: dense~sparse",
-                sparse_points,
-                detail=f"hops {hop_list}, splu within rel {SPARSE_REL_TOL:g}",
-            )
-        )
-    return checks
-
-
-#: Unary chain lengths for the tree==chain reduction slice.
-TREE_CHAIN_HOPS = (3, 8)
-
-#: Metrics compared exactly between tree solver paths.
-_TREE_METRICS = (
-    "inconsistency_ratio",
-    "message_rate",
-    "mean_leaf_inconsistency",
-    "fanout_weighted_inconsistency",
-)
-
-
-def tree_parity_topologies(fidelity: str = "smoke") -> list[tuple[str, Topology]]:
-    """Labelled non-chain tree shapes for one fidelity.
-
-    ``smoke`` covers one of each structural kind (pure fan-out,
-    balanced, skewed); ``fast``/``full`` widen and deepen them while
-    staying in the dense regime so exact parity compares like with
-    like.
-    """
-    shapes = [
-        ("star3", Topology.star(3)),
-        ("binary2", Topology.kary(2, 2)),
-        ("skewed3", Topology.skewed(3)),
-    ]
-    if fidelity == "smoke":
-        return shapes
-    shapes.append(("broom2x3", Topology.broom(2, 3)))
-    if fidelity == "fast":
-        return shapes
-    shapes.append(("star4", Topology.star(4)))
-    shapes.append(("skewed4", Topology.skewed(4)))
-    return shapes
-
-
-def tree_parity_checks(
-    params: MultiHopParameters,
-    protocols: Sequence[Protocol] = Protocol.multihop_family(),
-    fidelity: str = "smoke",
-) -> list[CheckResult]:
-    """The tree (multicast) slice of the parity matrix.
-
-    Four assertions per protocol:
-
-    * **unary==chain** — the tree model on ``Topology.chain(N)`` must
-      reproduce :class:`MultiHopModel` *bit for bit*: stationary
-      distribution state by state (the canonical tree state order maps
-      1:1 onto the chain order), inconsistency ratio, message rate and
-      the per-node (= per-hop) inconsistency profile;
-    * **dense==template** — the compiled tree templates agree exactly
-      with the per-point dense reference on every shape and metric;
-    * **dense==batched** — the stacked-LAPACK kernel applied to the
-      reference tree generator reproduces the stationary distribution
-      exactly;
-    * **dense~sparse** — the splu path agrees within the repo's sparse
-      tolerance.
-    """
-    checks: list[CheckResult] = []
-    for protocol in protocols:
-        unary_points: list[PointCheck] = []
-        for hops in TREE_CHAIN_HOPS:
-            chain_params = params.replace(hops=int(hops))
-            topology = Topology.chain(int(hops))
-            for label, point_params in parity_parameter_points(chain_params, fidelity):
-                label = f"N={hops} {label}"
-                chain_reference = MultiHopModel(protocol, point_params).solve()
-                tree = TreeModel(protocol, point_params, topology).solve()
-                # Guard the positional mapping: a state-count mismatch
-                # is exactly the divergence this check exists to catch,
-                # and zip() would otherwise truncate it silently.
-                unary_points.append(
-                    _exact_point(
-                        f"{label} state count",
-                        float(len(chain_reference.stationary)),
-                        float(len(tree.stationary)),
-                    )
-                )
-                for (chain_state, expected), observed in zip(
-                    chain_reference.stationary.items(), tree.stationary.values()
-                ):
-                    unary_points.append(
-                        _exact_point(
-                            f"{label} pi[{chain_state}]", expected, observed
-                        )
-                    )
-                unary_points.append(
-                    _exact_point(
-                        f"{label} inconsistency_ratio",
-                        chain_reference.inconsistency_ratio,
-                        tree.inconsistency_ratio,
-                    )
-                )
-                unary_points.append(
-                    _exact_point(
-                        f"{label} message_rate",
-                        chain_reference.message_rate,
-                        tree.message_rate,
-                    )
-                )
-                for hop in range(1, int(hops) + 1):
-                    unary_points.append(
-                        _exact_point(
-                            f"{label} hop_inconsistency({hop})",
-                            chain_reference.hop_inconsistency(hop),
-                            tree.node_inconsistency(hop),
-                        )
-                    )
-        checks.append(
-            _check(
-                f"tree {protocol.value}: unary==chain",
-                unary_points,
-                detail=f"fan-out-1 trees vs Fig. 15/16 chains, N={TREE_CHAIN_HOPS}, exact",
-            )
-        )
-
-        template_points: list[PointCheck] = []
-        batched_points: list[PointCheck] = []
-        sparse_points: list[PointCheck] = []
-        for shape, topology in tree_parity_topologies(fidelity):
-            shape_params = params.replace(hops=topology.num_edges)
-            for label, point_params in parity_parameter_points(shape_params, fidelity):
-                label = f"{shape} {label}"
-                model = TreeModel(protocol, point_params, topology)
-                reference = model.solve()
-                template = _templates.solve_tree_tasks(
-                    [(protocol, point_params, topology)]
-                )[0]
-                for metric in _TREE_METRICS:
-                    template_points.append(
-                        _exact_point(
-                            f"{label} {metric}",
-                            getattr(reference, metric),
-                            getattr(template, metric),
-                        )
-                    )
-                chain = model.chain()
-                batched_points.extend(
-                    _batched_stationary_points(chain, reference.stationary, label)
-                )
-                sparse_points.extend(
-                    _sparse_stationary_points(chain, reference.stationary, label)
-                )
-        shape_list = ",".join(shape for shape, _ in tree_parity_topologies(fidelity))
-        checks.append(
-            _check(
-                f"tree {protocol.value}: dense==template",
-                template_points,
-                detail=f"shapes {shape_list}, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"tree {protocol.value}: dense==batched",
-                batched_points,
-                detail=f"shapes {shape_list}, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"tree {protocol.value}: dense~sparse",
-                sparse_points,
-                detail=f"shapes {shape_list}, splu within rel {SPARSE_REL_TOL:g}",
-            )
-        )
-    return checks
-
-
-def tree_scale_parity_checks(
-    params: MultiHopParameters,
-    protocols: Sequence[Protocol] = Protocol.multihop_family(),
-    fidelity: str = "smoke",
-) -> list[CheckResult]:
-    """The tree-scale slice: lumped and iterative backends vs the truth.
-
-    Per protocol:
-
-    * **lumped~dense (below cap)** — the orbit-lumped solve reproduces
-      the direct enumeration's metrics within the sparse tolerance on
-      shapes small enough to solve both ways (the lumping itself is
-      *exact*; only float summation order differs, see the rational
-      proof in ``tests/core/test_tree_lumping.py``);
-    * **lumped model==template** — the compiled lumped template agrees
-      with :class:`~repro.core.multihop.lumping.LumpedTreeModel` bit
-      for bit (same floats, same accumulation order), including on
-      above-cap shapes like ``star8`` (6561 raw states, 45 orbits);
-    * **iterative~dense (below cap)** — the ILU/GMRES backend agrees
-      with the dense reference within tolerance.
-
-    ``fast`` adds the cross-backend check above the old 4096-state
-    wall: ``star8`` solved via lumping and via raw-space iteration must
-    agree within the sparse tolerance (no exact path exists up there to
-    referee — the two scale backends referee each other).  ``full``
-    repeats it on the depth-3 binary tree (15129 raw states → 741
-    orbits), the shape the wall was named after.
-    """
-    checks: list[CheckResult] = []
-    small_shapes = [
-        ("star3", Topology.star(3)),
-        ("binary2", Topology.kary(2, 2)),
-    ]
-    if fidelity != "smoke":
-        small_shapes.append(("broom2x3", Topology.broom(2, 3)))
-    for protocol in protocols:
-        lumped_points: list[PointCheck] = []
-        template_points: list[PointCheck] = []
-        iterative_points: list[PointCheck] = []
-        for shape, topology in small_shapes:
-            point_params = params.replace(hops=topology.num_edges)
-            reference = TreeModel(protocol, point_params, topology).solve()
-            lumped = _lumping.LumpedTreeModel(
-                protocol, point_params, topology
-            ).solve()
-            iterative = TreeModel(
-                protocol, point_params, topology, solver="iterative"
-            ).solve()
-            for metric in _TREE_METRICS:
-                lumped_points.append(
-                    _close_point(
-                        f"{shape} {metric}",
-                        getattr(reference, metric),
-                        getattr(lumped, metric),
-                    )
-                )
-                iterative_points.append(
-                    _close_point(
-                        f"{shape} {metric}",
-                        getattr(reference, metric),
-                        getattr(iterative, metric),
-                    )
-                )
-        template_shapes = small_shapes + [("star8", Topology.star(8))]
-        for shape, topology in template_shapes:
-            point_params = params.replace(hops=topology.num_edges)
-            lumped = _lumping.LumpedTreeModel(
-                protocol, point_params, topology
-            ).solve()
-            template = _templates.solve_tree_lumped_tasks(
-                [(protocol, point_params, topology)]
-            )[0]
-            for metric in _TREE_METRICS:
-                template_points.append(
-                    _exact_point(
-                        f"{shape} {metric}",
-                        getattr(lumped, metric),
-                        getattr(template, metric),
-                    )
-                )
-        shape_list = ",".join(shape for shape, _ in small_shapes)
-        checks.append(
-            _check(
-                f"tree-scale {protocol.value}: lumped~dense",
-                lumped_points,
-                detail=f"shapes {shape_list}, within rel {SPARSE_REL_TOL:g}",
-            )
-        )
-        checks.append(
-            _check(
-                f"tree-scale {protocol.value}: lumped==template",
-                template_points,
-                detail="lumped model vs compiled lumped template, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"tree-scale {protocol.value}: iterative~dense",
-                iterative_points,
-                detail=f"shapes {shape_list}, within rel {SPARSE_REL_TOL:g}",
-            )
-        )
-    if fidelity != "smoke":
-        cross_shapes = [("star8", Topology.star(8))]
-        if fidelity == "full":
-            cross_shapes.append(("binary3", Topology.kary(2, 3)))
-        cross_points: list[PointCheck] = []
-        for shape, topology in cross_shapes:
-            point_params = params.replace(hops=topology.num_edges)
-            lumped = _lumping.LumpedTreeModel(
-                Protocol.SS, point_params, topology
-            ).solve()
-            iterative = TreeModel(
-                Protocol.SS,
-                point_params,
-                topology,
-                max_states=MAX_ENUMERATED_TREE_STATES,
-                solver="iterative",
-            ).solve()
-            for metric in _TREE_METRICS:
-                cross_points.append(
-                    _close_point(
-                        f"{shape} {metric}",
-                        getattr(lumped, metric),
-                        getattr(iterative, metric),
-                    )
-                )
-        shape_list = ",".join(shape for shape, _ in cross_shapes)
-        checks.append(
-            _check(
-                "tree-scale ss: lumped~iterative above the direct cap",
-                cross_points,
-                detail=(
-                    f"shapes {shape_list} beyond MAX_TREE_STATES, the two "
-                    f"scale backends within rel {SPARSE_REL_TOL:g}"
-                ),
-            )
-        )
-    return checks
-
-
-def gilbert_parity_channels(
-    base, fidelity: str = "smoke"
-) -> list[tuple[str, GilbertElliottParameters]]:
-    """Labelled Gilbert-Elliott channels for one fidelity.
-
-    All channels hold the base preset's average loss; the degenerate
-    channel (burstiness 0) anchors the i.i.d. reduction, the bursty
-    ones exercise the real product chains.
-    """
-    average = base.loss_rate
-    channels = [
-        ("degenerate", GilbertElliottParameters.matched_average(average, 0.0)),
-        ("bursty", GilbertElliottParameters.matched_average(average, 1.0)),
-    ]
-    if fidelity == "smoke":
-        return channels
-    channels.append(
-        ("half-burst", GilbertElliottParameters.matched_average(average, 0.5))
-    )
-    if fidelity == "fast":
-        return channels
-    channels.append(
-        (
-            "slow-burst",
-            GilbertElliottParameters.matched_average(
-                average, 1.0, mean_bad_duration=10.0
-            ),
-        )
-    )
-    return channels
-
-
-_GILBERT_SINGLEHOP_METRICS = (
-    "inconsistency_ratio",
-    "expected_receiver_lifetime",
-    "message_rate",
-    "normalized_message_rate",
-)
-
-
-def gilbert_singlehop_parity_checks(
-    params: SignalingParameters,
-    protocols: Sequence[Protocol] = tuple(Protocol),
-    fidelity: str = "smoke",
-) -> list[CheckResult]:
-    """The single-hop Gilbert-Elliott slice of the parity matrix.
-
-    Three assertions per protocol:
-
-    * **dense==template** — the compiled product-chain templates agree
-      exactly with the per-point :class:`GilbertSingleHopModel`;
-    * **degenerate==iid** — the burstiness-0 channel reproduces the
-      i.i.d. :class:`SingleHopModel` *bit for bit* (the models promise
-      verbatim metric floats, not merely close ones);
-    * **dense~sparse** — the bursty product chain re-solved through
-      splu agrees within the repo's sparse tolerance.
-    """
-    checks: list[CheckResult] = []
-    for protocol in protocols:
-        template_points: list[PointCheck] = []
-        degenerate_points: list[PointCheck] = []
-        sparse_points: list[PointCheck] = []
-        for label, gilbert in gilbert_parity_channels(params, fidelity):
-            model = GilbertSingleHopModel(protocol, params, gilbert)
-            reference = model.solve()
-            template = _templates.solve_gilbert_singlehop_tasks(
-                [(protocol, params, gilbert)]
-            )[0]
-            for metric in _GILBERT_SINGLEHOP_METRICS:
-                template_points.append(
-                    _exact_point(
-                        f"{label} {metric}",
-                        getattr(reference, metric),
-                        getattr(template, metric),
-                    )
-                )
-            if gilbert.is_degenerate:
-                iid = SingleHopModel(
-                    protocol, params.replace(loss_rate=gilbert.loss_good)
-                ).solve()
-                for metric in _GILBERT_SINGLEHOP_METRICS:
-                    degenerate_points.append(
-                        _exact_point(
-                            f"{label} {metric}",
-                            getattr(iid, metric),
-                            getattr(reference, metric),
-                        )
-                    )
-                for key, expected in iid.message_breakdown.items():
-                    degenerate_points.append(
-                        _exact_point(
-                            f"{label} breakdown[{key}]",
-                            expected,
-                            reference.message_breakdown.get(key, float("nan")),
-                        )
-                    )
-            else:
-                sparse_points.extend(
-                    _sparse_stationary_points(
-                        model.chain(), reference.stationary, label
-                    )
-                )
-        checks.append(
-            _check(
-                f"gilbert singlehop {protocol.value}: dense==template",
-                template_points,
-                detail="compiled product-chain templates, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"gilbert singlehop {protocol.value}: degenerate==iid",
-                degenerate_points,
-                detail="burstiness-0 channel vs the i.i.d. model, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"gilbert singlehop {protocol.value}: dense~sparse",
-                sparse_points,
-                detail=f"splu within rel {SPARSE_REL_TOL:g}",
-            )
-        )
-    return checks
-
-
-def gilbert_multihop_parity_checks(
-    params: MultiHopParameters,
-    hop_counts: Sequence[int],
-    protocols: Sequence[Protocol] = Protocol.multihop_family(),
-    fidelity: str = "smoke",
-) -> list[CheckResult]:
-    """The multi-hop Gilbert-Elliott slice of the parity matrix.
-
-    Mirrors :func:`gilbert_singlehop_parity_checks` on the path-wide
-    product chain: dense==template exactly, the degenerate channel
-    reproduces :class:`MultiHopModel` bit for bit, and the bursty
-    chain's splu solve stays within the sparse tolerance.
-    """
-    checks: list[CheckResult] = []
-    for protocol in protocols:
-        template_points: list[PointCheck] = []
-        degenerate_points: list[PointCheck] = []
-        sparse_points: list[PointCheck] = []
-        for hops in hop_counts:
-            hop_params = params.replace(hops=int(hops))
-            for label, gilbert in gilbert_parity_channels(hop_params, fidelity):
-                label = f"N={hops} {label}"
-                model = GilbertMultiHopModel(protocol, hop_params, gilbert)
-                reference = model.solve()
-                template = _templates.solve_gilbert_multihop_tasks(
-                    [(protocol, hop_params, gilbert)]
-                )[0]
-                for metric in ("inconsistency_ratio", "message_rate"):
-                    template_points.append(
-                        _exact_point(
-                            f"{label} {metric}",
-                            getattr(reference, metric),
-                            getattr(template, metric),
-                        )
-                    )
-                if gilbert.is_degenerate:
-                    iid = MultiHopModel(
-                        protocol, hop_params.replace(loss_rate=gilbert.loss_good)
-                    ).solve()
-                    for metric in ("inconsistency_ratio", "message_rate"):
-                        degenerate_points.append(
-                            _exact_point(
-                                f"{label} {metric}",
-                                getattr(iid, metric),
-                                getattr(reference, metric),
-                            )
-                        )
-                    # Hop profiles are *recomputed* from the product-form
-                    # stationary distribution (channel weights re-summed),
-                    # so they are close, not verbatim copies.
-                    for hop in range(1, int(hops) + 1):
-                        degenerate_points.append(
-                            _close_point(
-                                f"{label} hop_inconsistency({hop})",
-                                iid.hop_inconsistency(hop),
-                                reference.hop_inconsistency(hop),
-                            )
-                        )
-                else:
-                    sparse_points.extend(
-                        _sparse_stationary_points(
-                            model.chain(), reference.stationary, label
-                        )
-                    )
-        hop_list = ",".join(str(h) for h in hop_counts)
-        checks.append(
-            _check(
-                f"gilbert multihop {protocol.value}: dense==template",
-                template_points,
-                detail=f"hops {hop_list}, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"gilbert multihop {protocol.value}: degenerate==iid",
-                degenerate_points,
-                detail=f"hops {hop_list}, burstiness-0 vs the i.i.d. model, exact",
-            )
-        )
-        checks.append(
-            _check(
-                f"gilbert multihop {protocol.value}: dense~sparse",
-                sparse_points,
-                detail=f"hops {hop_list}, splu within rel {SPARSE_REL_TOL:g}",
-            )
-        )
-    return checks
-
-
-def _congested_profile(
-    params: MultiHopParameters,
-) -> tuple[HeterogeneousHop, ...]:
+def _congested_profile(params) -> tuple[HeterogeneousHop, ...]:
     """A deterministic non-uniform hop vector: every 4th link is lossy."""
     uniform = hops_from_parameters(params)
     return tuple(
@@ -899,143 +143,337 @@ def _congested_profile(
     )
 
 
-def heterogeneous_parity_check(
-    params: MultiHopParameters,
-    protocols: Sequence[Protocol] = Protocol.multihop_family(),
-) -> CheckResult:
-    """Heterogeneous template path vs the per-point reference model.
-
-    Covers both the uniform hop vector (which must reproduce the
-    homogeneous numbers) and a congested non-uniform profile, exactly.
-    """
-    points: list[PointCheck] = []
-    profiles = (
-        ("uniform", hops_from_parameters(params)),
-        ("congested", _congested_profile(params)),
-    )
-    for protocol in protocols:
-        for label, hops in profiles:
-            reference = HeterogeneousMultiHopModel(protocol, params, hops).solve()
-            template = _templates.solve_heterogeneous_tasks(
-                [(protocol, params, hops)]
-            )[0]
-            for metric in ("inconsistency_ratio", "message_rate"):
-                points.append(
-                    _exact_point(
-                        f"{protocol.value} {label} {metric}",
-                        getattr(reference, metric),
-                        getattr(template, metric),
-                    )
-                )
-    return _check(
-        "heterogeneous: dense==template",
-        points,
-        detail=f"N={params.hops}, uniform + congested profiles, exact",
-    )
-
-
-#: The smallest hop count whose chain reaches
-#: :data:`~repro.core.markov.SPARSE_STATE_THRESHOLD` states (2N+1 for
-#: the SS family) — where ``"auto"`` stops using splu and routes chains
-#: to the structured O(hops) kernel instead.
-STRUCTURED_CROSSOVER_HOPS = (SPARSE_STATE_THRESHOLD + 1) // 2
-
-
-def _metric_points(label, reference, observed, point_factory):
+def _profiles(base, fidelity: str) -> list[tuple[str, tuple]]:
     return [
-        point_factory(
-            f"{label} {metric}",
-            getattr(reference, metric),
-            getattr(observed, metric),
-        )
-        for metric in ("inconsistency_ratio", "message_rate")
+        ("uniform", (base, hops_from_parameters(base))),
+        ("congested", (base, _congested_profile(base))),
     ]
 
 
-def chain_backend_parity_checks(
-    params: MultiHopParameters,
-    hop_counts: Sequence[int],
-    protocols: Sequence[Protocol] = Protocol.multihop_family(),
+def _channels(base, fidelity: str) -> list[tuple[str, tuple]]:
+    """Gilbert-Elliott channels holding the base preset's average loss:
+    the degenerate one anchors the i.i.d. reduction, the bursty ones
+    exercise the product chains."""
+    matched, average = GilbertElliottParameters.matched_average, base.loss_rate
+    channels = [("degenerate", matched(average, 0.0)), ("bursty", matched(average, 1.0))]
+    if fidelity != "smoke":
+        channels.append(("half-burst", matched(average, 0.5)))
+    if fidelity == "full":
+        channels.append(("slow-burst", matched(average, 1.0, mean_bad_duration=10.0)))
+    return [(label, (base, gilbert)) for label, gilbert in channels]
+
+
+def _tree_points(base, hop_counts, fidelity: str) -> list[tuple[str, tuple]]:
+    """Tree shapes on the parameter grid; the shapes above the direct
+    cap at the base point only."""
+    shapes = [
+        ("chain3", Topology.chain(3)),
+        ("chain8", Topology.chain(8)),
+        ("star3", Topology.star(3)),
+        ("binary2", Topology.kary(2, 2)),
+        ("skewed3", Topology.skewed(3)),
+    ]
+    scale = [("star8", Topology.star(8))]
+    if fidelity != "smoke":
+        shapes.append(("broom2x3", Topology.broom(2, 3)))
+    if fidelity == "full":
+        shapes += [("star4", Topology.star(4)), ("skewed4", Topology.skewed(4))]
+        scale.append(("binary3", Topology.kary(2, 3)))
+    return [
+        (f"{name} {label}", (params, topology))
+        for group, grid in ((shapes, fidelity), (scale, "smoke"))
+        for name, topology in group
+        for label, (params,) in _grid(base.replace(hops=topology.num_edges), grid)
+    ]
+
+
+def _per_hop(axis, crossover: bool = False):
+    """Lift ``axis`` to every plan hop count, labels prefixed ``N=h``; a
+    chain family adds the crossover hop count at its base point (the
+    smoke grid)."""
+
+    def points(base, hop_counts, fidelity: str) -> list[tuple[str, tuple]]:
+        grids = [(hops, fidelity) for hops in hop_counts]
+        if crossover:
+            grids.append((STRUCTURED_CROSSOVER_HOPS, "smoke"))
+        return [
+            (f"N={hops} {label}", inputs)
+            for hops, grid in grids
+            for label, inputs in axis(base.replace(hops=int(hops)), grid)
+        ]
+
+    return points
+
+
+#: Each family's plan points: ``(base, hop_counts, fidelity) ->
+#: [(label, inputs)]``, a task being ``(protocol, *inputs)``.
+_AXES: dict[str, Callable[..., list[tuple[str, tuple]]]] = {
+    "singlehop": lambda base, hop_counts, fidelity: _grid(base, fidelity),
+    "multihop": _per_hop(_grid, crossover=True),
+    "heterogeneous": _per_hop(_profiles, crossover=True),
+    "tree": _tree_points,
+    "gilbert-singlehop": lambda base, hop_counts, fidelity: _channels(base, fidelity),
+    "gilbert-multihop": _per_hop(_channels),
+}
+
+
+def parity_points(
+    tag: str, base, hop_counts: Sequence[int] = (), fidelity: str = "smoke"
+) -> list[tuple[str, tuple]]:
+    """The labelled plan points of family ``tag``: ``(label, inputs)``."""
+    return _AXES[tag](base, tuple(hop_counts), fidelity)
+
+
+# ----------------------------------------------------------------------
+# Comparison
+# ----------------------------------------------------------------------
+
+
+def _state_label(state) -> str:
+    """Compact state name for point labels (enum values over reprs)."""
+    return str(getattr(state, "value", state))
+
+
+def _states(left: dict, right: dict) -> list[tuple[str, float, float]]:
+    if left.keys() == right.keys():
+        return [(f"pi[{_state_label(s)}]", value, right[s]) for s, value in left.items()]
+    # Distinct state types (a unary tree against its chain) pair up in
+    # canonical order; the count guards what zip() would truncate.
+    return [("state count", len(left), len(right))] + [
+        (f"pi[{_state_label(s)}]", value, other)
+        for (s, value), other in zip(left.items(), right.values())
+    ]
+
+
+def _stationary(left, right) -> list[tuple[str, float, float]]:
+    return _states(left.stationary, right.stationary)
+
+
+def _metrics(left, right) -> list[tuple[str, float, float]]:
+    return [(m, getattr(left, m), getattr(right, m)) for m in _METRICS if hasattr(left, m)]
+
+
+def _hop_profile(solution) -> list[float]:
+    per_hop = getattr(solution, "hop_inconsistency", None) or solution.node_inconsistency
+    return [per_hop(hop) for hop in range(1, solution.params.hops + 1)]
+
+
+def _profile(left, right) -> list[tuple[str, float, float]]:
+    return [
+        (f"hop_inconsistency({hop})", a, b)
+        for hop, (a, b) in enumerate(zip(_hop_profile(left), _hop_profile(right)), 1)
+    ]
+
+
+def _breakdown(left, right) -> list[tuple[str, float, float]]:
+    return [
+        (f"breakdown[{key}]", value, right.message_breakdown.get(key, math.nan))
+        for key, value in left.message_breakdown.items()
+    ]
+
+
+#: A comparison: ``(field, exact)`` pairs, each field yielding
+#: ``(name, expected, observed)`` for two solutions.
+Fields = tuple[tuple[Callable[..., list], bool], ...]
+
+
+def _point(label: str, expected: float, observed: float, exact: bool) -> PointCheck:
+    expected, observed = float(expected), float(observed)
+    if exact:
+        return PointCheck(label, expected, observed, 0.0, expected == observed)
+    return PointCheck(
+        label,
+        expected,
+        observed,
+        SPARSE_ABS_TOL + SPARSE_REL_TOL * abs(expected),
+        math.isclose(expected, observed, rel_tol=SPARSE_REL_TOL, abs_tol=SPARSE_ABS_TOL),
+    )
+
+
+def _compare(label: str, left, right, fields: Fields) -> list[PointCheck]:
+    return [
+        _point(f"{label} {name}", expected, observed, exact)
+        for field, exact in fields
+        for name, expected, observed in field(left, right)
+    ]
+
+
+def _check(tag: str, protocol: Protocol, relation: str, points: list[PointCheck]) -> CheckResult:
+    exact = sum(point.tolerance == 0.0 for point in points)
+    counts = {"exact": exact, f"within rel {SPARSE_REL_TOL:g}": len(points) - exact}
+    detail = ", ".join(f"{count} {bound}" for bound, count in counts.items() if count)
+    return CheckResult(
+        name=f"{tag} {protocol.value}: {relation}",
+        kind="parity",
+        passed=all(point.passed for point in points),
+        detail=detail,
+        points=tuple(points),
+    )
+
+
+# ----------------------------------------------------------------------
+# Reductions
+# ----------------------------------------------------------------------
+
+
+class Reduction(NamedTuple):
+    """One model reproducing another on the plan points of ``tag``.
+
+    ``left`` and ``right`` are ``(family tag, route, inputs)``: the
+    referee solved, with ``inputs`` mapping a plan point's inputs to its
+    own, or to ``None`` where the reduction does not apply.  ``left`` is
+    the expected side.  It runs at the listed ``fidelities``.
+    """
+
+    name: str
+    tag: str
+    left: tuple[str, str, Callable[..., tuple | None]]
+    right: tuple[str, str, Callable[..., tuple | None]]
+    fields: Fields
+    fidelities: tuple[str, ...] = ("smoke", "fast", "full")
+
+
+def _same(*inputs) -> tuple:
+    return inputs
+
+
+def _unary_chain(params, topology) -> tuple | None:
+    return (params,) if topology.is_chain else None
+
+
+def _iid(params, gilbert) -> tuple | None:
+    return (params.replace(loss_rate=gilbert.loss_good),) if gilbert.is_degenerate else None
+
+
+def _above_cap(params, topology) -> tuple | None:
+    return (params, topology) if select_tree_backend(topology) != "direct" else None
+
+
+def _homogeneous(params, hops) -> tuple | None:
+    return (params,) if hops == hops_from_parameters(params) else None
+
+
+#: The reduction relations.  ``degenerate==iid`` hop profiles are
+#: recomputed from the product-form distribution, so they are close,
+#: not verbatim; the uniform heterogeneous chain accumulates its rates
+#: per hop, so it reproduces the homogeneous one to tolerance only.
+REDUCTIONS: tuple[Reduction, ...] = (
+    Reduction(
+        "unary==chain",
+        "tree",
+        ("multihop", "template", _unary_chain),
+        ("tree", "direct", _same),
+        ((_stationary, True), (_metrics, True), (_profile, True)),
+    ),
+    Reduction(
+        "degenerate==iid",
+        "gilbert-singlehop",
+        ("singlehop", "template", _iid),
+        ("gilbert-singlehop", "template", _same),
+        ((_metrics, True), (_breakdown, True)),
+    ),
+    Reduction(
+        "degenerate==iid",
+        "gilbert-multihop",
+        ("multihop", "template", _iid),
+        ("gilbert-multihop", "template", _same),
+        ((_metrics, True), (_profile, False)),
+    ),
+    Reduction(
+        "lumped~iterative",
+        "tree",
+        ("tree", "lumped", _above_cap),
+        ("tree", "iterative", _same),
+        ((_metrics, False),),
+        ("fast", "full"),
+    ),
+    Reduction(
+        "uniform~homogeneous",
+        "heterogeneous",
+        ("multihop", "template", _homogeneous),
+        ("heterogeneous", "template", _same),
+        ((_metrics, False), (_stationary, False), (_profile, False)),
+    ),
+)
+
+# ----------------------------------------------------------------------
+# The slice
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1024)
+def _referee(tag: str, route: str, protocol: Protocol, *inputs):
+    """``Family.reference`` memoized: slices sharing a point (a protocol
+    subset, a reduction's other side) solve it once."""
+    return FAMILIES[tag].reference(route, protocol, *inputs)
+
+
+def _reduced(reduction: Reduction, protocol: Protocol, points: list):
+    """``(label, left, right)`` on every plan point ``reduction`` covers."""
+    for label, inputs in points:
+        sides = [(tag, route, to(*inputs)) for tag, route, to in (reduction.left, reduction.right)]
+        if all(mapped is not None for *_, mapped in sides):
+            left, right = (_referee(tag, route, protocol, *mapped) for tag, route, mapped in sides)
+            yield label, left, right
+
+
+def _relations(tag: str, protocol: Protocol, points: list, fidelity: str):
+    """Yield ``(relation, fields, pairs)`` for one family and protocol,
+    ``pairs`` being ``[(label, expected, observed)]``."""
+    family = FAMILIES[tag]
+    direct, *own = family.reference_chains
+
+    def referee(route: str, inputs: tuple):
+        return _referee(tag, route, protocol, *inputs)
+
+    # Beyond the direct referee's reach (auto sends the point to a route
+    # with a referee of its own), only that route solves the point.
+    auto = [family.select(protocol, *inputs) if family.select else None for _, inputs in points]
+    reach = [point for point, chosen in zip(points, auto) if chosen not in own]
+    for route, entry in family.routes.items():
+        exact = route in own or PARITY_CLASSES[entry] == "exact"
+        routed = [pt for pt, chosen in zip(points, auto) if chosen not in own or chosen == route]
+        solved = getattr(_templates, entry)([(protocol, *inputs) for _, inputs in routed])
+        own_or_direct = route if route in own else direct
+        pairs = [
+            (label, referee(own_or_direct, inputs), solution)
+            for (label, inputs), solution in zip(routed, solved)
+        ]
+        relation = f"{route}{'==' if exact else '~'}referee"
+        yield relation, ((_metrics, exact), (_stationary, exact)), pairs
+    for route in own:
+        pairs = [(label, referee(direct, ins), referee(route, ins)) for label, ins in reach]
+        yield f"{route}~{direct}", ((_metrics, False),), pairs
+    for reduction in REDUCTIONS:
+        if reduction.tag == tag and fidelity in reduction.fidelities:
+            yield reduction.name, reduction.fields, list(_reduced(reduction, protocol, points))
+    pairs = []
+    for label, inputs in reach:
+        expected = referee(direct, inputs).stationary
+        # One entry per state: at the crossover the referee is sparse.
+        if len(expected) < SPARSE_STATE_THRESHOLD:
+            chain = family.reference_chains[direct](protocol, *inputs).with_solver("sparse")
+            pairs.append((label, expected, chain.stationary_distribution()))
+    yield "dense~sparse", ((_states, False),), pairs
+
+
+def parity_slice(
+    tag: str,
+    base,
+    protocols: Sequence[Protocol],
+    hop_counts: Sequence[int] = (),
     fidelity: str = "smoke",
 ) -> list[CheckResult]:
-    """The structured chain-kernel slice of the parity matrix.
-
-    Three relations per protocol, mirroring the tree-backend slice:
-
-    * ``structured~dense`` — the O(hops) kernel against the per-point
-      dense reference at the sweep's own hop counts (tolerance: the
-      kernel reorders float operations);
-    * ``structured~sparse`` — above the splu crossover
-      (:data:`STRUCTURED_CROSSOVER_HOPS`), where no exact referee
-      exists, the kernel against the historical splu template path;
-    * the heterogeneous congested profile through both relations, so
-      the per-hop rate vectors (not just the homogeneous scalars) are
-      covered.
-
-    The exact ``dense==template`` relation is *not* re-asserted here —
-    :func:`multihop_parity_checks` already owns it, and the structured
-    backend never replaces an exact path (see
-    :func:`~repro.core.templates.select_chain_backend`).
-    """
+    """The parity checks of family ``tag`` at one base point."""
+    points = parity_points(tag, base, hop_counts, fidelity)
     checks: list[CheckResult] = []
     for protocol in protocols:
-        dense_points: list[PointCheck] = []
-        for hops in hop_counts:
-            hop_base = params.replace(hops=int(hops))
-            for label, point_params in parity_parameter_points(hop_base, fidelity):
-                label = f"N={hops} {label}"
-                reference = MultiHopModel(protocol, point_params).solve()
-                structured = _templates.solve_multihop_structured_tasks(
-                    [(protocol, point_params)]
-                )[0]
-                dense_points.extend(
-                    _metric_points(label, reference, structured, _close_point)
-                )
-                dense_points.extend(
-                    _close_point(
-                        f"{label} pi[{_state_label(state)}]",
-                        reference.stationary[state],
-                        structured.stationary[state],
-                    )
-                    for state in reference.stationary
-                )
-        hop_list = ",".join(str(h) for h in hop_counts)
-        checks.append(
-            _check(
-                f"chain {protocol.value}: structured~dense",
-                dense_points,
-                detail=f"hops {hop_list}, block-Thomas within rel {SPARSE_REL_TOL:g}",
-            )
-        )
-
-        crossover = params.replace(hops=STRUCTURED_CROSSOVER_HOPS)
-        sparse_points: list[PointCheck] = []
-        template = _templates.solve_multihop_tasks([(protocol, crossover)])[0]
-        structured = _templates.solve_multihop_structured_tasks(
-            [(protocol, crossover)]
-        )[0]
-        label = f"N={STRUCTURED_CROSSOVER_HOPS}"
-        sparse_points.extend(
-            _metric_points(label, template, structured, _close_point)
-        )
-        congested = _congested_profile(crossover)
-        template = _templates.solve_heterogeneous_tasks(
-            [(protocol, crossover, congested)]
-        )[0]
-        structured = _templates.solve_heterogeneous_structured_tasks(
-            [(protocol, crossover, congested)]
-        )[0]
-        sparse_points.extend(
-            _metric_points(f"{label} congested", template, structured, _close_point)
-        )
-        checks.append(
-            _check(
-                f"chain {protocol.value}: structured~sparse",
-                sparse_points,
-                detail=(
-                    f"N={STRUCTURED_CROSSOVER_HOPS} above the splu crossover, "
-                    f"uniform + congested, within rel {SPARSE_REL_TOL:g}"
-                ),
-            )
-        )
+        for relation, fields, pairs in _relations(tag, protocol, points, fidelity):
+            found = [
+                point
+                for label, expected, observed in pairs
+                for point in _compare(label, expected, observed, fields)
+            ]
+            if found:
+                checks.append(_check(tag, protocol, relation, found))
     return checks

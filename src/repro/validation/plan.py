@@ -10,11 +10,11 @@ certified about it:
 * **invariant checks** (every scenario): stationary distributions sum
   to one, inconsistency ratios stay in ``[0, 1]`` and receiver
   lifetimes are positive at the scenario's base parameter point;
-* **backend parity checks** (every scenario): the scenario's family
-  slice of the :mod:`~repro.validation.parity` matrix — dense, template
-  and batched solves must agree exactly, sparse within tolerance,
-  across the scenario's protocols (and two hop counts for multi-hop
-  families);
+* **backend parity checks** (every scenario): one slice of the
+  :mod:`~repro.validation.parity` matrix per ``FAMILIES`` tag the
+  scenario touches (``ValidationPlan.parity_families``) — every route
+  against its referee, the reductions and ``dense~sparse``, across the
+  scenario's protocols (and two hop counts for multi-hop families);
 * **differential sim-vs-model checks** (scenarios with a
   :class:`~repro.experiments.spec.SimPlan`): the replicated
   discrete-event simulations must be Student-t-equivalent to the
@@ -57,17 +57,7 @@ from repro.validation.equivalence import (
     equivalence_curve,
     equivalence_point,
 )
-from repro.validation.parity import (
-    BACKENDS,
-    chain_backend_parity_checks,
-    gilbert_multihop_parity_checks,
-    gilbert_singlehop_parity_checks,
-    heterogeneous_parity_check,
-    multihop_parity_checks,
-    singlehop_parity_checks,
-    tree_parity_checks,
-    tree_scale_parity_checks,
-)
+from repro.validation.parity import BACKENDS, parity_slice
 from repro.validation.report import CheckResult, PointCheck, ValidationReport
 
 __all__ = [
@@ -118,12 +108,11 @@ def _parity_hop_counts(spec: ScenarioSpec) -> tuple[int, ...]:
         # single-hop burst_loss scenario) has no chain length to sweep.
         return ()
     # Two hop counts in the dense regime: the scenario's own chain
-    # length plus a short contrast chain.  Exact dense==template==
-    # batched parity is only guaranteed below the sparse crossover
-    # (solver="auto" flips the reference itself to the pinned sparse
-    # system there), so the
-    # scenario's hop count is clamped: the largest chain is 2N+2
-    # states (HS recovery state included).
+    # length plus a short contrast chain.  solver="auto" flips the
+    # referee itself to the pinned sparse system at the crossover
+    # (which the parity matrix adds on its own), so the scenario's hop
+    # count is clamped to keep the dense~sparse row meaningful: the
+    # largest chain is 2N+2 states (HS recovery state included).
     dense_limit = (SPARSE_STATE_THRESHOLD - 2) // 2 - 1
     hops = min(int(base.hops), dense_limit)
     contrast = 5 if hops != 5 else 8
@@ -134,43 +123,22 @@ def build_plan(scenario: str | ScenarioSpec, fidelity: str = "smoke") -> Validat
     """Derive the validation plan for one scenario at one fidelity."""
     spec = scenario if isinstance(scenario, ScenarioSpec) else _spec.scenario(scenario)
     spec.fidelity(fidelity)  # fail early on unknown fidelities
-    if spec.family == "singlehop":
-        families: tuple[str, ...] = ("singlehop",)
-        protocols = spec.protocols
-    elif spec.family == "tree":
-        families = ("tree",)
-        multihop = Protocol.multihop_family()
-        protocols = tuple(p for p in spec.protocols if p in multihop)
-    elif spec.family == "burst_loss":
-        # The parameter preset picks the product chain; both variants
-        # also validate their i.i.d. anchor slice (the degenerate
-        # channel must reproduce it bit for bit).
-        if isinstance(_spec.base_parameters(spec), MultiHopParameters):
-            families = ("multihop", "gilbert_multihop")
-            multihop = Protocol.multihop_family()
-            protocols = tuple(p for p in spec.protocols if p in multihop)
-        else:
-            families = ("singlehop", "gilbert_singlehop")
-            protocols = spec.protocols
-    elif spec.family == "link_flap":
-        # No analytic flap model exists; parity covers the clean
-        # baseline chain the faulted simulations perturb.
-        families = ("multihop",)
-        multihop = Protocol.multihop_family()
-        protocols = tuple(p for p in spec.protocols if p in multihop)
-    elif spec.family == "transient":
-        # Parity covers the stationary chain the transient analysis
-        # starts from (and relaxes back to); the curves themselves get
-        # dedicated invariants and curve-level sim checks.
-        families = ("multihop",)
-        multihop = Protocol.multihop_family()
-        protocols = tuple(p for p in spec.protocols if p in multihop)
+    singlehop = not isinstance(_spec.base_parameters(spec), MultiHopParameters)
+    if spec.family == "tree":
+        families: tuple[str, ...] = ("tree",)
+    elif singlehop:
+        families = ("singlehop",)
     else:
-        families = ("multihop",)
-        if spec.family == "heterogeneous":
-            families += ("heterogeneous",)
-        multihop = Protocol.multihop_family()
-        protocols = tuple(p for p in spec.protocols if p in multihop)
+        # Every chain scenario (link-flap and transient ones included:
+        # parity covers the clean stationary chain their faulted runs
+        # perturb) validates the homogeneous and heterogeneous chains.
+        families = ("multihop", "heterogeneous")
+    if spec.family == "burst_loss":
+        # The preset picks the product chain; its i.i.d. anchor slice
+        # rides along (the degenerate channel must reproduce it).
+        families += ("gilbert-singlehop" if singlehop else "gilbert-multihop",)
+    multihop = Protocol.multihop_family()
+    protocols = spec.protocols if singlehop else tuple(p for p in spec.protocols if p in multihop)
     return ValidationPlan(
         spec=spec,
         fidelity=fidelity,
@@ -492,7 +460,7 @@ def _plan_protocols(
 
 @functools.lru_cache(maxsize=128)
 def _cached_parity_slice(
-    family: str,
+    tag: str,
     base,
     protocols: tuple[Protocol, ...],
     hop_counts: tuple[int, ...],
@@ -507,41 +475,15 @@ def _cached_parity_slice(
     ``CheckResult`` tuples are immutable, so sharing them across
     reports is safe.
     """
-    if family == "singlehop":
-        return tuple(singlehop_parity_checks(base, protocols, fidelity=fidelity))
-    if family == "multihop":
-        return tuple(
-            multihop_parity_checks(base, hop_counts, protocols, fidelity=fidelity)
-        ) + tuple(
-            chain_backend_parity_checks(
-                base, hop_counts, protocols, fidelity=fidelity
-            )
-        )
-    if family == "tree":
-        return tuple(tree_parity_checks(base, protocols, fidelity=fidelity)) + tuple(
-            tree_scale_parity_checks(base, protocols, fidelity=fidelity)
-        )
-    if family == "gilbert_singlehop":
-        return tuple(
-            gilbert_singlehop_parity_checks(base, protocols, fidelity=fidelity)
-        )
-    if family == "gilbert_multihop":
-        return tuple(
-            gilbert_multihop_parity_checks(
-                base, hop_counts, protocols, fidelity=fidelity
-            )
-        )
-    return (heterogeneous_parity_check(base, protocols),)
+    return tuple(parity_slice(tag, base, protocols, hop_counts, fidelity))
 
 
 def _parity_checks(plan: ValidationPlan) -> list[CheckResult]:
     base = _spec.base_parameters(plan.spec)
     checks: list[CheckResult] = []
-    for family in plan.parity_families:
+    for tag in plan.parity_families:
         checks.extend(
-            _cached_parity_slice(
-                family, base, plan.protocols, plan.hop_counts, plan.fidelity
-            )
+            _cached_parity_slice(tag, base, plan.protocols, plan.hop_counts, plan.fidelity)
         )
     return checks
 

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.markov import ContinuousTimeMarkovChain
+from repro.core.markov import (
+    ContinuousTimeMarkovChain,
+    batched_absorption_times_dense,
+    batched_stationary_dense,
+)
 
 
 def two_state_chain(up_rate=2.0, down_rate=3.0):
@@ -235,3 +239,59 @@ class TestUtilities:
         text = two_state_chain().describe()
         assert "2 states" in text
         assert "'on'" in text and "'off'" in text
+
+
+def birth_death_chain(rates=(1.0, 2.0, 0.5, 3.0)):
+    """A three-state birth-death chain (rates up, up, down, down)."""
+    up1, up2, down1, down2 = rates
+    return ContinuousTimeMarkovChain(
+        ["a", "b", "c"],
+        {("a", "b"): up1, ("b", "c"): up2, ("b", "a"): down1, ("c", "b"): down2},
+    )
+
+
+class TestBatchedKernels:
+    """The stacked LAPACK kernels every dense solve runs through."""
+
+    def test_bad_row_flagged_and_good_rows_bitwise(self):
+        first = birth_death_chain()
+        last = birth_death_chain((0.3, 4.0, 2.5, 0.7))
+        broken = first.generator_matrix()
+        broken[0, 0] -= 1.0  # row 0 no longer sums to zero: not a generator
+        stack = np.stack([first.generator_matrix(), broken, last.generator_matrix()])
+        pi, bad = batched_stationary_dense(stack)
+        assert bad.tolist() == [False, True, False]
+        for row, chain in ((0, first), (2, last)):
+            alone, alone_bad = batched_stationary_dense(stack[row : row + 1])
+            assert not alone_bad[0]
+            assert pi[row].tolist() == alone[0].tolist()
+            dense = chain.with_solver("dense").stationary_distribution()
+            assert pi[row].tolist() == [dense[state] for state in chain.states]
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 3, 2), (2, 2, 2, 2)])
+    def test_non_stack_input_rejected(self, shape):
+        with pytest.raises(ValueError):
+            batched_stationary_dense(np.zeros(shape))
+        with pytest.raises(ValueError):
+            batched_absorption_times_dense(np.zeros(shape))
+
+    def test_two_closed_classes(self):
+        chain = ContinuousTimeMarkovChain(
+            ["a", "b", "c", "d"],
+            {("a", "b"): 1.0, ("b", "a"): 1.0, ("c", "d"): 1.0, ("d", "c"): 1.0},
+            solver="dense",
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            batched_stationary_dense(chain.generator_matrix()[None])
+        with pytest.raises(ValueError, match="not unique"):
+            chain.stationary_distribution()
+
+    def test_absorption_single_stack_matches_chain(self):
+        chain = ContinuousTimeMarkovChain(
+            ["s", "loop", "a"],
+            {("s", "a"): 1.0, ("s", "loop"): 3.0, ("loop", "s"): 2.0},
+        )
+        transient = chain.generator_matrix()[:2, :2]
+        times, bad = batched_absorption_times_dense(transient[None])
+        assert not bad[0]
+        assert times[0, 0] == chain.mean_time_to_absorption("s", ["a"])

@@ -201,7 +201,7 @@ class TestValidateCommand:
         assert main(["validate", "fig4", "--fidelity", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "validation fig4 [smoke]: PASS" in out
-        assert "dense==template" in out
+        assert "singlehop SS: template==referee" in out
         assert "all passed" in out
 
     def test_validate_json_artifact_round_trips(self, capsys):

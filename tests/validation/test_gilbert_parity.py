@@ -1,121 +1,32 @@
-"""The Gilbert-Elliott slice of the backend parity matrix."""
+"""The Gilbert-Elliott families in validation plans."""
 
 import pytest
 
-from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
-from repro.validation import (
-    gilbert_multihop_parity_checks,
-    gilbert_parity_channels,
-    gilbert_singlehop_parity_checks,
-    validate_scenario,
-)
+from repro.validation import validate_scenario
 from repro.validation.plan import build_plan
 
 MULTIHOP = Protocol.multihop_family()
 
 
-class TestGilbertParityChannels:
-    def test_channel_set_scales_with_fidelity(self):
-        base = kazaa_defaults()
-        smoke = dict(gilbert_parity_channels(base, "smoke"))
-        fast = dict(gilbert_parity_channels(base, "fast"))
-        full = dict(gilbert_parity_channels(base, "full"))
-        assert set(smoke) < set(fast) < set(full)
-        assert smoke["degenerate"].is_degenerate
-        assert not smoke["bursty"].is_degenerate
-
-    def test_every_channel_holds_the_average_loss(self):
-        base = kazaa_defaults()
-        for _, gilbert in gilbert_parity_channels(base, "full"):
-            assert gilbert.average_loss == pytest.approx(base.loss_rate)
-
-
-class TestGilbertSingleHopParity:
-    def test_smoke_slice_passes(self):
-        checks = gilbert_singlehop_parity_checks(kazaa_defaults(), fidelity="smoke")
-        assert checks, "empty parity slice"
-        for check in checks:
-            assert check.passed, check.name
-            assert check.kind == "parity"
-            assert check.points
-
-    def test_covers_three_assertions_per_protocol(self):
-        checks = gilbert_singlehop_parity_checks(kazaa_defaults(), fidelity="smoke")
-        names = [check.name for check in checks]
-        for protocol in Protocol:
-            assert f"gilbert singlehop {protocol.value}: dense==template" in names
-            assert f"gilbert singlehop {protocol.value}: degenerate==iid" in names
-            assert f"gilbert singlehop {protocol.value}: dense~sparse" in names
-
-    def test_degenerate_points_demand_bit_parity(self):
-        checks = gilbert_singlehop_parity_checks(
-            kazaa_defaults(), protocols=(Protocol.SS,), fidelity="smoke"
-        )
-        degenerate = next(c for c in checks if c.name.endswith("degenerate==iid"))
-        assert degenerate.points
-        for point in degenerate.points:
-            assert point.tolerance == 0.0
-            assert point.expected == point.observed
-
-
-class TestGilbertMultiHopParity:
-    def test_smoke_slice_passes(self):
-        checks = gilbert_multihop_parity_checks(
-            reservation_defaults().replace(hops=4), hop_counts=(2, 4)
-        )
-        assert checks, "empty parity slice"
-        for check in checks:
-            assert check.passed, check.name
-            assert check.kind == "parity"
-            assert check.points
-
-    def test_covers_three_assertions_per_protocol(self):
-        checks = gilbert_multihop_parity_checks(
-            reservation_defaults().replace(hops=3), hop_counts=(3,)
-        )
-        names = [check.name for check in checks]
-        for protocol in MULTIHOP:
-            assert f"gilbert multihop {protocol.value}: dense==template" in names
-            assert f"gilbert multihop {protocol.value}: degenerate==iid" in names
-            assert f"gilbert multihop {protocol.value}: dense~sparse" in names
-
-    def test_degenerate_metric_points_demand_bit_parity(self):
-        checks = gilbert_multihop_parity_checks(
-            reservation_defaults().replace(hops=3),
-            hop_counts=(3,),
-            protocols=(Protocol.SS,),
-        )
-        degenerate = next(c for c in checks if c.name.endswith("degenerate==iid"))
-        metric_points = [
-            p
-            for p in degenerate.points
-            if "hop_inconsistency" not in p.label
-        ]
-        assert metric_points
-        for point in metric_points:
-            assert point.tolerance == 0.0
-            assert point.expected == point.observed
-
-
 class TestPlanWiring:
     def test_singlehop_burst_plan(self):
         plan = build_plan("burst_loss", "smoke")
-        assert plan.parity_families == ("singlehop", "gilbert_singlehop")
+        assert plan.parity_families == ("singlehop", "gilbert-singlehop")
         assert plan.hop_counts == ()
         assert plan.protocols == tuple(Protocol)
         assert plan.has_simulation
 
     def test_multihop_burst_plan(self):
         plan = build_plan("burst_loss_hops", "smoke")
-        assert plan.parity_families == ("multihop", "gilbert_multihop")
+        assert plan.parity_families == ("multihop", "heterogeneous", "gilbert-multihop")
         assert plan.hop_counts
         assert plan.protocols == MULTIHOP
         assert plan.has_simulation
 
     def test_link_flap_plan_is_simulation_only(self):
         plan = build_plan("link_flap", "smoke")
-        assert plan.parity_families == ("multihop",)
+        assert plan.parity_families == ("multihop", "heterogeneous")
         assert plan.protocols == MULTIHOP
         assert plan.has_simulation
 
@@ -125,6 +36,16 @@ class TestPlanWiring:
     def test_validate_scenario_passes(self, scenario_id):
         report = validate_scenario(scenario_id, "smoke")
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize(
+        "scenario_id,tag",
+        [("burst_loss", "gilbert-singlehop"), ("burst_loss_hops", "gilbert-multihop")],
+    )
+    def test_burst_reports_carry_the_gilbert_rows(self, scenario_id, tag):
+        names = {check.name for check in validate_scenario(scenario_id, "smoke").checks}
+        for protocol in build_plan(scenario_id, "smoke").protocols:
+            for relation in ("template==referee", "degenerate==iid", "dense~sparse"):
+                assert f"{tag} {protocol.value}: {relation}" in names
 
     def test_burst_scenarios_check_sim_against_model(self):
         report = validate_scenario("burst_loss_hops", "smoke")

@@ -1,18 +1,50 @@
-"""Tests for the backend parity matrix."""
+"""Tests for the backend parity matrix generated from ``FAMILIES``."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.core.markov import SPARSE_STATE_THRESHOLD
+from repro.core.multihop.lumping import select_tree_backend
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
+from repro.runtime.solvers import FAMILIES
 from repro.validation.parity import (
     BACKENDS,
-    heterogeneous_parity_check,
-    multihop_parity_checks,
+    PARITY_CLASSES,
+    REDUCTIONS,
+    SPARSE_ABS_TOL,
+    SPARSE_REL_TOL,
+    STRUCTURED_CROSSOVER_HOPS,
     parity_parameter_points,
-    singlehop_parity_checks,
+    parity_points,
+    parity_slice,
 )
+
+TAGS = tuple(FAMILIES)
+SINGLE_HOP = ("singlehop", "gilbert-singlehop")
+HOP_COUNTS = (4, 5)
+
+
+def _base(tag):
+    return kazaa_defaults() if tag in SINGLE_HOP else reservation_defaults().replace(hops=4)
+
+
+def _protocols(tag):
+    return tuple(Protocol) if tag in SINGLE_HOP else Protocol.multihop_family()
+
+
+@functools.lru_cache(maxsize=None)
+def _slice(tag, fidelity="smoke", protocols=None):
+    return tuple(
+        parity_slice(tag, _base(tag), protocols or _protocols(tag), HOP_COUNTS, fidelity)
+    )
+
+
+def _named(tag, relation, **kwargs):
+    return [check for check in _slice(tag, **kwargs) if check.name.endswith(f": {relation}")]
 
 
 class TestParameterPoints:
@@ -34,56 +66,170 @@ class TestParameterPoints:
             assert 0.0 <= params.loss_rate < 1.0
 
 
-class TestSingleHopParity:
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_all_backends_agree_at_base(self, protocol):
-        checks = singlehop_parity_checks(
-            kazaa_defaults(), (protocol,), fidelity="smoke"
+class TestPlanPoints:
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_each_fidelity_grows_the_axis(self, tag):
+        smoke, fast, full = (
+            parity_points(tag, _base(tag), HOP_COUNTS, fidelity)
+            for fidelity in ("smoke", "fast", "full")
         )
-        assert len(checks) == 3  # template, batched, sparse
+        if tag == "heterogeneous":
+            # Two hop profiles at every hop count, whatever the fidelity.
+            assert len(smoke) == len(fast) == len(full) == 2 * (len(HOP_COUNTS) + 1)
+        else:
+            assert {label for label, _ in smoke} < {label for label, _ in fast}
+            assert {label for label, _ in fast} < {label for label, _ in full}
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_labels_unique(self, tag):
+        labels = [label for label, _ in parity_points(tag, _base(tag), HOP_COUNTS, "full")]
+        assert len(labels) == len(set(labels))
+
+    @pytest.mark.parametrize("tag", ["multihop", "heterogeneous", "gilbert-multihop"])
+    def test_hop_labels_present(self, tag):
+        labels = [label for label, _ in parity_points(tag, _base(tag), HOP_COUNTS)]
+        for hops in HOP_COUNTS:
+            assert any(label.startswith(f"N={hops} ") for label in labels)
+        crossover = any(label.startswith(f"N={STRUCTURED_CROSSOVER_HOPS} ") for label in labels)
+        assert crossover == (tag != "gilbert-multihop")
+
+    def test_tree_axis_spans_unary_and_above_cap_shapes(self):
+        shapes = {inputs[1] for _, inputs in parity_points("tree", _base("tree"))}
+        assert any(topology.is_chain for topology in shapes)
+        assert any(select_tree_backend(topology) != "direct" for topology in shapes)
+        assert any(select_tree_backend(topology) == "direct" for topology in shapes)
+
+    @pytest.mark.parametrize("tag", ["gilbert-singlehop", "gilbert-multihop"])
+    def test_channels_hold_the_average_loss(self, tag):
+        base = _base(tag)
+        points = parity_points(tag, base, HOP_COUNTS)
+        channels = {label.split()[-1]: inputs[1] for label, inputs in points}
+        assert channels["degenerate"].is_degenerate
+        assert not channels["bursty"].is_degenerate
+        for _, (params, gilbert) in parity_points(tag, base, HOP_COUNTS, "full"):
+            assert gilbert.average_loss == pytest.approx(params.loss_rate)
+
+
+class TestSmokeSlice:
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_slice_passes(self, tag):
+        checks = _slice(tag)
+        assert checks, "empty parity slice"
         for check in checks:
-            assert check.passed, check.name
+            assert check.passed, (check.name, check.failures()[:3])
+            assert check.kind == "parity"
             assert check.points
 
-    def test_exact_checks_record_zero_tolerance(self):
-        checks = singlehop_parity_checks(
-            kazaa_defaults(), (Protocol.SS,), fidelity="smoke"
-        )
-        exact = [c for c in checks if "==" in c.name]
-        assert exact
-        for check in exact:
-            assert all(point.tolerance == 0.0 for point in check.points)
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_exact_points_are_bitwise(self, tag):
+        for check in _slice(tag):
+            if "==referee" in check.name:
+                assert all(point.tolerance == 0.0 for point in check.points), check.name
+            for point in check.points:
+                if point.tolerance == 0.0:
+                    assert point.expected == point.observed, (check.name, point.label)
+                else:
+                    bound = SPARSE_ABS_TOL + SPARSE_REL_TOL * abs(point.expected)
+                    assert point.tolerance == bound, (check.name, point.label)
+
+    @pytest.mark.parametrize(
+        "tag,route", [(tag, route) for tag, family in FAMILIES.items() for route in family.routes]
+    )
+    def test_every_route_has_a_row(self, tag, route):
+        family = FAMILIES[tag]
+        own = list(family.reference_chains)[1:]
+        exact = route in own or PARITY_CLASSES[family.routes[route]] == "exact"
+        relation = f"{route}{'==' if exact else '~'}referee"
+        checks = _named(tag, relation)
+        assert [c.name.split(":")[0] for c in checks] == [
+            f"{tag} {protocol.value}" for protocol in _protocols(tag)
+        ]
+        assert all(check.points for check in checks)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_dense_sparse_row_skips_sparse_referees(self, tag):
+        checks = _named(tag, "dense~sparse")
+        assert checks
+        for check in checks:
+            states = [p for p in check.points if "pi[" in p.label]
+            assert states and len(states) == len(check.points)
+            assert not any(f"N={STRUCTURED_CROSSOVER_HOPS} " in p.label for p in check.points)
+
+
+class TestRelations:
+    def test_own_referees_against_direct(self):
+        assert list(FAMILIES["tree"].reference_chains) == ["direct", "lumped", "iterative"]
+        for route in ("lumped", "iterative"):
+            for check in _named("tree", f"{route}~direct"):
+                assert check.passed and check.points
+                # Only shapes below the direct cap have a direct referee.
+                assert not any(p.label.startswith("star8 ") for p in check.points)
+
+    def test_lumped_route_reaches_above_the_cap(self):
+        for check in _named("tree", "lumped==referee"):
+            assert any(p.label.startswith("star8 ") for p in check.points)
+
+    def test_structured_is_the_only_tolerance_route(self):
+        tolerant = {
+            check.name.split(": ")[1]
+            for tag in TAGS
+            for check in _slice(tag)
+            if check.name.endswith("~referee")
+        }
+        assert tolerant == {"structured~referee"}
+
+    def test_unary_points_are_bitwise(self):
+        (unary, *_) = _named("tree", "unary==chain")
+        labels = {point.label for point in unary.points}
+        assert "chain3 base state count" in labels
+        assert "chain8 base hop_inconsistency(8)" in labels
+        for point in unary.points:
+            assert point.tolerance == 0.0
+            assert point.expected == point.observed
+
+    @pytest.mark.parametrize("tag", ["gilbert-singlehop", "gilbert-multihop"])
+    def test_degenerate_metric_points_are_bitwise(self, tag):
+        for check in _named(tag, "degenerate==iid"):
+            metrics = [p for p in check.points if "hop_inconsistency" not in p.label]
+            assert metrics
+            for point in metrics:
+                assert point.tolerance == 0.0
+                assert point.expected == point.observed
+
+    def test_uniform_heterogeneous_reproduces_homogeneous(self):
+        for check in _named("heterogeneous", "uniform~homogeneous"):
+            assert check.passed
+            labels = {point.label for point in check.points}
+            assert f"N={STRUCTURED_CROSSOVER_HOPS} uniform message_rate" in labels
+            assert not any("congested" in label for label in labels)
+            assert all(point.tolerance > 0.0 for point in check.points)
+
+    def test_crossover_chain_compared_state_by_state(self):
+        for tag in ("multihop", "heterogeneous"):
+            for check in _named(tag, "template==referee"):
+                states = [
+                    p for p in check.points
+                    if p.label.startswith(f"N={STRUCTURED_CROSSOVER_HOPS} ") and "pi[" in p.label
+                ]
+                assert len(states) >= SPARSE_STATE_THRESHOLD
+
+    def test_lumped_iterative_runs_from_fast(self):
+        assert not _named("tree", "lumped~iterative")
+        (check,) = _named("tree", "lumped~iterative", fidelity="fast", protocols=(Protocol.SS,))
+        assert check.passed
+        assert {point.label.split()[0] for point in check.points} == {"star8"}
+
+    def test_every_reduction_is_emitted(self):
+        for reduction in REDUCTIONS:
+            fidelity = reduction.fidelities[0]
+            protocols = (Protocol.SS,) if fidelity != "smoke" else None
+            assert _named(reduction.tag, reduction.name, fidelity=fidelity, protocols=protocols)
 
     def test_fast_fidelity_covers_lossy_variants(self):
-        checks = singlehop_parity_checks(
-            kazaa_defaults(), (Protocol.SS,), fidelity="fast"
-        )
-        labels = {p.label for c in checks for p in c.points}
+        labels = {
+            p.label for c in _slice("singlehop", "fast", (Protocol.SS,)) for p in c.points
+        }
         assert any("loss=0.2" in label for label in labels)
-
-
-class TestMultiHopParity:
-    def test_two_hop_counts_all_protocols(self):
-        checks = multihop_parity_checks(
-            reservation_defaults(), (5, 20), fidelity="smoke"
-        )
-        # 3 backend pairs per multihop protocol.
-        assert len(checks) == 3 * len(Protocol.multihop_family())
-        for check in checks:
-            assert check.passed, check.name
-        labels = {p.label for c in checks for p in c.points}
-        assert any(label.startswith("N=5 ") for label in labels)
-        assert any(label.startswith("N=20 ") for label in labels)
-
-
-class TestHeterogeneousParity:
-    def test_uniform_and_congested_profiles_exact(self):
-        check = heterogeneous_parity_check(reservation_defaults().replace(hops=6))
-        assert check.passed, check.detail
-        labels = {p.label for p in check.points}
-        assert any("uniform" in label for label in labels)
-        assert any("congested" in label for label in labels)
-        assert all(p.tolerance == 0.0 for p in check.points)
 
 
 class TestBackendListing:

@@ -29,7 +29,7 @@ class TestBuildPlan:
 
     def test_multihop_plan_has_two_hop_counts(self):
         plan = build_plan("fig17", "smoke")
-        assert plan.parity_families == ("multihop",)
+        assert plan.parity_families == ("multihop", "heterogeneous")
         assert len(plan.hop_counts) == 2
         # Protocols narrowed to the multi-hop family.
         assert all(p in plan.spec.protocols for p in plan.protocols)
@@ -38,10 +38,17 @@ class TestBuildPlan:
         plan = build_plan("scaling", "smoke")
         assert plan.parity_families == ("multihop", "heterogeneous")
 
+    def test_plan_families_are_family_tags(self):
+        from repro.experiments import scenario_ids
+        from repro.runtime.solvers import FAMILIES
+
+        for scenario_id in scenario_ids():
+            assert set(build_plan(scenario_id, "smoke").parity_families) <= set(FAMILIES)
+
     def test_hop_counts_clamped_below_sparse_crossover(self):
-        # Exact dense==template==batched parity is only guaranteed in
-        # the dense regime; a huge-chain scenario must validate parity
-        # on a clamped chain, not through the splu reference.
+        # The plan's hop counts stay in the dense regime, so the
+        # dense~sparse row covers them; the crossover chain is added
+        # by the parity matrix itself.
         from repro.core.markov import SPARSE_STATE_THRESHOLD
         from repro.experiments.spec import (
             Axis,

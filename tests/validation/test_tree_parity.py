@@ -1,58 +1,12 @@
-"""The tree slice of the backend parity matrix."""
+"""The tree family in validation plans."""
 
 import pytest
 
-from repro.core.multihop import Topology
-from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
-from repro.validation import tree_parity_checks, validate_scenario
-from repro.validation.parity import tree_parity_topologies
+from repro.validation import validate_scenario
 from repro.validation.plan import build_plan
 
 MULTIHOP = Protocol.multihop_family()
-
-
-class TestTreeParityChecks:
-    def test_smoke_slice_passes(self):
-        checks = tree_parity_checks(reservation_defaults(), fidelity="smoke")
-        assert checks, "empty parity slice"
-        for check in checks:
-            assert check.passed, check.name
-            assert check.kind == "parity"
-            assert check.points
-
-    def test_covers_four_assertions_per_protocol(self):
-        checks = tree_parity_checks(reservation_defaults(), fidelity="smoke")
-        names = [check.name for check in checks]
-        for protocol in MULTIHOP:
-            assert f"tree {protocol.value}: unary==chain" in names
-            assert f"tree {protocol.value}: dense==template" in names
-            assert f"tree {protocol.value}: dense==batched" in names
-            assert f"tree {protocol.value}: dense~sparse" in names
-
-    def test_unary_points_demand_bit_parity(self):
-        checks = tree_parity_checks(
-            reservation_defaults(), protocols=(Protocol.SS,), fidelity="smoke"
-        )
-        unary = next(c for c in checks if c.name.endswith("unary==chain"))
-        for point in unary.points:
-            assert point.tolerance == 0.0
-            assert point.expected == point.observed
-
-    def test_fast_slice_passes_with_more_shapes(self):
-        smoke_shapes = {name for name, _ in tree_parity_topologies("smoke")}
-        fast_shapes = {name for name, _ in tree_parity_topologies("fast")}
-        full_shapes = {name for name, _ in tree_parity_topologies("full")}
-        assert smoke_shapes < fast_shapes < full_shapes
-        checks = tree_parity_checks(
-            reservation_defaults(), protocols=(Protocol.SS_RT,), fidelity="fast"
-        )
-        assert all(check.passed for check in checks)
-
-    def test_topologies_are_trees_not_chains(self):
-        for _, topology in tree_parity_topologies("full"):
-            assert isinstance(topology, Topology)
-            assert not topology.is_chain
 
 
 class TestPlanWiring:
@@ -85,21 +39,25 @@ class TestPlanWiring:
         )
         assert report.hop_counts == ()
 
-    def test_tree_scale_checks_present(self):
+    def test_every_tree_relation_present(self):
         report = validate_scenario("tree_fanout", "smoke")
         names = [check.name for check in report.checks]
         for protocol in MULTIHOP:
-            assert f"tree-scale {protocol.value}: lumped~dense" in names
-            assert f"tree-scale {protocol.value}: lumped==template" in names
-            assert f"tree-scale {protocol.value}: iterative~dense" in names
+            for relation in (
+                "direct==referee",
+                "lumped==referee",
+                "iterative==referee",
+                "lumped~direct",
+                "iterative~direct",
+                "unary==chain",
+                "dense~sparse",
+            ):
+                assert f"tree {protocol.value}: {relation}" in names
 
-    def test_lumped_template_checks_demand_bit_parity(self):
-        from repro.validation.parity import tree_scale_parity_checks
-
-        checks = tree_scale_parity_checks(
-            reservation_defaults(), protocols=(Protocol.SS,), fidelity="smoke"
-        )
-        exact = next(c for c in checks if c.name.endswith("lumped==template"))
-        for point in exact.points:
-            assert point.tolerance == 0.0
-            assert point.expected == point.observed
+    def test_fast_adds_shapes_and_the_scale_cross_check(self):
+        report = validate_scenario("tree_fanout", "fast")
+        assert report.passed, report.to_text()
+        names = [check.name for check in report.checks]
+        assert "tree SS: lumped~iterative" in names
+        labels = {p.label.split()[0] for c in report.checks if c.kind == "parity" for p in c.points}
+        assert "broom2x3" in labels
