@@ -8,12 +8,12 @@ curves reproducible point-for-point and lets the ``link_flap`` scenarios
 sweep flap rate without confounding it with sampling noise in the fault
 process itself.
 
-The simulators (:mod:`repro.multihop.chain`, :mod:`repro.multihop.tree`)
-realize a schedule as environment processes that toggle a channel's
-``down`` flag (link flap: messages sent during an outage are lost
-deterministically, consuming no randomness) or clear a node's soft state
-(crash: installed state is lost; restart re-enables the node and lets
-the protocol's own refresh/timeout machinery rebuild it).
+The multi-hop simulator (:mod:`repro.multihop.tree`, which also runs
+the chains) realizes a schedule as environment processes that toggle a
+channel's ``down`` flag (link flap: messages sent during an outage are
+lost deterministically, consuming no randomness) or clear a node's soft
+state (crash: installed state is lost; restart re-enables the node and
+lets the protocol's own refresh/timeout machinery rebuild it).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ __all__ = ["FaultSchedule", "LinkFlap", "NodeCrash"]
 class LinkFlap:
     """A periodic link outage: down for ``down_duration`` every ``period``.
 
-    ``link`` names the affected hop/edge (simulator-specific: hop index
-    for chains, child node id for trees).  The k-th outage window is
+    ``link`` names the affected edge by its child node (on a chain,
+    hop ``h`` is the edge into node ``h``).  The k-th outage window is
     ``[offset + k*period, offset + k*period + down_duration)``.
     """
 

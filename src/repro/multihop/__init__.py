@@ -1,5 +1,6 @@
-"""Multi-hop chain and tree simulation (extends the paper's validation
-to §III-B and to multicast distribution trees)."""
+"""Multi-hop simulation (extends the paper's validation to §III-B and
+to multicast distribution trees): one per-edge harness over a rooted
+topology, with the chain as its unary tree."""
 
 from repro.multihop.chain import (
     MultiHopSimResult,
@@ -7,7 +8,6 @@ from repro.multihop.chain import (
     simulate_multihop_replications,
 )
 from repro.multihop.config import MultiHopSimConfig
-from repro.multihop.nodes import ChainSender, RelayNode
 from repro.multihop.tree import (
     TreeRelayNode,
     TreeSender,
@@ -17,11 +17,9 @@ from repro.multihop.tree import (
 )
 
 __all__ = [
-    "ChainSender",
     "MultiHopSimConfig",
     "MultiHopSimResult",
     "MultiHopSimulation",
-    "RelayNode",
     "TreeRelayNode",
     "TreeSender",
     "TreeSimResult",

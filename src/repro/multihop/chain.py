@@ -1,8 +1,8 @@
-"""The multi-hop chain simulation harness (validates §III-B).
+"""The multi-hop chain simulation (validates §III-B).
 
-Builds ``N`` relay nodes behind a :class:`~repro.multihop.nodes.ChainSender`,
-wires them with per-hop lossy channels (forward and reverse), drives
-Poisson updates, and measures:
+A chain of ``N`` relays is the unary tree ``Topology.chain(N)``, so
+:class:`MultiHopSimulation` runs the per-edge tree harness of
+:mod:`repro.multihop.tree` on it and reports per-hop results:
 
 * per-hop inconsistency — fraction of time node ``h`` disagrees with
   the sender's current value (Fig. 17);
@@ -17,15 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.core.multihop.topology import Topology
 from repro.core.protocols import Protocol
-from repro.faults.schedule import LinkFlap, NodeCrash
 from repro.multihop.config import MultiHopSimConfig
-from repro.multihop.nodes import ChainSender, RelayNode
-from repro.protocols.messages import Message
-from repro.sim.channel import Channel, ChannelConfig, DeliveredMessage, GilbertElliottProcess
-from repro.sim.engine import Environment
-from repro.sim.monitor import StateFractionMonitor, TimeSeriesMonitor
-from repro.sim.randomness import RandomStreams, Timer
+from repro.multihop.tree import TreeSimulation
+from repro.sim.randomness import RandomStreams
 from repro.sim.stats import ReplicationSet
 
 __all__ = ["MultiHopSimResult", "MultiHopSimulation", "simulate_multihop_replications"]
@@ -77,233 +73,19 @@ class MultiHopSimulation:
 
     def __init__(self, config: MultiHopSimConfig) -> None:
         self.config = config
-        self.env = Environment()
-        params = config.params
-        protocol = config.protocol
-        streams = RandomStreams(config.seed)
-        self._workload_rng = streams.stream("workload")
-        self._signal_rng = streams.stream("external-signal")
-        self.link_transmissions = 0
-
-        channel_config = ChannelConfig(
-            loss_rate=params.loss_rate,
-            mean_delay=params.delay,
-            delay_discipline=config.delay_discipline,
-        )
-        # One bursty-loss process shared by every hop channel (the
-        # product-chain models assume a single path-wide channel state),
-        # drawing from its own named stream so enabling it never shifts
-        # the per-channel loss streams.
-        self._loss_process = None
-        if config.gilbert is not None:
-            self._loss_process = GilbertElliottProcess(
-                config.gilbert.loss_good,
-                config.gilbert.loss_bad,
-                config.gilbert.good_to_bad,
-                config.gilbert.bad_to_good,
-                streams.stream("gilbert-channel"),
-            )
-
-        def timer(mean: float, key: str) -> Timer:
-            return Timer(mean, config.timer_discipline, streams.stream(key))
-
-        n = params.hops
-        self.nodes: list[RelayNode] = []
-        # Build back to front so each node's downstream transmit exists.
-        forward_channels: list[Channel] = [None] * n  # type: ignore[list-item]
-        reverse_channels: list[Channel] = [None] * n  # type: ignore[list-item]
-
-        def make_transmit(channel_slot: list[Channel], index: int):
-            def transmit(message: Message) -> None:
-                self.link_transmissions += 1
-                channel_slot[index].send(message)
-
-            return transmit
-
-        for index in range(n, 0, -1):
-            is_last = index == n
-            node = RelayNode(
-                self.env,
-                protocol,
-                index=index,
-                is_last=is_last,
-                timeout_timer=timer(params.timeout_interval, f"timeout-{index}"),
-                retransmission_timer=timer(
-                    params.retransmission_interval, f"retx-{index}"
-                ),
-                transmit_downstream=(
-                    None if is_last else make_transmit(forward_channels, index)
-                ),
-                transmit_upstream=make_transmit(reverse_channels, index - 1),
-                on_value_change=self._make_change_hook(index),
-            )
-            self.nodes.insert(0, node)
-
-        self.sender = ChainSender(
-            self.env,
-            protocol,
-            refresh_timer=timer(params.refresh_interval, "refresh"),
-            retransmission_timer=timer(params.retransmission_interval, "retx-0"),
-            transmit_downstream=make_transmit(forward_channels, 0),
-            on_value_change=self._on_sender_change,
-        )
-
-        # Forward channel i delivers to node i+1 (0-indexed list).
-        for index in range(n):
-            node = self.nodes[index]
-            forward_channels[index] = Channel(
-                self.env,
-                channel_config,
-                streams.stream(f"fwd-{index}"),
-                self._make_forward_delivery(node),
-                name=f"link-{index + 1}-fwd",
-                loss_process=self._loss_process,
-            )
-            upstream_handler = (
-                self.sender.on_message
-                if index == 0
-                else self._make_reverse_delivery(self.nodes[index - 1])
-            )
-            reverse_channels[index] = Channel(
-                self.env,
-                channel_config,
-                streams.stream(f"rev-{index}"),
-                (lambda handler: lambda d: handler(d.payload))(upstream_handler),
-                name=f"link-{index + 1}-rev",
-                loss_process=self._loss_process,
-            )
-
-        if config.faults is not None and not config.faults.is_empty:
-            self._install_faults(forward_channels, reverse_channels)
-
-        self._hop_monitors = [
-            StateFractionMonitor(self.env, initial=True) for _ in range(n)
-        ]
-        self._any_monitor = StateFractionMonitor(self.env, initial=True)
-        # Created after the fault processes so a sample scheduled at a
-        # fault instant observes the post-fault state (FIFO tie-break).
-        self._series_monitor = TimeSeriesMonitor(
-            self.env,
-            config.sample_times,
-            lambda: 0.0 if self._any_monitor.active else 1.0,
-        )
-        self.sender.start()
-        self._refresh_consistency()
-
-        if protocol is Protocol.HS and params.external_false_signal_rate > 0:
-            for node in self.nodes:
-                self.env.process(
-                    self._false_signal_source(node), name=f"signal-{node.index}"
-                )
-
-    # ------------------------------------------------------------------
-    # Wiring helpers
-    # ------------------------------------------------------------------
-
-    def _make_forward_delivery(self, node: RelayNode):
-        def deliver(delivered: DeliveredMessage) -> None:
-            node.on_message_from_upstream(delivered.payload)
-
-        return deliver
-
-    def _make_reverse_delivery(self, node: RelayNode):
-        def deliver(message: Message) -> None:
-            node.on_message_from_downstream(message)
-
-        return deliver
-
-    def _make_change_hook(self, index: int):
-        def hook() -> None:
-            self._refresh_consistency()
-
-        return hook
-
-    # ------------------------------------------------------------------
-    # Fault injection (see repro.faults.schedule)
-    # ------------------------------------------------------------------
-
-    def _install_faults(
-        self,
-        forward_channels: list[Channel],
-        reverse_channels: list[Channel],
-    ) -> None:
-        faults = self.config.faults
-        for flap in faults.flaps:
-            channels = (
-                forward_channels[flap.link - 1],
-                reverse_channels[flap.link - 1],
-            )
-            self.env.process(
-                self._flap_process(flap, channels), name=f"flap-{flap.link}"
-            )
-        for crash in faults.crashes:
-            self.env.process(
-                self._crash_process(crash, self.nodes[crash.node - 1]),
-                name=f"crash-{crash.node}",
-            )
-
-    def _flap_process(self, flap: LinkFlap, channels: tuple[Channel, ...]):
-        for down_at, up_at in flap.windows(self.config.horizon):
-            yield self.env.timeout(down_at - self.env.now)
-            for channel in channels:
-                channel.down = True
-            yield self.env.timeout(up_at - self.env.now)
-            for channel in channels:
-                channel.down = False
-
-    def _crash_process(self, crash: NodeCrash, node: RelayNode):
-        yield self.env.timeout(crash.at - self.env.now)
-        node.crash()
-        yield self.env.timeout(crash.restart_after)
-        node.restart()
-
-    def _on_sender_change(self) -> None:
-        self._refresh_consistency()
-
-    def _refresh_consistency(self) -> None:
-        all_consistent = True
-        for hop_index, node in enumerate(self.nodes):
-            consistent = node.value == self.sender.value
-            self._hop_monitors[hop_index].set(not consistent)
-            if not consistent:
-                all_consistent = False
-        self._any_monitor.set(not all_consistent)
-
-    def _false_signal_source(self, node: RelayNode):
-        rate = self.config.params.external_false_signal_rate
-        while True:
-            yield self.env.timeout(float(self._signal_rng.exponential(1.0 / rate)))
-            node.false_remove()
-
-    def _update_workload(self):
-        rate = self.config.params.update_rate
-        while True:
-            yield self.env.timeout(float(self._workload_rng.exponential(1.0 / rate)))
-            self.sender.update()
-
-    # ------------------------------------------------------------------
-    # Run
-    # ------------------------------------------------------------------
+        self.tree = TreeSimulation(config, Topology.chain(config.params.hops))
 
     def run(self) -> MultiHopSimResult:
         """Simulate until the horizon; measurement starts after warmup."""
-        self.env.process(self._update_workload(), name="update-workload")
-        if self.config.warmup > 0:
-            self.env.run(until=self.config.warmup)
-        for monitor in self._hop_monitors:
-            monitor.reset()
-        self._any_monitor.reset()
-        transmissions_at_warmup = self.link_transmissions
-        self.env.run(until=self.config.horizon)
-        measured = self.config.horizon - self.config.warmup
+        outcome = self.tree._measure()  # not tree.run(): see _measure
         return MultiHopSimResult(
-            protocol=self.config.protocol,
+            protocol=outcome.protocol,
             hops=self.config.params.hops,
-            measured_time=measured,
-            hop_inconsistent_time=[m.active_time() for m in self._hop_monitors],
-            any_inconsistent_time=self._any_monitor.active_time(),
-            link_transmissions=self.link_transmissions - transmissions_at_warmup,
-            consistency_samples=self._series_monitor.samples(),
+            measured_time=outcome.measured_time,
+            hop_inconsistent_time=outcome.node_inconsistent_time,
+            any_inconsistent_time=outcome.any_inconsistent_time,
+            link_transmissions=outcome.link_transmissions,
+            consistency_samples=outcome.consistency_samples,
         )
 
 

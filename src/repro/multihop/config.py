@@ -1,4 +1,4 @@
-"""Configuration for the multi-hop chain simulation."""
+"""Configuration for the multi-hop simulation (chains and trees)."""
 
 from __future__ import annotations
 

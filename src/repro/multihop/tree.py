@@ -1,29 +1,45 @@
-"""The tree (multicast) simulation harness — per-edge channels.
+"""The multi-hop simulation harness — one relay per node, per-edge channels.
 
-Generalizes :mod:`repro.multihop.chain` from a relay chain to a rooted
+Runs the §III-B protocols over a rooted
 :class:`~repro.core.multihop.topology.Topology`: the sender at the
 root, one relay per non-root node, and **one independent lossy channel
 pair per edge** (forward toward the leaves, reverse toward the root).
-Reliable-trigger protocols run one hop-local retransmission loop *per
-child edge* — a node with fan-out ``k`` retransmits independently
-toward each unacknowledged child, which is exactly the per-edge
-frontier the tree CTMC tracks.
+The relay chain of §III-B is the unary tree ``Topology.chain(N)``, which
+:mod:`repro.multihop.chain` runs through this harness.  At each node:
+
+* **SS** — state-carrying messages are forwarded downstream best-effort;
+  each relay holds a state-timeout timer; refreshes originate at the
+  sender only and are relayed hop by hop.
+* **SS+RT** — adds hop-by-hop reliable triggers: a node retransmits a
+  TRIGGER toward each unacknowledged child every ``K`` until that
+  child's hop-local ACK arrives (the per-edge frontier the tree CTMC
+  tracks).  A relay whose state times out sends a hop-local NOTIFY
+  upstream so its parent re-installs it (the notification mechanism of
+  §II applied per hop).
+* **HS** — reliable triggers only; no refreshes or timeouts.  A spurious
+  external failure signal at a relay purges its state, floods a REMOVAL
+  downstream, and sends a NOTIFY upstream toward the sender, which
+  re-triggers installation (the model's ``F``-state excursion).
+
+Random streams are keyed by edge: the edge into node ``c`` is edge
+``e = c - 1``, its channels draw from ``fwd-{e}`` and ``rev-{e}``, and
+its parent's retransmission timer from ``retx-{e}``.
 
 Measured outputs mirror the analytic
 :class:`~repro.core.multihop.tree_model.TreeSolution` metrics:
-per-node inconsistency, any-leaf inconsistency (the eq. 12
-generalization) and per-link transmissions per second.
+per-node inconsistency, the fraction of time any node is inconsistent
+(eq. 12's ``I``) and per-link transmissions per second.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 
 from repro.core.multihop.topology import Topology
 from repro.core.protocols import Protocol
 from repro.faults.schedule import LinkFlap, NodeCrash
 from repro.multihop.config import MultiHopSimConfig
-from repro.multihop.nodes import _ReliableHop
 from repro.protocols.messages import Message, MessageKind
 from repro.sim.channel import Channel, ChannelConfig, GilbertElliottProcess
 from repro.sim.engine import Environment, Interrupt, Process
@@ -48,19 +64,25 @@ class TreeSimResult:
     topology: Topology
     measured_time: float
     node_inconsistent_time: list[float]
-    any_leaf_inconsistent_time: float
+    any_inconsistent_time: float
     link_transmissions: int
     #: Consistency indicator sampled at ``config.sample_times`` (1.0
     #: when every non-root node agreed with the sender — the tree
-    #: CTMC's fully-consistent state, stricter than the leaf metric).
+    #: CTMC's fully-consistent state; the complement of the indicator
+    #: :attr:`inconsistency_ratio` averages).
     consistency_samples: tuple[float, ...] = ()
 
     @property
     def inconsistency_ratio(self) -> float:
-        """Fraction of time any leaf disagreed with the sender."""
+        """Fraction of time any non-root node disagreed with the sender.
+
+        This is ``1 - pi(all consistent)``, the ``I`` of
+        :class:`~repro.core.multihop.tree_model.TreeSolution`: an
+        interior node's outage counts even while every leaf agrees.
+        """
         if self.measured_time <= 0:
             return 0.0
-        return self.any_leaf_inconsistent_time / self.measured_time
+        return self.any_inconsistent_time / self.measured_time
 
     @property
     def message_rate(self) -> float:
@@ -90,7 +112,107 @@ class TreeSimResult:
         return sum(profile) / len(profile)
 
 
-class TreeSender:
+class _ReliableHop:
+    """Retransmit the newest TRIGGER downstream until the hop ACKs it."""
+
+    def __init__(
+        self,
+        env: Environment,
+        retransmission_timer: Timer,
+        transmit: Callable[[Message], None],
+    ) -> None:
+        self.env = env
+        self._timer = retransmission_timer
+        self._transmit = transmit
+        self._proc: Process | None = None
+        self._acked_version = 0
+        self._current: Message | None = None
+
+    def offer(self, message: Message) -> None:
+        """Send ``message`` downstream reliably (supersedes older ones)."""
+        self._current = message
+        self._transmit(message)
+        if self._acked_version >= message.version:
+            return
+        self.cancel()
+        self._proc = self.env.process(self._loop(message.version), name="hop-retx")
+
+    def on_ack(self, version: int) -> None:
+        """Stop retransmitting once the downstream hop acknowledged."""
+        self._acked_version = max(self._acked_version, version)
+        if self._current is not None and self._acked_version >= self._current.version:
+            self.cancel()
+
+    def cancel(self) -> None:
+        """Abort any in-progress retransmission loop."""
+        if self._proc is not None and self._proc.is_alive:
+            self._proc.interrupt("cancelled")
+        self._proc = None
+
+    def _loop(self, version: int):
+        try:
+            while (
+                self._current is not None
+                and self._current.version == version
+                and self._acked_version < version
+            ):
+                yield self.env.timeout(self._timer.draw())
+                if (
+                    self._current is None
+                    or self._current.version != version
+                    or self._acked_version >= version
+                ):
+                    return
+                self._transmit(
+                    Message(
+                        self._current.kind,
+                        self._current.version,
+                        self._current.value,
+                        retransmission=True,
+                    )
+                )
+        except Interrupt:
+            return
+
+
+class _FanOut:
+    """What the sender and the relays share: state flooded to each child
+    edge, with one reliable hop per child under reliable triggers."""
+
+    def __init__(
+        self,
+        env: Environment,
+        protocol: Protocol,
+        child_transmits: list,
+        child_retransmission_timers: list[Timer],
+        on_value_change=None,
+    ) -> None:
+        self.env = env
+        self.protocol = protocol
+        self._transmits = list(child_transmits)
+        self._on_value_change = on_value_change or (lambda: None)
+        self._hops: list[_ReliableHop | None] = [
+            _ReliableHop(env, timer, transmit) if protocol.reliable_triggers else None
+            for timer, transmit in zip(child_retransmission_timers, child_transmits)
+        ]
+
+    def _on_ack(self, child_slot: int, version: int) -> None:
+        hop = self._hops[child_slot]
+        if hop is not None:
+            hop.on_ack(version)
+
+    def _forward_state(self, message: Message, only_slot: int | None = None) -> None:
+        slots = range(len(self._transmits)) if only_slot is None else (only_slot,)
+        for slot in slots:
+            forwarded = Message(message.kind, message.version, message.value)
+            hop = self._hops[slot]
+            if hop is not None and message.kind is MessageKind.TRIGGER:
+                hop.offer(forwarded)
+            else:
+                self._transmits[slot](forwarded)
+
+
+class TreeSender(_FanOut):
     """The root: owns the value, triggers and refreshes every child edge."""
 
     def __init__(
@@ -102,22 +224,21 @@ class TreeSender:
         child_retransmission_timers: list[Timer],
         on_value_change=None,
     ) -> None:
-        self.env = env
-        self.protocol = protocol
+        super().__init__(
+            env, protocol, child_transmits, child_retransmission_timers, on_value_change
+        )
         self.version = 1
         self.value: int = 1
-        self._transmits = list(child_transmits)
-        self._on_value_change = on_value_change or (lambda: None)
         self._refresh_timer = refresh_timer
-        self._hops: list[_ReliableHop | None] = [
-            _ReliableHop(env, timer, transmit) if protocol.reliable_triggers else None
-            for timer, transmit in zip(child_retransmission_timers, child_transmits)
-        ]
         self._refresh_proc: Process | None = None
         self._started = False
 
     def start(self) -> None:
-        """Send the initial triggers and start the refresh flood."""
+        """Send the initial triggers and start the refresh flood.
+
+        Separate from ``__init__`` so the harness can finish wiring
+        channels before the first message is transmitted.
+        """
         if self._started:
             raise RuntimeError("tree sender already started")
         self._started = True
@@ -134,12 +255,10 @@ class TreeSender:
         self._on_value_change()
         self._send_triggers()
 
-    def on_message(self, child_slot: int, message: Message) -> None:
+    def on_message_from_child(self, child_slot: int, message: Message) -> None:
         """Handle ACKs and NOTIFYs arriving from one child edge."""
         if message.kind is MessageKind.ACK:
-            hop = self._hops[child_slot]
-            if hop is not None:
-                hop.on_ack(message.version)
+            self._on_ack(child_slot, message.version)
         elif message.kind is MessageKind.NOTIFY:
             # A receiver dropped state somewhere below this child:
             # re-install by re-triggering the current value.
@@ -148,26 +267,18 @@ class TreeSender:
             raise ValueError(f"tree sender cannot handle {message.kind!r}")
 
     def _send_triggers(self) -> None:
-        message = Message(MessageKind.TRIGGER, self.version, self.value)
-        for slot, transmit in enumerate(self._transmits):
-            hop = self._hops[slot]
-            if hop is not None:
-                hop.offer(message)
-            else:
-                transmit(message)
+        self._forward_state(Message(MessageKind.TRIGGER, self.version, self.value))
 
     def _refresh_loop(self):
         try:
             while True:
                 yield self.env.timeout(self._refresh_timer.draw())
-                refresh = Message(MessageKind.REFRESH, self.version, self.value)
-                for transmit in self._transmits:
-                    transmit(refresh)
+                self._forward_state(Message(MessageKind.REFRESH, self.version, self.value))
         except Interrupt:
             return
 
 
-class TreeRelayNode:
+class TreeRelayNode(_FanOut):
     """A non-root node: holds state, floods it to every child edge."""
 
     def __init__(
@@ -181,8 +292,9 @@ class TreeRelayNode:
         transmit_upstream,
         on_value_change=None,
     ) -> None:
-        self.env = env
-        self.protocol = protocol
+        super().__init__(
+            env, protocol, child_transmits, child_retransmission_timers, on_value_change
+        )
         self.index = index
         self.value: int | None = None
         self.version = 0
@@ -190,14 +302,8 @@ class TreeRelayNode:
         self.timeout_removals = 0
         self.false_signal_removals = 0
         self._timeout_timer = timeout_timer
-        self._transmits = list(child_transmits)
         self._transmit_up = transmit_upstream
-        self._on_value_change = on_value_change or (lambda: None)
         self._timeout_proc: Process | None = None
-        self._hops: list[_ReliableHop | None] = [
-            _ReliableHop(env, timer, transmit) if protocol.reliable_triggers else None
-            for timer, transmit in zip(child_retransmission_timers, child_transmits)
-        ]
 
     @property
     def is_leaf(self) -> bool:
@@ -232,9 +338,7 @@ class TreeRelayNode:
         if self.crashed:
             return
         if message.kind is MessageKind.ACK:
-            hop = self._hops[child_slot]
-            if hop is not None:
-                hop.on_ack(message.version)
+            self._on_ack(child_slot, message.version)
         elif message.kind is MessageKind.NOTIFY:
             if self.protocol is Protocol.HS:
                 # Failure flood: purge local state and keep propagating
@@ -266,9 +370,11 @@ class TreeRelayNode:
     def crash(self) -> None:
         """Node failure with state loss (see :mod:`repro.faults.schedule`).
 
-        Mirrors :meth:`repro.multihop.nodes.RelayNode.crash`: state,
-        timers and per-child retransmission loops are dropped silently,
-        and incoming messages are discarded until :meth:`restart`.
+        All installed soft state, timers and per-child retransmission
+        loops are dropped *silently* — a dead node cannot signal its
+        neighbors — and incoming messages are discarded until
+        :meth:`restart`.  Resetting ``version`` to 0 means any state
+        message seen after the restart re-installs.
         """
         self.crashed = True
         self.version = 0
@@ -285,16 +391,6 @@ class TreeRelayNode:
         self.crashed = False
 
     # -- internals ------------------------------------------------------
-
-    def _forward_state(self, message: Message, only_slot: int | None = None) -> None:
-        slots = range(len(self._transmits)) if only_slot is None else (only_slot,)
-        for slot in slots:
-            forwarded = Message(message.kind, message.version, message.value)
-            hop = self._hops[slot]
-            if hop is not None and message.kind is MessageKind.TRIGGER:
-                hop.offer(forwarded)
-            else:
-                self._transmits[slot](forwarded)
 
     def _install(self, version: int, value: int | None) -> None:
         self.version = version
@@ -336,7 +432,7 @@ class TreeRelayNode:
 
 
 class TreeSimulation:
-    """One replication of the tree simulation over a topology."""
+    """One replication of the multi-hop simulation over a topology."""
 
     def __init__(self, config: MultiHopSimConfig, topology: Topology) -> None:
         if config.params.hops != topology.num_edges:
@@ -388,71 +484,64 @@ class TreeSimulation:
 
             return transmit
 
-        # Build nodes leaves-first so each node's child transmits exist.
-        self.nodes: dict[int, TreeRelayNode] = {}
-        for node in range(topology.num_edges, 0, -1):
-            children = topology.children(node)
-            self.nodes[node] = TreeRelayNode(
+        def retransmission_timers(node: int) -> list[Timer]:
+            return [
+                timer(params.retransmission_interval, f"retx-{child - 1}")
+                for child in topology.children(node)
+            ]
+
+        def child_transmits(node: int) -> list:
+            return [
+                make_transmit(forward_channels, child)
+                for child in topology.children(node)
+            ]
+
+        # Index order: the HS false-signal sources below share one
+        # stream, so their start order fixes which node each draw hits.
+        self.nodes: dict[int, TreeRelayNode] = {
+            node: TreeRelayNode(
                 self.env,
                 protocol,
                 index=node,
                 timeout_timer=timer(params.timeout_interval, f"timeout-{node}"),
-                child_transmits=[
-                    make_transmit(forward_channels, child) for child in children
-                ],
-                child_retransmission_timers=[
-                    timer(params.retransmission_interval, f"retx-{node}-{child}")
-                    for child in children
-                ],
+                child_transmits=child_transmits(node),
+                child_retransmission_timers=retransmission_timers(node),
                 transmit_upstream=make_transmit(reverse_channels, node),
                 on_value_change=self._refresh_consistency,
             )
-
-        root_children = topology.children(0)
+            for node in range(1, topology.num_nodes)
+        }
         self.sender = TreeSender(
             self.env,
             protocol,
             refresh_timer=timer(params.refresh_interval, "refresh"),
-            child_transmits=[
-                make_transmit(forward_channels, child) for child in root_children
-            ],
-            child_retransmission_timers=[
-                timer(params.retransmission_interval, f"retx-0-{child}")
-                for child in root_children
-            ],
+            child_transmits=child_transmits(0),
+            child_retransmission_timers=retransmission_timers(0),
             on_value_change=self._refresh_consistency,
         )
 
         # Channels: edge into `child`, forward (parent -> child) and
         # reverse (child -> parent).  Reverse deliveries carry the
         # child's slot index at the parent so per-edge ACK loops stop.
-        for child in range(1, topology.num_nodes):
+        owners: dict[int, TreeSender | TreeRelayNode] = {0: self.sender, **self.nodes}
+        for child, node in self.nodes.items():
             parent = topology.parent(child)
-            node = self.nodes[child]
+            slot = topology.children(parent).index(child)
             forward_channels[child] = Channel(
                 self.env,
                 channel_config,
-                streams.stream(f"fwd-{child}"),
+                streams.stream(f"fwd-{child - 1}"),
                 (lambda n: lambda d: n.on_message_from_upstream(d.payload))(node),
                 name=f"edge-{child}-fwd",
                 loss_process=self._loss_process,
             )
-            slot = topology.children(parent).index(child)
-            if parent == 0:
-                handler = (
-                    lambda s: lambda d: self.sender.on_message(s, d.payload)
-                )(slot)
-            else:
-                handler = (
-                    lambda p, s: lambda d: self.nodes[p].on_message_from_child(
-                        s, d.payload
-                    )
-                )(parent, slot)
             reverse_channels[child] = Channel(
                 self.env,
                 channel_config,
-                streams.stream(f"rev-{child}"),
-                handler,
+                streams.stream(f"rev-{child - 1}"),
+                (lambda p, s: lambda d: p.on_message_from_child(s, d.payload))(
+                    owners[parent], slot
+                ),
                 name=f"edge-{child}-rev",
                 loss_process=self._loss_process,
             )
@@ -460,23 +549,17 @@ class TreeSimulation:
         if config.faults is not None and not config.faults.is_empty:
             self._install_faults(forward_channels, reverse_channels)
 
-        self._node_monitors = {
-            node: StateFractionMonitor(self.env, initial=True)
-            for node in range(1, topology.num_nodes)
-        }
-        self._any_leaf_monitor = StateFractionMonitor(self.env, initial=True)
+        self._node_monitors = [
+            StateFractionMonitor(self.env, initial=True) for _ in self.nodes
+        ]
+        self._any_monitor = StateFractionMonitor(self.env, initial=True)
         # Created after the fault processes so a sample scheduled at a
         # fault instant observes the post-fault state (FIFO tie-break).
         self._series_monitor = TimeSeriesMonitor(
             self.env,
             config.sample_times,
-            lambda: (
-                1.0
-                if all(n.value == self.sender.value for n in self.nodes.values())
-                else 0.0
-            ),
+            lambda: 0.0 if self._any_monitor.active else 1.0,
         )
-        self._leaves = topology.leaves()
         self.sender.start()
         self._refresh_consistency()
 
@@ -520,16 +603,15 @@ class TreeSimulation:
         yield self.env.timeout(crash.restart_after)
         node.restart()
 
-    # -- wiring helpers -------------------------------------------------
+    # -- monitors and workload ------------------------------------------
 
     def _refresh_consistency(self) -> None:
-        leaves_consistent = True
-        for index, node in self.nodes.items():
-            consistent = node.value == self.sender.value
-            self._node_monitors[index].set(not consistent)
-            if not consistent and index in self._leaves:
-                leaves_consistent = False
-        self._any_leaf_monitor.set(not leaves_consistent)
+        any_inconsistent = False
+        for node, monitor in zip(self.nodes.values(), self._node_monitors):
+            inconsistent = node.value != self.sender.value
+            monitor.set(inconsistent)
+            any_inconsistent = any_inconsistent or inconsistent
+        self._any_monitor.set(any_inconsistent)
 
     def _false_signal_source(self, node: TreeRelayNode):
         rate = self.config.params.external_false_signal_rate
@@ -547,24 +629,25 @@ class TreeSimulation:
 
     def run(self) -> TreeSimResult:
         """Simulate until the horizon; measurement starts after warmup."""
+        return self._measure()
+
+    def _measure(self) -> TreeSimResult:
+        # Shared by both harness front ends; the benchmark tracer wraps
+        # each ``run`` method, so neither may call the other's.
         self.env.process(self._update_workload(), name="update-workload")
         if self.config.warmup > 0:
             self.env.run(until=self.config.warmup)
-        for monitor in self._node_monitors.values():
+        for monitor in self._node_monitors:
             monitor.reset()
-        self._any_leaf_monitor.reset()
+        self._any_monitor.reset()
         transmissions_at_warmup = self.link_transmissions
         self.env.run(until=self.config.horizon)
-        measured = self.config.horizon - self.config.warmup
         return TreeSimResult(
             protocol=self.config.protocol,
             topology=self.topology,
-            measured_time=measured,
-            node_inconsistent_time=[
-                self._node_monitors[node].active_time()
-                for node in range(1, self.topology.num_nodes)
-            ],
-            any_leaf_inconsistent_time=self._any_leaf_monitor.active_time(),
+            measured_time=self.config.horizon - self.config.warmup,
+            node_inconsistent_time=[m.active_time() for m in self._node_monitors],
+            any_inconsistent_time=self._any_monitor.active_time(),
             link_transmissions=self.link_transmissions - transmissions_at_warmup,
             consistency_samples=self._series_monitor.samples(),
         )

@@ -12,6 +12,7 @@ import pytest
 from repro.core.multihop import Topology, TreeModel
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
+from repro.faults import FaultSchedule, NodeCrash
 from repro.multihop import (
     MultiHopSimConfig,
     TreeSimulation,
@@ -52,7 +53,7 @@ class TestStructure:
         first = TreeSimulation(config, BINARY).run()
         second = TreeSimulation(config, BINARY).run()
         assert first.link_transmissions == second.link_transmissions
-        assert first.any_leaf_inconsistent_time == second.any_leaf_inconsistent_time
+        assert first.any_inconsistent_time == second.any_inconsistent_time
         assert first.node_inconsistent_time == second.node_inconsistent_time
 
     def test_different_seeds_differ(self):
@@ -132,3 +133,25 @@ class TestHardState:
         assert removals > 0
         # The system recovers: inconsistency stays far from 1.
         assert result.inconsistency_ratio < 0.5
+
+
+class TestInteriorNodes:
+    def test_interior_outage_counts_as_inconsistent(self):
+        # Node 1 loses its state for one refresh interval; its children
+        # keep theirs (T > R), so every leaf stays consistent.  Like the
+        # tree model's I, the ratio still counts the interior outage.
+        crash = NodeCrash(node=1, at=300.0, restart_after=5.0)
+        config = config_for(
+            BINARY,
+            horizon=600.0,
+            loss_rate=0.0,
+            update_rate=1e-9,
+            external_false_signal_rate=0.0,
+        ).replace(faults=FaultSchedule(crashes=(crash,)))
+        result = TreeSimulation(config, BINARY).run()
+        assert result.node_inconsistent_time[0] > 0
+        assert max(result.leaf_profile()) == 0.0
+        assert (
+            result.inconsistency_ratio * result.measured_time
+            == result.node_inconsistent_time[0]
+        )
