@@ -1,0 +1,339 @@
+"""Pin the Gilbert-Elliott product models' outputs bit for bit.
+
+Every case is one ``(family, protocol, channel)``: three single-hop
+parameter points or four chain points, solved on one channel.  Each case
+is solved four ways, the reference model, the ``solve_gilbert_*_tasks``
+template entry point, and the ``solve_gilbert_*_batch`` runtime path with
+templates on and with ``REPRO_TEMPLATES=0`` (cache cleared before each),
+and every way must digest (floats as ``float.hex``) to the recorded
+value.  The compiled templates' states, COO rows/cols and feature slots
+are pinned too.  A refactor of the product lift that keeps these passing
+keeps every Gilbert output and every template structure unchanged.
+
+The coverage guard is exercised on its own: a reference rate builder
+that grows an edge outside the compiled structural union must stop both
+the reference model and the template path with a ``RuntimeError`` that
+names the edge and the family.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import os
+import re
+from unittest import mock
+
+import pytest
+
+import repro.core.multihop.transitions as multihop_transitions
+import repro.core.singlehop.transitions as singlehop_transitions
+from repro.core.gilbert import (
+    CHANNEL_STATES,
+    GilbertMultiHopModel,
+    GilbertSingleHopModel,
+)
+from repro.core.multihop.states import RECOVERY, HopState
+from repro.core.parameters import kazaa_defaults, reservation_defaults
+from repro.core.protocols import Protocol
+from repro.core.singlehop.states import SingleHopState as S
+from repro.core.templates import (
+    gilbert_multihop_template,
+    gilbert_singlehop_template,
+    solve_gilbert_multihop_tasks,
+    solve_gilbert_singlehop_tasks,
+)
+from repro.faults.gilbert import GilbertElliottParameters
+from repro.runtime import solve_gilbert_multihop_batch, solve_gilbert_singlehop_batch
+from repro.runtime.cache import global_cache
+
+MULTIHOP = Protocol.multihop_family()
+
+CHANNELS = {
+    "degenerate": GilbertElliottParameters(0.05, 0.05, 0.5, 2.0),
+    "good-lossless": GilbertElliottParameters(0.0, 0.4, 0.2, 1.0),
+    "bad-total": GilbertElliottParameters(0.02, 1.0, 0.1, 1.0),
+    "no-flip": GilbertElliottParameters(0.01, 0.3, 0.0, 1.0),
+    "matched-a": GilbertElliottParameters.matched_average(0.05, 1.0),
+    "matched-b": GilbertElliottParameters.matched_average(
+        0.1, 0.5, mean_bad_duration=0.2
+    ),
+}
+
+SINGLEHOP_POINTS = (
+    kazaa_defaults(),
+    kazaa_defaults().replace(delay=0.1, retransmission_interval=0.5),
+    kazaa_defaults().replace(removal_rate=1.0 / 60.0, update_rate=0.0),
+)
+
+CHAIN_POINTS = (
+    reservation_defaults().replace(hops=1),
+    reservation_defaults().replace(hops=2, update_rate=0.1),
+    reservation_defaults().replace(hops=5),
+    reservation_defaults().replace(hops=3, external_false_signal_rate=0.0),
+)
+
+#: Above the sparse threshold, with protocol edges the bad state zeroes.
+SPARSE_CHANNEL = GilbertElliottParameters(0.01, 0.5, 0.1, 1.0)
+SPARSE_POINT = reservation_defaults().replace(hops=70)
+
+FAMILIES = {
+    "singlehop": (
+        GilbertSingleHopModel,
+        solve_gilbert_singlehop_tasks,
+        solve_gilbert_singlehop_batch,
+    ),
+    "multihop": (
+        GilbertMultiHopModel,
+        solve_gilbert_multihop_tasks,
+        solve_gilbert_multihop_batch,
+    ),
+}
+
+PATHS = ("reference", "tasks", "batch", "batch-reference")
+
+
+def _case_tasks(family, protocol, channel):
+    if channel == "sparse":
+        return [(protocol, SPARSE_POINT, SPARSE_CHANNEL)]
+    points = SINGLEHOP_POINTS if family == "singlehop" else CHAIN_POINTS
+    return [(protocol, params, CHANNELS[channel]) for params in points]
+
+
+CASES = [
+    (family, protocol, channel)
+    for family, protocols in (("singlehop", tuple(Protocol)), ("multihop", MULTIHOP))
+    for protocol in protocols
+    for channel in CHANNELS
+] + [("multihop", protocol, "sparse") for protocol in MULTIHOP]
+
+
+def _all_tasks(family):
+    return [
+        task
+        for case_family, protocol, channel in CASES
+        if case_family == family
+        for task in _case_tasks(family, protocol, channel)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(family, path):
+    """Every task of ``family`` solved one way, keyed by task."""
+    model, tasks_entry, batch = FAMILIES[family]
+    tasks = _all_tasks(family)
+    if path == "reference":
+        solutions = [model(*task).solve() for task in tasks]
+    elif path == "tasks":
+        solutions = tasks_entry(tasks)
+    else:
+        setting = "0" if path == "batch-reference" else "1"
+        with mock.patch.dict(os.environ, {"REPRO_TEMPLATES": setting}):
+            global_cache().clear()
+            try:
+                solutions = batch(tasks, jobs=1)
+            finally:
+                global_cache().clear()
+    return dict(zip(tasks, solutions))
+
+
+def _encode(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return tuple(_encode(item) for item in value)
+    if isinstance(value, dict):
+        return tuple((repr(key), _encode(item)) for key, item in value.items())
+    return value
+
+
+def digest(values) -> str:
+    return hashlib.sha256(repr(_encode(values)).encode()).hexdigest()[:16]
+
+
+def solution_fields(family, solution) -> tuple:
+    common = (
+        solution.stationary,
+        solution.inconsistency_ratio,
+        solution.message_breakdown,
+        solution.message_rate,
+        tuple(solution.channel_occupancy(channel) for channel in CHANNEL_STATES),
+    )
+    if family == "singlehop":
+        return common + (
+            solution.expected_receiver_lifetime,
+            solution.total_messages,
+            solution.normalized_message_rate,
+            solution.integrated_cost(),
+        )
+    return common + (solution.hop_profile(), solution.integrated_cost())
+
+
+def case_id(case) -> str:
+    family, protocol, channel = case
+    return f"{family}-{protocol.value}-{channel}"
+
+
+PINNED = {
+    "singlehop-SS-degenerate": "6efee906e564f80c",
+    "singlehop-SS-good-lossless": "bfff6c2d53effaa2",
+    "singlehop-SS-bad-total": "0f2e556d08700ce4",
+    "singlehop-SS-no-flip": "382333010f9972e5",
+    "singlehop-SS-matched-a": "1f5a179e16424280",
+    "singlehop-SS-matched-b": "a8946043db343bbe",
+    "singlehop-SS+ER-degenerate": "57f45a0d63141d7a",
+    "singlehop-SS+ER-good-lossless": "80818405506d66f8",
+    "singlehop-SS+ER-bad-total": "3e43873d71652d54",
+    "singlehop-SS+ER-no-flip": "b3ec05b51d5ccca3",
+    "singlehop-SS+ER-matched-a": "0c56c35bf72b7da8",
+    "singlehop-SS+ER-matched-b": "920abdb821cd2d08",
+    "singlehop-SS+RT-degenerate": "97604434bb363f6b",
+    "singlehop-SS+RT-good-lossless": "7e0016914bcc41f3",
+    "singlehop-SS+RT-bad-total": "8efef8fb5641f4da",
+    "singlehop-SS+RT-no-flip": "0a30afe1d2fc35f5",
+    "singlehop-SS+RT-matched-a": "8b15b3397cbb8e66",
+    "singlehop-SS+RT-matched-b": "aeda0f77d42c9a8a",
+    "singlehop-SS+RTR-degenerate": "f1d84b2c85d4c9bf",
+    "singlehop-SS+RTR-good-lossless": "f468682dfe2dbad1",
+    "singlehop-SS+RTR-bad-total": "8f743809a871df55",
+    "singlehop-SS+RTR-no-flip": "1fe804f16b1431b8",
+    "singlehop-SS+RTR-matched-a": "9c087e0b531d4e3a",
+    "singlehop-SS+RTR-matched-b": "a9d711265e25556b",
+    "singlehop-HS-degenerate": "496137c296c96ff9",
+    "singlehop-HS-good-lossless": "cac83a59baddd256",
+    "singlehop-HS-bad-total": "49dc675fce0f13b0",
+    "singlehop-HS-no-flip": "bcdc62c5126a6daa",
+    "singlehop-HS-matched-a": "4167390dc6953d9f",
+    "singlehop-HS-matched-b": "1895603b8e24b4d7",
+    "multihop-SS-degenerate": "8aa3ced08bec116c",
+    "multihop-SS-good-lossless": "265c2cb06d0176ba",
+    "multihop-SS-bad-total": "a9bf5d5ac540b9eb",
+    "multihop-SS-no-flip": "1ba64f39b0d03cc0",
+    "multihop-SS-matched-a": "9168db1f5af7fa80",
+    "multihop-SS-matched-b": "75f2e7f4654043c1",
+    "multihop-SS+RT-degenerate": "63a980b4fc900e3a",
+    "multihop-SS+RT-good-lossless": "4684b6a216bbc22f",
+    "multihop-SS+RT-bad-total": "9f53e5e706623b5a",
+    "multihop-SS+RT-no-flip": "694d59b96e62f8f3",
+    "multihop-SS+RT-matched-a": "208654ea52bf3b66",
+    "multihop-SS+RT-matched-b": "4d1f4c8abdecf70a",
+    "multihop-HS-degenerate": "15cfaf5f49aa798a",
+    "multihop-HS-good-lossless": "8a2861a8b7f0469a",
+    "multihop-HS-bad-total": "7f8372a879289979",
+    "multihop-HS-no-flip": "ab86f5ce578744da",
+    "multihop-HS-matched-a": "d3e54a9f2d430d70",
+    "multihop-HS-matched-b": "1a78d9acfc98f722",
+    "multihop-SS-sparse": "8f4e3eb891417fef",
+    "multihop-SS+RT-sparse": "eac793626584e8c4",
+    "multihop-HS-sparse": "4a0f61dc80bb9b54",
+}
+
+TEMPLATES = [("singlehop", protocol, 1) for protocol in Protocol] + [
+    ("multihop", protocol, hops) for protocol in MULTIHOP for hops in (1, 3, 5)
+]
+
+
+def template_id(case) -> str:
+    family, protocol, hops = case
+    return f"{family}-{protocol.value}" + (f"-{hops}hop" if family == "multihop" else "")
+
+
+PINNED_TEMPLATES = {
+    "singlehop-SS": "6f182f0a4398a9ae",
+    "singlehop-SS+ER": "fb79d9ddc98af8c1",
+    "singlehop-SS+RT": "6f182f0a4398a9ae",
+    "singlehop-SS+RTR": "fb79d9ddc98af8c1",
+    "singlehop-HS": "fb79d9ddc98af8c1",
+    "multihop-SS-1hop": "7bac9bbcf0cb7ca1",
+    "multihop-SS-3hop": "9dec632c7bc15e3b",
+    "multihop-SS-5hop": "eedeef98f48eb4b3",
+    "multihop-SS+RT-1hop": "7bac9bbcf0cb7ca1",
+    "multihop-SS+RT-3hop": "9dec632c7bc15e3b",
+    "multihop-SS+RT-5hop": "eedeef98f48eb4b3",
+    "multihop-HS-1hop": "66f08d6f1bd9d2ac",
+    "multihop-HS-3hop": "28749e484972cd98",
+    "multihop-HS-5hop": "0cca298af1559364",
+}
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_solutions_are_pinned(case, path):
+    family, protocol, channel = case
+    solved = _solved(family, path)
+    fields = [
+        solution_fields(family, solved[task])
+        for task in _case_tasks(family, protocol, channel)
+    ]
+    assert digest(fields) == PINNED[case_id(case)]
+
+
+@pytest.mark.parametrize("case", TEMPLATES, ids=template_id)
+def test_template_structure_is_pinned(case):
+    family, protocol, hops = case
+    if family == "singlehop":
+        template = gilbert_singlehop_template(protocol)
+    else:
+        template = gilbert_multihop_template(protocol, hops)
+    structure = (
+        tuple(repr(state) for state in template.states),
+        template.rows.tolist(),
+        template.cols.tolist(),
+        template._features.tolist(),
+    )
+    assert digest(structure) == PINNED_TEMPLATES[template_id(case)]
+
+
+# ----------------------------------------------------------------------
+# The coverage guard
+# ----------------------------------------------------------------------
+
+#: Losses no other test uses, so the per-channel rate memo holds no
+#: entry for them before the faulty builder is patched in.
+_GUARD_CHANNEL = GilbertElliottParameters(0.0123, 0.4567, 0.1, 1.0)
+
+
+def _singlehop_guard(monkeypatch):
+    """A single-hop builder that grows ``(0,1)_1 -> IC_1`` off structure."""
+    real = singlehop_transitions._orphan_removal_rates
+
+    def grown(protocol, params):
+        rates = real(protocol, params)
+        if params.loss_rate == _GUARD_CHANNEL.loss_good:
+            rates[(S.S01_FAST, S.IC_FAST)] = 0.5
+        return rates
+
+    monkeypatch.setattr(singlehop_transitions, "_orphan_removal_rates", grown)
+    params = kazaa_defaults().replace(delay=0.0456)
+    return params, (S.S01_FAST, S.IC_FAST), "single-hop"
+
+
+def _multihop_guard(monkeypatch):
+    """An SS chain builder that grows the HS recovery state's update edge.
+
+    The structural union is compiled first, so only the user's point
+    sees the extra edge.
+    """
+    gilbert_multihop_template(Protocol.SS, 2)
+    real = multihop_transitions.multihop_state_space
+    monkeypatch.setattr(
+        multihop_transitions,
+        "multihop_state_space",
+        lambda hops, with_recovery: real(hops, with_recovery=True),
+    )
+    params = reservation_defaults().replace(hops=2, delay=0.0456)
+    return params, (RECOVERY, HopState(0, False)), "multi-hop"
+
+
+@pytest.mark.parametrize("path", ["reference", "template"])
+@pytest.mark.parametrize("family", ["singlehop", "multihop"])
+def test_coverage_guard_names_the_escaped_edge(family, path, monkeypatch):
+    guard = _singlehop_guard if family == "singlehop" else _multihop_guard
+    params, edge, label = guard(monkeypatch)
+    model, tasks_entry, _ = FAMILIES[family]
+    pattern = re.escape(label) + r" reference rates .*" + re.escape(str(edge))
+    with pytest.raises(RuntimeError, match=pattern):
+        if path == "reference":
+            model(Protocol.SS, params, _GUARD_CHANNEL).solve()
+        else:
+            tasks_entry([(Protocol.SS, params, _GUARD_CHANNEL)])
