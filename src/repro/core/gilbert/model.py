@@ -1,9 +1,12 @@
 """Analytic models for signaling over a Gilbert-Elliott channel.
 
-:class:`GilbertSingleHopModel` and :class:`GilbertMultiHopModel` solve
-the channel x protocol product chains built by
-:mod:`repro.core.gilbert.transitions` and report the same metrics as
-their i.i.d. counterparts (:class:`~repro.core.singlehop.model.SingleHopModel`,
+One model body solves the channel x protocol product chain that
+:mod:`repro.core.gilbert.transitions` lifts from an i.i.d. base family.
+:class:`GilbertSingleHopModel` and :class:`GilbertMultiHopModel` are thin
+subclasses that name their base, the i.i.d. model a degenerate channel
+delegates to, and their solution type.  They report the same metrics as
+their i.i.d. counterparts
+(:class:`~repro.core.singlehop.model.SingleHopModel`,
 :class:`~repro.core.multihop.model.MultiHopModel`), so the ``burst_loss``
 scenarios can put bursty and i.i.d. curves on one axis.
 
@@ -16,9 +19,9 @@ Metric definitions on the product chain:
   is built recurrent, with absorbing edges redirected to the renewal
   start, so the flow through those edges is the renewal rate);
 * message breakdown — the per-channel conditional protocol distribution
-  fed through the reference message-component functions at that
-  channel's loss probability, weighted by channel occupancy.  The
-  components are linear in the distribution, so this is exact.
+  fed through the base's message-component function at that channel's
+  loss probability, weighted by channel occupancy.  The components are
+  linear in the distribution, so this is exact.
 
 **Degeneracy contract:** when ``loss_good == loss_bad`` the modulator is
 invisible and the models delegate to the i.i.d. models outright —
@@ -33,29 +36,23 @@ import dataclasses
 
 from repro.core.gilbert.transitions import (
     CHANNEL_STATES,
+    MULTIHOP,
+    SINGLEHOP,
+    BaseFamily,
     ChannelState,
-    build_gilbert_multihop_rates,
-    build_gilbert_singlehop_rates,
+    absorption_flow,
+    build_gilbert_rates,
     channel_loss,
-    gilbert_absorption_flow,
-    gilbert_multihop_states,
-    gilbert_singlehop_states,
+    gilbert_states,
 )
 from repro.core.markov import ContinuousTimeMarkovChain
-from repro.core.multihop.messages import multihop_message_components
-from repro.core.multihop.model import MultiHopModel, MultiHopSolution
-from repro.core.multihop.states import RECOVERY, HopState, multihop_state_space
+from repro.core.multihop.model import MultiHopModel
+from repro.core.multihop.states import RECOVERY, HopState
 from repro.core.multihop.transitions import supported_protocols
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
-from repro.core.singlehop.messages import message_rate_components
-from repro.core.singlehop.model import (
-    FINITE_SESSION_REQUIRED,
-    SingleHopModel,
-    SingleHopSolution,
-)
+from repro.core.singlehop.model import FINITE_SESSION_REQUIRED, SingleHopModel
 from repro.core.singlehop.states import SingleHopState as S
-from repro.core.singlehop.transitions import state_space
 from repro.faults.gilbert import GilbertElliottParameters
 
 __all__ = [
@@ -63,15 +60,33 @@ __all__ = [
     "GilbertMultiHopSolution",
     "GilbertSingleHopModel",
     "GilbertSingleHopSolution",
-    "degenerate_multihop_solution",
-    "degenerate_singlehop_solution",
-    "multihop_solution_from_stationary",
-    "singlehop_solution_from_stationary",
 ]
 
 
+class _ProductSolution:
+    """The metrics both product solutions read the same way."""
+
+    @property
+    def message_rate(self) -> float:
+        """Stationary message rate (messages/s; per-link transmissions on a chain)."""
+        return sum(self.message_breakdown.values())
+
+    def channel_occupancy(self, channel: ChannelState) -> float:
+        """Total stationary mass of one channel slice."""
+        return sum(
+            probability
+            for (_, state_channel), probability in self.stationary.items()
+            if state_channel is channel
+        )
+
+    def _cost(self, weight: float, messages: float) -> float:
+        if weight < 0:
+            raise ValueError(f"weight must be non-negative, got {weight}")
+        return weight * self.inconsistency_ratio + messages
+
+
 @dataclasses.dataclass(frozen=True)
-class GilbertSingleHopSolution:
+class GilbertSingleHopSolution(_ProductSolution):
     """Solved single-hop metrics under a Gilbert-Elliott channel.
 
     ``params.loss_rate`` is superseded by the channel's per-state loss
@@ -87,11 +102,6 @@ class GilbertSingleHopSolution:
     message_breakdown: dict[str, float]
 
     @property
-    def message_rate(self) -> float:
-        """Stationary signaling message rate ``m`` (messages/s)."""
-        return sum(self.message_breakdown.values())
-
-    @property
     def total_messages(self) -> float:
         """``Lambda = L * m`` — expected messages over a session."""
         return self.expected_receiver_lifetime * self.message_rate
@@ -103,25 +113,15 @@ class GilbertSingleHopSolution:
 
     def integrated_cost(self, weight: float = 10.0) -> float:
         """``C = weight * I + M`` (eq. 8); ``weight`` in messages/s."""
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
-        return weight * self.inconsistency_ratio + self.normalized_message_rate
+        return self._cost(weight, self.normalized_message_rate)
 
     def occupancy(self, state: tuple[S, ChannelState]) -> float:
         """Stationary probability of one product state."""
         return self.stationary.get(state, 0.0)
 
-    def channel_occupancy(self, channel: ChannelState) -> float:
-        """Total stationary mass of one channel slice."""
-        return sum(
-            probability
-            for (_, state_channel), probability in self.stationary.items()
-            if state_channel is channel
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class GilbertMultiHopSolution:
+class GilbertMultiHopSolution(_ProductSolution):
     """Solved multi-hop metrics under a Gilbert-Elliott channel.
 
     All hops share one channel process (the model's bursts are
@@ -135,11 +135,6 @@ class GilbertMultiHopSolution:
     stationary: dict[tuple[object, ChannelState], float]
     inconsistency_ratio: float
     message_breakdown: dict[str, float]
-
-    @property
-    def message_rate(self) -> float:
-        """Total per-link transmissions per second."""
-        return sum(self.message_breakdown.values())
 
     def hop_inconsistency(self, hop: int) -> float:
         """Fraction of time hop ``hop`` (1-based) is inconsistent."""
@@ -159,191 +154,112 @@ class GilbertMultiHopSolution:
 
     def integrated_cost(self, weight: float = 10.0) -> float:
         """``weight * I + message_rate`` — the eq. (8) cost in this regime."""
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
-        return weight * self.inconsistency_ratio + self.message_rate
+        return self._cost(weight, self.message_rate)
 
-    def channel_occupancy(self, channel: ChannelState) -> float:
-        """Total stationary mass of one channel slice."""
-        return sum(
-            probability
-            for (_, state_channel), probability in self.stationary.items()
-            if state_channel is channel
+
+class _GilbertModel:
+    """The product chain of one protocol and channel over ``base``."""
+
+    base: BaseFamily
+    #: The i.i.d. model a degenerate channel delegates to.
+    iid: type
+    solution: type
+
+    def __init__(self, protocol: Protocol, params, gilbert: GilbertElliottParameters) -> None:
+        self.protocol = Protocol(protocol)
+        self.params = params
+        self.gilbert = gilbert
+        self.shape = self.base.shape(params)
+
+    def chain(self) -> ContinuousTimeMarkovChain:
+        """The recurrent product CTMC."""
+        return ContinuousTimeMarkovChain(
+            gilbert_states(self.base, self.protocol, *self.shape),
+            build_gilbert_rates(self.base, self.protocol, self.params, self.gilbert),
         )
 
+    def solve(self):
+        """Solve the product chain (or delegate when degenerate)."""
+        if self.gilbert.is_degenerate:
+            loss = self.gilbert.loss_good
+            return self.degenerate(
+                self.iid(self.protocol, self.params.replace(loss_rate=loss)).solve()
+            )
+        return self.solution_from_stationary(self.chain().stationary_distribution())
 
-# ----------------------------------------------------------------------
-# Solution constructors (shared between models and compiled templates)
-# ----------------------------------------------------------------------
+    def solution_from_stationary(self, stationary: dict):
+        """Assemble the solution from a solved product stationary distribution."""
+        base, protocol, params, gilbert = self.base, self.protocol, self.params, self.gilbert
+        consistent = base.consistent(*self.shape)
+        metrics = {}
+        if base.absorbing is not None:
+            flow = absorption_flow(base, protocol, params, gilbert, stationary)
+            metrics["expected_receiver_lifetime"] = float("inf") if flow <= 0.0 else 1.0 / flow
+        return self.solution(
+            protocol=protocol,
+            params=params,
+            gilbert=gilbert,
+            stationary=stationary,
+            inconsistency_ratio=1.0
+            - sum(stationary.get((consistent, channel), 0.0) for channel in CHANNEL_STATES),
+            message_breakdown=self._blended_breakdown(stationary),
+            **metrics,
+        )
 
+    def _blended_breakdown(self, stationary: dict) -> dict[str, float]:
+        proto_states = self.base.states(self.protocol, *self.shape)
+        totals: dict[str, float] = {}
+        for channel in CHANNEL_STATES:
+            weight = sum(stationary.get((s, channel), 0.0) for s in proto_states)
+            if weight <= 0.0:
+                continue
+            conditional = {
+                s: stationary.get((s, channel), 0.0) / weight for s in proto_states
+            }
+            components = self.base.messages(
+                self.protocol,
+                self.params.replace(loss_rate=channel_loss(self.gilbert, channel)),
+                conditional,
+            )
+            for key, value in components.items():
+                totals[key] = totals.get(key, 0.0) + weight * value
+        return totals
 
-def _blended_singlehop_breakdown(
-    protocol: Protocol,
-    params: SignalingParameters,
-    gilbert: GilbertElliottParameters,
-    stationary: dict[tuple[S, ChannelState], float],
-) -> dict[str, float]:
-    proto_states = tuple(s for s in state_space(protocol) if s is not S.ABSORBED)
-    totals: dict[str, float] = {}
-    for channel in CHANNEL_STATES:
-        weight = sum(stationary.get((s, channel), 0.0) for s in proto_states)
-        if weight <= 0.0:
-            continue
-        conditional = {
-            s: stationary.get((s, channel), 0.0) / weight for s in proto_states
+    def degenerate(self, iid):
+        """Wrap the i.i.d. solution ``iid`` as the degenerate Gilbert solution.
+
+        Metrics are the i.i.d. solution's floats verbatim; the product
+        stationary distribution is the exact product of channel
+        occupancy and i.i.d. mass (the modulator is independent of the
+        protocol when it does not affect losses).
+        """
+        weights = {
+            ChannelState.GOOD: self.gilbert.stationary_good,
+            ChannelState.BAD: self.gilbert.stationary_bad,
         }
-        components = message_rate_components(
-            protocol,
-            params.replace(loss_rate=channel_loss(gilbert, channel)),
-            conditional,
+        metrics = {}
+        if self.base.absorbing is not None:
+            metrics["expected_receiver_lifetime"] = iid.expected_receiver_lifetime
+        return self.solution(
+            protocol=iid.protocol,
+            params=self.params,
+            gilbert=self.gilbert,
+            stationary={
+                (proto_state, channel): weights[channel] * iid.stationary.get(proto_state, 0.0)
+                for proto_state, channel in gilbert_states(self.base, iid.protocol, *self.shape)
+            },
+            inconsistency_ratio=iid.inconsistency_ratio,
+            message_breakdown=dict(iid.message_breakdown),
+            **metrics,
         )
-        for key, value in components.items():
-            totals[key] = totals.get(key, 0.0) + weight * value
-    return totals
 
 
-def _blended_multihop_breakdown(
-    protocol: Protocol,
-    params: MultiHopParameters,
-    gilbert: GilbertElliottParameters,
-    stationary: dict[tuple[object, ChannelState], float],
-) -> dict[str, float]:
-    proto_states = multihop_state_space(
-        params.hops, with_recovery=protocol is Protocol.HS
-    )
-    totals: dict[str, float] = {}
-    for channel in CHANNEL_STATES:
-        weight = sum(stationary.get((s, channel), 0.0) for s in proto_states)
-        if weight <= 0.0:
-            continue
-        conditional = {
-            s: stationary.get((s, channel), 0.0) / weight for s in proto_states
-        }
-        components = multihop_message_components(
-            protocol,
-            params.replace(loss_rate=channel_loss(gilbert, channel)),
-            conditional,
-        )
-        for key, value in components.items():
-            totals[key] = totals.get(key, 0.0) + weight * value
-    return totals
-
-
-def singlehop_solution_from_stationary(
-    protocol: Protocol,
-    params: SignalingParameters,
-    gilbert: GilbertElliottParameters,
-    stationary: dict[tuple[S, ChannelState], float],
-) -> GilbertSingleHopSolution:
-    """Assemble the solution from a solved product stationary distribution."""
-    inconsistency = 1.0 - sum(
-        stationary.get((S.CONSISTENT, channel), 0.0) for channel in CHANNEL_STATES
-    )
-    flow = gilbert_absorption_flow(protocol, params, gilbert, stationary)
-    lifetime = float("inf") if flow <= 0.0 else 1.0 / flow
-    return GilbertSingleHopSolution(
-        protocol=protocol,
-        params=params,
-        gilbert=gilbert,
-        stationary=stationary,
-        inconsistency_ratio=inconsistency,
-        expected_receiver_lifetime=lifetime,
-        message_breakdown=_blended_singlehop_breakdown(
-            protocol, params, gilbert, stationary
-        ),
-    )
-
-
-def multihop_solution_from_stationary(
-    protocol: Protocol,
-    params: MultiHopParameters,
-    gilbert: GilbertElliottParameters,
-    stationary: dict[tuple[object, ChannelState], float],
-) -> GilbertMultiHopSolution:
-    """Assemble the solution from a solved product stationary distribution."""
-    top = HopState(params.hops, False)
-    inconsistency = 1.0 - sum(
-        stationary.get((top, channel), 0.0) for channel in CHANNEL_STATES
-    )
-    return GilbertMultiHopSolution(
-        protocol=protocol,
-        params=params,
-        gilbert=gilbert,
-        stationary=stationary,
-        inconsistency_ratio=inconsistency,
-        message_breakdown=_blended_multihop_breakdown(
-            protocol, params, gilbert, stationary
-        ),
-    )
-
-
-def _product_stationary(
-    base_stationary: dict[object, float],
-    gilbert: GilbertElliottParameters,
-    states: tuple[tuple[object, ChannelState], ...],
-) -> dict[tuple[object, ChannelState], float]:
-    weights = {
-        ChannelState.GOOD: gilbert.stationary_good,
-        ChannelState.BAD: gilbert.stationary_bad,
-    }
-    return {
-        (proto_state, channel): weights[channel] * base_stationary.get(proto_state, 0.0)
-        for proto_state, channel in states
-    }
-
-
-def degenerate_singlehop_solution(
-    params: SignalingParameters,
-    gilbert: GilbertElliottParameters,
-    base: SingleHopSolution,
-) -> GilbertSingleHopSolution:
-    """Wrap an i.i.d. solution as the degenerate Gilbert solution.
-
-    Metrics are the base solution's floats verbatim; the product
-    stationary distribution is the exact product of channel occupancy
-    and i.i.d. mass (the modulator is independent of the protocol when
-    it does not affect losses).
-    """
-    return GilbertSingleHopSolution(
-        protocol=base.protocol,
-        params=params,
-        gilbert=gilbert,
-        stationary=_product_stationary(
-            base.stationary, gilbert, gilbert_singlehop_states(base.protocol)
-        ),
-        inconsistency_ratio=base.inconsistency_ratio,
-        expected_receiver_lifetime=base.expected_receiver_lifetime,
-        message_breakdown=dict(base.message_breakdown),
-    )
-
-
-def degenerate_multihop_solution(
-    params: MultiHopParameters,
-    gilbert: GilbertElliottParameters,
-    base: MultiHopSolution,
-) -> GilbertMultiHopSolution:
-    """Wrap an i.i.d. multi-hop solution as the degenerate Gilbert solution."""
-    return GilbertMultiHopSolution(
-        protocol=base.protocol,
-        params=params,
-        gilbert=gilbert,
-        stationary=_product_stationary(
-            base.stationary,
-            gilbert,
-            gilbert_multihop_states(base.protocol, params.hops),
-        ),
-        inconsistency_ratio=base.inconsistency_ratio,
-        message_breakdown=dict(base.message_breakdown),
-    )
-
-
-# ----------------------------------------------------------------------
-# Reference models
-# ----------------------------------------------------------------------
-
-
-class GilbertSingleHopModel:
+class GilbertSingleHopModel(_GilbertModel):
     """The single-hop product chain for one protocol and channel."""
+
+    base = SINGLEHOP
+    iid = SingleHopModel
+    solution = GilbertSingleHopSolution
 
     def __init__(
         self,
@@ -353,32 +269,15 @@ class GilbertSingleHopModel:
     ) -> None:
         if params.removal_rate <= 0:
             raise ValueError(FINITE_SESSION_REQUIRED)
-        self.protocol = Protocol(protocol)
-        self.params = params
-        self.gilbert = gilbert
-
-    def chain(self) -> ContinuousTimeMarkovChain:
-        """The recurrent product CTMC."""
-        return ContinuousTimeMarkovChain(
-            gilbert_singlehop_states(self.protocol),
-            build_gilbert_singlehop_rates(self.protocol, self.params, self.gilbert),
-        )
-
-    def solve(self) -> GilbertSingleHopSolution:
-        """Solve the product chain (or delegate when degenerate)."""
-        if self.gilbert.is_degenerate:
-            base = SingleHopModel(
-                self.protocol, self.params.replace(loss_rate=self.gilbert.loss_good)
-            ).solve()
-            return degenerate_singlehop_solution(self.params, self.gilbert, base)
-        stationary = self.chain().stationary_distribution()
-        return singlehop_solution_from_stationary(
-            self.protocol, self.params, self.gilbert, stationary
-        )
+        super().__init__(protocol, params, gilbert)
 
 
-class GilbertMultiHopModel:
+class GilbertMultiHopModel(_GilbertModel):
     """The multi-hop product chain for one protocol and channel."""
+
+    base = MULTIHOP
+    iid = MultiHopModel
+    solution = GilbertMultiHopSolution
 
     def __init__(
         self,
@@ -392,25 +291,4 @@ class GilbertMultiHopModel:
                 f"{protocol.value} is not modeled in the multi-hop analysis; "
                 f"use one of {[p.value for p in supported_protocols()]}"
             )
-        self.protocol = protocol
-        self.params = params
-        self.gilbert = gilbert
-
-    def chain(self) -> ContinuousTimeMarkovChain:
-        """The recurrent product CTMC."""
-        return ContinuousTimeMarkovChain(
-            gilbert_multihop_states(self.protocol, self.params.hops),
-            build_gilbert_multihop_rates(self.protocol, self.params, self.gilbert),
-        )
-
-    def solve(self) -> GilbertMultiHopSolution:
-        """Solve the product chain (or delegate when degenerate)."""
-        if self.gilbert.is_degenerate:
-            base = MultiHopModel(
-                self.protocol, self.params.replace(loss_rate=self.gilbert.loss_good)
-            ).solve()
-            return degenerate_multihop_solution(self.params, self.gilbert, base)
-        stationary = self.chain().stationary_distribution()
-        return multihop_solution_from_stationary(
-            self.protocol, self.params, self.gilbert, stationary
-        )
+        super().__init__(protocol, params, gilbert)

@@ -1,67 +1,71 @@
-"""Product-chain transition specs: Gilbert-Elliott channel x protocol.
+"""The Gilbert-Elliott channel x protocol product lift.
 
 Under a Gilbert-Elliott channel the loss probability is itself a
 two-state CTMC, so the analytic treatment is a *product* Markov chain
 over ``(protocol_state, channel_state)``: within each channel slice the
-protocol evolves with the reference transition structure evaluated at
-that slice's loss probability, and every product state additionally
-carries the channel flip edges.  This module builds the shared
-``(origin, destination, tag)`` spec list — the same pattern as
-:mod:`repro.core.multihop.tree_transitions` — consumed by both the
-reference models (:mod:`repro.core.gilbert.model`) and the compiled
-templates (:mod:`repro.core.templates`), so the two accumulate exactly
-the same edges in the same order and stay bit-identical.
+protocol evolves with its i.i.d. transition structure evaluated at that
+slice's loss probability, and every product state additionally carries
+the channel flip edges.
+
+The lift is written once, over a :class:`BaseFamily` record of what it
+needs from the i.i.d. family it lifts: :data:`SINGLEHOP` (the Fig. 3
+chain) or :data:`MULTIHOP` (the Fig. 15/16 relay chain).  This module
+builds the shared ``(origin, destination, tag)`` spec list — the same
+pattern as :mod:`repro.core.multihop.tree_transitions` — consumed by
+both the reference models (:mod:`repro.core.gilbert.model`) and the
+compiled template (:mod:`repro.core.templates`), so the two accumulate
+exactly the same edges in the same order and stay bit-identical.
 
 Tags:
 
 * ``("proto", channel, origin, dest)`` — a reference protocol edge in
-  one channel slice; its rate is looked up in the reference builder's
-  rate dict evaluated at that channel's loss probability.
-* ``("absorb", channel, origin)`` — single-hop only: a reference edge
-  into the absorbing state, redirected to the renewal start
-  ``(1,0)_1`` so the product chain is recurrent by construction
+  one channel slice; its rate is the base's rate for ``(origin, dest)``
+  at that channel's loss probability.
+* ``("absorb", channel, origin, absorbing)`` — single-hop only: a
+  reference edge into the absorbing state, redirected to the renewal
+  start ``(1,0)_1`` so the product chain is recurrent by construction
   (mirroring ``merge_states`` in the i.i.d. model).  These tags also
   carry the renewal flow used for the expected receiver lifetime.
 * ``("to_bad",)`` / ``("to_good",)`` — the channel flip edges, one per
   product state, at the modulator's flip rates.
 
-The edge *union* is compiled once per ``(protocol[, hops])`` from a
-structural parameter point whose every candidate rate is positive
-(loss 0.1 over the defaults); a coverage guard verifies at solve time
-that the user's reference rate dicts never contain an edge outside that
-union, so a future change to the reference builders cannot silently
+The edge *union* is compiled once per ``(base, protocol, shape)`` from
+the base's structural parameter point, whose every candidate rate is
+positive (loss 0.1 over the defaults); a coverage guard verifies on
+every point that the reference rate dicts never contain an edge outside
+that union, so a future change to a reference builder cannot silently
 desynchronize the product spec.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
-from repro.core.multihop.states import multihop_state_space
+from repro.core.multihop.messages import multihop_message_components
+from repro.core.multihop.states import HopState, multihop_state_space
 from repro.core.multihop.transitions import build_multihop_rates
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
+from repro.core.singlehop.messages import message_rate_components
 from repro.core.singlehop.states import SingleHopState as S
 from repro.core.singlehop.transitions import build_transition_rates, state_space
 from repro.faults.gilbert import GilbertElliottParameters
 
 __all__ = [
     "CHANNEL_STATES",
+    "MULTIHOP",
+    "SINGLEHOP",
+    "BaseFamily",
     "ChannelState",
-    "build_gilbert_multihop_rates",
-    "build_gilbert_singlehop_rates",
+    "absorption_flow",
+    "build_gilbert_rates",
     "channel_loss",
-    "check_multihop_coverage",
-    "check_singlehop_coverage",
-    "gilbert_absorption_flow",
-    "gilbert_multihop_specs",
-    "gilbert_multihop_states",
-    "gilbert_multihop_tag_rate",
-    "gilbert_singlehop_specs",
-    "gilbert_singlehop_states",
-    "gilbert_singlehop_tag_rate",
+    "gilbert_specs",
+    "gilbert_states",
+    "gilbert_tag_rates",
 ]
 
 
@@ -90,93 +94,97 @@ def channel_loss(gilbert: GilbertElliottParameters, channel: ChannelState) -> fl
     return gilbert.loss_bad
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class BaseFamily:
+    """What the product lift needs from one i.i.d. chain family.
+
+    ``shape(params)`` is the tuple of discrete inputs besides the
+    protocol that fix the family's state space: ``()`` on a single hop,
+    ``(hops,)`` on a chain.  ``states``, ``structural`` and
+    ``consistent`` take it unpacked.  Records compare by identity; the
+    two that exist are :data:`SINGLEHOP` and :data:`MULTIHOP`.
+    """
+
+    #: Names the family in the coverage guard's error.
+    label: str
+    shape: Callable[..., tuple]
+    #: ``(protocol, *shape)`` -> the recurrent protocol states, in order.
+    states: Callable[..., tuple]
+    #: ``(protocol, params)`` -> the reference rate dict.
+    rates: Callable[..., dict]
+    #: ``(*shape)`` -> the structural parameter point.
+    structural: Callable[..., object]
+    #: ``(protocol, params, stationary)`` -> the message components.
+    messages: Callable[..., dict[str, float]]
+    #: ``(*shape)`` -> the all-consistent protocol state.
+    consistent: Callable[..., object]
+    #: The absorbing state, whose edges are redirected to ``start``.
+    absorbing: object = None
+    start: object = None
+
+
+SINGLEHOP = BaseFamily(
+    label="single-hop",
+    shape=lambda params: (),
+    states=lambda protocol: tuple(s for s in state_space(protocol) if s is not S.ABSORBED),
+    rates=build_transition_rates,
+    structural=lambda: SignalingParameters(loss_rate=_STRUCTURAL_LOSS),
+    messages=message_rate_components,
+    consistent=lambda: S.CONSISTENT,
+    absorbing=S.ABSORBED,
+    start=S.S10_FAST,
+)
+
+MULTIHOP = BaseFamily(
+    label="multi-hop",
+    shape=lambda params: (params.hops,),
+    states=lambda protocol, hops: multihop_state_space(
+        hops, with_recovery=protocol is Protocol.HS
+    ),
+    rates=build_multihop_rates,
+    structural=lambda hops: MultiHopParameters(hops=hops, loss_rate=_STRUCTURAL_LOSS),
+    messages=multihop_message_components,
+    consistent=lambda hops: HopState(hops, False),
+)
+
+
 # ----------------------------------------------------------------------
-# Structural edge unions and product state spaces
+# Structural edge union, product states and the shared specs
 # ----------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _singlehop_structural_edges(protocol: Protocol) -> tuple[tuple[S, S], ...]:
-    params = SignalingParameters(loss_rate=_STRUCTURAL_LOSS)
-    return tuple(build_transition_rates(protocol, params))
+def _structural_rates(base: BaseFamily, protocol: Protocol, *shape: int) -> dict:
+    """The rates at the structural point; their keys are the edge union."""
+    return base.rates(protocol, base.structural(*shape))
 
 
 @functools.lru_cache(maxsize=None)
-def _multihop_structural_edges(
-    protocol: Protocol, hops: int
-) -> tuple[tuple[object, object], ...]:
-    params = MultiHopParameters(hops=hops, loss_rate=_STRUCTURAL_LOSS)
-    return tuple(build_multihop_rates(protocol, params))
-
-
-@functools.lru_cache(maxsize=None)
-def gilbert_singlehop_states(
-    protocol: Protocol,
-) -> tuple[tuple[S, ChannelState], ...]:
-    """Recurrent product states, channel-major (all good, then all bad)."""
-    proto = tuple(state for state in state_space(protocol) if state is not S.ABSORBED)
-    return tuple((state, channel) for channel in CHANNEL_STATES for state in proto)
-
-
-@functools.lru_cache(maxsize=None)
-def gilbert_multihop_states(
-    protocol: Protocol, hops: int
+def gilbert_states(
+    base: BaseFamily, protocol: Protocol, *shape: int
 ) -> tuple[tuple[object, ChannelState], ...]:
-    """Multi-hop product states, channel-major (all good, then all bad)."""
-    proto = multihop_state_space(hops, with_recovery=protocol is Protocol.HS)
+    """Recurrent product states, channel-major (all good, then all bad)."""
+    proto = base.states(protocol, *shape)
     return tuple((state, channel) for channel in CHANNEL_STATES for state in proto)
 
 
-# ----------------------------------------------------------------------
-# Shared (origin, destination, tag) specs
-# ----------------------------------------------------------------------
-
-
 @functools.lru_cache(maxsize=None)
-def gilbert_singlehop_specs(
-    protocol: Protocol,
+def gilbert_specs(
+    base: BaseFamily, protocol: Protocol, *shape: int
 ) -> tuple[tuple[object, object, tuple], ...]:
-    """The single-hop product edge list in canonical build order."""
+    """The product edge list in canonical build order."""
     specs: list[tuple[object, object, tuple]] = []
     for channel in CHANNEL_STATES:
-        for origin, dest in _singlehop_structural_edges(protocol):
-            if dest is S.ABSORBED:
-                specs.append(
-                    (
-                        (origin, channel),
-                        (S.S10_FAST, channel),
-                        ("absorb", channel, origin),
-                    )
-                )
-            else:
-                specs.append(
-                    (
-                        (origin, channel),
-                        (dest, channel),
-                        ("proto", channel, origin, dest),
-                    )
-                )
-    for state in gilbert_singlehop_states(protocol):
-        proto_state, channel = state
-        if channel is ChannelState.GOOD:
-            specs.append((state, (proto_state, ChannelState.BAD), ("to_bad",)))
-        else:
-            specs.append((state, (proto_state, ChannelState.GOOD), ("to_good",)))
-    return tuple(specs)
-
-
-@functools.lru_cache(maxsize=None)
-def gilbert_multihop_specs(
-    protocol: Protocol, hops: int
-) -> tuple[tuple[object, object, tuple], ...]:
-    """The multi-hop product edge list in canonical build order."""
-    specs: list[tuple[object, object, tuple]] = []
-    for channel in CHANNEL_STATES:
-        for origin, dest in _multihop_structural_edges(protocol, hops):
+        for origin, dest in _structural_rates(base, protocol, *shape):
+            absorbed = dest is base.absorbing
             specs.append(
-                ((origin, channel), (dest, channel), ("proto", channel, origin, dest))
+                (
+                    (origin, channel),
+                    (base.start if absorbed else dest, channel),
+                    ("absorb" if absorbed else "proto", channel, origin, dest),
+                )
             )
-    for state in gilbert_multihop_states(protocol, hops):
+    for state in gilbert_states(base, protocol, *shape):
         proto_state, channel = state
         if channel is ChannelState.GOOD:
             specs.append((state, (proto_state, ChannelState.BAD), ("to_bad",)))
@@ -190,109 +198,62 @@ def gilbert_multihop_specs(
 # ----------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)
-def _singlehop_channel_rates(
-    protocol: Protocol, params: SignalingParameters, loss: float
-) -> dict[tuple[S, S], float]:
-    return build_transition_rates(protocol, params.replace(loss_rate=loss))
+@functools.lru_cache(maxsize=8192)
+def _channel_rates(base: BaseFamily, protocol: Protocol, params, loss: float) -> dict:
+    return base.rates(protocol, params.replace(loss_rate=loss))
 
 
-@functools.lru_cache(maxsize=4096)
-def _multihop_channel_rates(
-    protocol: Protocol, params: MultiHopParameters, loss: float
-) -> dict[tuple[object, object], float]:
-    return build_multihop_rates(protocol, params.replace(loss_rate=loss))
+def _rates_by_channel(
+    base: BaseFamily, protocol: Protocol, params, gilbert: GilbertElliottParameters
+) -> dict[ChannelState, dict]:
+    """The reference rate dict of each channel slice, memoized per
+    ``(protocol, params, loss)`` so repeated points reuse it."""
+    return {
+        channel: _channel_rates(base, protocol, params, channel_loss(gilbert, channel))
+        for channel in CHANNEL_STATES
+    }
 
 
-def gilbert_singlehop_tag_rate(
+def gilbert_tag_rates(
+    base: BaseFamily,
     protocol: Protocol,
-    params: SignalingParameters,
+    params,
     gilbert: GilbertElliottParameters,
-    tag: tuple,
-) -> float:
-    """The rate of one single-hop product transition tag."""
-    kind = tag[0]
-    if kind == "to_bad":
-        return gilbert.good_to_bad
-    if kind == "to_good":
-        return gilbert.bad_to_good
-    channel = tag[1]
-    rates = _singlehop_channel_rates(protocol, params, channel_loss(gilbert, channel))
-    if kind == "proto":
-        return rates.get((tag[2], tag[3]), 0.0)
-    return rates.get((tag[2], S.ABSORBED), 0.0)  # "absorb"
+    tags,
+) -> list[float]:
+    """The rate of each of ``tags`` at one point.
+
+    Raises if a channel's reference rates hold an edge outside the
+    compiled structural union (the coverage guard).
+    """
+    structural = _structural_rates(base, protocol, *base.shape(params))
+    by_channel = _rates_by_channel(base, protocol, params, gilbert)
+    for rates in by_channel.values():
+        extra = sorted(str(key) for key in rates.keys() - structural.keys())
+        if extra:
+            raise RuntimeError(
+                f"{base.label} reference rates contain edges outside the compiled "
+                f"Gilbert product spec: {extra}; the reference transition builder "
+                "has grown edges the product spec does not know about"
+            )
+    flips = {("to_bad",): gilbert.good_to_bad, ("to_good",): gilbert.bad_to_good}
+    return [
+        flips[tag] if len(tag) == 1 else by_channel[tag[1]].get(tag[2:], 0.0)
+        for tag in tags
+    ]
 
 
-def gilbert_multihop_tag_rate(
+def build_gilbert_rates(
+    base: BaseFamily,
     protocol: Protocol,
-    params: MultiHopParameters,
-    gilbert: GilbertElliottParameters,
-    tag: tuple,
-) -> float:
-    """The rate of one multi-hop product transition tag."""
-    kind = tag[0]
-    if kind == "to_bad":
-        return gilbert.good_to_bad
-    if kind == "to_good":
-        return gilbert.bad_to_good
-    channel = tag[1]
-    rates = _multihop_channel_rates(protocol, params, channel_loss(gilbert, channel))
-    return rates.get((tag[2], tag[3]), 0.0)
-
-
-def _check_edge_coverage(
-    label: str,
-    structural: tuple[tuple[object, object], ...],
-    user_rates: Mapping[tuple[object, object], float],
-) -> None:
-    extra = sorted(str(key) for key in set(user_rates) - set(structural))
-    if extra:
-        raise RuntimeError(
-            f"{label} reference rates contain edges outside the compiled "
-            f"Gilbert product spec: {extra}; the reference transition builder "
-            "has grown edges the product spec does not know about"
-        )
-
-
-def check_singlehop_coverage(
-    protocol: Protocol,
-    params: SignalingParameters,
-    gilbert: GilbertElliottParameters,
-) -> None:
-    """Raise if the reference edge set escapes the compiled spec."""
-    structural = _singlehop_structural_edges(protocol)
-    for channel in CHANNEL_STATES:
-        user = _singlehop_channel_rates(protocol, params, channel_loss(gilbert, channel))
-        _check_edge_coverage("single-hop", structural, user)
-
-
-def check_multihop_coverage(
-    protocol: Protocol,
-    params: MultiHopParameters,
-    gilbert: GilbertElliottParameters,
-) -> None:
-    """Raise if the reference edge set escapes the compiled spec."""
-    structural = _multihop_structural_edges(protocol, params.hops)
-    for channel in CHANNEL_STATES:
-        user = _multihop_channel_rates(protocol, params, channel_loss(gilbert, channel))
-        _check_edge_coverage("multi-hop", structural, user)
-
-
-# ----------------------------------------------------------------------
-# Rate-dict builders (reference-model path)
-# ----------------------------------------------------------------------
-
-
-def build_gilbert_singlehop_rates(
-    protocol: Protocol,
-    params: SignalingParameters,
+    params,
     gilbert: GilbertElliottParameters,
 ) -> dict[tuple[object, object], float]:
-    """All single-hop product transition rates, spec-order accumulated."""
-    check_singlehop_coverage(protocol, params, gilbert)
+    """All product transition rates, spec-order accumulated."""
+    specs = gilbert_specs(base, protocol, *base.shape(params))
+    tag_rates = gilbert_tag_rates(base, protocol, params, gilbert, [tag for *_, tag in specs])
     rates: dict[tuple[object, object], float] = {}
-    for origin, dest, tag in gilbert_singlehop_specs(protocol):
-        rate = gilbert_singlehop_tag_rate(protocol, params, gilbert, tag)
+    for (origin, dest, _), rate in zip(specs, tag_rates):
         if rate <= 0.0:
             continue
         key = (origin, dest)
@@ -300,26 +261,10 @@ def build_gilbert_singlehop_rates(
     return rates
 
 
-def build_gilbert_multihop_rates(
+def absorption_flow(
+    base: BaseFamily,
     protocol: Protocol,
-    params: MultiHopParameters,
-    gilbert: GilbertElliottParameters,
-) -> dict[tuple[object, object], float]:
-    """All multi-hop product transition rates, spec-order accumulated."""
-    check_multihop_coverage(protocol, params, gilbert)
-    rates: dict[tuple[object, object], float] = {}
-    for origin, dest, tag in gilbert_multihop_specs(protocol, params.hops):
-        rate = gilbert_multihop_tag_rate(protocol, params, gilbert, tag)
-        if rate <= 0.0:
-            continue
-        key = (origin, dest)
-        rates[key] = rates.get(key, 0.0) + rate
-    return rates
-
-
-def gilbert_absorption_flow(
-    protocol: Protocol,
-    params: SignalingParameters,
+    params,
     gilbert: GilbertElliottParameters,
     stationary: Mapping[tuple[object, ChannelState], float],
 ) -> float:
@@ -328,10 +273,9 @@ def gilbert_absorption_flow(
     By renewal-reward the expected receiver lifetime is the mean
     inter-absorption time, ``1 / flow``.
     """
+    by_channel = _rates_by_channel(base, protocol, params, gilbert)
     flow = 0.0
-    for origin, _dest, tag in gilbert_singlehop_specs(protocol):
-        if tag[0] != "absorb":
-            continue
-        rate = gilbert_singlehop_tag_rate(protocol, params, gilbert, tag)
-        flow += rate * stationary.get(origin, 0.0)
+    for origin, _dest, tag in gilbert_specs(base, protocol, *base.shape(params)):
+        if tag[0] == "absorb":
+            flow += by_channel[tag[1]].get(tag[2:], 0.0) * stationary.get(origin, 0.0)
     return flow

@@ -49,6 +49,7 @@ import itertools
 import math
 
 from repro.core.markov import ContinuousTimeMarkovChain
+from repro.core.multihop.messages import link_message_components
 from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import supported_protocols
@@ -566,12 +567,6 @@ def lumped_message_components(
     structure (each ``("F",)``/``("S",)`` member *is* one frontier
     edge).
     """
-    if protocol not in Protocol.multihop_family():
-        raise ValueError(f"{protocol} is not part of the multi-hop analysis")
-    success = 1.0 - params.loss_rate
-    delta = params.delay
-    retransmit = 1.0 / params.retransmission_interval
-
     # The orbit counts of a distribution over the whole state space in
     # canonical order (as every model and template builds it) are
     # computed once per state space; other mappings are counted here.
@@ -585,27 +580,14 @@ def lumped_message_components(
             fast_edges += probability * fast
         if slow:
             slow_edges += probability * slow
-    recovery = stationary.get(RECOVERY, 0.0)
-
-    components = {
-        "trigger_hops": fast_edges / delta,
-        "refresh_hops": 0.0,
-        "retransmissions": 0.0,
-        "acks": 0.0,
-        "recovery_traffic": 0.0,
-    }
-    if protocol.uses_refreshes:
-        components["refresh_hops"] = (
-            tree_expected_link_crossings(topology, params) / params.refresh_interval
-        )
-    if protocol.reliable_triggers:
-        components["retransmissions"] = retransmit * slow_edges
-        components["acks"] = (
-            success * fast_edges / delta + success * retransmit * slow_edges
-        )
-    if protocol is Protocol.HS:
-        components["recovery_traffic"] = recovery / delta
-    return components
+    return link_message_components(
+        protocol,
+        params,
+        fast_edges,
+        slow_edges,
+        stationary.get(RECOVERY, 0.0),
+        tree_expected_link_crossings(topology, params),
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -31,6 +31,7 @@ from repro.core.protocols import Protocol
 
 __all__ = [
     "expected_link_crossings",
+    "link_message_components",
     "multihop_message_components",
     "multihop_total_message_rate",
 ]
@@ -45,20 +46,54 @@ def expected_link_crossings(params: MultiHopParameters) -> float:
     return (1.0 - (1.0 - p) ** n) / p
 
 
+def link_message_components(
+    protocol: Protocol,
+    params: MultiHopParameters,
+    fast_edges: float,
+    slow_edges: float,
+    recovery: float,
+    crossings: float,
+) -> dict[str, float]:
+    """The eqs. 13-17 components from a chain's or tree's frontier counts.
+
+    ``fast_edges`` and ``slow_edges`` are the mean numbers of in-flight
+    and waiting frontier edges, ``recovery`` the HS recovery mass and
+    ``crossings`` the mean links one end-to-end message crosses.
+    """
+    if protocol not in Protocol.multihop_family():
+        raise ValueError(f"{protocol} is not part of the multi-hop analysis")
+    success = 1.0 - params.loss_rate
+    delta = params.delay
+    retransmit = 1.0 / params.retransmission_interval
+    components = {
+        "trigger_hops": fast_edges / delta,
+        "refresh_hops": 0.0,
+        "retransmissions": 0.0,
+        "acks": 0.0,
+        "recovery_traffic": 0.0,
+    }
+    if protocol.uses_refreshes:
+        components["refresh_hops"] = crossings / params.refresh_interval
+    if protocol.reliable_triggers:
+        components["retransmissions"] = retransmit * slow_edges
+        components["acks"] = (
+            success * fast_edges / delta + success * retransmit * slow_edges
+        )
+    if protocol is Protocol.HS:
+        # Leaving RECOVERY costs ~2E link-crossings for E links (the
+        # notification sweep plus the sender's reinstallation trigger):
+        # rate-out * 2E = pi_F * (1/(2*E*Delta)) * 2E = pi_F / Delta.
+        components["recovery_traffic"] = recovery / delta
+    return components
+
+
 def multihop_message_components(
     protocol: Protocol,
     params: MultiHopParameters,
     stationary: Mapping[object, float],
 ) -> dict[str, float]:
     """Per-kind per-link-transmission rates for the multi-hop chain."""
-    if protocol not in Protocol.multihop_family():
-        raise ValueError(f"{protocol} is not part of the multi-hop analysis")
     n = params.hops
-    p = params.loss_rate
-    success = 1.0 - p
-    delta = params.delay
-    retransmit = 1.0 / params.retransmission_interval
-
     fast_below_top = sum(
         probability
         for state, probability in stationary.items()
@@ -69,28 +104,14 @@ def multihop_message_components(
         for state, probability in stationary.items()
         if isinstance(state, HopState) and state.slow
     )
-    recovery = stationary.get(RECOVERY, 0.0)
-
-    components = {
-        "trigger_hops": fast_below_top / delta,
-        "refresh_hops": 0.0,
-        "retransmissions": 0.0,
-        "acks": 0.0,
-        "recovery_traffic": 0.0,
-    }
-    if protocol.uses_refreshes:
-        components["refresh_hops"] = expected_link_crossings(params) / params.refresh_interval
-    if protocol.reliable_triggers:
-        components["retransmissions"] = retransmit * slow_total
-        components["acks"] = (
-            success * fast_below_top / delta + success * retransmit * slow_total
-        )
-    if protocol is Protocol.HS:
-        # Leaving RECOVERY costs ~2N link-crossings (notification sweep
-        # plus the sender's reinstallation trigger): rate-out * 2N
-        # = pi_F * (1/(2*N*Delta)) * 2N = pi_F / Delta.
-        components["recovery_traffic"] = recovery / delta
-    return components
+    return link_message_components(
+        protocol,
+        params,
+        fast_below_top,
+        slow_total,
+        stationary.get(RECOVERY, 0.0),
+        expected_link_crossings(params),
+    )
 
 
 def multihop_total_message_rate(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 
-from repro.core.multihop.messages import expected_link_crossings
+from repro.core.multihop.messages import expected_link_crossings, link_message_components
 from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.tree_states import (
@@ -87,11 +87,6 @@ def tree_message_components(
     stationary: Mapping[object, float],
 ) -> dict[str, float]:
     """Per-kind per-link-transmission rates for the tree chain."""
-    if protocol not in Protocol.multihop_family():
-        raise ValueError(f"{protocol} is not part of the multi-hop analysis")
-    success = 1.0 - params.loss_rate
-    delta = params.delay
-    retransmit = 1.0 / params.retransmission_interval
     # The frontier counts of a distribution over the whole state space
     # in canonical order (as every model and template builds it) are
     # computed once per state space; other mappings are counted here.
@@ -112,29 +107,14 @@ def tree_message_components(
         for probability, (_, slow) in zip(stationary.values(), counts)
         if slow
     )
-    recovery = stationary.get(RECOVERY, 0.0)
-
-    components = {
-        "trigger_hops": fast_edges / delta,
-        "refresh_hops": 0.0,
-        "retransmissions": 0.0,
-        "acks": 0.0,
-        "recovery_traffic": 0.0,
-    }
-    if protocol.uses_refreshes:
-        components["refresh_hops"] = (
-            tree_expected_link_crossings(topology, params) / params.refresh_interval
-        )
-    if protocol.reliable_triggers:
-        components["retransmissions"] = retransmit * slow_edges
-        components["acks"] = (
-            success * fast_edges / delta + success * retransmit * slow_edges
-        )
-    if protocol is Protocol.HS:
-        # Leaving RECOVERY costs ~2E link-crossings (notification sweep
-        # plus the reinstallation flood): rate-out * 2E = pi_F / Delta.
-        components["recovery_traffic"] = recovery / delta
-    return components
+    return link_message_components(
+        protocol,
+        params,
+        fast_edges,
+        slow_edges,
+        stationary.get(RECOVERY, 0.0),
+        tree_expected_link_crossings(topology, params),
+    )
 
 
 def tree_total_message_rate(

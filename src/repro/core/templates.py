@@ -62,21 +62,8 @@ from repro.core.gilbert.model import (
     GilbertMultiHopSolution,
     GilbertSingleHopModel,
     GilbertSingleHopSolution,
-    degenerate_multihop_solution,
-    degenerate_singlehop_solution,
-    multihop_solution_from_stationary,
-    singlehop_solution_from_stationary,
 )
-from repro.core.gilbert.transitions import (
-    check_multihop_coverage,
-    check_singlehop_coverage,
-    gilbert_multihop_specs,
-    gilbert_multihop_states,
-    gilbert_multihop_tag_rate,
-    gilbert_singlehop_specs,
-    gilbert_singlehop_states,
-    gilbert_singlehop_tag_rate,
-)
+from repro.core.gilbert.transitions import gilbert_specs, gilbert_states, gilbert_tag_rates
 from repro.core.markov import (
     batched_absorption_times_dense,
     batched_stationary_chain,
@@ -133,8 +120,7 @@ from repro.faults.gilbert import GilbertElliottParameters
 
 __all__ = [
     "CHAIN_BACKENDS",
-    "GilbertMultiHopTemplate",
-    "GilbertSingleHopTemplate",
+    "GilbertTemplate",
     "LumpedTreeTemplate",
     "MultiHopTemplate",
     "SingleHopTemplate",
@@ -820,89 +806,54 @@ class LumpedTreeTemplate(TreeTemplate):
 
 
 # ----------------------------------------------------------------------
-# Gilbert-Elliott product templates (channel state x protocol state)
+# The Gilbert-Elliott product template (channel state x protocol state),
+# one class for the single-hop and the chain base
 # ----------------------------------------------------------------------
 
 
-class GilbertSingleHopTemplate(_SpecTemplate):
-    """Compiled structure of one protocol's single-hop product chain.
+class GilbertTemplate(_SpecTemplate):
+    """Compiled structure of one Gilbert product chain.
 
-    Compiled from the shared
-    :func:`~repro.core.gilbert.transitions.gilbert_singlehop_specs` list,
-    each tag's rate computed by
-    :func:`~repro.core.gilbert.transitions.gilbert_singlehop_tag_rate`.
-    Degenerate points (``loss_good == loss_bad``) never reach a
-    template — :func:`solve_gilbert_singlehop_tasks` partitions them
-    onto the i.i.d. template path first.
+    ``model`` (:class:`~repro.core.gilbert.model.GilbertSingleHopModel`
+    or :class:`~repro.core.gilbert.model.GilbertMultiHopModel`) names the
+    i.i.d. base family the chain lifts; ``shape`` is the base's discrete
+    input (``()`` on a single hop, ``(hops,)`` on a chain).  Compiled
+    from the shared
+    :func:`~repro.core.gilbert.transitions.gilbert_specs` list, each
+    point's tag rates computed by
+    :func:`~repro.core.gilbert.transitions.gilbert_tag_rates`, which
+    runs the coverage guard.  Degenerate points (``loss_good ==
+    loss_bad``) never reach a template: :func:`_solve_gilbert_tasks`
+    partitions them onto the i.i.d. template path first.
 
-    Use :func:`gilbert_singlehop_template` for the memoized instance.
+    Use :func:`gilbert_singlehop_template` or
+    :func:`gilbert_multihop_template` for the memoized instance.
     """
 
-    def __init__(self, protocol: Protocol) -> None:
-        self.protocol = Protocol(protocol)
+    def __init__(self, model: type, protocol: Protocol, *shape: int) -> None:
+        self.model = model
+        self.protocol = protocol
+        self.shape = shape
         self._compile_specs(
-            gilbert_singlehop_states(self.protocol),
-            gilbert_singlehop_specs(self.protocol),
+            gilbert_states(model.base, protocol, *shape),
+            gilbert_specs(model.base, protocol, *shape),
         )
 
-    def _derived(
-        self, point: tuple[SignalingParameters, GilbertElliottParameters]
-    ) -> list[float]:
-        params, gilbert = point
-        if params.removal_rate <= 0:
-            raise ValueError(FINITE_SESSION_REQUIRED)
-        check_singlehop_coverage(self.protocol, params, gilbert)
-        return [
-            gilbert_singlehop_tag_rate(self.protocol, params, gilbert, tag)
-            for tag in self._tags
-        ]
-
-    def _solution(self, point, solved: list) -> GilbertSingleHopSolution:
-        return singlehop_solution_from_stationary(
-            self.protocol, *point, dict(zip(self.states, solved))
-        )
-
-    def _reference(self, point) -> GilbertSingleHopSolution:
-        return GilbertSingleHopModel(self.protocol, *point).solve()
-
-
-class GilbertMultiHopTemplate(_SpecTemplate):
-    """Compiled structure of the multi-hop product chain.
-
-    Use :func:`gilbert_multihop_template` for the memoized instance.
-    """
-
-    def __init__(self, protocol: Protocol, hops: int) -> None:
-        self.protocol = _multihop_protocol(protocol)
-        if hops < 1:
-            raise ValueError(f"hops must be >= 1, got {hops}")
-        self.hops = hops
-        self._compile_specs(
-            gilbert_multihop_states(self.protocol, hops),
-            gilbert_multihop_specs(self.protocol, hops),
-        )
-
-    def _derived(
-        self, point: tuple[MultiHopParameters, GilbertElliottParameters]
-    ) -> list[float]:
-        params, gilbert = point
-        if params.hops != self.hops:
+    def _derived(self, point: tuple) -> list[float]:
+        model = self.model(self.protocol, *point)  # the reference's point checks
+        if model.shape != self.shape:
             raise ValueError(
-                f"task has {params.hops} hops, template compiled for {self.hops}"
+                f"task has {model.params.hops} hops, template compiled for {self.shape[0]}"
             )
-        check_multihop_coverage(self.protocol, params, gilbert)
-        return [
-            gilbert_multihop_tag_rate(self.protocol, params, gilbert, tag)
-            for tag in self._tags
-        ]
+        return gilbert_tag_rates(model.base, self.protocol, *point, self._tags)
 
-    def _solution(self, point, solved: list) -> GilbertMultiHopSolution:
-        return multihop_solution_from_stationary(
-            self.protocol, *point, dict(zip(self.states, solved))
+    def _solution(self, point, solved: list):
+        return self.model(self.protocol, *point).solution_from_stationary(
+            dict(zip(self.states, solved))
         )
 
-    def _reference(self, point) -> GilbertMultiHopSolution:
-        return GilbertMultiHopModel(self.protocol, *point).solve()
+    def _reference(self, point):
+        return self.model(self.protocol, *point).solve()
 
 
 # ----------------------------------------------------------------------
@@ -952,15 +903,15 @@ def iterative_tree_template(protocol: Protocol, topology: Topology) -> TreeTempl
 
 
 @functools.lru_cache(maxsize=64)
-def gilbert_singlehop_template(protocol: Protocol) -> GilbertSingleHopTemplate:
+def gilbert_singlehop_template(protocol: Protocol) -> GilbertTemplate:
     """The memoized compiled Gilbert product template for ``protocol``."""
-    return GilbertSingleHopTemplate(protocol)
+    return GilbertTemplate(GilbertSingleHopModel, Protocol(protocol))
 
 
 @functools.lru_cache(maxsize=256)
-def gilbert_multihop_template(protocol: Protocol, hops: int) -> GilbertMultiHopTemplate:
+def gilbert_multihop_template(protocol: Protocol, hops: int) -> GilbertTemplate:
     """The memoized compiled Gilbert product template for ``(protocol, hops)``."""
-    return GilbertMultiHopTemplate(protocol, hops)
+    return GilbertTemplate(GilbertMultiHopModel, _multihop_protocol(protocol), hops)
 
 
 def _solve_grouped(tasks, group_key, solve_group):
@@ -1087,12 +1038,12 @@ def solve_tree_iterative_tasks(
     return _solve_on(iterative_tree_template, _tree_key, _params, tasks)
 
 
-def _solve_gilbert_tasks(tasks, solve_iid, wrap_degenerate, group_key, template):
-    """Solve ``(protocol, params, gilbert)`` tasks, split by channel.
+def _solve_gilbert_tasks(tasks, model, solve_iid, template, group_key):
+    """Solve ``(protocol, params, gilbert)`` tasks of ``model``, split by channel.
 
     Degenerate channels (``loss_good == loss_bad``) take the i.i.d. path
     ``solve_iid`` at the common loss and are wrapped verbatim by
-    ``wrap_degenerate``, so they stay bit-identical to the baseline
+    ``model.degenerate``, so they stay bit-identical to the baseline
     results; all other points solve through the compiled product
     ``template(*group_key(task))``.
     """
@@ -1108,8 +1059,7 @@ def _solve_gilbert_tasks(tasks, solve_iid, wrap_degenerate, group_key, template)
             ]
         )
         for position, solution in zip(degenerate, base):
-            _, params, gilbert = tasks[position]
-            results[position] = wrap_degenerate(params, gilbert, solution)
+            results[position] = model(*tasks[position]).degenerate(solution)
     solved = _solve_on(template, group_key, lambda task: task[1:], [tasks[p] for p in rest])
     for position, solution in zip(rest, solved):
         results[position] = solution
@@ -1127,10 +1077,10 @@ def solve_gilbert_singlehop_tasks(
     """
     return _solve_gilbert_tasks(
         tasks,
+        GilbertSingleHopModel,
         solve_singlehop_tasks,
-        degenerate_singlehop_solution,
-        lambda task: (Protocol(task[0]),),
         gilbert_singlehop_template,
+        lambda task: (Protocol(task[0]),),
     )
 
 
@@ -1145,8 +1095,8 @@ def solve_gilbert_multihop_tasks(
     """
     return _solve_gilbert_tasks(
         tasks,
+        GilbertMultiHopModel,
         solve_multihop_tasks,
-        degenerate_multihop_solution,
-        _chain_key,
         gilbert_multihop_template,
+        _chain_key,
     )

@@ -7,7 +7,8 @@ batch solve path:
 
 >>> from repro.experiments import run_scenario
 >>> result = run_scenario("fig4", fidelity="fast")
->>> print(result.to_text())
+>>> result.experiment_id
+'fig4'
 
 :func:`run_experiments` fans several whole scenarios across worker
 processes (the ``repro-signaling all`` path).

@@ -230,7 +230,6 @@ class TreeSender(_FanOut):
         self.version = 1
         self.value: int = 1
         self._refresh_timer = refresh_timer
-        self._refresh_proc: Process | None = None
         self._started = False
 
     def start(self) -> None:
@@ -244,9 +243,7 @@ class TreeSender(_FanOut):
         self._started = True
         self._send_triggers()
         if self.protocol.uses_refreshes:
-            self._refresh_proc = self.env.process(
-                self._refresh_loop(), name="tree-refresh"
-            )
+            self.env.process(self._refresh_loop(), name="tree-refresh")
 
     def update(self) -> None:
         """Poisson workload: change the state value."""
@@ -270,12 +267,9 @@ class TreeSender(_FanOut):
         self._forward_state(Message(MessageKind.TRIGGER, self.version, self.value))
 
     def _refresh_loop(self):
-        try:
-            while True:
-                yield self.env.timeout(self._refresh_timer.draw())
-                self._forward_state(Message(MessageKind.REFRESH, self.version, self.value))
-        except Interrupt:
-            return
+        while True:
+            yield self.env.timeout(self._refresh_timer.draw())
+            self._forward_state(Message(MessageKind.REFRESH, self.version, self.value))
 
 
 class TreeRelayNode(_FanOut):
@@ -304,10 +298,6 @@ class TreeRelayNode(_FanOut):
         self._timeout_timer = timeout_timer
         self._transmit_up = transmit_upstream
         self._timeout_proc: Process | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self._transmits
 
     # -- upstream-facing input (messages travelling toward the leaves) --
 

@@ -26,8 +26,6 @@ from repro.core.gilbert.model import (
     GilbertMultiHopSolution,
     GilbertSingleHopModel,
     GilbertSingleHopSolution,
-    multihop_solution_from_stationary,
-    singlehop_solution_from_stationary,
 )
 from repro.core.markov import ContinuousTimeMarkovChain, State
 from repro.core.multihop import MultiHopModel, MultiHopSolution
@@ -223,11 +221,11 @@ def _tree_reference(route, protocol, params, topology) -> TreeSolution:
     return model.solution_from_stationary(solve_chain_stationary(model.chain()))
 
 
-def _gilbert_reference(model_type, from_stationary, route, protocol, params, gilbert):
+def _gilbert_reference(model_type, route, protocol, params, gilbert):
     model = model_type(protocol, params, gilbert)
     if gilbert.is_degenerate:
         return model.solve()
-    return from_stationary(protocol, params, gilbert, solve_chain_stationary(model.chain()))
+    return model.solution_from_stationary(solve_chain_stationary(model.chain()))
 
 
 #: The model families, by cache-key tag.  Chain references ignore the
@@ -291,9 +289,7 @@ FAMILIES: dict[str, Family] = {
             tag="gilbert-singlehop",
             arity=3,
             routes={"template": "solve_gilbert_singlehop_tasks"},
-            reference=functools.partial(
-                _gilbert_reference, GilbertSingleHopModel, singlehop_solution_from_stationary
-            ),
+            reference=functools.partial(_gilbert_reference, GilbertSingleHopModel),
             reference_chains={"template": functools.partial(_chain_of, GilbertSingleHopModel)},
             key_inputs=lambda gilbert: gilbert,
         ),
@@ -301,9 +297,7 @@ FAMILIES: dict[str, Family] = {
             tag="gilbert-multihop",
             arity=3,
             routes={"template": "solve_gilbert_multihop_tasks"},
-            reference=functools.partial(
-                _gilbert_reference, GilbertMultiHopModel, multihop_solution_from_stationary
-            ),
+            reference=functools.partial(_gilbert_reference, GilbertMultiHopModel),
             reference_chains={"template": functools.partial(_chain_of, GilbertMultiHopModel)},
             key_inputs=lambda gilbert: gilbert,
         ),

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.gilbert.transitions import (
-    build_gilbert_multihop_rates,
-    build_gilbert_singlehop_rates,
-)
+from repro.core.gilbert import GilbertMultiHopModel, GilbertSingleHopModel
 from repro.core.multihop import MultiHopModel, Topology, TreeModel
 from repro.core.multihop.heterogeneous import (
     HeterogeneousHop,
@@ -161,7 +158,7 @@ def gilbert_singlehop_cases(protocol):
             yield (
                 gilbert_singlehop_template(protocol),
                 (params, gilbert),
-                build_gilbert_singlehop_rates(protocol, params, gilbert),
+                GilbertSingleHopModel(protocol, params, gilbert).chain().rates,
             )
 
 
@@ -171,7 +168,7 @@ def gilbert_multihop_cases(protocol):
             yield (
                 gilbert_multihop_template(protocol, params.hops),
                 (params, gilbert),
-                build_gilbert_multihop_rates(protocol, params, gilbert),
+                GilbertMultiHopModel(protocol, params, gilbert).chain().rates,
             )
 
 

@@ -7,6 +7,8 @@ one seed, conservation of the per-link transmission count, and coarse
 agreement with the analytic tree model where the bands are wide.
 """
 
+import functools
+
 import pytest
 
 from repro.core.multihop import Topology, TreeModel
@@ -18,6 +20,7 @@ from repro.multihop import (
     TreeSimulation,
     simulate_tree_replications,
 )
+from repro.sim.randomness import TimerDiscipline
 
 BINARY = Topology.kary(2, 2)
 
@@ -115,6 +118,54 @@ class TestAgreement:
     def test_replications_validated(self):
         with pytest.raises(ValueError):
             simulate_tree_replications(config_for(BINARY), BINARY, replications=0)
+
+
+AGREEMENT_SHAPES = {"star3": Topology.star(3), "kary2x2": BINARY}
+
+
+@functools.lru_cache(maxsize=None)
+def simulated_and_modeled(shape, protocol):
+    """Four replications and the model of one (shape, protocol), run once."""
+    topology = AGREEMENT_SHAPES[shape]
+    params = reservation_defaults().replace(hops=topology.num_edges)
+    config = MultiHopSimConfig(
+        protocol=protocol,
+        params=params,
+        horizon=8000.0,
+        warmup=200.0,
+        delay_discipline=TimerDiscipline.EXPONENTIAL,
+        seed=101,
+    )
+    replications = simulate_tree_replications(config, topology, replications=4)
+    return replications, TreeModel(protocol, params, topology).solve()
+
+
+class TestModelAgreement:
+    """The simulator against ``TreeModel`` on branching trees.
+
+    The model races every frontier edge as an exponential delay, and on
+    a branching tree several edges race at once; the maximum of k
+    exponentials outlasts one fixed delay, so with the default
+    deterministic link delays the simulated inconsistency reads 35-45%
+    below the model.  Exponential link delays are the model's own
+    assumption, and with them the two agree.  SS inconsistency is left
+    out: its deterministic state timeout carries the timer bias the
+    chain check absorbs with a 40% band.
+    """
+
+    @pytest.mark.parametrize("protocol", [Protocol.SS_RT, Protocol.HS], ids=lambda p: p.value)
+    @pytest.mark.parametrize("shape", sorted(AGREEMENT_SHAPES))
+    def test_inconsistency(self, shape, protocol):
+        replications, model = simulated_and_modeled(shape, protocol)
+        simulated = replications.interval("inconsistency_ratio").mean
+        assert simulated == pytest.approx(model.inconsistency_ratio, rel=0.15)
+
+    @pytest.mark.parametrize("protocol", [Protocol.SS, Protocol.SS_RT], ids=lambda p: p.value)
+    @pytest.mark.parametrize("shape", sorted(AGREEMENT_SHAPES))
+    def test_message_rate(self, shape, protocol):
+        replications, model = simulated_and_modeled(shape, protocol)
+        simulated = replications.interval("message_rate").mean
+        assert simulated == pytest.approx(model.message_rate, rel=0.05)
 
 
 class TestHardState:

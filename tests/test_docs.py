@@ -2,8 +2,8 @@
 
 Three promises the ``docs`` CI job also enforces:
 
-* the public-surface docstring examples (``repro.api``,
-  ``repro.validation``, the spec dataclasses) actually run;
+* every docstring example under ``src/repro`` actually runs (a module
+  that gains ``>>>`` examples must join :data:`DOCTEST_MODULES`);
 * the committed ``docs/cli.md`` matches a fresh rendering of the
   argparse tree (regenerate with ``python tools/generate_cli_docs.py``);
 * the generated blocks of ``docs/architecture.md`` match the layer
@@ -23,6 +23,8 @@ import sys
 import pytest
 
 import repro.api
+import repro.core.multihop.topology
+import repro.experiments
 import repro.experiments.spec
 import repro.validation
 from repro.cli import generate_cli_markdown
@@ -30,17 +32,33 @@ from repro.cli import generate_cli_markdown
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = REPO_ROOT / "docs"
 TOOLS = REPO_ROOT / "tools"
+SRC = REPO_ROOT / "src"
+
+#: Every module under ``src/repro`` whose docstrings hold ``>>>`` examples.
+DOCTEST_MODULES = [
+    repro.api,
+    repro.core.multihop.topology,
+    repro.experiments,
+    repro.experiments.spec,
+    repro.validation,
+]
 
 
-@pytest.mark.parametrize(
-    "module",
-    [repro.api, repro.experiments.spec, repro.validation],
-    ids=lambda module: module.__name__,
-)
+@pytest.mark.parametrize("module", DOCTEST_MODULES, ids=lambda module: module.__name__)
 def test_public_surface_doctests(module):
     results = doctest.testmod(module, verbose=False)
     assert results.attempted > 0, f"{module.__name__} has no doctest examples"
     assert results.failed == 0
+
+
+def test_every_module_with_examples_runs_them():
+    with_examples = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        if any(line.lstrip().startswith(">>>") for line in path.read_text().splitlines()):
+            parts = path.relative_to(SRC).with_suffix("").parts
+            with_examples.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    listed = {module.__name__ for module in DOCTEST_MODULES}
+    assert with_examples - listed == set(), "add these modules to DOCTEST_MODULES"
 
 
 def test_generated_cli_reference_is_committed_and_in_sync():
