@@ -832,11 +832,11 @@ class GilbertTemplate(_SpecTemplate):
 
     def __init__(self, model: type, protocol: Protocol, *shape: int) -> None:
         self.model = model
-        self.protocol = protocol
+        self.protocol = Protocol(protocol)
         self.shape = shape
         self._compile_specs(
-            gilbert_states(model.base, protocol, *shape),
-            gilbert_specs(model.base, protocol, *shape),
+            gilbert_states(model.base, self.protocol, *shape),
+            gilbert_specs(model.base, self.protocol, *shape),
         )
 
     def _derived(self, point: tuple) -> list[float]:
@@ -905,7 +905,7 @@ def iterative_tree_template(protocol: Protocol, topology: Topology) -> TreeTempl
 @functools.lru_cache(maxsize=64)
 def gilbert_singlehop_template(protocol: Protocol) -> GilbertTemplate:
     """The memoized compiled Gilbert product template for ``protocol``."""
-    return GilbertTemplate(GilbertSingleHopModel, Protocol(protocol))
+    return GilbertTemplate(GilbertSingleHopModel, protocol)
 
 
 @functools.lru_cache(maxsize=256)
