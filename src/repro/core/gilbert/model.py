@@ -40,9 +40,9 @@ from repro.core.gilbert.transitions import (
     SINGLEHOP,
     BaseFamily,
     ChannelState,
-    absorption_flow,
     build_gilbert_rates,
     channel_loss,
+    gilbert_absorption_flow,
     gilbert_states,
 )
 from repro.core.markov import ContinuousTimeMarkovChain
@@ -191,17 +191,19 @@ class _GilbertModel:
         """Assemble the solution from a solved product stationary distribution."""
         base, protocol, params, gilbert = self.base, self.protocol, self.params, self.gilbert
         consistent = base.consistent(*self.shape)
+        inconsistency = 1.0 - sum(
+            stationary.get((consistent, channel), 0.0) for channel in CHANNEL_STATES
+        )
         metrics = {}
         if base.absorbing is not None:
-            flow = absorption_flow(base, protocol, params, gilbert, stationary)
+            flow = gilbert_absorption_flow(base, protocol, params, gilbert, stationary)
             metrics["expected_receiver_lifetime"] = float("inf") if flow <= 0.0 else 1.0 / flow
         return self.solution(
             protocol=protocol,
             params=params,
             gilbert=gilbert,
             stationary=stationary,
-            inconsistency_ratio=1.0
-            - sum(stationary.get((consistent, channel), 0.0) for channel in CHANNEL_STATES),
+            inconsistency_ratio=inconsistency,
             message_breakdown=self._blended_breakdown(stationary),
             **metrics,
         )

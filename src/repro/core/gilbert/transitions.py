@@ -60,9 +60,9 @@ __all__ = [
     "SINGLEHOP",
     "BaseFamily",
     "ChannelState",
-    "absorption_flow",
     "build_gilbert_rates",
     "channel_loss",
+    "gilbert_absorption_flow",
     "gilbert_specs",
     "gilbert_states",
     "gilbert_tag_rates",
@@ -261,7 +261,7 @@ def build_gilbert_rates(
     return rates
 
 
-def absorption_flow(
+def gilbert_absorption_flow(
     base: BaseFamily,
     protocol: Protocol,
     params,
