@@ -48,7 +48,7 @@ from repro.core.gilbert.transitions import (
 from repro.core.markov import ContinuousTimeMarkovChain
 from repro.core.multihop.model import MultiHopModel
 from repro.core.multihop.states import RECOVERY, HopState
-from repro.core.multihop.transitions import supported_protocols
+from repro.core.multihop.transitions import multihop_protocol
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.model import FINITE_SESSION_REQUIRED, SingleHopModel
@@ -287,10 +287,4 @@ class GilbertMultiHopModel(_GilbertModel):
         params: MultiHopParameters,
         gilbert: GilbertElliottParameters,
     ) -> None:
-        protocol = Protocol(protocol)
-        if protocol not in supported_protocols():
-            raise ValueError(
-                f"{protocol.value} is not modeled in the multi-hop analysis; "
-                f"use one of {[p.value for p in supported_protocols()]}"
-            )
-        super().__init__(protocol, params, gilbert)
+        super().__init__(multihop_protocol(protocol), params, gilbert)

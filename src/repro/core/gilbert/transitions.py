@@ -29,12 +29,11 @@ Tags:
 * ``("to_bad",)`` / ``("to_good",)`` — the channel flip edges, one per
   product state, at the modulator's flip rates.
 
-The edge *union* is compiled once per ``(base, protocol, shape)`` from
-the base's structural parameter point, whose every candidate rate is
-positive (loss 0.1 over the defaults); a coverage guard verifies on
-every point that the reference rate dicts never contain an edge outside
-that union, so a future change to a reference builder cannot silently
-desynchronize the product spec.
+Each channel slice holds one product edge per distinct ``(origin,
+destination)`` pair of the base's own spec list, in first-seen order, so
+the product covers every edge the base can have at any loss; an edge
+whose rate is zero at a channel's loss is simply skipped by the rate
+dict and carries a zero rate in the template.
 """
 
 from __future__ import annotations
@@ -44,14 +43,18 @@ import enum
 import functools
 from collections.abc import Callable, Mapping
 
+from repro.core.markov import spec_rates, spec_tags
 from repro.core.multihop.messages import multihop_message_components
 from repro.core.multihop.states import HopState, multihop_state_space
-from repro.core.multihop.transitions import build_multihop_rates
-from repro.core.parameters import MultiHopParameters, SignalingParameters
+from repro.core.multihop.transitions import build_multihop_rates, chain_transition_specs
 from repro.core.protocols import Protocol
 from repro.core.singlehop.messages import message_rate_components
 from repro.core.singlehop.states import SingleHopState as S
-from repro.core.singlehop.transitions import build_transition_rates, state_space
+from repro.core.singlehop.transitions import (
+    build_transition_rates,
+    state_space,
+    transition_specs,
+)
 from repro.faults.gilbert import GilbertElliottParameters
 
 __all__ = [
@@ -81,12 +84,6 @@ class ChannelState(str, enum.Enum):
 
 CHANNEL_STATES: tuple[ChannelState, ...] = (ChannelState.GOOD, ChannelState.BAD)
 
-#: Structural loss probability used to compile the edge union: strictly
-#: inside (0, 1) so every candidate reference edge has a positive rate
-#: (over the default parameters) and therefore appears in the spec.
-_STRUCTURAL_LOSS = 0.1
-
-
 def channel_loss(gilbert: GilbertElliottParameters, channel: ChannelState) -> float:
     """The loss probability the channel applies in ``channel``."""
     if channel is ChannelState.GOOD:
@@ -100,20 +97,19 @@ class BaseFamily:
 
     ``shape(params)`` is the tuple of discrete inputs besides the
     protocol that fix the family's state space: ``()`` on a single hop,
-    ``(hops,)`` on a chain.  ``states``, ``structural`` and
-    ``consistent`` take it unpacked.  Records compare by identity; the
-    two that exist are :data:`SINGLEHOP` and :data:`MULTIHOP`.
+    ``(hops,)`` on a chain.  ``states``, ``edges`` and ``consistent``
+    take it unpacked.  Records compare by identity; the two that exist
+    are :data:`SINGLEHOP` and :data:`MULTIHOP`.
     """
 
-    #: Names the family in the coverage guard's error.
-    label: str
     shape: Callable[..., tuple]
     #: ``(protocol, *shape)`` -> the recurrent protocol states, in order.
     states: Callable[..., tuple]
+    #: ``(protocol, *shape)`` -> the ``(origin, destination)`` pairs of
+    #: the base's spec list, each once, in first-seen order.
+    edges: Callable[..., tuple]
     #: ``(protocol, params)`` -> the reference rate dict.
     rates: Callable[..., dict]
-    #: ``(*shape)`` -> the structural parameter point.
-    structural: Callable[..., object]
     #: ``(protocol, params, stationary)`` -> the message components.
     messages: Callable[..., dict[str, float]]
     #: ``(*shape)`` -> the all-consistent protocol state.
@@ -123,12 +119,17 @@ class BaseFamily:
     start: object = None
 
 
+def _chain_edges(protocol: Protocol, hops: int) -> tuple:
+    states = multihop_state_space(hops, with_recovery=protocol is Protocol.HS)
+    pairs = dict.fromkeys((o, d) for o, d, _ in chain_transition_specs(protocol, hops))
+    return tuple((states[origin], states[destination]) for origin, destination in pairs)
+
+
 SINGLEHOP = BaseFamily(
-    label="single-hop",
     shape=lambda params: (),
     states=lambda protocol: tuple(s for s in state_space(protocol) if s is not S.ABSORBED),
+    edges=lambda protocol: tuple(dict.fromkeys((o, d) for o, d, _ in transition_specs(protocol))),
     rates=build_transition_rates,
-    structural=lambda: SignalingParameters(loss_rate=_STRUCTURAL_LOSS),
     messages=message_rate_components,
     consistent=lambda: S.CONSISTENT,
     absorbing=S.ABSORBED,
@@ -136,27 +137,20 @@ SINGLEHOP = BaseFamily(
 )
 
 MULTIHOP = BaseFamily(
-    label="multi-hop",
     shape=lambda params: (params.hops,),
     states=lambda protocol, hops: multihop_state_space(
         hops, with_recovery=protocol is Protocol.HS
     ),
+    edges=_chain_edges,
     rates=build_multihop_rates,
-    structural=lambda hops: MultiHopParameters(hops=hops, loss_rate=_STRUCTURAL_LOSS),
     messages=multihop_message_components,
     consistent=lambda hops: HopState(hops, False),
 )
 
 
 # ----------------------------------------------------------------------
-# Structural edge union, product states and the shared specs
+# Product states and the shared specs
 # ----------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _structural_rates(base: BaseFamily, protocol: Protocol, *shape: int) -> dict:
-    """The rates at the structural point; their keys are the edge union."""
-    return base.rates(protocol, base.structural(*shape))
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,9 +167,10 @@ def gilbert_specs(
     base: BaseFamily, protocol: Protocol, *shape: int
 ) -> tuple[tuple[object, object, tuple], ...]:
     """The product edge list in canonical build order."""
+    edges = base.edges(protocol, *shape)
     specs: list[tuple[object, object, tuple]] = []
     for channel in CHANNEL_STATES:
-        for origin, dest in _structural_rates(base, protocol, *shape):
+        for origin, dest in edges:
             absorbed = dest is base.absorbing
             specs.append(
                 (
@@ -221,21 +216,10 @@ def gilbert_tag_rates(
     gilbert: GilbertElliottParameters,
     tags,
 ) -> list[float]:
-    """The rate of each of ``tags`` at one point.
-
-    Raises if a channel's reference rates hold an edge outside the
-    compiled structural union (the coverage guard).
-    """
-    structural = _structural_rates(base, protocol, *base.shape(params))
+    """The rate of each of ``tags`` at one point: a protocol edge's rate
+    is its pair's entry in its channel's reference rate dict (0 when the
+    pair has no positive rate at that loss)."""
     by_channel = _rates_by_channel(base, protocol, params, gilbert)
-    for rates in by_channel.values():
-        extra = sorted(str(key) for key in rates.keys() - structural.keys())
-        if extra:
-            raise RuntimeError(
-                f"{base.label} reference rates contain edges outside the compiled "
-                f"Gilbert product spec: {extra}; the reference transition builder "
-                "has grown edges the product spec does not know about"
-            )
     flips = {("to_bad",): gilbert.good_to_bad, ("to_good",): gilbert.bad_to_good}
     return [
         flips[tag] if len(tag) == 1 else by_channel[tag[1]].get(tag[2:], 0.0)
@@ -251,14 +235,8 @@ def build_gilbert_rates(
 ) -> dict[tuple[object, object], float]:
     """All product transition rates, spec-order accumulated."""
     specs = gilbert_specs(base, protocol, *base.shape(params))
-    tag_rates = gilbert_tag_rates(base, protocol, params, gilbert, [tag for *_, tag in specs])
-    rates: dict[tuple[object, object], float] = {}
-    for (origin, dest, _), rate in zip(specs, tag_rates):
-        if rate <= 0.0:
-            continue
-        key = (origin, dest)
-        rates[key] = rates.get(key, 0.0) + rate
-    return rates
+    tags = spec_tags(specs)
+    return spec_rates(specs, dict(zip(tags, gilbert_tag_rates(base, protocol, params, gilbert, tags))))
 
 
 def gilbert_absorption_flow(

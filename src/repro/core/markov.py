@@ -34,7 +34,7 @@ same residual acceptance every backend passes, see
 from __future__ import annotations
 
 import warnings
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +46,8 @@ __all__ = [
     "batched_absorption_times_dense",
     "batched_stationary_chain",
     "batched_stationary_dense",
+    "spec_rates",
+    "spec_tags",
 ]
 
 State = Hashable
@@ -72,6 +74,32 @@ def _sparse_modules():
     except ImportError:
         return None
     return scipy.sparse, scipy.sparse.linalg
+
+
+def spec_tags(specs: Sequence[tuple]) -> tuple:
+    """The distinct tags of an ``(origin, destination, tag[, multiplicity])``
+    spec list, in first-seen order."""
+    return tuple(dict.fromkeys(spec[2] for spec in specs))
+
+
+def spec_rates(specs: Iterable[tuple], tag_rates) -> dict[tuple[State, State], float]:
+    """The rate dict of an ``(origin, destination, tag[, multiplicity])``
+    spec list.
+
+    A spec's rate is ``tag_rates[tag]``, times its multiplicity when it
+    has one.  Positive off-diagonal rates add up per state pair in spec
+    order, each pair keyed where its first positive spec stands: the
+    order a compiled template scatters the same specs in, so the two
+    build the same floats.  Every model family builds its rate dict here.
+    """
+    rates: dict[tuple[State, State], float] = {}
+    for spec in specs:
+        origin, destination, tag = spec[0], spec[1], spec[2]
+        rate = tag_rates[tag] * spec[3] if len(spec) == 4 else tag_rates[tag]
+        if rate > 0.0 and origin != destination:
+            key = (origin, destination)
+            rates[key] = rates.get(key, 0.0) + rate
+    return rates
 
 
 _NOT_UNIQUE = "stationary distribution is not unique or does not exist"

@@ -10,15 +10,16 @@ depend on homogeneity — only its rates do).
 The homogeneous model is recovered exactly when every hop is identical
 (tested), which also serves as a cross-check of both implementations.
 
-The per-hop rate math is factored into pure profile functions
-(:func:`reach_profile`, :func:`recovery_rate_profile`,
-:func:`first_timeout_profile`, :func:`heterogeneous_message_components`)
-shared with the compiled-template fast path in
-:mod:`repro.core.templates`; the model class is the reference
-implementation that the templates are parity-tested against.  All
-profiles are built on a single prefix-product pass over the hop vector,
-so rate construction is O(n) bookkeeping on top of the O(n²) edge set
-instead of the old O(n) ``math.prod`` per edge.
+The chain keeps the homogeneous model's states and
+:func:`~repro.core.multihop.transitions.chain_transition_specs` list;
+only the rate row differs.  :func:`heterogeneous_rate_row` fills it from
+pure profile functions (:func:`reach_profile`,
+:func:`recovery_rate_profile`, :func:`first_timeout_profile`), read alike
+by :class:`HeterogeneousMultiHopModel` (a :class:`MultiHopModel` that
+overrides only the rate row and the message accounting,
+:func:`heterogeneous_message_components`) and by the compiled
+``MultiHopTemplate``.  All profiles are built on a single prefix-product
+pass over the hop vector, so a rate row costs O(n).
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Mapping, Sequence
 
-from repro.core.markov import ContinuousTimeMarkovChain
-from repro.core.multihop.model import MultiHopSolution
-from repro.core.multihop.states import RECOVERY, HopState, multihop_state_space
+from repro.core.multihop.model import MultiHopModel
+from repro.core.multihop.states import RECOVERY, HopState
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
@@ -38,6 +38,7 @@ __all__ = [
     "expected_link_crossings_heterogeneous",
     "first_timeout_profile",
     "heterogeneous_message_components",
+    "heterogeneous_rate_row",
     "hops_from_parameters",
     "reach_profile",
     "recovery_rate_profile",
@@ -182,8 +183,33 @@ def heterogeneous_message_components(
     return breakdown
 
 
-class HeterogeneousMultiHopModel:
-    """The §III-B chain with per-hop loss/delay (SS, SS+RT, HS)."""
+def heterogeneous_rate_row(
+    protocol: Protocol,
+    params: MultiHopParameters,
+    hops: Sequence[HeterogeneousHop],
+    reach: Sequence[float],
+) -> list[float]:
+    """One per-hop point's rates, in the
+    :func:`~repro.core.multihop.transitions.chain_slots` layout."""
+    n = params.hops
+    row = [params.update_rate]
+    row += [(1.0 - hop.loss_rate) / hop.delay for hop in hops]
+    row += [hop.loss_rate / hop.delay for hop in hops]
+    row += recovery_rate_profile(protocol, params, hops, reach)
+    if protocol is Protocol.HS:
+        mean_delay = sum(h.delay for h in hops) / n
+        row += [n * params.external_false_signal_rate, 1.0 / (2.0 * n * mean_delay)]
+    else:
+        row += first_timeout_profile(params, reach)
+    return row
+
+
+class HeterogeneousMultiHopModel(MultiHopModel):
+    """The §III-B chain with per-hop loss/delay (SS, SS+RT, HS).
+
+    Same states and spec list as :class:`MultiHopModel`; only the rate
+    row and the message accounting read the hop vector.
+    """
 
     def __init__(
         self,
@@ -198,81 +224,23 @@ class HeterogeneousMultiHopModel:
             raise ValueError(
                 f"hop vector length {len(hops)} != params.hops {params.hops}"
             )
-        self.protocol = protocol
-        self.params = params
+        super().__init__(protocol, params)
         self.hops = tuple(hops)
-        self._reach = reach_profile(self.hops)
-        self._states = multihop_state_space(
-            params.hops, with_recovery=protocol is Protocol.HS
-        )
-        self._rates = self._build_rates()
-
-    # ------------------------------------------------------------------
-    # Per-hop rate helpers
-    # ------------------------------------------------------------------
 
     def reach_probability(self, hop_count: int) -> float:
         """Probability an end-to-end message survives the first ``hop_count`` links."""
         if not 0 <= hop_count <= len(self.hops):
             raise ValueError(f"hop_count out of range: {hop_count}")
-        return self._reach[hop_count]
+        return reach_profile(self.hops)[hop_count]
 
-    def _build_rates(self) -> dict:
-        params = self.params
-        n = params.hops
-        start = HopState(0, False)
-        rates: dict = {}
-
-        def add(origin, destination, rate: float) -> None:
-            if rate > 0.0 and origin != destination:
-                key = (origin, destination)
-                rates[key] = rates.get(key, 0.0) + rate
-
-        for state in self._states:
-            add(state, start, params.update_rate)
-
-        recovery = recovery_rate_profile(self.protocol, params, self.hops, self._reach)
-        for i in range(n):
-            hop = self.hops[i]
-            fast = HopState(i, False)
-            slow = HopState(i, True)
-            add(fast, HopState(i + 1, False), (1.0 - hop.loss_rate) / hop.delay)
-            add(fast, slow, hop.loss_rate / hop.delay)
-            add(slow, HopState(i + 1, False), recovery[i])
-
-        if self.protocol is not Protocol.HS:
-            timeout = first_timeout_profile(params, self._reach)
-            for state in self._states:
-                if not isinstance(state, HopState):
-                    continue
-                for j in range(state.consistent_hops):
-                    add(state, HopState(j, True), timeout[j])
-        else:
-            lam_x = params.external_false_signal_rate
-            mean_delay = sum(h.delay for h in self.hops) / n
-            for state in self._states:
-                if state is not RECOVERY:
-                    add(state, RECOVERY, n * lam_x)
-            add(RECOVERY, start, 1.0 / (2.0 * n * mean_delay))
-        return rates
-
-    # ------------------------------------------------------------------
-    # Solution
-    # ------------------------------------------------------------------
-
-    def chain(self) -> ContinuousTimeMarkovChain:
-        """The heterogeneous multi-hop CTMC."""
-        return ContinuousTimeMarkovChain(self._states, self._rates)
-
-    def solve(self) -> MultiHopSolution:
-        """Stationary distribution + message rates (per-link counting)."""
-        stationary = self.chain().stationary_distribution()
-        breakdown = heterogeneous_message_components(
-            self.protocol, self.params, self.hops, stationary, self._reach
+    def rate_row(self) -> list[float]:
+        """The point's rates, in the chain's slot layout."""
+        return heterogeneous_rate_row(
+            self.protocol, self.params, self.hops, reach_profile(self.hops)
         )
-        return MultiHopSolution(
-            protocol=self.protocol,
-            params=self.params,
-            stationary=stationary,
-            message_breakdown=breakdown,
+
+    def message_breakdown(self, stationary: dict[object, float]) -> dict[str, float]:
+        """Per-kind per-link transmission rates under ``stationary``."""
+        return heterogeneous_message_components(
+            self.protocol, self.params, self.hops, stationary
         )

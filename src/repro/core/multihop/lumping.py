@@ -48,13 +48,13 @@ import functools
 import itertools
 import math
 
-from repro.core.markov import ContinuousTimeMarkovChain
+from repro.core.markov import spec_rates, spec_tags
 from repro.core.multihop.messages import link_message_components
 from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import supported_protocols
 from repro.core.multihop.tree_messages import tree_expected_link_crossings
-from repro.core.multihop.tree_model import TreeSolution
+from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import (
     MAX_ENUMERATED_TREE_STATES,
     MAX_TREE_STATES,
@@ -442,15 +442,10 @@ def build_lumped_rates(
     Each rate is ``tree_tag_rate(tag) * multiplicity`` — the same float
     product, in the same spec order, the lumped template scatters.
     """
-    rates: dict[tuple[object, object], float] = {}
-    for origin, destination, tag, multiplicity in lumped_transition_specs(
-        protocol, topology
-    ):
-        rate = tree_tag_rate(protocol, params, topology, tag) * multiplicity
-        if rate > 0.0 and origin != destination:
-            key = (origin, destination)
-            rates[key] = rates.get(key, 0.0) + rate
-    return rates
+    specs = lumped_transition_specs(protocol, topology)
+    return spec_rates(
+        specs, {tag: tree_tag_rate(protocol, params, topology, tag) for tag in spec_tags(specs)}
+    )
 
 
 def lump_tree_state(topology: Topology, state: object) -> object:
@@ -646,8 +641,12 @@ class LumpedTreeSolution(TreeSolution):
         return 1.0 - reach / total_weight
 
 
-class LumpedTreeModel:
-    """SS, SS+RT or HS signaling on the orbit (lumped) state space."""
+class LumpedTreeModel(TreeModel):
+    """SS, SS+RT or HS signaling on the orbit (lumped) state space.
+
+    A :class:`TreeModel` whose state space, rates and solution are the
+    orbit space's.
+    """
 
     def __init__(
         self,
@@ -656,47 +655,26 @@ class LumpedTreeModel:
         topology: Topology,
         solver: str = "auto",
     ) -> None:
-        protocol = Protocol(protocol)
-        if protocol not in supported_protocols():
-            raise ValueError(
-                f"{protocol.value} is not modeled in the multi-hop analysis; "
-                f"use one of {[p.value for p in supported_protocols()]}"
-            )
-        if params.hops != topology.num_edges:
-            raise ValueError(
-                f"params.hops ({params.hops}) must equal the topology's edge "
-                f"count ({topology.num_edges}); bind them together when sweeping"
-            )
-        self.protocol = protocol
-        self.params = params
-        self.topology = topology
-        self.solver = solver
-        self._rates = build_lumped_rates(protocol, params, topology)
-        self._states = lumped_state_space(topology, protocol is Protocol.HS)
+        super().__init__(protocol, params, topology, solver=solver)
 
-    def chain(self) -> ContinuousTimeMarkovChain:
-        """The recurrent lumped tree CTMC."""
-        return ContinuousTimeMarkovChain(self._states, self._rates, solver=self.solver)
+    def state_space(self) -> tuple[object, ...]:
+        """The chain's orbits, in canonical order (the cap is checked here)."""
+        return lumped_state_space(self.topology, self.protocol is Protocol.HS)
 
     def transition_rates(self) -> dict[tuple[object, object], float]:
-        """A copy of the chain's transition rates."""
-        return dict(self._rates)
+        """The lumped chain's transition rates."""
+        return build_lumped_rates(self.protocol, self.params, self.topology)
 
     def solution_from_stationary(
         self, stationary: dict[object, float]
     ) -> LumpedTreeSolution:
         """Wrap an externally computed stationary distribution."""
-        breakdown = lumped_message_components(
-            self.protocol, self.params, self.topology, stationary
-        )
         return LumpedTreeSolution(
             protocol=self.protocol,
             params=self.params,
             topology=self.topology,
             stationary=stationary,
-            message_breakdown=breakdown,
+            message_breakdown=lumped_message_components(
+                self.protocol, self.params, self.topology, stationary
+            ),
         )
-
-    def solve(self) -> LumpedTreeSolution:
-        """Compute the stationary distribution and message rates."""
-        return self.solution_from_stationary(self.chain().stationary_distribution())

@@ -19,7 +19,12 @@ import dataclasses
 from repro.core.markov import ContinuousTimeMarkovChain
 from repro.core.multihop.messages import multihop_message_components
 from repro.core.multihop.states import RECOVERY, HopState, multihop_state_space
-from repro.core.multihop.transitions import build_multihop_rates, supported_protocols
+from repro.core.multihop.transitions import (
+    chain_rate_row,
+    chain_rates,
+    multihop_protocol,
+    supported_protocols,
+)
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
@@ -73,40 +78,46 @@ class MultiHopSolution:
 
 
 class MultiHopModel:
-    """The Fig. 15/16 chain for SS, SS+RT or HS over ``N`` hops."""
+    """The Fig. 15/16 chain for SS, SS+RT or HS over ``N`` hops.
+
+    The constructor only validates; the chain is built on demand from
+    the :func:`~repro.core.multihop.transitions.chain_transition_specs`
+    list and the point's :meth:`rate_row`.
+    """
 
     def __init__(self, protocol: Protocol, params: MultiHopParameters) -> None:
-        protocol = Protocol(protocol)
-        if protocol not in supported_protocols():
-            raise ValueError(
-                f"{protocol.value} is not modeled in the multi-hop analysis; "
-                f"use one of {[p.value for p in supported_protocols()]}"
-            )
-        self.protocol = protocol
+        self.protocol = multihop_protocol(protocol)
         self.params = params
-        self._rates = build_multihop_rates(protocol, params)
-        self._states = multihop_state_space(
-            params.hops, with_recovery=protocol is Protocol.HS
-        )
+
+    def rate_row(self) -> list[float]:
+        """The point's rates, in the chain's slot layout."""
+        return chain_rate_row(self.protocol, self.params)
+
+    def transition_rates(self) -> dict[tuple[object, object], float]:
+        """The chain's transition rates."""
+        return chain_rates(self.protocol, self.params.hops, self.rate_row())
 
     def chain(self) -> ContinuousTimeMarkovChain:
         """The recurrent multi-hop CTMC."""
-        return ContinuousTimeMarkovChain(self._states, self._rates)
+        states = multihop_state_space(self.params.hops, with_recovery=self.protocol is Protocol.HS)
+        return ContinuousTimeMarkovChain(states, self.transition_rates())
 
-    def transition_rates(self) -> dict[tuple[object, object], float]:
-        """A copy of the chain's transition rates."""
-        return dict(self._rates)
+    def message_breakdown(self, stationary: dict[object, float]) -> dict[str, float]:
+        """Per-kind per-link transmission rates under ``stationary``."""
+        return multihop_message_components(self.protocol, self.params, stationary)
 
-    def solve(self) -> MultiHopSolution:
-        """Compute the stationary distribution and message rates."""
-        stationary = self.chain().stationary_distribution()
-        breakdown = multihop_message_components(self.protocol, self.params, stationary)
+    def solution_from_stationary(self, stationary: dict[object, float]) -> MultiHopSolution:
+        """Wrap a solved stationary distribution with its message rates."""
         return MultiHopSolution(
             protocol=self.protocol,
             params=self.params,
             stationary=stationary,
-            message_breakdown=breakdown,
+            message_breakdown=self.message_breakdown(stationary),
         )
+
+    def solve(self) -> MultiHopSolution:
+        """Compute the stationary distribution and message rates."""
+        return self.solution_from_stationary(self.chain().stationary_distribution())
 
 
 def solve_all_multihop(

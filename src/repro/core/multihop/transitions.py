@@ -12,17 +12,31 @@ differ in slow-path recovery and in how state is (falsely) removed:
   come from each receiver's external failure detector (rate
   ``lambda_x`` each); the chain then visits the ``RECOVERY`` state
   until the sender learns of the removal and re-triggers.
+
+The chain is written once, as the :func:`chain_transition_specs` list of
+state-index triples whose third entry is a slot of the point's rate row.
+:func:`chain_rate_row` fills that row for homogeneous hops (and
+:func:`~repro.core.multihop.heterogeneous.heterogeneous_rate_row` for
+per-hop vectors); the reference rate dict (:func:`chain_rates`), the
+compiled ``MultiHopTemplate``, its structured O(hops) kernel and the
+Gilbert-Elliott product lift all read the same list and rows.
 """
 
 from __future__ import annotations
 
-from repro.core.multihop.states import RECOVERY, HopState, multihop_state_space
+from repro.core.markov import spec_rates
+from repro.core.multihop.states import multihop_state_space
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
 __all__ = [
     "build_multihop_rates",
+    "chain_rate_row",
+    "chain_rates",
+    "chain_slots",
+    "chain_transition_specs",
     "first_timeout_rate",
+    "multihop_protocol",
     "slow_path_recovery_rate",
     "supported_protocols",
 ]
@@ -83,52 +97,88 @@ def first_timeout_rate(params: MultiHopParameters, surviving_hops: int) -> float
     return max(probability, 0.0) / params.timeout_interval
 
 
+def multihop_protocol(protocol: Protocol) -> Protocol:
+    """``protocol`` as a :class:`Protocol`, rejected unless §III-B models it."""
+    protocol = Protocol(protocol)
+    if protocol not in supported_protocols():
+        raise ValueError(
+            f"{protocol.value} is not modeled in the multi-hop analysis; "
+            f"use one of {[p.value for p in supported_protocols()]}"
+        )
+    return protocol
+
+
+def chain_slots(hops: int) -> tuple[int, int, int, int, int]:
+    """Where each block of a chain rate row starts.
+
+    The row is ``[update, advance(n), lose(n), recover(n), extra]``:
+    ``extra`` holds the ``n`` first-timeout rates of the soft-state
+    protocols, or hard state's false-signal and recovery-exit rates.
+    """
+    return 0, 1, 1 + hops, 1 + 2 * hops, 1 + 3 * hops
+
+
+def chain_transition_specs(protocol: Protocol, hops: int) -> list[tuple[int, int, int]]:
+    """The Fig. 15/16 edges as ``(origin, destination, slot)`` index triples.
+
+    States are numbered in :func:`multihop_state_space` order (fast
+    ``(i,0)`` at ``i``, slow ``(i,1)`` at ``hops + 1 + i``, hard state's
+    ``RECOVERY`` last); ``slot`` indexes the rate row of
+    :func:`chain_slots`.  The order is the reference build order: updates,
+    then each hop's fast and slow paths, then the timeout cascades or
+    hard state's false signals and recovery exit.
+    """
+    _, advance, lose, recover, extra = chain_slots(hops)
+    slow = hops + 1
+    count = 2 * hops + 1 + (protocol is Protocol.HS)
+    # Sender-side updates restart installation from hop 0 (all protocols).
+    specs = [(state, 0, 0) for state in range(1, count)]
+    for i in range(hops):
+        # Fast path: the in-flight message crosses hop i+1 or is lost there;
+        # slow path: refresh/retransmission repairs hop i+1.
+        specs += [(i, i + 1, advance + i), (i, slow + i, lose + i), (slow + i, i + 1, recover + i)]
+    if protocol is not Protocol.HS:
+        # State-timeout cascades: first expiry at hop j+1 leaves j hops.
+        for state in range(count):
+            consistent = state if state < slow else state - slow
+            specs += [(state, slow + j, extra + j) for j in range(consistent)]
+    else:
+        # External false signals: any of the N receivers may fire; the
+        # system recovers once the sender is notified and re-triggers.
+        specs += [(state, count - 1, extra) for state in range(count - 1)]
+        specs.append((count - 1, 0, extra + 1))
+    return specs
+
+
+def chain_rate_row(protocol: Protocol, params: MultiHopParameters) -> list[float]:
+    """One homogeneous point's rates, in the :func:`chain_slots` layout."""
+    n = params.hops
+    success = 1.0 - params.loss_rate
+    row = [params.update_rate]
+    row += [success / params.delay] * n
+    row += [params.loss_rate / params.delay] * n
+    row += [slow_path_recovery_rate(protocol, params, i + 1) for i in range(n)]
+    if protocol is Protocol.HS:
+        row += [n * params.external_false_signal_rate, 1.0 / (2.0 * n * params.delay)]
+    else:
+        row += [first_timeout_rate(params, j) for j in range(n)]
+    return row
+
+
+def chain_rates(protocol: Protocol, hops: int, row: list[float]) -> Rates:
+    """The rate dict of the chain's spec list under one rate ``row``."""
+    states = multihop_state_space(hops, with_recovery=protocol is Protocol.HS)
+    return spec_rates(
+        (
+            (states[origin], states[destination], slot)
+            for origin, destination, slot in chain_transition_specs(protocol, hops)
+        ),
+        row,
+    )
+
+
 def build_multihop_rates(protocol: Protocol, params: MultiHopParameters) -> Rates:
     """All transition rates of the Fig. 15/16 chain for ``protocol``."""
     if protocol not in supported_protocols():
         raise ValueError(f"{protocol} is not part of the multi-hop analysis")
-    n = params.hops
-    p = params.loss_rate
-    success = 1.0 - p
-    delta = params.delay
-    lam_u = params.update_rate
-    start = HopState(0, False)
-    states = multihop_state_space(n, with_recovery=protocol is Protocol.HS)
-
-    rates: Rates = {}
-
-    def add(origin: object, destination: object, rate: float) -> None:
-        if rate > 0.0 and origin != destination:
-            key = (origin, destination)
-            rates[key] = rates.get(key, 0.0) + rate
-
-    # Sender-side updates restart installation from hop 0 (all protocols).
-    for state in states:
-        add(state, start, lam_u)
-
-    for i in range(n):
-        fast = HopState(i, False)
-        slow = HopState(i, True)
-        # Fast path: the in-flight message crosses hop i+1 or is lost there.
-        add(fast, HopState(i + 1, False), success / delta)
-        add(fast, slow, p / delta)
-        # Slow path: refresh/retransmission repairs hop i+1.
-        add(slow, HopState(i + 1, False), slow_path_recovery_rate(protocol, params, i + 1))
-
-    if protocol is not Protocol.HS:
-        # State-timeout cascades: first expiry at hop j+1 leaves j hops.
-        for state in states:
-            if not isinstance(state, HopState):
-                continue
-            for j in range(state.consistent_hops):
-                add(state, HopState(j, True), first_timeout_rate(params, j))
-    else:
-        # External false signals: any of the N receivers may fire; the
-        # system recovers once the sender is notified and re-triggers.
-        lam_x = params.external_false_signal_rate
-        for state in states:
-            if state is not RECOVERY:
-                add(state, RECOVERY, n * lam_x)
-        add(RECOVERY, start, 1.0 / (2.0 * n * delta))
-
-    return rates
+    return chain_rates(protocol, params.hops, chain_rate_row(protocol, params))

@@ -30,7 +30,7 @@ import dataclasses
 from repro.core.markov import ContinuousTimeMarkovChain
 from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
-from repro.core.multihop.transitions import supported_protocols
+from repro.core.multihop.transitions import multihop_protocol, supported_protocols
 from repro.core.multihop.tree_messages import tree_message_components
 from repro.core.multihop.tree_states import TreeState, tree_state_space
 from repro.core.multihop.tree_transitions import build_tree_rates
@@ -140,7 +140,11 @@ class TreeModel:
     backend solves raw spaces up to
     :data:`~repro.core.multihop.tree_states.MAX_ENUMERATED_TREE_STATES`);
     ``solver`` picks the chain's linear-algebra backend (``"auto"``,
-    ``"dense"``, ``"sparse"`` or ``"iterative"``).
+    ``"dense"``, ``"sparse"`` or ``"iterative"``).  The constructor
+    validates the point and checks the state-count cap; the chain is
+    built on demand from the
+    :func:`~repro.core.multihop.tree_transitions.tree_transition_specs`
+    list.
     """
 
     def __init__(
@@ -151,12 +155,7 @@ class TreeModel:
         max_states: int | None = None,
         solver: str = "auto",
     ) -> None:
-        protocol = Protocol(protocol)
-        if protocol not in supported_protocols():
-            raise ValueError(
-                f"{protocol.value} is not modeled in the multi-hop analysis; "
-                f"use one of {[p.value for p in supported_protocols()]}"
-            )
+        protocol = multihop_protocol(protocol)
         if params.hops != topology.num_edges:
             raise ValueError(
                 f"params.hops ({params.hops}) must equal the topology's edge "
@@ -165,19 +164,23 @@ class TreeModel:
         self.protocol = protocol
         self.params = params
         self.topology = topology
+        self.max_states = max_states
         self.solver = solver
-        self._rates = build_tree_rates(protocol, params, topology, max_states)
-        self._states = tree_state_space(
-            topology, protocol is Protocol.HS, max_states
-        )
+        self.state_space()
+
+    def state_space(self) -> tuple[object, ...]:
+        """The chain's states, in canonical order (the cap is checked here)."""
+        return tree_state_space(self.topology, self.protocol is Protocol.HS, self.max_states)
+
+    def transition_rates(self) -> dict[tuple[object, object], float]:
+        """The chain's transition rates."""
+        return build_tree_rates(self.protocol, self.params, self.topology, self.max_states)
 
     def chain(self) -> ContinuousTimeMarkovChain:
         """The recurrent tree CTMC."""
-        return ContinuousTimeMarkovChain(self._states, self._rates, solver=self.solver)
-
-    def transition_rates(self) -> dict[tuple[object, object], float]:
-        """A copy of the chain's transition rates."""
-        return dict(self._rates)
+        return ContinuousTimeMarkovChain(
+            self.state_space(), self.transition_rates(), solver=self.solver
+        )
 
     def solution_from_stationary(
         self, stationary: dict[object, float]

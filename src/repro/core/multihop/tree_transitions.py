@@ -1,11 +1,13 @@
 """Transitions of the tree signaling model — shared with the templates.
 
-The transition *structure* (which state goes where, tagged with the
-kind of event) is generated once by :func:`tree_transition_specs` and
-consumed by two paths that must stay bit-identical:
+Like every model family, the tree is one spec list, one rate function
+and one reference model.  The transition *structure* (which state goes
+where, tagged with the kind of event) is generated once by
+:func:`tree_transition_specs`, and :func:`tree_tag_rate` prices each tag
+at one point.  Two paths read them and must stay bit-identical:
 
-* :func:`build_tree_rates` maps each tag to its rate value and builds
-  the reference rate dict (what :class:`TreeModel` solves);
+* :func:`build_tree_rates` accumulates the reference rate dict (what
+  :class:`TreeModel` solves) with :func:`repro.core.markov.spec_rates`;
 * :class:`repro.core.templates.TreeTemplate` maps each tag to a
   derived-feature index and scatters per-point rate vectors into the
   compiled COO structure.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 
+from repro.core.markov import spec_rates, spec_tags
 from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import (
@@ -186,10 +189,7 @@ def build_tree_rates(
     for key (modulo the state encoding), in the same accumulation
     order.
     """
-    rates: Rates = {}
-    for origin, destination, tag in tree_transition_specs(protocol, topology, max_states):
-        rate = tree_tag_rate(protocol, params, topology, tag)
-        if rate > 0.0 and origin != destination:
-            key = (origin, destination)
-            rates[key] = rates.get(key, 0.0) + rate
-    return rates
+    specs = tree_transition_specs(protocol, topology, max_states)
+    return spec_rates(
+        specs, {tag: tree_tag_rate(protocol, params, topology, tag) for tag in spec_tags(specs)}
+    )

@@ -72,44 +72,49 @@ class SingleHopSolution:
 
 
 class SingleHopModel:
-    """The paper's unified single-hop CTMC, specialized to one protocol."""
+    """The paper's unified single-hop CTMC, specialized to one protocol.
+
+    The constructor only validates; the chains are built on demand from
+    the :func:`~repro.core.singlehop.transitions.transition_specs` list.
+    """
 
     def __init__(self, protocol: Protocol, params: SignalingParameters) -> None:
         if params.removal_rate <= 0:
             raise ValueError(FINITE_SESSION_REQUIRED)
         self.protocol = Protocol(protocol)
         self.params = params
-        self._rates = build_transition_rates(self.protocol, params)
-        self._states = state_space(self.protocol)
 
     def transient_chain(self) -> ContinuousTimeMarkovChain:
         """The lifecycle chain with ``(0,0)`` absorbing (Fig. 3 as drawn)."""
-        return ContinuousTimeMarkovChain(self._states, self._rates)
+        return ContinuousTimeMarkovChain(state_space(self.protocol), self.transition_rates())
 
     def recurrent_chain(self) -> ContinuousTimeMarkovChain:
         """The renewal chain: ``(0,0)`` merged into the start ``(1,0)_1``."""
         return self.transient_chain().merge_states(S.ABSORBED, S.S10_FAST)
 
     def transition_rates(self) -> dict[tuple[S, S], float]:
-        """A copy of the chain's transition rates (Table I materialized)."""
-        return dict(self._rates)
+        """The chain's transition rates (Table I materialized)."""
+        return build_transition_rates(self.protocol, self.params)
 
-    def solve(self) -> SingleHopSolution:
-        """Compute stationary distribution, ``I``, ``L`` and message rates."""
-        stationary = self.recurrent_chain().stationary_distribution()
-        inconsistency = 1.0 - stationary[S.CONSISTENT]
-        lifetime = self.transient_chain().mean_time_to_absorption(
-            S.S10_FAST, [S.ABSORBED]
-        )
-        breakdown = message_rate_components(self.protocol, self.params, stationary)
+    def solution_from_stationary(
+        self, stationary: dict[S, float], lifetime: float
+    ) -> SingleHopSolution:
+        """Wrap a solved recurrent distribution and receiver lifetime."""
         return SingleHopSolution(
             protocol=self.protocol,
             params=self.params,
             stationary=stationary,
-            inconsistency_ratio=inconsistency,
+            inconsistency_ratio=1.0 - stationary[S.CONSISTENT],
             expected_receiver_lifetime=lifetime,
-            message_breakdown=breakdown,
+            message_breakdown=message_rate_components(self.protocol, self.params, stationary),
         )
+
+    def solve(self) -> SingleHopSolution:
+        """Compute stationary distribution, ``I``, ``L`` and message rates."""
+        transient = self.transient_chain()
+        stationary = transient.merge_states(S.ABSORBED, S.S10_FAST).stationary_distribution()
+        lifetime = transient.mean_time_to_absorption(S.S10_FAST, [S.ABSORBED])
+        return self.solution_from_stationary(stationary, lifetime)
 
 
 def solve_all(

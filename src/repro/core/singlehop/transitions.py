@@ -1,13 +1,21 @@
-"""Transition-rate table for the single-hop chain (paper Table I).
+"""Transition structure and rates of the single-hop chain (paper Table I).
 
-:func:`build_transition_rates` materializes Fig. 3 for one protocol:
-the protocol-independent rows (setup/update fast paths, update and
-removal events, false removal) plus the protocol-specific rows of
-Table I.  The result feeds :class:`repro.core.markov.ContinuousTimeMarkovChain`.
+Fig. 3 is written once, as the :func:`transition_specs` list of
+``(origin, destination, tag)`` triples: the protocol-independent rows
+(setup/update fast paths, update and removal events, false removal)
+plus the protocol-specific rows of Table I.  :func:`transition_tag_rates`
+gives each tag's rate at one parameter point.  The reference rate dict
+(:func:`build_transition_rates`, which feeds
+:class:`repro.core.markov.ContinuousTimeMarkovChain`), the compiled
+``SingleHopTemplate`` and the Gilbert-Elliott product lift all read
+these two, so they agree edge for edge, in the same order.
 """
 
 from __future__ import annotations
 
+import functools
+
+from repro.core.markov import spec_rates
 from repro.core.parameters import SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.states import SingleHopState as S
@@ -17,6 +25,8 @@ __all__ = [
     "effective_false_removal_rate",
     "slow_path_recovery_rate",
     "state_space",
+    "transition_specs",
+    "transition_tag_rates",
 ]
 
 Rates = dict[tuple[S, S], float]
@@ -67,60 +77,66 @@ def slow_path_recovery_rate(protocol: Protocol, params: SignalingParameters) -> 
     return success * retransmit  # HS: retransmission only
 
 
-def _orphan_removal_rates(protocol: Protocol, params: SignalingParameters) -> Rates:
-    """Rows 4-6 of Table I: how receiver-side orphaned state goes away."""
+@functools.lru_cache(maxsize=None)
+def transition_specs(protocol: Protocol) -> tuple[tuple[S, S, str], ...]:
+    """Fig. 3 as ``(origin, destination, tag)`` triples: Table I's rows
+    in build order, each tag one rate of :func:`transition_tag_rates`."""
+    specs = [
+        # Setup/update trigger in flight: delivered or lost after ~Delta.
+        (S.S10_FAST, S.CONSISTENT, "fast_ok"),
+        (S.S10_FAST, S.S10_SLOW, "fast_lost"),
+        (S.IC_FAST, S.CONSISTENT, "fast_ok"),
+        (S.IC_FAST, S.IC_SLOW, "fast_lost"),
+        # Slow-path recovery via refresh and/or retransmission.
+        (S.S10_SLOW, S.CONSISTENT, "recovery"),
+        (S.IC_SLOW, S.CONSISTENT, "recovery"),
+        # State updates (events are serialized: never while in flight).
+        (S.CONSISTENT, S.IC_FAST, "update"),
+        (S.S10_SLOW, S.S10_FAST, "update"),
+        (S.IC_SLOW, S.IC_FAST, "update"),
+        # Sender-side state removal.
+        (S.S10_SLOW, S.ABSORBED, "removal"),
+        (S.CONSISTENT, S.S01_FAST, "removal"),
+        (S.IC_SLOW, S.S01_FAST, "removal"),
+        # False removal at the receiver sends us back to slow setup.
+        (S.CONSISTENT, S.S10_SLOW, "false_removal"),
+        (S.IC_SLOW, S.S10_SLOW, "false_removal"),
+    ]
+    # Rows 4-6 of Table I: how receiver-side orphaned state goes away.
+    if not protocol.explicit_removal:
+        # No explicit removal: only the state-timeout clears the orphan.
+        specs.append((S.S01_FAST, S.ABSORBED, "timeout"))
+        return tuple(specs)
+    specs.append((S.S01_FAST, S.ABSORBED, "fast_ok"))
+    specs.append((S.S01_FAST, S.S01_SLOW, "fast_lost"))
+    if protocol is Protocol.SS_ER:
+        specs.append((S.S01_SLOW, S.ABSORBED, "timeout"))
+    elif protocol is Protocol.SS_RTR:
+        specs.append((S.S01_SLOW, S.ABSORBED, "timeout_retx"))
+    else:  # HS: retransmission of the removal message only
+        specs.append((S.S01_SLOW, S.ABSORBED, "removal_retx"))
+    return tuple(specs)
+
+
+def transition_tag_rates(protocol: Protocol, params: SignalingParameters) -> dict[str, float]:
+    """The rate of each :func:`transition_specs` tag under ``params``."""
     p = params.loss_rate
     success = 1.0 - p
-    delta = params.delay
     timeout = 1.0 / params.timeout_interval
     retransmit = 1.0 / params.retransmission_interval
-    rates: Rates = {}
-    if protocol in (Protocol.SS, Protocol.SS_RT):
-        # No explicit removal: only the state-timeout clears the orphan.
-        rates[(S.S01_FAST, S.ABSORBED)] = timeout
-        return rates
-    # SS+ER, SS+RTR, HS carry an explicit removal message.
-    rates[(S.S01_FAST, S.ABSORBED)] = success / delta
-    rates[(S.S01_FAST, S.S01_SLOW)] = p / delta
-    if protocol is Protocol.SS_ER:
-        rates[(S.S01_SLOW, S.ABSORBED)] = timeout
-    elif protocol is Protocol.SS_RTR:
-        rates[(S.S01_SLOW, S.ABSORBED)] = timeout + success * retransmit
-    else:  # HS: retransmission of the removal message only
-        rates[(S.S01_SLOW, S.ABSORBED)] = success * retransmit
-    return rates
+    return {
+        "fast_ok": success / params.delay,
+        "fast_lost": p / params.delay,
+        "update": params.update_rate,
+        "removal": params.removal_rate,
+        "recovery": slow_path_recovery_rate(protocol, params),
+        "false_removal": effective_false_removal_rate(protocol, params),
+        "timeout": timeout,
+        "timeout_retx": timeout + success * retransmit,
+        "removal_retx": success * retransmit,
+    }
 
 
 def build_transition_rates(protocol: Protocol, params: SignalingParameters) -> Rates:
     """All transition rates of Fig. 3 for ``protocol`` under ``params``."""
-    p = params.loss_rate
-    success = 1.0 - p
-    delta = params.delay
-    lam_u = params.update_rate
-    mu_r = params.removal_rate
-    lam_f = effective_false_removal_rate(protocol, params)
-    recovery = slow_path_recovery_rate(protocol, params)
-
-    rates: Rates = {
-        # Setup/update trigger in flight: delivered or lost after ~Delta.
-        (S.S10_FAST, S.CONSISTENT): success / delta,
-        (S.S10_FAST, S.S10_SLOW): p / delta,
-        (S.IC_FAST, S.CONSISTENT): success / delta,
-        (S.IC_FAST, S.IC_SLOW): p / delta,
-        # Slow-path recovery via refresh and/or retransmission.
-        (S.S10_SLOW, S.CONSISTENT): recovery,
-        (S.IC_SLOW, S.CONSISTENT): recovery,
-        # State updates (events are serialized: never while in flight).
-        (S.CONSISTENT, S.IC_FAST): lam_u,
-        (S.S10_SLOW, S.S10_FAST): lam_u,
-        (S.IC_SLOW, S.IC_FAST): lam_u,
-        # Sender-side state removal.
-        (S.S10_SLOW, S.ABSORBED): mu_r,
-        (S.CONSISTENT, S.S01_FAST): mu_r,
-        (S.IC_SLOW, S.S01_FAST): mu_r,
-        # False removal at the receiver sends us back to slow setup.
-        (S.CONSISTENT, S.S10_SLOW): lam_f,
-        (S.IC_SLOW, S.S10_SLOW): lam_f,
-    }
-    rates.update(_orphan_removal_rates(protocol, params))
-    return {pair: rate for pair, rate in rates.items() if rate > 0.0}
+    return spec_rates(transition_specs(protocol), transition_tag_rates(protocol, params))

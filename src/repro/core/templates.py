@@ -3,12 +3,14 @@
 Every figure in the paper sweeps parameters over a chain whose
 *structure* (state space and transition graph) is fixed by a model
 family's discrete inputs (the protocol, plus the hop count, tree
-topology or channel model) while only the rates vary.  The per-point
-reference models (:mod:`repro.core.singlehop`, :mod:`repro.core.multihop`
-and :mod:`repro.core.gilbert`) rebuild that structure from dicts of
-hashable states at every sweep point.  A template compiles it once, and
-one private base class, :class:`_CompiledTemplate`, runs everything
-after that:
+topology or channel model) while only the rates vary.  Every family
+writes that structure once, as a spec list of ``(origin, destination,
+tag[, multiplicity])`` edges, next to one per-point rate function and a
+reference model (:mod:`repro.core.singlehop`, :mod:`repro.core.multihop`,
+:mod:`repro.core.gilbert`) that accumulates its rate dict from the two
+with :func:`~repro.core.markov.spec_rates`.  A template compiles the spec
+list once, and one private base class, :class:`_CompiledTemplate`, runs
+everything after that:
 
 * the COO compile: integer ``rows``/``cols`` over the fixed state
   order, plus, for each edge, the slot of the per-point *derived-rate
@@ -22,21 +24,19 @@ after that:
   per-point numeric ``splu`` (or ILU/GMRES for the iterative tree
   backend) on the :class:`~repro.core.markov.SparseStationarySystem` of
   the point's positive-rate edges, compiled once per zero mask;
-* ``solve_batch``: any point the batch cannot certify (singular matrix,
-  residual check, non-finite result) is re-solved by the reference
-  model, so failure diagnostics are exactly the reference's.
+* ``solve_batch``: each solved row is wrapped by the point's reference
+  model (``solution_from_stationary``), and any point the batch cannot
+  certify (singular matrix, residual check, non-finite result) is
+  re-solved by that model, so failure diagnostics are exactly the
+  reference's.
 
-A model family is a subclass that compiles its structure and supplies
-three hooks: ``_derived(point)`` validates one point and returns its
-whole derived-rate row, computed with the *reference modules' own
-helper functions* (``slow_path_recovery_rate``, ``tree_tag_rate``, …);
-``_solution(point, solved)`` wraps the point's solved row in the
-family's solution type; and ``_reference(point)`` solves the point with
-the reference model.  A family whose reference accumulates its rate dict
-from an ``(origin, destination, tag[, multiplicity])`` spec list
-subclasses :class:`_SpecTemplate`, which compiles that list with one
-derived slot per distinct tag.  A new family is therefore a spec list,
-a per-point rate hook, a solution wrapper and a reference model.
+A family's template supplies two hooks: ``_model(point)`` checks the
+point against the compiled structure and returns the point's reference
+model, whose constructor validates the rest; ``_derived(model)`` returns
+the point's whole derived-rate row from the family's rate function.  A
+family whose specs carry state objects subclasses :class:`_SpecTemplate`,
+which compiles them with one derived slot per distinct tag; the chain
+compiles its state-index triples directly.
 
 Each edge rate is the reference's own float, scattered in the
 reference's accumulation order, and the stacked ``numpy.linalg.solve``
@@ -68,31 +68,19 @@ from repro.core.markov import (
     batched_absorption_times_dense,
     batched_stationary_chain,
     batched_stationary_dense,
+    spec_tags,
 )
-from repro.core.multihop.heterogeneous import (
-    HeterogeneousHop,
-    HeterogeneousMultiHopModel,
-    first_timeout_profile,
-    heterogeneous_message_components,
-    reach_profile,
-    recovery_rate_profile,
-)
+from repro.core.multihop.heterogeneous import HeterogeneousHop, HeterogeneousMultiHopModel
 from repro.core.multihop.lumping import (
     LumpedTreeModel,
     LumpedTreeSolution,
-    lumped_message_components,
     lumped_state_space,
     lumped_transition_specs,
 )
-from repro.core.multihop.messages import multihop_message_components
 from repro.core.multihop.model import MultiHopModel, MultiHopSolution
 from repro.core.multihop.states import multihop_state_space
 from repro.core.multihop.topology import Topology
-from repro.core.multihop.transitions import (
-    first_timeout_rate,
-    slow_path_recovery_rate,
-)
-from repro.core.multihop.tree_messages import tree_message_components
+from repro.core.multihop.transitions import chain_slots, chain_transition_specs
 from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import (
     MAX_ENUMERATED_TREE_STATES,
@@ -104,17 +92,12 @@ from repro.core.multihop.tree_transitions import (
 )
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
-from repro.core.singlehop.messages import message_rate_components
-from repro.core.singlehop.model import (
-    FINITE_SESSION_REQUIRED,
-    SingleHopModel,
-    SingleHopSolution,
-)
+from repro.core.singlehop.model import SingleHopModel, SingleHopSolution
 from repro.core.singlehop.states import SingleHopState as S
 from repro.core.singlehop.transitions import (
-    effective_false_removal_rate,
-    slow_path_recovery_rate as singlehop_recovery_rate,
     state_space,
+    transition_specs,
+    transition_tag_rates,
 )
 from repro.faults.gilbert import GilbertElliottParameters
 
@@ -183,10 +166,12 @@ class _CompiledTemplate:
     """One compiled chain structure, solved for many rate points at once.
 
     A subclass calls :meth:`_compile` and supplies the hooks
-    ``_derived(point)`` (validate one point, return its whole derived-
-    rate row), ``_solution(point, solved)`` (wrap the point's row of
-    the batched solve, its stationary masses in ``states`` order) and
-    ``_reference(point)`` (the per-point reference solve).
+    ``_model(point)`` (check one point against the template, return its
+    reference model) and ``_derived(model)`` (the point's whole
+    derived-rate row).  A solved row, its stationary masses in
+    ``states`` order, goes to the model's ``solution_from_stationary``
+    (:meth:`_solution`); a point the batch cannot certify to
+    ``model.solve()``.
     """
 
     #: ``"iterative"`` solves every point by ILU/GMRES on the sparse
@@ -211,11 +196,17 @@ class _CompiledTemplate:
 
     def derived_rows(self, points: Sequence) -> np.ndarray:
         """The ``(K, F)`` derived-rate matrix for ``points``."""
-        return np.array([self._derived(point) for point in points], dtype=np.float64)
+        return self._derived_rows([self._model(point) for point in points])
 
     def edge_rates(self, points: Sequence) -> np.ndarray:
         """The ``(K, E)`` edge-rate matrix for ``points``."""
-        rates = self.derived_rows(points)[:, self._features]
+        return self._edge_rates([self._model(point) for point in points])
+
+    def _derived_rows(self, models: list) -> np.ndarray:
+        return np.array([self._derived(model) for model in models], dtype=np.float64)
+
+    def _edge_rates(self, models: list) -> np.ndarray:
+        rates = self._derived_rows(models)[:, self._features]
         rates *= self._multiplicities  # in place: one (K, E) array alive, not two
         return rates
 
@@ -251,21 +242,21 @@ class _CompiledTemplate:
         values = np.bincount(merge, weights=rates[edges], minlength=system.rows.size)
         return system.stationary(values, iterative=iterative)
 
-    def _stationary(self, points: list) -> tuple[np.ndarray, np.ndarray]:
+    def _stationary(self, models: list) -> tuple[np.ndarray, np.ndarray]:
         """``(pi, bad)`` for every point, dense-batched or sparse-looped.
 
         A point the sparse or iterative solve fails is flagged for the
         reference fallback, and logged: the fallback must never be
         silent (see docs/robustness.md).
         """
-        rates = self.edge_rates(points)
+        rates = self._edge_rates(models)
         n = len(self.states)
         if self.solver == "direct" and not self._use_sparse():
             return batched_stationary_dense(
                 _fill_generator_diagonal(_assemble_dense(self._flat, rates, n))
             )
         iterative = self.solver == "iterative"
-        k = len(points)
+        k = len(models)
         pi = np.zeros((k, n))
         bad = np.zeros(k, dtype=bool)
         for point in range(k):
@@ -289,19 +280,22 @@ class _CompiledTemplate:
 
     def _solve_points(self, points: Sequence, stationary) -> list:
         """Solve ``points`` with ``stationary``, then each flagged point
-        (or all of them, if the batch is singular) with the reference."""
-        points = list(points)
-        if not points:
+        (or all of them, if the batch is singular) with its model."""
+        models = [self._model(point) for point in points]
+        if not models:
             return []
         try:
-            pi, bad = stationary(points)
+            pi, bad = stationary(models)
         except np.linalg.LinAlgError:
-            return [self._reference(point) for point in points]
+            return [model.solve() for model in models]
         rows = pi.tolist()
         return [
-            self._reference(point) if bad[k] else self._solution(point, rows[k])
-            for k, point in enumerate(points)
+            model.solve() if bad[k] else self._solution(model, rows[k])
+            for k, model in enumerate(models)
         ]
+
+    def _solution(self, model, solved: list):
+        return model.solution_from_stationary(dict(zip(self.states, solved)))
 
 
 class _SpecTemplate(_CompiledTemplate):
@@ -316,7 +310,7 @@ class _SpecTemplate(_CompiledTemplate):
 
     def _compile_specs(self, states, specs) -> None:
         index = {state: i for i, state in enumerate(states)}
-        self._tags = tuple(dict.fromkeys([spec[2] for spec in specs]))
+        self._tags = spec_tags(specs)
         slot = {tag: i for i, tag in enumerate(self._tags)}
         self._compile(
             states,
@@ -339,54 +333,8 @@ def _multihop_protocol(protocol: Protocol) -> Protocol:
 # Single-hop template
 # ----------------------------------------------------------------------
 
-#: Derived-feature order of the single-hop rate evaluator.
-_SH_FEATURES = (
-    "fast_ok",
-    "fast_lost",
-    "update",
-    "removal",
-    "recovery",
-    "false_removal",
-    "timeout",
-    "timeout_retx",
-    "removal_retx",
-)
-_SH_INDEX = {name: i for i, name in enumerate(_SH_FEATURES)}
 
-
-def _singlehop_edge_specs(protocol: Protocol) -> list[tuple[S, S, str]]:
-    """The Fig. 3 edge list in the reference build order (Table I)."""
-    specs = [
-        (S.S10_FAST, S.CONSISTENT, "fast_ok"),
-        (S.S10_FAST, S.S10_SLOW, "fast_lost"),
-        (S.IC_FAST, S.CONSISTENT, "fast_ok"),
-        (S.IC_FAST, S.IC_SLOW, "fast_lost"),
-        (S.S10_SLOW, S.CONSISTENT, "recovery"),
-        (S.IC_SLOW, S.CONSISTENT, "recovery"),
-        (S.CONSISTENT, S.IC_FAST, "update"),
-        (S.S10_SLOW, S.S10_FAST, "update"),
-        (S.IC_SLOW, S.IC_FAST, "update"),
-        (S.S10_SLOW, S.ABSORBED, "removal"),
-        (S.CONSISTENT, S.S01_FAST, "removal"),
-        (S.IC_SLOW, S.S01_FAST, "removal"),
-        (S.CONSISTENT, S.S10_SLOW, "false_removal"),
-        (S.IC_SLOW, S.S10_SLOW, "false_removal"),
-    ]
-    if not protocol.explicit_removal:
-        specs.append((S.S01_FAST, S.ABSORBED, "timeout"))
-        return specs
-    specs.append((S.S01_FAST, S.ABSORBED, "fast_ok"))
-    specs.append((S.S01_FAST, S.S01_SLOW, "fast_lost"))
-    if protocol is Protocol.SS_ER:
-        specs.append((S.S01_SLOW, S.ABSORBED, "timeout"))
-    elif protocol is Protocol.SS_RTR:
-        specs.append((S.S01_SLOW, S.ABSORBED, "timeout_retx"))
-    else:  # HS
-        specs.append((S.S01_SLOW, S.ABSORBED, "removal_retx"))
-    return specs
-
-
-class SingleHopTemplate(_CompiledTemplate):
+class SingleHopTemplate(_SpecTemplate):
     """Compiled structure of one protocol's Fig. 3 chain.
 
     Each batch solves the recurrent chain (the absorbing state merged
@@ -399,47 +347,25 @@ class SingleHopTemplate(_CompiledTemplate):
 
     def __init__(self, protocol: Protocol) -> None:
         self.protocol = Protocol(protocol)
-        states: tuple[S, ...] = state_space(self.protocol)
-        index = {state: i for i, state in enumerate(states)}
-        specs = _singlehop_edge_specs(self.protocol)
-        self.edges: tuple[tuple[S, S], ...] = tuple((o, d) for o, d, _ in specs)
-        self._compile(
-            states,
-            [index[o] for o, _, _ in specs],
-            [index[d] for _, d, _ in specs],
-            [_SH_INDEX[f] for _, _, f in specs],
-        )
-        self._start = index[S.S10_FAST]
+        self._compile_specs(state_space(self.protocol), transition_specs(self.protocol))
+        self._start = self.states.index(S.S10_FAST)
         # Recurrent chain: the absorbing state (last) merged into the
         # start state — redirect its incoming edges, drop its row/column.
-        merged_cols = np.where(self.cols == index[S.ABSORBED], self._start, self.cols)
-        self._recurrent_flat = self.rows * (len(states) - 1) + merged_cols
+        absorbed = self.states.index(S.ABSORBED)
+        merged_cols = np.where(self.cols == absorbed, self._start, self.cols)
+        self._recurrent_flat = self.rows * (len(self.states) - 1) + merged_cols
 
-    def _derived(self, params: SignalingParameters) -> tuple[float, ...]:
-        """One point's derived features, via the reference expressions."""
-        if params.removal_rate <= 0:
-            raise ValueError(FINITE_SESSION_REQUIRED)
-        p = params.loss_rate
-        success = 1.0 - p
-        delta = params.delay
-        timeout = 1.0 / params.timeout_interval
-        retransmit = 1.0 / params.retransmission_interval
-        return (
-            success / delta,
-            p / delta,
-            params.update_rate,
-            params.removal_rate,
-            singlehop_recovery_rate(self.protocol, params),
-            effective_false_removal_rate(self.protocol, params),
-            timeout,
-            timeout + success * retransmit,
-            success * retransmit,
-        )
+    def _model(self, params: SignalingParameters) -> SingleHopModel:
+        return SingleHopModel(self.protocol, params)
 
-    def _stationary(self, points: list) -> tuple[np.ndarray, np.ndarray]:
+    def _derived(self, model: SingleHopModel) -> list[float]:
+        rates = transition_tag_rates(self.protocol, model.params)
+        return [rates[tag] for tag in self._tags]
+
+    def _stationary(self, models: list) -> tuple[np.ndarray, np.ndarray]:
         """``(solved, bad)``: each row the recurrent stationary
         distribution, then the point's expected receiver lifetime."""
-        rates = self.edge_rates(points)
+        rates = self._edge_rates(models)
         m = len(self.states) - 1  # both the recurrent and the transient block size
         recurrent = _fill_generator_diagonal(
             _assemble_dense(self._recurrent_flat, rates, m)
@@ -449,19 +375,8 @@ class SingleHopTemplate(_CompiledTemplate):
         times, bad_times = batched_absorption_times_dense(transient[:, :m, :m])
         return np.column_stack((pi, times[:, self._start])), bad_pi | bad_times
 
-    def _solution(self, params: SignalingParameters, solved: list) -> SingleHopSolution:
-        stationary = dict(zip(self.states, solved[:-1]))
-        return SingleHopSolution(
-            protocol=self.protocol,
-            params=params,
-            stationary=stationary,
-            inconsistency_ratio=1.0 - stationary[S.CONSISTENT],
-            expected_receiver_lifetime=solved[-1],
-            message_breakdown=message_rate_components(self.protocol, params, stationary),
-        )
-
-    def _reference(self, params: SignalingParameters) -> SingleHopSolution:
-        return SingleHopModel(self.protocol, params).solve()
+    def _solution(self, model: SingleHopModel, solved: list) -> SingleHopSolution:
+        return model.solution_from_stationary(dict(zip(self.states, solved[:-1])), solved[-1])
 
 
 # ----------------------------------------------------------------------
@@ -502,12 +417,15 @@ class MultiHopTemplate(_CompiledTemplate):
     """Compiled structure of the Fig. 15/16 chain for ``(protocol, hops)``.
 
     One template serves both homogeneous points (``hops=None`` in the
-    task, rates derived with the homogeneous reference helpers) and
-    heterogeneous points (per-hop vectors, rates derived with the
-    heterogeneous profile functions), because the chain structure is
-    identical — only the rate values differ.  The derived row has the
-    fixed layout ``[update, advance(n), lose(n), recover(n), extra]``,
-    which the structured O(hops) kernel reads directly.
+    task, solved by :class:`~repro.core.multihop.model.MultiHopModel`)
+    and heterogeneous points (per-hop vectors, solved by
+    :class:`~repro.core.multihop.heterogeneous.HeterogeneousMultiHopModel`),
+    because the chain structure is identical — only the rate row
+    differs.  Compiled from the state-index triples of
+    :func:`~repro.core.multihop.transitions.chain_transition_specs`; the
+    derived row is the model's rate row, whose fixed layout
+    ``[update, advance(n), lose(n), recover(n), extra]`` the structured
+    O(hops) kernel reads directly.
 
     Use :func:`multihop_template` to get the memoized instance.
     """
@@ -517,106 +435,33 @@ class MultiHopTemplate(_CompiledTemplate):
         if hops < 1:
             raise ValueError(f"hops must be >= 1, got {hops}")
         self.hops = hops
-        with_recovery = self.protocol is Protocol.HS
-        states = multihop_state_space(hops, with_recovery=with_recovery)
-        n = hops
-        ns = len(states)
-        # State indexing mirrors multihop_state_space order:
-        # fast (i,0) -> i for i in 0..n; slow (i,1) -> n+1+i; RECOVERY last.
-        fast = lambda i: i  # noqa: E731 - tiny local alias
-        slow = lambda i: n + 1 + i  # noqa: E731
-        self._f_update = 0
-        self._f_advance = 1
-        self._f_lose = 1 + n
-        self._f_recover = 1 + 2 * n
-        self._f_extra = 1 + 3 * n
-        self.n_features = self._f_extra + (2 if with_recovery else n)
-        specs: list[tuple[int, int, int]] = []
-        for si in range(1, ns):
-            specs.append((si, fast(0), self._f_update))
-        for i in range(n):
-            specs.append((fast(i), fast(i + 1), self._f_advance + i))
-            specs.append((fast(i), slow(i), self._f_lose + i))
-            specs.append((slow(i), fast(i + 1), self._f_recover + i))
-        if not with_recovery:
-            for si, state in enumerate(states):
-                for j in range(state.consistent_hops):
-                    specs.append((si, slow(j), self._f_extra + j))
-        else:
-            recovery_index = ns - 1
-            for si in range(ns - 1):
-                specs.append((si, recovery_index, self._f_extra))
-            specs.append((recovery_index, fast(0), self._f_extra + 1))
-        self._compile(
-            states,
-            [r for r, _, _ in specs],
-            [c for _, c, _ in specs],
-            [f for _, _, f in specs],
+        self._f_update, self._f_advance, self._f_lose, self._f_recover, self._f_extra = (
+            chain_slots(hops)
         )
+        rows, cols, features = zip(*chain_transition_specs(self.protocol, hops))
+        states = multihop_state_space(hops, with_recovery=self.protocol is Protocol.HS)
+        self._compile(states, rows, cols, features)
 
-    # -- rate evaluation ------------------------------------------------
-
-    def _derived(
+    def _model(
         self, point: tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]
-    ) -> np.ndarray:
+    ) -> MultiHopModel:
         params, hops = point
         if params.hops != self.hops:
             raise ValueError(
                 f"task has {params.hops} hops, template compiled for {self.hops}"
             )
         if hops is None:
-            return self._derived_homogeneous(params)
+            return MultiHopModel(self.protocol, params)
         if len(hops) != self.hops:
             raise ValueError(
                 f"hop vector length {len(hops)} != template hops {self.hops}"
             )
-        return self._derived_heterogeneous(params, hops)
+        return HeterogeneousMultiHopModel(self.protocol, params, hops)
 
-    def _derived_homogeneous(self, params: MultiHopParameters) -> np.ndarray:
-        n = self.hops
-        row = np.empty(self.n_features)
-        row[self._f_update] = params.update_rate
-        success = 1.0 - params.loss_rate
-        row[self._f_advance : self._f_advance + n] = success / params.delay
-        row[self._f_lose : self._f_lose + n] = params.loss_rate / params.delay
-        for i in range(n):
-            row[self._f_recover + i] = slow_path_recovery_rate(
-                self.protocol, params, i + 1
-            )
-        if self.protocol is Protocol.HS:
-            row[self._f_extra] = n * params.external_false_signal_rate
-            row[self._f_extra + 1] = 1.0 / (2.0 * n * params.delay)
-        else:
-            for j in range(n):
-                row[self._f_extra + j] = first_timeout_rate(params, j)
-        return row
+    def _derived(self, model: MultiHopModel) -> list[float]:
+        return model.rate_row()
 
-    def _derived_heterogeneous(
-        self, params: MultiHopParameters, hops: tuple[HeterogeneousHop, ...]
-    ) -> np.ndarray:
-        n = self.hops
-        reach = reach_profile(hops)
-        row = np.empty(self.n_features)
-        row[self._f_update] = params.update_rate
-        for i, hop in enumerate(hops):
-            row[self._f_advance + i] = (1.0 - hop.loss_rate) / hop.delay
-            row[self._f_lose + i] = hop.loss_rate / hop.delay
-        row[self._f_recover : self._f_recover + n] = recovery_rate_profile(
-            self.protocol, params, hops, reach
-        )
-        if self.protocol is Protocol.HS:
-            mean_delay = sum(h.delay for h in hops) / n
-            row[self._f_extra] = n * params.external_false_signal_rate
-            row[self._f_extra + 1] = 1.0 / (2.0 * n * mean_delay)
-        else:
-            row[self._f_extra : self._f_extra + n] = first_timeout_profile(
-                params, reach
-            )
-        return row
-
-    # -- solving --------------------------------------------------------
-
-    def _stationary_structured(self, points: list) -> tuple[np.ndarray, np.ndarray]:
+    def _stationary_structured(self, models: list) -> tuple[np.ndarray, np.ndarray]:
         """``(pi, bad)`` through the O(hops) block-Thomas chain kernel.
 
         Feeds the derived-feature rows straight into
@@ -624,7 +469,7 @@ class MultiHopTemplate(_CompiledTemplate):
         structure never has to be scattered into a generator matrix, so
         per-point cost is linear in hops instead of cubic in states.
         """
-        derived = self.derived_rows(points)
+        derived = self._derived_rows(models)
         n = self.hops
         update = derived[:, self._f_update]
         advance = derived[:, self._f_advance : self._f_advance + n]
@@ -671,28 +516,6 @@ class MultiHopTemplate(_CompiledTemplate):
             return self._solve_points(points, self._stationary_structured)
         return self._solve_points(points, self._stationary)
 
-    def _solution(self, point, solved: list) -> MultiHopSolution:
-        params, hops = point
-        stationary = dict(zip(self.states, solved))
-        if hops is None:
-            breakdown = multihop_message_components(self.protocol, params, stationary)
-        else:
-            breakdown = heterogeneous_message_components(
-                self.protocol, params, hops, stationary
-            )
-        return MultiHopSolution(
-            protocol=self.protocol,
-            params=params,
-            stationary=stationary,
-            message_breakdown=breakdown,
-        )
-
-    def _reference(self, point) -> MultiHopSolution:
-        params, hops = point
-        if hops is None:
-            return MultiHopModel(self.protocol, params).solve()
-        return HeterogeneousMultiHopModel(self.protocol, params, hops).solve()
-
 
 # ----------------------------------------------------------------------
 # Tree templates (multicast fan-out topologies)
@@ -719,9 +542,6 @@ class TreeTemplate(_SpecTemplate):
     the memoized instances.
     """
 
-    _solution_type = TreeSolution
-    _breakdown = staticmethod(tree_message_components)
-
     def __init__(
         self,
         protocol: Protocol,
@@ -735,42 +555,29 @@ class TreeTemplate(_SpecTemplate):
         self.topology = topology
         self.max_states = max_states
         self.solver = solver
+        self._new_model = functools.partial(
+            TreeModel,
+            max_states=max_states,
+            solver="iterative" if solver == "iterative" else "auto",
+        )
         self._compile_specs(
             tree_state_space(topology, self.protocol is Protocol.HS, max_states),
             tree_transition_specs(self.protocol, topology, max_states),
         )
 
-    def _derived(self, params: MultiHopParameters) -> list[float]:
+    def _model(self, params: MultiHopParameters) -> TreeModel:
         if params.hops != self.topology.num_edges:
             raise ValueError(
                 f"task has {params.hops} hops, template compiled for a "
                 f"{self.topology.num_edges}-edge topology"
             )
+        return self._new_model(self.protocol, params, self.topology)
+
+    def _derived(self, model: TreeModel) -> list[float]:
         return [
-            tree_tag_rate(self.protocol, params, self.topology, tag)
+            tree_tag_rate(self.protocol, model.params, self.topology, tag)
             for tag in self._tags
         ]
-
-    def _solution(self, params: MultiHopParameters, solved: list) -> TreeSolution:
-        stationary = dict(zip(self.states, solved))
-        return self._solution_type(
-            protocol=self.protocol,
-            params=params,
-            topology=self.topology,
-            stationary=stationary,
-            message_breakdown=self._breakdown(
-                self.protocol, params, self.topology, stationary
-            ),
-        )
-
-    def _reference(self, params: MultiHopParameters) -> TreeSolution:
-        return TreeModel(
-            self.protocol,
-            params,
-            self.topology,
-            max_states=self.max_states,
-            solver="iterative" if self.solver == "iterative" else "auto",
-        ).solve()
 
 
 class LumpedTreeTemplate(TreeTemplate):
@@ -790,19 +597,14 @@ class LumpedTreeTemplate(TreeTemplate):
     Use :func:`lumped_tree_template` to get the memoized instance.
     """
 
-    _solution_type = LumpedTreeSolution
-    _breakdown = staticmethod(lumped_message_components)
-
     def __init__(self, protocol: Protocol, topology: Topology) -> None:
         self.protocol = _multihop_protocol(protocol)
         self.topology = topology
+        self._new_model = LumpedTreeModel
         self._compile_specs(
             lumped_state_space(topology, self.protocol is Protocol.HS),
             lumped_transition_specs(self.protocol, topology),
         )
-
-    def _reference(self, params: MultiHopParameters) -> LumpedTreeSolution:
-        return LumpedTreeModel(self.protocol, params, self.topology).solve()
 
 
 # ----------------------------------------------------------------------
@@ -821,10 +623,10 @@ class GilbertTemplate(_SpecTemplate):
     from the shared
     :func:`~repro.core.gilbert.transitions.gilbert_specs` list, each
     point's tag rates computed by
-    :func:`~repro.core.gilbert.transitions.gilbert_tag_rates`, which
-    runs the coverage guard.  Degenerate points (``loss_good ==
-    loss_bad``) never reach a template: :func:`_solve_gilbert_tasks`
-    partitions them onto the i.i.d. template path first.
+    :func:`~repro.core.gilbert.transitions.gilbert_tag_rates`.
+    Degenerate points (``loss_good == loss_bad``) never reach a
+    template: :func:`_solve_gilbert_tasks` partitions them onto the
+    i.i.d. template path first.
 
     Use :func:`gilbert_singlehop_template` or
     :func:`gilbert_multihop_template` for the memoized instance.
@@ -839,21 +641,16 @@ class GilbertTemplate(_SpecTemplate):
             gilbert_specs(model.base, self.protocol, *shape),
         )
 
-    def _derived(self, point: tuple) -> list[float]:
+    def _model(self, point: tuple):
         model = self.model(self.protocol, *point)  # the reference's point checks
         if model.shape != self.shape:
             raise ValueError(
                 f"task has {model.params.hops} hops, template compiled for {self.shape[0]}"
             )
-        return gilbert_tag_rates(model.base, self.protocol, *point, self._tags)
+        return model
 
-    def _solution(self, point, solved: list):
-        return self.model(self.protocol, *point).solution_from_stationary(
-            dict(zip(self.states, solved))
-        )
-
-    def _reference(self, point):
-        return self.model(self.protocol, *point).solve()
+    def _derived(self, model) -> list[float]:
+        return gilbert_tag_rates(model.base, self.protocol, model.params, model.gilbert, self._tags)
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,6 @@ and every way must digest (floats as ``float.hex``) to the recorded
 value.  The compiled templates' states, COO rows/cols and feature slots
 are pinned too.  A refactor of the product lift that keeps these passing
 keeps every Gilbert output and every template structure unchanged.
-
-The coverage guard is exercised on its own: a reference rate builder
-that grows an edge outside the compiled structural union must stop both
-the reference model and the template path with a ``RuntimeError`` that
-names the edge and the family.
 """
 
 from __future__ import annotations
@@ -21,22 +16,17 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import re
 from unittest import mock
 
 import pytest
 
-import repro.core.multihop.transitions as multihop_transitions
-import repro.core.singlehop.transitions as singlehop_transitions
 from repro.core.gilbert import (
     CHANNEL_STATES,
     GilbertMultiHopModel,
     GilbertSingleHopModel,
 )
-from repro.core.multihop.states import RECOVERY, HopState
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
-from repro.core.singlehop.states import SingleHopState as S
 from repro.core.templates import (
     gilbert_multihop_template,
     gilbert_singlehop_template,
@@ -282,58 +272,3 @@ def test_template_structure_is_pinned(case):
         template._features.tolist(),
     )
     assert digest(structure) == PINNED_TEMPLATES[template_id(case)]
-
-
-# ----------------------------------------------------------------------
-# The coverage guard
-# ----------------------------------------------------------------------
-
-#: Losses no other test uses, so the per-channel rate memo holds no
-#: entry for them before the faulty builder is patched in.
-_GUARD_CHANNEL = GilbertElliottParameters(0.0123, 0.4567, 0.1, 1.0)
-
-
-def _singlehop_guard(monkeypatch):
-    """A single-hop builder that grows ``(0,1)_1 -> IC_1`` off structure."""
-    real = singlehop_transitions._orphan_removal_rates
-
-    def grown(protocol, params):
-        rates = real(protocol, params)
-        if params.loss_rate == _GUARD_CHANNEL.loss_good:
-            rates[(S.S01_FAST, S.IC_FAST)] = 0.5
-        return rates
-
-    monkeypatch.setattr(singlehop_transitions, "_orphan_removal_rates", grown)
-    params = kazaa_defaults().replace(delay=0.0456)
-    return params, (S.S01_FAST, S.IC_FAST), "single-hop"
-
-
-def _multihop_guard(monkeypatch):
-    """An SS chain builder that grows the HS recovery state's update edge.
-
-    The structural union is compiled first, so only the user's point
-    sees the extra edge.
-    """
-    gilbert_multihop_template(Protocol.SS, 2)
-    real = multihop_transitions.multihop_state_space
-    monkeypatch.setattr(
-        multihop_transitions,
-        "multihop_state_space",
-        lambda hops, with_recovery: real(hops, with_recovery=True),
-    )
-    params = reservation_defaults().replace(hops=2, delay=0.0456)
-    return params, (RECOVERY, HopState(0, False)), "multi-hop"
-
-
-@pytest.mark.parametrize("path", ["reference", "template"])
-@pytest.mark.parametrize("family", ["singlehop", "multihop"])
-def test_coverage_guard_names_the_escaped_edge(family, path, monkeypatch):
-    guard = _singlehop_guard if family == "singlehop" else _multihop_guard
-    params, edge, label = guard(monkeypatch)
-    model, tasks_entry, _ = FAMILIES[family]
-    pattern = re.escape(label) + r" reference rates .*" + re.escape(str(edge))
-    with pytest.raises(RuntimeError, match=pattern):
-        if path == "reference":
-            model(Protocol.SS, params, _GUARD_CHANNEL).solve()
-        else:
-            tasks_entry([(Protocol.SS, params, _GUARD_CHANNEL)])

@@ -236,6 +236,31 @@ class TestSparseCrossover:
         assert list(solution.stationary.items()) == list(reference.stationary.items())
         assert solution.message_breakdown == reference.message_breakdown
 
+    def test_gilbert_360_hops_keeps_edges_the_lossy_state_zeroes(self):
+        """Past ~330 hops the deepest timeout edges underflow to rate 0 at
+        loss 0.1 but stay positive at loss 0.001.  The product holds every
+        edge of the chain's spec list, so the model and the batch path
+        both solve the chain, to the same floats."""
+        from repro.runtime import global_cache, solve_gilbert_multihop_batch
+
+        params = MultiHopParameters(hops=360)
+        gilbert = GilbertElliottParameters(0.001, 0.5, 0.1, 1.0)
+        reference = GilbertMultiHopModel(Protocol.SS, params, gilbert).solve()
+        global_cache().clear()
+        try:
+            batch = solve_gilbert_multihop_batch([(Protocol.SS, params, gilbert)], jobs=1)
+        finally:
+            global_cache().clear()
+        assert batch == [reference]
+
+    def test_gilbert_360_hops_near_degenerate_channel_matches_iid(self):
+        params = MultiHopParameters(hops=360)
+        gilbert = GilbertElliottParameters(0.02, 0.0200001, 0.1, 1.0)
+        bursty = gilbert_multihop_template(Protocol.SS, 360).solve_batch([(params, gilbert)])[0]
+        iid = MultiHopModel(Protocol.SS, params.replace(loss_rate=0.02)).solve()
+        assert bursty.inconsistency_ratio == pytest.approx(iid.inconsistency_ratio, abs=1e-6)
+        assert bursty.message_rate == pytest.approx(iid.message_rate, rel=1e-6)
+
     def test_real_threshold_crossing_at_128_hops(self):
         """128 hops (257 states) crosses the real threshold; 96 does not."""
         below = multihop_template(Protocol.SS, 96)
