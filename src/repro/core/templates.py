@@ -348,6 +348,7 @@ class SingleHopTemplate(_SpecTemplate):
     def __init__(self, protocol: Protocol) -> None:
         self.protocol = Protocol(protocol)
         self._compile_specs(state_space(self.protocol), transition_specs(self.protocol))
+        self._tag_rates = operator.itemgetter(*self._tags)
         self._start = self.states.index(S.S10_FAST)
         # Recurrent chain: the absorbing state (last) merged into the
         # start state — redirect its incoming edges, drop its row/column.
@@ -358,9 +359,8 @@ class SingleHopTemplate(_SpecTemplate):
     def _model(self, params: SignalingParameters) -> SingleHopModel:
         return SingleHopModel(self.protocol, params)
 
-    def _derived(self, model: SingleHopModel) -> list[float]:
-        rates = transition_tag_rates(self.protocol, model.params)
-        return [rates[tag] for tag in self._tags]
+    def _derived(self, model: SingleHopModel) -> tuple[float, ...]:
+        return self._tag_rates(transition_tag_rates(self.protocol, model.params))
 
     def _stationary(self, models: list) -> tuple[np.ndarray, np.ndarray]:
         """``(solved, bad)``: each row the recurrent stationary
