@@ -438,7 +438,7 @@ class MultiHopTemplate(_CompiledTemplate):
         self._f_update, self._f_advance, self._f_lose, self._f_recover, self._f_extra = (
             chain_slots(hops)
         )
-        rows, cols, features = zip(*chain_transition_specs(self.protocol, hops))
+        rows, cols, features = np.array(chain_transition_specs(self.protocol, hops)).T
         states = multihop_state_space(hops, with_recovery=self.protocol is Protocol.HS)
         self._compile(states, rows, cols, features)
 
