@@ -438,9 +438,13 @@ class MultiHopTemplate(_CompiledTemplate):
         self._f_update, self._f_advance, self._f_lose, self._f_recover, self._f_extra = (
             chain_slots(hops)
         )
-        rows, cols, features = np.array(chain_transition_specs(self.protocol, hops)).T
-        states = multihop_state_space(hops, with_recovery=self.protocol is Protocol.HS)
-        self._compile(states, rows, cols, features)
+        specs = chain_transition_specs(self.protocol, hops)
+        self._compile(
+            multihop_state_space(hops, with_recovery=self.protocol is Protocol.HS),
+            [spec[0] for spec in specs],
+            [spec[1] for spec in specs],
+            [spec[2] for spec in specs],
+        )
 
     def _model(
         self, point: tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]
