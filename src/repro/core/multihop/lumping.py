@@ -648,6 +648,9 @@ class LumpedTreeModel(TreeModel):
     orbit space's.
     """
 
+    solution = LumpedTreeSolution
+    messages = staticmethod(lumped_message_components)
+
     def __init__(
         self,
         protocol: Protocol,
@@ -664,17 +667,3 @@ class LumpedTreeModel(TreeModel):
     def transition_rates(self) -> dict[tuple[object, object], float]:
         """The lumped chain's transition rates."""
         return build_lumped_rates(self.protocol, self.params, self.topology)
-
-    def solution_from_stationary(
-        self, stationary: dict[object, float]
-    ) -> LumpedTreeSolution:
-        """Wrap an externally computed stationary distribution."""
-        return LumpedTreeSolution(
-            protocol=self.protocol,
-            params=self.params,
-            topology=self.topology,
-            stationary=stationary,
-            message_breakdown=lumped_message_components(
-                self.protocol, self.params, self.topology, stationary
-            ),
-        )

@@ -147,6 +147,10 @@ class TreeModel:
     list.
     """
 
+    #: The solution type and the message accounting it is filled with.
+    solution = TreeSolution
+    messages = staticmethod(tree_message_components)
+
     def __init__(
         self,
         protocol: Protocol,
@@ -191,15 +195,12 @@ class TreeModel:
         with its logged fallback chain) computes the distribution
         itself and hands it back here for the message accounting.
         """
-        breakdown = tree_message_components(
-            self.protocol, self.params, self.topology, stationary
-        )
-        return TreeSolution(
+        return self.solution(
             protocol=self.protocol,
             params=self.params,
             topology=self.topology,
             stationary=stationary,
-            message_breakdown=breakdown,
+            message_breakdown=self.messages(self.protocol, self.params, self.topology, stationary),
         )
 
     def solve(self) -> TreeSolution:

@@ -557,7 +557,6 @@ class TreeTemplate(_SpecTemplate):
         if solver not in ("direct", "iterative"):
             raise ValueError(f"solver must be 'direct' or 'iterative', got {solver!r}")
         self.topology = topology
-        self.max_states = max_states
         self.solver = solver
         self._new_model = functools.partial(
             TreeModel,
