@@ -5,14 +5,14 @@ optimal operating points" in the refresh timer.  This module makes the
 optimum a first-class object: golden-section search (scipy) over
 ``log R`` for the integrated cost ``C = w*I + M``, plus a joint
 ``(R, T)`` grid refinement for protocols whose timeout matters.
+``scipy.optimize`` loads on the first optimizer call, not with the
+program.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-
-from scipy import optimize as _scipy_optimize
 
 from repro.core.parameters import SignalingParameters
 from repro.core.protocols import Protocol
@@ -68,7 +68,9 @@ def optimize_refresh_timer(
     def objective(log_refresh: float) -> float:
         return _cost_at(protocol, params, math.exp(log_refresh), timeout_multiple, weight)
 
-    outcome = _scipy_optimize.minimize_scalar(
+    from scipy.optimize import minimize_scalar
+
+    outcome = minimize_scalar(
         objective, bounds=log_bounds, method="bounded"
     )
     refresh = float(math.exp(outcome.x))

@@ -38,11 +38,11 @@ never underflows the leading terms.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
 
 from repro.core.markov import (
     SPARSE_STATE_THRESHOLD,
@@ -82,6 +82,17 @@ class UniformizedTransient:
     uniformization_rate: float
 
 
+@functools.cache
+def _gammaln():
+    """``scipy.special.gammaln``, loaded on the first transient curve
+    rather than with the program, as :func:`_sparse_modules` loads
+    ``scipy.sparse``; cached, since the power iteration calls it once
+    per term."""
+    from scipy.special import gammaln
+
+    return gammaln
+
+
 def _poisson_weights(k: int, rate_times: np.ndarray, log_rate_times: np.ndarray) -> np.ndarray:
     """``Poisson(Lambda t; k)`` for every grid time, in log space.
 
@@ -93,7 +104,7 @@ def _poisson_weights(k: int, rate_times: np.ndarray, log_rate_times: np.ndarray)
     if k == 0:
         weights[~positive] = 1.0
     weights[positive] = np.exp(
-        k * log_rate_times[positive] - rate_times[positive] - _gammaln(k + 1)
+        k * log_rate_times[positive] - rate_times[positive] - _gammaln()(k + 1)
     )
     return weights
 

@@ -3,14 +3,16 @@
 The paper reports simulation results "with 95% confidence interval"
 (Fig. 11).  :class:`ReplicationSet` collects one scalar observation per
 independent replication and produces the classic t-interval.
+
+The Student-t quantile is ``scipy.special.stdtrit``, the function
+``scipy.stats.t.ppf`` evaluates, loaded on the first interval: the
+program imports neither ``scipy.stats`` nor ``scipy.special``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-
-from scipy import stats as _scipy_stats
 
 __all__ = ["ConfidenceInterval", "ReplicationSet", "student_t_interval"]
 
@@ -57,7 +59,9 @@ def student_t_interval(
         return ConfidenceInterval(mean=mean, half_width=float("inf"), confidence=confidence, n=1)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     std_err = math.sqrt(variance / n)
-    t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    from scipy.special import stdtrit
+
+    t_crit = float(stdtrit(n - 1, 0.5 + confidence / 2.0))
     return ConfidenceInterval(mean=mean, half_width=t_crit * std_err, confidence=confidence, n=n)
 
 

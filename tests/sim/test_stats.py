@@ -50,6 +50,20 @@ class TestStudentTInterval:
         with pytest.raises(ValueError):
             student_t_interval([1.0, 2.0], confidence=confidence)
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_half_width_is_the_scipy_stats_formula(self, confidence):
+        # The quantile comes from scipy.special.stdtrit, the function
+        # scipy.stats.t.ppf evaluates: every half-width is the same float.
+        from scipy import stats
+
+        for df in range(1, 201):
+            samples = [float(k % 7) + 0.25 * k for k in range(df + 1)]
+            mean = sum(samples) / len(samples)
+            variance = sum((x - mean) ** 2 for x in samples) / df
+            t_crit = float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+            expected = t_crit * math.sqrt(variance / len(samples))
+            assert student_t_interval(samples, confidence).half_width == expected
+
     def test_higher_confidence_wider_interval(self):
         samples = [1.0, 2.0, 3.0, 4.0, 5.0]
         narrow = student_t_interval(samples, confidence=0.90)
