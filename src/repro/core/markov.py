@@ -33,6 +33,7 @@ same residual acceptance every backend passes, see
 
 from __future__ import annotations
 
+import operator
 import warnings
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 
@@ -79,7 +80,7 @@ def _sparse_modules():
 def spec_tags(specs: Sequence[tuple]) -> tuple:
     """The distinct tags of an ``(origin, destination, tag[, multiplicity])``
     spec list, in first-seen order."""
-    return tuple(dict.fromkeys(spec[2] for spec in specs))
+    return tuple(dict.fromkeys(map(operator.itemgetter(2), specs)))
 
 
 def spec_rates(specs: Iterable[tuple], tag_rates) -> dict[tuple[State, State], float]:

@@ -39,10 +39,20 @@ applied within the lumped family).
 Asymmetric trees (chains, caterpillars) have trivial orbits and gain
 nothing; :func:`select_tree_backend` routes them to the direct path
 below the cap and to the iterative sparse backend above it.
+
+The spec list names every orbit by the object of
+:func:`lumped_state_space`.  Events walk each sorted multiset run by
+run (one event per distinct member, its multiplicity the run length),
+a successor goes into the remaining members by bisection, and the
+events of a crossed member configuration are computed once per spec
+list: every orbit holding that member shares its object.  SS and SS+RT
+share one spec list, and the hard-state space is the soft-state space
+with ``RECOVERY`` appended.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
@@ -233,17 +243,6 @@ def _edge_lumped_configs(topology: Topology, node: int) -> tuple[Config, ...]:
     return tuple(sorted([FAST, SLOW] + [("C", below) for below in belows]))
 
 
-def _crossed(topology: Topology, node: int) -> Config:
-    """Fresh crossed configuration of ``node``'s edge: every child edge
-    becomes a fast frontier edge."""
-    return (
-        "C",
-        tuple(
-            (FAST,) * len(group) for group in _sibling_groups(topology, node)
-        ),
-    )
-
-
 @functools.lru_cache(maxsize=1024)
 def _full_state(topology: Topology) -> LumpedTreeState:
     """The everything-consistent orbit (``pi`` complement of eq. 12)."""
@@ -265,66 +264,82 @@ def _full_state(topology: Topology) -> LumpedTreeState:
     )
 
 
-def _lifted_events(
-    topology: Topology,
-    node: int,
-    below: tuple[tuple[Config, ...], ...],
-    with_timeouts: bool,
-):
-    """Events of the child-edge multisets of consistent ``node``.
+class _OrbitEvents:
+    """The lifted edge events of one ``(topology, with_timeouts)``.
 
-    Yields ``(tag, multiplicity, successor_below)``: each *distinct*
-    member configuration of each group fires once, with multiplicity
-    equal to its occurrence count — exactly the orbit-aggregated rate
-    ``q_hat(O, O') = sum over y in O' of q(x, y)``.
+    Per node it holds the representative child of each sibling group and
+    the events of a fast and of a slow edge into the node, so an event
+    is a few list lookups.  Members of a sorted multiset are walked run
+    by run, and a successor goes into the remaining members by
+    bisection, which spells the new multiset as sorting it would.
+
+    Every member configuration handed to :meth:`edge` is an object of
+    the enumerated state space, shared by every orbit that holds it, so
+    a crossed member's events are computed once and kept by the
+    object's identity; the memo holds the object too, so no other
+    object can take over its id while the memo lives.
     """
-    for position, group in enumerate(_sibling_groups(topology, node)):
-        members = below[position]
-        handled: set[Config] = set()
-        for member_index, member in enumerate(members):
-            if member in handled:
-                continue
-            handled.add(member)
-            multiplicity = members.count(member)
-            rest = members[:member_index] + members[member_index + 1 :]
-            for tag, mult, successor in _config_events(
-                topology, group[0], member, with_timeouts
-            ):
-                new_members = tuple(sorted(rest + (successor,)))
-                yield (
-                    tag,
-                    multiplicity * mult,
-                    below[:position] + (new_members,) + below[position + 1 :],
-                )
 
+    def __init__(self, topology: Topology, with_timeouts: bool) -> None:
+        nodes = range(topology.num_nodes)
+        self.representatives = [
+            tuple(group[0] for group in _sibling_groups(topology, node)) for node in nodes
+        ]
+        # A crossed edge's fresh configuration: every child edge fast.
+        crossed = [
+            ("C", tuple((FAST,) * len(group) for group in _sibling_groups(topology, node)))
+            for node in nodes
+        ]
+        self.fast = [((("advance",), 1, crossed[node]), (("lose",), 1, SLOW)) for node in nodes]
+        self.slow = [((("recover", topology.depth(node)), 1, crossed[node]),) for node in nodes]
+        self.timeout = [
+            ((("timeout", topology.depth(node)), 1, SLOW),) if with_timeouts else ()
+            for node in nodes
+        ]
+        self._crossed_events: dict[tuple[int, int], tuple[Config, list]] = {}
 
-def _config_events(
-    topology: Topology, node: int, config: Config, with_timeouts: bool
-):
-    """Events of one edge configuration (edge from the parent into
-    ``node``), mirroring the raw model's per-edge transitions."""
-    if config == FAST:
-        yield (("advance",), 1, _crossed(topology, node))
-        yield (("lose",), 1, SLOW)
-        return
-    depth = topology.depth(node)
-    if config == SLOW:
-        yield (("recover", depth), 1, _crossed(topology, node))
-        return
-    # Crossed: the node's own soft-state timeout detaches its whole
-    # subtree (the edge turns slow, everything below vanishes), and
-    # every child-edge event lifts through the multisets.
-    if with_timeouts:
-        yield (("timeout", depth), 1, SLOW)
-    for tag, mult, new_below in _lifted_events(
-        topology, node, config[1], with_timeouts
-    ):
-        yield (tag, mult, ("C", new_below))
+    def lifted(self, node: int, below: tuple[tuple[Config, ...], ...]) -> list:
+        """Events of the child-edge multisets of consistent ``node``.
 
+        ``(tag, multiplicity, successor_below)`` triples: each *distinct*
+        member configuration of each group fires once, with multiplicity
+        equal to its occurrence count — exactly the orbit-aggregated rate
+        ``q_hat(O, O') = sum over y in O' of q(x, y)``.
+        """
+        events = []
+        for position, child in enumerate(self.representatives[node]):
+            members = below[position]
+            head, tail = below[:position], below[position + 1 :]
+            start = 0
+            for member, run in itertools.groupby(members):
+                count = len(tuple(run))
+                rest = members[:start] + members[start + 1 :]
+                start += count
+                for tag, mult, successor in self.edge(child, member):
+                    at = bisect.bisect_right(rest, successor)
+                    events.append(
+                        (tag, count * mult, head + (rest[:at] + (successor,) + rest[at:],) + tail)
+                    )
+        return events
 
-def _state_sort_key(state: LumpedTreeState) -> tuple:
-    consistent, _, slow = _state_counts(state)
-    return (slow, consistent, state.groups)
+    def edge(self, node: int, config: Config):
+        """Events of one edge configuration (edge from the parent into
+        ``node``), mirroring the raw model's per-edge transitions."""
+        if config == FAST:
+            return self.fast[node]
+        if config == SLOW:
+            return self.slow[node]
+        # Crossed: the node's own soft-state timeout detaches its whole
+        # subtree (the edge turns slow, everything below vanishes), and
+        # every child-edge event lifts through the multisets.
+        key = (node, id(config))
+        if key not in self._crossed_events:
+            events = list(self.timeout[node])
+            events += [
+                (tag, mult, ("C", below)) for tag, mult, below in self.lifted(node, config[1])
+            ]
+            self._crossed_events[key] = (config, events)
+        return self._crossed_events[key][1]
 
 
 @functools.lru_cache(maxsize=65536)
@@ -349,23 +364,39 @@ def _state_counts(state: object) -> tuple[int, int, int]:
     (RECOVERY: all 0)."""
     consistent, fast, slow = 0, 0, 0
     for group in state.groups if isinstance(state, LumpedTreeState) else ():
-        for member in group:
+        for member, run in itertools.groupby(group):
+            count = len(tuple(run))
             member_consistent, member_fast, member_slow = _config_counts(member)
-            consistent += member_consistent
-            fast += member_fast
-            slow += member_slow
+            consistent += count * member_consistent
+            fast += count * member_fast
+            slow += count * member_slow
     return (consistent, fast, slow)
 
 
 @functools.lru_cache(maxsize=128)
 def _state_space_counts(topology: Topology, with_recovery: bool) -> tuple:
-    """``(states, counts)``: the lumped state space and each orbit's
-    :func:`_state_counts`, computed once."""
-    states = lumped_state_space(topology, with_recovery)
-    return states, tuple(_state_counts(state) for state in states)
+    """``(states, counts)``: the lumped state space past its cap check
+    and each orbit's :func:`_state_counts`, computed once per topology
+    (hard state appends ``RECOVERY`` to the soft-state space)."""
+    if with_recovery:
+        states, counts = _state_space_counts(topology, False)
+        return states + (RECOVERY,), counts + ((0, 0, 0),)
+    belows: list[tuple[tuple[Config, ...], ...]] = [()]
+    for group in _sibling_groups(topology, 0):
+        member_configs = _edge_lumped_configs(topology, group[0])
+        multisets = list(
+            itertools.combinations_with_replacement(member_configs, len(group))
+        )
+        belows = [below + (multiset,) for below in belows for multiset in multisets]
+    orbits = [LumpedTreeState(below) for below in belows]
+    # Canonical order: slow-edge count, consistent-edge count, structure.
+    counted = sorted(
+        zip(map(_state_counts, orbits), orbits),
+        key=lambda pair: (pair[0][2], pair[0][0], pair[1].groups),
+    )
+    return tuple(state for _, state in counted), tuple(counts for counts, _ in counted)
 
 
-@functools.lru_cache(maxsize=128)
 def lumped_state_space(
     topology: Topology, with_recovery: bool
 ) -> tuple[object, ...]:
@@ -381,23 +412,9 @@ def lumped_state_space(
     projected = projected_lumped_states(topology)
     if projected > MAX_LUMPED_TREE_STATES:
         raise StateSpaceLimitError(topology, projected, MAX_LUMPED_TREE_STATES)
-    belows: list[tuple[tuple[Config, ...], ...]] = [()]
-    for group in _sibling_groups(topology, 0):
-        member_configs = _edge_lumped_configs(topology, group[0])
-        multisets = list(
-            itertools.combinations_with_replacement(member_configs, len(group))
-        )
-        belows = [below + (multiset,) for below in belows for multiset in multisets]
-    lumped = sorted(
-        (LumpedTreeState(below) for below in belows), key=_state_sort_key
-    )
-    states: list[object] = list(lumped)
-    if with_recovery:
-        states.append(RECOVERY)
-    return tuple(states)
+    return _state_space_counts(topology, with_recovery)[0]
 
 
-@functools.lru_cache(maxsize=128)
 def lumped_transition_specs(
     protocol: Protocol, topology: Topology
 ) -> tuple[tuple[object, object, Tag, int], ...]:
@@ -407,29 +424,36 @@ def lumped_transition_specs(
     :func:`~repro.core.multihop.tree_transitions.tree_transition_specs`
     — updates first, then each orbit's lifted edge events, then the
     recovery exit — so the reference rate dict and the compiled lumped
-    template accumulate identical floats in identical order.
+    template accumulate identical floats in identical order.  Every
+    origin and destination is the orbit object of
+    :func:`lumped_state_space`; SS and SS+RT share one list.
     """
     protocol = Protocol(protocol)
     if protocol not in supported_protocols():
         raise ValueError(f"{protocol} is not part of the multi-hop analysis")
-    with_recovery = protocol is Protocol.HS
-    states = lumped_state_space(topology, with_recovery)
+    return _lumped_specs(topology, protocol is Protocol.HS)
+
+
+@functools.lru_cache(maxsize=128)
+def _lumped_specs(
+    topology: Topology, hard_state: bool
+) -> tuple[tuple[object, object, Tag, int], ...]:
+    """:func:`lumped_transition_specs` past its protocol check."""
+    states = lumped_state_space(topology, hard_state)
     start = states[0]
-    specs: list[tuple[object, object, Tag, int]] = []
-
-    for state in states[1:]:
-        specs.append((state, start, ("update",), 1))
-
+    canonical = {state.groups: state for state in states if state is not RECOVERY}
+    events = _OrbitEvents(topology, not hard_state)
+    specs: list[tuple[object, object, Tag, int]] = [
+        (state, start, ("update",), 1) for state in states[1:]
+    ]
     for state in states:
         if state is RECOVERY:
             continue
-        for tag, multiplicity, below in _lifted_events(
-            topology, 0, state.groups, protocol is not Protocol.HS
-        ):
-            specs.append((state, LumpedTreeState(below), tag, multiplicity))
-        if protocol is Protocol.HS:
+        for tag, multiplicity, below in events.lifted(0, state.groups):
+            specs.append((state, canonical[below], tag, multiplicity))
+        if hard_state:
             specs.append((state, RECOVERY, ("to_recovery",), 1))
-    if with_recovery:
+    if hard_state:
         specs.append((RECOVERY, start, ("from_recovery",), 1))
     return tuple(specs)
 

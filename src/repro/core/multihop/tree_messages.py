@@ -57,19 +57,20 @@ def tree_expected_link_crossings(
 
 
 def _frontier_counts(topology: Topology, state: object) -> tuple[int, int]:
-    """``(fast, slow)`` frontier edge counts of one state (RECOVERY: 0, 0)."""
+    """``(fast, slow)`` frontier edge counts of one state (RECOVERY: 0, 0).
+
+    The consistent set is downward closed, so the frontier holds the
+    children of the root and of every consistent node, less the
+    consistent nodes themselves.
+    """
     if not isinstance(state, TreeState):
         return (0, 0)
-    consistent = set(state.consistent)
-    slow = set(state.slow)
-    fast = sum(
-        1
-        for node in range(1, topology.num_nodes)
-        if node not in consistent
-        and node not in slow
-        and (topology.parent(node) == 0 or topology.parent(node) in consistent)
+    frontier = (
+        topology.fanout(0)
+        + sum(map(topology.fanout, state.consistent))
+        - len(state.consistent)
     )
-    return (fast, len(state.slow))
+    return (frontier - len(state.slow), len(state.slow))
 
 
 @functools.lru_cache(maxsize=256)

@@ -194,7 +194,10 @@ def tree_state_space(
 @functools.lru_cache(maxsize=256)
 def _enumerated_tree_states(topology: Topology, with_recovery: bool) -> tuple[object, ...]:
     """:func:`tree_state_space` past its cap check: one enumeration, and
-    one set of state objects, per space whatever cap the caller set."""
+    one set of state objects, per topology whatever cap the caller set
+    (hard state appends ``RECOVERY`` to the soft-state space)."""
+    if with_recovery:
+        return _enumerated_tree_states(topology, False) + (RECOVERY,)
     configurations: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     for child in topology.children(0):
         child_configurations = _edge_configurations(topology, child)
@@ -203,12 +206,9 @@ def _enumerated_tree_states(topology: Topology, with_recovery: bool) -> tuple[ob
             for consistent, slow in configurations
             for child_consistent, child_slow in child_configurations
         ]
-    tree_states = sorted(
-        TreeState(tuple(sorted(consistent)), tuple(sorted(slow)))
-        for consistent, slow in configurations
+    # Sorted as plain tuples, the order of TreeState's own comparison.
+    ordered = sorted(
+        ((tuple(sorted(consistent)), tuple(sorted(slow))) for consistent, slow in configurations),
+        key=lambda pair: (len(pair[1]), len(pair[0]), pair),
     )
-    tree_states.sort(key=lambda s: (len(s.slow), len(s.consistent)))
-    states: list[object] = list(tree_states)
-    if with_recovery:
-        states.append(RECOVERY)
-    return tuple(states)
+    return tuple(TreeState(consistent, slow) for consistent, slow in ordered)

@@ -30,11 +30,22 @@ exact floats of :func:`~repro.core.multihop.transitions.build_multihop_rates`:
 * hard state replaces timeouts with external false signals — any of
   the ``E`` receivers fires at ``lambda_x`` — and a recovery state
   whose exit mirrors the chain's sender-notification round trip.
+
+The spec list is built on integer bitmasks.  Each state is keyed by one
+integer, its consistent node bits with its slow node bits above them;
+the children and subtree masks of every node are computed once per
+topology.  A frontier, loss, repair or timeout event then finds its
+destination, the very object of
+:func:`~repro.core.multihop.tree_states.tree_state_space`, with a few
+integer operations and one dict lookup, and the template indexes the
+spec list's states by identity.  SS and SS+RT differ only in their tag
+rates, so they share one spec list.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 from repro.core.markov import spec_rates, spec_tags
 from repro.core.multihop.states import RECOVERY
@@ -44,7 +55,11 @@ from repro.core.multihop.transitions import (
     slow_path_recovery_rate,
     supported_protocols,
 )
-from repro.core.multihop.tree_states import TreeState, tree_state_space
+from repro.core.multihop.tree_states import (
+    TreeState,
+    _enumerated_tree_states,
+    tree_state_space,
+)
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
@@ -58,34 +73,21 @@ Rates = dict[tuple[object, object], float]
 Tag = tuple
 
 
-def _advance(state: TreeState, node: int) -> TreeState:
-    """``node``'s frontier edge is crossed: it joins the consistent set
-    (its children implicitly become fast frontier edges)."""
-    return TreeState(
-        tuple(sorted(state.consistent + (node,))),
-        tuple(v for v in state.slow if v != node),
-    )
-
-
-def _mark_slow(state: TreeState, node: int) -> TreeState:
-    """``node``'s in-flight message is lost: the edge turns slow."""
-    return TreeState(state.consistent, tuple(sorted(state.slow + (node,))))
-
-
-def _timeout(state: TreeState, node: int, topology: Topology) -> TreeState:
-    """First state-timeout at consistent ``node``: its whole subtree
-    detaches (refresh starvation cascades) and its edge turns slow."""
-    removed = set(topology.subtree(node))
-    consistent = tuple(v for v in state.consistent if v not in removed)
-    slow = tuple(
-        sorted(
-            [v for v in state.slow if topology.parent(v) not in removed] + [node]
-        )
-    )
-    return TreeState(consistent, slow)
-
-
 @functools.lru_cache(maxsize=256)
+def _node_masks(topology: Topology) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(children, subtree)``: per node, the bitmask of its children and
+    of its whole subtree (itself included); bit ``v`` is node ``v``."""
+    children = [0] * topology.num_nodes
+    subtree = [1 << node for node in range(topology.num_nodes)]
+    # Parents precede children, so a backward pass sees every subtree
+    # complete before folding it into its parent's.
+    for node in range(topology.num_edges, 0, -1):
+        parent = topology.parents[node - 1]
+        children[parent] |= 1 << node
+        subtree[parent] |= subtree[node]
+    return tuple(children), tuple(subtree)
+
+
 def tree_transition_specs(
     protocol: Protocol, topology: Topology, max_states: int | None = None
 ) -> tuple[tuple[object, object, Tag], ...]:
@@ -98,6 +100,11 @@ def tree_transition_specs(
     restarts installation at the root), then each state's frontier and
     timeout events in node order, then the recovery exit.
 
+    Every origin and destination is the state object of
+    :func:`~repro.core.multihop.tree_states.tree_state_space`.  SS and
+    SS+RT share one list, since only their tag rates differ, and so do
+    all caps that admit the state space.
+
     ``max_states`` raises the enumeration cap for the iterative
     backend; the default keeps the direct path's
     :data:`~repro.core.multihop.tree_states.MAX_TREE_STATES` guard.
@@ -105,50 +112,72 @@ def tree_transition_specs(
     protocol = Protocol(protocol)
     if protocol not in supported_protocols():
         raise ValueError(f"{protocol} is not part of the multi-hop analysis")
-    with_recovery = protocol is Protocol.HS
-    states = tree_state_space(topology, with_recovery, max_states)
+    hard_state = protocol is Protocol.HS
+    tree_state_space(topology, hard_state, max_states)  # the cap check
+    return _tree_specs(topology, hard_state)
+
+
+@functools.lru_cache(maxsize=256)
+def _tree_specs(topology: Topology, hard_state: bool) -> tuple[tuple[object, object, Tag], ...]:
+    """:func:`tree_transition_specs` past its checks.
+
+    Each state is keyed by one integer, its consistent node bitmask
+    with its slow node bitmask above it, and every destination is found
+    by its key: an event is a few integer operations, never a scan of
+    the state's node sets.
+    """
+    states = _enumerated_tree_states(topology, hard_state)
     start = states[0]
-    specs: list[tuple[object, object, Tag]] = []
-
-    # Sender-side updates restart installation from the root.
-    for state in states[1:]:
-        specs.append((state, start, ("update",)))
-
+    nodes = range(topology.num_nodes)
+    shift = topology.num_nodes
+    children, subtree = _node_masks(topology)
+    consistent_bit = [1 << node for node in nodes]
+    slow_bit = [1 << node + shift for node in nodes]
+    # A timeout at ``node`` clears its subtree's consistent and slow bits.
+    kept = [~(mask | mask << shift) for mask in subtree]
+    recover = [("recover", topology.depth(node)) for node in nodes]
+    timeout = [("timeout", topology.depth(node)) for node in nodes]
+    keyed: list[tuple[TreeState, int, int]] = []
+    by_key: dict[int, TreeState] = {}
     for state in states:
         if state is RECOVERY:
             continue
-        in_consistent = set(state.consistent)
-        in_slow = set(state.slow)
-        frontier = [
-            node
-            for node in range(1, topology.num_nodes)
-            if node not in in_consistent
-            and (topology.parent(node) == 0 or topology.parent(node) in in_consistent)
-        ]
-        for node in frontier:
-            if node in in_slow:
-                specs.append(
-                    (
-                        state,
-                        _advance(state, node),
-                        ("recover", topology.depth(node)),
-                    )
-                )
+        consistent = sum(map(consistent_bit.__getitem__, state.consistent))
+        key = consistent + sum(map(slow_bit.__getitem__, state.slow))
+        keyed.append((state, key, consistent))
+        by_key[key] = state
+
+    # Sender-side updates restart installation from the root.
+    specs: list[tuple[object, object, Tag]] = [
+        (state, start, ("update",)) for state in states[1:]
+    ]
+    for state, key, consistent in keyed:
+        # Frontier: the children of the root and of consistent nodes,
+        # less the consistent nodes, in node order.
+        reached = functools.reduce(
+            operator.or_, map(children.__getitem__, state.consistent), children[0]
+        )
+        frontier = reached & ~consistent
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            node = bit.bit_length() - 1
+            crossed = by_key[(key | bit) & ~slow_bit[node]]
+            if key & slow_bit[node]:
+                specs.append((state, crossed, recover[node]))
             else:
-                specs.append((state, _advance(state, node), ("advance",)))
-                specs.append((state, _mark_slow(state, node), ("lose",)))
-        if protocol is not Protocol.HS:
-            for node in state.consistent:
-                specs.append(
-                    (
-                        state,
-                        _timeout(state, node, topology),
-                        ("timeout", topology.depth(node)),
-                    )
-                )
-        else:
+                specs.append((state, crossed, ("advance",)))
+                specs.append((state, by_key[key | slow_bit[node]], ("lose",)))
+        if hard_state:
             specs.append((state, RECOVERY, ("to_recovery",)))
-    if with_recovery:
+            continue
+        # A first timeout at consistent ``node`` detaches its subtree
+        # (refresh starvation cascades) and leaves its own edge slow.
+        specs += [
+            (state, by_key[key & kept[node] | slow_bit[node]], timeout[node])
+            for node in state.consistent
+        ]
+    if hard_state:
         specs.append((RECOVERY, start, ("from_recovery",)))
     return tuple(specs)
 

@@ -309,15 +309,27 @@ class _SpecTemplate(_CompiledTemplate):
     """
 
     def _compile_specs(self, states, specs) -> None:
-        index = {state: i for i, state in enumerate(states)}
+        # Spec lists that name their states by the objects of ``states``
+        # (single hop, tree, lumped) are indexed by identity, which never
+        # calls a state's hash; the Gilbert product's fresh tuples by value.
+        origins = list(map(operator.itemgetter(0), specs))
+        destinations = list(map(operator.itemgetter(1), specs))
+        try:
+            index = {id(state): i for i, state in enumerate(states)}
+            rows = list(map(index.__getitem__, map(id, origins)))
+            cols = list(map(index.__getitem__, map(id, destinations)))
+        except KeyError:
+            index = {state: i for i, state in enumerate(states)}
+            rows = list(map(index.__getitem__, origins))
+            cols = list(map(index.__getitem__, destinations))
         self._tags = spec_tags(specs)
         slot = {tag: i for i, tag in enumerate(self._tags)}
         self._compile(
             states,
-            [index[spec[0]] for spec in specs],
-            [index[spec[1]] for spec in specs],
-            [slot[spec[2]] for spec in specs],
-            [spec[3] for spec in specs] if len(specs[0]) == 4 else 1.0,
+            rows,
+            cols,
+            list(map(slot.__getitem__, map(operator.itemgetter(2), specs))),
+            list(map(operator.itemgetter(3), specs)) if len(specs[0]) == 4 else 1.0,
         )
 
 
