@@ -18,10 +18,8 @@ import dataclasses
 from repro.core.parameters import SignalingParameters
 from repro.core.protocols import Protocol
 from repro.protocols.config import SingleHopSimConfig
-from repro.protocols.messages import Message, MessageKind
 from repro.protocols.sender import SignalingSender
 from repro.protocols.session import SingleHopSimulation
-from repro.sim.engine import Interrupt
 from repro.sim.randomness import RandomStreams
 from repro.sim.stats import ReplicationSet
 
@@ -53,21 +51,17 @@ class StagedRefreshSender(SignalingSender):
     def __init__(self, *args, staged: StagedRefreshConfig, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.staged = staged
+        self._stage_one_remaining = 0
 
-    def _refresh_loop(self):
-        try:
-            stage_one_remaining = self.staged.fast_count
-            while self.value is not None:
-                if stage_one_remaining > 0:
-                    yield self.env.timeout(self.staged.fast_interval)
-                    stage_one_remaining -= 1
-                else:
-                    yield self.env.timeout(self._refresh_timer.draw())
-                if self.value is None:
-                    return
-                self._transmit(Message(MessageKind.REFRESH, self.version, self.value))
-        except Interrupt:
-            return
+    def _restart_refresh_loop(self) -> None:
+        self._stage_one_remaining = self.staged.fast_count
+        super()._restart_refresh_loop()
+
+    def _refresh_interval(self) -> float:
+        if self._stage_one_remaining > 0:
+            self._stage_one_remaining -= 1
+            return self.staged.fast_interval
+        return super()._refresh_interval()
 
 
 class StagedRefreshSimulation(SingleHopSimulation):

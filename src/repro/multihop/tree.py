@@ -42,7 +42,7 @@ from repro.faults.schedule import LinkFlap, NodeCrash
 from repro.multihop.config import MultiHopSimConfig
 from repro.protocols.messages import Message, MessageKind
 from repro.sim.channel import Channel, ChannelConfig, GilbertElliottProcess
-from repro.sim.engine import Environment, Interrupt, Process
+from repro.sim.engine import Environment, RestartableTimer
 from repro.sim.monitor import StateFractionMonitor, TimeSeriesMonitor
 from repro.sim.randomness import RandomStreams, Timer
 from repro.sim.stats import ReplicationSet
@@ -121,12 +121,14 @@ class _ReliableHop:
         retransmission_timer: Timer,
         transmit: Callable[[Message], None],
     ) -> None:
-        self.env = env
-        self._timer = retransmission_timer
         self._transmit = transmit
-        self._proc: Process | None = None
         self._acked_version = 0
         self._current: Message | None = None
+        # The version the retransmission loop is repeating.
+        self._version = 0
+        self._retx = RestartableTimer(
+            env, retransmission_timer.draw, self._unacked, self._retransmit
+        )
 
     def offer(self, message: Message) -> None:
         """Send ``message`` downstream reliably (supersedes older ones)."""
@@ -134,8 +136,8 @@ class _ReliableHop:
         self._transmit(message)
         if self._acked_version >= message.version:
             return
-        self.cancel()
-        self._proc = self.env.process(self._loop(message.version), name="hop-retx")
+        self._version = message.version
+        self._retx.restart()
 
     def on_ack(self, version: int) -> None:
         """Stop retransmitting once the downstream hop acknowledged."""
@@ -145,34 +147,21 @@ class _ReliableHop:
 
     def cancel(self) -> None:
         """Abort any in-progress retransmission loop."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("cancelled")
-        self._proc = None
+        self._retx.cancel()
 
-    def _loop(self, version: int):
-        try:
-            while (
-                self._current is not None
-                and self._current.version == version
-                and self._acked_version < version
-            ):
-                yield self.env.timeout(self._timer.draw())
-                if (
-                    self._current is None
-                    or self._current.version != version
-                    or self._acked_version >= version
-                ):
-                    return
-                self._transmit(
-                    Message(
-                        self._current.kind,
-                        self._current.version,
-                        self._current.value,
-                        retransmission=True,
-                    )
-                )
-        except Interrupt:
-            return
+    def _unacked(self) -> bool:
+        version = self._version
+        return (
+            self._current is not None
+            and self._current.version == version
+            and self._acked_version < version
+        )
+
+    def _retransmit(self) -> None:
+        current = self._current
+        self._transmit(
+            Message(current.kind, current.version, current.value, retransmission=True)
+        )
 
 
 class _FanOut:
@@ -295,9 +284,10 @@ class TreeRelayNode(_FanOut):
         self.crashed = False
         self.timeout_removals = 0
         self.false_signal_removals = 0
-        self._timeout_timer = timeout_timer
         self._transmit_up = transmit_upstream
-        self._timeout_proc: Process | None = None
+        self._timeout = RestartableTimer(
+            env, timeout_timer.draw, self._holds_state, self._time_out
+        )
 
     # -- upstream-facing input (messages travelling toward the leaves) --
 
@@ -368,7 +358,7 @@ class TreeRelayNode(_FanOut):
         """
         self.crashed = True
         self.version = 0
-        self._cancel_timeout()
+        self._timeout.cancel()
         for hop in self._hops:
             if hop is not None:
                 hop.cancel()
@@ -387,34 +377,20 @@ class TreeRelayNode(_FanOut):
         self.value = value
         self._on_value_change()
         if self.protocol.uses_state_timeout:
-            self._restart_timeout()
+            self._timeout.restart()
 
     def _remove(self) -> None:
         self.value = None
         self._on_value_change()
-        self._cancel_timeout()
+        self._timeout.cancel()
         for hop in self._hops:
             if hop is not None:
                 hop.cancel()
 
-    def _restart_timeout(self) -> None:
-        self._cancel_timeout()
-        self._timeout_proc = self.env.process(
-            self._timeout_loop(), name=f"tree-timeout-{self.index}"
-        )
+    def _holds_state(self) -> bool:
+        return self.value is not None
 
-    def _cancel_timeout(self) -> None:
-        if self._timeout_proc is not None and self._timeout_proc.is_alive:
-            self._timeout_proc.interrupt("cancelled")
-        self._timeout_proc = None
-
-    def _timeout_loop(self):
-        try:
-            yield self.env.timeout(self._timeout_timer.draw())
-        except Interrupt:
-            return
-        if self.value is None:
-            return
+    def _time_out(self) -> None:
         self.timeout_removals += 1
         self._remove()
         if self.protocol.removal_notification:

@@ -13,7 +13,7 @@ from collections.abc import Callable
 
 from repro.core.protocols import Protocol
 from repro.protocols.messages import Message, MessageKind
-from repro.sim.engine import Environment, Event, Interrupt, Process
+from repro.sim.engine import Environment, Event, RestartableTimer
 from repro.sim.randomness import Timer
 
 __all__ = ["SignalingReceiver"]
@@ -36,10 +36,11 @@ class SignalingReceiver:
         self.version = 0
         self.timeout_removals = 0
         self.false_signal_removals = 0
-        self._timeout_timer = timeout_timer
         self._transmit = transmit
         self._on_value_change = on_value_change or (lambda: None)
-        self._timeout_proc: Process | None = None
+        self._timeout = RestartableTimer(
+            env, timeout_timer.draw, self._holds_state, self._time_out
+        )
         self._empty_waiters: list[Event] = []
 
     # ------------------------------------------------------------------
@@ -95,32 +96,20 @@ class SignalingReceiver:
         self.value = value
         self._on_value_change()
         if self.protocol.uses_state_timeout:
-            self._restart_timeout()
+            self._timeout.restart()
 
     def _remove(self) -> None:
         self.value = None
         self._on_value_change()
-        self._cancel_timeout()
+        self._timeout.cancel()
         waiters, self._empty_waiters = self._empty_waiters, []
         for event in waiters:
             event.succeed()
 
-    def _restart_timeout(self) -> None:
-        self._cancel_timeout()
-        self._timeout_proc = self.env.process(self._timeout_loop(), name="state-timeout")
+    def _holds_state(self) -> bool:
+        return self.value is not None
 
-    def _cancel_timeout(self) -> None:
-        if self._timeout_proc is not None and self._timeout_proc.is_alive:
-            self._timeout_proc.interrupt("cancelled")
-        self._timeout_proc = None
-
-    def _timeout_loop(self):
-        try:
-            yield self.env.timeout(self._timeout_timer.draw())
-        except Interrupt:
-            return
-        if self.value is None:
-            return
+    def _time_out(self) -> None:
         self.timeout_removals += 1
         self._remove()
         if self.protocol.removal_notification:

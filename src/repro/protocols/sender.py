@@ -20,7 +20,7 @@ from collections.abc import Callable
 from repro.core.parameters import SignalingParameters
 from repro.core.protocols import Protocol
 from repro.protocols.messages import Message, MessageKind
-from repro.sim.engine import Environment, Interrupt, Process
+from repro.sim.engine import Environment, RestartableTimer
 from repro.sim.randomness import Timer
 
 __all__ = ["SignalingSender"]
@@ -48,11 +48,20 @@ class SignalingSender:
         self._retx_timer = retransmission_timer
         self._transmit = transmit
         self._on_value_change = on_value_change or (lambda: None)
-        self._refresh_proc: Process | None = None
-        self._trigger_retx_proc: Process | None = None
-        self._removal_retx_proc: Process | None = None
         self._acked_version = 0
         self._removal_acked_version = 0
+        # The versions the two retransmission loops are repeating.
+        self._trigger_version = 0
+        self._removal_version = 0
+        self._refresh = RestartableTimer(
+            env, self._refresh_interval, self._holds_state, self._send_refresh
+        )
+        self._trigger_retx = RestartableTimer(
+            env, retransmission_timer.draw, self._trigger_unacked, self._retransmit_trigger
+        )
+        self._removal_retx = RestartableTimer(
+            env, retransmission_timer.draw, self._removal_unacked, self._retransmit_removal
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle operations (driven by the session driver)
@@ -60,8 +69,7 @@ class SignalingSender:
 
     def install(self) -> None:
         """Create local state and start installing it remotely."""
-        self._cancel(self._removal_retx_proc)
-        self._removal_retx_proc = None
+        self._removal_retx.cancel()
         self._bump_and_trigger()
 
     def update(self) -> None:
@@ -76,16 +84,13 @@ class SignalingSender:
             raise RuntimeError("cannot remove: sender holds no state")
         removal_version = self.version
         self._set_value(None)
-        self._cancel(self._refresh_proc)
-        self._refresh_proc = None
-        self._cancel(self._trigger_retx_proc)
-        self._trigger_retx_proc = None
+        self._refresh.cancel()
+        self._trigger_retx.cancel()
         if self.protocol.explicit_removal:
             self._transmit(Message(MessageKind.REMOVAL, removal_version))
             if self.protocol.reliable_removal:
-                self._removal_retx_proc = self.env.process(
-                    self._removal_retx_loop(removal_version), name="removal-retx"
-                )
+                self._removal_version = removal_version
+                self._removal_retx.restart()
         # Pure soft state (SS, SS+RT): simply stop refreshing; the
         # receiver's state-timeout performs the removal.
 
@@ -98,17 +103,15 @@ class SignalingSender:
         if message.kind is MessageKind.ACK:
             self._acked_version = max(self._acked_version, message.version)
             if self._acked_version >= self.version:
-                self._cancel(self._trigger_retx_proc)
-                self._trigger_retx_proc = None
+                self._trigger_retx.cancel()
         elif message.kind is MessageKind.REMOVAL_ACK:
             self._removal_acked_version = max(self._removal_acked_version, message.version)
-            self._cancel(self._removal_retx_proc)
-            self._removal_retx_proc = None
+            self._removal_retx.cancel()
         elif message.kind is MessageKind.NOTIFY:
             # The receiver dropped state we still hold: false removal.
             # Recover by re-installing (SS+RT, SS+RTR, HS).
             if self.value is not None and self.protocol.removal_notification:
-                self._send_trigger(retransmission=False)
+                self._send_trigger()
         else:
             raise ValueError(f"sender cannot handle {message.kind!r}")
 
@@ -119,76 +122,50 @@ class SignalingSender:
     def _bump_and_trigger(self) -> None:
         self.version += 1
         self._set_value(self.version)
-        self._send_trigger(retransmission=False)
+        self._send_trigger()
 
     def _set_value(self, value: int | None) -> None:
         self.value = value
         self._on_value_change()
 
-    def _send_trigger(self, retransmission: bool) -> None:
-        self._transmit(
-            Message(
-                MessageKind.TRIGGER,
-                self.version,
-                self.value,
-                retransmission=retransmission,
-            )
-        )
-        if not retransmission:
-            self._restart_refresh_loop()
-            if self.protocol.reliable_triggers:
-                self._cancel(self._trigger_retx_proc)
-                self._trigger_retx_proc = self.env.process(
-                    self._trigger_retx_loop(self.version), name="trigger-retx"
-                )
+    def _send_trigger(self) -> None:
+        self._transmit(Message(MessageKind.TRIGGER, self.version, self.value))
+        self._restart_refresh_loop()
+        if self.protocol.reliable_triggers:
+            self._trigger_version = self.version
+            self._trigger_retx.restart()
 
     def _restart_refresh_loop(self) -> None:
-        if not self.protocol.uses_refreshes:
-            return
-        self._cancel(self._refresh_proc)
-        self._refresh_proc = self.env.process(self._refresh_loop(), name="refresh")
+        if self.protocol.uses_refreshes:
+            self._refresh.restart()
 
-    def _refresh_loop(self):
-        try:
-            while self.value is not None:
-                yield self.env.timeout(self._refresh_timer.draw())
-                if self.value is None:
-                    return
-                self._transmit(Message(MessageKind.REFRESH, self.version, self.value))
-        except Interrupt:
-            return
+    def _refresh_interval(self) -> float:
+        """The wait before the next refresh (drawn as each wait starts)."""
+        return self._refresh_timer.draw()
 
-    def _trigger_retx_loop(self, version: int):
-        try:
-            while (
-                self.value is not None
-                and self.version == version
-                and self._acked_version < version
-            ):
-                yield self.env.timeout(self._retx_timer.draw())
-                if (
-                    self.value is None
-                    or self.version != version
-                    or self._acked_version >= version
-                ):
-                    return
-                self._transmit(
-                    Message(MessageKind.TRIGGER, version, self.value, retransmission=True)
-                )
-        except Interrupt:
-            return
+    def _holds_state(self) -> bool:
+        return self.value is not None
 
-    def _removal_retx_loop(self, version: int):
-        try:
-            while self.value is None and self._removal_acked_version < version:
-                yield self.env.timeout(self._retx_timer.draw())
-                if self.value is not None or self._removal_acked_version >= version:
-                    return
-                self._transmit(Message(MessageKind.REMOVAL, version, retransmission=True))
-        except Interrupt:
-            return
+    def _send_refresh(self) -> None:
+        self._transmit(Message(MessageKind.REFRESH, self.version, self.value))
 
-    @staticmethod
-    def _cancel(proc: Process | None) -> None:
-        if proc is not None and proc.is_alive:
-            proc.interrupt("cancelled")
+    def _trigger_unacked(self) -> bool:
+        version = self._trigger_version
+        return (
+            self.value is not None
+            and self.version == version
+            and self._acked_version < version
+        )
+
+    def _retransmit_trigger(self) -> None:
+        self._transmit(
+            Message(MessageKind.TRIGGER, self._trigger_version, self.value, retransmission=True)
+        )
+
+    def _removal_unacked(self) -> bool:
+        return self.value is None and self._removal_acked_version < self._removal_version
+
+    def _retransmit_removal(self) -> None:
+        self._transmit(
+            Message(MessageKind.REMOVAL, self._removal_version, retransmission=True)
+        )

@@ -184,18 +184,13 @@ class Channel:
         if self._rng.random() < loss_rate:
             self.lost += 1
             if self._on_loss is not None:
-                lost_payload = payload
-                event = self.env.timeout(self._draw_delay())
-                event.callbacks.append(lambda _evt: self._on_loss(lost_payload))
+                self.env.call_later(self._draw_delay(), self._on_loss, payload)
             return False
         delay = self._draw_delay()
-        deliver_at = max(self.env.now + delay, self._last_delivery_time)
-        self._last_delivery_time = deliver_at
         sent_at = self.env.now
-        event = self.env.timeout(deliver_at - self.env.now)
-        event.callbacks.append(
-            lambda _evt: self._on_arrival(payload, sent_at)
-        )
+        deliver_at = max(sent_at + delay, self._last_delivery_time)
+        self._last_delivery_time = deliver_at
+        self.env.call_later(deliver_at - sent_at, self._on_arrival, payload, sent_at)
         return True
 
     def _draw_delay(self) -> float:

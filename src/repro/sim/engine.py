@@ -10,13 +10,23 @@ The kernel follows the classic event-list architecture:
   suspended processes) can wait on;
 * a :class:`Process` wraps a Python generator.  The generator yields
   events; when a yielded event fires, the process is resumed with the
-  event's value (or the event's exception is thrown into it).
+  event's value (or the event's exception is thrown into it);
+* a :class:`ScheduledCall` (``env.call_later(delay, fn, *args)``) is a
+  plain callback on the same queue that can be cancelled;
+* a :class:`RestartableTimer` runs a restartable timer loop on
+  scheduled calls.
 
 This is deliberately the same process model as simpy's, so protocol code
 reads like ordinary simpy code.  Only the features the protocol
 implementations need are provided: timeouts, process join, interrupts,
-and immediate (zero-delay) events.  Determinism is guaranteed: events
-scheduled for the same time fire in scheduling order (FIFO tie-break).
+immediate (zero-delay) events, cancellable scheduled calls and
+restartable timers.  Protocol timers that every message restarts (state
+timeouts, refresh and retransmission loops) are restartable timers, so
+a restart costs a cancelled call instead of a process bootstrap, an
+interrupt wake-up and a process completion; loops that nothing
+interrupts (workloads, fault schedules, samplers) stay processes.
+Determinism is guaranteed: events and calls scheduled for the same time
+fire in scheduling order (FIFO tie-break).
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
+    "RestartableTimer",
+    "ScheduledCall",
     "SimulationError",
     "Timeout",
 ]
@@ -225,12 +237,115 @@ class Process(Event):
             self.env._active_process = None
 
 
+class ScheduledCall:
+    """A callback on the event queue; :meth:`cancel` skips it.
+
+    Made by :meth:`Environment.call_later`.  It takes its place in the
+    queue from the same sequence counter as events and fires through
+    :meth:`Environment.step`, so calls, timeouts and process bootstraps
+    at one instant run in scheduling order.  A cancelled call stays
+    queued and is skipped when popped.
+    """
+
+    __slots__ = ("_fn", "_args")
+
+    def __init__(self, fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
+        self._fn: Callable[..., Any] | None = fn
+        self._args = args
+
+    def cancel(self) -> None:
+        """Skip the call when its time comes (a no-op once it ran)."""
+        self._fn = None
+
+    def _fire(self) -> None:
+        fn = self._fn
+        if fn is not None:
+            self._fn = None
+            fn(*self._args)
+
+
+class RestartableTimer:
+    """A timer loop that runs on scheduled calls instead of a process.
+
+    It draws the same intervals at the same points of the event order as
+    the process
+
+    .. code-block:: python
+
+        while condition():
+            yield env.timeout(interval())
+            if not condition():
+                return
+            fire()
+
+    started by :meth:`restart` (which first interrupts the running one)
+    and interrupted by :meth:`cancel`:
+
+    * **Arm at zero delay.**  ``restart()`` schedules a zero-delay arm
+      call where the process's bootstrap event stood, and the interval
+      is drawn when the arm runs.  A timer cancelled or restarted before
+      then draws nothing, as an interrupted generator that never started
+      never ran its body.  Drawing at restart time instead would spend a
+      draw for each of several restarts at one instant (two messages
+      delivered together by the channel's non-reordering clamp).
+    * **Cancelled calls stay queued.**  They are skipped when popped, as
+      the orphaned ``Timeout`` of an interrupted wait fired with no one
+      waiting on it.
+    * **Re-arm inside one call.**  At expiry the condition, ``fire()``,
+      the condition again and the next draw all run in the one call, as
+      they did within one resume.  A ``fire()`` that cancels or restarts
+      its own timer ends that run.
+    """
+
+    __slots__ = ("env", "_interval", "_condition", "_fire", "_pending")
+
+    def __init__(
+        self,
+        env: "Environment",
+        interval: Callable[[], float],
+        condition: Callable[[], bool],
+        fire: Callable[[], None],
+    ) -> None:
+        self.env = env
+        self._interval = interval
+        self._condition = condition
+        self._fire = fire
+        self._pending: ScheduledCall | None = None
+
+    def restart(self) -> None:
+        """Cancel the running loop, if any, and start a new one."""
+        if self._pending is not None:
+            self._pending.cancel()
+        self._pending = self.env.call_later(0.0, self._arm)
+
+    def cancel(self) -> None:
+        """Stop the loop; its pending call is skipped when popped."""
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
+
+    def _arm(self) -> None:
+        if self._condition():
+            self._pending = self.env.call_later(self._interval(), self._expire)
+        else:
+            self._pending = None
+
+    def _expire(self) -> None:
+        expired = self._pending
+        if not self._condition():
+            self._pending = None
+            return
+        self._fire()
+        if self._pending is expired:
+            self._arm()
+
+
 class Environment:
     """The simulation environment: clock, event queue, process factory."""
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, Event | ScheduledCall]] = []
         self._sequence = 0
         self._active_process: Process | None = None
 
@@ -244,7 +359,7 @@ class Environment:
         """The process currently executing, if any."""
         return self._active_process
 
-    def _schedule(self, event: Event, delay: float) -> None:
+    def _schedule(self, event: Event | ScheduledCall, delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay!r})")
         heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
@@ -257,6 +372,14 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
+
+    def call_later(
+        self, delay: float, fn: Callable[..., Any], *args: Any
+    ) -> ScheduledCall:
+        """Run ``fn(*args)`` ``delay`` time units from now; cancellable."""
+        call = ScheduledCall(fn, args)
+        self._schedule(call, delay)
+        return call
 
     def process(
         self,
@@ -271,7 +394,7 @@ class Environment:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Fire the single next event."""
+        """Fire the single next event or scheduled call."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
         when, _, event = heapq.heappop(self._queue)

@@ -152,8 +152,7 @@ class TestSoftStateTimeout:
         harness2 = Harness(Protocol.SS_RT)
         harness2.sender.install()
         harness2.env.run(until=1.0)
-        harness2.receiver._timeout_proc.interrupt("test")  # silence timer
-        harness2.receiver._timeout_proc = None
+        harness2.receiver._timeout.cancel()  # silence timer
         # Simulate a timeout removal directly:
         harness2.receiver.value = None
         harness2.receiver._on_value_change()

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Environment, Interrupt, SimulationError
+from repro.core.protocols import Protocol
+from repro.protocols.messages import Message, MessageKind
+from repro.protocols.receiver import SignalingReceiver
+from repro.sim.engine import Environment, Interrupt, RestartableTimer, SimulationError
+from repro.sim.randomness import RandomStreams, Timer, TimerDiscipline
 
 
 def run_collecting(generator_factory):
@@ -487,3 +491,196 @@ class TestRunUntil:
         assert log == []
         env.run(until=15.0)
         assert log == [10.0]
+
+
+class TestScheduledCalls:
+    def test_calls_timeouts_and_bootstraps_fire_in_scheduling_order(self):
+        env = Environment()
+        order = []
+
+        def proc(tag):
+            order.append(tag)
+            yield env.timeout(1.0)
+            order.append(f"{tag} woke")
+
+        env.call_later(0.0, order.append, "call 1")
+        env.process(proc("process 1"))
+        env.timeout(0.0).callbacks.append(lambda _evt: order.append("timeout"))
+        env.process(proc("process 2"))
+        env.call_later(0.0, order.append, "call 2")
+        env.call_later(1.0, order.append, "call 3")
+        env.run()
+        assert order == [
+            "call 1",
+            "process 1",
+            "timeout",
+            "process 2",
+            "call 2",
+            # Scheduled at t=0, before either process's timeout.
+            "call 3",
+            "process 1 woke",
+            "process 2 woke",
+        ]
+
+    def test_call_receives_its_arguments_at_its_time(self):
+        env = Environment()
+        seen = []
+        env.call_later(2.5, lambda a, b: seen.append((env.now, a, b)), "x", 7)
+        env.run()
+        assert seen == [(2.5, "x", 7)]
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Environment().call_later(-1.0, print)
+
+    def test_call_cancelled_before_its_time_never_runs(self):
+        env = Environment()
+        ran = []
+        call = env.call_later(2.0, ran.append, "late")
+        env.call_later(1.0, call.cancel)
+        env.run()
+        assert ran == []
+        # The cancelled call stays queued and is skipped when popped.
+        assert env.now == 2.0
+
+    def test_callback_may_cancel_itself_and_schedule_another(self):
+        env = Environment()
+        log = []
+
+        def first():
+            log.append(("first", env.now))
+            handle.cancel()
+            env.call_later(0.5, lambda: log.append(("second", env.now)))
+
+        handle = env.call_later(1.0, first)
+        env.run()
+        assert log == [("first", 1.0), ("second", 1.5)]
+
+    def test_run_until_time_leaves_later_calls_queued(self):
+        env = Environment()
+        ran = []
+        env.call_later(10.0, ran.append, 10.0)
+        env.run(until=5.0)
+        assert ran == []
+        env.run(until=15.0)
+        assert ran == [10.0]
+
+
+class CountingInterval:
+    """Returns the given intervals in turn and counts the draws."""
+
+    def __init__(self, *intervals):
+        self.intervals = list(intervals)
+        self.draws = 0
+
+    def __call__(self):
+        self.draws += 1
+        return self.intervals.pop(0)
+
+
+class TestRestartableTimer:
+    def test_loop_fires_and_rearms_until_the_condition_fails(self):
+        env = Environment()
+        interval = CountingInterval(1.0, 2.0, 4.0, 8.0)
+        fired = []
+        timer = RestartableTimer(
+            env, interval, lambda: len(fired) < 3, lambda: fired.append(env.now)
+        )
+        timer.restart()
+        env.run()
+        assert fired == [1.0, 3.0, 7.0]
+        # No wait is drawn once the condition fails after the last fire.
+        assert interval.draws == 3
+
+    def test_condition_is_checked_again_at_expiry(self):
+        env = Environment()
+        live = [True]
+        fired = []
+        timer = RestartableTimer(env, lambda: 5.0, lambda: live[0], lambda: fired.append(1))
+        timer.restart()
+        env.call_later(1.0, live.__setitem__, 0, False)
+        env.run()
+        assert fired == []
+
+    def test_restarts_before_the_arm_draw_once(self):
+        env = Environment()
+        interval = CountingInterval(3.0, 99.0)
+        fired = []
+        timer = RestartableTimer(
+            env, interval, lambda: not fired, lambda: fired.append(env.now)
+        )
+        timer.restart()
+        timer.restart()
+        timer.restart()
+        env.run()
+        assert fired == [3.0]
+        assert interval.draws == 1
+
+    def test_cancel_before_the_arm_draws_nothing(self):
+        env = Environment()
+        interval = CountingInterval(3.0)
+        timer = RestartableTimer(env, interval, lambda: True, lambda: None)
+        timer.restart()
+        timer.cancel()
+        env.run()
+        assert interval.draws == 0
+
+    def test_restart_discards_the_pending_wait(self):
+        env = Environment()
+        fired = []
+        timer = RestartableTimer(
+            env, CountingInterval(5.0, 5.0), lambda: not fired, lambda: fired.append(env.now)
+        )
+        timer.restart()
+        env.call_later(3.0, timer.restart)
+        env.run()
+        assert fired == [8.0]
+
+    def test_fire_that_cancels_its_own_timer_ends_the_run(self):
+        env = Environment()
+        interval = CountingInterval(1.0, 1.0)
+        fired = []
+
+        def fire():
+            fired.append(env.now)
+            timer.cancel()
+
+        timer = RestartableTimer(env, interval, lambda: True, fire)
+        timer.restart()
+        env.run()
+        assert fired == [1.0]
+        assert interval.draws == 1
+
+    def test_fire_that_restarts_its_own_timer_arms_once(self):
+        env = Environment()
+        interval = CountingInterval(1.0, 2.0, 99.0)
+        fired = []
+
+        def fire():
+            fired.append(env.now)
+            if len(fired) == 1:
+                timer.restart()
+
+        timer = RestartableTimer(env, interval, lambda: len(fired) < 2, fire)
+        timer.restart()
+        env.run()
+        assert fired == [1.0, 3.0]
+        assert interval.draws == 2
+
+    def test_two_installs_at_one_instant_draw_the_receiver_timeout_once(self):
+        # Two state messages delivered at one instant restart the state
+        # timeout twice before its arm runs: one draw, from the second.
+        env = Environment()
+        mean = 15.0
+        timer = Timer(mean, TimerDiscipline.EXPONENTIAL, RandomStreams(11).stream("timeout-timer"))
+        reference = Timer(
+            mean, TimerDiscipline.EXPONENTIAL, RandomStreams(11).stream("timeout-timer")
+        )
+        first_draw, second_draw = reference.draw(), reference.draw()
+        receiver = SignalingReceiver(env, Protocol.SS, timer, transmit=lambda _msg: None)
+        receiver.on_message(Message(MessageKind.TRIGGER, 1, 1))
+        receiver.on_message(Message(MessageKind.TRIGGER, 2, 2))
+        env.run()
+        assert receiver.timeout_removals == 1
+        assert env.now == first_draw
+        assert timer.draw() == second_draw
