@@ -153,7 +153,9 @@ MULTIHOP = BaseFamily(
 # ----------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+# Both memos share the bound of ``gilbert_multihop_template``, so a chain
+# length the template cache lets go does not keep its spec list alive.
+@functools.lru_cache(maxsize=256)
 def gilbert_states(
     base: BaseFamily, protocol: Protocol, *shape: int
 ) -> tuple[tuple[object, ChannelState], ...]:
@@ -162,7 +164,7 @@ def gilbert_states(
     return tuple((state, channel) for channel in CHANNEL_STATES for state in proto)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def gilbert_specs(
     base: BaseFamily, protocol: Protocol, *shape: int
 ) -> tuple[tuple[object, object, tuple], ...]:

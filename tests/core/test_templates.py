@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import markov
 from repro.core.gilbert.model import GilbertMultiHopModel
+from repro.core.gilbert.transitions import gilbert_specs, gilbert_states
 from repro.core.multihop import MultiHopModel
 from repro.core.multihop.heterogeneous import (
     HeterogeneousHop,
@@ -314,3 +315,12 @@ class TestTemplatesDisabledEscapeHatch:
         assert [s.message_breakdown for s in fast] == [
             s.message_breakdown for s in reference
         ]
+
+
+def test_gilbert_spec_memos_share_the_template_bound():
+    # An unbounded spec memo would keep every chain length's product
+    # spec list alive after the template cache evicts its template.
+    bound = gilbert_multihop_template.cache_info().maxsize
+    assert bound == 256
+    assert gilbert_states.cache_info().maxsize == bound
+    assert gilbert_specs.cache_info().maxsize == bound
