@@ -124,8 +124,6 @@ class _ReliableHop:
         self._transmit = transmit
         self._acked_version = 0
         self._current: Message | None = None
-        # The version the retransmission loop is repeating.
-        self._version = 0
         self._retx = RestartableTimer(
             env, retransmission_timer.draw, self._unacked, self._retransmit
         )
@@ -134,10 +132,8 @@ class _ReliableHop:
         """Send ``message`` downstream reliably (supersedes older ones)."""
         self._current = message
         self._transmit(message)
-        if self._acked_version >= message.version:
-            return
-        self._version = message.version
-        self._retx.restart()
+        if self._unacked():
+            self._retx.restart()
 
     def on_ack(self, version: int) -> None:
         """Stop retransmitting once the downstream hop acknowledged."""
@@ -150,12 +146,9 @@ class _ReliableHop:
         self._retx.cancel()
 
     def _unacked(self) -> bool:
-        version = self._version
-        return (
-            self._current is not None
-            and self._current.version == version
-            and self._acked_version < version
-        )
+        # Each unacknowledged offer restarts the loop, so it repeats the
+        # newest message.
+        return self._acked_version < self._current.version
 
     def _retransmit(self) -> None:
         current = self._current

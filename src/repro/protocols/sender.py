@@ -50,8 +50,7 @@ class SignalingSender:
         self._on_value_change = on_value_change or (lambda: None)
         self._acked_version = 0
         self._removal_acked_version = 0
-        # The versions the two retransmission loops are repeating.
-        self._trigger_version = 0
+        # The version the removal-retransmission loop repeats.
         self._removal_version = 0
         self._refresh = RestartableTimer(
             env, self._refresh_interval, self._holds_state, self._send_refresh
@@ -132,7 +131,6 @@ class SignalingSender:
         self._transmit(Message(MessageKind.TRIGGER, self.version, self.value))
         self._restart_refresh_loop()
         if self.protocol.reliable_triggers:
-            self._trigger_version = self.version
             self._trigger_retx.restart()
 
     def _restart_refresh_loop(self) -> None:
@@ -150,16 +148,12 @@ class SignalingSender:
         self._transmit(Message(MessageKind.REFRESH, self.version, self.value))
 
     def _trigger_unacked(self) -> bool:
-        version = self._trigger_version
-        return (
-            self.value is not None
-            and self.version == version
-            and self._acked_version < version
-        )
+        # Each new version restarts the loop, so it repeats the current one.
+        return self.value is not None and self._acked_version < self.version
 
     def _retransmit_trigger(self) -> None:
         self._transmit(
-            Message(MessageKind.TRIGGER, self._trigger_version, self.value, retransmission=True)
+            Message(MessageKind.TRIGGER, self.version, self.value, retransmission=True)
         )
 
     def _removal_unacked(self) -> bool:

@@ -258,10 +258,8 @@ class ScheduledCall:
         self._fn = None
 
     def _fire(self) -> None:
-        fn = self._fn
-        if fn is not None:
-            self._fn = None
-            fn(*self._args)
+        if self._fn is not None:
+            self._fn(*self._args)
 
 
 class RestartableTimer:
