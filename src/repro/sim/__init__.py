@@ -13,7 +13,13 @@ The process model mirrors simpy's: a *process* is a Python generator
 that yields :class:`~repro.sim.engine.Event` objects (most commonly
 ``env.timeout(delay)``) and is resumed when the event fires.  Processes
 can be interrupted, can wait on each other, and share simulated time
-through an :class:`~repro.sim.engine.Environment`.
+through an :class:`~repro.sim.engine.Environment`.  Beside processes,
+``env.call_later(delay, fn, *args)`` schedules a cancellable
+:class:`~repro.sim.engine.ScheduledCall` on the same event queue, and a
+:class:`~repro.sim.engine.RestartableTimer` runs a restartable timer
+loop on such calls.  The protocol timers that messages restart (state
+timeouts, refresh and retransmission loops) are restartable timers;
+workloads, fault schedules and samplers are processes.
 """
 
 from repro.sim.channel import Channel, ChannelConfig, DeliveredMessage
@@ -22,6 +28,8 @@ from repro.sim.engine import (
     Event,
     Interrupt,
     Process,
+    RestartableTimer,
+    ScheduledCall,
     SimulationError,
     Timeout,
 )
@@ -46,6 +54,8 @@ __all__ = [
     "Process",
     "RandomStreams",
     "ReplicationSet",
+    "RestartableTimer",
+    "ScheduledCall",
     "SimulationError",
     "StateFractionMonitor",
     "TimeSeriesMonitor",

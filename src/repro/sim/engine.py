@@ -20,13 +20,11 @@ This is deliberately the same process model as simpy's, so protocol code
 reads like ordinary simpy code.  Only the features the protocol
 implementations need are provided: timeouts, process join, interrupts,
 immediate (zero-delay) events, cancellable scheduled calls and
-restartable timers.  Protocol timers that every message restarts (state
-timeouts, refresh and retransmission loops) are restartable timers, so
-a restart costs a cancelled call instead of a process bootstrap, an
-interrupt wake-up and a process completion; loops that nothing
-interrupts (workloads, fault schedules, samplers) stay processes.
-Determinism is guaranteed: events and calls scheduled for the same time
-fire in scheduling order (FIFO tie-break).
+restartable timers.  The protocol timers that messages restart (state
+timeouts, refresh and retransmission loops) are restartable timers;
+loops that nothing restarts (workloads, fault schedules, samplers) are
+processes.  Determinism is guaranteed: events and calls scheduled for
+the same time fire in scheduling order (FIFO tie-break).
 """
 
 from __future__ import annotations
@@ -263,12 +261,11 @@ class ScheduledCall:
 
 
 class RestartableTimer:
-    """A timer loop that runs on scheduled calls instead of a process.
+    """A timer loop on scheduled calls that draws as a process would.
 
-    It draws the same intervals at the same points of the event order as
-    the process
-
-    .. code-block:: python
+    It makes the same draws at the same points of the event order as the
+    process below, started by :meth:`restart` (which first interrupts
+    the running one) and interrupted by :meth:`cancel`::
 
         while condition():
             yield env.timeout(interval())
@@ -276,23 +273,16 @@ class RestartableTimer:
                 return
             fire()
 
-    started by :meth:`restart` (which first interrupts the running one)
-    and interrupted by :meth:`cancel`:
-
-    * **Arm at zero delay.**  ``restart()`` schedules a zero-delay arm
-      call where the process's bootstrap event stood, and the interval
-      is drawn when the arm runs.  A timer cancelled or restarted before
-      then draws nothing, as an interrupted generator that never started
-      never ran its body.  Drawing at restart time instead would spend a
-      draw for each of several restarts at one instant (two messages
-      delivered together by the channel's non-reordering clamp).
-    * **Cancelled calls stay queued.**  They are skipped when popped, as
-      the orphaned ``Timeout`` of an interrupted wait fired with no one
-      waiting on it.
-    * **Re-arm inside one call.**  At expiry the condition, ``fire()``,
-      the condition again and the next draw all run in the one call, as
-      they did within one resume.  A ``fire()`` that cancels or restarts
-      its own timer ends that run.
+    * ``restart()`` schedules a zero-delay arm call where the process's
+      bootstrap event stood, and the arm draws the interval.  A timer
+      cancelled or restarted before its arm runs draws nothing, as a
+      generator interrupted before it started never ran its body; so
+      two restarts at one instant draw once.
+    * A cancelled call stays queued and is skipped when popped, as the
+      orphaned ``Timeout`` of an interrupted wait was.
+    * At expiry the condition, ``fire()``, the condition again and the
+      next draw run in one call, as in one resume.  A ``fire()`` that
+      cancels or restarts its own timer ends that run.
     """
 
     __slots__ = ("env", "_interval", "_condition", "_fire", "_pending")
