@@ -14,7 +14,6 @@ evidence behind the paper's conclusions:
 
 from __future__ import annotations
 
-from repro.analysis.optimizer import optimize_timers_jointly
 from repro.analysis.sensitivity import check_claims
 from repro.core.parameters import kazaa_defaults
 from repro.core.protocols import Protocol
@@ -53,21 +52,6 @@ def test_bench_ablation_timeout_multiple(benchmark):
     # The paper's choice (3R) must be competitive: within 25% of the
     # best multiple in the sweep.
     assert costs[3.0] < 1.25 * min(costs.values())
-
-
-def test_bench_ablation_joint_timer_optimum(run_once):
-    """Joint (R, T) optimization for each soft-state protocol."""
-
-    def optimize():
-        return {
-            protocol: optimize_timers_jointly(protocol, kazaa_defaults())
-            for protocol in Protocol.soft_state_family()
-        }
-
-    best = run_once(optimize)
-    # Fig. 8a structure: SS+RT tight timeout, SS+RTR loose timeout.
-    assert best[Protocol.SS_RT].timeout_multiple <= 2.0
-    assert best[Protocol.SS_RTR].timeout_multiple >= 5.0
 
 
 def test_bench_ablation_decoding_sensitivity(run_once):

@@ -1,29 +1,19 @@
 #!/usr/bin/env python3
 """Beyond the paper: the extension toolkit in one tour.
 
-Four analyses the paper does not include but its machinery enables:
+Two analyses the paper does not include but its machinery enables:
 
 1. **Transient analysis** — how long after a setup until the state is
    probably installed (uniformization on the same chain)?
 2. **Heterogeneous paths** — what happens when one link on a multi-hop
    path is much lossier than the rest?
-3. **Staged refresh timers** (Pan & Schulzrinne, the paper's ref [12])
-   — a sender-only upgrade to pure soft state.
-4. **Receiver-driven NACKs** (Raman & McCanne, the paper's ref [15]) —
-   measured against the paper's claim that it behaves like SS+RT.
 
 Run: ``python examples/beyond_the_paper.py``
 """
 
 import numpy as np
 
-from repro import Protocol, SingleHopModel, kazaa_defaults, reservation_defaults
-from repro.analysis import (
-    StagedRefreshConfig,
-    compare_staged_refresh,
-    equivalent_ss_rt_params,
-    simulate_nack_replications,
-)
+from repro import Protocol, kazaa_defaults, reservation_defaults
 from repro.core.multihop import (
     HeterogeneousHop,
     HeterogeneousMultiHopModel,
@@ -60,58 +50,26 @@ def heterogeneous_tour() -> None:
     print("2. Heterogeneous path: one 20%-loss link in a 6-hop chain")
     params = reservation_defaults().replace(hops=6, loss_rate=0.005)
     clean = MultiHopModel(Protocol.SS, params).solve()
-    print(f"   clean chain:           I = {clean.inconsistency_ratio:.5f}")
+    print("   per-hop inconsistency, hop 1 .. hop 6 (the last is end to end):")
+
+    def row(label, solution):
+        cells = " ".join(f"{value:.4f}" for value in solution.hop_profile())
+        print(f"   {label:<18s} {cells}")
+
+    row("clean chain:", clean)
     for position in (0, 5):
         hops = [HeterogeneousHop(0.005, 0.03) for _ in range(6)]
         hops[position] = HeterogeneousHop(0.20, 0.03)
         dirty = HeterogeneousMultiHopModel(Protocol.SS, params, hops).solve()
-        print(
-            f"   bad link at hop {position + 1}:     "
-            f"I = {dirty.inconsistency_ratio:.5f}"
-        )
-    print("   A lossy *first* link starves every downstream hop of "
-          "refreshes;\n   a lossy last link only hurts itself.\n")
-
-
-def staged_tour() -> None:
-    print("3. Staged refresh timers on a 10%-loss channel")
-    params = kazaa_defaults().replace(loss_rate=0.1)
-    comparison = compare_staged_refresh(
-        params,
-        StagedRefreshConfig(fast_interval=2 * params.delay, fast_count=3),
-        sessions=150,
-        replications=3,
-    )
-    print(
-        f"   inconsistency: {comparison.plain_ss.mean('inconsistency_ratio'):.4f} (SS) "
-        f"-> {comparison.staged.mean('inconsistency_ratio'):.4f} (staged), "
-        f"{comparison.inconsistency_improvement():.0%} better"
-    )
-    print(
-        f"   message rate:  +{comparison.overhead_increase():.0%} "
-        "(vs ~60x for running the fast timer globally)\n"
-    )
-
-
-def nack_tour() -> None:
-    print("4. Receiver-driven NACKs vs the paper's SS+RT mapping")
-    params = kazaa_defaults().replace(loss_rate=0.1)
-    summary = simulate_nack_replications(params, sessions=150, replications=3)
-    model_rt = SingleHopModel(Protocol.SS_RT, equivalent_ss_rt_params(params)).solve()
-    print(
-        f"   SS+NACK simulated I = {summary.nack.mean('inconsistency_ratio'):.4f};  "
-        f"SS+RT(K=2*Delta) model I = {model_rt.inconsistency_ratio:.4f};  "
-        f"plain SS I = {summary.base_ss.mean('inconsistency_ratio'):.4f}"
-    )
-    print("   The NACK variant indeed lands on the SS+RT point of the "
-          "spectrum, as §IV argues.")
+        row(f"bad link at hop {position + 1}:", dirty)
+    print("   End to end the two read alike, but a lossy *first* link starves\n"
+          "   every downstream hop of refreshes; a lossy last link only hurts\n"
+          "   itself.")
 
 
 def main() -> None:
     transient_tour()
     heterogeneous_tour()
-    staged_tour()
-    nack_tour()
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ The library has four layers:
   validate the model exactly as the paper does (Figs. 11-12).
 * :mod:`repro.experiments` — one declarative scenario spec per
   table/figure of the paper's evaluation, run by a generic executor,
-  plus :mod:`repro.analysis` extensions (timer optimization,
-  sensitivity, a Raman-McCanne style NACK variant).
+  plus :mod:`repro.analysis`, which re-checks the paper's claims
+  across plausible decodings of its garbled parameter digits.
 * :mod:`repro.api` — the public facade: ``run_scenario``, ``sweep``,
   ``solve_singlehop``, ``solve_multihop``, ``list_scenarios``.
 

@@ -1,15 +1,5 @@
-"""Extensions beyond the paper's figures: optimization, sensitivity, NACK."""
+"""Sensitivity of the paper's claims to the decoding of its parameters."""
 
-from repro.analysis.nack import (
-    NackSimulation,
-    equivalent_ss_rt_params,
-    simulate_nack_replications,
-)
-from repro.analysis.optimizer import (
-    OptimalTimers,
-    optimize_refresh_timer,
-    optimize_timers_jointly,
-)
 from repro.analysis.sensitivity import (
     ClaimCheck,
     check_claims,
@@ -17,25 +7,11 @@ from repro.analysis.sensitivity import (
     plausible_decodings,
     robustness_report,
 )
-from repro.analysis.staged_timers import (
-    StagedRefreshConfig,
-    StagedRefreshSimulation,
-    compare_staged_refresh,
-)
 
 __all__ = [
     "ClaimCheck",
-    "NackSimulation",
-    "OptimalTimers",
-    "StagedRefreshConfig",
-    "StagedRefreshSimulation",
     "check_claims",
-    "compare_staged_refresh",
     "default_claims",
-    "equivalent_ss_rt_params",
-    "optimize_refresh_timer",
-    "optimize_timers_jointly",
     "plausible_decodings",
     "robustness_report",
-    "simulate_nack_replications",
 ]

@@ -28,13 +28,15 @@ multihop/heterogeneous chains scale.  ``"iterative"`` must be requested
 explicitly: its results carry Krylov truncation error (bounded by the
 same residual acceptance every backend passes, see
 :data:`ITERATIVE_RTOL`), so it lives in the validation suite's
-*tolerance* parity class, never the bit-parity one.
+*tolerance* parity class, never the bit-parity one.  Mean absorption
+times always take the dense path: the one model that needs them
+(:class:`~repro.core.singlehop.SingleHopModel`) solves an 8-state
+transient chain.
 """
 
 from __future__ import annotations
 
 import operator
-import warnings
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -439,8 +441,9 @@ class ContinuousTimeMarkovChain:
     ) -> float:
         """Expected time from ``start`` until any state in ``absorbing``.
 
-        Solves ``(-Q_TT) t = 1`` on the transient block.  Raises
-        ``ValueError`` when absorption is not certain from ``start``.
+        Solves ``(-Q_TT) t = 1`` on the transient block, densely whatever
+        the ``solver``.  Raises ``ValueError`` when absorption is not
+        certain from ``start``.
         """
         absorbing_set = set(absorbing)
         if not absorbing_set:
@@ -454,10 +457,7 @@ class ContinuousTimeMarkovChain:
         t_index = {s: i for i, s in enumerate(transient)}
         if start not in t_index:
             raise ValueError(f"unknown start state {start!r}")
-        if self._use_sparse(len(self._states)):
-            times = self._absorption_times_sparse(transient, t_index)
-        else:
-            times = self._absorption_times_dense(transient)
+        times = self._absorption_times_dense(transient)
         value = float(times[t_index[start]])
         if not np.isfinite(value) or value < 0:
             raise ValueError("absorption time solve produced an invalid value")
@@ -474,53 +474,6 @@ class ContinuousTimeMarkovChain:
         if bad[0]:
             raise ValueError(_NOT_CERTAIN)
         return times[0]
-
-    def _absorption_times_sparse(
-        self, transient: list[State], t_index: dict[State, int]
-    ) -> np.ndarray:
-        sparse, sparse_linalg = _sparse_modules()
-        m = len(transient)
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        exit_rates = [0.0] * m
-        for (origin, destination), rate in self._rates.items():
-            i = t_index.get(origin)
-            if i is None:
-                continue
-            exit_rates[i] += rate
-            j = t_index.get(destination)
-            if j is not None:
-                # -Q_TT: negate the off-diagonal rates.
-                rows.append(i)
-                cols.append(j)
-                data.append(-rate)
-        for i, total in enumerate(exit_rates):
-            rows.append(i)
-            cols.append(i)
-            data.append(total)
-        neg_q_tt = sparse.csc_matrix((data, (rows, cols)), shape=(m, m))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", sparse_linalg.MatrixRankWarning)
-                times = sparse_linalg.spsolve(neg_q_tt, np.ones(m))
-        except (RuntimeError, sparse_linalg.MatrixRankWarning) as exc:
-            raise ValueError(_NOT_CERTAIN) from exc
-        if not np.all(np.isfinite(times)):
-            raise ValueError(_NOT_CERTAIN)
-        return np.atleast_1d(times)
-
-    def absorption_probability_flow(self, absorbing: Sequence[State]) -> dict[State, float]:
-        """Total rate into each absorbing state from transient states.
-
-        A diagnostic helper used by tests to check rate bookkeeping.
-        """
-        absorbing_set = set(absorbing)
-        flows: dict[State, float] = {s: 0.0 for s in absorbing_set}
-        for (origin, destination), rate in self._rates.items():
-            if destination in absorbing_set and origin not in absorbing_set:
-                flows[destination] += rate
-        return flows
 
     def merge_states(self, merged: State, into: State) -> "ContinuousTimeMarkovChain":
         """Return a new chain where ``merged`` is collapsed into ``into``.

@@ -41,15 +41,6 @@ class SingleHopState(str, enum.Enum):
     ABSORBED = "(0,0)"
     """Both removed — the absorbing end of the session lifecycle."""
 
-    @property
-    def is_consistent(self) -> bool:
-        """Whether sender and receiver agree in this state.
-
-        Only ``CONSISTENT`` counts; the absorbing state terminates the
-        lifecycle and never contributes time in the recurrent chain.
-        """
-        return self is SingleHopState.CONSISTENT
-
 
 INCONSISTENT_STATES: tuple[SingleHopState, ...] = (
     SingleHopState.S10_FAST,

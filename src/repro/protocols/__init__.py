@@ -1,14 +1,7 @@
 """Executable single-hop protocol implementations on the DES kernel."""
 
 from repro.protocols.config import SingleHopSimConfig
-from repro.protocols.heartbeat import (
-    HeartbeatEmitter,
-    HeartbeatMonitor,
-    build_heartbeat_pair,
-    false_positive_rate,
-)
 from repro.protocols.messages import Message, MessageKind
-from repro.protocols.multisession import MultiSessionResult, MultiSessionSimulation
 from repro.protocols.receiver import SignalingReceiver
 from repro.protocols.sender import SignalingSender
 from repro.protocols.session import (
@@ -18,14 +11,8 @@ from repro.protocols.session import (
 )
 
 __all__ = [
-    "HeartbeatEmitter",
-    "HeartbeatMonitor",
     "Message",
     "MessageKind",
-    "MultiSessionResult",
-    "MultiSessionSimulation",
-    "build_heartbeat_pair",
-    "false_positive_rate",
     "SignalingReceiver",
     "SignalingSender",
     "SingleHopSimConfig",

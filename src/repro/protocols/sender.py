@@ -44,8 +44,6 @@ class SignalingSender:
         self.params = params
         self.value: int | None = None
         self.version = 0
-        self._refresh_timer = refresh_timer
-        self._retx_timer = retransmission_timer
         self._transmit = transmit
         self._on_value_change = on_value_change or (lambda: None)
         self._acked_version = 0
@@ -53,7 +51,7 @@ class SignalingSender:
         # The version the removal-retransmission loop repeats.
         self._removal_version = 0
         self._refresh = RestartableTimer(
-            env, self._refresh_interval, self._holds_state, self._send_refresh
+            env, refresh_timer.draw, self._holds_state, self._send_refresh
         )
         self._trigger_retx = RestartableTimer(
             env, retransmission_timer.draw, self._trigger_unacked, self._retransmit_trigger
@@ -129,17 +127,10 @@ class SignalingSender:
 
     def _send_trigger(self) -> None:
         self._transmit(Message(MessageKind.TRIGGER, self.version, self.value))
-        self._restart_refresh_loop()
-        if self.protocol.reliable_triggers:
-            self._trigger_retx.restart()
-
-    def _restart_refresh_loop(self) -> None:
         if self.protocol.uses_refreshes:
             self._refresh.restart()
-
-    def _refresh_interval(self) -> float:
-        """The wait before the next refresh (drawn as each wait starts)."""
-        return self._refresh_timer.draw()
+        if self.protocol.reliable_triggers:
+            self._trigger_retx.restart()
 
     def _holds_state(self) -> bool:
         return self.value is not None

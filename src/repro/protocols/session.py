@@ -84,16 +84,11 @@ class SingleHopSimResult:
 
 
 class SingleHopSimulation:
-    """One replication of the single-hop protocol simulation.
+    """One replication of the single-hop protocol simulation."""
 
-    ``env`` lets several simulations share one clock (see
-    :mod:`repro.protocols.multisession`); by default each simulation
-    owns a fresh environment.
-    """
-
-    def __init__(self, config: SingleHopSimConfig, env: Environment | None = None) -> None:
+    def __init__(self, config: SingleHopSimConfig) -> None:
         self.config = config
-        self.env = env if env is not None else Environment()
+        self.env = Environment()
         streams = RandomStreams(config.seed)
         params = config.params
         protocol = config.protocol

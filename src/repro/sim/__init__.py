@@ -12,8 +12,8 @@ intervals (:mod:`repro.sim.stats`).
 The process model mirrors simpy's: a *process* is a Python generator
 that yields :class:`~repro.sim.engine.Event` objects (most commonly
 ``env.timeout(delay)``) and is resumed when the event fires.  Processes
-can be interrupted, can wait on each other, and share simulated time
-through an :class:`~repro.sim.engine.Environment`.  Beside processes,
+can wait on each other and share simulated time through an
+:class:`~repro.sim.engine.Environment`.  Beside processes,
 ``env.call_later(delay, fn, *args)`` schedules a cancellable
 :class:`~repro.sim.engine.ScheduledCall` on the same event queue, and a
 :class:`~repro.sim.engine.RestartableTimer` runs a restartable timer
@@ -26,7 +26,6 @@ from repro.sim.channel import Channel, ChannelConfig, DeliveredMessage
 from repro.sim.engine import (
     Environment,
     Event,
-    Interrupt,
     Process,
     RestartableTimer,
     ScheduledCall,
@@ -50,7 +49,6 @@ __all__ = [
     "DeliveredMessage",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "ReplicationSet",

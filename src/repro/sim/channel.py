@@ -15,8 +15,8 @@ Two fault extensions (see :mod:`repro.faults`):
   with a two-state bursty modulator, evolved lazily on the channel's
   virtual clock from its own dedicated random stream;
 * a ``down`` flag models a link outage — messages sent while down are
-  lost *deterministically*, consuming no randomness and firing no loss
-  callback, so flap schedules never perturb the loss stream.
+  lost *deterministically*, consuming no randomness, so flap schedules
+  never perturb the loss stream.
 """
 
 from __future__ import annotations
@@ -142,7 +142,6 @@ class Channel:
         rng: np.random.Generator,
         deliver: Callable[[DeliveredMessage], None],
         name: str = "channel",
-        on_loss: Callable[[Any], None] | None = None,
         loss_process: GilbertElliottProcess | None = None,
     ) -> None:
         self.env = env
@@ -150,7 +149,6 @@ class Channel:
         self.name = name
         self._rng = rng
         self._deliver = deliver
-        self._on_loss = on_loss
         self._loss_process = loss_process
         self._last_delivery_time = -float("inf")
         self.down = False
@@ -162,15 +160,10 @@ class Channel:
         """Transmit ``payload``; returns False when the channel drops it.
 
         While the channel is ``down`` (a scheduled link outage) every
-        message is lost deterministically — no random draw is consumed
-        and ``on_loss`` does not fire, so fault schedules cannot shift
-        the loss stream of the surviving traffic.
-
-        When an ``on_loss`` callback is configured, it fires one channel
-        delay after a (random) drop — modeling an idealized
-        loss-detection signal (used by the Raman-McCanne NACK extension,
-        where "the receiver learns of this loss instantaneously" on the
-        arrival timescale).
+        message is lost deterministically — no random draw is consumed,
+        so fault schedules cannot shift the loss stream of the surviving
+        traffic.  A random drop consumes the loss draw only; a delivered
+        message also draws its delay.
         """
         self.sent += 1
         if self.down:
@@ -183,8 +176,6 @@ class Channel:
         )
         if self._rng.random() < loss_rate:
             self.lost += 1
-            if self._on_loss is not None:
-                self.env.call_later(self._draw_delay(), self._on_loss, payload)
             return False
         delay = self._draw_delay()
         sent_at = self.env.now

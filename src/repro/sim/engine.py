@@ -18,11 +18,11 @@ The kernel follows the classic event-list architecture:
 
 This is deliberately the same process model as simpy's, so protocol code
 reads like ordinary simpy code.  Only the features the protocol
-implementations need are provided: timeouts, process join, interrupts,
-immediate (zero-delay) events, cancellable scheduled calls and
-restartable timers.  The protocol timers that messages restart (state
-timeouts, refresh and retransmission loops) are restartable timers;
-loops that nothing restarts (workloads, fault schedules, samplers) are
+implementations need are provided: timeouts, process join, immediate
+(zero-delay) events, cancellable scheduled calls and restartable
+timers.  The protocol timers that messages restart (state timeouts,
+refresh and retransmission loops) are restartable timers; loops that
+nothing restarts (workloads, fault schedules, samplers) are
 processes.  Determinism is guaranteed: events and calls scheduled for
 the same time fire in scheduling order (FIFO tie-break).
 """
@@ -36,7 +36,6 @@ from typing import Any
 __all__ = [
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RestartableTimer",
     "ScheduledCall",
@@ -47,18 +46,6 @@ __all__ = [
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (not for model errors)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries an arbitrary caller-supplied object
-    describing why the interrupt happened.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -152,7 +139,7 @@ class Process(Event):
     processes can ``result = yield child_process``.
     """
 
-    __slots__ = ("generator", "name", "_target", "_interrupts")
+    __slots__ = ("generator", "name")
 
     def __init__(
         self,
@@ -165,45 +152,14 @@ class Process(Event):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Event | None = None
-        self._interrupts: list[Interrupt] = []
         bootstrap = Event(env)
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process is an error; interrupting a process
-        multiple times before it resumes queues the interrupts.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        interrupt = Interrupt(cause)
-        self._interrupts.append(interrupt)
-        if self._target is not None:
-            # Detach from the event currently waited on, then resume now.
-            target, self._target = self._target, None
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-            wakeup = Event(self.env)
-            wakeup.callbacks.append(self._resume)
-            wakeup.succeed()
-
     def _resume(self, event: Event) -> None:
-        self._target = None
-        self.env._active_process = self
         try:
             while True:
-                if self._interrupts:
-                    interrupt = self._interrupts.pop(0)
-                    target = self.generator.throw(interrupt)
-                elif event._exception is not None:
+                if event._exception is not None:
                     target = self.generator.throw(event._exception)
                 else:
                     target = self.generator.send(event._value)
@@ -212,18 +168,11 @@ class Process(Event):
                     raise SimulationError(
                         f"process {self.name!r} yielded {target!r}, expected an Event"
                     )
-                if self._interrupts:
-                    # More interrupts were queued before this resume:
-                    # deliver them now (at the current time) instead of
-                    # leaving them to fire after the new wait finishes.
-                    # The yielded event stays pending, unsubscribed.
-                    continue
                 if target.callbacks is None:
                     # Already processed: feed its outcome straight back in.
                     event = target
                     continue
                 target.callbacks.append(self._resume)
-                self._target = target
                 return
         except StopIteration as stop:
             self.succeed(stop.value)
@@ -231,8 +180,6 @@ class Process(Event):
             if isinstance(exc, SimulationError):
                 raise
             self.fail(exc)
-        finally:
-            self.env._active_process = None
 
 
 class ScheduledCall:
@@ -261,28 +208,26 @@ class ScheduledCall:
 
 
 class RestartableTimer:
-    """A timer loop on scheduled calls that draws as a process would.
+    """A restartable timer loop on scheduled calls.
 
-    It makes the same draws at the same points of the event order as the
-    process below, started by :meth:`restart` (which first interrupts
-    the running one) and interrupted by :meth:`cancel`::
+    Each run is this loop; :meth:`restart` ends the current run and
+    starts a new one, and :meth:`cancel` ends the current run::
 
         while condition():
-            yield env.timeout(interval())
+            wait interval()
             if not condition():
                 return
             fire()
 
-    * ``restart()`` schedules a zero-delay arm call where the process's
-      bootstrap event stood, and the arm draws the interval.  A timer
-      cancelled or restarted before its arm runs draws nothing, as a
-      generator interrupted before it started never ran its body; so
-      two restarts at one instant draw once.
-    * A cancelled call stays queued and is skipped when popped, as the
-      orphaned ``Timeout`` of an interrupted wait was.
+    * ``restart()`` schedules a zero-delay arm call, and the arm draws
+      the interval (the arm rule): the draw happens after everything
+      already queued for that instant, not at the restart.  A timer
+      cancelled or restarted before its arm runs draws nothing, so two
+      restarts at one instant draw once.
+    * A cancelled call stays queued and is skipped when popped.
     * At expiry the condition, ``fire()``, the condition again and the
-      next draw run in one call, as in one resume.  A ``fire()`` that
-      cancels or restarts its own timer ends that run.
+      next draw run in one call.  A ``fire()`` that cancels or restarts
+      its own timer ends that run.
     """
 
     __slots__ = ("env", "_interval", "_condition", "_fire", "_pending")
@@ -335,17 +280,11 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event | ScheduledCall]] = []
         self._sequence = 0
-        self._active_process: Process | None = None
 
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any."""
-        return self._active_process
 
     def _schedule(self, event: Event | ScheduledCall, delay: float) -> None:
         if delay < 0:

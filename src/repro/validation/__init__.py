@@ -1,5 +1,4 @@
-"""Scenario-driven validation: sim↔model cross-checks, backend parity,
-property fuzzing.
+"""Scenario-driven validation: sim↔model cross-checks and backend parity.
 
 The paper's central evidence is *agreement*: CTMC predictions vs
 discrete-event simulations with 95% confidence intervals (§III-A.3),
@@ -18,10 +17,7 @@ validation plan:
   referee (exact where the repo guarantees bit parity, tolerance-bounded
   otherwise), reductions between models, and ``dense~sparse``;
 * :mod:`repro.validation.report` — the versioned
-  :class:`ValidationReport` artifact (JSON + text table);
-* :mod:`repro.validation.strategies` — Hypothesis strategies for the
-  property-fuzzing test suite (requires the ``hypothesis`` dev extra;
-  not imported here so the package stays dependency-light).
+  :class:`ValidationReport` artifact (JSON + text table).
 
 Entry points: ``repro-signaling validate [scenario|all]`` on the CLI,
 :func:`repro.api.validate_scenario` as a library call:

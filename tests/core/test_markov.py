@@ -173,12 +173,20 @@ class TestAbsorption:
         with pytest.raises(ValueError):
             chain.mean_time_to_absorption("on", ["nope"])
 
-    def test_flow_into_absorbing_states(self):
+    def test_competing_exits_share_one_holding_time(self):
         chain = ContinuousTimeMarkovChain(
             ["s", "a", "b"], {("s", "a"): 1.5, ("s", "b"): 0.5}
         )
-        flows = chain.absorption_probability_flow(["a", "b"])
-        assert flows == {"a": 1.5, "b": 0.5}
+        assert chain.mean_time_to_absorption("s", ["a", "b"]) == pytest.approx(0.5)
+
+    def test_exit_into_a_trap_makes_absorption_uncertain(self):
+        # "b" has no way out, so from "s" the chain reaches "a" only
+        # with probability 3/4.
+        chain = ContinuousTimeMarkovChain(
+            ["s", "a", "b"], {("s", "a"): 1.5, ("s", "b"): 0.5}
+        )
+        with pytest.raises(ValueError):
+            chain.mean_time_to_absorption("s", ["a"])
 
 
 class TestMergeStates:

@@ -50,12 +50,6 @@ class TestDenseSparseParity:
         sparse = birth_death_chain(120, "sparse").stationary_distribution()
         assert sparse == pytest.approx(dense, abs=1e-12)
 
-    def test_mean_time_to_absorption_matches_dense(self):
-        n = 120
-        dense = birth_death_chain(n, "dense").mean_time_to_absorption(0, [n - 1])
-        sparse = birth_death_chain(n, "sparse").mean_time_to_absorption(0, [n - 1])
-        assert sparse == pytest.approx(dense, rel=1e-9)
-
     def test_small_chain_forced_sparse_matches_dense(self):
         rates = {(0, 1): 0.7, (1, 2): 2.0, (2, 0): 3.0, (1, 0): 0.1}
         dense = ContinuousTimeMarkovChain([0, 1, 2], rates, solver="dense")
@@ -156,3 +150,37 @@ class TestSparseErrorHandling:
         )
         with pytest.raises(ValueError):
             chain.mean_time_to_absorption(0, [2])
+
+
+SOLVERS = ("auto", "dense", "sparse", "iterative")
+
+
+class TestAbsorptionOnEverySolver:
+    """Mean absorption times take the dense solve whatever the solver.
+
+    A pure-birth chain ``0 -> 1 -> ... -> n-1`` reaches ``n-1`` after
+    one holding time per state, so its mean is ``sum(1 / rate)``; the
+    sizes straddle the state count at which ``"auto"`` goes sparse.
+    """
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("n", [8, SPARSE_STATE_THRESHOLD, 300])
+    def test_pure_birth_chain_matches_its_closed_form(self, n, solver):
+        rates = [1.0 + 0.01 * i for i in range(n - 1)]
+        chain = ContinuousTimeMarkovChain(
+            range(n), {(i, i + 1): rate for i, rate in enumerate(rates)}, solver=solver
+        )
+        expected = sum(1.0 / rate for rate in rates)
+        assert chain.mean_time_to_absorption(0, [n - 1]) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_uncertain_absorption_rejected_above_the_threshold(self, solver):
+        # A closed birth-death class 0..n-2 never reaches state n-1.
+        n = SPARSE_STATE_THRESHOLD + 10
+        rates = {}
+        for i in range(n - 2):
+            rates[(i, i + 1)] = 1.0
+            rates[(i + 1, i)] = 1.0
+        chain = ContinuousTimeMarkovChain(range(n), rates, solver=solver)
+        with pytest.raises(ValueError):
+            chain.mean_time_to_absorption(0, [n - 1])

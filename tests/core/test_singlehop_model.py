@@ -58,6 +58,10 @@ class TestSolutionBasics:
         solution = SingleHopModel(Protocol.SS, params).solve()
         assert solution.occupancy(S.S01_SLOW) == 0.0  # state absent in SS
 
+    def test_eq1_states_are_all_but_consistent_and_absorbed(self):
+        assert len(set(INCONSISTENT_STATES)) == len(INCONSISTENT_STATES)
+        assert set(INCONSISTENT_STATES) == set(S) - {S.CONSISTENT, S.ABSORBED}
+
 
 class TestMessageMetrics:
     @pytest.mark.parametrize("protocol", list(Protocol))

@@ -8,6 +8,8 @@ explicit removal, ACK-driven retransmission, and notification recovery.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.parameters import SignalingParameters
@@ -303,3 +305,95 @@ class TestFalseRemovalRecovery:
         harness.sender.remove()
         harness.env.run(until=1.0 + PARAMS.delay + 1e-9)
         assert event.processed
+
+
+class RecordingTimer:
+    """A timer whose draws are kept, so tests can replay the waits."""
+
+    def __init__(self, timer: Timer) -> None:
+        self._timer = timer
+        self.draws: list[float] = []
+
+    def draw(self) -> float:
+        value = self._timer.draw()
+        self.draws.append(value)
+        return value
+
+
+REFRESHING = [protocol for protocol in Protocol if protocol.uses_refreshes]
+
+
+def refresh_rig(protocol: Protocol):
+    """A lone sender on exponential timers that records what it sends."""
+    env = Environment()
+    streams = RandomStreams(5)
+    refresh = RecordingTimer(
+        Timer(PARAMS.refresh_interval, TimerDiscipline.EXPONENTIAL, streams.stream("refresh"))
+    )
+    retransmission = Timer(
+        PARAMS.retransmission_interval, TimerDiscipline.EXPONENTIAL, streams.stream("retx")
+    )
+    sent: list[tuple[float, Message]] = []
+    sender = SignalingSender(
+        env,
+        protocol,
+        PARAMS,
+        refresh_timer=refresh,
+        retransmission_timer=retransmission,
+        transmit=lambda message: sent.append((env.now, message)),
+    )
+    return env, sender, refresh, sent
+
+
+def refresh_times(sent):
+    return [t for t, message in sent if message.kind is MessageKind.REFRESH]
+
+
+class TestRefreshDraws:
+    """The refresh loop waits exactly the refresh timer's draws."""
+
+    @pytest.mark.parametrize("protocol", REFRESHING, ids=lambda p: p.value)
+    def test_refreshes_follow_the_draws(self, protocol):
+        env, sender, refresh, sent = refresh_rig(protocol)
+        sender.install()
+        env.run(until=20 * PARAMS.refresh_interval)
+        times = refresh_times(sent)
+        assert len(times) > 5
+        assert times == list(itertools.accumulate(refresh.draws))[: len(times)]
+        # One more wait is drawn and pending past the horizon.
+        assert len(refresh.draws) == len(times) + 1
+
+    @pytest.mark.parametrize("protocol", REFRESHING, ids=lambda p: p.value)
+    def test_update_discards_the_pending_wait(self, protocol):
+        env, sender, refresh, sent = refresh_rig(protocol)
+        sender.install()
+        env.run(until=0.0)
+        first_wait = refresh.draws[0]
+        env.run(until=first_wait / 2)
+        sender.update()
+        env.run(until=env.now)  # the restart's arm draws the new wait
+        restarted_at, second_wait = env.now, refresh.draws[1]
+        env.run(until=max(first_wait, restarted_at + second_wait))
+        times = refresh_times(sent)
+        assert times[0] == restarted_at + second_wait
+        assert first_wait not in times
+
+    @pytest.mark.parametrize("protocol", REFRESHING, ids=lambda p: p.value)
+    def test_removal_stops_the_draws(self, protocol):
+        env, sender, refresh, sent = refresh_rig(protocol)
+        sender.install()
+        env.run(until=3 * PARAMS.refresh_interval)
+        sender.remove()
+        draws = len(refresh.draws)
+        env.run(until=30 * PARAMS.refresh_interval)
+        assert len(refresh.draws) == draws
+        assert all(t <= 3 * PARAMS.refresh_interval for t in refresh_times(sent))
+
+    def test_hs_never_draws_the_refresh_timer(self):
+        env, sender, refresh, sent = refresh_rig(Protocol.HS)
+        sender.install()
+        env.run(until=2 * PARAMS.refresh_interval)
+        sender.update()
+        env.run(until=20 * PARAMS.refresh_interval)
+        assert refresh.draws == []
+        assert refresh_times(sent) == []

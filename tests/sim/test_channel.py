@@ -161,6 +161,92 @@ class TestEdgeCases:
         env.run()
         assert received == []
 
+    def test_random_drop_schedules_nothing(self):
+        env, channel, _ = make_channel(loss=1.0)
+        assert not channel.send("x")
+        assert env.peek() == float("inf")
+
+
+class TestDrawDiscipline:
+    """Each send reads the channel stream in one fixed pattern.
+
+    A send draws one uniform for the loss decision; only a message that
+    survives it draws its delay (exponential discipline only), and its
+    delivery is clamped to the previous delivery time.  Replaying the
+    same stream by hand must give every outcome and, per message, its
+    send and delivery times.  Delivery order is TestNonReordering's.
+    """
+
+    @pytest.mark.parametrize(
+        "discipline", [TimerDiscipline.DETERMINISTIC, TimerDiscipline.EXPONENTIAL]
+    )
+    @pytest.mark.parametrize("loss", [0.0, 0.25, 0.6, 1.0])
+    def test_outcomes_and_times_replay_from_the_stream(self, loss, discipline):
+        env, channel, received = make_channel(
+            loss=loss, delay=0.3, discipline=discipline, seed=43
+        )
+        sends = []
+
+        def source(env):
+            for i in range(300):
+                sends.append((i, env.now, channel.send(i)))
+                yield env.timeout(0.1)
+
+        env.process(source(env))
+        env.run()
+
+        replay = RandomStreams(43).stream("chan")
+        expected = []
+        last_delivery = -float("inf")
+        for i, sent_at, accepted in sends:
+            kept = not replay.random() < loss
+            assert accepted is kept
+            if kept:
+                delay = (
+                    0.3
+                    if discipline is TimerDiscipline.DETERMINISTIC
+                    else float(replay.exponential(0.3))
+                )
+                last_delivery = max(sent_at + delay, last_delivery)
+                expected.append((i, sent_at, last_delivery))
+        by_payload = {m.payload: m for m in received}
+        assert sorted(by_payload) == [i for i, _, _ in expected]
+        assert [by_payload[i].sent_at for i, _, _ in expected] == [t for _, t, _ in expected]
+        assert [by_payload[i].delivered_at for i, _, _ in expected] == pytest.approx(
+            [t for _, _, t in expected], rel=1e-12
+        )
+        assert (channel.sent, channel.delivered) == (300, len(expected))
+
+    def test_loss_rate_is_read_at_the_send_instant(self):
+        queried = []
+
+        class Outage:
+            """Certain loss before t=2, none after."""
+
+            def loss_rate_at(self, now):
+                queried.append(now)
+                return 1.0 if now < 2.0 else 0.0
+
+        env = Environment()
+        channel = Channel(
+            env,
+            ChannelConfig(loss_rate=0.0, mean_delay=0.1),
+            RandomStreams(3).stream("chan"),
+            lambda _msg: None,
+            loss_process=Outage(),
+        )
+        outcomes = []
+
+        def source(env):
+            for _ in range(4):
+                outcomes.append(channel.send(env.now))
+                yield env.timeout(1.0)
+
+        env.process(source(env))
+        env.run()
+        assert queried == [0.0, 1.0, 2.0, 3.0]
+        assert outcomes == [False, False, True, True]
+
 
 class TestDownFlag:
     def test_down_channel_loses_deterministically(self):
@@ -187,21 +273,51 @@ class TestDownFlag:
         # traffic the outage swallowed.
         assert run(0) == run(1) == run(17)
 
-    def test_down_drops_do_not_fire_on_loss(self):
+    def test_down_drop_schedules_nothing(self):
+        env, channel, _ = make_channel(loss=0.0)
+        channel.down = True
+        assert not channel.send("x")
+        assert env.peek() == float("inf")
+
+    def test_down_drops_leave_the_delay_draws_unshifted(self):
+        def run(down_sends: int) -> list[float]:
+            env, channel, received = make_channel(
+                loss=0.3, delay=0.2, discipline=TimerDiscipline.EXPONENTIAL, seed=29
+            )
+            channel.down = True
+            for i in range(down_sends):
+                channel.send(("outage", i))
+            channel.down = False
+            for i in range(100):
+                channel.send(i)
+            env.run()
+            return [m.delivered_at for m in received]
+
+        assert run(0) == run(5)
+
+    def test_down_channel_does_not_query_the_loss_process(self):
+        # Querying a Gilbert-Elliott process advances its own stream, so
+        # an outage must not touch it either.
+        queried = []
+
+        class RecordingProcess:
+            def loss_rate_at(self, now):
+                queried.append(now)
+                return 0.0
+
         env = Environment()
-        lost = []
         channel = Channel(
             env,
             ChannelConfig(loss_rate=0.0, mean_delay=0.1),
-            RandomStreams(29).stream("chan"),
-            lambda m: None,
-            on_loss=lost.append,
+            RandomStreams(3).stream("chan"),
+            lambda _msg: None,
+            loss_process=RecordingProcess(),
         )
         channel.down = True
-        channel.send("x")
-        env.run()
-        assert channel.lost == 1
-        assert lost == []
+        channel.send("lost")
+        channel.down = False
+        channel.send("kept")
+        assert queried == [0.0]
 
 
 class TestGilbertElliottProcess:
@@ -298,35 +414,3 @@ class TestGilbertDegeneracy:
         iid_channel, _ = self.run_channel(None)
         ge_channel, _ = self.run_channel(bursty)
         assert ge_channel.lost != iid_channel.lost
-
-
-class TestLossHook:
-    def test_on_loss_reports_lost_payloads(self):
-        env = Environment()
-        received, lost = [], []
-        channel = Channel(
-            env,
-            ChannelConfig(loss_rate=0.5, mean_delay=0.1),
-            RandomStreams(17).stream("chan"),
-            received.append,
-            on_loss=lost.append,
-        )
-        for i in range(300):
-            channel.send(i)
-        env.run()
-        assert len(lost) == channel.lost
-        assert set(lost) | {m.payload for m in received} == set(range(300))
-
-    def test_loss_notification_arrives_after_delay(self):
-        env = Environment()
-        events = []
-        channel = Channel(
-            env,
-            ChannelConfig(loss_rate=0.9999999, mean_delay=0.3),
-            RandomStreams(19).stream("chan"),
-            lambda m: events.append(("delivered", env.now)),
-            on_loss=lambda p: events.append(("lost", env.now)),
-        )
-        channel.send("x")
-        env.run()
-        assert events == [("lost", 0.3)]

@@ -7,7 +7,7 @@ import pytest
 from repro.core.protocols import Protocol
 from repro.protocols.messages import Message, MessageKind
 from repro.protocols.receiver import SignalingReceiver
-from repro.sim.engine import Environment, Interrupt, RestartableTimer, SimulationError
+from repro.sim.engine import Environment, RestartableTimer, SimulationError
 from repro.sim.randomness import RandomStreams, Timer, TimerDiscipline
 
 
@@ -179,6 +179,55 @@ class TestEvents:
         assert good.ok
         assert not bad.ok
 
+    def test_phases_pending_triggered_processed(self):
+        env = Environment()
+        event = env.event()
+        assert (event.triggered, event.processed) == (False, False)
+        event.succeed(delay=1.0)
+        assert (event.triggered, event.processed) == (True, False)
+        env.run()
+        assert (event.triggered, event.processed) == (True, True)
+
+    def test_timeout_carries_its_value(self):
+        def proc(env):
+            got = yield env.timeout(1.5, value="tick")
+            return got, env.now
+
+        _, result = run_collecting(proc)
+        assert result == ("tick", 1.5)
+
+    def test_fail_with_delay_raises_at_that_time(self):
+        env = Environment()
+        event = env.event()
+        event.fail(ValueError("late"), delay=3.0)
+        seen = []
+
+        def proc(env):
+            try:
+                yield event
+            except ValueError:
+                seen.append(env.now)
+
+        env.process(proc(env))
+        env.run()
+        assert seen == [3.0]
+
+    def test_callbacks_run_once_in_registration_order(self):
+        env = Environment()
+        event = env.event()
+        calls = []
+        event.callbacks.append(lambda evt: calls.append(("first", evt.value)))
+        event.callbacks.append(lambda evt: calls.append(("second", evt.value)))
+        event.succeed(9)
+        env.run()
+        assert calls == [("first", 9), ("second", 9)]
+        assert event.callbacks is None
+
+    def test_negative_trigger_delay_rejected(self):
+        env = Environment()
+        with pytest.raises(SimulationError):
+            env.event().succeed(delay=-1.0)
+
 
 class TestProcesses:
     def test_process_requires_generator(self):
@@ -236,16 +285,6 @@ class TestProcesses:
         with pytest.raises(Boom):
             env.run(until=proc)
 
-    def test_is_alive_lifecycle(self):
-        def proc(env):
-            yield env.timeout(1.0)
-
-        env = Environment()
-        p = env.process(proc(env))
-        assert p.is_alive
-        env.run()
-        assert not p.is_alive
-
     def test_two_processes_interleave(self):
         env = Environment()
         log = []
@@ -262,192 +301,127 @@ class TestProcesses:
         # t=4), so the FIFO tie-break runs it first.
         assert log == [(2.0, "a"), (3.0, "b"), (4.0, "a"), (6.0, "b"), (6.0, "a")]
 
-    def test_active_process_visible_during_execution(self):
+    def test_completion_is_visible_through_the_process_event(self):
+        def proc(env):
+            yield env.timeout(1.0)
+            return "done"
+
         env = Environment()
+        p = env.process(proc(env))
+        env.run(until=0.5)
+        assert not p.triggered
+        env.run()
+        assert p.processed and p.ok
+        assert p.value == "done"
+
+    def test_process_name_defaults_to_the_generator_name(self):
+        def beacon(env):
+            yield env.timeout(1.0)
+
+        env = Environment()
+        assert env.process(beacon(env)).name == "beacon"
+        assert env.process(beacon(env), name="custom").name == "custom"
+
+    def test_processed_events_resume_the_process_within_one_step(self):
+        env = Environment()
+        first, second = env.event(), env.event()
+        first.succeed("a")
+        second.succeed("b")
+        env.run()
         seen = []
 
         def proc(env):
-            seen.append(env.active_process)
-            yield env.timeout(1.0)
+            seen.append((yield first))
+            seen.append((yield second))
+            return "through"
 
         p = env.process(proc(env))
-        env.run()
-        assert seen == [p]
-        assert env.active_process is None
+        env.step()  # the bootstrap; both outcomes feed straight back in
+        assert seen == ["a", "b"]
+        assert p.triggered and p.value == "through"
+        assert env.now == 0.0
 
-
-class TestInterrupts:
-    def test_interrupt_wakes_sleeping_process(self):
+    def test_processed_failed_event_throws_at_once(self):
         env = Environment()
-        log = []
+        failed = env.event()
+        failed.fail(KeyError("gone"))
+        env.run()  # nobody waits, so nothing is raised yet
+        caught = []
 
-        def sleeper(env):
+        def proc(env):
             try:
-                yield env.timeout(100.0)
-                log.append("overslept")
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
+                yield failed
+            except KeyError as exc:
+                caught.append((env.now, exc.args[0]))
 
-        def waker(env, target):
-            yield env.timeout(3.0)
-            target.interrupt("alarm")
-
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
+        env.process(proc(env))
         env.run()
-        assert log == [(3.0, "alarm")]
+        assert caught == [(0.0, "gone")]
 
-    def test_interrupt_dead_process_rejected(self):
-        def quick(env):
+    def test_joining_a_finished_child_returns_its_value(self):
+        def child(env):
             yield env.timeout(1.0)
+            return "early"
 
-        env = Environment()
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_interrupted_process_can_continue(self):
-        env = Environment()
-        log = []
-
-        def resilient(env):
-            try:
-                yield env.timeout(50.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        def waker(env, target):
-            yield env.timeout(2.0)
-            target.interrupt()
-
-        target = env.process(resilient(env))
-        env.process(waker(env, target))
-        env.run()
-        assert log == [3.0]
-
-    def test_original_timeout_does_not_fire_after_interrupt(self):
-        env = Environment()
-        wakeups = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-                wakeups.append("timeout")
-            except Interrupt:
-                wakeups.append("interrupt")
-            # Sleep past the original timeout to catch double-resume.
-            yield env.timeout(20.0)
-
-        def waker(env, target):
-            yield env.timeout(1.0)
-            target.interrupt()
-
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
-        env.run()
-        assert wakeups == ["interrupt"]
-
-
-class TestInterruptEdgeCases:
-    def test_stale_timeout_fire_does_not_resume_waiting_process(self):
-        """The pending Timeout of an interrupted wait fires later; the
-        process (by then waiting on a new event) must not be resumed by
-        the stale firing — it resumes exactly once, from the new wait."""
-        env = Environment()
-        resumes = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-                resumes.append(("timeout", env.now))
-            except Interrupt:
-                resumes.append(("interrupt", env.now))
-            # A wait that straddles t=10, when the stale Timeout fires.
-            yield env.timeout(100.0)
-            resumes.append(("woke", env.now))
-
-        def waker(env, target):
+        def parent(env, kid):
             yield env.timeout(5.0)
-            target.interrupt()
+            return (yield kid)
 
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
-        env.run()
-        assert resumes == [("interrupt", 5.0), ("woke", 105.0)]
-
-    def test_rewaiting_on_the_interrupted_timeout_still_works(self):
-        """After an interrupt, a process may deliberately re-yield the
-        Timeout it was waiting on; the pending event resumes it at the
-        originally scheduled time."""
         env = Environment()
-        log = []
-
-        def sleeper(env):
-            wait = env.timeout(10.0)
-            try:
-                yield wait
-                log.append(("slept", env.now))
-            except Interrupt:
-                log.append(("interrupt", env.now))
-                yield wait
-                log.append(("slept-late", env.now))
-
-        def waker(env, target):
-            yield env.timeout(4.0)
-            target.interrupt()
-
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
+        kid = env.process(child(env))
         env.run()
-        assert log == [("interrupt", 4.0), ("slept-late", 10.0)]
+        assert env.run(until=env.process(parent(env, kid))) == "early"
+        # The child ended at t=1; the parent joins it at t=6 with no wait.
+        assert env.now == 6.0
 
-    def test_queued_interrupts_delivered_in_order(self):
-        env = Environment()
-        causes = []
+    def test_joining_a_finished_failed_child_raises_in_the_parent(self):
+        class Boom(Exception):
+            pass
 
-        def sleeper(env):
-            for _ in range(2):
-                try:
-                    yield env.timeout(100.0)
-                except Interrupt as interrupt:
-                    causes.append((interrupt.cause, env.now))
+        def child(env):
             yield env.timeout(1.0)
-            causes.append(("done", env.now))
+            raise Boom()
 
-        def waker(env, target):
-            yield env.timeout(2.0)
-            target.interrupt("first")
-            target.interrupt("second")
-
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
-        env.run()
-        assert causes == [("first", 2.0), ("second", 2.0), ("done", 3.0)]
-
-    def test_pending_interrupt_dropped_when_generator_returns(self):
-        """A process that finishes while a second interrupt is queued
-        completes normally; the leftover interrupt is discarded."""
-        env = Environment()
-
-        def sleeper(env):
+        def parent(env, kid):
+            yield env.timeout(5.0)
             try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                return "stopped"
-            return "slept"
+                yield kid
+            except Boom:
+                return "caught"
+            return "missed"
 
-        def waker(env, target):
-            yield env.timeout(1.0)
-            target.interrupt("a")
-            target.interrupt("b")
-
-        target = env.process(sleeper(env))
-        env.process(waker(env, target))
+        env = Environment()
+        kid = env.process(child(env))
         env.run()
-        assert target.value == "stopped"
+        assert env.run(until=env.process(parent(env, kid))) == "caught"
+
+    def test_waiters_on_one_event_resume_in_the_order_they_waited(self):
+        env = Environment()
+        gate = env.event()
+        order = []
+
+        def waiter(env, tag):
+            value = yield gate
+            order.append((tag, value, env.now))
+
+        for tag in ("x", "y", "z"):
+            env.process(waiter(env, tag))
+        gate.succeed("open", delay=2.0)
+        env.run()
+        assert order == [("x", "open", 2.0), ("y", "open", 2.0), ("z", "open", 2.0)]
+
+    def test_kernel_misuse_inside_a_process_escapes_the_run(self):
+        # A SimulationError is a bug in the caller, not a model outcome:
+        # it is raised out of the run instead of failing the process.
+        def proc(env):
+            yield env.timeout(1.0)
+            env.timeout(-1.0)
+
+        env = Environment()
+        p = env.process(proc(env))
+        with pytest.raises(SimulationError):
+            env.run()
+        assert not p.triggered
 
 
 class TestRunUntil:
@@ -491,6 +465,33 @@ class TestRunUntil:
         assert log == []
         env.run(until=15.0)
         assert log == [10.0]
+
+    def test_run_until_time_fires_what_is_due_at_the_horizon(self):
+        env = Environment()
+        fired = []
+        env.call_later(5.0, fired.append, "at")
+        env.call_later(5.0 + 1e-9, fired.append, "after")
+        env.run(until=5.0)
+        assert fired == ["at"]
+        assert env.now == 5.0
+
+    def test_run_until_failed_event_raises_its_exception(self):
+        env = Environment()
+        event = env.event()
+        event.fail(KeyError("k"), delay=2.0)
+        with pytest.raises(KeyError):
+            env.run(until=event)
+        assert env.now == 2.0
+
+    def test_run_until_processed_event_returns_without_stepping(self):
+        env = Environment()
+        event = env.event()
+        event.succeed("v")
+        env.run()
+        env.timeout(10.0)
+        assert env.run(until=event) == "v"
+        assert env.now == 0.0
+        assert env.peek() == 10.0
 
 
 class TestScheduledCalls:
@@ -564,6 +565,50 @@ class TestScheduledCalls:
         assert ran == []
         env.run(until=15.0)
         assert ran == [10.0]
+
+    def test_cancel_after_the_call_ran_is_a_no_op(self):
+        env = Environment()
+        ran = []
+        call = env.call_later(1.0, ran.append, "once")
+        env.run()
+        call.cancel()
+        env.run()
+        assert ran == ["once"]
+
+    def test_cancelling_one_call_leaves_its_neighbours(self):
+        env = Environment()
+        ran = []
+        calls = [env.call_later(1.0, ran.append, i) for i in range(5)]
+        calls[2].cancel()
+        env.run()
+        assert ran == [0, 1, 3, 4]
+
+    def test_zero_delay_call_from_a_callback_runs_after_queued_same_instant_work(self):
+        env = Environment()
+        order = []
+
+        def first():
+            order.append("first")
+            env.call_later(0.0, order.append, "scheduled by first")
+
+        env.call_later(1.0, first)
+        env.call_later(1.0, order.append, "second")
+        env.run()
+        assert order == ["first", "second", "scheduled by first"]
+
+    def test_a_call_can_trigger_the_event_a_process_waits_on(self):
+        env = Environment()
+        gate = env.event()
+        woke = []
+
+        def proc(env):
+            value = yield gate
+            woke.append((env.now, value))
+
+        env.process(proc(env))
+        env.call_later(2.0, gate.succeed, "go")
+        env.run()
+        assert woke == [(2.0, "go")]
 
 
 class CountingInterval:
@@ -666,6 +711,101 @@ class TestRestartableTimer:
         env.run()
         assert fired == [1.0, 3.0]
         assert interval.draws == 2
+
+    def test_cancel_while_waiting_skips_the_expiry(self):
+        env = Environment()
+        interval = CountingInterval(5.0)
+        fired = []
+        timer = RestartableTimer(env, interval, lambda: True, lambda: fired.append(env.now))
+        timer.restart()
+        env.call_later(2.0, timer.cancel)
+        env.run()
+        assert fired == []
+        assert interval.draws == 1
+        # The skipped expiry still pops at its time.
+        assert env.now == 5.0
+
+    def test_restart_after_cancel_starts_a_fresh_run(self):
+        env = Environment()
+        interval = CountingInterval(5.0, 4.0)
+        fired = []
+        timer = RestartableTimer(
+            env, interval, lambda: not fired, lambda: fired.append(env.now)
+        )
+        timer.restart()
+        env.call_later(1.0, timer.cancel)
+        env.call_later(3.0, timer.restart)
+        env.run()
+        assert fired == [7.0]
+        assert interval.draws == 2
+
+    def test_condition_false_at_the_arm_draws_nothing(self):
+        env = Environment()
+        interval = CountingInterval(1.0)
+        timer = RestartableTimer(env, interval, lambda: False, lambda: None)
+        timer.restart()
+        env.run()
+        assert interval.draws == 0
+
+    def test_cancel_before_any_restart_is_harmless(self):
+        env = Environment()
+        timer = RestartableTimer(env, CountingInterval(), lambda: True, lambda: None)
+        timer.cancel()
+        timer.cancel()
+        assert env.peek() == float("inf")
+
+    def test_arm_draws_after_the_calls_already_queued_for_the_instant(self):
+        env = Environment()
+        log = []
+
+        def interval():
+            log.append("draw")
+            return 1.0
+
+        timer = RestartableTimer(
+            env, interval, lambda: "fire" not in log, lambda: log.append("fire")
+        )
+        env.call_later(0.0, log.append, "queued before")
+        timer.restart()
+        assert log == []  # the restart itself draws nothing
+        env.call_later(0.0, log.append, "queued after")
+        env.run()
+        assert log == ["queued before", "draw", "queued after", "fire"]
+
+    def test_timers_restarted_at_one_instant_draw_in_restart_order(self):
+        env = Environment()
+        draws = []
+
+        def drawing(tag, wait):
+            def draw():
+                draws.append(tag)
+                return wait
+
+            return draw
+
+        late = RestartableTimer(env, drawing("late", 2.0), lambda: True, lambda: late.cancel())
+        soon = RestartableTimer(env, drawing("soon", 1.0), lambda: True, lambda: soon.cancel())
+        late.restart()
+        soon.restart()
+        env.run()
+        assert draws == ["late", "soon"]
+        assert env.now == 2.0
+
+    def test_run_ended_by_its_condition_restarts_cleanly(self):
+        env = Environment()
+        live = [True]
+        fired = []
+        interval = CountingInterval(2.0, 2.0, 99.0)
+        timer = RestartableTimer(env, interval, lambda: live[0], lambda: fired.append(env.now))
+        timer.restart()
+        env.call_later(1.0, live.__setitem__, 0, False)
+        env.call_later(3.0, live.__setitem__, 0, True)
+        env.call_later(3.0, timer.restart)
+        env.run(until=10.0)
+        # The first wait expires at t=2 while the condition is false and
+        # draws no next wait; the restart at t=3 fires at t=5.
+        assert fired == [5.0]
+        assert interval.draws == 3
 
     def test_two_installs_at_one_instant_draw_the_receiver_timeout_once(self):
         # Two state messages delivered at one instant restart the state

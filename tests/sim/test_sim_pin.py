@@ -8,8 +8,7 @@ and jittered timers (with exponential delays, so the channel's
 non-reordering clamp delivers several messages at one instant), on
 i.i.d. loss, a Gilbert-Elliott channel and a sample grid; and SS, SS+RT
 and HS on three branching trees under i.i.d. loss, a node crash and a
-link flap.  Two side studies that reach into the sender and the channel
-(staged refresh, NACK repair) are pinned by one point each.
+link flap.
 
 Any change to the order of random draws, event scheduling or monitor
 switching moves a digest, so an engine or timer refactor that keeps
@@ -24,8 +23,6 @@ import itertools
 
 import pytest
 
-from repro.analysis.nack import simulate_nack_replications
-from repro.analysis.staged_timers import compare_staged_refresh
 from repro.core.multihop.topology import Topology
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
@@ -173,25 +170,6 @@ def tree_digest(case) -> str:
     )
 
 
-def replication_digest(*sets) -> str:
-    metrics = ("inconsistency_ratio", "normalized_message_rate")
-    return digest([[s.samples(metric) for metric in metrics] for s in sets])
-
-
-def staged_digest() -> str:
-    comparison = compare_staged_refresh(
-        singlehop_params(), sessions=15, replications=2, seed=31
-    )
-    return replication_digest(comparison.staged, comparison.plain_ss)
-
-
-def nack_digest() -> str:
-    summary = simulate_nack_replications(
-        singlehop_params(), sessions=15, replications=2, seed=37
-    )
-    return replication_digest(summary.nack, summary.base_ss)
-
-
 PINNED = {
     "SS-det-det-iid": "1383d7d565d4bba9",
     "SS-det-det-gilbert": "a90a699cbe2cc70f",
@@ -292,8 +270,6 @@ PINNED = {
     "broom2x3-HS-exp-iid": "6a629ade4bc5b013",
     "broom2x3-HS-exp-crash": "3618770a26e0adbd",
     "broom2x3-HS-exp-flap": "9e4682eaa9f68c93",
-    "staged-refresh": "4bf8238d9f753e65",
-    "nack": "517eeac8301ea79b",
 }
 
 
@@ -305,11 +281,3 @@ def test_singlehop_outputs_pinned(case):
 @pytest.mark.parametrize("case", TREE_CASES, ids=tree_id)
 def test_tree_outputs_pinned(case):
     assert tree_digest(case) == PINNED[tree_id(case)]
-
-
-def test_staged_refresh_point_pinned():
-    assert staged_digest() == PINNED["staged-refresh"]
-
-
-def test_nack_point_pinned():
-    assert nack_digest() == PINNED["nack"]

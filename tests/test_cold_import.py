@@ -1,10 +1,11 @@
 """Importing the program loads none of scipy's heavy modules.
 
 ``scipy.special`` loads at the first transient curve or Student-t
-interval, ``scipy.sparse`` at the first sparse solve and
-``scipy.optimize`` at the first optimizer call; ``scipy.stats`` never
-loads.  A fresh interpreter imports every entry point and reports what
-it loaded, so the check needs no timing.
+interval and ``scipy.sparse`` at the first sparse solve; no program
+path loads ``scipy.stats`` or ``scipy.optimize``, and both stay listed
+so that a change which brings one back fails here.  A fresh interpreter
+imports every entry point and reports what it loaded, so the check
+needs no timing.
 """
 
 from __future__ import annotations
