@@ -8,9 +8,10 @@ timers, which run as cancellable scheduled calls (see
 ``repro.sim.engine.RestartableTimer``), so these benches show what
 each restart costs.
 
-Each bench runs its replications once under the benchmark clock, then
-once more outside it, and asserts that both runs give bit-identical
-samples.
+Each bench times its replications over ``ROUNDS`` rounds, so a trend
+row is a median of several runs rather than one sample, then runs them
+once more outside the clock and asserts that the timed and untimed runs
+give bit-identical samples.
 """
 
 from __future__ import annotations
@@ -30,31 +31,32 @@ from repro.protocols.session import simulate_replications
 SESSIONS = 40
 REPLICATIONS = 3
 HORIZON = 8000.0
+ROUNDS = 5
 
 
 def _samples(results):
     return {metric: results.samples(metric) for metric in results.metrics()}
 
 
-def _run_twice(run_once, replicate):
-    timed = run_once(replicate)
+def _run_twice(benchmark, replicate):
+    timed = benchmark.pedantic(replicate, rounds=ROUNDS, iterations=1)
     again = replicate()
     assert _samples(timed) == _samples(again)
     return timed
 
 
 @pytest.mark.parametrize("protocol", [Protocol.SS_RT, Protocol.HS], ids=lambda p: p.value)
-def test_bench_sim_engine_singlehop(run_once, protocol):
+def test_bench_sim_engine_singlehop(benchmark, protocol):
     config = SingleHopSimConfig(
         protocol=protocol, params=kazaa_defaults(), sessions=SESSIONS, seed=5
     )
     results = _run_twice(
-        run_once, lambda: simulate_replications(config, REPLICATIONS, engine="scalar")
+        benchmark, lambda: simulate_replications(config, REPLICATIONS, engine="scalar")
     )
     assert results.count("inconsistency_ratio") == REPLICATIONS
 
 
-def test_bench_sim_engine_tree(run_once):
+def test_bench_sim_engine_tree(benchmark):
     topology = Topology.kary(2, 2)
     config = MultiHopSimConfig(
         protocol=Protocol.SS_RT,
@@ -64,12 +66,12 @@ def test_bench_sim_engine_tree(run_once):
         seed=5,
     )
     results = _run_twice(
-        run_once, lambda: simulate_tree_replications(config, topology, REPLICATIONS)
+        benchmark, lambda: simulate_tree_replications(config, topology, REPLICATIONS)
     )
     assert results.count("inconsistency_ratio") == REPLICATIONS
 
 
-def test_bench_sim_engine_gilbert_chain(run_once):
+def test_bench_sim_engine_gilbert_chain(benchmark):
     config = MultiHopSimConfig(
         protocol=Protocol.SS,
         params=reservation_defaults().replace(hops=4),
@@ -79,6 +81,6 @@ def test_bench_sim_engine_gilbert_chain(run_once):
         gilbert=GilbertElliottParameters(0.01, 0.5, 0.1, 1.0),
     )
     results = _run_twice(
-        run_once, lambda: simulate_multihop_replications(config, REPLICATIONS)
+        benchmark, lambda: simulate_multihop_replications(config, REPLICATIONS)
     )
     assert results.count("inconsistency_ratio") == REPLICATIONS
