@@ -17,16 +17,16 @@ from repro.sim.engine import Environment
 
 
 def test_bench_engine_event_throughput(benchmark):
-    """Raw event-loop throughput: 10k timeout events."""
+    """Raw event-loop throughput: a chain of 10k scheduled calls."""
 
     def run():
         env = Environment()
 
-        def ticker(env):
-            for _ in range(10_000):
-                yield env.timeout(1.0)
+        def tick(left):
+            if left > 1:
+                env.call_later(1.0, tick, left - 1)
 
-        env.process(ticker(env))
+        env.call_later(1.0, tick, 10_000)
         env.run()
         return env.now
 

@@ -8,7 +8,7 @@ The library has four layers:
   and multi-hop settings, with the inconsistency-ratio, message-rate
   and integrated-cost metrics.
 * :mod:`repro.sim` — a from-scratch discrete-event simulation kernel
-  (generator-based processes, lossy channels, time-weighted monitors).
+  (scheduled calls, lossy channels, time-weighted monitors).
 * :mod:`repro.protocols` and :mod:`repro.multihop` — executable
   implementations of the five protocols on that kernel, used to
   validate the model exactly as the paper does (Figs. 11-12).

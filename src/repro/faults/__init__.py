@@ -13,7 +13,7 @@ their own — consumed by three very different executors:
   :mod:`repro.multihop`) drive a stateful
   :class:`repro.sim.channel.GilbertElliottProcess` from the same
   parameters, and realize :class:`FaultSchedule` link flaps and node
-  crashes as deterministic event processes;
+  crashes as deterministic chains of scheduled calls;
 * the experiment layer sweeps them (the ``burst_loss`` and
   ``link_flap`` scenario families).
 

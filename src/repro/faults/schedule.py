@@ -9,11 +9,12 @@ sweep flap rate without confounding it with sampling noise in the fault
 process itself.
 
 The multi-hop simulator (:mod:`repro.multihop.tree`, which also runs
-the chains) realizes a schedule as environment processes that toggle a
-channel's ``down`` flag (link flap: messages sent during an outage are
-lost deterministically, consuming no randomness) or clear a node's soft
-state (crash: installed state is lost; restart re-enables the node and
-lets the protocol's own refresh/timeout machinery rebuild it).
+the chains) realizes a schedule as chains of scheduled calls that
+toggle a channel's ``down`` flag (link flap: messages sent during an
+outage are lost deterministically, consuming no randomness) or clear a
+node's soft state (crash: installed state is lost; restart re-enables
+the node and lets the protocol's own refresh/timeout machinery rebuild
+it).
 """
 
 from __future__ import annotations

@@ -34,11 +34,11 @@ per-node inconsistency, the fraction of time any node is inconsistent
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from repro.core.multihop.topology import Topology
 from repro.core.protocols import Protocol
-from repro.faults.schedule import LinkFlap, NodeCrash
+from repro.faults.schedule import NodeCrash
 from repro.multihop.config import MultiHopSimConfig
 from repro.protocols.messages import Message, MessageKind
 from repro.sim.channel import Channel, ChannelConfig, GilbertElliottProcess
@@ -225,7 +225,9 @@ class TreeSender(_FanOut):
         self._started = True
         self._send_triggers()
         if self.protocol.uses_refreshes:
-            self.env.process(self._refresh_loop(), name="tree-refresh")
+            RestartableTimer(
+                self.env, self._refresh_timer.draw, lambda: True, self._send_refreshes
+            ).restart()
 
     def update(self) -> None:
         """Poisson workload: change the state value."""
@@ -248,10 +250,8 @@ class TreeSender(_FanOut):
     def _send_triggers(self) -> None:
         self._forward_state(Message(MessageKind.TRIGGER, self.version, self.value))
 
-    def _refresh_loop(self):
-        while True:
-            yield self.env.timeout(self._refresh_timer.draw())
-            self._forward_state(Message(MessageKind.REFRESH, self.version, self.value))
+    def _send_refreshes(self) -> None:
+        self._forward_state(Message(MessageKind.REFRESH, self.version, self.value))
 
 
 class TreeRelayNode(_FanOut):
@@ -512,7 +512,7 @@ class TreeSimulation:
             StateFractionMonitor(self.env, initial=True) for _ in self.nodes
         ]
         self._any_monitor = StateFractionMonitor(self.env, initial=True)
-        # Created after the fault processes so a sample scheduled at a
+        # Created after the fault schedules so a sample scheduled at a
         # fault instant observes the post-fault state (FIFO tie-break).
         self._series_monitor = TimeSeriesMonitor(
             self.env,
@@ -523,10 +523,14 @@ class TreeSimulation:
         self._refresh_consistency()
 
         if protocol is Protocol.HS and params.external_false_signal_rate > 0:
+            rate = params.external_false_signal_rate
             for node in self.nodes.values():
-                self.env.process(
-                    self._false_signal_source(node), name=f"signal-{node.index}"
-                )
+                RestartableTimer(
+                    self.env,
+                    lambda: float(self._signal_rng.exponential(1.0 / rate)),
+                    lambda: True,
+                    node.false_remove,
+                ).restart()
 
     # -- fault injection (see repro.faults.schedule) --------------------
 
@@ -536,31 +540,50 @@ class TreeSimulation:
         reverse_channels: dict[int, Channel],
     ) -> None:
         faults = self.config.faults
+        # Each schedule starts with a zero-delay call, and each of its
+        # steps schedules the next one.
         for flap in faults.flaps:
             channels = (forward_channels[flap.link], reverse_channels[flap.link])
-            self.env.process(
-                self._flap_process(flap, channels), name=f"flap-{flap.link}"
-            )
+            windows = flap.windows(self.config.horizon)
+            self.env.call_later(0.0, self._next_flap, windows, channels)
         for crash in faults.crashes:
-            self.env.process(
-                self._crash_process(crash, self.nodes[crash.node]),
-                name=f"crash-{crash.node}",
+            self.env.call_later(0.0, self._schedule_crash, crash, self.nodes[crash.node])
+
+    def _next_flap(
+        self, windows: Iterator[tuple[float, float]], channels: tuple[Channel, ...]
+    ) -> None:
+        window = next(windows, None)
+        if window is not None:
+            down_at, up_at = window
+            self.env.call_later(
+                down_at - self.env.now, self._flap_down, windows, channels, up_at
             )
 
-    def _flap_process(self, flap: LinkFlap, channels: tuple[Channel, ...]):
-        for down_at, up_at in flap.windows(self.config.horizon):
-            yield self.env.timeout(down_at - self.env.now)
-            for channel in channels:
-                channel.down = True
-            yield self.env.timeout(up_at - self.env.now)
-            for channel in channels:
-                channel.down = False
+    def _flap_down(
+        self,
+        windows: Iterator[tuple[float, float]],
+        channels: tuple[Channel, ...],
+        up_at: float,
+    ) -> None:
+        for channel in channels:
+            channel.down = True
+        self.env.call_later(up_at - self.env.now, self._flap_up, windows, channels)
 
-    def _crash_process(self, crash: NodeCrash, node: TreeRelayNode):
-        yield self.env.timeout(crash.at - self.env.now)
+    def _flap_up(
+        self, windows: Iterator[tuple[float, float]], channels: tuple[Channel, ...]
+    ) -> None:
+        for channel in channels:
+            channel.down = False
+        self._next_flap(windows, channels)
+
+    def _schedule_crash(self, crash: NodeCrash, node: TreeRelayNode) -> None:
+        self.env.call_later(
+            crash.at - self.env.now, self._crash, node, crash.restart_after
+        )
+
+    def _crash(self, node: TreeRelayNode, restart_after: float) -> None:
         node.crash()
-        yield self.env.timeout(crash.restart_after)
-        node.restart()
+        self.env.call_later(restart_after, node.restart)
 
     # -- monitors and workload ------------------------------------------
 
@@ -572,18 +595,6 @@ class TreeSimulation:
             any_inconsistent = any_inconsistent or inconsistent
         self._any_monitor.set(any_inconsistent)
 
-    def _false_signal_source(self, node: TreeRelayNode):
-        rate = self.config.params.external_false_signal_rate
-        while True:
-            yield self.env.timeout(float(self._signal_rng.exponential(1.0 / rate)))
-            node.false_remove()
-
-    def _update_workload(self):
-        rate = self.config.params.update_rate
-        while True:
-            yield self.env.timeout(float(self._workload_rng.exponential(1.0 / rate)))
-            self.sender.update()
-
     # -- run ------------------------------------------------------------
 
     def run(self) -> TreeSimResult:
@@ -593,7 +604,13 @@ class TreeSimulation:
     def _measure(self) -> TreeSimResult:
         # Shared by both harness front ends; the benchmark tracer wraps
         # each ``run`` method, so neither may call the other's.
-        self.env.process(self._update_workload(), name="update-workload")
+        rate = self.config.params.update_rate
+        RestartableTimer(
+            self.env,
+            lambda: float(self._workload_rng.exponential(1.0 / rate)),
+            lambda: True,
+            self.sender.update,
+        ).restart()
         if self.config.warmup > 0:
             self.env.run(until=self.config.warmup)
         for monitor in self._node_monitors:

@@ -13,7 +13,7 @@ from collections.abc import Callable
 
 from repro.core.protocols import Protocol
 from repro.protocols.messages import Message, MessageKind
-from repro.sim.engine import Environment, Event, RestartableTimer
+from repro.sim.engine import Environment, RestartableTimer
 from repro.sim.randomness import Timer
 
 __all__ = ["SignalingReceiver"]
@@ -41,7 +41,7 @@ class SignalingReceiver:
         self._timeout = RestartableTimer(
             env, timeout_timer.draw, self._holds_state, self._time_out
         )
-        self._empty_waiters: list[Event] = []
+        self._empty_waiters: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Message handling (forward channel)
@@ -78,14 +78,16 @@ class SignalingReceiver:
         if self.protocol.removal_notification:
             self._transmit(Message(MessageKind.NOTIFY, self.version))
 
-    def wait_empty(self) -> Event:
-        """An event that fires when (or if already) no state is held."""
-        event = self.env.event()
+    def when_empty(self, fn: Callable[[], None]) -> None:
+        """Call ``fn`` once no state is held (at once if none is held now).
+
+        ``fn`` runs as a zero-delay scheduled call, behind the work
+        already queued for the instant the receiver empties.
+        """
         if self.value is None:
-            event.succeed()
+            self.env.call_later(0.0, fn)
         else:
-            self._empty_waiters.append(event)
-        return event
+            self._empty_waiters.append(fn)
 
     # ------------------------------------------------------------------
     # Internals
@@ -103,8 +105,8 @@ class SignalingReceiver:
         self._on_value_change()
         self._timeout.cancel()
         waiters, self._empty_waiters = self._empty_waiters, []
-        for event in waiters:
-            event.succeed()
+        for fn in waiters:
+            self.env.call_later(0.0, fn)
 
     def _holds_state(self) -> bool:
         return self.value is not None

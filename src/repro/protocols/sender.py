@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.core.parameters import SignalingParameters
 from repro.core.protocols import Protocol
 from repro.protocols.messages import Message, MessageKind
 from repro.sim.engine import Environment, RestartableTimer
@@ -33,7 +32,6 @@ class SignalingSender:
         self,
         env: Environment,
         protocol: Protocol,
-        params: SignalingParameters,
         refresh_timer: Timer,
         retransmission_timer: Timer,
         transmit: Callable[[Message], None],
@@ -41,7 +39,6 @@ class SignalingSender:
     ) -> None:
         self.env = env
         self.protocol = protocol
-        self.params = params
         self.value: int | None = None
         self.version = 0
         self._transmit = transmit

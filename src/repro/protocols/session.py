@@ -26,7 +26,7 @@ from repro.protocols.messages import Message
 from repro.protocols.receiver import SignalingReceiver
 from repro.protocols.sender import SignalingSender
 from repro.sim.channel import Channel, ChannelConfig, DeliveredMessage, GilbertElliottProcess
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, RestartableTimer
 from repro.sim.monitor import StateFractionMonitor, TimeSeriesMonitor
 from repro.sim.randomness import RandomStreams, Timer
 from repro.sim.stats import ReplicationSet
@@ -96,6 +96,8 @@ class SingleHopSimulation:
         self._workload_rng = streams.stream("workload")
         self._signal_rng = streams.stream("external-signal")
         self.message_counts: dict[str, int] = {}
+        self._sessions_left = config.sessions
+        self._ended = False
 
         channel_config = ChannelConfig(
             loss_rate=params.loss_rate,
@@ -138,7 +140,6 @@ class SingleHopSimulation:
         self.sender = SignalingSender(
             self.env,
             protocol,
-            params,
             refresh_timer=timer(params.refresh_interval, "refresh-timer"),
             retransmission_timer=timer(params.retransmission_interval, "retx-timer"),
             transmit=lambda msg: self._transmit(self._forward, msg),
@@ -161,7 +162,13 @@ class SingleHopSimulation:
         )
 
         if protocol is Protocol.HS and params.external_false_signal_rate > 0:
-            self.env.process(self._false_signal_source(), name="external-signal")
+            rate = params.external_false_signal_rate
+            RestartableTimer(
+                self.env,
+                lambda: float(self._signal_rng.exponential(1.0 / rate)),
+                lambda: True,
+                self.receiver.false_remove,
+            ).restart()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -183,39 +190,46 @@ class SingleHopSimulation:
     def _update_consistency(self) -> None:
         self._consistency.set(self.sender.value == self.receiver.value)
 
-    def _false_signal_source(self):
-        rate = self.config.params.external_false_signal_rate
-        while True:
-            yield self.env.timeout(float(self._signal_rng.exponential(1.0 / rate)))
-            self.receiver.false_remove()
-
     # ------------------------------------------------------------------
     # Workload
     # ------------------------------------------------------------------
 
-    def _session_workload(self):
-        params = self.config.params
-        for _ in range(self.config.sessions):
-            self.sender.install()
-            remaining = float(self._workload_rng.exponential(params.removal_rate**-1))
-            while True:
-                if params.update_rate <= 0:
-                    yield self.env.timeout(remaining)
-                    break
-                gap = float(self._workload_rng.exponential(1.0 / params.update_rate))
-                if gap >= remaining:
-                    yield self.env.timeout(remaining)
-                    break
-                yield self.env.timeout(gap)
-                remaining -= gap
-                self.sender.update()
-            self.sender.remove()
-            yield self.receiver.wait_empty()
+    def _start_session(self) -> None:
+        if self._sessions_left == 0:
+            # A zero-delay end call: the work already queued for this
+            # instant still runs before the run stops.
+            self.env.call_later(0.0, self._end_run)
+            return
+        self._sessions_left -= 1
+        self.sender.install()
+        removal_rate = self.config.params.removal_rate
+        self._next_update(float(self._workload_rng.exponential(removal_rate**-1)))
+
+    def _next_update(self, remaining: float) -> None:
+        update_rate = self.config.params.update_rate
+        if update_rate > 0:
+            gap = float(self._workload_rng.exponential(1.0 / update_rate))
+            if gap < remaining:
+                self.env.call_later(gap, self._update, remaining - gap)
+                return
+        self.env.call_later(remaining, self._end_session)
+
+    def _update(self, remaining: float) -> None:
+        self.sender.update()
+        self._next_update(remaining)
+
+    def _end_session(self) -> None:
+        self.sender.remove()
+        self.receiver.when_empty(self._start_session)
+
+    def _end_run(self) -> None:
+        self._ended = True
 
     def run(self) -> SingleHopSimResult:
         """Execute the configured number of sessions and collect metrics."""
-        driver = self.env.process(self._session_workload(), name="session-driver")
-        self.env.run(until=driver)
+        self.env.call_later(0.0, self._start_session)
+        while not self._ended:
+            self.env.step()
         sim_time = self.env.now
         return SingleHopSimResult(
             protocol=self.config.protocol,

@@ -243,12 +243,12 @@ def _session_end(
     """Resolve the receiver's endgame for one session.
 
     Returns ``(end, timeouts, mid_times, tail_times, tail_flags)`` —
-    the session end time (the instant ``wait_empty`` fires at or after
-    the sender's removal), the number of timeout removals, mid-session
-    expiry boundaries (always flag-0; kept separate because an
-    equal-time receipt must sort after them), and the remaining
-    boundaries (the sender's removal instant, the receiver's final
-    emptying).  Returns ``None`` when a delivered receipt outlives the
+    the session end time (the instant the receiver's ``when_empty``
+    call runs at or after the sender's removal), the number of timeout
+    removals, mid-session expiry boundaries (always flag-0; kept
+    separate because an equal-time receipt must sort after them), and
+    the remaining boundaries (the sender's removal instant, the
+    receiver's final emptying).  Returns ``None`` when a delivered receipt outlives the
     session end: that timeline leaks into the next session and needs
     the scalar engine.
     """

@@ -96,12 +96,15 @@ class TimeSeriesMonitor:
     average pointwise into a mean curve with CI bands
     (:func:`repro.sim.stats.student_t_interval`).
 
-    The sampling process is registered at construction; grid times
-    must be sorted non-decreasing and not lie in the past.  A sample
-    scheduled at the same instant as another event fires after events
-    registered earlier (FIFO tie-break), so harnesses create this
-    monitor *after* fault processes: a sample at a crash instant sees
-    the post-crash state, matching the analytic convention.
+    Sampling starts with a zero-delay call scheduled at construction,
+    which records every grid time already due and schedules one call
+    for the next grid time; each of those records its sample and
+    schedules the next.  Grid times must be sorted non-decreasing and
+    not lie in the past.  A sample at the same instant as other work
+    fires after the calls scheduled earlier (FIFO tie-break), so
+    harnesses create this monitor *after* the fault schedules: a sample
+    at a crash instant sees the post-crash state, matching the analytic
+    convention.
     """
 
     def __init__(
@@ -121,14 +124,20 @@ class TimeSeriesMonitor:
         self._probe = probe
         self._samples: list[float] = []
         if self.times:
-            env.process(self._sampler(), name="time-series-monitor")
+            env.call_later(0.0, self._sample_due, 0)
 
-    def _sampler(self):
-        for t in self.times:
-            delay = t - self.env.now
+    def _sample_due(self, start: int) -> None:
+        # Sample the grid times from ``start`` on until one lies ahead.
+        for index in range(start, len(self.times)):
+            delay = self.times[index] - self.env.now
             if delay > 0:
-                yield self.env.timeout(delay)
+                self.env.call_later(delay, self._sample_at, index)
+                return
             self._samples.append(float(self._probe()))
+
+    def _sample_at(self, index: int) -> None:
+        self._samples.append(float(self._probe()))
+        self._sample_due(index + 1)
 
     def samples(self) -> tuple[float, ...]:
         """The values recorded so far, one per elapsed grid time."""

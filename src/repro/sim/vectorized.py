@@ -71,7 +71,8 @@ def fold_cumsum(start: float, increments: np.ndarray) -> np.ndarray:
 
     Element ``k`` equals ``start + inc_0 + ... + inc_{k-1}`` evaluated
     left to right — the virtual times an engine clock visits when a
-    process sleeps through ``increments`` one timeout at a time.
+    chain of scheduled calls waits through ``increments`` one call at
+    a time.
     Element 0 is ``start`` itself.
     """
     row = np.empty(len(increments) + 1)

@@ -102,12 +102,11 @@ class TestRelayTimeout:
         harness = NodeHarness(Protocol.SS)
         harness.deliver(Message(MessageKind.TRIGGER, 1, 1))
 
-        def refresher(env):
-            while True:
-                yield env.timeout(R)
-                harness.deliver(Message(MessageKind.REFRESH, 1, 1))
+        def refresh():
+            harness.deliver(Message(MessageKind.REFRESH, 1, 1))
+            harness.env.call_later(R, refresh)
 
-        harness.env.process(refresher(harness.env))
+        harness.env.call_later(R, refresh)
         harness.env.run(until=4 * T)
         assert harness.node.value == 1
 

@@ -14,12 +14,15 @@ import pytest
 from repro.core.multihop import Topology, TreeModel
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
-from repro.faults import FaultSchedule, NodeCrash
+from repro.faults import FaultSchedule, LinkFlap, NodeCrash
 from repro.multihop import (
     MultiHopSimConfig,
     TreeSimulation,
     simulate_tree_replications,
 )
+from repro.multihop.tree import TreeSender
+from repro.sim.channel import Channel
+from repro.sim.monitor import TimeSeriesMonitor
 from repro.sim.randomness import TimerDiscipline
 
 BINARY = Topology.kary(2, 2)
@@ -206,3 +209,48 @@ class TestInteriorNodes:
             result.inconsistency_ratio * result.measured_time
             == result.node_inconsistent_time[0]
         )
+
+
+class Boom(Exception):
+    """Raised by a patched simulator step."""
+
+
+class TestFailuresLeaveTheRun:
+    """An exception in any simulated loop ends the run with that exception."""
+
+    def run_tree(self, **changes):
+        config = config_for(BINARY, horizon=500.0).replace(**changes)
+        return TreeSimulation(config, BINARY).run()
+
+    def test_a_raising_update_leaves_the_run(self, monkeypatch):
+        def update(sender):
+            raise Boom("update")
+
+        monkeypatch.setattr(TreeSender, "update", update)
+        with pytest.raises(Boom):
+            self.run_tree()
+
+    def test_a_raising_flap_toggle_leaves_the_run(self, monkeypatch):
+        def set_down(channel, down):
+            if down:
+                raise Boom("link down")
+
+        # ``down`` is an instance attribute; a class property takes it over.
+        down = property(lambda channel: False, set_down)
+        monkeypatch.setattr(Channel, "down", down, raising=False)
+        flap = LinkFlap(link=1, period=100.0, down_duration=10.0, offset=50.0)
+        with pytest.raises(Boom):
+            self.run_tree(faults=FaultSchedule(flaps=(flap,)))
+
+    def test_a_raising_probe_leaves_the_run(self, monkeypatch):
+        init = TimeSeriesMonitor.__init__
+
+        def raising_probe():
+            raise Boom("probe")
+
+        def init_with_raising_probe(monitor, env, times, probe):
+            init(monitor, env, times, raising_probe)
+
+        monkeypatch.setattr(TimeSeriesMonitor, "__init__", init_with_raising_probe)
+        with pytest.raises(Boom):
+            self.run_tree(sample_times=(200.0, 300.0))

@@ -14,6 +14,7 @@ import pytest
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
 from repro.protocols.config import SingleHopSimConfig
+from repro.protocols.receiver import SignalingReceiver
 from repro.protocols.session import SingleHopSimulation, simulate_replications
 from repro.sim.randomness import TimerDiscipline
 
@@ -75,6 +76,18 @@ class TestMechanics:
         ss = run_sim(Protocol.SS, boosted, sessions=50)
         assert hs.false_signal_removals > 0
         assert ss.false_signal_removals == 0
+
+    def test_a_raising_false_signal_leaves_the_run(self, params, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def false_remove(receiver):
+            raise Boom("false signal")
+
+        monkeypatch.setattr(SignalingReceiver, "false_remove", false_remove)
+        boosted = params.replace(external_false_signal_rate=0.01)
+        with pytest.raises(Boom):
+            run_sim(Protocol.HS, boosted, sessions=50)
 
     def test_mean_cycle_length_near_session_length(self, params):
         result = run_sim(Protocol.SS_ER, params, sessions=100)

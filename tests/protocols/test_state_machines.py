@@ -44,18 +44,15 @@ class Harness:
             if self._drop_forward > 0:
                 self._drop_forward -= 1
                 return
-            event = self.env.timeout(delay)
-            event.callbacks.append(lambda _e: self.receiver.on_message(message))
+            self.env.call_later(delay, self.receiver.on_message, message)
 
         def reverse(message: Message) -> None:
             self.reverse_log.append(message)
-            event = self.env.timeout(delay)
-            event.callbacks.append(lambda _e: self.sender.on_message(message))
+            self.env.call_later(delay, self.sender.on_message, message)
 
         self.sender = SignalingSender(
             self.env,
             protocol,
-            PARAMS,
             refresh_timer=timer(PARAMS.refresh_interval, "refresh"),
             retransmission_timer=timer(PARAMS.retransmission_interval, "retx"),
             transmit=forward,
@@ -291,20 +288,24 @@ class TestFalseRemovalRecovery:
         assert harness.receiver.false_signal_removals == 0
         assert harness.reverse_log == []
 
-    def test_wait_empty_fires_immediately_when_empty(self):
+    def test_when_empty_calls_at_once_when_empty(self):
         harness = Harness(Protocol.SS)
-        event = harness.receiver.wait_empty()
-        assert event.triggered
+        called = []
+        harness.receiver.when_empty(lambda: called.append(harness.env.now))
+        harness.env.run(until=0.0)
+        assert called == [0.0]
 
-    def test_wait_empty_fires_on_removal(self):
+    def test_when_empty_calls_on_removal(self):
         harness = Harness(Protocol.SS_ER)
         harness.sender.install()
         harness.env.run(until=1.0)
-        event = harness.receiver.wait_empty()
-        assert not event.triggered
+        called = []
+        harness.receiver.when_empty(lambda: called.append(harness.env.now))
+        harness.env.run(until=1.0)
+        assert called == []
         harness.sender.remove()
         harness.env.run(until=1.0 + PARAMS.delay + 1e-9)
-        assert event.processed
+        assert called == [1.0 + PARAMS.delay]
 
 
 class RecordingTimer:
@@ -337,7 +338,6 @@ def refresh_rig(protocol: Protocol):
     sender = SignalingSender(
         env,
         protocol,
-        PARAMS,
         refresh_timer=refresh,
         retransmission_timer=retransmission,
         transmit=lambda message: sent.append((env.now, message)),

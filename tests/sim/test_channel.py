@@ -7,8 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.channel import Channel, ChannelConfig, GilbertElliottProcess
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, SimulationError
 from repro.sim.randomness import RandomStreams, TimerDiscipline
+
+
+def every(env, gap, count, action):
+    """Call ``action(i)`` for each ``i < count``, ``gap`` apart, from now."""
+
+    def call(i):
+        action(i)
+        if i + 1 < count:
+            env.call_later(gap, call, i + 1)
+
+    env.call_later(0.0, call, 0)
 
 
 def make_channel(loss=0.0, delay=0.1, discipline=TimerDiscipline.DETERMINISTIC, seed=1):
@@ -99,13 +110,7 @@ class TestNonReordering:
         env, channel, received = make_channel(
             delay=0.5, discipline=TimerDiscipline.EXPONENTIAL, seed=13
         )
-
-        def staggered(env):
-            for i in range(200):
-                channel.send(i)
-                yield env.timeout(0.01)
-
-        env.process(staggered(env))
+        every(env, 0.01, 200, channel.send)
         env.run()
         times = [m.delivered_at for m in received]
         assert times == sorted(times)
@@ -143,14 +148,9 @@ class TestEdgeCases:
 
     def test_zero_delay_preserves_send_order(self):
         env, channel, received = make_channel(loss=0.0, delay=0.0)
-
-        def staggered(env):
-            for i in range(50):
-                channel.send(i)
-                if i % 7 == 0:
-                    yield env.timeout(0.5)
-
-        env.process(staggered(env))
+        # Message 0 at t=0, then bursts of seven sends 0.5 s apart.
+        for i in range(50):
+            env.call_later(0.5 * ((i + 6) // 7), channel.send, i)
         env.run()
         payloads = [m.payload for m in received]
         assert payloads == sorted(payloads)
@@ -164,7 +164,8 @@ class TestEdgeCases:
     def test_random_drop_schedules_nothing(self):
         env, channel, _ = make_channel(loss=1.0)
         assert not channel.send("x")
-        assert env.peek() == float("inf")
+        with pytest.raises(SimulationError, match="empty"):
+            env.step()
 
 
 class TestDrawDiscipline:
@@ -186,13 +187,7 @@ class TestDrawDiscipline:
             loss=loss, delay=0.3, discipline=discipline, seed=43
         )
         sends = []
-
-        def source(env):
-            for i in range(300):
-                sends.append((i, env.now, channel.send(i)))
-                yield env.timeout(0.1)
-
-        env.process(source(env))
+        every(env, 0.1, 300, lambda i: sends.append((i, env.now, channel.send(i))))
         env.run()
 
         replay = RandomStreams(43).stream("chan")
@@ -236,13 +231,7 @@ class TestDrawDiscipline:
             loss_process=Outage(),
         )
         outcomes = []
-
-        def source(env):
-            for _ in range(4):
-                outcomes.append(channel.send(env.now))
-                yield env.timeout(1.0)
-
-        env.process(source(env))
+        every(env, 1.0, 4, lambda _i: outcomes.append(channel.send(env.now)))
         env.run()
         assert queried == [0.0, 1.0, 2.0, 3.0]
         assert outcomes == [False, False, True, True]
@@ -277,7 +266,8 @@ class TestDownFlag:
         env, channel, _ = make_channel(loss=0.0)
         channel.down = True
         assert not channel.send("x")
-        assert env.peek() == float("inf")
+        with pytest.raises(SimulationError, match="empty"):
+            env.step()
 
     def test_down_drops_leave_the_delay_draws_unshifted(self):
         def run(down_sends: int) -> list[float]:
@@ -381,13 +371,7 @@ class TestGilbertDegeneracy:
             received.append,
             loss_process=loss_process,
         )
-
-        def source(env):
-            for i in range(n):
-                channel.send(i)
-                yield env.timeout(0.05)
-
-        env.process(source(env))
+        every(env, 0.05, n, channel.send)
         env.run()
         return channel, received
 

@@ -11,12 +11,18 @@ from repro.sim.engine import Environment, RestartableTimer, SimulationError
 from repro.sim.randomness import RandomStreams, Timer, TimerDiscipline
 
 
-def run_collecting(generator_factory):
-    """Run a single process to completion; return (env, result)."""
+def run_chain(delays):
+    """Run calls that each schedule the next after its delay; return the clock."""
     env = Environment()
-    proc = env.process(generator_factory(env))
-    result = env.run(until=proc)
-    return env, result
+    pending = list(delays)
+
+    def next_call():
+        if pending:
+            env.call_later(pending.pop(0), next_call)
+
+    next_call()
+    env.run()
+    return env.now
 
 
 class TestClock:
@@ -26,36 +32,17 @@ class TestClock:
     def test_custom_initial_time(self):
         assert Environment(initial_time=5.0).now == 5.0
 
-    def test_timeout_advances_clock(self):
-        def proc(env):
-            yield env.timeout(2.5)
-            return env.now
-
-        _, result = run_collecting(proc)
+    def test_call_advances_clock(self):
+        result = run_chain([2.5])
         assert result == 2.5
 
-    def test_sequential_timeouts_accumulate(self):
-        def proc(env):
-            yield env.timeout(1.0)
-            yield env.timeout(2.0)
-            yield env.timeout(3.0)
-            return env.now
-
-        _, result = run_collecting(proc)
+    def test_chained_calls_accumulate(self):
+        result = run_chain([1.0, 2.0, 3.0])
         assert result == 6.0
 
-    def test_zero_delay_timeout_allowed(self):
-        def proc(env):
-            yield env.timeout(0.0)
-            return env.now
-
-        _, result = run_collecting(proc)
+    def test_zero_delay_call_allowed(self):
+        result = run_chain([0.0])
         assert result == 0.0
-
-    def test_negative_timeout_rejected(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.timeout(-1.0)
 
     def test_run_until_time_sets_clock(self):
         env = Environment()
@@ -73,398 +60,34 @@ class TestEventOrdering:
     def test_same_time_events_fire_in_schedule_order(self):
         env = Environment()
         order = []
-
-        def proc(env, tag):
-            yield env.timeout(1.0)
-            order.append(tag)
-
         for tag in ("a", "b", "c"):
-            env.process(proc(env, tag))
+            env.call_later(1.0, order.append, tag)
         env.run()
         assert order == ["a", "b", "c"]
 
     def test_earlier_events_fire_first(self):
         env = Environment()
         order = []
-
-        def proc(env, delay, tag):
-            yield env.timeout(delay)
-            order.append(tag)
-
-        env.process(proc(env, 3.0, "late"))
-        env.process(proc(env, 1.0, "early"))
-        env.process(proc(env, 2.0, "middle"))
+        env.call_later(3.0, order.append, "late")
+        env.call_later(1.0, order.append, "early")
+        env.call_later(2.0, order.append, "middle")
         env.run()
         assert order == ["early", "middle", "late"]
-
-    def test_peek_reports_next_event_time(self):
-        env = Environment()
-        env.timeout(4.0)
-        env.timeout(2.0)
-        assert env.peek() == 2.0
-
-    def test_peek_empty_queue_is_inf(self):
-        env = Environment()
-        # Drain the queue first (nothing scheduled).
-        assert env.peek() == float("inf")
 
     def test_step_on_empty_queue_raises(self):
         with pytest.raises(SimulationError):
             Environment().step()
 
 
-class TestEvents:
-    def test_event_value_before_trigger_raises(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            _ = env.event().value
-
-    def test_succeed_carries_value(self):
-        def proc(env):
-            event = env.event()
-            event.succeed("payload", delay=1.0)
-            got = yield event
-            return got
-
-        _, result = run_collecting(proc)
-        assert result == "payload"
-
-    def test_double_trigger_rejected(self):
-        env = Environment()
-        event = env.event()
-        event.succeed()
-        with pytest.raises(SimulationError):
-            event.succeed()
-
-    def test_fail_requires_exception(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.event().fail("not an exception")  # type: ignore[arg-type]
-
-    def test_failed_event_raises_in_waiter(self):
-        class Boom(Exception):
-            pass
-
-        def proc(env):
-            event = env.event()
-            event.fail(Boom("bang"), delay=1.0)
-            with pytest.raises(Boom):
-                yield event
-            return "survived"
-
-        _, result = run_collecting(proc)
-        assert result == "survived"
-
-    def test_waiting_on_processed_event_returns_value_immediately(self):
-        env = Environment()
-        early = env.event()
-        early.succeed(41)
-        collected = []
-
-        def late(env):
-            yield env.timeout(5.0)
-            value = yield early
-            collected.append((env.now, value))
-
-        env.process(late(env))
-        env.run()
-        assert collected == [(5.0, 41)]
-
-    def test_ok_reflects_outcome(self):
-        env = Environment()
-        good = env.event()
-        good.succeed()
-        bad = env.event()
-        bad.fail(ValueError("x"))
-        assert good.ok
-        assert not bad.ok
-
-    def test_phases_pending_triggered_processed(self):
-        env = Environment()
-        event = env.event()
-        assert (event.triggered, event.processed) == (False, False)
-        event.succeed(delay=1.0)
-        assert (event.triggered, event.processed) == (True, False)
-        env.run()
-        assert (event.triggered, event.processed) == (True, True)
-
-    def test_timeout_carries_its_value(self):
-        def proc(env):
-            got = yield env.timeout(1.5, value="tick")
-            return got, env.now
-
-        _, result = run_collecting(proc)
-        assert result == ("tick", 1.5)
-
-    def test_fail_with_delay_raises_at_that_time(self):
-        env = Environment()
-        event = env.event()
-        event.fail(ValueError("late"), delay=3.0)
-        seen = []
-
-        def proc(env):
-            try:
-                yield event
-            except ValueError:
-                seen.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert seen == [3.0]
-
-    def test_callbacks_run_once_in_registration_order(self):
-        env = Environment()
-        event = env.event()
-        calls = []
-        event.callbacks.append(lambda evt: calls.append(("first", evt.value)))
-        event.callbacks.append(lambda evt: calls.append(("second", evt.value)))
-        event.succeed(9)
-        env.run()
-        assert calls == [("first", 9), ("second", 9)]
-        assert event.callbacks is None
-
-    def test_negative_trigger_delay_rejected(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.event().succeed(delay=-1.0)
-
-
-class TestProcesses:
-    def test_process_requires_generator(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.process(lambda: None)  # type: ignore[arg-type]
-
-    def test_return_value_becomes_event_value(self):
-        def child(env):
-            yield env.timeout(1.0)
-            return 42
-
-        def parent(env):
-            result = yield env.process(child(env))
-            return result
-
-        _, result = run_collecting(parent)
-        assert result == 42
-
-    def test_yielding_non_event_raises(self):
-        def proc(env):
-            yield 7  # type: ignore[misc]
-
-        env = Environment()
-        env.process(proc(env))
-        with pytest.raises(SimulationError):
-            env.run()
-
-    def test_exception_in_process_propagates_to_waiter(self):
-        class Boom(Exception):
-            pass
-
-        def child(env):
-            yield env.timeout(1.0)
-            raise Boom("child exploded")
-
-        def parent(env):
-            with pytest.raises(Boom):
-                yield env.process(child(env))
-            return "handled"
-
-        _, result = run_collecting(parent)
-        assert result == "handled"
-
-    def test_unwaited_process_failure_raises_at_run_until_event(self):
-        class Boom(Exception):
-            pass
-
-        def child(env):
-            yield env.timeout(1.0)
-            raise Boom()
-
-        env = Environment()
-        proc = env.process(child(env))
-        with pytest.raises(Boom):
-            env.run(until=proc)
-
-    def test_two_processes_interleave(self):
-        env = Environment()
-        log = []
-
-        def ticker(env, period, tag, count):
-            for _ in range(count):
-                yield env.timeout(period)
-                log.append((env.now, tag))
-
-        env.process(ticker(env, 2.0, "a", 3))
-        env.process(ticker(env, 3.0, "b", 2))
-        env.run()
-        # At t=6 both fire; "b" scheduled its timeout earlier (t=3 vs
-        # t=4), so the FIFO tie-break runs it first.
-        assert log == [(2.0, "a"), (3.0, "b"), (4.0, "a"), (6.0, "b"), (6.0, "a")]
-
-    def test_completion_is_visible_through_the_process_event(self):
-        def proc(env):
-            yield env.timeout(1.0)
-            return "done"
-
-        env = Environment()
-        p = env.process(proc(env))
-        env.run(until=0.5)
-        assert not p.triggered
-        env.run()
-        assert p.processed and p.ok
-        assert p.value == "done"
-
-    def test_process_name_defaults_to_the_generator_name(self):
-        def beacon(env):
-            yield env.timeout(1.0)
-
-        env = Environment()
-        assert env.process(beacon(env)).name == "beacon"
-        assert env.process(beacon(env), name="custom").name == "custom"
-
-    def test_processed_events_resume_the_process_within_one_step(self):
-        env = Environment()
-        first, second = env.event(), env.event()
-        first.succeed("a")
-        second.succeed("b")
-        env.run()
-        seen = []
-
-        def proc(env):
-            seen.append((yield first))
-            seen.append((yield second))
-            return "through"
-
-        p = env.process(proc(env))
-        env.step()  # the bootstrap; both outcomes feed straight back in
-        assert seen == ["a", "b"]
-        assert p.triggered and p.value == "through"
-        assert env.now == 0.0
-
-    def test_processed_failed_event_throws_at_once(self):
-        env = Environment()
-        failed = env.event()
-        failed.fail(KeyError("gone"))
-        env.run()  # nobody waits, so nothing is raised yet
-        caught = []
-
-        def proc(env):
-            try:
-                yield failed
-            except KeyError as exc:
-                caught.append((env.now, exc.args[0]))
-
-        env.process(proc(env))
-        env.run()
-        assert caught == [(0.0, "gone")]
-
-    def test_joining_a_finished_child_returns_its_value(self):
-        def child(env):
-            yield env.timeout(1.0)
-            return "early"
-
-        def parent(env, kid):
-            yield env.timeout(5.0)
-            return (yield kid)
-
-        env = Environment()
-        kid = env.process(child(env))
-        env.run()
-        assert env.run(until=env.process(parent(env, kid))) == "early"
-        # The child ended at t=1; the parent joins it at t=6 with no wait.
-        assert env.now == 6.0
-
-    def test_joining_a_finished_failed_child_raises_in_the_parent(self):
-        class Boom(Exception):
-            pass
-
-        def child(env):
-            yield env.timeout(1.0)
-            raise Boom()
-
-        def parent(env, kid):
-            yield env.timeout(5.0)
-            try:
-                yield kid
-            except Boom:
-                return "caught"
-            return "missed"
-
-        env = Environment()
-        kid = env.process(child(env))
-        env.run()
-        assert env.run(until=env.process(parent(env, kid))) == "caught"
-
-    def test_waiters_on_one_event_resume_in_the_order_they_waited(self):
-        env = Environment()
-        gate = env.event()
-        order = []
-
-        def waiter(env, tag):
-            value = yield gate
-            order.append((tag, value, env.now))
-
-        for tag in ("x", "y", "z"):
-            env.process(waiter(env, tag))
-        gate.succeed("open", delay=2.0)
-        env.run()
-        assert order == [("x", "open", 2.0), ("y", "open", 2.0), ("z", "open", 2.0)]
-
-    def test_kernel_misuse_inside_a_process_escapes_the_run(self):
-        # A SimulationError is a bug in the caller, not a model outcome:
-        # it is raised out of the run instead of failing the process.
-        def proc(env):
-            yield env.timeout(1.0)
-            env.timeout(-1.0)
-
-        env = Environment()
-        p = env.process(proc(env))
-        with pytest.raises(SimulationError):
-            env.run()
-        assert not p.triggered
-
-
 class TestRunUntil:
-    def test_run_until_event_returns_its_value(self):
-        env = Environment()
-        event = env.event()
-        event.succeed("done", delay=4.0)
-        assert env.run(until=event) == "done"
-        assert env.now == 4.0
-
-    def test_run_until_unreachable_event_raises(self):
-        env = Environment()
-        never = env.event()
-        env.timeout(1.0)
-        with pytest.raises(SimulationError):
-            env.run(until=never)
-
     def test_run_without_until_drains_queue(self):
         env = Environment()
         log = []
-
-        def proc(env):
-            yield env.timeout(7.0)
-            log.append(env.now)
-
-        env.process(proc(env))
+        env.call_later(7.0, lambda: log.append(env.now))
         env.run()
         assert log == [7.0]
-        assert env.peek() == float("inf")
-
-    def test_run_until_time_leaves_future_events_queued(self):
-        env = Environment()
-        log = []
-
-        def proc(env):
-            yield env.timeout(10.0)
-            log.append(env.now)
-
-        env.process(proc(env))
-        env.run(until=5.0)
-        assert log == []
-        env.run(until=15.0)
-        assert log == [10.0]
+        with pytest.raises(SimulationError, match="empty"):
+            env.step()
 
     def test_run_until_time_fires_what_is_due_at_the_horizon(self):
         env = Environment()
@@ -475,52 +98,52 @@ class TestRunUntil:
         assert fired == ["at"]
         assert env.now == 5.0
 
-    def test_run_until_failed_event_raises_its_exception(self):
-        env = Environment()
-        event = env.event()
-        event.fail(KeyError("k"), delay=2.0)
-        with pytest.raises(KeyError):
-            env.run(until=event)
-        assert env.now == 2.0
+    def test_an_exception_from_a_call_leaves_the_run_at_its_time(self):
+        class Boom(Exception):
+            pass
 
-    def test_run_until_processed_event_returns_without_stepping(self):
+        def explode():
+            raise Boom("bang")
+
         env = Environment()
-        event = env.event()
-        event.succeed("v")
+        ran = []
+        env.call_later(2.0, explode)
+        env.call_later(3.0, ran.append, "after")
+        with pytest.raises(Boom):
+            env.run(until=10.0)
+        assert env.now == 2.0
+        # The run stopped at the failing call; later calls stay queued.
+        assert ran == []
         env.run()
-        env.timeout(10.0)
-        assert env.run(until=event) == "v"
-        assert env.now == 0.0
-        assert env.peek() == 10.0
+        assert ran == ["after"]
 
 
 class TestScheduledCalls:
-    def test_calls_timeouts_and_bootstraps_fire_in_scheduling_order(self):
+    def test_calls_and_chained_calls_fire_in_scheduling_order(self):
         env = Environment()
         order = []
 
-        def proc(tag):
+        def chain(tag):
             order.append(tag)
-            yield env.timeout(1.0)
-            order.append(f"{tag} woke")
+            env.call_later(1.0, order.append, f"{tag} again")
 
         env.call_later(0.0, order.append, "call 1")
-        env.process(proc("process 1"))
-        env.timeout(0.0).callbacks.append(lambda _evt: order.append("timeout"))
-        env.process(proc("process 2"))
+        env.call_later(0.0, chain, "chain 1")
         env.call_later(0.0, order.append, "call 2")
-        env.call_later(1.0, order.append, "call 3")
+        env.call_later(0.0, chain, "chain 2")
+        env.call_later(0.0, order.append, "call 3")
+        env.call_later(1.0, order.append, "call 4")
         env.run()
         assert order == [
             "call 1",
-            "process 1",
-            "timeout",
-            "process 2",
+            "chain 1",
             "call 2",
-            # Scheduled at t=0, before either process's timeout.
+            "chain 2",
             "call 3",
-            "process 1 woke",
-            "process 2 woke",
+            # Scheduled at t=0, before either chain's next call.
+            "call 4",
+            "chain 1 again",
+            "chain 2 again",
         ]
 
     def test_call_receives_its_arguments_at_its_time(self):
@@ -595,20 +218,6 @@ class TestScheduledCalls:
         env.call_later(1.0, order.append, "second")
         env.run()
         assert order == ["first", "second", "scheduled by first"]
-
-    def test_a_call_can_trigger_the_event_a_process_waits_on(self):
-        env = Environment()
-        gate = env.event()
-        woke = []
-
-        def proc(env):
-            value = yield gate
-            woke.append((env.now, value))
-
-        env.process(proc(env))
-        env.call_later(2.0, gate.succeed, "go")
-        env.run()
-        assert woke == [(2.0, "go")]
 
 
 class CountingInterval:
@@ -752,7 +361,8 @@ class TestRestartableTimer:
         timer = RestartableTimer(env, CountingInterval(), lambda: True, lambda: None)
         timer.cancel()
         timer.cancel()
-        assert env.peek() == float("inf")
+        with pytest.raises(SimulationError, match="empty"):
+            env.step()
 
     def test_arm_draws_after_the_calls_already_queued_for_the_instant(self):
         env = Environment()

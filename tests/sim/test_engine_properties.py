@@ -12,13 +12,14 @@ from repro.sim.engine import Environment
 @settings(max_examples=60, deadline=None)
 def test_clock_is_sum_of_delays(delays):
     env = Environment()
+    pending = list(delays)
 
-    def proc(env):
-        for delay in delays:
-            yield env.timeout(delay)
+    def next_call():
+        if pending:
+            env.call_later(pending.pop(0), next_call)
 
-    p = env.process(proc(env))
-    env.run(until=p)
+    next_call()
+    env.run()
     assert abs(env.now - sum(delays)) < 1e-6 * max(1.0, sum(delays))
 
 
@@ -34,12 +35,11 @@ def test_events_fire_in_nondecreasing_time_order(schedule):
     env = Environment()
     fired = []
 
-    def waiter(env, delay, tag):
-        yield env.timeout(delay)
+    def record(tag):
         fired.append((env.now, tag))
 
     for delay, tag in schedule:
-        env.process(waiter(env, delay, tag))
+        env.call_later(delay, record, tag)
     env.run()
     times = [t for t, _ in fired]
     assert times == sorted(times)
@@ -56,12 +56,11 @@ def test_run_until_time_is_a_clean_cut(delays, horizon):
     env = Environment()
     fired = []
 
-    def waiter(env, delay):
-        yield env.timeout(delay)
+    def record():
         fired.append(env.now)
 
     for delay in delays:
-        env.process(waiter(env, delay))
+        env.call_later(delay, record)
     env.run(until=horizon)
     assert all(t <= horizon for t in fired)
     expected = sum(1 for d in delays if d <= horizon)
@@ -76,12 +75,7 @@ def test_fifo_tiebreak_preserves_schedule_order(seed_count):
     """Simultaneous events fire in the order they were scheduled."""
     env = Environment()
     fired = []
-
-    def waiter(env, tag):
-        yield env.timeout(1.0)
-        fired.append(tag)
-
     for tag in range(seed_count):
-        env.process(waiter(env, tag))
+        env.call_later(1.0, fired.append, tag)
     env.run()
     assert fired == list(range(seed_count))

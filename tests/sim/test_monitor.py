@@ -19,16 +19,9 @@ class TestTimeWeightedValue:
     def test_step_changes_integrate_piecewise(self):
         env = Environment()
         signal = TimeWeightedValue(env, initial=0.0)
-
-        def proc(env):
-            yield env.timeout(2.0)
-            signal.set(3.0)
-            yield env.timeout(4.0)
-            signal.set(1.0)
-            yield env.timeout(2.0)
-
-        env.process(proc(env))
-        env.run()
+        env.call_later(2.0, signal.set, 3.0)
+        env.call_later(6.0, signal.set, 1.0)
+        env.run(until=8.0)
         # 2s at 0 + 4s at 3 + 2s at 1 = 14
         assert signal.integral() == pytest.approx(14.0)
         assert signal.time_average() == pytest.approx(14.0 / 8.0)
@@ -60,16 +53,9 @@ class TestStateFractionMonitor:
     def test_fraction_of_time_active(self):
         env = Environment()
         monitor = StateFractionMonitor(env, initial=False)
-
-        def proc(env):
-            yield env.timeout(1.0)
-            monitor.set(True)
-            yield env.timeout(3.0)
-            monitor.set(False)
-            yield env.timeout(6.0)
-
-        env.process(proc(env))
-        env.run()
+        env.call_later(1.0, monitor.set, True)
+        env.call_later(4.0, monitor.set, False)
+        env.run(until=10.0)
         assert monitor.active_time() == pytest.approx(3.0)
         assert monitor.fraction() == pytest.approx(0.3)
 

@@ -13,16 +13,9 @@ class TestTimeSeriesMonitor:
         env = Environment()
         signal = TimeWeightedValue(env, initial=0.0)
         monitor = TimeSeriesMonitor(env, (1.0, 3.0, 5.0), lambda: signal.value)
-
-        def proc(env):
-            yield env.timeout(2.0)
-            signal.set(7.0)
-            yield env.timeout(2.0)
-            signal.set(9.0)
-            yield env.timeout(2.0)
-
-        env.process(proc(env))
-        env.run()
+        env.call_later(2.0, signal.set, 7.0)
+        env.call_later(4.0, signal.set, 9.0)
+        env.run(until=6.0)
         assert monitor.samples() == (0.0, 7.0, 9.0)
 
     def test_empty_grid_records_nothing(self):
