@@ -127,7 +127,6 @@ class TimeSeriesMonitor:
             env.call_later(0.0, self._sample_due, 0)
 
     def _sample_due(self, start: int) -> None:
-        # Sample the grid times from ``start`` on until one lies ahead.
         for index in range(start, len(self.times)):
             delay = self.times[index] - self.env.now
             if delay > 0:
