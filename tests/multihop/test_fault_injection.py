@@ -17,6 +17,7 @@ from repro.core.protocols import Protocol
 from repro.faults import FaultSchedule, GilbertElliottParameters, LinkFlap, NodeCrash
 from repro.multihop import MultiHopSimConfig, TreeSimulation
 from repro.multihop.chain import MultiHopSimulation
+from repro.sim.channel import Channel
 
 
 def chain_config(**overrides):
@@ -143,6 +144,50 @@ class TestTreeFaults:
         ).run()
         assert modulated.inconsistency_ratio == baseline.inconsistency_ratio
         assert modulated.link_transmissions == baseline.link_transmissions
+
+    def test_flap_toggles_the_link_at_its_window_edges(self, monkeypatch):
+        flap = LinkFlap(link=2, period=300.0, down_duration=20.0, offset=50.0)
+        config = self.tree_config(horizon=1000.0, faults=FaultSchedule(flaps=(flap,)))
+        simulation = TreeSimulation(config, self.TOPOLOGY)
+        toggles = []
+
+        def set_down(channel, down):
+            if channel.name.startswith("edge-2-"):
+                toggles.append((channel.name, channel.env.now, down))
+            channel.__dict__["down"] = down
+
+        # Patched after construction: the property reads and writes the
+        # instance attribute that Channel.__init__ set.
+        down = property(lambda channel: channel.__dict__["down"], set_down)
+        monkeypatch.setattr(Channel, "down", down, raising=False)
+        simulation.run()
+        expected = []
+        for down_at, up_at in flap.windows(config.horizon):
+            for at, state in ((down_at, True), (up_at, False)):
+                expected += [("edge-2-fwd", at, state), ("edge-2-rev", at, state)]
+        assert len(expected) == 16
+        assert toggles == expected
+
+    def test_crash_and_restart_run_at_their_times(self, monkeypatch):
+        crash = NodeCrash(node=3, at=250.0, restart_after=40.0)
+        config = self.tree_config(horizon=1000.0, faults=FaultSchedule(crashes=(crash,)))
+        simulation = TreeSimulation(config, self.TOPOLOGY)
+        node = simulation.nodes[3]
+        crash_node, restart_node = node.crash, node.restart
+        events = []
+
+        def recording(name, action):
+            def record():
+                events.append((name, simulation.env.now))
+                action()
+
+            return record
+
+        monkeypatch.setattr(node, "crash", recording("crash", crash_node))
+        monkeypatch.setattr(node, "restart", recording("restart", restart_node))
+        simulation.run()
+        assert events == [("crash", 250.0), ("restart", 290.0)]
+        assert not node.crashed
 
     def test_flap_deterministic_and_degrading(self):
         faults = FaultSchedule(

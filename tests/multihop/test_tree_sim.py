@@ -20,10 +20,10 @@ from repro.multihop import (
     TreeSimulation,
     simulate_tree_replications,
 )
-from repro.multihop.tree import TreeSender
+from repro.multihop.tree import TreeRelayNode, TreeSender
 from repro.sim.channel import Channel
 from repro.sim.monitor import TimeSeriesMonitor
-from repro.sim.randomness import TimerDiscipline
+from repro.sim.randomness import RandomStreams, TimerDiscipline
 
 BINARY = Topology.kary(2, 2)
 
@@ -254,3 +254,50 @@ class TestFailuresLeaveTheRun:
         monkeypatch.setattr(TimeSeriesMonitor, "__init__", init_with_raising_probe)
         with pytest.raises(Boom):
             self.run_tree(sample_times=(200.0, 300.0))
+
+    def test_a_raising_refresh_flood_leaves_the_run(self, monkeypatch):
+        def send_refreshes(sender):
+            raise Boom("refresh")
+
+        monkeypatch.setattr(TreeSender, "_send_refreshes", send_refreshes)
+        with pytest.raises(Boom):
+            self.run_tree()
+
+    def test_a_raising_crash_leaves_the_run(self, monkeypatch):
+        def crash(node):
+            raise Boom("crash")
+
+        monkeypatch.setattr(TreeRelayNode, "crash", crash)
+        fault = NodeCrash(node=2, at=200.0, restart_after=5.0)
+        with pytest.raises(Boom):
+            self.run_tree(faults=FaultSchedule(crashes=(fault,)))
+
+    def test_a_raising_false_signal_leaves_the_run(self, monkeypatch):
+        def false_remove(node):
+            raise Boom("false signal")
+
+        monkeypatch.setattr(TreeRelayNode, "false_remove", false_remove)
+        config = config_for(
+            BINARY, protocol=Protocol.HS, horizon=500.0, external_false_signal_rate=0.01
+        )
+        with pytest.raises(Boom):
+            TreeSimulation(config, BINARY).run()
+
+
+class TestWorkload:
+    def test_updates_follow_the_workload_draws(self):
+        # The update loop draws its first gap when the run starts and the
+        # next gap after each update, all from the "workload" stream.
+        config = config_for(BINARY, horizon=500.0)
+        simulation = TreeSimulation(config, BINARY)
+        simulation.run()
+        rng = RandomStreams(config.seed).stream("workload")
+        rate = config.params.update_rate
+        when, expected = 0.0, 0
+        while True:
+            when += float(rng.exponential(1.0 / rate))
+            if when > config.horizon:
+                break
+            expected += 1
+        assert expected > 0
+        assert simulation.sender.version == 1 + expected

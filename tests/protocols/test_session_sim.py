@@ -15,6 +15,7 @@ from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
 from repro.protocols.config import SingleHopSimConfig
 from repro.protocols.receiver import SignalingReceiver
+from repro.protocols.sender import SignalingSender
 from repro.protocols.session import SingleHopSimulation, simulate_replications
 from repro.sim.randomness import TimerDiscipline
 
@@ -88,6 +89,41 @@ class TestMechanics:
         boosted = params.replace(external_false_signal_rate=0.01)
         with pytest.raises(Boom):
             run_sim(Protocol.HS, boosted, sessions=50)
+
+    def test_a_raising_update_leaves_the_run(self, params, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def update(sender):
+            raise Boom("update")
+
+        monkeypatch.setattr(SignalingSender, "update", update)
+        with pytest.raises(Boom):
+            run_sim(Protocol.SS, params, sessions=50)
+
+    def test_each_session_installs_once(self, params, monkeypatch):
+        install = SignalingSender.install
+        installs = []
+
+        def counting_install(sender):
+            installs.append(sender.env.now)
+            install(sender)
+
+        monkeypatch.setattr(SignalingSender, "install", counting_install)
+        result = run_sim(Protocol.SS_ER, params, sessions=15)
+        assert len(installs) == 15
+        assert installs == sorted(installs)
+        assert installs[-1] < result.sim_time
+
+    def test_run_ends_with_both_sides_empty(self, params):
+        config = SingleHopSimConfig(
+            protocol=Protocol.SS, params=params, sessions=10, seed=404
+        )
+        simulation = SingleHopSimulation(config)
+        result = simulation.run()
+        assert simulation.sender.value is None
+        assert simulation.receiver.value is None
+        assert result.sim_time == simulation.env.now
 
     def test_mean_cycle_length_near_session_length(self, params):
         result = run_sim(Protocol.SS_ER, params, sessions=100)

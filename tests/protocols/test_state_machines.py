@@ -307,6 +307,56 @@ class TestFalseRemovalRecovery:
         harness.env.run(until=1.0 + PARAMS.delay + 1e-9)
         assert called == [1.0 + PARAMS.delay]
 
+    def test_when_empty_callbacks_run_in_registration_order(self):
+        harness = Harness(Protocol.SS_ER)
+        harness.sender.install()
+        harness.env.run(until=1.0)
+        order = []
+        harness.receiver.when_empty(lambda: order.append("first"))
+        harness.receiver.when_empty(lambda: order.append("second"))
+        harness.sender.remove()
+        harness.env.run(until=2.0)
+        assert order == ["first", "second"]
+
+    def test_when_empty_calls_on_timeout_removal(self):
+        harness = Harness(Protocol.SS)
+        harness.sender.install()
+        harness.env.run(until=1.0)
+        called = []
+        harness.receiver.when_empty(lambda: called.append(harness.env.now))
+        # SS sends no removal: the receiver's state times out, counted from
+        # the trigger's arrival (no refresh was sent before the removal).
+        harness.sender.remove()
+        harness.env.run(until=PARAMS.delay + PARAMS.timeout_interval + 1.0)
+        assert harness.receiver.timeout_removals == 1
+        assert called == [PARAMS.delay + PARAMS.timeout_interval]
+
+    def test_when_empty_runs_behind_the_work_queued_at_the_removal(self):
+        harness = Harness(Protocol.HS)
+        harness.sender.install()
+        harness.env.run(until=1.0)
+        order = []
+        harness.receiver.when_empty(lambda: order.append("empty"))
+        harness.env.call_later(0.0, harness.receiver.false_remove)
+        harness.env.call_later(0.0, order.append, "queued")
+        harness.env.run(until=1.0)
+        assert order == ["queued", "empty"]
+
+    def test_when_empty_calls_once_per_registration(self):
+        harness = Harness(Protocol.HS)
+        harness.sender.install()
+        harness.env.run(until=1.0)
+        called = []
+        harness.receiver.when_empty(lambda: called.append(harness.env.now))
+        harness.receiver.false_remove()
+        # The NOTIFY makes the sender re-install before the second removal.
+        harness.env.run(until=1.0 + 2 * PARAMS.delay + 1e-6)
+        assert harness.receiver.value is not None
+        harness.receiver.false_remove()
+        harness.env.run(until=2.0)
+        assert harness.receiver.false_signal_removals == 2
+        assert called == [1.0]
+
 
 class RecordingTimer:
     """A timer whose draws are kept, so tests can replay the waits."""

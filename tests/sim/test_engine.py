@@ -55,6 +55,37 @@ class TestClock:
         with pytest.raises(SimulationError):
             env.run(until=5.0)
 
+    def test_run_before_the_initial_time_rejected(self):
+        env = Environment(initial_time=5.0)
+        with pytest.raises(SimulationError, match="backwards"):
+            env.run(until=4.0)
+        assert env.now == 5.0
+
+    def test_calls_count_from_the_initial_time(self):
+        env = Environment(initial_time=5.0)
+        seen = []
+        env.call_later(2.0, lambda: seen.append(env.now))
+        env.run()
+        assert seen == [7.0]
+
+    def test_calls_after_a_run_until_count_from_the_horizon(self):
+        env = Environment()
+        env.run(until=10.0)
+        seen = []
+        env.call_later(1.5, lambda: seen.append(env.now))
+        env.run()
+        assert seen == [11.5]
+
+    def test_run_until_now_fires_the_calls_due_now(self):
+        env = Environment()
+        env.run(until=3.0)
+        fired = []
+        env.call_later(0.0, fired.append, "now")
+        env.call_later(1.0, fired.append, "later")
+        env.run(until=3.0)
+        assert fired == ["now"]
+        assert env.now == 3.0
+
 
 class TestEventOrdering:
     def test_same_time_events_fire_in_schedule_order(self):
@@ -77,6 +108,36 @@ class TestEventOrdering:
     def test_step_on_empty_queue_raises(self):
         with pytest.raises(SimulationError):
             Environment().step()
+
+    def test_step_fires_one_call_of_an_instant_at_a_time(self):
+        env = Environment()
+        ran = []
+        for tag in ("a", "b"):
+            env.call_later(1.0, ran.append, tag)
+        env.step()
+        assert ran == ["a"]
+        env.step()
+        assert ran == ["a", "b"]
+
+    def test_step_over_a_cancelled_call_moves_the_clock_and_runs_nothing(self):
+        env = Environment()
+        ran = []
+        env.call_later(2.0, ran.append, "cancelled").cancel()
+        env.call_later(3.0, ran.append, "kept")
+        env.step()
+        assert (env.now, ran) == (2.0, [])
+        env.step()
+        assert (env.now, ran) == (3.0, ["kept"])
+
+    def test_fifo_tiebreak_holds_across_separate_runs(self):
+        env = Environment()
+        order = []
+        env.call_later(5.0, order.append, "first")
+        env.run(until=2.0)
+        # Also due at t=5, but scheduled later: it fires second.
+        env.call_later(3.0, order.append, "second")
+        env.run()
+        assert order == ["first", "second"]
 
 
 class TestRunUntil:
@@ -116,6 +177,55 @@ class TestRunUntil:
         assert ran == []
         env.run()
         assert ran == ["after"]
+
+    def test_a_failing_call_does_not_run_again_when_the_run_resumes(self):
+        env = Environment()
+        attempts = []
+
+        def fail():
+            attempts.append(env.now)
+            raise RuntimeError("once")
+
+        env.call_later(1.0, fail)
+        with pytest.raises(RuntimeError):
+            env.run()
+        env.run()
+        assert attempts == [1.0]
+
+    def test_an_exception_from_step_leaves_the_clock_at_the_call(self):
+        env = Environment()
+        env.call_later(4.0, divmod, 1, 0)
+        with pytest.raises(ZeroDivisionError):
+            env.step()
+        assert env.now == 4.0
+
+    def test_kernel_misuse_inside_a_call_escapes_the_run(self):
+        env = Environment()
+        env.call_later(1.0, env.call_later, -1.0, print)
+        with pytest.raises(SimulationError, match="past"):
+            env.run()
+        assert env.now == 1.0
+
+    def test_calls_scheduled_during_the_run_fire_if_due_by_the_horizon(self):
+        env = Environment()
+        fired = []
+
+        def spawn():
+            fired.append(env.now)
+            env.call_later(2.0, fired.append, 3.0)
+            env.call_later(6.0, fired.append, 7.0)
+
+        env.call_later(1.0, spawn)
+        env.run(until=5.0)
+        assert fired == [1.0, 3.0]
+        assert env.now == 5.0
+        env.run()
+        assert fired == [1.0, 3.0, 7.0]
+
+    def test_run_without_until_on_an_empty_queue_keeps_the_clock(self):
+        env = Environment(initial_time=4.0)
+        env.run()
+        assert env.now == 4.0
 
 
 class TestScheduledCalls:
@@ -219,6 +329,51 @@ class TestScheduledCalls:
         env.run()
         assert order == ["first", "second", "scheduled by first"]
 
+    def test_cancelling_twice_is_harmless(self):
+        env = Environment()
+        ran = []
+        call = env.call_later(1.0, ran.append, "x")
+        call.cancel()
+        call.cancel()
+        env.run()
+        assert ran == []
+
+    def test_one_callable_scheduled_twice_runs_twice(self):
+        env = Environment()
+        seen = []
+
+        def record(tag):
+            seen.append((env.now, tag))
+
+        env.call_later(1.0, record, "a")
+        env.call_later(2.0, record, "b")
+        env.run()
+        assert seen == [(1.0, "a"), (2.0, "b")]
+
+    def test_a_call_may_cancel_a_later_call_of_its_own_instant(self):
+        env = Environment()
+        ran = []
+        env.call_later(1.0, lambda: later.cancel())
+        later = env.call_later(1.0, ran.append, "later")
+        env.run()
+        assert ran == []
+        assert env.now == 1.0
+
+    def test_a_call_that_schedules_its_next_step_is_a_loop(self):
+        env = Environment()
+        ticks = []
+
+        def tick():
+            ticks.append(env.now)
+            env.call_later(2.0, tick)
+
+        env.call_later(0.0, tick)
+        env.run(until=7.0)
+        assert ticks == [0.0, 2.0, 4.0, 6.0]
+        # The loop's next step stays queued past the horizon.
+        env.step()
+        assert ticks[-1] == env.now == 8.0
+
 
 class CountingInterval:
     """Returns the given intervals in turn and counts the draws."""
@@ -245,6 +400,65 @@ class TestRestartableTimer:
         assert fired == [1.0, 3.0, 7.0]
         # No wait is drawn once the condition fails after the last fire.
         assert interval.draws == 3
+
+    def test_an_always_true_loop_fires_once_per_interval_until_the_horizon(self):
+        env = Environment()
+        interval = CountingInterval(*[1.0] * 10)
+        fired = []
+        RestartableTimer(env, interval, lambda: True, lambda: fired.append(env.now)).restart()
+        env.run(until=5.5)
+        assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+        # The arm's draw, then one draw after each fire.
+        assert interval.draws == 6
+
+    def test_each_expiry_fires_before_it_draws_the_next_wait(self):
+        env = Environment()
+        log = []
+
+        def interval():
+            log.append("draw")
+            return 1.0
+
+        RestartableTimer(env, interval, lambda: True, lambda: log.append("fire")).restart()
+        env.run(until=2.0)
+        assert log == ["draw", "fire", "draw", "fire", "draw"]
+
+    def test_a_raising_fire_leaves_the_run_and_fires_no_more(self):
+        env = Environment()
+        fired = []
+
+        def fire():
+            fired.append(env.now)
+            if len(fired) == 2:
+                raise RuntimeError("fire")
+
+        RestartableTimer(env, lambda: 1.0, lambda: True, fire).restart()
+        with pytest.raises(RuntimeError, match="fire"):
+            env.run(until=10.0)
+        assert env.now == 2.0
+        env.run(until=10.0)
+        assert fired == [1.0, 2.0]
+
+    def test_a_raising_interval_leaves_the_run_at_the_arm(self):
+        def interval():
+            raise ValueError("draw")
+
+        env = Environment()
+        env.run(until=3.0)
+        RestartableTimer(env, interval, lambda: True, lambda: None).restart()
+        with pytest.raises(ValueError, match="draw"):
+            env.run()
+        assert env.now == 3.0
+
+    def test_a_cancel_queued_before_the_arm_for_the_expiry_instant_wins(self):
+        env = Environment()
+        fired = []
+        timer = RestartableTimer(env, lambda: 2.0, lambda: True, lambda: fired.append(env.now))
+        # Queued before the timer's expiry call exists, so it runs first at t=2.
+        env.call_later(2.0, timer.cancel)
+        timer.restart()
+        env.run(until=10.0)
+        assert fired == []
 
     def test_condition_is_checked_again_at_expiry(self):
         env = Environment()
