@@ -33,12 +33,7 @@ from repro.core.parameters import (
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopSolution
 from repro.experiments import run_scenario
-from repro.experiments.common import (
-    ALL_PROTOCOLS,
-    MULTIHOP_PROTOCOLS,
-    multihop_metric_series,
-    singlehop_metric_series,
-)
+from repro.experiments.common import metric_series
 from repro.experiments.runner import ExperimentResult, Series  # noqa: F401 - re-export
 from repro.experiments.spec import (
     ScenarioSpec,
@@ -244,10 +239,15 @@ def sweep(
     if base is None:
         base = reservation_defaults() if multihop else kazaa_defaults()
     if protocols is None:
-        selected = MULTIHOP_PROTOCOLS if multihop else ALL_PROTOCOLS
+        selected = Protocol.multihop_family() if multihop else tuple(Protocol)
     else:
         selected = parse_protocols(protocols)
     metric_fn = _metric(metric) if isinstance(metric, str) else metric
-    make = lambda x: apply_overrides(base, {param: x})  # noqa: E731
-    series_fn = multihop_metric_series if multihop else singlehop_metric_series
-    return series_fn(tuple(values), make, metric_fn, protocols=selected, jobs=jobs)
+    return metric_series(
+        "multihop" if multihop else "singlehop",
+        values,
+        lambda x: apply_overrides(base, {param: x}),
+        metric_fn,
+        selected,
+        jobs,
+    )

@@ -1,74 +1,68 @@
-"""Shared sweep helpers for the experiment modules.
+"""The sweep path every experiment shares.
 
-Sweeps are expressed as flat task batches and handed to
-:mod:`repro.runtime`, which dedupes repeated ``(protocol, params)``
+A sweep is a flat batch of ``(protocol, *point)`` tasks for one model
+family, named by its :data:`repro.runtime.solvers.FAMILIES` tag and
+handed to :func:`repro.runtime.solve_batch`, which dedupes repeated
 points through the memo cache and fans cache misses across the process
 pool when a worker count is configured (``--jobs`` / ``REPRO_JOBS``).
-Results come back in task order, so output is identical to the old
-serial loops.
+Results come back in task order, so output is identical to serial
+per-point loops.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from repro.core.multihop import MultiHopSolution
-from repro.core.multihop.heterogeneous import HeterogeneousHop
-from repro.core.multihop.topology import Topology
-from repro.core.multihop.tree_model import TreeSolution
-from repro.core.parameters import MultiHopParameters, SignalingParameters
+from repro.core.parameters import SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopSolution
 from repro.experiments.runner import Series
-from repro.faults.gilbert import GilbertElliottParameters
-from repro.runtime import (
-    solve_gilbert_multihop_batch,
-    solve_gilbert_singlehop_batch,
-    solve_heterogeneous_batch,
-    solve_multihop_batch,
-    solve_singlehop_batch,
-    solve_tree_batch,
-)
+from repro.runtime import solve_batch
 
-__all__ = [
-    "ALL_PROTOCOLS",
-    "MULTIHOP_PROTOCOLS",
-    "gilbert_metric_series",
-    "heterogeneous_metric_series",
-    "multihop_metric_series",
-    "parametric_singlehop_series",
-    "singlehop_metric_series",
-    "tree_metric_series",
-]
-
-ALL_PROTOCOLS: tuple[Protocol, ...] = tuple(Protocol)
-MULTIHOP_PROTOCOLS: tuple[Protocol, ...] = Protocol.multihop_family()
+__all__ = ["metric_series", "parametric_singlehop_series"]
 
 
-def _empty_series(protocols: Sequence[Protocol]) -> list[Series]:
-    return [Series(protocol.value, (), ()) for protocol in protocols]
+def _solved_by_protocol(
+    family: str,
+    sweep: Sequence[float],
+    make_point: Callable[[float], object],
+    protocols: Sequence[Protocol],
+    jobs: int | None,
+) -> list[list]:
+    """Solve every ``(protocol, x)`` pair in one batch, grouped by protocol.
+
+    ``make_point(x)`` returns the task inputs after the protocol: bare
+    parameters, which are wrapped in a one-tuple, or a tuple such as
+    ``(params, hop_profile)``, ``(params, topology)`` or
+    ``(params, gilbert)``.
+    """
+    points = [make_point(x) for x in sweep]
+    points = [point if isinstance(point, tuple) else (point,) for point in points]
+    tasks = [(protocol, *point) for protocol in protocols for point in points]
+    solutions = solve_batch(family, tasks, jobs)
+    n = len(points)
+    return [solutions[k * n : (k + 1) * n] for k in range(len(protocols))]
 
 
-def _chunk(values: list, size: int) -> list[list]:
-    return [values[i : i + size] for i in range(0, len(values), size)]
-
-
-def singlehop_metric_series(
+def metric_series(
+    family: str,
     xs: Sequence[float],
-    make_params: Callable[[float], SignalingParameters],
-    metric: Callable[[SingleHopSolution], float],
-    protocols: Sequence[Protocol] = ALL_PROTOCOLS,
+    make_point: Callable[[float], object],
+    metric: Callable[[object], float],
+    protocols: Sequence[Protocol],
     jobs: int | None = None,
 ) -> list[Series]:
-    """Sweep ``xs`` through the single-hop model; one series per protocol."""
+    """Sweep ``xs`` through the model family ``family``; one series per protocol.
+
+    ``family`` is a :data:`repro.runtime.solvers.FAMILIES` tag and
+    ``make_point(x)`` builds one sweep point's task inputs for it.  Each
+    series is labelled with its protocol's name.
+    """
     xs = tuple(xs)
-    if not xs:
-        return _empty_series(protocols)
-    tasks = [(protocol, make_params(x)) for protocol in protocols for x in xs]
-    solutions = solve_singlehop_batch(tasks, jobs=jobs)
+    groups = _solved_by_protocol(family, xs, make_point, protocols, jobs)
     return [
         Series(protocol.value, xs, tuple(metric(solution) for solution in group))
-        for protocol, group in zip(protocols, _chunk(solutions, len(xs)))
+        for protocol, group in zip(protocols, groups)
     ]
 
 
@@ -77,150 +71,20 @@ def parametric_singlehop_series(
     make_params: Callable[[float], SignalingParameters],
     x_metric: Callable[[SingleHopSolution], float],
     y_metric: Callable[[SingleHopSolution], float],
-    protocols: Sequence[Protocol] = ALL_PROTOCOLS,
+    protocols: Sequence[Protocol],
     jobs: int | None = None,
 ) -> list[Series]:
     """Trade-off curves: sweep a hidden parameter, plot metric vs metric.
 
     Used for Figs. 9-10, which plot message overhead against
     inconsistency while a parameter (R, lambda_u or Delta) varies along
-    the curve.
+    the curve; each curve's points are sorted by ``x_metric``.
     """
-    sweep = tuple(sweep)
-    if not sweep:
-        return _empty_series(protocols)
-    tasks = [(protocol, make_params(value)) for protocol in protocols for value in sweep]
-    solutions = solve_singlehop_batch(tasks, jobs=jobs)
-    series = []
-    for protocol, group in zip(protocols, _chunk(solutions, len(sweep))):
-        points = sorted((x_metric(solution), y_metric(solution)) for solution in group)
-        series.append(Series.from_points(protocol.value, points))
-    return series
-
-
-def heterogeneous_metric_series(
-    xs: Sequence[float],
-    make_point: Callable[
-        [float], tuple[MultiHopParameters, tuple[HeterogeneousHop, ...]]
-    ],
-    metric: Callable[[MultiHopSolution], float],
-    protocols: Sequence[Protocol] = MULTIHOP_PROTOCOLS,
-    jobs: int | None = None,
-) -> list[Series]:
-    """Sweep ``xs`` through the heterogeneous multi-hop model.
-
-    ``make_point(x)`` returns ``(params, hop_vector)`` for one sweep
-    value — e.g. a hop count mapped to a per-hop loss/delay profile.
-    One series per protocol, solved through the compiled-template
-    batch path.
-    """
-    xs = tuple(xs)
-    if not xs:
-        return _empty_series(protocols)
-    points = [make_point(x) for x in xs]
-    tasks = [
-        (protocol, params, hops) for protocol in protocols for params, hops in points
-    ]
-    solutions = solve_heterogeneous_batch(tasks, jobs=jobs)
+    groups = _solved_by_protocol("singlehop", tuple(sweep), make_params, protocols, jobs)
     return [
-        Series(protocol.value, xs, tuple(metric(solution) for solution in group))
-        for protocol, group in zip(protocols, _chunk(solutions, len(xs)))
-    ]
-
-
-def tree_metric_series(
-    xs: Sequence[float],
-    make_point: Callable[[float], tuple[MultiHopParameters, Topology]],
-    metric: Callable[[TreeSolution], float],
-    protocols: Sequence[Protocol] = MULTIHOP_PROTOCOLS,
-    jobs: int | None = None,
-    label_suffix: str = "",
-) -> list[Series]:
-    """Sweep ``xs`` through the tree (multicast) model.
-
-    ``make_point(x)`` returns ``(params, topology)`` for one sweep
-    value — e.g. a fan-out mapped to a star, or a depth mapped to a
-    binary tree.  One series per protocol (labels get
-    ``label_suffix``, so several shapes can share a panel), solved
-    through the compiled tree-template batch path.
-    """
-    xs = tuple(xs)
-    if not xs:
-        return [Series(f"{p.value}{label_suffix}", (), ()) for p in protocols]
-    points = [make_point(x) for x in xs]
-    tasks = [
-        (protocol, params, topology)
-        for protocol in protocols
-        for params, topology in points
-    ]
-    solutions = solve_tree_batch(tasks, jobs=jobs)
-    return [
-        Series(
-            f"{protocol.value}{label_suffix}",
-            xs,
-            tuple(metric(solution) for solution in group),
+        Series.from_points(
+            protocol.value,
+            sorted((x_metric(solution), y_metric(solution)) for solution in group),
         )
-        for protocol, group in zip(protocols, _chunk(solutions, len(xs)))
-    ]
-
-
-def gilbert_metric_series(
-    xs: Sequence[float],
-    make_point: Callable[
-        [float],
-        tuple[SignalingParameters | MultiHopParameters, GilbertElliottParameters],
-    ],
-    metric: Callable[[object], float],
-    protocols: Sequence[Protocol] = ALL_PROTOCOLS,
-    jobs: int | None = None,
-    label_suffix: str = "",
-) -> list[Series]:
-    """Sweep ``xs`` through a Gilbert-Elliott product-chain model.
-
-    ``make_point(x)`` returns ``(params, gilbert)`` for one sweep value
-    — e.g. a burstiness knob mapped through
-    :meth:`~repro.faults.gilbert.GilbertElliottParameters.matched_average`.
-    The parameter type picks the model: :class:`SignalingParameters`
-    solves the single-hop product chain, :class:`MultiHopParameters` the
-    multi-hop one.  One series per protocol, solved through the
-    compiled-template batch path.
-    """
-    xs = tuple(xs)
-    if not xs:
-        return [Series(f"{p.value}{label_suffix}", (), ()) for p in protocols]
-    points = [make_point(x) for x in xs]
-    tasks = [
-        (protocol, params, gilbert)
-        for protocol in protocols
-        for params, gilbert in points
-    ]
-    multihop = isinstance(points[0][0], MultiHopParameters)
-    solve = solve_gilbert_multihop_batch if multihop else solve_gilbert_singlehop_batch
-    solutions = solve(tasks, jobs=jobs)
-    return [
-        Series(
-            f"{protocol.value}{label_suffix}",
-            xs,
-            tuple(metric(solution) for solution in group),
-        )
-        for protocol, group in zip(protocols, _chunk(solutions, len(xs)))
-    ]
-
-
-def multihop_metric_series(
-    xs: Sequence[float],
-    make_params: Callable[[float], MultiHopParameters],
-    metric: Callable[[MultiHopSolution], float],
-    protocols: Sequence[Protocol] = MULTIHOP_PROTOCOLS,
-    jobs: int | None = None,
-) -> list[Series]:
-    """Sweep ``xs`` through the multi-hop model; one series per protocol."""
-    xs = tuple(xs)
-    if not xs:
-        return _empty_series(protocols)
-    tasks = [(protocol, make_params(x)) for protocol in protocols for x in xs]
-    solutions = solve_multihop_batch(tasks, jobs=jobs)
-    return [
-        Series(protocol.value, xs, tuple(metric(solution) for solution in group))
-        for protocol, group in zip(protocols, _chunk(solutions, len(xs)))
+        for protocol, group in zip(protocols, groups)
     ]

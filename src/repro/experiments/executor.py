@@ -7,6 +7,10 @@ named fidelity profile, applies parameter overrides to the base preset,
 narrows the protocol set, evaluates every panel's series plans through
 the :mod:`repro.runtime` batch path (compiled templates + memo cache +
 optional process pool) and stamps a provenance block onto the result.
+A sweep plan solves through the ``FAMILIES`` tag that
+:func:`~repro.experiments.spec.model_family` names for the scenario,
+and each plan's ``label_suffix`` is appended to its series' labels in
+one place, whatever the plan's kind.
 
 The canned specs produce byte-identical ``to_text()`` output to the
 pre-spec experiment modules; variants (overrides, protocol subsets,
@@ -15,20 +19,13 @@ alternate fidelities) run through exactly the same code.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Mapping, Sequence
 
 from repro._version import __version__
 from repro.core.protocols import Protocol
 from repro.experiments import spec as _spec
-from repro.core.parameters import MultiHopParameters
-from repro.experiments.common import (
-    gilbert_metric_series,
-    heterogeneous_metric_series,
-    multihop_metric_series,
-    parametric_singlehop_series,
-    singlehop_metric_series,
-    tree_metric_series,
-)
+from repro.experiments.common import metric_series, parametric_singlehop_series
 from repro.experiments.runner import ExperimentResult, Panel, Provenance, Series
 from repro.experiments.simsupport import (
     sessions_for_length,
@@ -87,7 +84,10 @@ def run_scenario(
         series: list[Series] = []
         for plan in panel_spec.plans:
             series.extend(
-                _plan_series(spec, plan, profile, base, selection, sim_memo, jobs, seed)
+                dataclasses.replace(s, label=s.label + plan.label_suffix)
+                for s in _plan_series(
+                    spec, plan, profile, base, selection, sim_memo, jobs, seed
+                )
             )
         panels.append(_build_panel(spec, panel_spec, series))
     panels = tuple(panels)
@@ -208,12 +208,13 @@ def _sweep_series(
     jobs: int | None,
 ) -> list[Series]:
     xs = spec.axis(plan.axis).resolve(profile)
-    if spec.family == "transient":
+    family = _spec.model_family(spec)
+    if family == "transient":
         # No binder/metric: the axis is the time grid itself, solved in
         # one uniformization pass per protocol through the runtime cache.
         return [
             Series(
-                f"{protocol.value}{plan.label_suffix}",
+                protocol.value,
                 xs,
                 tuple(
                     solve_transient_curve(
@@ -230,37 +231,15 @@ def _sweep_series(
             )
             for protocol in protocols
         ]
-    bind = _spec.binder(plan.binder)
-    metric = _spec.metric(plan.metric)
-    make = lambda x: bind(base, x)  # noqa: E731
-    if spec.family == "singlehop":
-        return singlehop_metric_series(xs, make, metric, protocols=protocols, jobs=jobs)
-    if spec.family == "multihop":
-        return multihop_metric_series(xs, make, metric, protocols=protocols, jobs=jobs)
-    if spec.family == "tree":
-        return tree_metric_series(
-            xs,
-            make,
-            metric,
-            protocols=protocols,
-            jobs=jobs,
-            label_suffix=plan.label_suffix,
-        )
-    if spec.family == "burst_loss":
-        return gilbert_metric_series(
-            xs,
-            make,
-            metric,
-            protocols=protocols,
-            jobs=jobs,
-            label_suffix=plan.label_suffix,
-        )
-    if spec.family == "link_flap":
+    if family == "link_flap":
         raise ScenarioError(
             f"{spec.scenario_id}: link_flap scenarios have no analytic model; "
             "use 'sim' series plans"
         )
-    return heterogeneous_metric_series(xs, make, metric, protocols=protocols, jobs=jobs)
+    bind = _spec.binder(plan.binder)
+    return metric_series(
+        family, xs, lambda x: bind(base, x), _spec.metric(plan.metric), protocols, jobs
+    )
 
 
 def _sim_series(
@@ -279,46 +258,31 @@ def _sim_series(
         )
     xs = spec.axis(plan.axis).resolve(profile)
     seed = spec.sim.seed if seed is None else seed
-    if spec.family == "transient":
-        return _transient_sim_series(
-            spec, plan, profile, base, protocols, xs, sim_memo, jobs, seed
-        )
+    family = _spec.model_family(spec)
+    if family == "transient":
+        return _transient_sim_series(spec, profile, base, protocols, xs, sim_memo, jobs, seed)
     bind = _spec.binder(plan.binder)
+    replications = profile.replications
     tasks = []
     simulate = simulate_singlehop_batch
     for protocol in protocols:
         for x in xs:
             bound = bind(base, x)
-            if spec.family == "burst_loss":
-                # Binder yields (params, gilbert); the parameter type
-                # picks the harness, mirroring the model dispatch.
-                params, gilbert = bound
-                if isinstance(params, MultiHopParameters):
-                    simulate = simulate_faulted_multihop_batch
-                    horizon = _sim_horizon(spec, profile)
-                    tasks.append(
-                        (protocol, params, gilbert, None, horizon,
-                         profile.replications, seed)
-                    )
-                else:
-                    simulate = simulate_gilbert_singlehop_batch
-                    sessions = _sim_sessions(spec, profile, x)
-                    tasks.append(
-                        (protocol, params, gilbert, sessions,
-                         profile.replications, seed)
-                    )
-            elif spec.family == "link_flap":
-                # Binder yields (params, fault schedule).
-                params, faults = bound
+            if family in ("gilbert-multihop", "link_flap"):
+                # Binder yields (params, gilbert) or (params, fault schedule).
                 simulate = simulate_faulted_multihop_batch
+                params, extra = bound
+                gilbert, faults = (None, extra) if family == "link_flap" else (extra, None)
                 horizon = _sim_horizon(spec, profile)
-                tasks.append(
-                    (protocol, params, None, faults, horizon,
-                     profile.replications, seed)
-                )
+                tasks.append((protocol, params, gilbert, faults, horizon, replications, seed))
+            elif family == "gilbert-singlehop":
+                simulate = simulate_gilbert_singlehop_batch
+                params, gilbert = bound
+                sessions = _sim_sessions(spec, profile, x)
+                tasks.append((protocol, params, gilbert, sessions, replications, seed))
             else:
                 sessions = _sim_sessions(spec, profile, x)
-                tasks.append((protocol, bound, sessions, profile.replications, seed))
+                tasks.append((protocol, bound, sessions, replications, seed))
     # Both panels of a validation figure draw on the same simulated
     # points; memoize per run so each point is simulated once.
     misses = [task for task in tasks if task not in sim_memo]
@@ -332,7 +296,7 @@ def _sim_series(
         chunk = points[k * len(xs) : (k + 1) * len(xs)]
         series.append(
             Series(
-                f"{protocol.value}{plan.label_suffix}",
+                protocol.value,
                 xs,
                 tuple(getattr(point, mean_attr) for point in chunk),
                 tuple(getattr(point, err_attr) for point in chunk),
@@ -343,7 +307,6 @@ def _sim_series(
 
 def _transient_sim_series(
     spec: ScenarioSpec,
-    plan: SeriesPlan,
     profile: FidelityProfile,
     base,
     protocols: tuple[Protocol, ...],
@@ -353,13 +316,13 @@ def _transient_sim_series(
     seed: int,
 ) -> list[Series]:
     """Replicated consistency curves: one whole grid per task."""
-    plan_ = spec.transient
+    transient = spec.transient
     tasks = [
         (
             protocol,
             base,
-            plan_.faults,
-            plan_.warmup,
+            transient.faults,
+            transient.warmup,
             tuple(xs),
             profile.replications,
             seed,
@@ -372,7 +335,7 @@ def _transient_sim_series(
             sim_memo[task] = curve
     return [
         Series(
-            f"{protocol.value}{plan.label_suffix}",
+            protocol.value,
             xs,
             sim_memo[task].means,
             sim_memo[task].half_widths,

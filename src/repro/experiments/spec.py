@@ -13,7 +13,8 @@ variants of canned ones — need no new imperative code.
 Extension points are small named registries:
 
 * :func:`register_binder` — ``name -> (base_params, x) -> params`` sweep
-  binders (heterogeneous binders return ``(params, hop_profile)``);
+  binders (binders of families whose tasks carry more inputs return a
+  tuple, e.g. ``(params, hop_profile)``);
 * :func:`register_metric` — ``name -> (solution) -> float`` metric
   bindings;
 * :func:`register_notes_hook` — ``name -> (panels) -> notes`` for
@@ -53,6 +54,7 @@ __all__ = [
     "base_parameters",
     "binder",
     "metric",
+    "model_family",
     "notes_hook",
     "parse_overrides",
     "parse_protocol",
@@ -183,8 +185,8 @@ class SeriesPlan:
     ===============  ====================================================
     ``sweep``        one metric series per protocol over ``axis``
                      (``binder`` maps the base preset and each x to a
-                     parameter point; the scenario family picks the
-                     single-hop, multi-hop or heterogeneous solver)
+                     parameter point; :func:`model_family` picks the
+                     model that solves it)
     ``parametric``   tradeoff curves: sweep ``axis`` through ``binder``
                      and plot ``y_metric`` against ``x_metric``
     ``point``        one (x_metric, y_metric) point per protocol at the
@@ -199,7 +201,9 @@ class SeriesPlan:
 
     ``protocols`` pins the plan to a subset of the scenario's protocol
     set (empty tuple means "use the scenario set"); a user protocol
-    selection intersects with it.
+    selection intersects with it.  ``label_suffix`` is appended to the
+    label of every series the plan produces, whatever its kind, so
+    several plans can share a panel.
     """
 
     kind: str
@@ -305,6 +309,22 @@ _FAMILIES = (
     "link_flap",
     "transient",
 )
+
+
+def model_family(spec: ScenarioSpec) -> str:
+    """The :data:`repro.runtime.solvers.FAMILIES` tag of ``spec``'s model.
+
+    A ``burst_loss`` scenario solves the Gilbert-Elliott product of its
+    preset's chain: ``gilbert-multihop`` on multi-hop parameters,
+    ``gilbert-singlehop`` otherwise.  Every other family is its own tag;
+    ``link_flap`` (simulation only) and ``transient`` (time-dependent
+    curves) name no ``FAMILIES`` row.
+    """
+    if spec.family != "burst_loss":
+        return spec.family
+    if isinstance(_PRESETS[spec.preset](), MultiHopParameters):
+        return "gilbert-multihop"
+    return "gilbert-singlehop"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -533,8 +553,10 @@ def _register(registry: dict, kind: str, name: str, value):
 def register_binder(name: str, fn: Callable | None = None):
     """Register a named sweep binder ``(base_params, x) -> params``.
 
-    Heterogeneous binders return ``(params, hop_profile)``.  Usable as
-    a decorator (``@register_binder("name")``) or a plain call.
+    A binder returns the task inputs after the protocol: bare parameters,
+    or a tuple such as ``(params, hop_profile)``, ``(params, topology)``
+    or ``(params, gilbert)``.  Usable as a decorator
+    (``@register_binder("name")``) or a plain call.
     """
     if fn is not None:
         return _register(_BINDERS, "binder", name, fn)

@@ -9,10 +9,11 @@ package turns those loops into data-parallel batches:
   count (``--jobs`` on the CLI, ``REPRO_JOBS`` in the environment);
 * :mod:`repro.runtime.cache` — a content-keyed memo cache so repeated
   ``(model, parameters)`` solves are computed once across figures;
-* :mod:`repro.runtime.solvers` — the ``solve_*_batch`` entry points,
-  served from one table of model families (``FAMILIES``) by one
-  generic path that combines the cache, the compiled-template fast
-  path (:mod:`repro.core.templates`) and the pool, plus the parity
+* :mod:`repro.runtime.solvers` — ``solve_batch(tag, tasks)``, one
+  path over a table of model families keyed by tag (``FAMILIES``) that
+  combines the cache, the compiled-template fast path
+  (:mod:`repro.core.templates`) and the pool; the ``solve_*_batch``
+  functions bind one family's tag each.  It also holds the parity
   class of every backend entry point (``PARITY_CLASSES``).
 
 Batch cache misses solve through compiled chain templates —
@@ -36,6 +37,7 @@ from repro.runtime.executor import (
     using_tolerance,
 )
 from repro.runtime.solvers import (
+    solve_batch,
     solve_chain_stationary,
     solve_gilbert_multihop_batch,
     solve_gilbert_singlehop_batch,
@@ -58,6 +60,7 @@ __all__ = [
     "failure_report",
     "global_cache",
     "parallel_map",
+    "solve_batch",
     "solve_chain_stationary",
     "solve_gilbert_multihop_batch",
     "solve_gilbert_singlehop_batch",

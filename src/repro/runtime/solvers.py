@@ -1,15 +1,16 @@
 """Cache-aware batch solvers over one table of model families.
 
-Each model family is one :class:`Family` row in :data:`FAMILIES`.  Every
-``solve_*_batch`` helper runs the same path: dedupe tasks by content
-key, serve repeats from :func:`repro.runtime.cache.global_cache`, and
-solve the misses through the compiled templates
-(:mod:`repro.core.templates`), partitioned by backend route.  With
-``jobs > 1`` the misses are split into contiguous chunks fanned across
-the process pool, so parallel results are identical to serial ones.
-``REPRO_TEMPLATES=0`` in the environment solves misses through the
-per-point reference models instead: the ground truth the fast path is
-parity-tested against.
+Each model family is one :class:`Family` row in :data:`FAMILIES`, keyed
+by its tag.  :func:`solve_batch` solves any family's tasks on one path:
+dedupe tasks by content key, serve repeats from
+:func:`repro.runtime.cache.global_cache`, and solve the misses through
+the compiled templates (:mod:`repro.core.templates`), partitioned by
+backend route.  Each ``solve_*_batch`` function is that path with one
+family's tag bound.  With ``jobs > 1`` the misses are split into
+contiguous chunks fanned across the process pool, so parallel results
+are identical to serial ones.  ``REPRO_TEMPLATES=0`` in the
+environment solves misses through the per-point reference models
+instead: the ground truth the fast path is parity-tested against.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "FAMILIES",
     "PARITY_CLASSES",
     "Family",
+    "solve_batch",
     "solve_chain_stationary",
     "solve_gilbert_multihop_batch",
     "solve_gilbert_singlehop_batch",
@@ -367,7 +369,13 @@ def _fan_chunks(tag: str, items: list, jobs: int | None) -> list:
     return [solution for part in parts for solution in part]
 
 
-def _solve_batch(tag: str, tasks: Iterable[tuple], jobs: int | None) -> list:
+def solve_batch(tag: str, tasks: Iterable[tuple], jobs: int | None = None) -> list:
+    """Solve many points of the family ``tag``; results in task order.
+
+    ``tag`` is a :data:`FAMILIES` key and each task is
+    ``(protocol, params, *inputs)`` in that family's shape (see
+    :class:`Family`).
+    """
     # Memoization happens once here, so batch points are neither
     # double-counted in the cache stats nor double-written to the cache.
     keyed = [_keyed(FAMILIES[tag], task) for task in tasks]
@@ -398,39 +406,39 @@ def solve_singlehop_batch(
     tasks: Iterable[SingleHopTask], jobs: int | None = None
 ) -> list[SingleHopSolution]:
     """Solve many single-hop points; results in task order."""
-    return _solve_batch("singlehop", tasks, jobs)
+    return solve_batch("singlehop", tasks, jobs)
 
 
 def solve_multihop_batch(
     tasks: Iterable[MultiHopTask], jobs: int | None = None
 ) -> list[MultiHopSolution]:
     """Solve many multi-hop points; results in task order."""
-    return _solve_batch("multihop", tasks, jobs)
+    return solve_batch("multihop", tasks, jobs)
 
 
 def solve_heterogeneous_batch(
     tasks: Iterable[HeterogeneousTask], jobs: int | None = None
 ) -> list[MultiHopSolution]:
     """Solve many heterogeneous multi-hop points; results in task order."""
-    return _solve_batch("heterogeneous", tasks, jobs)
+    return solve_batch("heterogeneous", tasks, jobs)
 
 
 def solve_tree_batch(
     tasks: Iterable[TreeTask], jobs: int | None = None
 ) -> list[TreeSolution]:
     """Solve many tree points; results in task order."""
-    return _solve_batch("tree", tasks, jobs)
+    return solve_batch("tree", tasks, jobs)
 
 
 def solve_gilbert_singlehop_batch(
     tasks: Iterable[GilbertSingleHopTask], jobs: int | None = None
 ) -> list[GilbertSingleHopSolution]:
     """Solve many single-hop Gilbert-Elliott points; results in task order."""
-    return _solve_batch("gilbert-singlehop", tasks, jobs)
+    return solve_batch("gilbert-singlehop", tasks, jobs)
 
 
 def solve_gilbert_multihop_batch(
     tasks: Iterable[GilbertMultiHopTask], jobs: int | None = None
 ) -> list[GilbertMultiHopSolution]:
     """Solve many multi-hop Gilbert-Elliott points; results in task order."""
-    return _solve_batch("gilbert-multihop", tasks, jobs)
+    return solve_batch("gilbert-multihop", tasks, jobs)

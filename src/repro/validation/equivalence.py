@@ -116,21 +116,24 @@ CURVE_EQUIVALENCE_CRITERIA: dict[str, CurveCriterion] = {
 
 def equivalence_curve(
     label: str,
-    times: tuple[float, ...],
+    grid: tuple[float, ...],
     model: tuple[float, ...],
     sim_means: tuple[float, ...],
     half_widths: tuple[float, ...],
     criterion: CurveCriterion,
+    axis: str = "t",
 ) -> tuple[tuple[PointCheck, ...], bool]:
     """Test a simulated curve against its analytic twin on one grid.
 
-    Returns the per-point checks plus the curve-level verdict: passed
-    when the fraction of violating points stays within the criterion's
-    budget (an empty grid fails).
+    Each point is labelled ``"{label} @ {axis}={x:g}"``: ``axis`` is
+    ``"t"`` on a time grid and ``"x"`` on a swept parameter.  Returns
+    the per-point checks plus the curve-level verdict: passed when the
+    fraction of violating points stays within the criterion's budget
+    (an empty grid fails).
     """
     points = tuple(
-        equivalence_point(f"{label} @ t={t:g}", m, s, hw, criterion.point)
-        for t, m, s, hw in zip(times, model, sim_means, half_widths)
+        equivalence_point(f"{label} @ {axis}={x:g}", m, s, hw, criterion.point)
+        for x, m, s, hw in zip(grid, model, sim_means, half_widths)
     )
     if not points:
         return points, False

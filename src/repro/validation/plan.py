@@ -43,19 +43,12 @@ from repro.core.multihop.topology import Topology
 from repro.core.parameters import MultiHopParameters
 from repro.faults.gilbert import GilbertElliottParameters
 from repro.transient import transient_model
-from repro.runtime import (
-    solve_gilbert_multihop_batch,
-    solve_gilbert_singlehop_batch,
-    solve_multihop_batch,
-    solve_singlehop_batch,
-    solve_transient_curve,
-    solve_tree_batch,
-)
+from repro.runtime import solve_batch, solve_transient_curve
 from repro.validation.equivalence import (
     CURVE_EQUIVALENCE_CRITERIA,
     SIM_EQUIVALENCE_CRITERIA,
+    CurveCriterion,
     equivalence_curve,
-    equivalence_point,
 )
 from repro.validation.parity import BACKENDS, parity_slice
 from repro.validation.report import CheckResult, PointCheck, ValidationReport
@@ -99,14 +92,7 @@ def _sim_panels(spec: ScenarioSpec) -> tuple[str, ...]:
 _INVARIANT_TOPOLOGY = Topology.kary(2, 2)
 
 
-def _parity_hop_counts(spec: ScenarioSpec) -> tuple[int, ...]:
-    if spec.family in ("singlehop", "tree"):
-        return ()
-    base = _spec.base_parameters(spec)
-    if not isinstance(base, MultiHopParameters):
-        # A single-hop preset in a hop-agnostic family (e.g. the
-        # single-hop burst_loss scenario) has no chain length to sweep.
-        return ()
+def _parity_hop_counts(base: MultiHopParameters) -> tuple[int, ...]:
     # Two hop counts in the dense regime: the scenario's own chain
     # length plus a short contrast chain.  solver="auto" flips the
     # referee itself to the pinned sparse system at the crossover
@@ -123,29 +109,31 @@ def build_plan(scenario: str | ScenarioSpec, fidelity: str = "smoke") -> Validat
     """Derive the validation plan for one scenario at one fidelity."""
     spec = scenario if isinstance(scenario, ScenarioSpec) else _spec.scenario(scenario)
     spec.fidelity(fidelity)  # fail early on unknown fidelities
-    singlehop = not isinstance(_spec.base_parameters(spec), MultiHopParameters)
-    if spec.family == "tree":
+    family = _spec.model_family(spec)
+    if family == "tree":
         families: tuple[str, ...] = ("tree",)
-    elif singlehop:
+    elif family in ("singlehop", "gilbert-singlehop"):
         families = ("singlehop",)
     else:
         # Every chain scenario (link-flap and transient ones included:
         # parity covers the clean stationary chain their faulted runs
         # perturb) validates the homogeneous and heterogeneous chains.
         families = ("multihop", "heterogeneous")
-    if spec.family == "burst_loss":
-        # The preset picks the product chain; its i.i.d. anchor slice
-        # rides along (the degenerate channel must reproduce it).
-        families += ("gilbert-singlehop" if singlehop else "gilbert-multihop",)
+    if family.startswith("gilbert-"):
+        # The product chain's i.i.d. anchor slice rides along (the
+        # degenerate channel must reproduce it).
+        families += (family,)
+    singlehop = families[0] == "singlehop"
     multihop = Protocol.multihop_family()
     protocols = spec.protocols if singlehop else tuple(p for p in spec.protocols if p in multihop)
+    chain = families[0] == "multihop"
     return ValidationPlan(
         spec=spec,
         fidelity=fidelity,
         protocols=protocols,
         sim_panels=_sim_panels(spec),
         parity_families=families,
-        hop_counts=_parity_hop_counts(spec),
+        hop_counts=_parity_hop_counts(_spec.base_parameters(spec)) if chain else (),
     )
 
 
@@ -204,25 +192,19 @@ def _invariant_checks(plan: ValidationPlan) -> CheckResult:
     spec = plan.spec
     base = _spec.base_parameters(spec)
     points: list[PointCheck] = []
-    if spec.family == "singlehop":
-        solutions = solve_singlehop_batch([(p, base) for p in plan.protocols])
-    elif spec.family == "tree":
+    family = _spec.model_family(spec)
+    inputs: tuple = (base,)
+    if family == "tree":
         topology = _INVARIANT_TOPOLOGY
-        tree_base = base.replace(hops=topology.num_edges)
-        solutions = solve_tree_batch(
-            [(p, tree_base, topology) for p in plan.protocols]
-        )
-    elif spec.family == "burst_loss":
+        inputs = (base.replace(hops=topology.num_edges), topology)
+    elif family.startswith("gilbert-"):
         # Invariants on the maximally bursty product chain — the
         # degenerate anchor is already covered by the parity slice.
-        gilbert = GilbertElliottParameters.matched_average(base.loss_rate, 1.0)
-        tasks = [(p, base, gilbert) for p in plan.protocols]
-        if isinstance(base, MultiHopParameters):
-            solutions = solve_gilbert_multihop_batch(tasks)
-        else:
-            solutions = solve_gilbert_singlehop_batch(tasks)
-    else:
-        solutions = solve_multihop_batch([(p, base) for p in plan.protocols])
+        inputs = (base, GilbertElliottParameters.matched_average(base.loss_rate, 1.0))
+    elif family != "singlehop":
+        # Every other chain family is checked on its homogeneous chain.
+        family = "multihop"
+    solutions = solve_batch(family, [(p, *inputs) for p in plan.protocols])
     for protocol, solution in zip(plan.protocols, solutions):
         total = sum(solution.stationary.values())
         points.append(
@@ -324,26 +306,50 @@ def _transient_invariant_points(
 def _sim_model_checks(
     plan: ValidationPlan, result: ExperimentResult
 ) -> list[CheckResult]:
-    """Pair each simulated series with its analytic twin, point by point."""
+    """Pair each simulated series with its analytic twin, point by point.
+
+    A transient curve may violate its per-point band at a bounded
+    fraction of grid points (the deterministic-timer simulation steps
+    through ramps the exponential model smooths over; see
+    :class:`~repro.validation.equivalence.CurveCriterion`).  A
+    stationary sim series is a curve whose violation budget is 0.
+    """
     checks: list[CheckResult] = []
     spec = plan.spec
     if spec.family == "link_flap":
         # Flap scenarios are simulation-only by design: there is no
         # analytic twin to differ from.
         return checks
-    if spec.family == "transient":
-        return _curve_checks(plan, result)
+    transient = spec.family == "transient"
     for panel_spec in spec.panels:
         sim_plans = [p for p in panel_spec.plans if p.kind == "sim"]
         if not sim_plans:
             continue
         panel = result.panel(panel_spec.name)
+        # The analytic twin is the series of the panel's model plan.
+        model_suffix = next(
+            (p.label_suffix for p in panel_spec.plans if p.kind != "sim"), ""
+        )
         for sim_plan in sim_plans:
-            criterion = SIM_EQUIVALENCE_CRITERIA[sim_plan.metric]
+            if transient:
+                criterion = CURVE_EQUIVALENCE_CRITERIA["consistency"]
+                name = f"sim==model curve: {panel_spec.name} [consistency]"
+                axis, grid = "t", "time grid"
+            else:
+                criterion = CurveCriterion(
+                    SIM_EQUIVALENCE_CRITERIA[sim_plan.metric], max_violation_fraction=0.0
+                )
+                name = f"sim==model: {panel_spec.name} [{sim_plan.metric}]"
+                axis, grid = "x", "x-grid"
+            band = (
+                f"|sim-model| <= max({criterion.point.ci_multiplier:g}*CI, "
+                f"{criterion.point.rel_tol:.0%}, {criterion.point.abs_floor:g})"
+            )
             points: list[PointCheck] = []
+            curves_pass = True
             for protocol in _plan_protocols(spec, sim_plan, plan.protocols):
                 try:
-                    model = panel.series_by_label(protocol.value)
+                    model = panel.series_by_label(f"{protocol.value}{model_suffix}")
                     sim = panel.series_by_label(
                         f"{protocol.value}{sim_plan.label_suffix}"
                     )
@@ -354,70 +360,7 @@ def _sim_model_checks(
                     # wrong operating points (and truncate the rest).
                     points.append(
                         PointCheck(
-                            label=f"{protocol.value}: sim x-grid differs from model",
-                            expected=float(len(model.x)),
-                            observed=float(len(sim.x)),
-                            tolerance=0.0,
-                            passed=False,
-                        )
-                    )
-                    continue
-                errs = sim.y_err or (0.0,) * len(sim.y)
-                for x, m, s, hw in zip(model.x, model.y, sim.y, errs):
-                    points.append(
-                        equivalence_point(
-                            f"{protocol.value} @ x={x:g}", m, s, hw, criterion
-                        )
-                    )
-            checks.append(
-                CheckResult(
-                    name=f"sim==model: {panel_spec.name} [{sim_plan.metric}]",
-                    kind="sim_model",
-                    passed=all(point.passed for point in points) and bool(points),
-                    detail=(
-                        f"|sim-model| <= max({criterion.ci_multiplier:g}*CI, "
-                        f"{criterion.rel_tol:.0%}, {criterion.abs_floor:g})"
-                    ),
-                    points=tuple(points),
-                )
-            )
-    return checks
-
-
-def _curve_checks(
-    plan: ValidationPlan, result: ExperimentResult
-) -> list[CheckResult]:
-    """Curve-level sim-vs-model checks for transient scenarios.
-
-    Unlike the stationary differential checks, a curve may violate its
-    per-point band at a bounded fraction of grid points (the
-    deterministic-timer simulation steps through ramps the exponential
-    model smooths over); see
-    :class:`~repro.validation.equivalence.CurveCriterion`.
-    """
-    checks: list[CheckResult] = []
-    spec = plan.spec
-    criterion = CURVE_EQUIVALENCE_CRITERIA["consistency"]
-    for panel_spec in spec.panels:
-        sim_plans = [p for p in panel_spec.plans if p.kind == "sim"]
-        if not sim_plans:
-            continue
-        panel = result.panel(panel_spec.name)
-        for sim_plan in sim_plans:
-            points: list[PointCheck] = []
-            curves_pass = True
-            for protocol in _plan_protocols(spec, sim_plan, plan.protocols):
-                try:
-                    model = panel.series_by_label(protocol.value)
-                    sim = panel.series_by_label(
-                        f"{protocol.value}{sim_plan.label_suffix}"
-                    )
-                except KeyError:
-                    continue  # narrowed out by a protocol selection
-                if model.x != sim.x:
-                    points.append(
-                        PointCheck(
-                            label=f"{protocol.value}: sim time grid differs from model",
+                            label=f"{protocol.value}: sim {grid} differs from model",
                             expected=float(len(model.x)),
                             observed=float(len(sim.x)),
                             tolerance=0.0,
@@ -428,22 +371,21 @@ def _curve_checks(
                     continue
                 errs = sim.y_err or (0.0,) * len(sim.y)
                 curve_points, curve_passed = equivalence_curve(
-                    protocol.value, model.x, model.y, sim.y, errs, criterion
+                    protocol.value, model.x, model.y, sim.y, errs, criterion, axis
                 )
                 points.extend(curve_points)
                 curves_pass = curves_pass and curve_passed
             checks.append(
                 CheckResult(
-                    name=f"sim==model curve: {panel_spec.name} [consistency]",
+                    name=name,
                     kind="sim_model",
                     passed=curves_pass and bool(points),
                     detail=(
-                        f"per point |sim-model| <= "
-                        f"max({criterion.point.ci_multiplier:g}*CI, "
-                        f"{criterion.point.rel_tol:.0%}, "
-                        f"{criterion.point.abs_floor:g}); curve passes with "
+                        f"per point {band}; curve passes with "
                         f"<= {criterion.max_violation_fraction:.0%} of grid "
                         "points violating"
+                        if transient
+                        else band
                     ),
                     points=tuple(points),
                 )

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.protocols import Protocol
 from repro.experiments import run_scenario, scenario
-from repro.experiments.spec import SMOKE, ScenarioError
+from repro.experiments.spec import (
+    SMOKE,
+    Axis,
+    PanelSpec,
+    ScenarioError,
+    ScenarioSpec,
+    SeriesPlan,
+)
 
 
 class TestFidelity:
@@ -103,3 +112,57 @@ class TestVariantScenario:
         assert restored == result
         assert restored.provenance.overrides == (("loss_rate", 0.05),)
         assert restored.provenance.protocols == ("SS", "HS")
+
+
+#: Two plans of one kind that share a panel, told apart by their suffix.
+_SUFFIXED_PLANS = {
+    "sweep": (
+        dict(axis="loss", binder="loss_rate", metric="inconsistency_ratio"),
+        dict(axis="loss", binder="loss_rate", metric="normalized_message_rate"),
+    ),
+    "parametric": (
+        dict(
+            axis="loss",
+            binder="loss_rate",
+            x_metric="inconsistency_ratio",
+            y_metric="normalized_message_rate",
+        ),
+    )
+    * 2,
+    "point": (dict(x_metric="inconsistency_ratio", y_metric="normalized_message_rate"),)
+    * 2,
+}
+
+
+class TestLabelSuffix:
+    @pytest.mark.parametrize("kind", sorted(_SUFFIXED_PLANS))
+    def test_suffix_labels_every_plan_kind(self, kind):
+        plans = tuple(
+            SeriesPlan(kind, protocols=(Protocol.SS,), label_suffix=suffix, **fields)
+            for suffix, fields in zip((" I", " M"), _SUFFIXED_PLANS[kind])
+        )
+        spec = ScenarioSpec(
+            scenario_id=f"suffixed-{kind}",
+            title="t",
+            artifact="test",
+            family="singlehop",
+            preset="kazaa",
+            protocols=(Protocol.SS, Protocol.HS),
+            axes=(Axis("loss", "linear", low=0.0, high=0.1, points=3),),
+            panels=(PanelSpec("p", "x", "y", plans, shared_x=False),),
+        )
+        result = run_scenario(spec, SMOKE)
+        assert result.panels[0].labels() == ("SS I", "SS M")
+
+
+class TestLinkFlapSweep:
+    def test_sweep_plan_has_no_analytic_model(self):
+        flap = scenario("link_flap")
+        sweep = SeriesPlan(
+            "sweep", axis="flap_rate", binder="link_flap_rate", metric="inconsistency_ratio"
+        )
+        spec = dataclasses.replace(
+            flap, panels=(PanelSpec("p", "x", "y", (sweep,)),)
+        )
+        with pytest.raises(ScenarioError, match="no analytic model"):
+            run_scenario(spec, SMOKE)

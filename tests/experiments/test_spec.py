@@ -20,6 +20,7 @@ from repro.experiments.spec import (
     SeriesPlan,
     apply_overrides,
     base_parameters,
+    model_family,
     parse_overrides,
     parse_protocol,
     parse_protocols,
@@ -108,6 +109,22 @@ class TestRegistry:
         assert scenario("fig4").artifact == "Fig. 4"
         assert scenario("table1").artifact == "Table I"
         assert scenario("scaling").artifact == "beyond the paper"
+
+
+class TestModelFamily:
+    @pytest.mark.parametrize(
+        "scenario_id, family",
+        [
+            ("burst_loss", "gilbert-singlehop"),
+            ("burst_loss_hops", "gilbert-multihop"),
+            ("fig4", "singlehop"),
+            ("fig17", "multihop"),
+            ("scaling", "heterogeneous"),
+            ("tree_fanout", "tree"),
+        ],
+    )
+    def test_scenario_family_tag(self, scenario_id, family):
+        assert model_family(scenario(scenario_id)) == family
 
 
 class TestAxis:

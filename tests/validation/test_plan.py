@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.api as api
+from repro.core.protocols import Protocol
+from repro.experiments.runner import ExperimentResult, Panel, Series
 from repro.experiments.spec import ScenarioError, scenario
 from repro.validation import (
     ValidationReport,
@@ -12,6 +16,7 @@ from repro.validation import (
     execute_plan,
     validate_scenario,
 )
+from repro.validation.plan import _sim_model_checks
 
 
 class TestBuildPlan:
@@ -140,6 +145,99 @@ class TestExecutePlan:
             assert check.points
             # One simulated point per protocol at smoke fidelity.
             assert len(check.points) == 5
+
+
+def _hand_built(scenario_id, model_y, sim_y, sim_grid=None, model_suffix=""):
+    """An SS-only plan and a result whose sim panels hold given series.
+
+    ``model_suffix`` is set on every model plan and its series.
+    """
+    spec = scenario(scenario_id)
+    if model_suffix:
+        spec = dataclasses.replace(
+            spec,
+            panels=tuple(
+                dataclasses.replace(
+                    panel,
+                    plans=tuple(
+                        plan
+                        if plan.kind == "sim"
+                        else dataclasses.replace(plan, label_suffix=model_suffix)
+                        for plan in panel.plans
+                    ),
+                )
+                for panel in spec.panels
+            ),
+        )
+    plan = dataclasses.replace(build_plan(spec, "smoke"), protocols=(Protocol.SS,))
+    grid = tuple(float(x) for x in range(1, len(model_y) + 1))
+    sim_grid = grid if sim_grid is None else sim_grid
+    panels = tuple(
+        Panel(
+            panel.name,
+            "x",
+            "y",
+            (
+                Series(f"SS{model_suffix}", grid, model_y),
+                Series("SS sim", sim_grid, sim_y, (0.0,) * len(sim_y)),
+            ),
+            shared_x=False,
+        )
+        for panel in plan.spec.panels
+    )
+    return plan, ExperimentResult(scenario_id, "hand-built", panels)
+
+
+class TestSimModelChecks:
+    def test_stationary_point_outside_its_band_fails(self):
+        plan, result = _hand_built("fig11", (0.1, 0.1, 0.1), (0.1, 0.1, 0.5))
+        checks = _sim_model_checks(plan, result)
+        assert [c.name for c in checks] == [
+            "sim==model: a: inconsistency ratio [inconsistency]",
+            "sim==model: b: signaling message rate [message_rate]",
+        ]
+        for check in checks:
+            assert not check.passed
+            assert [p.passed for p in check.points] == [True, True, False]
+            assert [p.label for p in check.points] == ["SS @ x=1", "SS @ x=2", "SS @ x=3"]
+        assert checks[0].detail == "|sim-model| <= max(2.5*CI, 40%, 0.001)"
+
+    def test_transient_curve_passes_within_its_violation_budget(self):
+        plan, result = _hand_built(
+            "time_to_consistency", (0.5,) * 5, (0.5, 0.5, 0.5, 0.5, 0.0)
+        )
+        (check,) = _sim_model_checks(plan, result)
+        assert check.name == "sim==model curve: a: consistency probability over time [consistency]"
+        assert check.passed
+        assert sum(not p.passed for p in check.points) == 1
+        assert check.points[0].label == "SS @ t=1"
+        assert check.detail == (
+            "per point |sim-model| <= max(2.5*CI, 35%, 0.15); curve passes "
+            "with <= 25% of grid points violating"
+        )
+
+    def test_sim_series_pairs_with_a_suffixed_model_plan(self):
+        plan, result = _hand_built(
+            "fig11", (0.1, 0.1), (0.1, 0.1), model_suffix=" model"
+        )
+        for check in _sim_model_checks(plan, result):
+            assert check.passed
+            assert [p.label for p in check.points] == ["SS @ x=1", "SS @ x=2"]
+
+    @pytest.mark.parametrize(
+        "scenario_id, label",
+        [
+            ("fig11", "SS: sim x-grid differs from model"),
+            ("time_to_consistency", "SS: sim time grid differs from model"),
+        ],
+    )
+    def test_differing_grid_fails(self, scenario_id, label):
+        plan, result = _hand_built(
+            scenario_id, (0.5, 0.5, 0.5), (0.5, 0.5), sim_grid=(1.0, 2.0)
+        )
+        for check in _sim_model_checks(plan, result):
+            assert not check.passed
+            assert [p.label for p in check.points] == [label]
 
 
 class TestApiSurface:
