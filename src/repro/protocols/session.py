@@ -244,10 +244,9 @@ class SingleHopSimulation:
 
 
 #: Engine choices for :func:`simulate_replications`.  ``auto`` takes the
-#: vectorized path whenever the config supports it (and the
-#: ``REPRO_VECTOR_SIM`` escape hatch has not disabled it); ``scalar``
-#: forces the event engine; ``vectorized`` demands the fast path and
-#: raises on configs it cannot replay.
+#: vectorized path whenever the config supports it; ``scalar`` forces
+#: the event engine; ``vectorized`` demands the fast path and raises on
+#: configs it cannot replay.
 SIM_ENGINES = ("auto", "scalar", "vectorized")
 
 
@@ -262,9 +261,7 @@ def simulate_replications(
     ``normalized_message_rate``.  Both engines produce bit-identical
     samples: the vectorized path replays the same per-replication
     random streams in the same draw order (and falls back to the event
-    engine lane by lane where it cannot).  ``REPRO_VECTOR_SIM=0``
-    routes everything through the scalar engine, including explicit
-    ``engine="vectorized"`` requests (the request is still validated).
+    engine lane by lane where it cannot).
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -276,7 +273,6 @@ def simulate_replications(
         from repro.protocols.vectorized import (
             simulate_replications_vectorized,
             supports_vectorized_config,
-            vectorized_sim_enabled,
         )
 
         supported = supports_vectorized_config(config)
@@ -286,7 +282,7 @@ def simulate_replications(
                 "timers and delay, no Gilbert-Elliott channel, no sample "
                 f"grid, and timeout > delay; got protocol={config.protocol.value}"
             )
-        if supported and vectorized_sim_enabled():
+        if supported:
             results = ReplicationSet()
             for outcome in simulate_replications_vectorized(config, replications):
                 results.add("inconsistency_ratio", outcome.inconsistency_ratio)

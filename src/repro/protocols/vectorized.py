@@ -18,13 +18,10 @@ still in flight when the session driver hands over — possible only
 after a loss hole longer than the state timeout) cannot be replayed
 from per-session arrays; lanes that hit one are re-run through the
 scalar engine, which is bit-identical by definition.  The conditions a
-config must meet are checked by :func:`supports_vectorized_config`;
-``REPRO_VECTOR_SIM=0`` turns the fast path off globally.
+config must meet are checked by :func:`supports_vectorized_config`.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -43,28 +40,11 @@ from repro.sim.vectorized import (
 __all__ = [
     "simulate_replications_vectorized",
     "supports_vectorized_config",
-    "vectorized_sim_enabled",
 ]
-
-_VECTOR_ENV = "REPRO_VECTOR_SIM"
 
 #: Protocols with a one-directional message flow: no ACKs, no
 #: retransmissions, no removal notifications, no external signal.
 _VECTOR_PROTOCOLS = (Protocol.SS, Protocol.SS_ER)
-
-
-def vectorized_sim_enabled() -> bool:
-    """Whether the vectorized simulation path may be used at all.
-
-    On by default; ``REPRO_VECTOR_SIM=0`` (or ``off``/``false``/``no``)
-    routes every simulation through the scalar engine.
-    """
-    return os.environ.get(_VECTOR_ENV, "").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
 
 
 def supports_vectorized_config(config: SingleHopSimConfig) -> bool:

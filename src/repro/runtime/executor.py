@@ -479,7 +479,6 @@ def parallel_map(
     fn: Callable[[_T], _R],
     items: Iterable[_T],
     jobs: int | None = None,
-    chunksize: int | None = None,
     task_timeout: float | None = None,
     max_retries: int | None = None,
 ) -> list[_R]:
@@ -491,11 +490,9 @@ def parallel_map(
     ``fn`` and the items must be picklable when ``jobs > 1``; use the
     module-level task functions in :mod:`repro.runtime.solvers`.
 
-    ``chunksize`` is accepted for backward compatibility but ignored:
-    tasks are dispatched per item so that timeouts, retries and pool
+    Tasks are dispatched per item so that timeouts, retries and pool
     rebuilds can be charged to individual inputs.
     """
-    del chunksize
     materialized = list(items)
     workers = min(effective_jobs(jobs), len(materialized))
     timeout = effective_task_timeout(task_timeout)

@@ -28,7 +28,6 @@ from repro.protocols.session import (
 from repro.protocols.vectorized import (
     simulate_replications_vectorized,
     supports_vectorized_config,
-    vectorized_sim_enabled,
 )
 from repro.sim.monitor import TimeWeightedValue
 from repro.sim.randomness import RandomStreams, TimerDiscipline
@@ -259,43 +258,6 @@ class TestEngineValidation:
     def test_supported_config_accepted(self):
         assert supports_vectorized_config(make_config(Protocol.SS))
         assert supports_vectorized_config(make_config(Protocol.SS_ER))
-
-
-class TestEnvironmentSwitch:
-    @pytest.mark.parametrize("value", ["0", "off", "FALSE", " no "])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_VECTOR_SIM", value)
-        assert not vectorized_sim_enabled()
-
-    @pytest.mark.parametrize("value", [None, "", "1", "on"])
-    def test_enabling_values(self, monkeypatch, value):
-        if value is None:
-            monkeypatch.delenv("REPRO_VECTOR_SIM", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_VECTOR_SIM", value)
-        assert vectorized_sim_enabled()
-
-    def test_disabled_auto_routes_through_the_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_SIM", "0")
-
-        def boom(*args, **kwargs):
-            raise AssertionError("vectorized path used despite REPRO_VECTOR_SIM=0")
-
-        monkeypatch.setattr(
-            "repro.protocols.vectorized.simulate_replications_vectorized", boom
-        )
-        config = make_config(sessions=5)
-        scalar = simulate_replications(config, 2, engine="scalar")
-        auto = simulate_replications(config, 2, engine="auto")
-        assert auto.samples("inconsistency_ratio") == scalar.samples(
-            "inconsistency_ratio"
-        )
-
-    def test_disabled_vectorized_request_still_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_SIM", "0")
-        config = make_config(Protocol.SS_RT)
-        with pytest.raises(ValueError, match="vectorized"):
-            simulate_replications(config, 2, engine="vectorized")
 
 
 class TestModelEquivalence:
