@@ -3,7 +3,6 @@
 from repro.core.multihop.messages import (
     expected_link_crossings,
     multihop_message_components,
-    multihop_total_message_rate,
 )
 from repro.core.multihop.heterogeneous import (
     HeterogeneousHop,
@@ -33,9 +32,8 @@ from repro.core.multihop.transitions import (
 from repro.core.multihop.tree_messages import (
     tree_expected_link_crossings,
     tree_message_components,
-    tree_total_message_rate,
 )
-from repro.core.multihop.tree_model import TreeModel, TreeSolution, solve_all_tree
+from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import (
     StateSpaceLimitError,
     TreeState,
@@ -74,17 +72,14 @@ __all__ = [
     "lumped_transition_specs",
     "multihop_message_components",
     "multihop_state_space",
-    "multihop_total_message_rate",
     "projected_lumped_states",
     "projected_tree_states",
     "select_tree_backend",
     "slow_path_recovery_rate",
     "solve_all_multihop",
-    "solve_all_tree",
     "supported_protocols",
     "tree_expected_link_crossings",
     "tree_message_components",
     "tree_state_space",
-    "tree_total_message_rate",
     "tree_transition_specs",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "expected_link_crossings",
     "link_message_components",
     "multihop_message_components",
-    "multihop_total_message_rate",
 ]
 
 
@@ -112,12 +111,3 @@ def multihop_message_components(
         stationary.get(RECOVERY, 0.0),
         expected_link_crossings(params),
     )
-
-
-def multihop_total_message_rate(
-    protocol: Protocol,
-    params: MultiHopParameters,
-    stationary: Mapping[object, float],
-) -> float:
-    """Total per-link-transmission rate (eqs. 13, 16, 17)."""
-    return sum(multihop_message_components(protocol, params, stationary).values())

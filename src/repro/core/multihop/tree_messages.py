@@ -32,7 +32,6 @@ from repro.core.protocols import Protocol
 __all__ = [
     "tree_expected_link_crossings",
     "tree_message_components",
-    "tree_total_message_rate",
 ]
 
 
@@ -115,16 +114,4 @@ def tree_message_components(
         slow_edges,
         stationary.get(RECOVERY, 0.0),
         tree_expected_link_crossings(topology, params),
-    )
-
-
-def tree_total_message_rate(
-    protocol: Protocol,
-    params: MultiHopParameters,
-    topology: Topology,
-    stationary: Mapping[object, float],
-) -> float:
-    """Total per-link-transmission rate of the tree chain."""
-    return sum(
-        tree_message_components(protocol, params, topology, stationary).values()
     )

@@ -10,7 +10,7 @@ Metrics aggregate over leaves instead of "the last hop":
 
 * ``inconsistency_ratio`` — *any* node inconsistent (``1 - pi(full)``,
   the all-leaf consistency complement; eq. 12 on a chain);
-* ``leaf_inconsistency`` / ``leaf_reach`` — per-leaf views;
+* ``leaf_inconsistency`` / ``reach_profile`` — per-leaf views;
 * ``mean_leaf_inconsistency`` — the average receiver's experience;
 * ``fanout_weighted_inconsistency`` — leaves weighted by their parent's
   fan-out, emphasizing hot replication points (one lost trigger at a
@@ -30,14 +30,14 @@ import dataclasses
 from repro.core.markov import ContinuousTimeMarkovChain
 from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
-from repro.core.multihop.transitions import multihop_protocol, supported_protocols
+from repro.core.multihop.transitions import multihop_protocol
 from repro.core.multihop.tree_messages import tree_message_components
 from repro.core.multihop.tree_states import TreeState, tree_state_space
 from repro.core.multihop.tree_transitions import build_tree_rates
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
-__all__ = ["TreeModel", "TreeSolution", "solve_all_tree"]
+__all__ = ["TreeModel", "TreeSolution"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,10 +90,6 @@ class TreeSolution:
         if leaf not in self.topology.leaves():
             raise ValueError(f"{leaf} is not a leaf of the topology")
         return self.node_inconsistency(leaf)
-
-    def leaf_reach(self, leaf: int) -> float:
-        """Fraction of time the given leaf holds the current value."""
-        return 1.0 - self.leaf_inconsistency(leaf)
 
     def leaf_profile(self) -> list[float]:
         """Per-leaf inconsistency, in leaf index order."""
@@ -206,16 +202,3 @@ class TreeModel:
     def solve(self) -> TreeSolution:
         """Compute the stationary distribution and message rates."""
         return self.solution_from_stationary(self.chain().stationary_distribution())
-
-
-def solve_all_tree(
-    params: MultiHopParameters,
-    topology: Topology,
-    protocols: tuple[Protocol, ...] | None = None,
-) -> dict[Protocol, TreeSolution]:
-    """Solve every tree protocol on one ``(params, topology)`` point."""
-    chosen = protocols if protocols is not None else supported_protocols()
-    return {
-        protocol: TreeModel(protocol, params, topology).solve()
-        for protocol in chosen
-    }

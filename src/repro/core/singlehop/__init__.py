@@ -1,6 +1,6 @@
 """Single-hop analytic models (paper §III-A)."""
 
-from repro.core.singlehop.messages import message_rate_components, total_message_rate
+from repro.core.singlehop.messages import message_rate_components
 from repro.core.singlehop.model import SingleHopModel, SingleHopSolution, solve_all
 from repro.core.singlehop.states import INCONSISTENT_STATES, SingleHopState
 from repro.core.singlehop.transitions import (
@@ -19,5 +19,4 @@ __all__ = [
     "message_rate_components",
     "solve_all",
     "state_space",
-    "total_message_rate",
 ]

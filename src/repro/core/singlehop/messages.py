@@ -34,7 +34,7 @@ from repro.core.protocols import Protocol
 from repro.core.singlehop.states import SingleHopState as S
 from repro.core.singlehop.transitions import effective_false_removal_rate
 
-__all__ = ["message_rate_components", "total_message_rate"]
+__all__ = ["message_rate_components"]
 
 
 def message_rate_components(
@@ -86,12 +86,3 @@ def message_rate_components(
             success * pi[S.S01_FAST] / delta + success * retransmit * pi[S.S01_SLOW]
         )
     return components
-
-
-def total_message_rate(
-    protocol: Protocol,
-    params: SignalingParameters,
-    stationary: Mapping[S, float],
-) -> float:
-    """The protocol's total stationary message rate ``m`` (paper §III-A.2)."""
-    return sum(message_rate_components(protocol, params, stationary).values())

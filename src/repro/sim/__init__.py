@@ -28,7 +28,6 @@ from repro.sim.engine import (
     SimulationError,
 )
 from repro.sim.monitor import (
-    Counter,
     StateFractionMonitor,
     TimeSeriesMonitor,
     TimeWeightedValue,
@@ -40,7 +39,6 @@ __all__ = [
     "Channel",
     "ChannelConfig",
     "ConfidenceInterval",
-    "Counter",
     "DeliveredMessage",
     "Environment",
     "RandomStreams",

@@ -4,10 +4,9 @@ The paper's central metric — the inconsistency ratio — is a *fraction of
 time*, so measurement must be time-weighted, not sample-weighted.
 :class:`TimeWeightedValue` integrates a piecewise-constant signal;
 :class:`StateFractionMonitor` specializes it to "fraction of time a
-boolean predicate held"; :class:`Counter` tallies discrete occurrences
-(signaling messages) for rate metrics; :class:`TimeSeriesMonitor`
-samples an instantaneous indicator on a fixed virtual-time grid (the
-sim side of the transient recovery curves).
+boolean predicate held"; :class:`TimeSeriesMonitor` samples an
+instantaneous indicator on a fixed virtual-time grid (the sim side of
+the transient recovery curves).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from collections.abc import Callable, Sequence
 
 from repro.sim.engine import Environment
 
-__all__ = ["Counter", "StateFractionMonitor", "TimeSeriesMonitor", "TimeWeightedValue"]
+__all__ = ["StateFractionMonitor", "TimeSeriesMonitor", "TimeWeightedValue"]
 
 
 class TimeWeightedValue:
@@ -141,23 +140,3 @@ class TimeSeriesMonitor:
     def samples(self) -> tuple[float, ...]:
         """The values recorded so far, one per elapsed grid time."""
         return tuple(self._samples)
-
-
-class Counter:
-    """A named tally of discrete events (e.g. messages of one kind)."""
-
-    def __init__(self, name: str = "counter") -> None:
-        self.name = name
-        self.count = 0
-
-    def increment(self, amount: int = 1) -> None:
-        """Add ``amount`` occurrences."""
-        if amount < 0:
-            raise ValueError(f"cannot increment by a negative amount: {amount}")
-        self.count += amount
-
-    def rate(self, elapsed: float) -> float:
-        """Occurrences per unit time over ``elapsed``; 0 if no time passed."""
-        if elapsed <= 0:
-            return 0.0
-        return self.count / elapsed

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Environment
-from repro.sim.monitor import Counter, StateFractionMonitor, TimeWeightedValue
+from repro.sim.monitor import StateFractionMonitor, TimeWeightedValue
 
 
 class TestTimeWeightedValue:
@@ -83,30 +83,3 @@ class TestStateFractionMonitor:
         env.run(until=10.0)
         assert monitor.active_time() == pytest.approx(5.0)
         assert monitor.fraction() == pytest.approx(1.0)
-
-
-class TestCounter:
-    def test_increment_default(self):
-        counter = Counter("messages")
-        counter.increment()
-        counter.increment()
-        assert counter.count == 2
-
-    def test_increment_amount(self):
-        counter = Counter()
-        counter.increment(5)
-        assert counter.count == 5
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().increment(-1)
-
-    def test_rate(self):
-        counter = Counter()
-        counter.increment(10)
-        assert counter.rate(4.0) == pytest.approx(2.5)
-
-    def test_rate_zero_elapsed(self):
-        counter = Counter()
-        counter.increment()
-        assert counter.rate(0.0) == 0.0
