@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the protocol mechanisms the paper compares.
 
 Each benchmark isolates one mechanism on the hard-state/soft-state
 spectrum and measures its marginal effect, regenerating the ablation

@@ -1,9 +1,10 @@
 """Sensitivity of the paper's conclusions to parameter decoding.
 
-The published PDF's parameter digits are glyph-garbled (DESIGN.md §5
-documents the decoding).  This module re-checks the paper's qualitative
-claims across a neighborhood of plausible decodings, so EXPERIMENTS.md
-can state that no conclusion hinges on a contested digit.
+The published PDF's parameter digits are glyph-garbled
+(:func:`plausible_decodings` lists the candidate readings of the
+contested ones).  This module re-checks the paper's qualitative claims
+across that neighborhood, so the ``claims`` verb can state that no
+conclusion hinges on a contested digit.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ The symbols follow §III-A.1 of the paper:
 ========================  =====================================================
 
 Two default parameter sets are provided, decoded from the paper (the
-published PDF's digits are glyph-garbled; DESIGN.md §5 documents every
-decoding decision):
+published PDF's digits are glyph-garbled;
+:func:`repro.analysis.sensitivity.plausible_decodings` lists the
+contested readings, and the ``claims`` verb checks the paper's
+conclusions across them):
 
 * :func:`kazaa_defaults` — the single-hop Kazaa peer/supernode scenario
   of §III-A.3;

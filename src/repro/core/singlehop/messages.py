@@ -22,7 +22,7 @@ Components:
 The published equations (6)-(7) are glyph-garbled in the source PDF;
 the ACK terms here are reconstructed mechanistically — one ACK per
 successful delivery of a reliably-transmitted message — which matches
-the prose description of the protocols (DESIGN.md §3 records this).
+the prose description of the protocols.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Each :class:`FigureClaim` binds one sentence of the paper's evaluation
 narrative to a predicate over the regenerated experiment.  The claims
-registry powers ``repro-signaling report`` (the EXPERIMENTS.md evidence
-table) and complements the fuller shape checks in
+registry powers ``repro-signaling report`` (the paper-vs-measured
+evidence table) and complements the fuller shape checks in
 ``tests/experiments/test_figure_shapes.py``.
 """
 

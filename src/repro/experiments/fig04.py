@@ -5,7 +5,8 @@ signaling message rate (panel b) for all five protocols as the mean
 sender session length ``1/mu_r`` sweeps 10 s .. 10,000 s on the Kazaa
 defaults.
 
-Paper claims this figure supports (checked in EXPERIMENTS.md):
+Paper claims this figure supports (checked by ``repro-signaling report``
+and ``tests/experiments/test_figure_shapes.py``):
 
 * both metrics decrease with session length for every protocol;
 * SS+ER improves on SS most at short sessions, at negligible added

@@ -3,7 +3,8 @@
 Panel (a): inconsistency ratio vs loss rate ``p_l`` in [0, 0.3].
 Panel (b): inconsistency ratio vs one-way delay ``Delta`` in (0, 1] s.
 
-Paper claims (checked in EXPERIMENTS.md): reliable transmission pays
+Paper claims (checked by ``repro-signaling report`` and
+``tests/experiments/test_figure_shapes.py``): reliable transmission pays
 off even at modest loss (5%); inconsistency grows ~linearly with delay,
 with a slightly steeper slope for the reliable-transmission protocols
 (their retransmission timer scales with the delay, ``K = 4 Delta``).

@@ -1,5 +1,5 @@
 """Tests that the paper's conclusions survive the parameter-decoding
-ambiguity (DESIGN.md §5)."""
+ambiguity (``repro.analysis.sensitivity.plausible_decodings``)."""
 
 from __future__ import annotations
 

@@ -2,8 +2,9 @@
 
 Each test asserts a claim the paper makes about the corresponding
 figure — who wins, by roughly what factor, where crossovers fall.
-EXPERIMENTS.md cites this module as the machine-checked record of
-paper-vs-measured agreement.  Analytic experiments run at full
+This module is the machine-checked record of paper-vs-measured
+agreement; ``repro-signaling report`` prints the shorter claims
+registry of ``repro.experiments.claims``.  Analytic experiments run at full
 resolution (they are cheap); the simulation-backed figures (11, 12)
 are covered separately in test_validation_figures.py.
 """

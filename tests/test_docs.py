@@ -1,6 +1,6 @@
 """The docs contract: doctests, generated CLI reference, link integrity.
 
-Three promises the ``docs`` CI job also enforces:
+Four promises the ``docs`` CI job also enforces:
 
 * every docstring example under ``src/repro`` actually runs (a module
   that gains ``>>>`` examples must join :data:`DOCTEST_MODULES`);
@@ -10,6 +10,9 @@ Three promises the ``docs`` CI job also enforces:
   manifest and the ``FAMILIES`` table (regenerate with
   ``python tools/generate_layer_docs.py``);
 * every relative link in ``docs/*.md`` and ``README.md`` resolves.
+
+One more holds here only: every Markdown file a Python source names
+exists.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import doctest
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -126,6 +130,25 @@ def test_docs_links_resolve():
     for document in [*sorted(DOCS.glob("*.md")), REPO_ROOT / "README.md"]:
         problems.extend(check_links.check_file(document))
     assert not problems, "\n".join(problems)
+
+
+#: A Markdown file name as Python sources cite it, e.g. ``docs/cli.md``.
+MARKDOWN_NAME = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def test_markdown_files_named_in_code_exist():
+    """A docstring or comment may cite a document only if it exists.
+
+    A name resolves from the repo root (``README.md``, ``docs/cli.md``)
+    or from ``docs/`` (``cli.md``).
+    """
+    missing = []
+    for top in ("src", "tests", "benchmarks", "tools", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            for name in MARKDOWN_NAME.findall(path.read_text()):
+                if not ((REPO_ROOT / name).is_file() or (DOCS / name).is_file()):
+                    missing.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+    assert not missing, "\n".join(missing)
 
 
 def test_docs_exist_and_link_to_each_other():
