@@ -272,3 +272,50 @@ def test_template_structure_is_pinned(case):
         template._features.tolist(),
     )
     assert digest(structure) == PINNED_TEMPLATES[template_id(case)]
+
+
+def product_label(state) -> str:
+    """A chain product state as its protocol state in the paper's
+    ``(i,s)``/``F`` notation, whatever class holds it, then its channel."""
+    proto, channel = state
+    if hasattr(proto, "consistent_hops"):
+        proto = f"({proto.consistent_hops},{int(proto.slow)})"
+    elif hasattr(proto, "consistent"):
+        proto = f"({len(proto.consistent)},{int(bool(proto.slow))})"
+    return f"{proto}{channel}"
+
+
+#: The order-free twins of the multi-hop template digests: the sorted
+#: ``(origin, destination, float.hex of the edge rate on each channel)``
+#: tuples at the chain point of the template's length, so a twin holds
+#: whatever order the edges, states and feature slots come in.
+PINNED_TEMPLATE_EDGE_SETS = {
+    "multihop-SS-1hop": "2900b15b4828b661",
+    "multihop-SS-3hop": "5c73bd4b11d26ab0",
+    "multihop-SS-5hop": "a98bda3cd05c2d03",
+    "multihop-SS+RT-1hop": "f21316e83ebd48c6",
+    "multihop-SS+RT-3hop": "22a2f8e2271196b9",
+    "multihop-SS+RT-5hop": "e70b411d22c430cb",
+    "multihop-HS-1hop": "7b1b09ee9da9233a",
+    "multihop-HS-3hop": "c83391cda6efc139",
+    "multihop-HS-5hop": "32c60b9cb12f2f8b",
+}
+
+CHAIN_TEMPLATES = [case for case in TEMPLATES if case[0] == "multihop"]
+
+
+@pytest.mark.parametrize("case", CHAIN_TEMPLATES, ids=template_id)
+def test_template_edge_sets_are_pinned(case):
+    _, protocol, hops = case
+    template = gilbert_multihop_template(protocol, hops)
+    params = next(point for point in CHAIN_POINTS if point.hops == hops)
+    rates = template.edge_rates([(params, channel) for channel in CHANNELS.values()]).T
+    edges = sorted(
+        (
+            product_label(template.states[i]),
+            product_label(template.states[j]),
+            *(rate.hex() for rate in row),
+        )
+        for i, j, row in zip(template.rows.tolist(), template.cols.tolist(), rates.tolist())
+    )
+    assert digest(edges) == PINNED_TEMPLATE_EDGE_SETS[template_id(case)]

@@ -221,6 +221,25 @@ def digest(values) -> str:
     return hashlib.sha256(repr(_encode(values)).encode()).hexdigest()[:16]
 
 
+def paper_label(state) -> str:
+    """A chain state in the paper's ``(i,s)``/``F`` notation: its
+    consistent hop count and slow flag, whatever class holds it."""
+    if hasattr(state, "consistent_hops"):
+        return f"({state.consistent_hops},{int(state.slow)})"
+    if hasattr(state, "consistent"):
+        return f"({len(state.consistent)},{int(bool(state.slow))})"
+    return str(state)
+
+
+def edge_set(edges) -> list:
+    """``(origin, destination, rate)`` triples as sorted
+    ``(origin label, destination label, float.hex(rate))`` tuples."""
+    return sorted(
+        (paper_label(origin), paper_label(destination), rate.hex())
+        for origin, destination, rate in edges
+    )
+
+
 def solution_fields(family, solution) -> tuple:
     common = (
         solution.stationary,
@@ -320,6 +339,48 @@ def test_reference_rates_are_pinned(case):
     assert digest(rates) == PINNED[case_id(case)][2]
 
 
+#: The order-free twins of the chain and heterogeneous rates digests:
+#: each point's rate dict as an :func:`edge_set`, so a twin holds
+#: whatever order the keys come in and whatever class holds the states.
+PINNED_RATE_SETS = {
+    "chain-SS-1hop": "8c5e77040aa8983c",
+    "chain-SS-3hop": "66c557a87ea1a3c5",
+    "chain-SS-20hop": "6b56b89b8aaa57cf",
+    "chain-SS-127hop": "0385253a28b5996b",
+    "chain-SS-128hop": "67b6c1f152288be8",
+    "chain-SS+RT-1hop": "1c7ca58d88dd3c3f",
+    "chain-SS+RT-3hop": "1ff0c8351aaa7d80",
+    "chain-SS+RT-20hop": "18b88a8054c48bd4",
+    "chain-SS+RT-127hop": "b5b1e8c7dc0ca101",
+    "chain-SS+RT-128hop": "183a601699e56939",
+    "chain-HS-1hop": "55214a33d088da5e",
+    "chain-HS-3hop": "e392fbfe1b26b92c",
+    "chain-HS-20hop": "29f25f45499a52a6",
+    "chain-HS-127hop": "d0192eb7efc5c3c1",
+    "chain-HS-128hop": "970e616aaa062d24",
+    "het-SS-4hop": "6b376cdc6099e3da",
+    "het-SS-20hop": "553fbbd49b3b8fa6",
+    "het-SS-128hop": "468ad4f5e3c5dd94",
+    "het-SS+RT-4hop": "7bc8648dd4b11660",
+    "het-SS+RT-20hop": "2cd098897e3bd04d",
+    "het-SS+RT-128hop": "ada885f41623797d",
+    "het-HS-4hop": "d36a4bbcf3d0fc05",
+    "het-HS-20hop": "b8d9c1686654c058",
+    "het-HS-128hop": "1798ca6195a25d46",
+}
+
+RATE_SET_CASES = [case for case in CASES if case[0] in ("chain", "het")]
+
+
+@pytest.mark.parametrize("case", RATE_SET_CASES, ids=case_id)
+def test_reference_rate_sets_are_pinned(case):
+    rates = [
+        edge_set((*key, rate) for key, rate in reference_rates(case[0], task).items())
+        for task in case_tasks(case)
+    ]
+    assert digest(rates) == PINNED_RATE_SETS[case_id(case)]
+
+
 TEMPLATES = [("singlehop", protocol, None) for protocol in Protocol] + [
     ("chain", protocol, hops) for protocol in MULTIHOP for hops in (1, 3, 20)
 ]
@@ -348,15 +409,17 @@ PINNED_TEMPLATES = {
 }
 
 
-@pytest.mark.parametrize("case", TEMPLATES, ids=template_id)
-def test_template_structure_is_pinned(case):
+def template_and_point(case) -> tuple:
+    """The compiled template of a :data:`TEMPLATES` case and its point."""
     family, protocol, hops = case
     if family == "singlehop":
-        template = singlehop_template(protocol)
-        point = kazaa_defaults()
-    else:
-        template = multihop_template(protocol, hops)
-        point = (reservation_defaults().replace(hops=hops), None)
+        return singlehop_template(protocol), kazaa_defaults()
+    return multihop_template(protocol, hops), (reservation_defaults().replace(hops=hops), None)
+
+
+@pytest.mark.parametrize("case", TEMPLATES, ids=template_id)
+def test_template_structure_is_pinned(case):
+    template, point = template_and_point(case)
     structure = (
         tuple(repr(state) for state in template.states),
         template.rows.tolist(),
@@ -364,6 +427,36 @@ def test_template_structure_is_pinned(case):
         template.edge_rates([point])[0].tolist(),
     )
     assert digest(structure) == PINNED_TEMPLATES[template_id(case)]
+
+
+#: The order-free twins of the chain template digests: the template's
+#: edges at its point as an :func:`edge_set` (parallel edges kept).
+PINNED_TEMPLATE_EDGE_SETS = {
+    "chain-SS-1hop": "c9a3299e4d74e108",
+    "chain-SS-3hop": "318af56edad4d84b",
+    "chain-SS-20hop": "3696df465391faf4",
+    "chain-SS+RT-1hop": "7079c4b42cd0b575",
+    "chain-SS+RT-3hop": "7127b42b379bce1a",
+    "chain-SS+RT-20hop": "a16727307d7de34f",
+    "chain-HS-1hop": "2bfc1fbd64606ccb",
+    "chain-HS-3hop": "6232ccdfc534b891",
+    "chain-HS-20hop": "067d1f78c2f520af",
+}
+
+CHAIN_TEMPLATES = [case for case in TEMPLATES if case[0] == "chain"]
+
+
+@pytest.mark.parametrize("case", CHAIN_TEMPLATES, ids=template_id)
+def test_template_edge_sets_are_pinned(case):
+    template, point = template_and_point(case)
+    states = template.states
+    edges = edge_set(
+        (states[i], states[j], rate)
+        for i, j, rate in zip(
+            template.rows.tolist(), template.cols.tolist(), template.edge_rates([point])[0].tolist()
+        )
+    )
+    assert digest(edges) == PINNED_TEMPLATE_EDGE_SETS[template_id(case)]
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,6 +262,128 @@ def test_template_structure_is_pinned(case):
         tuple(repr(tag) for tag in template._tags),
     )
     assert digest(structure) == PINNED[case_id(case)][1]
+
+
+#: The order-free twins of the template digests: the sorted
+#: ``(origin, destination, multiplicity, float.hex of the edge rate at
+#: each point)`` tuples, so a twin holds whatever order the edges come in
+#: and however the feature slots are numbered.
+PINNED_EDGE_SETS = {
+    "direct-SS-star2": "f396d43ea9413fc2",
+    "direct-SS+RT-star2": "31c1a754e4edc91f",
+    "direct-HS-star2": "8b5092502baca449",
+    "direct-SS-star3": "793b6828e79a7650",
+    "direct-SS+RT-star3": "b50b03d1b5533a65",
+    "direct-HS-star3": "449f2994b5439d77",
+    "direct-SS-star4": "39206c12758e6e82",
+    "direct-SS+RT-star4": "1d78987fcfaaae58",
+    "direct-HS-star4": "190617ec49368958",
+    "direct-SS-star5": "1352b791cc3c0b78",
+    "direct-SS+RT-star5": "bedfef35f2479288",
+    "direct-HS-star5": "a9f59509f7c13d5b",
+    "direct-SS-star6": "3508df70010c20a6",
+    "direct-SS+RT-star6": "b680a1a9fc4112eb",
+    "direct-HS-star6": "00ac5f8f499feeae",
+    "direct-SS-kary2x2": "93d1684cfe49777b",
+    "direct-SS+RT-kary2x2": "e678086ca01153ad",
+    "direct-HS-kary2x2": "cf76cf373abb12f5",
+    "direct-SS-broom2x2": "f604113ea024ec44",
+    "direct-SS+RT-broom2x2": "baded48415387102",
+    "direct-HS-broom2x2": "8465ba92e2eb1e1e",
+    "direct-SS-broom2x3": "93ff1cf2a0cb0e07",
+    "direct-SS+RT-broom2x3": "71315d094b51b8f4",
+    "direct-HS-broom2x3": "6b03ad607c02f687",
+    "direct-SS-broom2x4": "0978cb3e7f239fc6",
+    "direct-SS+RT-broom2x4": "a8c3d3fb994605bc",
+    "direct-HS-broom2x4": "5bec246bb32a38bc",
+    "direct-SS-broom3x2": "181046deb1e9cbe7",
+    "direct-SS+RT-broom3x2": "1eefa4cc35735eee",
+    "direct-HS-broom3x2": "bc88aad0521eb43a",
+    "direct-SS-broom4x2": "78b80d00ad8451a0",
+    "direct-SS+RT-broom4x2": "f23c5defb6b7bc58",
+    "direct-HS-broom4x2": "eb26b764a1552bde",
+    "direct-SS-skewed3": "8c35b5bb95c17b52",
+    "direct-SS+RT-skewed3": "2db5208f21b5bed0",
+    "direct-HS-skewed3": "03cf8b3f4d5b8bfb",
+    "direct-SS-skewed4": "3ae2994cf95e395e",
+    "direct-SS+RT-skewed4": "379115981966efe3",
+    "direct-HS-skewed4": "b4eef84963c8ed9b",
+    "direct-SS-skewed5": "4a6b3175ed3241ea",
+    "direct-SS+RT-skewed5": "ea9d90f3cb9083b4",
+    "direct-HS-skewed5": "4400fdf83864ffda",
+    "direct-SS-skewed6": "171ff36e7a309afa",
+    "direct-SS+RT-skewed6": "47966797544f10c4",
+    "direct-HS-skewed6": "e486bd84bb6bc414",
+    "lumped-SS-star8": "47566f78c5f72afd",
+    "lumped-SS+RT-star8": "a6240d9c13beef19",
+    "lumped-HS-star8": "731264b14ecb153c",
+    "lumped-SS-star10": "7864846c3f48c6ad",
+    "lumped-SS+RT-star10": "c4b130e89e3f72c7",
+    "lumped-HS-star10": "0d514b3aa3db81a8",
+    "lumped-SS-star12": "a0855ddabedfeb49",
+    "lumped-SS+RT-star12": "733cf5e8fa566b3a",
+    "lumped-HS-star12": "a0981772d74fb21b",
+    "lumped-SS-star16": "789a20a7b38b7af2",
+    "lumped-SS+RT-star16": "3bad3a16428ab878",
+    "lumped-HS-star16": "d1e768d382324bd0",
+    "lumped-SS-star20": "8623647387ff8a4e",
+    "lumped-SS+RT-star20": "b454ccdc3707e96a",
+    "lumped-HS-star20": "6a2acc8ee04dbbd8",
+    "lumped-SS-star24": "5ebf5c4298308337",
+    "lumped-SS+RT-star24": "e4f356beb81d027d",
+    "lumped-HS-star24": "4343aa5baa0ec077",
+    "lumped-SS-star32": "f0123923774a5f63",
+    "lumped-SS+RT-star32": "ee23f5b859d2cf22",
+    "lumped-HS-star32": "dfaaad33c92cde17",
+    "lumped-SS-star64": "26f040123d6ec4d7",
+    "lumped-SS+RT-star64": "512c7c907d3752ec",
+    "lumped-HS-star64": "cb1b4da82989349a",
+    "lumped-SS-broom2x8": "2a462959daee703c",
+    "lumped-SS+RT-broom2x8": "832236abc38a7bae",
+    "lumped-HS-broom2x8": "969838845f90d0d4",
+    "lumped-SS-broom2x12": "3b143422d325cb57",
+    "lumped-SS+RT-broom2x12": "150d2ee3860f8606",
+    "lumped-HS-broom2x12": "abe36ae881c3a080",
+    "lumped-SS-broom2x16": "ad814e155fc70042",
+    "lumped-SS+RT-broom2x16": "21ea5444fa029002",
+    "lumped-HS-broom2x16": "15773d9b5213cd53",
+    "lumped-SS-broom2x24": "10a54a68369db5a0",
+    "lumped-SS+RT-broom2x24": "693305c7b2a8a4d0",
+    "lumped-HS-broom2x24": "acc8c4a9eccb3ae3",
+    "lumped-SS-kary2x3": "f7b31e13adc63556",
+    "lumped-SS+RT-kary2x3": "39c833a8cc05421a",
+    "lumped-HS-kary2x3": "026ca7fdcfb6f6e6",
+    "lumped-SS-kary3x2": "0f50b99f8249bf50",
+    "lumped-SS+RT-kary3x2": "b2f384fa1e07837c",
+    "lumped-HS-kary3x2": "730f33953752e23f",
+    "iterative-SS-star5": "1352b791cc3c0b78",
+    "iterative-SS+RT-star5": "bedfef35f2479288",
+    "iterative-HS-star5": "a9f59509f7c13d5b",
+    "iterative-SS-skewed4": "3ae2994cf95e395e",
+    "iterative-SS+RT-skewed4": "379115981966efe3",
+    "iterative-HS-skewed4": "b4eef84963c8ed9b",
+    "iterative-SS-skewed5": "4a6b3175ed3241ea",
+    "iterative-SS+RT-skewed5": "ea9d90f3cb9083b4",
+    "iterative-HS-skewed5": "4400fdf83864ffda",
+}
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_template_edge_sets_are_pinned(case):
+    route, protocol, shape = case
+    topology = topology_of(shape)
+    template = template_of(route, protocol, topology)
+    states = template.states
+    edges = sorted(
+        (repr(states[i]), repr(states[j]), multiplicity, *(rate.hex() for rate in rates))
+        for i, j, multiplicity, rates in zip(
+            template.rows.tolist(),
+            template.cols.tolist(),
+            np.broadcast_to(template._multiplicities, template.rows.shape).tolist(),
+            template.edge_rates(points(topology)).T.tolist(),
+        )
+    )
+    assert digest(edges) == PINNED_EDGE_SETS[case_id(case)]
 
 
 @pytest.mark.parametrize(
