@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.core import templates
-from repro.core.multihop.heterogeneous import HeterogeneousMultiHopModel
+from repro.core.multihop import Topology, TreeModel
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
 from repro.experiments.scaling import heterogeneous_path
@@ -42,14 +42,13 @@ def _scaling_points():
 def test_bench_chain_kernel_128_hops_speedup(run_once):
     """>= 5x over the generic dense path at 128 hops, same answers."""
     points = _scaling_points()
-    template = templates.multihop_template(Protocol.SS, HOPS)
-    template.solve_batch(points[:1], backend="structured")  # warm caches
-    fast, fast_seconds = _timed(
-        lambda: run_once(lambda: template.solve_batch(points, backend="structured"))
-    )
+    chain = Topology.chain(HOPS)
+    template = templates.tree_template(Protocol.SS, chain)
+    template.solve_structured(points[:1])  # warm caches
+    fast, fast_seconds = _timed(lambda: run_once(lambda: template.solve_structured(points)))
     reference, reference_seconds = _timed(
         lambda: [
-            HeterogeneousMultiHopModel(Protocol.SS, point_params, point_hops).solve()
+            TreeModel(Protocol.SS, point_params, chain, point_hops).solve()
             for point_params, point_hops in points
         ]
     )

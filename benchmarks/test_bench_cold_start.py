@@ -6,11 +6,10 @@ cold: every ``functools`` lru cache of ``repro.core`` is cleared and the
 topology is built afresh before each round, so state enumeration, spec
 lists and the COO compile are all timed.
 
-``MultiHopTemplate(SS, 128)`` is the yardstick: a cold tree compile on
-``Topology.chain(128)`` builds the same 257-state chain through the
-tree engine, and the unary-tree route wants the two within a small
-factor of each other.  The import probe runs a fresh interpreter, so it
-times what a new worker or CLI call pays.
+A cold ``TreeTemplate(SS, Topology.chain(128))`` compiles the paper's
+257-state chain, the structure every 128-hop chain sweep solves on.  The
+import probe runs a fresh interpreter, so it times what a new worker or
+CLI call pays.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import pytest
 import repro
 from repro.core.multihop import Topology
 from repro.core.protocols import Protocol
-from repro.core.templates import LumpedTreeTemplate, MultiHopTemplate, TreeTemplate
+from repro.core.templates import LumpedTreeTemplate, TreeTemplate
 
 #: The program's entry points: the runtime, the simulators, the API and the CLI.
 PROGRAM_MODULES = (
@@ -80,16 +79,6 @@ def test_bench_cold_compile(benchmark, template, shape, states):
         iterations=1,
     )
     assert len(compiled.states) == states
-
-
-def test_bench_cold_compile_chain_yardstick(benchmark):
-    compiled = benchmark.pedantic(
-        lambda: MultiHopTemplate(Protocol.SS, 128),
-        setup=_clear_core_caches,
-        rounds=5,
-        iterations=1,
-    )
-    assert len(compiled.states) == 257
 
 
 def test_bench_cold_import(benchmark):

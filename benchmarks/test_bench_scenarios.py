@@ -3,7 +3,8 @@
 One row per scenario: ``run_scenario(id, fidelity)`` under the
 benchmark clock, then the row's shape check on the result, so the
 suite doubles as a paper-figure smoke test.  The simulation-backed
-Fig. 11/12 run exactly one round.
+Fig. 11/12 run exactly one round.  ``scaling`` (heterogeneous chains up
+to 128 hops, beyond the paper) rides along as the long-chain row.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def check_fig19(result):
     assert ss.y[-1] > ss.y[best]  # the multi-hop vee shape
 
 
+def check_scaling(result):
+    for series in result.panel("end-to-end inconsistency").series:
+        assert series.y[-1] > series.y[0]  # longer paths are less consistent
+
+
 def check_table1(result):
     panel = result.panel("transition rates")
     assert panel.labels() == tuple(p.value for p in Protocol)
@@ -112,6 +118,7 @@ SCENARIOS = {
     "fig17": ("fast", check_fig17),
     "fig18": ("fast", check_fig18),
     "fig19": ("fast", check_fig19),
+    "scaling": ("fast", check_scaling),
     "table1": ("full", check_table1),
 }
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
-from repro.core.multihop import MultiHopModel
+from repro.core.multihop import Topology, TreeModel
 from repro.protocols.config import SingleHopSimConfig
 from repro.protocols.session import SingleHopSimulation
 from repro.sim.engine import Environment
@@ -49,7 +49,7 @@ def test_bench_multihop_solve_20_hops(benchmark):
     params = reservation_defaults()
 
     def solve():
-        return MultiHopModel(Protocol.SS, params).solve()
+        return TreeModel(Protocol.SS, params, Topology.chain(params.hops)).solve()
 
     solution = benchmark(solve)
     assert 0.0 < solution.inconsistency_ratio < 1.0

@@ -18,7 +18,7 @@ from repro.core import templates
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
-from repro.core.multihop.heterogeneous import HeterogeneousMultiHopModel
+from repro.core.multihop import Topology, TreeModel
 from repro.experiments.runner import geometric_sweep
 from repro.experiments.scaling import heterogeneous_path
 from repro.runtime import global_cache, solve_singlehop_batch
@@ -94,12 +94,13 @@ def test_bench_multihop_sparse_template_128_hops(run_once):
         (params.with_coupled_timers(refresh), hops)
         for refresh in (2.0, 3.0, 5.0, 8.0, 10.0, 15.0)
     ]
-    template = templates.multihop_template(Protocol.SS_RT, 128)
+    chain = Topology.chain(128)
+    template = templates.tree_template(Protocol.SS_RT, chain)
     template.solve_batch(points[:1])  # warm the compile + symbolic cache
     fast, fast_seconds = _timed(lambda: run_once(lambda: template.solve_batch(points)))
     reference, reference_seconds = _timed(
         lambda: [
-            HeterogeneousMultiHopModel(Protocol.SS_RT, point_params, point_hops).solve()
+            TreeModel(Protocol.SS_RT, point_params, chain, point_hops).solve()
             for point_params, point_hops in points
         ]
     )

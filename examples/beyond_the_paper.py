@@ -13,12 +13,8 @@ Run: ``python examples/beyond_the_paper.py``
 
 import numpy as np
 
-from repro import Protocol, kazaa_defaults, reservation_defaults
-from repro.core.multihop import (
-    HeterogeneousHop,
-    HeterogeneousMultiHopModel,
-    MultiHopModel,
-)
+from repro import Protocol, Topology, TreeModel, kazaa_defaults, reservation_defaults
+from repro.core.multihop import HeterogeneousHop
 from repro.runtime import solve_transient_curve
 from repro.transient import time_to_consistency
 
@@ -49,7 +45,8 @@ def transient_tour() -> None:
 def heterogeneous_tour() -> None:
     print("2. Heterogeneous path: one 20%-loss link in a 6-hop chain")
     params = reservation_defaults().replace(hops=6, loss_rate=0.005)
-    clean = MultiHopModel(Protocol.SS, params).solve()
+    chain = Topology.chain(6)
+    clean = TreeModel(Protocol.SS, params, chain).solve()
     print("   per-hop inconsistency, hop 1 .. hop 6 (the last is end to end):")
 
     def row(label, solution):
@@ -60,7 +57,7 @@ def heterogeneous_tour() -> None:
     for position in (0, 5):
         hops = [HeterogeneousHop(0.005, 0.03) for _ in range(6)]
         hops[position] = HeterogeneousHop(0.20, 0.03)
-        dirty = HeterogeneousMultiHopModel(Protocol.SS, params, hops).solve()
+        dirty = TreeModel(Protocol.SS, params, chain, links=hops).solve()
         row(f"bad link at hop {position + 1}:", dirty)
     print("   End to end the two read alike, but a lossy *first* link starves\n"
           "   every downstream hop of refreshes; a lossy last link only hurts\n"

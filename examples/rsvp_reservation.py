@@ -11,8 +11,7 @@ analytic predictions against the packet-level chain simulator.
 Run: ``python examples/rsvp_reservation.py``
 """
 
-from repro import Protocol, reservation_defaults
-from repro.core.multihop import MultiHopModel
+from repro import Protocol, Topology, TreeModel, reservation_defaults
 from repro.multihop import MultiHopSimConfig, MultiHopSimulation
 
 PATH_LENGTHS = (4, 8, 16)
@@ -30,7 +29,7 @@ def main() -> None:
             f"{'msgs/s (model)':>14s} {'msgs/s (sim)':>13s} {'last-hop I':>11s}"
         )
         for protocol in Protocol.multihop_family():
-            model = MultiHopModel(protocol, params).solve()
+            model = TreeModel(protocol, params, Topology.chain(hops)).solve()
             sim = MultiHopSimulation(
                 MultiHopSimConfig(
                     protocol=protocol,
@@ -43,7 +42,7 @@ def main() -> None:
             print(
                 f"  {protocol.value:8s} {model.inconsistency_ratio:10.5f} "
                 f"{sim.inconsistency_ratio:9.5f} {model.message_rate:14.4f} "
-                f"{sim.message_rate:13.4f} {model.hop_inconsistency(hops):11.5f}"
+                f"{sim.message_rate:13.4f} {model.node_inconsistency(hops):11.5f}"
             )
     print(
         "\nObservations (paper Figs. 17-18): consistency degrades roughly\n"

@@ -47,7 +47,7 @@ from repro.core import (
     reservation_defaults,
     solve_all,
 )
-from repro.core.multihop import MultiHopModel, MultiHopSolution, solve_all_multihop
+from repro.core.multihop import Topology, TreeModel, TreeSolution
 
 # The canonical value lives in repro._version (a bottom layer) so that
 # provenance stamping in lower layers never imports this facade.
@@ -66,18 +66,18 @@ def __getattr__(name: str):
 
 __all__ = [
     "ContinuousTimeMarkovChain",
-    "MultiHopModel",
     "MultiHopParameters",
-    "MultiHopSolution",
     "Protocol",
     "SignalingParameters",
     "SingleHopModel",
     "SingleHopSolution",
     "SingleHopState",
+    "Topology",
+    "TreeModel",
+    "TreeSolution",
     "__version__",
     "api",
     "kazaa_defaults",
     "reservation_defaults",
     "solve_all",
-    "solve_all_multihop",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from repro.core.multihop import MultiHopSolution
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.tree_model import TreeSolution
 from repro.core.parameters import (
@@ -115,7 +114,7 @@ def validate_scenario(
     >>> report = api.validate_scenario("tree_fanout", fidelity="smoke")
     >>> report.passed
     True
-    >>> report.check("tree SS: unary==chain").kind
+    >>> report.check("tree SS: direct==referee").kind
     'parity'
     """
     return _validate_scenario(scenario, fidelity, jobs=jobs, seed=seed)
@@ -149,7 +148,7 @@ def solve_multihop(
     protocol: Protocol | str,
     params: MultiHopParameters | None = None,
     **overrides: float,
-) -> MultiHopSolution:
+) -> TreeSolution:
     """Solve one multi-hop point on the reservation defaults.
 
     ``overrides`` replace preset fields (validated), e.g.

@@ -53,6 +53,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.analysis.sensitivity import robustness_report
+from repro.core.multihop.transitions import multihop_protocol
 from repro.core.protocols import Protocol
 from repro.experiments import experiment_ids, run_experiments, run_scenario, scenario
 from repro.experiments.claims import render_report
@@ -650,13 +651,15 @@ def _dispatch(argv: Sequence[str] | None) -> int:
             _print_cache_stats()
         return 0
     if args.command == "report":
-        print(render_report(fast=not args.full))
+        print(render_report(fidelity="full" if args.full else "fast"))
         return 0
     if args.command == "diagram":
         protocol = Protocol(args.protocol)
         if args.multihop:
-            if protocol not in Protocol.multihop_family():
-                print(f"{protocol.value} is not part of the multi-hop analysis")
+            try:
+                protocol = multihop_protocol(protocol)
+            except ValueError as error:
+                print(error)
                 return 1
             print(render_multihop_chain(protocol))
         else:

@@ -9,17 +9,11 @@ from repro.core.parameters import (
 )
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel, SingleHopSolution, SingleHopState, solve_all
-from repro.core.templates import (
-    MultiHopTemplate,
-    SingleHopTemplate,
-    multihop_template,
-    singlehop_template,
-)
+from repro.core.templates import SingleHopTemplate, singlehop_template
 
 __all__ = [
     "ContinuousTimeMarkovChain",
     "MultiHopParameters",
-    "MultiHopTemplate",
     "Protocol",
     "SignalingParameters",
     "SingleHopModel",
@@ -27,7 +21,6 @@ __all__ = [
     "SingleHopState",
     "SingleHopTemplate",
     "kazaa_defaults",
-    "multihop_template",
     "reservation_defaults",
     "singlehop_template",
     "solve_all",

@@ -6,9 +6,10 @@ One model body solves the channel x protocol product chain that
 subclasses that name their base, the i.i.d. model a degenerate channel
 delegates to, and their solution type.  They report the same metrics as
 their i.i.d. counterparts
-(:class:`~repro.core.singlehop.model.SingleHopModel`,
-:class:`~repro.core.multihop.model.MultiHopModel`), so the ``burst_loss``
-scenarios can put bursty and i.i.d. curves on one axis.
+(:class:`~repro.core.singlehop.model.SingleHopModel`, and
+:class:`~repro.core.multihop.tree_model.TreeModel` on
+``Topology.chain(N)``), so the ``burst_loss`` scenarios can put bursty
+and i.i.d. curves on one axis.
 
 Metric definitions on the product chain:
 
@@ -46,9 +47,10 @@ from repro.core.gilbert.transitions import (
     gilbert_states,
 )
 from repro.core.markov import ContinuousTimeMarkovChain
-from repro.core.multihop.model import MultiHopModel
-from repro.core.multihop.states import RECOVERY, HopState
+from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import multihop_protocol
+from repro.core.multihop.tree_model import TreeModel
+from repro.core.multihop.tree_states import RECOVERY, TreeState
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.model import FINITE_SESSION_REQUIRED, SingleHopModel
@@ -136,21 +138,21 @@ class GilbertMultiHopSolution(_ProductSolution):
     inconsistency_ratio: float
     message_breakdown: dict[str, float]
 
-    def hop_inconsistency(self, hop: int) -> float:
-        """Fraction of time hop ``hop`` (1-based) is inconsistent."""
-        if not 1 <= hop <= self.params.hops:
-            raise ValueError(f"hop must be in [1, {self.params.hops}], got {hop}")
+    def node_inconsistency(self, node: int) -> float:
+        """Fraction of time relay ``node`` (1-based) is inconsistent."""
+        if not 1 <= node <= self.params.hops:
+            raise ValueError(f"node must be in [1, {self.params.hops}], got {node}")
         total = 0.0
         for (proto_state, _channel), probability in self.stationary.items():
             if proto_state is RECOVERY:
                 total += probability
-            elif isinstance(proto_state, HopState) and proto_state.consistent_hops < hop:
+            elif isinstance(proto_state, TreeState) and node not in proto_state.consistent:
                 total += probability
         return total
 
     def hop_profile(self) -> list[float]:
-        """``[hop_inconsistency(1), ..., hop_inconsistency(N)]``."""
-        return [self.hop_inconsistency(h) for h in range(1, self.params.hops + 1)]
+        """:meth:`node_inconsistency` of every relay, in node order."""
+        return [self.node_inconsistency(node) for node in range(1, self.params.hops + 1)]
 
     def integrated_cost(self, weight: float = 10.0) -> float:
         """``weight * I + message_rate`` — the eq. (8) cost in this regime."""
@@ -274,11 +276,15 @@ class GilbertSingleHopModel(_GilbertModel):
         super().__init__(protocol, params, gilbert)
 
 
+def _chain_model(protocol: Protocol, params: MultiHopParameters) -> TreeModel:
+    return TreeModel(protocol, params, Topology.chain(params.hops))
+
+
 class GilbertMultiHopModel(_GilbertModel):
     """The multi-hop product chain for one protocol and channel."""
 
     base = MULTIHOP
-    iid = MultiHopModel
+    iid = staticmethod(_chain_model)
     solution = GilbertMultiHopSolution
 
     def __init__(

@@ -9,7 +9,8 @@ the channel flip edges.
 
 The lift is written once, over a :class:`BaseFamily` record of what it
 needs from the i.i.d. family it lifts: :data:`SINGLEHOP` (the Fig. 3
-chain) or :data:`MULTIHOP` (the Fig. 15/16 relay chain).  This module
+chain) or :data:`MULTIHOP` (the Fig. 15/16 relay chain, the tree model
+on ``Topology.chain(N)``).  This module
 builds the shared ``(origin, destination, tag)`` spec list — the same
 pattern as :mod:`repro.core.multihop.tree_transitions` — consumed by
 both the reference models (:mod:`repro.core.gilbert.model`) and the
@@ -44,9 +45,10 @@ import functools
 from collections.abc import Callable, Mapping
 
 from repro.core.markov import spec_rates, spec_tags
-from repro.core.multihop.messages import multihop_message_components
-from repro.core.multihop.states import HopState, multihop_state_space
-from repro.core.multihop.transitions import build_multihop_rates, chain_transition_specs
+from repro.core.multihop.topology import Topology
+from repro.core.multihop.tree_messages import tree_message_components
+from repro.core.multihop.tree_states import TreeState, tree_state_space
+from repro.core.multihop.tree_transitions import build_tree_rates, tree_transition_specs
 from repro.core.protocols import Protocol
 from repro.core.singlehop.messages import message_rate_components
 from repro.core.singlehop.states import SingleHopState as S
@@ -119,16 +121,20 @@ class BaseFamily:
     start: object = None
 
 
-def _chain_edges(protocol: Protocol, hops: int) -> tuple:
-    states = multihop_state_space(hops, with_recovery=protocol is Protocol.HS)
-    pairs = dict.fromkeys((o, d) for o, d, _ in chain_transition_specs(protocol, hops))
-    return tuple((states[origin], states[destination]) for origin, destination in pairs)
+def _spec_edges(specs) -> tuple:
+    """The distinct ``(origin, destination)`` pairs of ``specs``, in first-seen order."""
+    return tuple(dict.fromkeys((origin, destination) for origin, destination, *_ in specs))
+
+
+@functools.lru_cache(maxsize=256)
+def _chain(hops: int) -> Topology:
+    return Topology.chain(hops)
 
 
 SINGLEHOP = BaseFamily(
     shape=lambda params: (),
     states=lambda protocol: tuple(s for s in state_space(protocol) if s is not S.ABSORBED),
-    edges=lambda protocol: tuple(dict.fromkeys((o, d) for o, d, _ in transition_specs(protocol))),
+    edges=lambda protocol: _spec_edges(transition_specs(protocol)),
     rates=build_transition_rates,
     messages=message_rate_components,
     consistent=lambda: S.CONSISTENT,
@@ -138,13 +144,13 @@ SINGLEHOP = BaseFamily(
 
 MULTIHOP = BaseFamily(
     shape=lambda params: (params.hops,),
-    states=lambda protocol, hops: multihop_state_space(
-        hops, with_recovery=protocol is Protocol.HS
+    states=lambda protocol, hops: tree_state_space(_chain(hops), protocol is Protocol.HS),
+    edges=lambda protocol, hops: _spec_edges(tree_transition_specs(protocol, _chain(hops))),
+    rates=lambda protocol, params: build_tree_rates(protocol, params, _chain(params.hops)),
+    messages=lambda protocol, params, stationary: tree_message_components(
+        protocol, params, _chain(params.hops), stationary
     ),
-    edges=_chain_edges,
-    rates=build_multihop_rates,
-    messages=multihop_message_components,
-    consistent=lambda hops: HopState(hops, False),
+    consistent=lambda hops: TreeState(tuple(range(1, hops + 1)), ()),
 )
 
 

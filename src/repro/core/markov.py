@@ -610,9 +610,10 @@ def batched_stationary_chain(
         non-RECOVERY state into RECOVERY) and the RECOVERY ``-> F_0``
         repair rate ``g`` (on top of the update edge).
 
-    Returns ``(pi, bad)``: ``pi`` is ``(K, ns)`` over the
-    ``multihop_state_space`` order (``F_0..F_n``, ``S_0..S_{n-1}``, then
-    RECOVERY for HS), each good row normalized to sum 1; ``bad`` marks
+    Returns ``(pi, bad)``: ``pi`` is ``(K, ns)`` over the chain's
+    state order (``F_0..F_n``, ``S_0..S_{n-1}``, then RECOVERY for HS;
+    ``tree_state_space`` of ``Topology.chain(n)``), each good row
+    normalized to sum 1; ``bad`` marks
     points whose recursion produced non-finite values or non-positive
     mass (degenerate rates), for re-solving through a reference path.
     Raises ``ValueError`` for structurally invalid input — mismatched

@@ -1,14 +1,12 @@
-"""Multi-hop analytic models (paper §III-B)."""
+"""Multi-hop analytic models (paper §III-B), on chains and trees.
 
-from repro.core.multihop.messages import (
-    expected_link_crossings,
-    multihop_message_components,
-)
-from repro.core.multihop.heterogeneous import (
-    HeterogeneousHop,
-    HeterogeneousMultiHopModel,
-    hops_from_parameters,
-)
+The paper's chain of ``N`` relays is the unary tree
+``Topology.chain(N)``: :class:`TreeModel` solves it, with a per-hop
+link profile for the heterogeneous chain.
+"""
+
+from repro.core.multihop.messages import expected_link_crossings
+from repro.core.multihop.heterogeneous import HeterogeneousHop, hops_from_parameters
 from repro.core.multihop.lumping import (
     LumpedTreeModel,
     LumpedTreeSolution,
@@ -20,11 +18,8 @@ from repro.core.multihop.lumping import (
     projected_lumped_states,
     select_tree_backend,
 )
-from repro.core.multihop.model import MultiHopModel, MultiHopSolution, solve_all_multihop
-from repro.core.multihop.states import RECOVERY, HopState, Recovery, multihop_state_space
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import (
-    build_multihop_rates,
     first_timeout_rate,
     slow_path_recovery_rate,
     supported_protocols,
@@ -35,6 +30,8 @@ from repro.core.multihop.tree_messages import (
 )
 from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import (
+    RECOVERY,
+    Recovery,
     StateSpaceLimitError,
     TreeState,
     projected_tree_states,
@@ -47,14 +44,10 @@ from repro.core.multihop.tree_transitions import (
 
 __all__ = [
     "HeterogeneousHop",
-    "HeterogeneousMultiHopModel",
-    "HopState",
     "hops_from_parameters",
     "LumpedTreeModel",
     "LumpedTreeSolution",
     "LumpedTreeState",
-    "MultiHopModel",
-    "MultiHopSolution",
     "RECOVERY",
     "Recovery",
     "StateSpaceLimitError",
@@ -63,20 +56,16 @@ __all__ = [
     "TreeSolution",
     "TreeState",
     "build_lumped_rates",
-    "build_multihop_rates",
     "build_tree_rates",
     "expected_link_crossings",
     "first_timeout_rate",
     "lump_tree_state",
     "lumped_state_space",
     "lumped_transition_specs",
-    "multihop_message_components",
-    "multihop_state_space",
     "projected_lumped_states",
     "projected_tree_states",
     "select_tree_backend",
     "slow_path_recovery_rate",
-    "solve_all_multihop",
     "supported_protocols",
     "tree_expected_link_crossings",
     "tree_message_components",

@@ -7,19 +7,18 @@ module generalizes the multi-hop Markov model to per-hop loss and delay
 vectors, reusing the same state space (the chain's structure does not
 depend on homogeneity — only its rates do).
 
-The homogeneous model is recovered exactly when every hop is identical
-(tested), which also serves as a cross-check of both implementations.
-
-The chain keeps the homogeneous model's states and
-:func:`~repro.core.multihop.transitions.chain_transition_specs` list;
-only the rate row differs.  :func:`heterogeneous_rate_row` fills it from
-pure profile functions (:func:`reach_profile`,
-:func:`recovery_rate_profile`, :func:`first_timeout_profile`), read alike
-by :class:`HeterogeneousMultiHopModel` (a :class:`MultiHopModel` that
-overrides only the rate row and the message accounting,
-:func:`heterogeneous_message_components`) and by the compiled
-``MultiHopTemplate``.  All profiles are built on a single prefix-product
-pass over the hop vector, so a rate row costs O(n).
+A heterogeneous chain is the tree model on ``Topology.chain(N)`` with a
+link profile, one :class:`HeterogeneousHop` per edge
+(``TreeModel(..., links=hops)``).  Its depth-tagged spec list is the
+homogeneous chain's; :func:`heterogeneous_tag_rates` prices each tag
+from pure profile functions (:func:`reach_profile`,
+:func:`recovery_rate_profile`, :func:`first_timeout_profile`), read
+alike by the reference model and the compiled template, and
+:func:`heterogeneous_message_components` does the message accounting.
+All profiles are built on a single prefix-product pass over the hop
+vector, so a point's rates cost O(n).  The homogeneous model is
+recovered when every hop is identical, to tolerance (the profiles
+accumulate per hop).
 """
 
 from __future__ import annotations
@@ -27,18 +26,16 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Mapping, Sequence
 
-from repro.core.multihop.model import MultiHopModel
-from repro.core.multihop.states import RECOVERY, HopState
+from repro.core.multihop.tree_states import RECOVERY, TreeState
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
 __all__ = [
     "HeterogeneousHop",
-    "HeterogeneousMultiHopModel",
     "expected_link_crossings_heterogeneous",
     "first_timeout_profile",
     "heterogeneous_message_components",
-    "heterogeneous_rate_row",
+    "heterogeneous_tag_rates",
     "hops_from_parameters",
     "reach_profile",
     "recovery_rate_profile",
@@ -141,9 +138,9 @@ def heterogeneous_message_components(
     """Per-kind per-link-transmission rates under per-hop loss/delay.
 
     The heterogeneous counterpart of
-    :func:`repro.core.multihop.messages.multihop_message_components`,
-    shared between :class:`HeterogeneousMultiHopModel` and the
-    compiled-template fast path.
+    :func:`repro.core.multihop.tree_messages.tree_message_components` on
+    a chain: each state's frontier node ``v`` (the one past its
+    consistent prefix) sends over link ``hops[v - 1]``.
     """
     if reach is None:
         reach = reach_profile(hops)
@@ -153,15 +150,16 @@ def heterogeneous_message_components(
     slow_total = 0.0
     ack_rate = 0.0
     for state, probability in stationary.items():
-        if not isinstance(state, HopState):
+        if not isinstance(state, TreeState):
             continue
-        if not state.slow and state.consistent_hops < n:
-            hop = hops[state.consistent_hops]
+        frontier = len(state.consistent) + 1
+        if not state.slow and frontier <= n:
+            hop = hops[frontier - 1]
             fast_rate += probability / hop.delay
             ack_rate += probability * (1.0 - hop.loss_rate) / hop.delay
         elif state.slow:
             slow_total += probability
-            hop = hops[min(state.consistent_hops, n - 1)]
+            hop = hops[frontier - 1]
             ack_rate += probability * (1.0 - hop.loss_rate) * retransmit
     breakdown = {
         "trigger_hops": fast_rate,
@@ -183,64 +181,30 @@ def heterogeneous_message_components(
     return breakdown
 
 
-def heterogeneous_rate_row(
+def heterogeneous_tag_rates(
     protocol: Protocol,
     params: MultiHopParameters,
     hops: Sequence[HeterogeneousHop],
-    reach: Sequence[float],
+    tags,
 ) -> list[float]:
-    """One per-hop point's rates, in the
-    :func:`~repro.core.multihop.transitions.chain_slots` layout."""
+    """The rate of each of the chain's ``tags`` under per-hop loss/delay.
+
+    A per-edge tag ``(kind, depth)`` names hop ``depth``; the HS false
+    signals fire at ``N * lambda_x`` and the recovery exit takes
+    ``2N`` mean hop delays.
+    """
     n = params.hops
-    row = [params.update_rate]
-    row += [(1.0 - hop.loss_rate) / hop.delay for hop in hops]
-    row += [hop.loss_rate / hop.delay for hop in hops]
-    row += recovery_rate_profile(protocol, params, hops, reach)
+    reach = reach_profile(hops)
+    per_hop = {
+        "advance": [(1.0 - hop.loss_rate) / hop.delay for hop in hops],
+        "lose": [hop.loss_rate / hop.delay for hop in hops],
+        "recover": recovery_rate_profile(protocol, params, hops, reach),
+    }
+    single = {"update": params.update_rate}
     if protocol is Protocol.HS:
         mean_delay = sum(h.delay for h in hops) / n
-        row += [n * params.external_false_signal_rate, 1.0 / (2.0 * n * mean_delay)]
+        single["to_recovery"] = n * params.external_false_signal_rate
+        single["from_recovery"] = 1.0 / (2.0 * n * mean_delay)
     else:
-        row += first_timeout_profile(params, reach)
-    return row
-
-
-class HeterogeneousMultiHopModel(MultiHopModel):
-    """The §III-B chain with per-hop loss/delay (SS, SS+RT, HS).
-
-    Same states and spec list as :class:`MultiHopModel`; only the rate
-    row and the message accounting read the hop vector.
-    """
-
-    def __init__(
-        self,
-        protocol: Protocol,
-        params: MultiHopParameters,
-        hops: Sequence[HeterogeneousHop],
-    ) -> None:
-        protocol = Protocol(protocol)
-        if protocol not in Protocol.multihop_family():
-            raise ValueError(f"{protocol.value} is not part of the multi-hop analysis")
-        if len(hops) != params.hops:
-            raise ValueError(
-                f"hop vector length {len(hops)} != params.hops {params.hops}"
-            )
-        super().__init__(protocol, params)
-        self.hops = tuple(hops)
-
-    def reach_probability(self, hop_count: int) -> float:
-        """Probability an end-to-end message survives the first ``hop_count`` links."""
-        if not 0 <= hop_count <= len(self.hops):
-            raise ValueError(f"hop_count out of range: {hop_count}")
-        return reach_profile(self.hops)[hop_count]
-
-    def rate_row(self) -> list[float]:
-        """The point's rates, in the chain's slot layout."""
-        return heterogeneous_rate_row(
-            self.protocol, self.params, self.hops, reach_profile(self.hops)
-        )
-
-    def message_breakdown(self, stationary: dict[object, float]) -> dict[str, float]:
-        """Per-kind per-link transmission rates under ``stationary``."""
-        return heterogeneous_message_components(
-            self.protocol, self.params, self.hops, stationary
-        )
+        per_hop["timeout"] = first_timeout_profile(params, reach)
+    return [single[tag[0]] if len(tag) == 1 else per_hop[tag[0]][tag[1] - 1] for tag in tags]

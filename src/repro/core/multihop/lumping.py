@@ -31,7 +31,7 @@ sorted *multiset* of member configurations, recursively:
 
 A transition's lumped rate is the raw tag rate times the *multiplicity*
 — the number of identical members the event could have fired at — so
-every rate float is ``tree_tag_rate(...) * m`` with integer ``m``, and
+every rate float is a ``tree_tag_rates`` float times an integer ``m``, and
 the reference dict and the compiled template accumulate the exact same
 floats in the same order (the usual template bit-parity discipline,
 applied within the lumped family).
@@ -60,19 +60,19 @@ import math
 
 from repro.core.markov import spec_rates, spec_tags
 from repro.core.multihop.messages import link_message_components
-from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
-from repro.core.multihop.transitions import supported_protocols
+from repro.core.multihop.transitions import multihop_protocol
 from repro.core.multihop.tree_messages import tree_expected_link_crossings
 from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import (
     MAX_ENUMERATED_TREE_STATES,
     MAX_TREE_STATES,
+    RECOVERY,
     StateSpaceLimitError,
     TreeState,
     projected_tree_states,
 )
-from repro.core.multihop.tree_transitions import tree_tag_rate
+from repro.core.multihop.tree_transitions import tree_tag_rates
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
@@ -428,10 +428,7 @@ def lumped_transition_specs(
     origin and destination is the orbit object of
     :func:`lumped_state_space`; SS and SS+RT share one list.
     """
-    protocol = Protocol(protocol)
-    if protocol not in supported_protocols():
-        raise ValueError(f"{protocol} is not part of the multi-hop analysis")
-    return _lumped_specs(topology, protocol is Protocol.HS)
+    return _lumped_specs(topology, multihop_protocol(protocol) is Protocol.HS)
 
 
 @functools.lru_cache(maxsize=128)
@@ -463,13 +460,12 @@ def build_lumped_rates(
 ) -> dict[tuple[object, object], float]:
     """All transition rates of the lumped chain for ``protocol``.
 
-    Each rate is ``tree_tag_rate(tag) * multiplicity`` — the same float
+    Each rate is its tag's ``tree_tag_rates`` float times its multiplicity — the same float
     product, in the same spec order, the lumped template scatters.
     """
     specs = lumped_transition_specs(protocol, topology)
-    return spec_rates(
-        specs, {tag: tree_tag_rate(protocol, params, topology, tag) for tag in spec_tags(specs)}
-    )
+    tags = spec_tags(specs)
+    return spec_rates(specs, dict(zip(tags, tree_tag_rates(protocol, params, topology, tags))))
 
 
 def lump_tree_state(topology: Topology, state: object) -> object:

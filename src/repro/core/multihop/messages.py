@@ -23,16 +23,13 @@ this.  Components:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
-from repro.core.multihop.states import RECOVERY, HopState
+from repro.core.multihop.transitions import multihop_protocol
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
 __all__ = [
     "expected_link_crossings",
     "link_message_components",
-    "multihop_message_components",
 ]
 
 
@@ -59,8 +56,7 @@ def link_message_components(
     and waiting frontier edges, ``recovery`` the HS recovery mass and
     ``crossings`` the mean links one end-to-end message crosses.
     """
-    if protocol not in Protocol.multihop_family():
-        raise ValueError(f"{protocol} is not part of the multi-hop analysis")
+    protocol = multihop_protocol(protocol)
     success = 1.0 - params.loss_rate
     delta = params.delay
     retransmit = 1.0 / params.retransmission_interval
@@ -84,30 +80,3 @@ def link_message_components(
         # rate-out * 2E = pi_F * (1/(2*E*Delta)) * 2E = pi_F / Delta.
         components["recovery_traffic"] = recovery / delta
     return components
-
-
-def multihop_message_components(
-    protocol: Protocol,
-    params: MultiHopParameters,
-    stationary: Mapping[object, float],
-) -> dict[str, float]:
-    """Per-kind per-link-transmission rates for the multi-hop chain."""
-    n = params.hops
-    fast_below_top = sum(
-        probability
-        for state, probability in stationary.items()
-        if isinstance(state, HopState) and not state.slow and state.consistent_hops < n
-    )
-    slow_total = sum(
-        probability
-        for state, probability in stationary.items()
-        if isinstance(state, HopState) and state.slow
-    )
-    return link_message_components(
-        protocol,
-        params,
-        fast_below_top,
-        slow_total,
-        stationary.get(RECOVERY, 0.0),
-        expected_link_crossings(params),
-    )

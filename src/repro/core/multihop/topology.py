@@ -5,11 +5,11 @@ relays.  Gossip-style soft-state dissemination (PAPERS.md, Femminella
 et al.) distributes the same signaling state down a multicast tree: the
 sender at the root, receivers at the leaves, and every edge an
 independent lossy hop.  :class:`Topology` describes such a rooted tree;
-the chain is the degenerate unary tree (:meth:`Topology.chain`), and
-the tree state/transition construction in
+the chain is the degenerate unary tree (:meth:`Topology.chain`), on
+which the tree state/transition construction in
 :mod:`repro.core.multihop.tree_states` /
-:mod:`repro.core.multihop.tree_transitions` reduces *bit-identically*
-to the Fig. 15/16 chain model on it.
+:mod:`repro.core.multihop.tree_transitions` is the Fig. 15/16 chain
+model.
 
 Nodes are integers: node 0 is the root (the sender); node ``v >= 1``
 hangs below ``parents[v - 1] < v``, so the node order is topological

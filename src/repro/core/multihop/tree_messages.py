@@ -6,11 +6,10 @@ and that a refresh is *flooded*: forwarded down every branch, so its
 expected link-crossing count sums reach probabilities over all edges
 rather than along one path.
 
-On a unary chain every expression collapses to the chain formula and
-reproduces :func:`~repro.core.multihop.messages.multihop_message_components`
-bit for bit: the per-state fast/slow frontier counts are exactly 0 or
-1, and :func:`tree_expected_link_crossings` returns the chain's
-closed form (the geometric-series sum it generalizes).
+On a chain every expression collapses to the paper's chain formula:
+the per-state fast/slow frontier counts are exactly 0 or 1, and
+:func:`tree_expected_link_crossings` returns the chain's closed form
+(the geometric-series sum it generalizes).
 """
 
 from __future__ import annotations
@@ -19,10 +18,10 @@ import functools
 from collections.abc import Mapping
 
 from repro.core.multihop.messages import expected_link_crossings, link_message_components
-from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.tree_states import (
     MAX_ENUMERATED_TREE_STATES,
+    RECOVERY,
     TreeState,
     tree_state_space,
 )
@@ -44,7 +43,7 @@ def tree_expected_link_crossings(
     survived the ``d - 1`` ancestor edges:
     ``E = sum_v (1-p)^(depth(v) - 1)``.  On a chain this is the
     geometric series of eqs. 14-15, so the chain's closed form is used
-    there (same value, and bit-identical to the chain module).
+    there.
     """
     if topology.is_chain:
         return expected_link_crossings(params)
@@ -96,7 +95,7 @@ def tree_message_components(
 
     # Mean in-flight (fast frontier) and waiting (slow frontier) edge
     # counts, iterated in state order.  On a chain both counts are 0/1,
-    # so the sums equal the chain module's filtered probability sums.
+    # so the sums are the paper's filtered probability sums.
     fast_edges = sum(
         probability * fast
         for probability, (fast, _) in zip(stationary.values(), counts)

@@ -1,39 +1,46 @@
-"""The tree (multicast) analytic model and its leaf metrics.
+"""The multi-hop analytic model (paper §III-B) on any rooted tree.
 
-:class:`TreeModel` generalizes :class:`~repro.core.multihop.model.MultiHopModel`
-from linear chains to arbitrary rooted trees (:class:`Topology`): the
-sender at the root floods state updates toward every leaf over
-independent lossy edges.  The regime is the same stationary one —
-state lives forever at the sender, Poisson updates at ``lambda_u``.
+:class:`TreeModel` solves the stationary-update regime — state lives
+forever at the sender (``mu_r -> 0``) and Poisson updates at
+``lambda_u`` must propagate — down a rooted tree (:class:`Topology`):
+the sender at the root floods state updates toward every leaf over
+independent lossy edges.  The paper's Fig. 15/16 chain of ``N`` relays
+is the unary tree ``Topology.chain(N)``, on which the states, rates and
+metrics are the paper's; with a per-hop link profile (``links``) the
+chain is the heterogeneous one of
+:mod:`repro.core.multihop.heterogeneous`.
 
 Metrics aggregate over leaves instead of "the last hop":
 
 * ``inconsistency_ratio`` — *any* node inconsistent (``1 - pi(full)``,
   the all-leaf consistency complement; eq. 12 on a chain);
+* ``node_inconsistency`` / ``hop_profile`` — per-node views (Fig. 17's
+  per-hop profile on a chain);
 * ``leaf_inconsistency`` / ``reach_profile`` — per-leaf views;
 * ``mean_leaf_inconsistency`` — the average receiver's experience;
 * ``fanout_weighted_inconsistency`` — leaves weighted by their parent's
   fan-out, emphasizing hot replication points (one lost trigger at a
   wide splitter starves many receivers);
-* ``message_rate`` — per-link transmissions per second.
-
-On ``Topology.chain(N)`` every number is **bit-identical** to the
-chain model: the state order, rate floats and metric summation orders
-all reduce to the Fig. 15/16 construction (enforced by the
-``unary==chain`` row of :data:`repro.validation.parity.REDUCTIONS`).
+* ``message_rate`` — per-link transmissions per second (eqs. 13-17).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from collections.abc import Sequence
 
-from repro.core.markov import ContinuousTimeMarkovChain
-from repro.core.multihop.states import RECOVERY
+from repro.core.markov import ContinuousTimeMarkovChain, spec_rates, spec_tags
+from repro.core.multihop.heterogeneous import (
+    HeterogeneousHop,
+    heterogeneous_message_components,
+    heterogeneous_tag_rates,
+)
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import multihop_protocol
 from repro.core.multihop.tree_messages import tree_message_components
-from repro.core.multihop.tree_states import TreeState, tree_state_space
-from repro.core.multihop.tree_transitions import build_tree_rates
+from repro.core.multihop.tree_states import RECOVERY, TreeState, tree_state_space
+from repro.core.multihop.tree_transitions import tree_tag_rates, tree_transition_specs
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
@@ -77,13 +84,28 @@ class TreeSolution:
             raise ValueError(
                 f"node must be in [1, {self.topology.num_edges}], got {node}"
             )
-        total = 0.0
+        return self._inconsistent_mass[node]
+
+    @functools.cached_property
+    def _inconsistent_mass(self) -> tuple[float, ...]:
+        """Every node's inconsistent mass, from one pass over the states:
+        each node's sum still adds its states' masses in state order."""
+        nodes = frozenset(range(1, self.topology.num_nodes))
+        totals = [0.0] * self.topology.num_nodes
         for state, probability in self.stationary.items():
             if state is RECOVERY:
-                total += probability
-            elif isinstance(state, TreeState) and node not in state.consistent:
-                total += probability
-        return total
+                outside = nodes
+            elif isinstance(state, TreeState):
+                outside = nodes.difference(state.consistent)
+            else:
+                continue
+            for node in outside:
+                totals[node] += probability
+        return tuple(totals)
+
+    def hop_profile(self) -> list[float]:
+        """:meth:`node_inconsistency` of every non-root node, in node order."""
+        return [self.node_inconsistency(node) for node in range(1, self.topology.num_nodes)]
 
     def leaf_inconsistency(self, leaf: int) -> float:
         """Fraction of time the given leaf is inconsistent."""
@@ -132,15 +154,19 @@ class TreeSolution:
 class TreeModel:
     """SS, SS+RT or HS signaling down one rooted tree.
 
-    ``max_states`` raises the direct-enumeration cap (the iterative
-    backend solves raw spaces up to
+    ``links`` gives a unary topology (a chain) one
+    :class:`~repro.core.multihop.heterogeneous.HeterogeneousHop` per
+    edge, the edge into node ``v`` being ``links[v - 1]``; without it
+    every link has ``params``' loss and delay.  ``max_states`` raises
+    the direct-enumeration cap (the iterative backend solves raw spaces
+    up to
     :data:`~repro.core.multihop.tree_states.MAX_ENUMERATED_TREE_STATES`);
     ``solver`` picks the chain's linear-algebra backend (``"auto"``,
     ``"dense"``, ``"sparse"`` or ``"iterative"``).  The constructor
     validates the point and checks the state-count cap; the chain is
     built on demand from the
     :func:`~repro.core.multihop.tree_transitions.tree_transition_specs`
-    list.
+    list and :meth:`tag_rates`.
     """
 
     #: The solution type and the message accounting it is filled with.
@@ -152,6 +178,7 @@ class TreeModel:
         protocol: Protocol,
         params: MultiHopParameters,
         topology: Topology,
+        links: Sequence[HeterogeneousHop] | None = None,
         max_states: int | None = None,
         solver: str = "auto",
     ) -> None:
@@ -161,9 +188,18 @@ class TreeModel:
                 f"params.hops ({params.hops}) must equal the topology's edge "
                 f"count ({topology.num_edges}); bind them together when sweeping"
             )
+        if links is not None:
+            if not topology.is_chain:
+                raise ValueError(
+                    f"a link profile needs a chain topology, got {topology.parents}"
+                )
+            if len(links) != params.hops:
+                raise ValueError(f"hop vector length {len(links)} != params.hops {params.hops}")
+            links = tuple(links)
         self.protocol = protocol
         self.params = params
         self.topology = topology
+        self.links = links
         self.max_states = max_states
         self.solver = solver
         self.state_space()
@@ -172,15 +208,31 @@ class TreeModel:
         """The chain's states, in canonical order (the cap is checked here)."""
         return tree_state_space(self.topology, self.protocol is Protocol.HS, self.max_states)
 
+    def tag_rates(self, tags) -> list[float]:
+        """The point's rate of each transition tag in ``tags``."""
+        if self.links is not None:
+            return heterogeneous_tag_rates(self.protocol, self.params, self.links, tags)
+        return tree_tag_rates(self.protocol, self.params, self.topology, tags)
+
     def transition_rates(self) -> dict[tuple[object, object], float]:
         """The chain's transition rates."""
-        return build_tree_rates(self.protocol, self.params, self.topology, self.max_states)
+        specs = tree_transition_specs(self.protocol, self.topology, self.max_states)
+        tags = spec_tags(specs)
+        return spec_rates(specs, dict(zip(tags, self.tag_rates(tags))))
 
     def chain(self) -> ContinuousTimeMarkovChain:
         """The recurrent tree CTMC."""
         return ContinuousTimeMarkovChain(
             self.state_space(), self.transition_rates(), solver=self.solver
         )
+
+    def message_breakdown(self, stationary: dict[object, float]) -> dict[str, float]:
+        """Per-kind per-link transmission rates under ``stationary``."""
+        if self.links is not None:
+            return heterogeneous_message_components(
+                self.protocol, self.params, self.links, stationary
+            )
+        return self.messages(self.protocol, self.params, self.topology, stationary)
 
     def solution_from_stationary(
         self, stationary: dict[object, float]
@@ -196,7 +248,7 @@ class TreeModel:
             params=self.params,
             topology=self.topology,
             stationary=stationary,
-            message_breakdown=self.messages(self.protocol, self.params, self.topology, stationary),
+            message_breakdown=self.message_breakdown(stationary),
         )
 
     def solve(self) -> TreeSolution:

@@ -1,31 +1,32 @@
-"""States of the tree (multicast) signaling Markov model.
+"""States of the multi-hop signaling Markov model, on any rooted tree.
 
-The chain model tracks a single installation frontier — ``(i, s)``:
-``i`` consistent hops, fast or slow path.  On a tree the frontier is a
-*set* of edges: the nodes holding the sender's current value always
-form a downward-closed subtree ``S`` containing the root (a node can
-only have received the value through its parent), and each *frontier*
-node — a node outside ``S`` whose parent is inside — is reached either
-by an in-flight message (fast) or waits for a refresh/retransmission
-after a loss (slow).
+The paper's chain (Figs. 15-16) tracks a single installation frontier —
+``(i, s)``: ``i`` consistent hops, fast or slow path.  On a tree the
+frontier is a *set* of edges: the nodes holding the sender's current
+value always form a downward-closed subtree ``S`` containing the root (a
+node can only have received the value through its parent), and each
+*frontier* node — a node outside ``S`` whose parent is inside — is
+reached either by an in-flight message (fast) or waits for a
+refresh/retransmission after a loss (slow).
 
 :class:`TreeState` records ``(consistent, slow)``: the non-root members
 of ``S`` and the slow subset of the frontier (the fast frontier is
-implied).  On a unary chain this reduces exactly to the paper's state
-space — ``(i, 0)`` is ``consistent = (1..i), slow = ()`` and ``(i, 1)``
-is ``consistent = (1..i), slow = (i+1,)`` — and
-:func:`tree_state_space` orders states so the unary enumeration matches
-:func:`~repro.core.multihop.states.multihop_state_space` position by
-position, which is what makes unary-tree solves *bit-identical* to the
-chain model.  Hard-state trees reuse the chain's
-:data:`~repro.core.multihop.states.RECOVERY` singleton.
+implied).  The chain is the unary tree ``Topology.chain(N)``, where this
+is exactly the paper's state space — ``(i, 0)`` is
+``consistent = (1..i), slow = ()`` and ``(i, 1)`` is
+``consistent = (1..i), slow = (i+1,)`` — and :func:`tree_state_space`
+lists it in the paper's order: ``(0,0)..(N,0)``, then ``(0,1)..(N-1,1)``.
+Hard-state signaling adds the :data:`RECOVERY` pseudo-state ``F``
+(Fig. 16) for the interval between a false removal and the sender
+restarting installation.
 
 State counts are exponential in fan-out × depth, so enumeration is
 guarded: :func:`projected_tree_states` computes the exact count
 *multiplicatively* — cheap integer arithmetic, no intermediate lists —
 and an overflow raises :class:`StateSpaceLimitError` (a ``ValueError``
 subclass carrying the topology signature and the projected count)
-*before* any cross-product materializes.  The scale backends
+*before* any cross-product materializes.  A chain has ``2N+1`` states,
+so the direct cap admits chains of up to 2047 hops.  The scale backends
 (:mod:`repro.core.multihop.lumping`, the iterative sparse solver)
 catch the typed error to reroute instead of string-matching.
 """
@@ -33,14 +34,16 @@ catch the typed error to reroute instead of string-matching.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
 
-from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
 
 __all__ = [
     "MAX_ENUMERATED_TREE_STATES",
     "MAX_TREE_STATES",
+    "RECOVERY",
+    "Recovery",
     "StateSpaceLimitError",
     "TreeState",
     "projected_tree_states",
@@ -115,55 +118,34 @@ class TreeState:
         return f"({{{consistent}}};{{{slow}}})"
 
 
-@functools.lru_cache(maxsize=1024)
-def _projected_edge_configurations(topology: Topology, node: int) -> int:
-    """Exact configuration count of the edge into ``node``: fast, slow,
-    or crossed with every child-edge combination below."""
-    crossed = 1
-    for child in topology.children(node):
-        crossed *= _projected_edge_configurations(topology, child)
-    return 2 + crossed
+class Recovery(enum.Enum):
+    """Singleton recovery state ``F`` of the hard-state model (Fig. 16)."""
+
+    RECOVERY = "F"
+
+    def __str__(self) -> str:
+        return "F"
+
+
+RECOVERY = Recovery.RECOVERY
 
 
 @functools.lru_cache(maxsize=1024)
 def projected_tree_states(topology: Topology) -> int:
     """The exact tree state count, computed without materializing it.
 
-    Pure integer arithmetic over the recursion
-    ``f(v) = 2 + prod(f(children))``, so pathological fan-outs are
+    Pure integer arithmetic over ``f(v) = 2 + prod(f(children))``, the
+    configurations of the edge into ``v`` (fast, slow, or crossed with
+    every child-edge combination below), so pathological fan-outs are
     rejected in microseconds instead of after building multi-GB
-    intermediate cross-product lists.  Excludes the HS ``RECOVERY``
-    extra state.
+    intermediate cross-product lists.  One backward pass over the nodes
+    sees every child before its parent, so depth costs no recursion.
+    Excludes the HS ``RECOVERY`` extra state.
     """
-    total = 1
-    for child in topology.children(0):
-        total *= _projected_edge_configurations(topology, child)
-    return total
-
-
-def _edge_configurations(
-    topology: Topology, node: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ``(consistent, slow)`` contributions of the edge into ``node``.
-
-    Assumes the parent of ``node`` is consistent, so the edge is live:
-    it is fast (in flight), slow (lost), or crossed — and once crossed,
-    each child edge of ``node`` contributes independently.
-    """
-    results: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
-        ((), ()),  # fast frontier: nothing below node is consistent
-        ((), (node,)),  # slow frontier
-    ]
-    crossed: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((node,), ())]
-    for child in topology.children(node):
-        child_configurations = _edge_configurations(topology, child)
-        crossed = [
-            (consistent + child_consistent, slow + child_slow)
-            for consistent, slow in crossed
-            for child_consistent, child_slow in child_configurations
-        ]
-    results.extend(crossed)
-    return results
+    crossed = [1] * topology.num_nodes
+    for node in range(topology.num_edges, 0, -1):
+        crossed[topology.parents[node - 1]] *= 2 + crossed[node]
+    return crossed[0]
 
 
 def tree_state_space(
@@ -173,10 +155,9 @@ def tree_state_space(
 
     States are sorted by (slow-frontier size, consistent-subtree size,
     consistent tuple, slow tuple); hard-state trees append ``RECOVERY``
-    last.  On a unary chain this reproduces the
-    :func:`~repro.core.multihop.states.multihop_state_space` order
-    exactly: the all-fast states ``(0,0)..(N,0)`` by consistent count,
-    then the slow states ``(0,1)..(N-1,1)``, then ``RECOVERY``.
+    last.  On a chain this is the paper's order: the all-fast states
+    ``(0,0)..(N,0)`` by consistent count, then the slow states
+    ``(0,1)..(N-1,1)``, then ``RECOVERY``.
 
     ``max_states`` overrides the default :data:`MAX_TREE_STATES` cap
     (the iterative backend enumerates up to
@@ -198,14 +179,23 @@ def _enumerated_tree_states(topology: Topology, with_recovery: bool) -> tuple[ob
     (hard state appends ``RECOVERY`` to the soft-state space)."""
     if with_recovery:
         return _enumerated_tree_states(topology, False) + (RECOVERY,)
-    configurations: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    for child in topology.children(0):
-        child_configurations = _edge_configurations(topology, child)
-        configurations = [
-            (consistent + child_consistent, slow + child_slow)
-            for consistent, slow in configurations
-            for child_consistent, child_slow in child_configurations
-        ]
+    # ``below[v]``: every ``(consistent, slow)`` contribution of the edge
+    # into ``v`` once its parent is consistent — fast (in flight), slow
+    # (lost), or crossed, each child edge then contributing
+    # independently.  A backward pass builds each child's list before
+    # its parent reads it, so depth costs no recursion.
+    below: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    for node in range(topology.num_edges, -1, -1):
+        crossed = [((node,), ())] if node else [((), ())]
+        for child in topology.children(node):
+            child_configurations = below.pop(child)
+            crossed = [
+                (consistent + child_consistent, slow + child_slow)
+                for consistent, slow in crossed
+                for child_consistent, child_slow in child_configurations
+            ]
+        below[node] = [((), ()), ((), (node,)), *crossed] if node else crossed
+    configurations = below[0]
     # Sorted as plain tuples, the order of TreeState's own comparison.
     ordered = sorted(
         ((tuple(sorted(consistent)), tuple(sorted(slow))) for consistent, slow in configurations),

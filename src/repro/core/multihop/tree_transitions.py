@@ -1,22 +1,22 @@
-"""Transitions of the tree signaling model — shared with the templates.
+"""Transitions of the multi-hop signaling model, on any rooted tree.
 
 Like every model family, the tree is one spec list, one rate function
 and one reference model.  The transition *structure* (which state goes
 where, tagged with the kind of event) is generated once by
-:func:`tree_transition_specs`, and :func:`tree_tag_rate` prices each tag
+:func:`tree_transition_specs`, and :func:`tree_tag_rates` prices each tag
 at one point.  Two paths read them and must stay bit-identical:
 
-* :func:`build_tree_rates` accumulates the reference rate dict (what
-  :class:`TreeModel` solves) with :func:`repro.core.markov.spec_rates`;
+* :class:`~repro.core.multihop.tree_model.TreeModel` accumulates the
+  reference rate dict with :func:`repro.core.markov.spec_rates`
+  (:func:`build_tree_rates` is that dict for homogeneous links);
 * :class:`repro.core.templates.TreeTemplate` maps each tag to a
   derived-feature index and scatters per-point rate vectors into the
   compiled COO structure.
 
 Both therefore agree edge for edge, in the same accumulation order.
-The per-tag rate expressions reuse the chain modules' own helpers —
-``slow_path_recovery_rate`` at the repaired node's depth,
-``first_timeout_rate`` at depth - 1 — so a unary tree produces the
-exact floats of :func:`~repro.core.multihop.transitions.build_multihop_rates`:
+The paper's chain (Figs. 15-16, eqs. 9-11) is the unary tree
+``Topology.chain(N)``; the per-tag rates are the chain's own per-hop
+expressions (:mod:`repro.core.multihop.transitions`):
 
 * an in-flight message crosses its edge at ``(1-p)/Delta`` or is lost
   at ``p/Delta``, independently per frontier edge;
@@ -30,6 +30,11 @@ exact floats of :func:`~repro.core.multihop.transitions.build_multihop_rates`:
 * hard state replaces timeouts with external false signals — any of
   the ``E`` receivers fires at ``lambda_x`` — and a recovery state
   whose exit mirrors the chain's sender-notification round trip.
+
+Every per-edge tag carries the depth of its frontier node, so on a
+chain, where each depth is one hop, a tag names one link: a per-hop
+link profile (:mod:`repro.core.multihop.heterogeneous`) prices the same
+spec list, and the structured O(hops) kernel reads its rows by tag.
 
 The spec list is built on integer bitmasks.  Each state is keyed by one
 integer, its consistent node bits with its slow node bits above them;
@@ -48,14 +53,14 @@ import functools
 import operator
 
 from repro.core.markov import spec_rates, spec_tags
-from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import (
     first_timeout_rate,
+    multihop_protocol,
     slow_path_recovery_rate,
-    supported_protocols,
 )
 from repro.core.multihop.tree_states import (
+    RECOVERY,
     TreeState,
     _enumerated_tree_states,
     tree_state_space,
@@ -63,13 +68,13 @@ from repro.core.multihop.tree_states import (
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
-__all__ = ["build_tree_rates", "tree_tag_rate", "tree_transition_specs"]
+__all__ = ["build_tree_rates", "tree_tag_rates", "tree_transition_specs"]
 
 Rates = dict[tuple[object, object], float]
 
-#: Transition tags: ("update",), ("advance",), ("lose",),
+#: Transition tags: ("update",), ("advance", depth), ("lose", depth),
 #: ("recover", depth), ("timeout", depth), ("to_recovery",),
-#: ("from_recovery",).
+#: ("from_recovery",); the depth is the frontier or timed-out node's.
 Tag = tuple
 
 
@@ -109,10 +114,7 @@ def tree_transition_specs(
     backend; the default keeps the direct path's
     :data:`~repro.core.multihop.tree_states.MAX_TREE_STATES` guard.
     """
-    protocol = Protocol(protocol)
-    if protocol not in supported_protocols():
-        raise ValueError(f"{protocol} is not part of the multi-hop analysis")
-    hard_state = protocol is Protocol.HS
+    hard_state = multihop_protocol(protocol) is Protocol.HS
     tree_state_space(topology, hard_state, max_states)  # the cap check
     return _tree_specs(topology, hard_state)
 
@@ -135,8 +137,10 @@ def _tree_specs(topology: Topology, hard_state: bool) -> tuple[tuple[object, obj
     slow_bit = [1 << node + shift for node in nodes]
     # A timeout at ``node`` clears its subtree's consistent and slow bits.
     kept = [~(mask | mask << shift) for mask in subtree]
-    recover = [("recover", topology.depth(node)) for node in nodes]
-    timeout = [("timeout", topology.depth(node)) for node in nodes]
+    advance, lose, recover, timeout = (
+        [(kind, topology.depth(node)) for node in nodes]
+        for kind in ("advance", "lose", "recover", "timeout")
+    )
     keyed: list[tuple[TreeState, int, int]] = []
     by_key: dict[int, TreeState] = {}
     for state in states:
@@ -166,8 +170,8 @@ def _tree_specs(topology: Topology, hard_state: bool) -> tuple[tuple[object, obj
             if key & slow_bit[node]:
                 specs.append((state, crossed, recover[node]))
             else:
-                specs.append((state, crossed, ("advance",)))
-                specs.append((state, by_key[key | slow_bit[node]], ("lose",)))
+                specs.append((state, crossed, advance[node]))
+                specs.append((state, by_key[key | slow_bit[node]], lose[node]))
         if hard_state:
             specs.append((state, RECOVERY, ("to_recovery",)))
             continue
@@ -182,27 +186,32 @@ def _tree_specs(topology: Topology, hard_state: bool) -> tuple[tuple[object, obj
     return tuple(specs)
 
 
-def tree_tag_rate(
-    protocol: Protocol, params: MultiHopParameters, topology: Topology, tag: Tag
-) -> float:
-    """The rate of one transition tag, via the chain helpers."""
-    success = 1.0 - params.loss_rate
-    if tag[0] == "update":
-        return params.update_rate
-    if tag[0] == "advance":
-        return success / params.delay
-    if tag[0] == "lose":
-        return params.loss_rate / params.delay
-    if tag[0] == "recover":
-        return slow_path_recovery_rate(protocol, params, tag[1])
-    if tag[0] == "timeout":
-        return first_timeout_rate(params, tag[1] - 1)
+def tree_tag_rates(
+    protocol: Protocol, params: MultiHopParameters, topology: Topology, tags
+) -> list[float]:
+    """The rate of each transition tag of ``tags`` when every link shares
+    ``params``' loss and delay (the lumped spec list's depth-free
+    ``("advance",)`` and ``("lose",)`` included), via the chain helpers."""
     n = topology.num_edges
-    if tag[0] == "to_recovery":
-        return n * params.external_false_signal_rate
-    if tag[0] == "from_recovery":
-        return 1.0 / (2.0 * n * params.delay)
-    raise ValueError(f"unknown transition tag {tag!r}")
+    fixed = {
+        "update": params.update_rate,
+        "advance": (1.0 - params.loss_rate) / params.delay,
+        "lose": params.loss_rate / params.delay,
+        "to_recovery": n * params.external_false_signal_rate,
+        "from_recovery": 1.0 / (2.0 * n * params.delay),
+    }
+    rates = []
+    for tag in tags:
+        kind = tag[0]
+        if kind in fixed:
+            rates.append(fixed[kind])
+        elif kind == "recover":
+            rates.append(slow_path_recovery_rate(protocol, params, tag[1]))
+        elif kind == "timeout":
+            rates.append(first_timeout_rate(params, tag[1] - 1))
+        else:
+            raise ValueError(f"unknown transition tag {tag!r}")
+    return rates
 
 
 def build_tree_rates(
@@ -211,14 +220,8 @@ def build_tree_rates(
     topology: Topology,
     max_states: int | None = None,
 ) -> Rates:
-    """All transition rates of the tree chain for ``protocol``.
-
-    On ``Topology.chain(N)`` the result carries exactly the floats of
-    :func:`~repro.core.multihop.transitions.build_multihop_rates`, key
-    for key (modulo the state encoding), in the same accumulation
-    order.
-    """
+    """All transition rates of the tree chain for ``protocol``, every
+    link at ``params``' loss and delay."""
     specs = tree_transition_specs(protocol, topology, max_states)
-    return spec_rates(
-        specs, {tag: tree_tag_rate(protocol, params, topology, tag) for tag in spec_tags(specs)}
-    )
+    tags = spec_tags(specs)
+    return spec_rates(specs, dict(zip(tags, tree_tag_rates(protocol, params, topology, tags))))

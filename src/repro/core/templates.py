@@ -30,13 +30,13 @@ everything after that:
   re-solved by that model, so failure diagnostics are exactly the
   reference's.
 
-A family's template supplies two hooks: ``_model(point)`` checks the
-point against the compiled structure and returns the point's reference
-model, whose constructor validates the rest; ``_derived(model)`` returns
-the point's whole derived-rate row from the family's rate function.  A
-family whose specs carry state objects subclasses :class:`_SpecTemplate`,
-which compiles them with one derived slot per distinct tag; the chain
-compiles its state-index triples directly.
+A family's template compiles its spec list, one derived slot per
+distinct tag, and supplies two hooks: ``_model(point)`` checks the point
+against the compiled structure and returns the point's reference model,
+whose constructor validates the rest; ``_derived(model)`` returns the
+point's whole derived-rate row from the family's rate function.  The
+paper's relay chain is the tree template on ``Topology.chain(N)``, which
+also feeds the O(hops) structured kernel.
 
 Each edge rate is the reference's own float, scattered in the
 reference's accumulation order, and the stacked ``numpy.linalg.solve``
@@ -70,26 +70,21 @@ from repro.core.markov import (
     batched_stationary_dense,
     spec_tags,
 )
-from repro.core.multihop.heterogeneous import HeterogeneousHop, HeterogeneousMultiHopModel
+from repro.core.multihop.heterogeneous import HeterogeneousHop
 from repro.core.multihop.lumping import (
     LumpedTreeModel,
     LumpedTreeSolution,
     lumped_state_space,
     lumped_transition_specs,
 )
-from repro.core.multihop.model import MultiHopModel, MultiHopSolution
-from repro.core.multihop.states import multihop_state_space
 from repro.core.multihop.topology import Topology
-from repro.core.multihop.transitions import chain_slots, chain_transition_specs
+from repro.core.multihop.transitions import multihop_protocol
 from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import (
     MAX_ENUMERATED_TREE_STATES,
     tree_state_space,
 )
-from repro.core.multihop.tree_transitions import (
-    tree_tag_rate,
-    tree_transition_specs,
-)
+from repro.core.multihop.tree_transitions import tree_transition_specs
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.model import SingleHopModel, SingleHopSolution
@@ -105,14 +100,12 @@ __all__ = [
     "CHAIN_BACKENDS",
     "GilbertTemplate",
     "LumpedTreeTemplate",
-    "MultiHopTemplate",
     "SingleHopTemplate",
     "TreeTemplate",
     "gilbert_multihop_template",
     "gilbert_singlehop_template",
     "iterative_tree_template",
     "lumped_tree_template",
-    "multihop_template",
     "select_chain_backend",
     "singlehop_template",
     "solve_gilbert_multihop_tasks",
@@ -168,28 +161,53 @@ class _CompiledTemplate:
     A subclass calls :meth:`_compile` and supplies the hooks
     ``_model(point)`` (check one point against the template, return its
     reference model) and ``_derived(model)`` (the point's whole
-    derived-rate row).  A solved row, its stationary masses in
-    ``states`` order, goes to the model's ``solution_from_stationary``
-    (:meth:`_solution`); a point the batch cannot certify to
-    ``model.solve()``.
+    derived-rate row, one rate per tag of ``_tags``).  A solved row, its
+    stationary masses in ``states`` order, goes to the model's
+    ``solution_from_stationary`` (:meth:`_solution`); a point the batch
+    cannot certify to ``model.solve()``.
     """
 
     #: ``"iterative"`` solves every point by ILU/GMRES on the sparse
     #: pattern, whatever the state count; ``"direct"`` picks dense or splu.
     solver = "direct"
 
-    def _compile(self, states, rows, cols, features, multiplicities=1.0) -> None:
-        """Fix the COO structure over ``states``.
+    def _compile(self, states, specs) -> None:
+        """Fix the COO structure of the reference's own spec list over ``states``.
 
-        Edge ``e`` runs ``states[rows[e]] -> states[cols[e]]`` at rate
-        ``derived[features[e]] * multiplicities[e]``; duplicate positions
-        accumulate in edge order, as the reference rate dicts do.
+        The reference accumulates its rate dict from the same
+        ``(origin, destination, tag[, multiplicity])`` list, so the COO
+        arrays scatter exactly the reference's edges in the reference's
+        order: edge ``e`` runs ``states[rows[e]] -> states[cols[e]]`` at
+        rate ``derived[features[e]] * multiplicities[e]``, and duplicate
+        positions accumulate in edge order, as the reference rate dicts
+        do.  Each distinct tag is one derived slot, in first-seen order
+        (``_tags``).
         """
+        # Spec lists that name their states by the objects of ``states``
+        # (single hop, tree, lumped) are indexed by identity, which never
+        # calls a state's hash; the Gilbert product's fresh tuples by value.
+        origins = list(map(operator.itemgetter(0), specs))
+        destinations = list(map(operator.itemgetter(1), specs))
+        try:
+            index = {id(state): i for i, state in enumerate(states)}
+            rows = list(map(index.__getitem__, map(id, origins)))
+            cols = list(map(index.__getitem__, map(id, destinations)))
+        except KeyError:
+            index = {state: i for i, state in enumerate(states)}
+            rows = list(map(index.__getitem__, origins))
+            cols = list(map(index.__getitem__, destinations))
+        self._tags = spec_tags(specs)
+        slot = {tag: i for i, tag in enumerate(self._tags)}
         self.states = states
         self.rows = np.array(rows, dtype=np.intp)
         self.cols = np.array(cols, dtype=np.intp)
-        self._features = np.array(features, dtype=np.intp)
-        self._multiplicities = np.asarray(multiplicities, dtype=np.float64)
+        self._features = np.array(
+            list(map(slot.__getitem__, map(operator.itemgetter(2), specs))), dtype=np.intp
+        )
+        self._multiplicities = np.asarray(
+            list(map(operator.itemgetter(3), specs)) if len(specs[0]) == 4 else 1.0,
+            dtype=np.float64,
+        )
         self._flat = self.rows * len(states) + self.cols
         self._off_diagonal = self.rows != self.cols
         self._systems: dict[bytes, tuple] = {}
@@ -298,55 +316,12 @@ class _CompiledTemplate:
         return model.solution_from_stationary(dict(zip(self.states, solved)))
 
 
-class _SpecTemplate(_CompiledTemplate):
-    """A template compiled from its reference model's shared spec list.
-
-    The reference accumulates its rate dict from the same
-    ``(origin, destination, tag[, multiplicity])`` list, so the COO
-    arrays scatter exactly the reference's edges in the reference's
-    order.  Each distinct tag is one derived slot, in first-seen order
-    (``_tags``): ``_derived`` returns one rate per tag.
-    """
-
-    def _compile_specs(self, states, specs) -> None:
-        # Spec lists that name their states by the objects of ``states``
-        # (single hop, tree, lumped) are indexed by identity, which never
-        # calls a state's hash; the Gilbert product's fresh tuples by value.
-        origins = list(map(operator.itemgetter(0), specs))
-        destinations = list(map(operator.itemgetter(1), specs))
-        try:
-            index = {id(state): i for i, state in enumerate(states)}
-            rows = list(map(index.__getitem__, map(id, origins)))
-            cols = list(map(index.__getitem__, map(id, destinations)))
-        except KeyError:
-            index = {state: i for i, state in enumerate(states)}
-            rows = list(map(index.__getitem__, origins))
-            cols = list(map(index.__getitem__, destinations))
-        self._tags = spec_tags(specs)
-        slot = {tag: i for i, tag in enumerate(self._tags)}
-        self._compile(
-            states,
-            rows,
-            cols,
-            list(map(slot.__getitem__, map(operator.itemgetter(2), specs))),
-            list(map(operator.itemgetter(3), specs)) if len(specs[0]) == 4 else 1.0,
-        )
-
-
-def _multihop_protocol(protocol: Protocol) -> Protocol:
-    """``protocol``, rejected unless the multi-hop analysis models it."""
-    protocol = Protocol(protocol)
-    if protocol not in Protocol.multihop_family():
-        raise ValueError(f"{protocol.value} is not part of the multi-hop analysis")
-    return protocol
-
-
 # ----------------------------------------------------------------------
 # Single-hop template
 # ----------------------------------------------------------------------
 
 
-class SingleHopTemplate(_SpecTemplate):
+class SingleHopTemplate(_CompiledTemplate):
     """Compiled structure of one protocol's Fig. 3 chain.
 
     Each batch solves the recurrent chain (the absorbing state merged
@@ -359,7 +334,7 @@ class SingleHopTemplate(_SpecTemplate):
 
     def __init__(self, protocol: Protocol) -> None:
         self.protocol = Protocol(protocol)
-        self._compile_specs(state_space(self.protocol), transition_specs(self.protocol))
+        self._compile(state_space(self.protocol), transition_specs(self.protocol))
         self._tag_rates = operator.itemgetter(*self._tags)
         self._start = self.states.index(S.S10_FAST)
         # Recurrent chain: the absorbing state (last) merged into the
@@ -392,7 +367,7 @@ class SingleHopTemplate(_SpecTemplate):
 
 
 # ----------------------------------------------------------------------
-# Multi-hop chain template (homogeneous and heterogeneous points)
+# Tree templates (the relay chain and multicast fan-out topologies)
 # ----------------------------------------------------------------------
 
 
@@ -425,131 +400,21 @@ def select_chain_backend(protocol: Protocol, hops: int) -> str:
     return "template"
 
 
-class MultiHopTemplate(_CompiledTemplate):
-    """Compiled structure of the Fig. 15/16 chain for ``(protocol, hops)``.
-
-    One template serves both homogeneous points (``hops=None`` in the
-    task, solved by :class:`~repro.core.multihop.model.MultiHopModel`)
-    and heterogeneous points (per-hop vectors, solved by
-    :class:`~repro.core.multihop.heterogeneous.HeterogeneousMultiHopModel`),
-    because the chain structure is identical — only the rate row
-    differs.  Compiled from the state-index triples of
-    :func:`~repro.core.multihop.transitions.chain_transition_specs`; the
-    derived row is the model's rate row, whose fixed layout
-    ``[update, advance(n), lose(n), recover(n), extra]`` the structured
-    O(hops) kernel reads directly.
-
-    Use :func:`multihop_template` to get the memoized instance.
-    """
-
-    def __init__(self, protocol: Protocol, hops: int) -> None:
-        self.protocol = _multihop_protocol(protocol)
-        if hops < 1:
-            raise ValueError(f"hops must be >= 1, got {hops}")
-        self.hops = hops
-        self._f_update, self._f_advance, self._f_lose, self._f_recover, self._f_extra = (
-            chain_slots(hops)
-        )
-        specs = chain_transition_specs(self.protocol, hops)
-        self._compile(
-            multihop_state_space(hops, with_recovery=self.protocol is Protocol.HS),
-            [spec[0] for spec in specs],
-            [spec[1] for spec in specs],
-            [spec[2] for spec in specs],
-        )
-
-    def _model(
-        self, point: tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]
-    ) -> MultiHopModel:
-        params, hops = point
-        if params.hops != self.hops:
-            raise ValueError(
-                f"task has {params.hops} hops, template compiled for {self.hops}"
-            )
-        if hops is None:
-            return MultiHopModel(self.protocol, params)
-        if len(hops) != self.hops:
-            raise ValueError(
-                f"hop vector length {len(hops)} != template hops {self.hops}"
-            )
-        return HeterogeneousMultiHopModel(self.protocol, params, hops)
-
-    def _derived(self, model: MultiHopModel) -> list[float]:
-        return model.rate_row()
-
-    def _stationary_structured(self, models: list) -> tuple[np.ndarray, np.ndarray]:
-        """``(pi, bad)`` through the O(hops) block-Thomas chain kernel.
-
-        Feeds the derived-feature rows straight into
-        :func:`~repro.core.markov.batched_stationary_chain` — the chain
-        structure never has to be scattered into a generator matrix, so
-        per-point cost is linear in hops instead of cubic in states.
-        """
-        derived = self._derived_rows(models)
-        n = self.hops
-        update = derived[:, self._f_update]
-        advance = derived[:, self._f_advance : self._f_advance + n]
-        lose = derived[:, self._f_lose : self._f_lose + n]
-        recover = derived[:, self._f_recover : self._f_recover + n]
-        if self.protocol is Protocol.HS:
-            return batched_stationary_chain(
-                update,
-                advance,
-                lose,
-                recover,
-                false_signal=derived[:, self._f_extra],
-                recovery_return=derived[:, self._f_extra + 1],
-            )
-        return batched_stationary_chain(
-            update,
-            advance,
-            lose,
-            recover,
-            timeouts=derived[:, self._f_extra : self._f_extra + n],
-        )
-
-    def solve_batch(
-        self,
-        points: Sequence[tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]],
-        backend: str = "template",
-    ) -> list[MultiHopSolution]:
-        """Solve every point (homogeneous or heterogeneous tasks).
-
-        ``backend="template"`` is the historical fast path: batched
-        dense LAPACK below the sparse threshold, the pinned sparse
-        system above it (bit-identical to the reference on both sides).
-        ``"structured"`` routes through the O(hops) chain kernel instead
-        — tolerance class, per-point fallback to the reference on any
-        point the kernel cannot certify.
-        """
-        if backend not in CHAIN_BACKENDS:
-            raise ValueError(
-                f"chain backend must be one of {CHAIN_BACKENDS}, got {backend!r}"
-            )
-        if backend == "auto":
-            backend = select_chain_backend(self.protocol, self.hops)
-        if backend == "structured":
-            return self._solve_points(points, self._stationary_structured)
-        return self._solve_points(points, self._stationary)
-
-
-# ----------------------------------------------------------------------
-# Tree templates (multicast fan-out topologies)
-# ----------------------------------------------------------------------
-
-
-class TreeTemplate(_SpecTemplate):
+class TreeTemplate(_CompiledTemplate):
     """Compiled structure of one ``(protocol, topology)`` tree chain.
 
     Compiled from the
     :func:`~repro.core.multihop.tree_transitions.tree_transition_specs`
-    list the reference model builds its rate dict from; each tag's rate
-    is computed by the shared
-    :func:`~repro.core.multihop.tree_transitions.tree_tag_rate` helper.
+    list the reference model builds its rate dict from; each point's tag
+    rates are its reference model's
+    (:meth:`~repro.core.multihop.tree_model.TreeModel.tag_rates`).  A
+    point is its parameters, or ``(params, links)`` for a chain with a
+    per-hop link profile.
 
-    ``solver="iterative"`` compiles the same structure but solves every
-    point through the pattern's ILU/GMRES path (with ``max_states``
-    raised to
+    On a chain, :meth:`solve_structured` also solves points through the
+    O(hops) block-Thomas kernel.  ``solver="iterative"`` compiles the
+    same structure but solves every point through the pattern's
+    ILU/GMRES path (with ``max_states`` raised to
     :data:`~repro.core.multihop.tree_states.MAX_ENUMERATED_TREE_STATES`
     by :func:`iterative_tree_template`) — a *tolerance*-class backend,
     never substituted for the exact one.
@@ -565,7 +430,7 @@ class TreeTemplate(_SpecTemplate):
         max_states: int | None = None,
         solver: str = "direct",
     ) -> None:
-        self.protocol = _multihop_protocol(protocol)
+        self.protocol = multihop_protocol(protocol)
         if solver not in ("direct", "iterative"):
             raise ValueError(f"solver must be 'direct' or 'iterative', got {solver!r}")
         self.topology = topology
@@ -575,24 +440,66 @@ class TreeTemplate(_SpecTemplate):
             max_states=max_states,
             solver="iterative" if solver == "iterative" else "auto",
         )
-        self._compile_specs(
+        self._compile(
             tree_state_space(topology, self.protocol is Protocol.HS, max_states),
             tree_transition_specs(self.protocol, topology, max_states),
         )
 
-    def _model(self, params: MultiHopParameters) -> TreeModel:
-        if params.hops != self.topology.num_edges:
-            raise ValueError(
-                f"task has {params.hops} hops, template compiled for a "
-                f"{self.topology.num_edges}-edge topology"
-            )
-        return self._new_model(self.protocol, params, self.topology)
+    def _model(
+        self, point: MultiHopParameters | tuple[MultiHopParameters, tuple[HeterogeneousHop, ...]]
+    ) -> TreeModel:
+        if isinstance(point, tuple):
+            params, links = point
+            return self._new_model(self.protocol, params, self.topology, links)
+        return self._new_model(self.protocol, point, self.topology)
 
     def _derived(self, model: TreeModel) -> list[float]:
-        return [
-            tree_tag_rate(self.protocol, model.params, self.topology, tag)
-            for tag in self._tags
-        ]
+        return model.tag_rates(self._tags)
+
+    @functools.cached_property
+    def _chain_columns(self) -> tuple:
+        """The derived-row slots the structured kernel reads on a chain:
+        the update slot, then per hop the advance, lose and recover
+        slots, then the timeout slots (soft state) or the false-signal
+        and recovery-exit slots (hard state)."""
+        if not self.topology.is_chain:
+            raise ValueError(
+                f"the structured chain kernel needs a chain topology, got {self.topology.parents}"
+            )
+        slot = {tag: i for i, tag in enumerate(self._tags)}
+        depths = range(1, self.topology.num_nodes)
+        per_hop = [[slot[(kind, depth)] for depth in depths] for kind in ("advance", "lose", "recover")]
+        if self.protocol is Protocol.HS:
+            extra = [slot[("to_recovery",)], slot[("from_recovery",)]]
+        else:
+            extra = [slot[("timeout", depth)] for depth in depths]
+        return (slot[("update",)], *per_hop, extra)
+
+    def _stationary_structured(self, models: list) -> tuple[np.ndarray, np.ndarray]:
+        """``(pi, bad)`` through the O(hops) block-Thomas chain kernel.
+
+        Feeds the derived rows' chain columns straight into
+        :func:`~repro.core.markov.batched_stationary_chain` — the chain
+        structure never has to be scattered into a generator matrix, so
+        per-point cost is linear in hops instead of cubic in states.
+        """
+        update, advance, lose, recover, extra = self._chain_columns
+        derived = self._derived_rows(models)
+        rows = (derived[:, update], derived[:, advance], derived[:, lose], derived[:, recover])
+        if self.protocol is Protocol.HS:
+            return batched_stationary_chain(
+                *rows, false_signal=derived[:, extra[0]], recovery_return=derived[:, extra[1]]
+            )
+        return batched_stationary_chain(*rows, timeouts=derived[:, extra])
+
+    def solve_structured(self, points: Sequence) -> list[TreeSolution]:
+        """Solve every point of a chain through the O(hops) kernel.
+
+        Tolerance class (the kernel reorders floating-point operations),
+        with a per-point fallback to the reference on any point the
+        kernel cannot certify.  A branching topology is refused.
+        """
+        return self._solve_points(points, self._stationary_structured)
 
 
 class LumpedTreeTemplate(TreeTemplate):
@@ -613,10 +520,10 @@ class LumpedTreeTemplate(TreeTemplate):
     """
 
     def __init__(self, protocol: Protocol, topology: Topology) -> None:
-        self.protocol = _multihop_protocol(protocol)
+        self.protocol = multihop_protocol(protocol)
         self.topology = topology
         self._new_model = LumpedTreeModel
-        self._compile_specs(
+        self._compile(
             lumped_state_space(topology, self.protocol is Protocol.HS),
             lumped_transition_specs(self.protocol, topology),
         )
@@ -628,7 +535,7 @@ class LumpedTreeTemplate(TreeTemplate):
 # ----------------------------------------------------------------------
 
 
-class GilbertTemplate(_SpecTemplate):
+class GilbertTemplate(_CompiledTemplate):
     """Compiled structure of one Gilbert product chain.
 
     ``model`` (:class:`~repro.core.gilbert.model.GilbertSingleHopModel`
@@ -651,7 +558,7 @@ class GilbertTemplate(_SpecTemplate):
         self.model = model
         self.protocol = Protocol(protocol)
         self.shape = shape
-        self._compile_specs(
+        self._compile(
             gilbert_states(model.base, self.protocol, *shape),
             gilbert_specs(model.base, self.protocol, *shape),
         )
@@ -677,12 +584,6 @@ class GilbertTemplate(_SpecTemplate):
 def singlehop_template(protocol: Protocol) -> SingleHopTemplate:
     """The memoized compiled template for ``protocol``."""
     return SingleHopTemplate(protocol)
-
-
-@functools.lru_cache(maxsize=256)
-def multihop_template(protocol: Protocol, hops: int) -> MultiHopTemplate:
-    """The memoized compiled template for ``(protocol, hops)``."""
-    return MultiHopTemplate(protocol, hops)
 
 
 @functools.lru_cache(maxsize=128)
@@ -723,7 +624,7 @@ def gilbert_singlehop_template(protocol: Protocol) -> GilbertTemplate:
 @functools.lru_cache(maxsize=256)
 def gilbert_multihop_template(protocol: Protocol, hops: int) -> GilbertTemplate:
     """The memoized compiled Gilbert product template for ``(protocol, hops)``."""
-    return GilbertTemplate(GilbertMultiHopModel, _multihop_protocol(protocol), hops)
+    return GilbertTemplate(GilbertMultiHopModel, multihop_protocol(protocol), hops)
 
 
 def _solve_grouped(tasks, group_key, solve_group):
@@ -751,10 +652,6 @@ def _solve_on(template, group_key, point, tasks, **options):
     )
 
 
-def _chain_key(task) -> tuple:
-    return (Protocol(task[0]), task[1].hops)
-
-
 def _tree_key(task) -> tuple:
     return (Protocol(task[0]), task[2])
 
@@ -769,25 +666,45 @@ def solve_singlehop_tasks(
     return _solve_on(singlehop_template, lambda task: (Protocol(task[0]),), _params, tasks)
 
 
+def _chain_key(task) -> tuple:
+    return (Protocol(task[0]), task[1].hops)
+
+
+def _solve_chains(tasks, point, structured: bool = False) -> list[TreeSolution]:
+    """Solve chain ``tasks`` on the tree template of ``Topology.chain(hops)``,
+    one topology per ``(protocol, hops)`` group; ``point(task)`` is the
+    task's template point."""
+
+    def solve_group(key, group):
+        protocol, hops = key
+        template = tree_template(protocol, Topology.chain(hops))
+        points = [point(task) for task in group]
+        return template.solve_structured(points) if structured else template.solve_batch(points)
+
+    return _solve_grouped(list(tasks), _chain_key, solve_group)
+
+
+def _profiled(task) -> tuple:
+    return (task[1], tuple(task[2]))
+
+
 def solve_multihop_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters]],
-) -> list[MultiHopSolution]:
-    """Solve homogeneous ``(protocol, params)`` tasks through templates."""
-    return _solve_on(multihop_template, _chain_key, lambda task: (task[1], None), tasks)
+) -> list[TreeSolution]:
+    """Solve homogeneous ``(protocol, params)`` chain tasks through templates."""
+    return _solve_chains(tasks, _params)
 
 
 def solve_heterogeneous_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters, tuple[HeterogeneousHop, ...]]],
-) -> list[MultiHopSolution]:
-    """Solve ``(protocol, params, hop_vector)`` tasks through templates."""
-    return _solve_on(
-        multihop_template, _chain_key, lambda task: (task[1], tuple(task[2])), tasks
-    )
+) -> list[TreeSolution]:
+    """Solve ``(protocol, params, hop_vector)`` chain tasks through templates."""
+    return _solve_chains(tasks, _profiled)
 
 
 def solve_multihop_structured_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters]],
-) -> list[MultiHopSolution]:
+) -> list[TreeSolution]:
     """Solve homogeneous chain tasks through the O(hops) kernel.
 
     Same task shape as :func:`solve_multihop_tasks`, but every point
@@ -795,27 +712,19 @@ def solve_multihop_structured_tasks(
     factorization — tolerance parity class (the kernel reorders
     floating-point operations), with per-point reference fallback.
     """
-    return _solve_on(
-        multihop_template, _chain_key, lambda task: (task[1], None), tasks, backend="structured"
-    )
+    return _solve_chains(tasks, _params, structured=True)
 
 
 def solve_heterogeneous_structured_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters, tuple[HeterogeneousHop, ...]]],
-) -> list[MultiHopSolution]:
+) -> list[TreeSolution]:
     """Solve heterogeneous chain tasks through the O(hops) kernel.
 
     Same task shape as :func:`solve_heterogeneous_tasks`; tolerance
     parity class, per-point reference fallback (see
     :func:`solve_multihop_structured_tasks`).
     """
-    return _solve_on(
-        multihop_template,
-        _chain_key,
-        lambda task: (task[1], tuple(task[2])),
-        tasks,
-        backend="structured",
-    )
+    return _solve_chains(tasks, _profiled, structured=True)
 
 
 def solve_tree_tasks(

@@ -210,16 +210,10 @@ def figure_claims() -> tuple[FigureClaim, ...]:
 
 def evaluate_claims(
     claims: Iterable[FigureClaim] | None = None,
-    fast: bool = True,
-    fidelity: str | None = None,
+    fidelity: str = "fast",
 ) -> list[ClaimOutcome]:
-    """Regenerate each figure once and evaluate its claims.
-
-    ``fidelity`` names a scenario fidelity profile and takes precedence
-    over the legacy ``fast`` boolean.
-    """
-    if fidelity is None:
-        fidelity = "fast" if fast else "full"
+    """Regenerate each figure once, at the scenario fidelity profile
+    ``fidelity``, and evaluate its claims."""
     claims = tuple(claims) if claims is not None else figure_claims()
     cache: dict[str, ExperimentResult] = {}
     outcomes = []
@@ -234,12 +228,12 @@ def evaluate_claims(
 
 def render_report(
     outcomes: Iterable[ClaimOutcome] | None = None,
-    fast: bool = True,
-    fidelity: str | None = None,
+    fidelity: str = "fast",
 ) -> str:
-    """Pass/fail table for every figure claim."""
+    """Pass/fail table for every figure claim, evaluated at ``fidelity``
+    unless ``outcomes`` are given."""
     if outcomes is None:
-        outcomes = evaluate_claims(fast=fast, fidelity=fidelity)
+        outcomes = evaluate_claims(fidelity=fidelity)
     outcomes = list(outcomes)
     lines = ["Paper claims vs this reproduction:"]
     for outcome in outcomes:

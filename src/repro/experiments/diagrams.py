@@ -8,7 +8,9 @@ can never drift from the implementation.
 
 from __future__ import annotations
 
-from repro.core.multihop.transitions import build_multihop_rates
+from repro.core.multihop.topology import Topology
+from repro.core.multihop.tree_states import RECOVERY
+from repro.core.multihop.tree_transitions import build_tree_rates
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.transitions import build_transition_rates, state_space
@@ -45,24 +47,35 @@ def render_singlehop_chain(
     return "\n".join(lines)
 
 
+def _paper_label(state) -> str:
+    """A chain state in the paper's notation: ``(i,s)`` for ``i``
+    consistent hops on the fast (0) or slow (1) path, ``F`` for HS
+    recovery."""
+    if state is RECOVERY:
+        return "F"
+    return f"({len(state.consistent)},{1 if state.slow else 0})"
+
+
 def render_multihop_chain(
     protocol: Protocol,
     params: MultiHopParameters | None = None,
 ) -> str:
     """The Fig. 15/16 chain for one protocol, as a transition listing.
 
-    For readability the (potentially large) chain is summarized: one
-    line per *kind* of transition with the hop-indexed rate range.
+    The chain is the tree model on ``Topology.chain(N)``; its states
+    are listed in the paper's ``(i,s)``/``F`` notation, one line per
+    transition, sorted by origin and destination.
     """
     params = params or MultiHopParameters(hops=5)
-    rates = build_multihop_rates(protocol, params)
+    rates = build_tree_rates(protocol, params, Topology.chain(params.hops))
     lines = [
         f"Multi-hop Markov chain, protocol {protocol.value} "
         f"(paper Fig. {'16' if protocol is Protocol.HS else '15'}), N = {params.hops}",
         f"transitions ({len(rates)}):",
     ]
-    for (origin, destination), rate in sorted(
-        rates.items(), key=lambda item: (str(item[0][0]), str(item[0][1]))
+    for origin, destination, rate in sorted(
+        (_paper_label(origin), _paper_label(destination), rate)
+        for (origin, destination), rate in rates.items()
     ):
-        lines.append(f"  {str(origin):>7s} --{_format_rate(rate):>10s}/s--> {destination}")
+        lines.append(f"  {origin:>7s} --{_format_rate(rate):>10s}/s--> {destination}")
     return "\n".join(lines)

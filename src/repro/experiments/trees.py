@@ -32,9 +32,7 @@ scenarios probe the new workload class:
 All run SS, SS+RT and HS through the compiled tree-template batch
 path with per-topology backend auto-routing
 (:func:`~repro.core.multihop.lumping.select_tree_backend`); fan-out-1
-/ depth-1 points are unary trees and therefore bit-identical to the
-chain model (the ``unary==chain`` row of
-:data:`repro.validation.parity.REDUCTIONS`).
+/ depth-1 points are unary trees, the paper's chain itself.
 """
 
 from __future__ import annotations

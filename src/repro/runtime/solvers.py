@@ -29,8 +29,7 @@ from repro.core.gilbert.model import (
     GilbertSingleHopSolution,
 )
 from repro.core.markov import ContinuousTimeMarkovChain, State
-from repro.core.multihop import MultiHopModel, MultiHopSolution
-from repro.core.multihop.heterogeneous import HeterogeneousHop, HeterogeneousMultiHopModel
+from repro.core.multihop.heterogeneous import HeterogeneousHop
 from repro.core.multihop.lumping import LumpedTreeModel, select_tree_backend
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.tree_model import TreeModel, TreeSolution
@@ -208,6 +207,11 @@ def _chain_of(model_type, *inputs) -> ContinuousTimeMarkovChain:
     return model_type(*inputs).chain()
 
 
+def _chain_model(protocol, params, links=None) -> TreeModel:
+    """The relay chain's reference model, ``links`` its per-hop profile."""
+    return TreeModel(protocol, params, Topology.chain(params.hops), links)
+
+
 #: The tree reference model of each route, the direct one first.
 _TREE_MODELS = {
     "direct": TreeModel,
@@ -251,8 +255,8 @@ FAMILIES: dict[str, Family] = {
                 "template": "solve_multihop_tasks",
                 "structured": "solve_multihop_structured_tasks",
             },
-            reference=lambda route, *inputs: MultiHopModel(*inputs).solve(),
-            reference_chains={"template": functools.partial(_chain_of, MultiHopModel)},
+            reference=lambda route, *inputs: _chain_model(*inputs).solve(),
+            reference_chains={"template": functools.partial(_chain_of, _chain_model)},
             select=_chain_route,
             label="chain",
         ),
@@ -263,10 +267,8 @@ FAMILIES: dict[str, Family] = {
                 "template": "solve_heterogeneous_tasks",
                 "structured": "solve_heterogeneous_structured_tasks",
             },
-            reference=lambda route, *inputs: HeterogeneousMultiHopModel(*inputs).solve(),
-            reference_chains={
-                "template": functools.partial(_chain_of, HeterogeneousMultiHopModel)
-            },
+            reference=lambda route, *inputs: _chain_model(*inputs).solve(),
+            reference_chains={"template": functools.partial(_chain_of, _chain_model)},
             key_inputs=lambda hops: (tuple((hop.loss_rate, hop.delay) for hop in hops),),
             select=_chain_route,
             label="chain",
@@ -411,14 +413,14 @@ def solve_singlehop_batch(
 
 def solve_multihop_batch(
     tasks: Iterable[MultiHopTask], jobs: int | None = None
-) -> list[MultiHopSolution]:
+) -> list[TreeSolution]:
     """Solve many multi-hop points; results in task order."""
     return solve_batch("multihop", tasks, jobs)
 
 
 def solve_heterogeneous_batch(
     tasks: Iterable[HeterogeneousTask], jobs: int | None = None
-) -> list[MultiHopSolution]:
+) -> list[TreeSolution]:
     """Solve many heterogeneous multi-hop points; results in task order."""
     return solve_batch("heterogeneous", tasks, jobs)
 

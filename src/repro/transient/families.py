@@ -21,15 +21,16 @@ Degradation semantics per family:
   (the parameter space admits it; the Gilbert-Elliott bad state uses
   the same regime).  A receiver crash projects installed-state states
   onto their state-lost counterparts.
-* **chain** — link ``l`` down is the heterogeneous chain with hop
-  ``l``'s loss pinned to 1; every profile in
-  :mod:`repro.core.multihop.heterogeneous` is well defined there
-  (reach hits 0, recovery and fast-path rates vanish, the first
+* **chain** — the tree model on ``Topology.chain(N)``.  Link ``l`` down
+  is the chain's link profile with hop ``l``'s loss pinned to 1; every
+  profile in :mod:`repro.core.multihop.heterogeneous` is well defined
+  there (reach hits 0, recovery and fast-path rates vanish, the first
   timeout concentrates at the cut).  Crashes are supported for the
   *last* node only: the chain state space is a prefix abstraction, and
   a crash at an interior node would leave downstream nodes holding
   stale-but-equal state the prefix cannot represent.  The projection
-  sends every state with ``consistent_hops >= N`` to ``(N-1, slow)``.
+  sends every state holding node ``N`` to consistent ``{1..N-1}``,
+  slow ``{N}``.
 * **tree** — link ``c`` down (the edge into child ``c``) is rate
   surgery on the nominal generator: every transition that grows the
   consistent set by ``c`` is removed.  Expiry rates keep their nominal
@@ -44,9 +45,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.markov import ContinuousTimeMarkovChain
-from repro.core.multihop.heterogeneous import HeterogeneousMultiHopModel, hops_from_parameters
-from repro.core.multihop.model import MultiHopModel
-from repro.core.multihop.states import HopState
+from repro.core.multihop.heterogeneous import hops_from_parameters
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.tree_model import TreeModel
 from repro.core.multihop.tree_states import TreeState
@@ -175,59 +174,6 @@ class SingleHopTransientModel(_TransientModelBase):
         return 1
 
 
-class ChainTransientModel(_TransientModelBase):
-    """Transient adapter over the Figs. 15/16 multi-hop chain."""
-
-    def __init__(self, protocol: Protocol, params: MultiHopParameters) -> None:
-        self.protocol = Protocol(protocol)
-        self.params = params
-        self.consistent_state = HopState(params.hops, False)
-        self.empty_state = HopState(0, False)
-        self._init_caches()
-
-    def _build_nominal(self) -> ContinuousTimeMarkovChain:
-        return MultiHopModel(self.protocol, self.params).chain()
-
-    def _build_degraded(self, down_links: tuple[int, ...]) -> ContinuousTimeMarkovChain:
-        down = set(down_links)
-        if not down or not down.issubset(range(1, self.params.hops + 1)):
-            raise ValueError(
-                f"down_links must name links in 1..{self.params.hops}, got {down_links}"
-            )
-        hops = tuple(
-            _DegradedHop(1.0, hop.delay) if i + 1 in down else hop
-            for i, hop in enumerate(hops_from_parameters(self.params))
-        )
-        degraded = HeterogeneousMultiHopModel(self.protocol, self.params, hops).chain()
-        if degraded.states != self.states():
-            raise AssertionError("degraded chain changed the state space")
-        return degraded
-
-    def crash_projection(self, node: int) -> tuple[int, ...]:
-        """Last-node crash: the deepest installed state is lost.
-
-        Only ``node == N`` is representable: the chain state is a
-        consistent *prefix*, so losing state at an interior node would
-        need "stale but equal downstream" states the space lacks.
-        """
-        n = self.params.hops
-        if node != n:
-            raise ValueError(
-                f"chain crashes are supported for the last node only (node {n}); "
-                f"got node {node} — interior crashes leave downstream state the "
-                "prefix abstraction cannot represent"
-            )
-        mapping = {
-            state: HopState(n - 1, True)
-            for state in self.states()
-            if isinstance(state, HopState) and state.consistent_hops >= n
-        }
-        return self._projection_vector(mapping)
-
-    def link_into(self, node: int) -> int:
-        return node
-
-
 class TreeTransientModel(_TransientModelBase):
     """Transient adapter over the multicast tree model."""
 
@@ -281,6 +227,48 @@ class TreeTransientModel(_TransientModelBase):
 
     def link_into(self, node: int) -> int:
         return node
+
+
+class ChainTransientModel(TreeTransientModel):
+    """Transient adapter over the Figs. 15/16 multi-hop chain, the tree
+    model on ``Topology.chain(N)``, whose links go down exactly."""
+
+    def __init__(self, protocol: Protocol, params: MultiHopParameters) -> None:
+        super().__init__(protocol, params, Topology.chain(params.hops))
+
+    def _build_degraded(self, down_links: tuple[int, ...]) -> ContinuousTimeMarkovChain:
+        down = set(down_links)
+        if not down or not down.issubset(range(1, self.params.hops + 1)):
+            raise ValueError(
+                f"down_links must name links in 1..{self.params.hops}, got {down_links}"
+            )
+        links = tuple(
+            _DegradedHop(1.0, hop.delay) if i + 1 in down else hop
+            for i, hop in enumerate(hops_from_parameters(self.params))
+        )
+        return TreeModel(self.protocol, self.params, self.topology, links).chain()
+
+    def crash_projection(self, node: int) -> tuple[int, ...]:
+        """Last-node crash: the deepest installed state is lost.
+
+        Only ``node == N`` is representable: the chain state is a
+        consistent *prefix*, so losing state at an interior node would
+        need "stale but equal downstream" states the space lacks.
+        """
+        n = self.params.hops
+        if node != n:
+            raise ValueError(
+                f"chain crashes are supported for the last node only (node {n}); "
+                f"got node {node} — interior crashes leave downstream state the "
+                "prefix abstraction cannot represent"
+            )
+        lost = TreeState(tuple(range(1, n)), (n,))
+        mapping = {
+            state: lost
+            for state in self.states()
+            if isinstance(state, TreeState) and n in state.consistent
+        }
+        return self._projection_vector(mapping)
 
 
 def transient_model(

@@ -25,7 +25,7 @@ state:
 * ``<own>~<direct>``: each own referee against the family's direct
   referee, on the points the direct one reaches;
 * :data:`REDUCTIONS`: one model reproducing another on shared points,
-  such as ``unary==chain`` and ``degenerate==iid``;
+  such as ``degenerate==iid`` and ``uniform~homogeneous``;
 * ``dense~sparse``: the direct referee's chain, re-solved through the
   sparse system wherever the referee solved it densely.
 
@@ -87,16 +87,19 @@ SPARSE_ABS_TOL = 1e-12
 #: its referee solves the pinned sparse system.
 STRUCTURED_CROSSOVER_HOPS = (SPARSE_STATE_THRESHOLD + 1) // 2
 
-#: Every metric a solution may carry; each comparison takes those the
-#: expected side has.
+#: The metrics every family's checks compare, those the expected side
+#: has.
 _METRICS = (
     "inconsistency_ratio",
     "expected_receiver_lifetime",
     "message_rate",
     "normalized_message_rate",
-    "mean_leaf_inconsistency",
-    "fanout_weighted_inconsistency",
 )
+
+#: The tree family's leaf metrics, compared on its checks only: a chain
+#: family's solution carries them too, but there they only repeat the
+#: last hop's inconsistency.
+_LEAF_METRICS = ("mean_leaf_inconsistency", "fanout_weighted_inconsistency")
 
 # ----------------------------------------------------------------------
 # Plan points: one input axis per family tag
@@ -235,14 +238,7 @@ def _state_label(state) -> str:
 
 
 def _states(left: dict, right: dict) -> list[tuple[str, float, float]]:
-    if left.keys() == right.keys():
-        return [(f"pi[{_state_label(s)}]", value, right[s]) for s, value in left.items()]
-    # Distinct state types (a unary tree against its chain) pair up in
-    # canonical order; the count guards what zip() would truncate.
-    return [("state count", len(left), len(right))] + [
-        (f"pi[{_state_label(s)}]", value, other)
-        for (s, value), other in zip(left.items(), right.values())
-    ]
+    return [(f"pi[{_state_label(s)}]", value, right[s]) for s, value in left.items()]
 
 
 def _stationary(left, right) -> list[tuple[str, float, float]]:
@@ -253,15 +249,16 @@ def _metrics(left, right) -> list[tuple[str, float, float]]:
     return [(m, getattr(left, m), getattr(right, m)) for m in _METRICS if hasattr(left, m)]
 
 
-def _hop_profile(solution) -> list[float]:
-    per_hop = getattr(solution, "hop_inconsistency", None) or solution.node_inconsistency
-    return [per_hop(hop) for hop in range(1, solution.params.hops + 1)]
+def _tree_metrics(left, right) -> list[tuple[str, float, float]]:
+    return _metrics(left, right) + [
+        (m, getattr(left, m), getattr(right, m)) for m in _LEAF_METRICS
+    ]
 
 
 def _profile(left, right) -> list[tuple[str, float, float]]:
     return [
         (f"hop_inconsistency({hop})", a, b)
-        for hop, (a, b) in enumerate(zip(_hop_profile(left), _hop_profile(right)), 1)
+        for hop, (a, b) in enumerate(zip(left.hop_profile(), right.hop_profile()), 1)
     ]
 
 
@@ -337,10 +334,6 @@ def _same(*inputs) -> tuple:
     return inputs
 
 
-def _unary_chain(params, topology) -> tuple | None:
-    return (params,) if topology.is_chain else None
-
-
 def _iid(params, gilbert) -> tuple | None:
     return (params.replace(loss_rate=gilbert.loss_good),) if gilbert.is_degenerate else None
 
@@ -358,13 +351,6 @@ def _homogeneous(params, hops) -> tuple | None:
 #: not verbatim; the uniform heterogeneous chain accumulates its rates
 #: per hop, so it reproduces the homogeneous one to tolerance only.
 REDUCTIONS: tuple[Reduction, ...] = (
-    Reduction(
-        "unary==chain",
-        "tree",
-        ("multihop", "template", _unary_chain),
-        ("tree", "direct", _same),
-        ((_stationary, True), (_metrics, True), (_profile, True)),
-    ),
     Reduction(
         "degenerate==iid",
         "gilbert-singlehop",
@@ -384,7 +370,7 @@ REDUCTIONS: tuple[Reduction, ...] = (
         "tree",
         ("tree", "lumped", _above_cap),
         ("tree", "iterative", _same),
-        ((_metrics, False),),
+        ((_tree_metrics, False),),
         ("fast", "full"),
     ),
     Reduction(
@@ -422,6 +408,7 @@ def _relations(tag: str, protocol: Protocol, points: list, fidelity: str):
     ``pairs`` being ``[(label, expected, observed)]``."""
     family = FAMILIES[tag]
     direct, *own = family.reference_chains
+    metrics = _tree_metrics if tag == "tree" else _metrics
 
     def referee(route: str, inputs: tuple):
         return _referee(tag, route, protocol, *inputs)
@@ -440,10 +427,10 @@ def _relations(tag: str, protocol: Protocol, points: list, fidelity: str):
             for (label, inputs), solution in zip(routed, solved)
         ]
         relation = f"{route}{'==' if exact else '~'}referee"
-        yield relation, ((_metrics, exact), (_stationary, exact)), pairs
+        yield relation, ((metrics, exact), (_stationary, exact)), pairs
     for route in own:
         pairs = [(label, referee(direct, ins), referee(route, ins)) for label, ins in reach]
-        yield f"{route}~{direct}", ((_metrics, False),), pairs
+        yield f"{route}~{direct}", ((metrics, False),), pairs
     for reduction in REDUCTIONS:
         if reduction.tag == tag and fidelity in reduction.fidelities:
             yield reduction.name, reduction.fields, list(_reduced(reduction, protocol, points))

@@ -13,19 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.markov import SPARSE_STATE_THRESHOLD, batched_stationary_chain
-from repro.core.multihop.heterogeneous import (
-    HeterogeneousHop,
-    HeterogeneousMultiHopModel,
-)
-from repro.core.multihop.model import MultiHopModel
+from repro.core.multihop import Topology, TreeModel
+from repro.core.multihop.heterogeneous import HeterogeneousHop
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 from repro.core.templates import (
     CHAIN_BACKENDS,
-    multihop_template,
     select_chain_backend,
     solve_heterogeneous_structured_tasks,
     solve_multihop_structured_tasks,
+    tree_template,
 )
 from repro.runtime import solvers
 
@@ -36,20 +33,28 @@ RTOL = 1e-9
 ATOL = 1e-12
 
 
+def chain_model(protocol, params, links=None) -> TreeModel:
+    return TreeModel(protocol, params, Topology.chain(params.hops), links)
+
+
+def chain_template(protocol, hops):
+    return tree_template(protocol, Topology.chain(hops))
+
+
 def _kernel_kwargs(template, derived):
-    """Slice one template's derived-feature rows into kernel arguments."""
-    n = template.hops
+    """Slice one chain template's derived-feature rows into kernel arguments."""
+    update, advance, lose, recover, extra = template._chain_columns
     kwargs = {
-        "update": derived[:, template._f_update],
-        "advance": derived[:, template._f_advance : template._f_advance + n],
-        "lose": derived[:, template._f_lose : template._f_lose + n],
-        "recover": derived[:, template._f_recover : template._f_recover + n],
+        "update": derived[:, update],
+        "advance": derived[:, advance],
+        "lose": derived[:, lose],
+        "recover": derived[:, recover],
     }
     if template.protocol is Protocol.HS:
-        kwargs["false_signal"] = derived[:, template._f_extra]
-        kwargs["recovery_return"] = derived[:, template._f_extra + 1]
+        kwargs["false_signal"] = derived[:, extra[0]]
+        kwargs["recovery_return"] = derived[:, extra[1]]
     else:
-        kwargs["timeouts"] = derived[:, template._f_extra : template._f_extra + n]
+        kwargs["timeouts"] = derived[:, extra]
     return kwargs
 
 
@@ -95,19 +100,16 @@ class TestKernelAgreesWithDenseLU:
     @given(chain_cases())
     def test_property_agreement(self, case):
         protocol, params, profile = case
-        template = multihop_template(protocol, params.hops)
+        template = chain_template(protocol, params.hops)
         derived = template.derived_rows([(params, profile)])
         pi, bad = batched_stationary_chain(**_kernel_kwargs(template, derived))
         assert not bad.any()
-        if profile is None:
-            reference = MultiHopModel(protocol, params).solve()
-        else:
-            reference = HeterogeneousMultiHopModel(protocol, params, profile).solve()
+        reference = chain_model(protocol, params, profile).solve()
         expected = _stationary_vector(template, reference.stationary)
         np.testing.assert_allclose(pi[0], expected, rtol=RTOL, atol=ATOL)
 
     def test_batched_points_match_per_point_solves(self):
-        template = multihop_template(Protocol.SS, 5)
+        template = chain_template(Protocol.SS, 5)
         points = [
             (MultiHopParameters(hops=5, loss_rate=loss), None)
             for loss in (0.01, 0.1, 0.3)
@@ -126,14 +128,12 @@ class TestKernelAgreesWithDenseLU:
             HeterogeneousHop(loss_rate=0.02 * (i + 1), delay=0.02) for i in range(7)
         )
         for protocol in MULTIHOP:
-            reference = MultiHopModel(protocol, params).solve()
+            reference = chain_model(protocol, params).solve()
             structured = solve_multihop_structured_tasks([(protocol, params)])[0]
             assert structured.inconsistency_ratio == pytest.approx(
                 reference.inconsistency_ratio, rel=RTOL, abs=ATOL
             )
-            het_reference = HeterogeneousMultiHopModel(
-                protocol, params, profile
-            ).solve()
+            het_reference = chain_model(protocol, params, profile).solve()
             het_structured = solve_heterogeneous_structured_tasks(
                 [(protocol, params, profile)]
             )[0]
@@ -217,12 +217,10 @@ class TestStructuredErrors:
         assert not bad[1]
         assert np.all(np.isfinite(pi))
 
-    def test_template_rejects_unknown_backend(self):
-        template = multihop_template(Protocol.SS, 3)
-        with pytest.raises(ValueError, match="chain backend"):
-            template.solve_batch(
-                [(MultiHopParameters(hops=3), None)], backend="thomas"
-            )
+    def test_structured_route_refuses_a_branching_topology(self):
+        template = tree_template(Protocol.SS, Topology.star(3))
+        with pytest.raises(ValueError, match="needs a chain topology"):
+            template.solve_structured([MultiHopParameters(hops=3)])
 
     def test_solver_task_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="chain backend"):
@@ -294,6 +292,6 @@ class TestTemplatesDisabledBypassesKernel:
         [solution] = solvers.solve_multihop_batch(
             [(Protocol.SS, params, "structured")]
         )
-        reference = MultiHopModel(Protocol.SS, params).solve()
+        reference = chain_model(Protocol.SS, params).solve()
         assert solution.inconsistency_ratio == reference.inconsistency_ratio
         assert solution.stationary == reference.stationary

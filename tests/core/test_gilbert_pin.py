@@ -6,9 +6,12 @@ is solved four ways, the reference model, the ``solve_gilbert_*_tasks``
 template entry point, and the ``solve_gilbert_*_batch`` runtime path with
 templates on and with ``REPRO_TEMPLATES=0`` (cache cleared before each),
 and every way must digest (floats as ``float.hex``) to the recorded
-value.  The compiled templates' states, COO rows/cols and feature slots
-are pinned too.  A refactor of the product lift that keeps these passing
-keeps every Gilbert output and every template structure unchanged.
+value; chain states are rendered as the ``HopState`` repr the digests
+were recorded with (:func:`state_repr`).  The compiled templates'
+states, COO rows/cols and feature slots are pinned too, and the chain
+templates also by an order-free twin of sorted edge tuples.  A refactor
+of the product lift that keeps these passing keeps every Gilbert output
+and every template structure unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.core.gilbert import (
     GilbertMultiHopModel,
     GilbertSingleHopModel,
 )
+from repro.core.multihop.tree_states import TreeState
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
 from repro.core.templates import (
@@ -127,13 +131,23 @@ def _solved(family, path):
     return dict(zip(tasks, solutions))
 
 
+def state_repr(key) -> str:
+    """A product state's repr as the digests recorded it, when the chain
+    model had its own ``HopState(consistent_hops, slow)`` class."""
+    if isinstance(key, tuple):
+        return "(" + ", ".join(map(state_repr, key)) + ")"
+    if isinstance(key, TreeState):
+        return f"HopState(consistent_hops={len(key.consistent)}, slow={bool(key.slow)})"
+    return repr(key)
+
+
 def _encode(value):
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, (list, tuple)):
         return tuple(_encode(item) for item in value)
     if isinstance(value, dict):
-        return tuple((repr(key), _encode(item)) for key, item in value.items())
+        return tuple((state_repr(key), _encode(item)) for key, item in value.items())
     return value
 
 
@@ -234,15 +248,15 @@ PINNED_TEMPLATES = {
     "singlehop-SS+RT": "6f182f0a4398a9ae",
     "singlehop-SS+RTR": "fb79d9ddc98af8c1",
     "singlehop-HS": "fb79d9ddc98af8c1",
-    "multihop-SS-1hop": "7bac9bbcf0cb7ca1",
-    "multihop-SS-3hop": "9dec632c7bc15e3b",
-    "multihop-SS-5hop": "eedeef98f48eb4b3",
-    "multihop-SS+RT-1hop": "7bac9bbcf0cb7ca1",
-    "multihop-SS+RT-3hop": "9dec632c7bc15e3b",
-    "multihop-SS+RT-5hop": "eedeef98f48eb4b3",
-    "multihop-HS-1hop": "66f08d6f1bd9d2ac",
-    "multihop-HS-3hop": "28749e484972cd98",
-    "multihop-HS-5hop": "0cca298af1559364",
+    "multihop-SS-1hop": "ecdf835c96ab83f3",
+    "multihop-SS-3hop": "9fa9e78f841660e0",
+    "multihop-SS-5hop": "d3fb126393dd1c8a",
+    "multihop-SS+RT-1hop": "ecdf835c96ab83f3",
+    "multihop-SS+RT-3hop": "9fa9e78f841660e0",
+    "multihop-SS+RT-5hop": "d3fb126393dd1c8a",
+    "multihop-HS-1hop": "e546560973ce4e10",
+    "multihop-HS-3hop": "1341a19072ce06d6",
+    "multihop-HS-5hop": "d8269a4cd3efb822",
 }
 
 

@@ -1,4 +1,5 @@
-"""Tests for the heterogeneous multi-hop extension."""
+"""Tests for the heterogeneous multi-hop extension: the chain's tree
+model with a per-hop link profile."""
 
 from __future__ import annotations
 
@@ -6,10 +7,11 @@ import pytest
 
 from repro.core.multihop import (
     HeterogeneousHop,
-    HeterogeneousMultiHopModel,
-    MultiHopModel,
+    Topology,
+    TreeModel,
     hops_from_parameters,
 )
+from repro.core.multihop.heterogeneous import reach_profile
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
@@ -18,13 +20,20 @@ def uniform_params(hops=5, loss=0.02):
     return MultiHopParameters(hops=hops, loss_rate=loss)
 
 
+def chain_model(protocol, params, links=None):
+    return TreeModel(protocol, params, Topology.chain(params.hops), links)
+
+
 class TestConstruction:
     def test_hop_vector_length_checked(self):
         params = uniform_params(hops=5)
         with pytest.raises(ValueError):
-            HeterogeneousMultiHopModel(
-                Protocol.SS, params, [HeterogeneousHop(0.01, 0.03)] * 4
-            )
+            chain_model(Protocol.SS, params, [HeterogeneousHop(0.01, 0.03)] * 4)
+
+    def test_branching_topology_rejected(self):
+        params = uniform_params(hops=3)
+        with pytest.raises(ValueError, match="needs a chain topology"):
+            TreeModel(Protocol.SS, params, Topology.star(3), hops_from_parameters(params))
 
     def test_invalid_hop_rejected(self):
         with pytest.raises(ValueError):
@@ -35,9 +44,7 @@ class TestConstruction:
     def test_unsupported_protocol_rejected(self):
         params = uniform_params()
         with pytest.raises(ValueError):
-            HeterogeneousMultiHopModel(
-                Protocol.SS_ER, params, hops_from_parameters(params)
-            )
+            chain_model(Protocol.SS_ER, params, hops_from_parameters(params))
 
 
 class TestHomogeneousEquivalence:
@@ -46,10 +53,8 @@ class TestHomogeneousEquivalence:
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_inconsistency_matches(self, protocol):
         params = uniform_params(hops=6, loss=0.05)
-        homogeneous = MultiHopModel(protocol, params).solve()
-        heterogeneous = HeterogeneousMultiHopModel(
-            protocol, params, hops_from_parameters(params)
-        ).solve()
+        homogeneous = chain_model(protocol, params).solve()
+        heterogeneous = chain_model(protocol, params, hops_from_parameters(params)).solve()
         assert heterogeneous.inconsistency_ratio == pytest.approx(
             homogeneous.inconsistency_ratio, rel=1e-9
         )
@@ -57,10 +62,8 @@ class TestHomogeneousEquivalence:
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_message_rate_matches(self, protocol):
         params = uniform_params(hops=6, loss=0.05)
-        homogeneous = MultiHopModel(protocol, params).solve()
-        heterogeneous = HeterogeneousMultiHopModel(
-            protocol, params, hops_from_parameters(params)
-        ).solve()
+        homogeneous = chain_model(protocol, params).solve()
+        heterogeneous = chain_model(protocol, params, hops_from_parameters(params)).solve()
         assert heterogeneous.message_rate == pytest.approx(
             homogeneous.message_rate, rel=1e-9
         )
@@ -68,12 +71,9 @@ class TestHomogeneousEquivalence:
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_hop_profile_matches(self, protocol):
         params = uniform_params(hops=4)
-        homogeneous = MultiHopModel(protocol, params).solve().hop_profile()
-        heterogeneous = (
-            HeterogeneousMultiHopModel(protocol, params, hops_from_parameters(params))
-            .solve()
-            .hop_profile()
-        )
+        homogeneous = chain_model(protocol, params).solve().hop_profile()
+        heterogeneous = chain_model(protocol, params, hops_from_parameters(params)).solve()
+        heterogeneous = heterogeneous.hop_profile()
         for a, b in zip(homogeneous, heterogeneous):
             assert b == pytest.approx(a, rel=1e-9)
 
@@ -84,22 +84,21 @@ class TestHeterogeneity:
         params = uniform_params(hops=5, loss=0.005)
         hops = [HeterogeneousHop(0.005, 0.03) for _ in range(5)]
         hops[position] = HeterogeneousHop(0.20, 0.03)
-        return HeterogeneousMultiHopModel(protocol, params, hops).solve()
+        return chain_model(protocol, params, hops).solve()
 
     def test_reach_probability_products(self):
-        params = uniform_params(hops=3)
         hops = [
             HeterogeneousHop(0.1, 0.03),
             HeterogeneousHop(0.2, 0.03),
             HeterogeneousHop(0.5, 0.03),
         ]
-        model = HeterogeneousMultiHopModel(Protocol.SS, params, hops)
-        assert model.reach_probability(0) == 1.0
-        assert model.reach_probability(2) == pytest.approx(0.9 * 0.8)
-        assert model.reach_probability(3) == pytest.approx(0.9 * 0.8 * 0.5)
+        reach = reach_profile(hops)
+        assert reach[0] == 1.0
+        assert reach[2] == pytest.approx(0.9 * 0.8)
+        assert reach[3] == pytest.approx(0.9 * 0.8 * 0.5)
 
     def test_bad_link_hurts_more_than_clean_chain(self):
-        clean = MultiHopModel(Protocol.SS, uniform_params(hops=5, loss=0.005)).solve()
+        clean = chain_model(Protocol.SS, uniform_params(hops=5, loss=0.005)).solve()
         dirty = self.make_chain_with_bad_link(2)
         assert dirty.inconsistency_ratio > 2 * clean.inconsistency_ratio
 

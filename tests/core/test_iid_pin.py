@@ -12,12 +12,20 @@ paths share one digest; the structured kernel (a tolerance-class
 backend) has its own, which the auto-routed batch shares above the
 sparse threshold.
 
+The chain is the tree model on ``Topology.chain(N)``; its solution
+digests render each chain state as the ``HopState`` repr they were
+recorded with (:func:`hop_repr`), so they pin the same floats since
+before the chain became a unary tree.
+
 The reference rate dicts are digested in key order, the compiled
 single-hop and chain templates' states, COO rows/cols and one point's
 edge-rate row are pinned (edge rates, not feature slots), and the exact
 message of every bad input is pinned across models, templates, task
-entry points and batches.  A refactor of the models or templates that
-keeps these passing keeps every i.i.d. output unchanged.
+entry points and batches.  The chain's rate dicts and templates also
+have order-free twins: sorted edge tuples in the paper's ``(i,s)``/``F``
+notation, which hold whatever order the edges come in.  A refactor of
+the models or templates that keeps these passing keeps every i.i.d.
+output unchanged.
 """
 
 from __future__ import annotations
@@ -30,11 +38,11 @@ from unittest import mock
 import pytest
 
 from repro.core.gilbert import GilbertMultiHopModel, GilbertSingleHopModel
-from repro.core.multihop import MultiHopModel, Topology, TreeModel
-from repro.core.multihop.heterogeneous import HeterogeneousHop, HeterogeneousMultiHopModel
+from repro.core.multihop import Topology, TreeModel
+from repro.core.multihop.heterogeneous import HeterogeneousHop
 from repro.core.multihop.lumping import LumpedTreeModel
-from repro.core.multihop.transitions import build_multihop_rates
-from repro.core.multihop.tree_states import MAX_ENUMERATED_TREE_STATES
+from repro.core.multihop.tree_states import MAX_ENUMERATED_TREE_STATES, TreeState
+from repro.core.multihop.tree_transitions import build_tree_rates
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
@@ -42,7 +50,6 @@ from repro.core.singlehop.transitions import build_transition_rates
 from repro.core.templates import (
     TreeTemplate,
     gilbert_multihop_template,
-    multihop_template,
     select_chain_backend,
     singlehop_template,
     solve_heterogeneous_structured_tasks,
@@ -159,10 +166,9 @@ _BATCHES = {
 def reference_model(family, task):
     if family == "singlehop":
         return SingleHopModel(*task)
-    if family == "chain":
-        return MultiHopModel(*task)
-    if family == "het":
-        return HeterogeneousMultiHopModel(*task)
+    if family in ("chain", "het"):
+        protocol, params, *links = task
+        return TreeModel(protocol, params, Topology.chain(params.hops), *links)
     return _TREE_REFERENCES[task[3]](*task[:3])
 
 
@@ -207,18 +213,27 @@ def uses_structured_digest(case, path) -> bool:
     return select_chain_backend(protocol, params.hops) == "structured"
 
 
-def _encode(value):
+def hop_repr(state) -> str:
+    """A chain state's repr as the digests recorded it, when the chain
+    model had its own ``HopState(consistent_hops, slow)`` class."""
+    if isinstance(state, TreeState):
+        return f"HopState(consistent_hops={len(state.consistent)}, slow={bool(state.slow)})"
+    return repr(state)
+
+
+def _encode(value, label=repr):
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, (list, tuple)):
-        return tuple(_encode(item) for item in value)
+        return tuple(_encode(item, label) for item in value)
     if isinstance(value, dict):
-        return tuple((repr(key), _encode(item)) for key, item in value.items())
+        return tuple((label(key), _encode(item, label)) for key, item in value.items())
     return value
 
 
-def digest(values) -> str:
-    return hashlib.sha256(repr(_encode(values)).encode()).hexdigest()[:16]
+def digest(values, label=repr) -> str:
+    """The digest of ``values``, each mapping key rendered by ``label``."""
+    return hashlib.sha256(repr(_encode(values, label)).encode()).hexdigest()[:16]
 
 
 def paper_label(state) -> str:
@@ -265,8 +280,6 @@ def reference_rates(family, task) -> dict:
     """The reference rate dict, in the reference's key order."""
     if family == "singlehop":
         return build_transition_rates(*task)
-    if family == "chain":
-        return build_multihop_rates(*task)
     return reference_model(family, task).chain().rates
 
 
@@ -277,30 +290,30 @@ PINNED = {
     "singlehop-SS+RT-5pt": ("37e482661b75e2bd", None, "eb05a9d05a224c74"),
     "singlehop-SS+RTR-5pt": ("fd940f6c797cacfe", None, "39ee3bb1c2d5e232"),
     "singlehop-HS-5pt": ("44b67c4dff44a320", None, "bae77af19fe1eccd"),
-    "chain-SS-1hop": ("966f8026f4583a3d", "0b7a0829bb700d1a", "d53a782b1ff5708f"),
-    "chain-SS-3hop": ("aac75e2ae17af817", "3b3204b27cd8f826", "723be251f5d1f39a"),
-    "chain-SS-20hop": ("8c123e855d881f78", "b2a5fe3796e9d7a5", "1de64d9bde549b87"),
-    "chain-SS-127hop": ("2c03af9becea4d88", "e4df20ecf71bc9ab", "8213823433313049"),
-    "chain-SS-128hop": ("856e6a1ca1da6937", "f92b350b2e613f95", "450d0be26fa9f308"),
-    "chain-SS+RT-1hop": ("9c151649ae84b930", "ec2a58d2bf789efb", "facccb7cf785c904"),
-    "chain-SS+RT-3hop": ("ebe16cb28c2e6cc0", "87f19d3c7827e2d5", "d10043b816dd6329"),
-    "chain-SS+RT-20hop": ("afd0240a91787d01", "34c68447ca984720", "50e829d680f3a37e"),
-    "chain-SS+RT-127hop": ("15b3ca1507dc024f", "b2bccfb0cd2baac2", "022249c4e1f74a35"),
-    "chain-SS+RT-128hop": ("4b630d59b31709e9", "f3128c0908c6227e", "01b931eb88628371"),
-    "chain-HS-1hop": ("113d2cc0791492f8", "7c42a82602a85d39", "e94ae385a98772ec"),
-    "chain-HS-3hop": ("130cf4d882193ccc", "01fae700c45bcfb3", "78be69e2a2015a1a"),
-    "chain-HS-20hop": ("5e76953ed041add3", "e4af6a180656d0db", "49c03f2538e129a3"),
-    "chain-HS-127hop": ("10e8d0fb96e48f7f", "a5588a180d902598", "66e4081a53e7db6b"),
-    "chain-HS-128hop": ("d465c80b94282723", "9460c22e1740af6a", "0bf85121a4ff3092"),
-    "het-SS-4hop": ("9affe392939f63b0", "58c589bf398e43cf", "1d433363f6ae3348"),
-    "het-SS-20hop": ("241b039ab28da2f9", "7df0ac6b5a45736a", "b53992f206a05a62"),
-    "het-SS-128hop": ("9721081606ec5724", "c3a4f77c85d97761", "4a3e475cc87d6c24"),
-    "het-SS+RT-4hop": ("dd8674a876c174a3", "1d45e098ac8fa5da", "85d18b70993fbb35"),
-    "het-SS+RT-20hop": ("e1dad544e75cc6ab", "e9bcc7261679c578", "20468bba78f12ab2"),
-    "het-SS+RT-128hop": ("0bfe3a12556d9e8c", "c15a81007e97c9da", "fbd77917cef4cb7c"),
-    "het-HS-4hop": ("174112cf3ad55ebe", "64b7fabee5d55f99", "b82b67cb1fcb01aa"),
-    "het-HS-20hop": ("2000a68efbcc5b82", "ddc2b96719fd6d60", "d5c0fe8ac70ce346"),
-    "het-HS-128hop": ("34b9f62670920e8a", "15962140144631ee", "172f073fd4d8d904"),
+    "chain-SS-1hop": ("966f8026f4583a3d", "0b7a0829bb700d1a", "da3fbbb448e8ba76"),
+    "chain-SS-3hop": ("aac75e2ae17af817", "3b3204b27cd8f826", "81ea95f9c42f25ce"),
+    "chain-SS-20hop": ("8c123e855d881f78", "b2a5fe3796e9d7a5", "ec6be3b7b0460a1a"),
+    "chain-SS-127hop": ("2c03af9becea4d88", "e4df20ecf71bc9ab", "c95abc934773d415"),
+    "chain-SS-128hop": ("856e6a1ca1da6937", "f92b350b2e613f95", "e695c48a5b0805aa"),
+    "chain-SS+RT-1hop": ("9c151649ae84b930", "ec2a58d2bf789efb", "ab7edf8298d1a939"),
+    "chain-SS+RT-3hop": ("ebe16cb28c2e6cc0", "87f19d3c7827e2d5", "f2c3df605dc8992d"),
+    "chain-SS+RT-20hop": ("afd0240a91787d01", "34c68447ca984720", "a0c3f913c246cb84"),
+    "chain-SS+RT-127hop": ("15b3ca1507dc024f", "b2bccfb0cd2baac2", "f129a30729fdf3bd"),
+    "chain-SS+RT-128hop": ("4b630d59b31709e9", "f3128c0908c6227e", "1e0bf24ab6ea49e6"),
+    "chain-HS-1hop": ("113d2cc0791492f8", "7c42a82602a85d39", "085f8a359b765132"),
+    "chain-HS-3hop": ("130cf4d882193ccc", "01fae700c45bcfb3", "b5da01563ce80a99"),
+    "chain-HS-20hop": ("5e76953ed041add3", "e4af6a180656d0db", "f05a845004da4f84"),
+    "chain-HS-127hop": ("10e8d0fb96e48f7f", "a5588a180d902598", "0e2f2fbed128610a"),
+    "chain-HS-128hop": ("d465c80b94282723", "9460c22e1740af6a", "ae1a99191e5e40c8"),
+    "het-SS-4hop": ("9affe392939f63b0", "58c589bf398e43cf", "f472771e00ee8fff"),
+    "het-SS-20hop": ("241b039ab28da2f9", "7df0ac6b5a45736a", "d062cf06323877e7"),
+    "het-SS-128hop": ("9721081606ec5724", "c3a4f77c85d97761", "174b84592b8496c7"),
+    "het-SS+RT-4hop": ("dd8674a876c174a3", "1d45e098ac8fa5da", "19e08cc019e95216"),
+    "het-SS+RT-20hop": ("e1dad544e75cc6ab", "e9bcc7261679c578", "305a2fd825c06f23"),
+    "het-SS+RT-128hop": ("0bfe3a12556d9e8c", "c15a81007e97c9da", "b36053b025d6b9d6"),
+    "het-HS-4hop": ("174112cf3ad55ebe", "64b7fabee5d55f99", "70dd9953b30c168b"),
+    "het-HS-20hop": ("2000a68efbcc5b82", "ddc2b96719fd6d60", "ceff7fa21878d403"),
+    "het-HS-128hop": ("34b9f62670920e8a", "15962140144631ee", "5e8548c2f677be13"),
     "tree-SS-star3": ("1c3d53026c3c752a", None, "93b8b48d3d9e3af9"),
     "tree-SS-kary2x2": ("fdace021e9e9a8f3", None, "f05af7273ab5741f"),
     "tree-SS-star6": ("d1062f850da52cd9", None, "76bd8cec36a7c650"),
@@ -330,7 +343,8 @@ PIN_CASES = [(case, path) for case in CASES for path in paths(case)]
 def test_solutions_are_pinned(case, path):
     fields = [solution_fields(case[0], solution) for solution in solve(case, path)]
     exact, structured, _ = PINNED[case_id(case)]
-    assert digest(fields) == (structured if uses_structured_digest(case, path) else exact)
+    label = hop_repr if case[0] in ("chain", "het") else repr
+    assert digest(fields, label) == (structured if uses_structured_digest(case, path) else exact)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -397,15 +411,15 @@ PINNED_TEMPLATES = {
     "singlehop-SS+RT": "5e5a8f2ab67e0614",
     "singlehop-SS+RTR": "0f88947497111c78",
     "singlehop-HS": "d20b6367fc516176",
-    "chain-SS-1hop": "c300fd9142389713",
-    "chain-SS-3hop": "ce1a3fb3cf336cbf",
-    "chain-SS-20hop": "e34c68284618c367",
-    "chain-SS+RT-1hop": "c46019496fb25230",
-    "chain-SS+RT-3hop": "5388acd5475e48f1",
-    "chain-SS+RT-20hop": "2fb5e1f19a5c13e8",
-    "chain-HS-1hop": "fd2fdfe589ce6a9f",
-    "chain-HS-3hop": "6b3b4afb02c8e64c",
-    "chain-HS-20hop": "a280a1ce8d66fd20",
+    "chain-SS-1hop": "12e82bb703f368e2",
+    "chain-SS-3hop": "fd14fc03b8ea0ab8",
+    "chain-SS-20hop": "598d860894cdc652",
+    "chain-SS+RT-1hop": "8c59c237c6260af9",
+    "chain-SS+RT-3hop": "db64949b2ce3d5ef",
+    "chain-SS+RT-20hop": "774703b41b92cb3a",
+    "chain-HS-1hop": "e1b9899f715c13a8",
+    "chain-HS-3hop": "ca7c43eb8e55359f",
+    "chain-HS-20hop": "121823e12518b514",
 }
 
 
@@ -414,7 +428,7 @@ def template_and_point(case) -> tuple:
     family, protocol, hops = case
     if family == "singlehop":
         return singlehop_template(protocol), kazaa_defaults()
-    return multihop_template(protocol, hops), (reservation_defaults().replace(hops=hops), None)
+    return tree_template(protocol, Topology.chain(hops)), reservation_defaults().replace(hops=hops)
 
 
 @pytest.mark.parametrize("case", TEMPLATES, ids=template_id)
@@ -488,7 +502,9 @@ _FINITE = (
 _NOT_MODELED = (
     "SS+RTR is not modeled in the multi-hop analysis; use one of ['SS', 'SS+RT', 'HS']"
 )
-_NOT_PART = "SS+RTR is not part of the multi-hop analysis"
+_HOPS_3_OF_4 = (
+    "params.hops (3) must equal the topology's edge count (4); bind them together when sweeping"
+)
 _KARY_CAP = (
     "tree state space for topology (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6) exceeds "
     "4096 states (projected 15129); reduce the topology's fan-out or depth, or solve "
@@ -516,71 +532,79 @@ BAD_INPUTS = {
         lambda: GilbertSingleHopModel(Protocol.SS, _INFINITE, _CHANNEL),
         _FINITE,
     ),
-    "chain-model-rtr": (lambda: MultiHopModel(Protocol.SS_RTR, _CHAIN3), _NOT_MODELED),
-    "chain-rates-rtr": (
-        lambda: build_multihop_rates(Protocol.SS_RTR, _CHAIN3),
-        "Protocol.SS_RTR is not part of the multi-hop analysis",
+    "chain-model-rtr": (
+        lambda: TreeModel(Protocol.SS_RTR, _CHAIN3, Topology.chain(3)),
+        _NOT_MODELED,
     ),
-    "chain-template-rtr": (lambda: multihop_template(Protocol.SS_RTR, 3), _NOT_PART),
-    "chain-tasks-rtr": (lambda: solve_multihop_tasks([(Protocol.SS_RTR, _CHAIN3)]), _NOT_PART),
+    "chain-rates-rtr": (
+        lambda: build_tree_rates(Protocol.SS_RTR, _CHAIN3, Topology.chain(3)),
+        _NOT_MODELED,
+    ),
+    "chain-template-rtr": (lambda: tree_template(Protocol.SS_RTR, Topology.chain(3)), _NOT_MODELED),
+    "chain-tasks-rtr": (lambda: solve_multihop_tasks([(Protocol.SS_RTR, _CHAIN3)]), _NOT_MODELED),
     "chain-batch-rtr": (
         lambda: _batch(solve_multihop_batch, [(Protocol.SS_RTR, _CHAIN3)], True),
-        _NOT_PART,
+        _NOT_MODELED,
     ),
     "chain-batch-reference-rtr": (
         lambda: _batch(solve_multihop_batch, [(Protocol.SS_RTR, _CHAIN3)], False),
         _NOT_MODELED,
     ),
     "het-model-rtr": (
-        lambda: HeterogeneousMultiHopModel(Protocol.SS_RTR, _CHAIN3, _hop_vector(3)),
-        _NOT_PART,
+        lambda: TreeModel(Protocol.SS_RTR, _CHAIN3, Topology.chain(3), _hop_vector(3)),
+        _NOT_MODELED,
     ),
     "tree-model-rtr": (lambda: TreeModel(Protocol.SS_RTR, _CHAIN3, Topology.chain(3)), _NOT_MODELED),
     "lumped-model-rtr": (
         lambda: LumpedTreeModel(Protocol.SS_RTR, _CHAIN3, Topology.chain(3)),
         _NOT_MODELED,
     ),
-    "tree-template-rtr": (lambda: tree_template(Protocol.SS_RTR, _STAR3), _NOT_PART),
+    "tree-template-rtr": (lambda: tree_template(Protocol.SS_RTR, _STAR3), _NOT_MODELED),
     "gilbert-chain-rtr": (
         lambda: GilbertMultiHopModel(Protocol.SS_RTR, _CHAIN3, _CHANNEL),
         _NOT_MODELED,
     ),
     "chain-template-hops": (
-        lambda: multihop_template(Protocol.SS, 4).solve_batch([(_CHAIN3, None)]),
-        "task has 3 hops, template compiled for 4",
+        lambda: tree_template(Protocol.SS, Topology.chain(4)).solve_batch([_CHAIN3]),
+        _HOPS_3_OF_4,
     ),
     "het-template-hops": (
-        lambda: multihop_template(Protocol.SS, 4).solve_batch([(_CHAIN3, _hop_vector(4))]),
-        "task has 3 hops, template compiled for 4",
+        lambda: tree_template(Protocol.SS, Topology.chain(4)).solve_batch(
+            [(_CHAIN3, _hop_vector(4))]
+        ),
+        _HOPS_3_OF_4,
     ),
     "het-template-vector": (
-        lambda: multihop_template(Protocol.SS, 3).solve_batch([(_CHAIN3, _VECTOR2)]),
-        "hop vector length 2 != template hops 3",
+        lambda: tree_template(Protocol.SS, Topology.chain(3)).solve_batch([(_CHAIN3, _VECTOR2)]),
+        "hop vector length 2 != params.hops 3",
     ),
     "het-tasks-vector": (
         lambda: solve_heterogeneous_tasks([(Protocol.HS, _CHAIN3, _VECTOR2)]),
-        "hop vector length 2 != template hops 3",
+        "hop vector length 2 != params.hops 3",
     ),
     "het-batch-vector": (
         lambda: _batch(solve_heterogeneous_batch, [(Protocol.SS_RT, _CHAIN3, _VECTOR2)], True),
-        "hop vector length 2 != template hops 3",
+        "hop vector length 2 != params.hops 3",
     ),
     "het-batch-reference-vector": (
         lambda: _batch(solve_heterogeneous_batch, [(Protocol.SS_RT, _CHAIN3, _VECTOR2)], False),
         "hop vector length 2 != params.hops 3",
     ),
     "het-model-vector": (
-        lambda: HeterogeneousMultiHopModel(Protocol.SS, _CHAIN3, _VECTOR2),
+        lambda: TreeModel(Protocol.SS, _CHAIN3, Topology.chain(3), _VECTOR2),
         "hop vector length 2 != params.hops 3",
+    ),
+    "tree-model-links": (
+        lambda: TreeModel(Protocol.SS, _CHAIN3, _STAR3, _hop_vector(3)),
+        "a link profile needs a chain topology, got (0, 0, 0)",
     ),
     "tree-model-hops": (
         lambda: TreeModel(Protocol.SS, _CHAIN3, Topology.star(4)),
-        "params.hops (3) must equal the topology's edge count (4); "
-        "bind them together when sweeping",
+        _HOPS_3_OF_4,
     ),
     "tree-template-hops": (
         lambda: tree_template(Protocol.SS, Topology.star(4)).solve_batch([_CHAIN3]),
-        "task has 3 hops, template compiled for a 4-edge topology",
+        _HOPS_3_OF_4,
     ),
     "gilbert-template-hops": (
         lambda: gilbert_multihop_template(Protocol.SS, 4).solve_batch([(_CHAIN3, _CHANNEL)]),
@@ -600,9 +624,9 @@ BAD_INPUTS = {
         lambda: _batch(solve_multihop_batch, [(Protocol.SS, _CHAIN3, "bogus")], True),
         "chain backend must be one of ('auto', 'template', 'structured'), got 'bogus'",
     ),
-    "chain-template-backend": (
-        lambda: multihop_template(Protocol.SS, 3).solve_batch([(_CHAIN3, None)], backend="dense"),
-        "chain backend must be one of ('auto', 'template', 'structured'), got 'dense'",
+    "tree-template-structured": (
+        lambda: tree_template(Protocol.SS, _STAR3).solve_structured([_CHAIN3]),
+        "the structured chain kernel needs a chain topology, got (0, 0, 0)",
     ),
     "tree-batch-backend": (
         lambda: _batch(solve_tree_batch, [(Protocol.SS, _CHAIN3, Topology.chain(3), "dense")], True),

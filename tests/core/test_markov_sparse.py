@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.markov import SPARSE_STATE_THRESHOLD, ContinuousTimeMarkovChain
-from repro.core.multihop import MultiHopModel
+from repro.core.multihop import Topology, TreeModel
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
 
@@ -61,7 +61,7 @@ class TestDenseSparseParity:
     def test_multihop_model_chain_parity(self):
         """The paper's own chains give identical metrics on both backends."""
         params = reservation_defaults()
-        model = MultiHopModel(Protocol.SS, params)
+        model = TreeModel(Protocol.SS, params, Topology.chain(params.hops))
         dense = ContinuousTimeMarkovChain(
             model.chain().states, model.transition_rates(), solver="dense"
         ).stationary_distribution()
@@ -74,7 +74,7 @@ class TestDenseSparseParity:
         """A 400-hop heterogeneous-regime chain crosses the auto
         threshold and still produces a valid distribution."""
         params = reservation_defaults().replace(hops=400)
-        model = MultiHopModel(Protocol.SS, params)
+        model = TreeModel(Protocol.SS, params, Topology.chain(params.hops))
         chain = model.chain()
         assert len(chain.states) >= SPARSE_STATE_THRESHOLD
         pi = chain.stationary_distribution()

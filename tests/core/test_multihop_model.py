@@ -1,4 +1,5 @@
-"""Tests for the multi-hop analytic model (§III-B, eqs. 9-17)."""
+"""Tests for the multi-hop analytic model (§III-B, eqs. 9-17): the tree
+model on the unary topology ``Topology.chain(N)``."""
 
 from __future__ import annotations
 
@@ -7,41 +8,75 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.multihop import (
-    HopState,
-    MultiHopModel,
     RECOVERY,
+    StateSpaceLimitError,
+    Topology,
+    TreeModel,
+    TreeState,
     expected_link_crossings,
     first_timeout_rate,
-    multihop_state_space,
     slow_path_recovery_rate,
-    solve_all_multihop,
+    tree_state_space,
 )
+from repro.core.multihop import tree_states
 from repro.core.parameters import MultiHopParameters, reservation_defaults
 from repro.core.protocols import Protocol
+from repro.runtime import solve_multihop_batch
+
+
+def chain_model(protocol, params):
+    return TreeModel(protocol, params, Topology.chain(params.hops))
+
+
+def chain_states(hops, with_recovery):
+    return tree_state_space(Topology.chain(hops), with_recovery)
+
+
+def hop_state(consistent_hops, slow):
+    """The paper's ``(i, s)``: ``i`` consistent hops, hop ``i+1`` slow."""
+    return TreeState(tuple(range(1, consistent_hops + 1)), (consistent_hops + 1,) if slow else ())
+
+
+def solve_all(params):
+    return {p: chain_model(p, params).solve() for p in Protocol.multihop_family()}
 
 
 class TestStateSpace:
     def test_counts(self):
         # N fast states 0..N, N slow states 0..N-1.
-        assert len(multihop_state_space(5, with_recovery=False)) == 11
-        assert len(multihop_state_space(5, with_recovery=True)) == 12
+        assert len(chain_states(5, with_recovery=False)) == 11
+        assert len(chain_states(5, with_recovery=True)) == 12
+
+    def test_paper_order(self):
+        # (0,0)..(N,0), then (0,1)..(N-1,1), then F.
+        expected = [hop_state(i, False) for i in range(4)] + [hop_state(i, True) for i in range(3)]
+        assert list(chain_states(3, with_recovery=True)) == expected + [RECOVERY]
 
     def test_no_slow_top_state(self):
-        states = multihop_state_space(4, with_recovery=False)
-        assert HopState(4, False) in states
-        assert HopState(4, True) not in states
+        states = chain_states(4, with_recovery=False)
+        assert hop_state(4, False) in states
+        assert hop_state(4, True) not in states
 
     def test_recovery_present_only_when_requested(self):
-        assert RECOVERY in multihop_state_space(3, with_recovery=True)
-        assert RECOVERY not in multihop_state_space(3, with_recovery=False)
+        assert RECOVERY in chain_states(3, with_recovery=True)
+        assert RECOVERY not in chain_states(3, with_recovery=False)
 
     def test_invalid_hops_rejected(self):
         with pytest.raises(ValueError):
-            multihop_state_space(0, with_recovery=False)
+            chain_states(0, with_recovery=False)
 
-    def test_negative_consistent_hops_rejected(self):
-        with pytest.raises(ValueError):
-            HopState(-1, False)
+    def test_2047_hops_is_the_longest_direct_chain(self):
+        """2N+1 states meet the direct cap of 4096 past 2047 hops; the
+        projection refuses before anything is enumerated."""
+        assert tree_states.projected_tree_states(Topology.chain(2047)) == 4095
+        params = reservation_defaults().replace(hops=2048)
+        enumerations = tree_states._enumerated_tree_states.cache_info().misses
+        with pytest.raises(StateSpaceLimitError) as raised:
+            chain_model(Protocol.SS, params)
+        assert raised.value.projected == 4097
+        with pytest.raises(StateSpaceLimitError):
+            solve_multihop_batch([(Protocol.HS, params)], jobs=1)
+        assert tree_states._enumerated_tree_states.cache_info().misses == enumerations
 
 
 class TestRates:
@@ -71,7 +106,7 @@ class TestRates:
         with pytest.raises(ValueError):
             slow_path_recovery_rate(Protocol.SS_ER, multihop_params, 1)
         with pytest.raises(ValueError):
-            MultiHopModel(Protocol.SS_RTR, multihop_params)
+            chain_model(Protocol.SS_RTR, multihop_params)
 
     def test_first_timeout_rates_telescope(self, multihop_params):
         """Summing eq. 9 over targets gives the total timeout rate."""
@@ -115,18 +150,18 @@ class TestLinkCrossings:
 class TestSolutions:
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_stationary_sums_to_one(self, protocol, multihop_params):
-        solution = MultiHopModel(protocol, multihop_params).solve()
+        solution = chain_model(protocol, multihop_params).solve()
         assert sum(solution.stationary.values()) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_inconsistency_matches_eq12(self, protocol, multihop_params):
-        solution = MultiHopModel(protocol, multihop_params).solve()
-        top = solution.stationary[HopState(multihop_params.hops, False)]
+        solution = chain_model(protocol, multihop_params).solve()
+        top = solution.stationary[hop_state(multihop_params.hops, False)]
         assert solution.inconsistency_ratio == pytest.approx(1.0 - top)
 
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_hop_profile_monotone(self, protocol, multihop_params):
-        profile = MultiHopModel(protocol, multihop_params).solve().hop_profile()
+        profile = chain_model(protocol, multihop_params).solve().hop_profile()
         assert all(b >= a for a, b in zip(profile, profile[1:]))
 
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
@@ -134,36 +169,36 @@ class TestSolutions:
         # Hop N is inconsistent in every state except (N, fast) and the
         # recovery state is counted in both; so hop-N inconsistency
         # equals the overall ratio.
-        solution = MultiHopModel(protocol, multihop_params).solve()
-        assert solution.hop_inconsistency(multihop_params.hops) == pytest.approx(
+        solution = chain_model(protocol, multihop_params).solve()
+        assert solution.node_inconsistency(multihop_params.hops) == pytest.approx(
             solution.inconsistency_ratio
         )
 
     def test_hop_bounds_checked(self, multihop_params):
-        solution = MultiHopModel(Protocol.SS, multihop_params).solve()
+        solution = chain_model(Protocol.SS, multihop_params).solve()
         with pytest.raises(ValueError):
-            solution.hop_inconsistency(0)
+            solution.node_inconsistency(0)
         with pytest.raises(ValueError):
-            solution.hop_inconsistency(multihop_params.hops + 1)
+            solution.node_inconsistency(multihop_params.hops + 1)
 
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_message_rate_positive(self, protocol, multihop_params):
-        solution = MultiHopModel(protocol, multihop_params).solve()
+        solution = chain_model(protocol, multihop_params).solve()
         assert solution.message_rate > 0.0
 
     def test_hs_breakdown_has_no_refreshes(self, multihop_params):
-        solution = MultiHopModel(Protocol.HS, multihop_params).solve()
+        solution = chain_model(Protocol.HS, multihop_params).solve()
         assert solution.message_breakdown["refresh_hops"] == 0.0
         assert solution.message_breakdown["recovery_traffic"] >= 0.0
 
     def test_ss_breakdown_has_no_acks(self, multihop_params):
-        solution = MultiHopModel(Protocol.SS, multihop_params).solve()
+        solution = chain_model(Protocol.SS, multihop_params).solve()
         assert solution.message_breakdown["acks"] == 0.0
         assert solution.message_breakdown["retransmissions"] == 0.0
         assert solution.message_breakdown["refresh_hops"] > 0.0
 
     def test_integrated_cost(self, multihop_params):
-        solution = MultiHopModel(Protocol.SS, multihop_params).solve()
+        solution = chain_model(Protocol.SS, multihop_params).solve()
         expected = 10.0 * solution.inconsistency_ratio + solution.message_rate
         assert solution.integrated_cost(10.0) == pytest.approx(expected)
         with pytest.raises(ValueError):
@@ -177,7 +212,7 @@ class TestPaperClaims:
         base = reservation_defaults()
         for protocol in Protocol.multihop_family():
             values = [
-                MultiHopModel(protocol, base.replace(hops=n)).solve().inconsistency_ratio
+                chain_model(protocol, base.replace(hops=n)).solve().inconsistency_ratio
                 for n in (2, 5, 10, 20)
             ]
             assert values == sorted(values)
@@ -186,13 +221,13 @@ class TestPaperClaims:
         base = reservation_defaults()
         for protocol in Protocol.multihop_family():
             values = [
-                MultiHopModel(protocol, base.replace(hops=n)).solve().message_rate
+                chain_model(protocol, base.replace(hops=n)).solve().message_rate
                 for n in (2, 5, 10, 20)
             ]
             assert values == sorted(values)
 
     def test_rt_matches_hs_consistency(self):
-        solutions = solve_all_multihop(reservation_defaults())
+        solutions = solve_all(reservation_defaults())
         rt = solutions[Protocol.SS_RT].inconsistency_ratio
         hs = solutions[Protocol.HS].inconsistency_ratio
         assert rt == pytest.approx(hs, rel=0.15)
@@ -202,21 +237,21 @@ class TestPaperClaims:
         base = reservation_defaults()
         growth = {}
         for protocol in Protocol.multihop_family():
-            short = MultiHopModel(protocol, base.replace(hops=2)).solve()
-            long = MultiHopModel(protocol, base.replace(hops=20)).solve()
+            short = chain_model(protocol, base.replace(hops=2)).solve()
+            long = chain_model(protocol, base.replace(hops=20)).solve()
             growth[protocol] = long.inconsistency_ratio - short.inconsistency_ratio
         assert growth[Protocol.SS] > growth[Protocol.SS_RT]
         assert growth[Protocol.SS] > growth[Protocol.HS]
 
     def test_rt_overhead_close_to_ss(self):
-        solutions = solve_all_multihop(reservation_defaults())
+        solutions = solve_all(reservation_defaults())
         ss = solutions[Protocol.SS].message_rate
         rt = solutions[Protocol.SS_RT].message_rate
         assert rt > ss  # reliability costs something...
         assert (rt - ss) / ss < 0.25  # ...but little (Fig. 18b)
 
     def test_hs_cheapest(self):
-        solutions = solve_all_multihop(reservation_defaults())
+        solutions = solve_all(reservation_defaults())
         assert solutions[Protocol.HS].message_rate < solutions[Protocol.SS].message_rate
 
     @given(
@@ -228,6 +263,6 @@ class TestPaperClaims:
     def test_model_always_solvable(self, hops, loss, refresh):
         params = MultiHopParameters(hops=hops, loss_rate=loss).with_coupled_timers(refresh)
         for protocol in Protocol.multihop_family():
-            solution = MultiHopModel(protocol, params).solve()
+            solution = chain_model(protocol, params).solve()
             assert 0.0 <= solution.inconsistency_ratio <= 1.0
             assert solution.message_rate >= 0.0

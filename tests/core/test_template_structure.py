@@ -14,12 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.gilbert import GilbertMultiHopModel, GilbertSingleHopModel
-from repro.core.multihop import MultiHopModel, Topology, TreeModel
-from repro.core.multihop.heterogeneous import (
-    HeterogeneousHop,
-    HeterogeneousMultiHopModel,
-    hops_from_parameters,
-)
+from repro.core.multihop import Topology, TreeModel
+from repro.core.multihop.heterogeneous import HeterogeneousHop, hops_from_parameters
 from repro.core.multihop.lumping import LumpedTreeModel
 from repro.core.multihop.tree_states import MAX_ENUMERATED_TREE_STATES
 from repro.core.parameters import kazaa_defaults, reservation_defaults
@@ -30,7 +26,6 @@ from repro.core.templates import (
     gilbert_singlehop_template,
     iterative_tree_template,
     lumped_tree_template,
-    multihop_template,
     singlehop_template,
     tree_template,
 )
@@ -99,19 +94,21 @@ def singlehop_cases(protocol):
 
 def chain_cases(protocol):
     for params in CHAIN_GRID:
+        chain = Topology.chain(params.hops)
         yield (
-            multihop_template(protocol, params.hops),
-            (params, None),
-            MultiHopModel(protocol, params).transition_rates(),
+            tree_template(protocol, chain),
+            params,
+            TreeModel(protocol, params, chain).transition_rates(),
         )
 
 
 def heterogeneous_cases(protocol):
+    chain = Topology.chain(HET_PARAMS.hops)
     for hops in HOP_VECTORS:
         yield (
-            multihop_template(protocol, HET_PARAMS.hops),
+            tree_template(protocol, chain),
             (HET_PARAMS, hops),
-            HeterogeneousMultiHopModel(protocol, HET_PARAMS, hops).chain().rates,
+            TreeModel(protocol, HET_PARAMS, chain, hops).chain().rates,
         )
 
 

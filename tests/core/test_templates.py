@@ -16,10 +16,9 @@ import pytest
 from repro.core import markov
 from repro.core.gilbert.model import GilbertMultiHopModel
 from repro.core.gilbert.transitions import gilbert_specs, gilbert_states
-from repro.core.multihop import MultiHopModel
+from repro.core.multihop import Topology, TreeModel
 from repro.core.multihop.heterogeneous import (
     HeterogeneousHop,
-    HeterogeneousMultiHopModel,
     hops_from_parameters,
     reach_profile,
 )
@@ -34,15 +33,23 @@ from repro.core.singlehop import SingleHopModel
 from repro.faults.gilbert import GilbertElliottParameters
 from repro.core.templates import (
     gilbert_multihop_template,
-    multihop_template,
     singlehop_template,
     solve_heterogeneous_tasks,
     solve_multihop_tasks,
     solve_singlehop_tasks,
+    tree_template,
 )
 
 DENSE_TOL = 1e-12
 SPARSE_TOL = 1e-9
+
+
+def chain_model(protocol, params, links=None) -> TreeModel:
+    return TreeModel(protocol, params, Topology.chain(params.hops), links)
+
+
+def chain_template(protocol, hops):
+    return tree_template(protocol, Topology.chain(hops))
 
 
 def _assert_singlehop_parity(solution, reference, tol=DENSE_TOL):
@@ -137,7 +144,7 @@ class TestMultiHopTemplates:
         grid = multihop_grid()
         solutions = solve_multihop_tasks([(protocol, params) for params in grid])
         for params, solution in zip(grid, solutions):
-            _assert_multihop_parity(solution, MultiHopModel(protocol, params).solve())
+            _assert_multihop_parity(solution, chain_model(protocol, params).solve())
 
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_heterogeneous_parity(self, protocol):
@@ -156,25 +163,21 @@ class TestMultiHopTemplates:
         tasks = [(protocol, params, hops) for hops in vectors]
         solutions = solve_heterogeneous_tasks(tasks)
         for hops, solution in zip(vectors, solutions):
-            _assert_multihop_parity(
-                solution, HeterogeneousMultiHopModel(protocol, params, hops).solve()
-            )
+            _assert_multihop_parity(solution, chain_model(protocol, params, hops).solve())
 
     def test_hop_count_mismatch_rejected(self):
-        template = multihop_template(Protocol.SS, 5)
+        template = chain_template(Protocol.SS, 5)
         with pytest.raises(ValueError):
-            template.solve_batch([(reservation_defaults().replace(hops=4), None)])
+            template.solve_batch([reservation_defaults().replace(hops=4)])
 
     def test_unsupported_protocol_rejected(self):
         with pytest.raises(ValueError):
-            multihop_template(Protocol.SS_ER, 5)
+            chain_template(Protocol.SS_ER, 5)
 
     def test_mixed_homogeneous_and_heterogeneous_share_structure(self):
         params = reservation_defaults().replace(hops=4)
-        template = multihop_template(Protocol.SS_RT, 4)
-        hom, het = template.solve_batch(
-            [(params, None), (params, hops_from_parameters(params))]
-        )
+        template = chain_template(Protocol.SS_RT, 4)
+        hom, het = template.solve_batch([params, (params, hops_from_parameters(params))])
         # Identical hop values: both flavors must agree on the physics.
         for state, probability in hom.stationary.items():
             assert het.stationary[state] == pytest.approx(probability, rel=1e-9)
@@ -191,13 +194,13 @@ class TestSparseCrossover:
         hops = tuple(
             HeterogeneousHop(0.01 + 0.005 * i, 0.02 + 0.001 * i) for i in range(8)
         )
-        template = multihop_template(protocol, 8)
+        template = chain_template(protocol, 8)
         assert not template._use_sparse()
         dense = solve_heterogeneous_tasks([(protocol, params, hops)])[0]
         monkeypatch.setattr(markov, "SPARSE_STATE_THRESHOLD", 10)
         assert template._use_sparse()
         sparse = solve_heterogeneous_tasks([(protocol, params, hops)])[0]
-        model = HeterogeneousMultiHopModel(protocol, params, hops)
+        model = chain_model(protocol, params, hops)
         chain = model.chain()
         assert chain._use_sparse(len(chain.states))
         reference = model.solve()
@@ -215,10 +218,8 @@ class TestSparseCrossover:
         template solves the positive sub-pattern, the one the reference
         rate dict holds, so the two agree bit for bit."""
         params = reservation_defaults().replace(hops=128, loss_rate=0.0)
-        solution = multihop_template(protocol, 128).solve_batch(
-            [(params, None)], backend="template"
-        )[0]
-        reference = MultiHopModel(protocol, params).solve()
+        solution = chain_template(protocol, 128).solve_batch([params])[0]
+        reference = chain_model(protocol, params).solve()
         assert list(solution.stationary.items()) == list(reference.stationary.items())
         assert solution.message_breakdown == reference.message_breakdown
 
@@ -258,35 +259,34 @@ class TestSparseCrossover:
         params = MultiHopParameters(hops=360)
         gilbert = GilbertElliottParameters(0.02, 0.0200001, 0.1, 1.0)
         bursty = gilbert_multihop_template(Protocol.SS, 360).solve_batch([(params, gilbert)])[0]
-        iid = MultiHopModel(Protocol.SS, params.replace(loss_rate=0.02)).solve()
+        iid = chain_model(Protocol.SS, params.replace(loss_rate=0.02)).solve()
         assert bursty.inconsistency_ratio == pytest.approx(iid.inconsistency_ratio, abs=1e-6)
         assert bursty.message_rate == pytest.approx(iid.message_rate, rel=1e-6)
 
     def test_real_threshold_crossing_at_128_hops(self):
         """128 hops (257 states) crosses the real threshold; 96 does not."""
-        below = multihop_template(Protocol.SS, 96)
-        above = multihop_template(Protocol.SS, 128)
+        below = chain_template(Protocol.SS, 96)
+        above = chain_template(Protocol.SS, 128)
         assert not below._use_sparse()
         assert above._use_sparse()
         params = reservation_defaults().replace(hops=128)
         solution = solve_multihop_tasks([(Protocol.SS, params)])[0]
-        reference = MultiHopModel(Protocol.SS, params).solve()
+        reference = chain_model(Protocol.SS, params).solve()
         _assert_multihop_parity(solution, reference, tol=SPARSE_TOL)
 
 
 class TestReachProfile:
-    def test_prefix_products_match_model_reach(self):
+    def test_prefix_products(self):
         hops = tuple(
             HeterogeneousHop(loss, 0.03) for loss in (0.0, 0.1, 0.02, 0.3, 0.05)
         )
-        params = reservation_defaults().replace(hops=5)
-        model = HeterogeneousMultiHopModel(Protocol.SS, params, hops)
         profile = reach_profile(hops)
+        assert len(profile) == 6
         assert profile[0] == 1.0
-        for k in range(6):
-            assert model.reach_probability(k) == profile[k]
-        with pytest.raises(ValueError):
-            model.reach_probability(6)
+        survive = 1.0
+        for k, hop in enumerate(hops, 1):
+            survive *= 1.0 - hop.loss_rate
+            assert profile[k] == survive
 
     def test_against_paper_homogeneous_formula(self):
         params = reservation_defaults().replace(hops=4, loss_rate=0.02)

@@ -8,7 +8,7 @@ with ``==`` — any discrepancy is a wiring bug in the orbit projection
 or the multiplicity bookkeeping, not roundoff.  Float solves of the
 lumped and direct chains accumulate in different orders, so those
 compare under tight tolerances; the lumped *template*, which scatters
-the identical ``tree_tag_rate * multiplicity`` floats as the lumped
+the identical ``tree_tag_rates`` float times multiplicity as the lumped
 model, stays bit-identical to it.
 """
 
@@ -31,7 +31,7 @@ from repro.core.multihop import (
 )
 from repro.core.multihop import lumping as _lumping
 from repro.core.multihop.lumping import MAX_LUMPED_TREE_STATES
-from repro.core.multihop.tree_transitions import tree_tag_rate
+from repro.core.multihop.tree_transitions import tree_tag_rates
 from repro.core.multihop.tree_states import (
     MAX_ENUMERATED_TREE_STATES,
     MAX_TREE_STATES,
@@ -167,7 +167,7 @@ def _exact_tree_rates(protocol, params, topology):
     for origin, destination, tag in tree_transition_specs(protocol, topology):
         if origin == destination:
             continue
-        rate = Fraction(tree_tag_rate(protocol, params, topology, tag))
+        rate = Fraction(tree_tag_rates(protocol, params, topology, [tag])[0])
         if rate > 0:
             key = (origin, destination)
             rates[key] = rates.get(key, Fraction(0)) + rate
@@ -188,7 +188,7 @@ def _exact_lumped_rates(protocol, params, topology):
     ):
         if origin == destination:
             continue
-        rate = Fraction(tree_tag_rate(protocol, params, topology, tag)) * mult
+        rate = Fraction(tree_tag_rates(protocol, params, topology, [tag])[0]) * mult
         if rate > 0:
             key = (origin, destination)
             rates[key] = rates.get(key, Fraction(0)) + rate

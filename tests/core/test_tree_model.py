@@ -1,22 +1,19 @@
 """The tree (multicast) analytic model: states, rates, metrics, parity.
 
-The load-bearing assertions are the **bit-parity** ones: on a unary
-chain topology the tree model must reproduce the chain model with
-``==`` — state order, stationary distribution, message components and
-per-node metrics — because the repo's fast-path guarantees are anchored
-to the chain reference.
+The paper's chain is the unary tree ``Topology.chain(N)``: its state
+order and rate dict must be the paper's Fig. 15/16 construction with
+``==``, built here the plain way, hop by hop.
 """
 
 import pytest
 
 from repro.core.multihop import (
-    MultiHopModel,
     RECOVERY,
     Topology,
     TreeModel,
-    build_multihop_rates,
     build_tree_rates,
-    multihop_state_space,
+    first_timeout_rate,
+    slow_path_recovery_rate,
     tree_expected_link_crossings,
     tree_state_space,
 )
@@ -32,6 +29,40 @@ def params_for(topology: Topology, **overrides):
     return reservation_defaults().replace(hops=topology.num_edges, **overrides)
 
 
+def hop_state(consistent_hops, slow):
+    """The paper's ``(i, s)`` on a chain: hops ``1..i`` consistent, hop
+    ``i+1`` waiting on the slow path when ``s``."""
+    return TreeState(tuple(range(1, consistent_hops + 1)), (consistent_hops + 1,) if slow else ())
+
+
+def paper_chain_rates(protocol, params):
+    """The Fig. 15/16 rate dict built hop by hop from eqs. 9-11."""
+    n, p, delay = params.hops, params.loss_rate, params.delay
+    states = tree_state_space(Topology.chain(n), protocol is Protocol.HS)
+    start = hop_state(0, False)
+    rates: dict = {}
+
+    def add(origin, destination, rate):
+        if rate > 0.0:
+            rates[(origin, destination)] = rates.get((origin, destination), 0.0) + rate
+
+    for state in states[1:]:
+        add(state, start, params.update_rate)
+    for i in range(n):
+        add(hop_state(i, False), hop_state(i + 1, False), (1.0 - p) / delay)
+        add(hop_state(i, False), hop_state(i, True), p / delay)
+        add(hop_state(i, True), hop_state(i + 1, False), slow_path_recovery_rate(protocol, params, i + 1))
+    if protocol is Protocol.HS:
+        for state in states[:-1]:
+            add(state, RECOVERY, n * params.external_false_signal_rate)
+        add(RECOVERY, start, 1.0 / (2.0 * n * delay))
+    else:
+        for state in states:
+            for j in range(len(state.consistent)):
+                add(state, hop_state(j, True), first_timeout_rate(params, j))
+    return rates
+
+
 class TestStateSpace:
     def test_chain_count_matches_chain_model(self):
         for hops in (1, 2, 5):
@@ -39,19 +70,10 @@ class TestStateSpace:
             assert len(tree_state_space(topo, False)) == 2 * hops + 1
             assert len(tree_state_space(topo, True)) == 2 * hops + 2
 
-    def test_chain_order_matches_chain_model_position_by_position(self):
-        topo = Topology.chain(4)
-        tree_states = tree_state_space(topo, True)
-        chain_states = multihop_state_space(4, with_recovery=True)
-        for tree_state, chain_state in zip(tree_states, chain_states):
-            if chain_state is RECOVERY:
-                assert tree_state is RECOVERY
-            else:
-                consistent = tuple(range(1, chain_state.consistent_hops + 1))
-                slow = (
-                    (chain_state.consistent_hops + 1,) if chain_state.slow else ()
-                )
-                assert tree_state == TreeState(consistent, slow)
+    def test_chain_order_is_the_papers(self):
+        # (0,0)..(N,0), then (0,1)..(N-1,1), then F.
+        paper = [hop_state(i, False) for i in range(5)] + [hop_state(i, True) for i in range(4)]
+        assert list(tree_state_space(Topology.chain(4), True)) == paper + [RECOVERY]
 
     def test_star_count_is_three_to_the_k(self):
         # Each leaf edge is independently fast, slow or crossed.
@@ -116,19 +138,11 @@ class TestStateSpace:
 class TestUnaryChainBitParity:
     @pytest.mark.parametrize("protocol", MULTIHOP, ids=lambda p: p.value)
     @pytest.mark.parametrize("hops", [1, 3, 7])
-    def test_rates_bit_identical_to_chain(self, protocol, hops):
+    @pytest.mark.parametrize("loss", [0.02, 0.0])
+    def test_rates_bit_identical_to_chain(self, protocol, hops, loss):
         topo = Topology.chain(hops)
-        params = params_for(topo)
-        chain_rates = build_multihop_rates(protocol, params)
-        tree_rates = build_tree_rates(protocol, params, topo)
-        assert len(chain_rates) == len(tree_rates)
-        # Same multiset of rate values with identical floats, keyed by
-        # the positional state mapping.
-        chain_states = multihop_state_space(hops, protocol is Protocol.HS)
-        tree_states = tree_state_space(topo, protocol is Protocol.HS)
-        mapping = dict(zip(chain_states, tree_states))
-        for (origin, destination), rate in chain_rates.items():
-            assert tree_rates[(mapping[origin], mapping[destination])] == rate
+        params = params_for(topo, loss_rate=loss)
+        assert build_tree_rates(protocol, params, topo) == paper_chain_rates(protocol, params)
 
     @pytest.mark.parametrize("protocol", MULTIHOP, ids=lambda p: p.value)
     @pytest.mark.parametrize(
@@ -136,21 +150,18 @@ class TestUnaryChainBitParity:
         [{}, {"loss_rate": 0.2}, {"loss_rate": 0.0}, {"delay": 0.3}],
         ids=["base", "lossy", "lossless", "slow-links"],
     )
-    def test_solution_bit_identical_to_chain(self, protocol, overrides):
+    def test_chain_metrics_agree(self, protocol, overrides):
         topo = Topology.chain(5)
         params = params_for(topo, **overrides)
-        chain = MultiHopModel(protocol, params).solve()
         tree = TreeModel(protocol, params, topo).solve()
-        assert list(chain.stationary.values()) == list(tree.stationary.values())
-        assert chain.inconsistency_ratio == tree.inconsistency_ratio
-        assert chain.message_breakdown == tree.message_breakdown
-        assert chain.message_rate == tree.message_rate
-        for hop in range(1, 6):
-            assert chain.hop_inconsistency(hop) == tree.node_inconsistency(hop)
-        assert chain.hop_inconsistency(5) == tree.leaf_inconsistency(5)
-        assert chain.hop_inconsistency(5) == tree.mean_leaf_inconsistency
-        assert chain.hop_inconsistency(5) == tree.fanout_weighted_inconsistency
-        assert chain.integrated_cost(10.0) == tree.integrated_cost(10.0)
+        assert tree.inconsistency_ratio == 1.0 - tree.stationary[hop_state(5, False)]
+        assert tree.hop_profile() == [tree.node_inconsistency(hop) for hop in range(1, 6)]
+        last = tree.node_inconsistency(5)
+        assert last == pytest.approx(tree.inconsistency_ratio, rel=1e-12)
+        assert last == tree.leaf_inconsistency(5)
+        assert last == tree.mean_leaf_inconsistency
+        assert last == tree.fanout_weighted_inconsistency
+        assert tree.integrated_cost(10.0) == 10.0 * tree.inconsistency_ratio + tree.message_rate
 
 
 class TestTreeMetrics:

@@ -41,15 +41,15 @@ from repro.core.multihop.lumping import (
     lumped_state_space,
     lumped_transition_specs,
 )
-from repro.core.multihop.states import RECOVERY
 from repro.core.multihop.tree_states import (
     MAX_ENUMERATED_TREE_STATES,
+    RECOVERY,
     TreeState,
     tree_state_space,
 )
 from repro.core.multihop.tree_transitions import (
     build_tree_rates,
-    tree_tag_rate,
+    tree_tag_rates,
     tree_transition_specs,
 )
 from repro.core.parameters import reservation_defaults
@@ -142,51 +142,51 @@ def digest(values) -> str:
 
 #: ``case id -> (rates digest at both points, template structure digest)``.
 PINNED = {
-    "direct-SS-star2": ("d40aec81c201e7ee", "6a88feb4d961183c"),
-    "direct-SS+RT-star2": ("cd04e772c664bbd0", "6a88feb4d961183c"),
-    "direct-HS-star2": ("ee3ca99e852f3a9e", "ace2ebb69d24b114"),
-    "direct-SS-star3": ("470aef610ceca79b", "91d28f52870a4933"),
-    "direct-SS+RT-star3": ("5d2ca4859d55c347", "91d28f52870a4933"),
-    "direct-HS-star3": ("e463799ea2b5a316", "35c1d0a5357d642b"),
-    "direct-SS-star4": ("f4fa05a1b6d6d454", "9933373c363d0345"),
-    "direct-SS+RT-star4": ("180f44fe24e3d0c4", "9933373c363d0345"),
-    "direct-HS-star4": ("c8bb3a94220d9e19", "6378e1e8e1dd0f77"),
-    "direct-SS-star5": ("da47c69afa9cb19f", "e0436ade9be2fceb"),
-    "direct-SS+RT-star5": ("4184f8536dfa30d0", "e0436ade9be2fceb"),
-    "direct-HS-star5": ("001e5d53afbf26bc", "91be86096d770a4c"),
-    "direct-SS-star6": ("ce669562eb3d8c53", "526b4df296588c49"),
-    "direct-SS+RT-star6": ("d3db12a2a9c6f68f", "526b4df296588c49"),
-    "direct-HS-star6": ("7f3bc6add3724217", "d727d8788fcbe71e"),
-    "direct-SS-kary2x2": ("37cb62abcc71d8cc", "b1d1e777bd2a07cf"),
-    "direct-SS+RT-kary2x2": ("df7b5559a81f4015", "b1d1e777bd2a07cf"),
-    "direct-HS-kary2x2": ("08f5d6a7e33e625b", "94b3a62fca9758ba"),
-    "direct-SS-broom2x2": ("0e15e2448819c38b", "fd9beab1c5b1dd39"),
-    "direct-SS+RT-broom2x2": ("51ccf7e63d1756bf", "fd9beab1c5b1dd39"),
-    "direct-HS-broom2x2": ("538a35337a0584d3", "1e2e65d722a12fdf"),
-    "direct-SS-broom2x3": ("527b846137bd1f47", "87a9e1e8ca659120"),
-    "direct-SS+RT-broom2x3": ("a865f2d39bf47d51", "87a9e1e8ca659120"),
-    "direct-HS-broom2x3": ("50c88d320b1b4f98", "2d21a9e23abcdb1d"),
-    "direct-SS-broom2x4": ("27aa4e5e2a1ec87f", "1ed2ba88623d407b"),
-    "direct-SS+RT-broom2x4": ("9bd31008dc60ef5f", "1ed2ba88623d407b"),
-    "direct-HS-broom2x4": ("a79e27bfdd9415a3", "91cedf8022e0e0df"),
-    "direct-SS-broom3x2": ("fd98c6af259c2ccf", "539c703d36767b57"),
-    "direct-SS+RT-broom3x2": ("8ff3178465acc96a", "539c703d36767b57"),
-    "direct-HS-broom3x2": ("d645d4ee8240182a", "15b94106b618ab11"),
-    "direct-SS-broom4x2": ("98ab620e39244804", "054e618b35107427"),
-    "direct-SS+RT-broom4x2": ("e7b7fa603cd2bfd6", "054e618b35107427"),
-    "direct-HS-broom4x2": ("5dd6996f9012d5eb", "7dd616fc8b57ddc4"),
-    "direct-SS-skewed3": ("d1ad0630b56e56f2", "df34222caf789a81"),
-    "direct-SS+RT-skewed3": ("d7ca16ef432c0ae0", "df34222caf789a81"),
-    "direct-HS-skewed3": ("52af7cece886b9b8", "b2275b4b2be2b44d"),
-    "direct-SS-skewed4": ("f1e31ec5a32bd416", "ef02ac8041fe0ad4"),
-    "direct-SS+RT-skewed4": ("7ddeb40ca67bea3d", "ef02ac8041fe0ad4"),
-    "direct-HS-skewed4": ("85995e219173d9b3", "9f48a076d883df96"),
-    "direct-SS-skewed5": ("1326c772209dc213", "18707a55eeebfc64"),
-    "direct-SS+RT-skewed5": ("d2b5526e1a0a81bd", "18707a55eeebfc64"),
-    "direct-HS-skewed5": ("7ad258e3daefd3e7", "e26ef51c1bfe6ea3"),
-    "direct-SS-skewed6": ("5e968db05e08532d", "40907c8772813011"),
-    "direct-SS+RT-skewed6": ("a02fb90c9ed480ca", "40907c8772813011"),
-    "direct-HS-skewed6": ("bcf9efdca73ac24c", "002de1950e381641"),
+    "direct-SS-star2": ("d40aec81c201e7ee", "6d0ac5d8865e92aa"),
+    "direct-SS+RT-star2": ("cd04e772c664bbd0", "6d0ac5d8865e92aa"),
+    "direct-HS-star2": ("ee3ca99e852f3a9e", "c2640f860d3e14db"),
+    "direct-SS-star3": ("470aef610ceca79b", "bdc3f261f81b0a2a"),
+    "direct-SS+RT-star3": ("5d2ca4859d55c347", "bdc3f261f81b0a2a"),
+    "direct-HS-star3": ("e463799ea2b5a316", "c03e504151a03edf"),
+    "direct-SS-star4": ("f4fa05a1b6d6d454", "d8d29603dd23c220"),
+    "direct-SS+RT-star4": ("180f44fe24e3d0c4", "d8d29603dd23c220"),
+    "direct-HS-star4": ("c8bb3a94220d9e19", "b0775526ad565274"),
+    "direct-SS-star5": ("da47c69afa9cb19f", "541b2db41996e40a"),
+    "direct-SS+RT-star5": ("4184f8536dfa30d0", "541b2db41996e40a"),
+    "direct-HS-star5": ("001e5d53afbf26bc", "8ed9bb80d2548216"),
+    "direct-SS-star6": ("ce669562eb3d8c53", "9c9986d757f03521"),
+    "direct-SS+RT-star6": ("d3db12a2a9c6f68f", "9c9986d757f03521"),
+    "direct-HS-star6": ("7f3bc6add3724217", "2ceabec477ea08d9"),
+    "direct-SS-kary2x2": ("37cb62abcc71d8cc", "84841c5866d911f2"),
+    "direct-SS+RT-kary2x2": ("df7b5559a81f4015", "84841c5866d911f2"),
+    "direct-HS-kary2x2": ("08f5d6a7e33e625b", "1db3cc74dd316330"),
+    "direct-SS-broom2x2": ("0e15e2448819c38b", "1bc3ac8e387086c0"),
+    "direct-SS+RT-broom2x2": ("51ccf7e63d1756bf", "1bc3ac8e387086c0"),
+    "direct-HS-broom2x2": ("538a35337a0584d3", "88277fe156ade946"),
+    "direct-SS-broom2x3": ("527b846137bd1f47", "fc8ee34bf0070987"),
+    "direct-SS+RT-broom2x3": ("a865f2d39bf47d51", "fc8ee34bf0070987"),
+    "direct-HS-broom2x3": ("50c88d320b1b4f98", "a43bf3aaae5a2610"),
+    "direct-SS-broom2x4": ("27aa4e5e2a1ec87f", "8da10569490039f4"),
+    "direct-SS+RT-broom2x4": ("9bd31008dc60ef5f", "8da10569490039f4"),
+    "direct-HS-broom2x4": ("a79e27bfdd9415a3", "eda87538691a9de6"),
+    "direct-SS-broom3x2": ("fd98c6af259c2ccf", "84934cf4b7543256"),
+    "direct-SS+RT-broom3x2": ("8ff3178465acc96a", "84934cf4b7543256"),
+    "direct-HS-broom3x2": ("d645d4ee8240182a", "873776fbaad9c9a0"),
+    "direct-SS-broom4x2": ("98ab620e39244804", "d367a730dd5261c4"),
+    "direct-SS+RT-broom4x2": ("e7b7fa603cd2bfd6", "d367a730dd5261c4"),
+    "direct-HS-broom4x2": ("5dd6996f9012d5eb", "ca7174239c128186"),
+    "direct-SS-skewed3": ("d1ad0630b56e56f2", "fd115fc6f4a265eb"),
+    "direct-SS+RT-skewed3": ("d7ca16ef432c0ae0", "fd115fc6f4a265eb"),
+    "direct-HS-skewed3": ("52af7cece886b9b8", "4245f977c3cb60aa"),
+    "direct-SS-skewed4": ("f1e31ec5a32bd416", "b1018be353bac8d7"),
+    "direct-SS+RT-skewed4": ("7ddeb40ca67bea3d", "b1018be353bac8d7"),
+    "direct-HS-skewed4": ("85995e219173d9b3", "e21024211fb48ed3"),
+    "direct-SS-skewed5": ("1326c772209dc213", "eb441226f0efc2c6"),
+    "direct-SS+RT-skewed5": ("d2b5526e1a0a81bd", "eb441226f0efc2c6"),
+    "direct-HS-skewed5": ("7ad258e3daefd3e7", "adf5aa45d338cdb6"),
+    "direct-SS-skewed6": ("5e968db05e08532d", "62757dce5fa610f6"),
+    "direct-SS+RT-skewed6": ("a02fb90c9ed480ca", "62757dce5fa610f6"),
+    "direct-HS-skewed6": ("bcf9efdca73ac24c", "71a9308e5625f46b"),
     "lumped-SS-star8": ("383424dc417bff6f", "24739e1538e34b04"),
     "lumped-SS+RT-star8": ("4f15555bf3a4e520", "24739e1538e34b04"),
     "lumped-HS-star8": ("db34f32f577a784c", "4a7fbcdf111c903c"),
@@ -229,15 +229,15 @@ PINNED = {
     "lumped-SS-kary3x2": ("4ef762ec030fc3d8", "0ec3ed09e3c2a97b"),
     "lumped-SS+RT-kary3x2": ("0407c2e539a61e2e", "0ec3ed09e3c2a97b"),
     "lumped-HS-kary3x2": ("5d4c57870399b429", "49fa3185cbc7ea7c"),
-    "iterative-SS-star5": ("da47c69afa9cb19f", "e0436ade9be2fceb"),
-    "iterative-SS+RT-star5": ("4184f8536dfa30d0", "e0436ade9be2fceb"),
-    "iterative-HS-star5": ("001e5d53afbf26bc", "91be86096d770a4c"),
-    "iterative-SS-skewed4": ("f1e31ec5a32bd416", "ef02ac8041fe0ad4"),
-    "iterative-SS+RT-skewed4": ("7ddeb40ca67bea3d", "ef02ac8041fe0ad4"),
-    "iterative-HS-skewed4": ("85995e219173d9b3", "9f48a076d883df96"),
-    "iterative-SS-skewed5": ("1326c772209dc213", "18707a55eeebfc64"),
-    "iterative-SS+RT-skewed5": ("d2b5526e1a0a81bd", "18707a55eeebfc64"),
-    "iterative-HS-skewed5": ("7ad258e3daefd3e7", "e26ef51c1bfe6ea3"),
+    "iterative-SS-star5": ("da47c69afa9cb19f", "541b2db41996e40a"),
+    "iterative-SS+RT-star5": ("4184f8536dfa30d0", "541b2db41996e40a"),
+    "iterative-HS-star5": ("001e5d53afbf26bc", "8ed9bb80d2548216"),
+    "iterative-SS-skewed4": ("f1e31ec5a32bd416", "b1018be353bac8d7"),
+    "iterative-SS+RT-skewed4": ("7ddeb40ca67bea3d", "b1018be353bac8d7"),
+    "iterative-HS-skewed4": ("85995e219173d9b3", "e21024211fb48ed3"),
+    "iterative-SS-skewed5": ("1326c772209dc213", "eb441226f0efc2c6"),
+    "iterative-SS+RT-skewed5": ("d2b5526e1a0a81bd", "eb441226f0efc2c6"),
+    "iterative-HS-skewed5": ("7ad258e3daefd3e7", "adf5aa45d338cdb6"),
 }
 
 
@@ -392,7 +392,9 @@ def test_template_edge_sets_are_pinned(case):
 def test_ss_rtr_message_is_pinned(specs):
     with pytest.raises(ValueError) as raised:
         specs(Protocol.SS_RTR, Topology.star(2))
-    assert str(raised.value) == "Protocol.SS_RTR is not part of the multi-hop analysis"
+    assert str(raised.value) == (
+        "SS+RTR is not modeled in the multi-hop analysis; use one of ['SS', 'SS+RT', 'HS']"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -495,8 +497,8 @@ def _oracle_lumped_specs(protocol, topology):
 
 
 def _oracle_rates(specs, protocol, params, topology) -> dict:
-    tags = dict.fromkeys(spec[2] for spec in specs)
-    return spec_rates(specs, {tag: tree_tag_rate(protocol, params, topology, tag) for tag in tags})
+    tags = list(dict.fromkeys(spec[2] for spec in specs))
+    return spec_rates(specs, dict(zip(tags, tree_tag_rates(protocol, params, topology, tags))))
 
 
 @st.composite

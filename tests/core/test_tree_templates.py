@@ -142,7 +142,7 @@ def test_sparse_system_compiled_once_per_zero_mask(monkeypatch):
 
 def test_solve_batch_rejects_hop_mismatch():
     template = tree_template(Protocol.SS, Topology.star(3))
-    with pytest.raises(ValueError, match="template compiled"):
+    with pytest.raises(ValueError, match="must equal the topology's edge count"):
         template.solve_batch([reservation_defaults()])
 
 

@@ -10,7 +10,7 @@ from repro.core.markov import SPARSE_STATE_THRESHOLD, ContinuousTimeMarkovChain
 from repro.core.parameters import kazaa_defaults, reservation_defaults
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel
-from repro.core.multihop.model import MultiHopModel
+from repro.core.multihop import Topology, TreeModel
 from repro.core.uniformization import uniformized_transient
 
 
@@ -48,7 +48,7 @@ class TestAgainstExpm:
         # the dense oracle still fits in memory at this size.
         hops = (SPARSE_STATE_THRESHOLD - 2) // 2 + 5
         params = reservation_defaults().replace(hops=hops)
-        chain = MultiHopModel(Protocol.SS, params).chain()
+        chain = TreeModel(Protocol.SS, params, Topology.chain(params.hops)).chain()
         assert len(chain.states) >= SPARSE_STATE_THRESHOLD
         initial = _start_vector(chain, chain.states[0])
         result = uniformized_transient(chain, initial, (0.1, 2.0))

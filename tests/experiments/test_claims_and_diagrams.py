@@ -26,13 +26,13 @@ class TestClaimsRegistry:
             for claim in figure_claims()
             if claim.experiment_id not in ("fig11", "fig12")
         ]
-        outcomes = evaluate_claims(analytic, fast=True)
+        outcomes = evaluate_claims(analytic)
         failing = [o.claim.claim for o in outcomes if not o.holds]
         assert not failing, failing
 
     def test_report_renders_pass_lines(self):
         analytic = [c for c in figure_claims() if c.experiment_id == "fig17"]
-        outcomes = evaluate_claims(analytic, fast=True)
+        outcomes = evaluate_claims(analytic)
         report = render_report(outcomes)
         assert "[PASS]" in report
         assert "fig17" in report
@@ -88,5 +88,5 @@ class TestDiagrams:
         # the CLI (the CLI report runs everything); here we just check
         # the CLI wiring exists by rendering a tiny report directly.
         analytic = [c for c in figure_claims() if c.experiment_id == "fig18"]
-        outcomes = evaluate_claims(analytic, fast=True)
+        outcomes = evaluate_claims(analytic)
         assert "fig18" in render_report(outcomes)

@@ -193,7 +193,7 @@ class TestCli:
 
     def test_validate_tree_fanout_smoke(self, capsys):
         assert main(["validate", "tree_fanout", "--fidelity", "smoke"]) == 0
-        assert "unary==chain" in capsys.readouterr().out
+        assert "direct==referee" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.multihop import MultiHopModel
+from repro.core.multihop import Topology, TreeModel
 from repro.core.protocols import Protocol
 from repro.multihop.chain import MultiHopSimulation, simulate_multihop_replications
 from repro.multihop.config import MultiHopSimConfig
@@ -69,7 +69,7 @@ class TestModelAgreement:
         # Average a few replications rather than trusting one run: the
         # deterministic-timer bias is systematic (~-25% on I for soft
         # state) while single-run noise is comparable to the margin.
-        model = MultiHopModel(protocol, multihop_params).solve()
+        model = TreeModel(protocol, multihop_params, Topology.chain(multihop_params.hops)).solve()
         config = MultiHopSimConfig(
             protocol=protocol, params=multihop_params,
             horizon=8000.0, warmup=200.0, seed=101,
@@ -79,7 +79,7 @@ class TestModelAgreement:
 
     @pytest.mark.parametrize("protocol", Protocol.multihop_family())
     def test_message_rate_matches_model(self, protocol, multihop_params):
-        model = MultiHopModel(protocol, multihop_params).solve()
+        model = TreeModel(protocol, multihop_params, Topology.chain(multihop_params.hops)).solve()
         config = MultiHopSimConfig(
             protocol=protocol, params=multihop_params,
             horizon=8000.0, warmup=200.0, seed=101,

@@ -127,11 +127,8 @@ class TestMultiHopBatch:
 
 class TestHeterogeneousBatch:
     def test_matches_direct_solve_and_keys_on_hop_vector(self):
-        from repro.core.multihop.heterogeneous import (
-            HeterogeneousHop,
-            HeterogeneousMultiHopModel,
-            hops_from_parameters,
-        )
+        from repro.core.multihop import Topology, TreeModel
+        from repro.core.multihop.heterogeneous import HeterogeneousHop, hops_from_parameters
         from repro.runtime import solve_heterogeneous_batch
 
         params = reservation_defaults().replace(hops=5)
@@ -143,7 +140,7 @@ class TestHeterogeneousBatch:
             (Protocol.SS, params, uniform),  # duplicate of the first
         ]
         solutions = solve_heterogeneous_batch(tasks)
-        direct = HeterogeneousMultiHopModel(Protocol.SS, params, uniform).solve()
+        direct = TreeModel(Protocol.SS, params, Topology.chain(5), uniform).solve()
         assert solutions[0].inconsistency_ratio == direct.inconsistency_ratio
         # Different hop vectors must not collide in the cache...
         assert solutions[1].inconsistency_ratio != solutions[0].inconsistency_ratio

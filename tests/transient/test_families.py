@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.multihop.states import HopState
 from repro.core.multihop.topology import Topology
+from repro.core.multihop.tree_states import TreeState
 from repro.core.protocols import Protocol
 from repro.transient import (
     ChainTransientModel,
@@ -36,12 +36,17 @@ class TestDispatch:
             transient_model(Protocol.SS, params, Topology.kary(2, 2))
 
 
+def hop_state(consistent_hops, slow):
+    """The paper's chain state ``(i, s)`` as the unary tree names it."""
+    return TreeState(tuple(range(1, consistent_hops + 1)), (consistent_hops + 1,) if slow else ())
+
+
 class TestInitialVectors:
     def test_empty_is_a_point_mass(self, multihop_params):
         model = ChainTransientModel(Protocol.SS, multihop_params)
         vector = model.initial_vector("empty")
         assert vector.sum() == pytest.approx(1.0)
-        assert vector[model.states().index(HopState(0, False))] == 1.0
+        assert vector[model.states().index(hop_state(0, False))] == 1.0
 
     def test_stationary_matches_chain_solution(self, multihop_params):
         model = ChainTransientModel(Protocol.SS, multihop_params)
@@ -86,10 +91,10 @@ class TestCrashProjections:
         projection = model.crash_projection(multihop_params.hops)
         states = model.states()
         n = multihop_params.hops
-        target = states.index(HopState(n - 1, True))
-        assert projection[states.index(HopState(n, False))] == target
+        target = states.index(hop_state(n - 1, True))
+        assert projection[states.index(hop_state(n, False))] == target
         # States strictly below the crashed node are untouched.
-        shallow = states.index(HopState(1, False))
+        shallow = states.index(hop_state(1, False))
         assert projection[shallow] == shallow
 
     def test_interior_chain_crash_rejected(self, multihop_params):

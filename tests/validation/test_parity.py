@@ -179,13 +179,15 @@ class TestRelations:
         assert tolerant == {"structured~referee"}
 
     def test_unary_points_are_bitwise(self):
-        (unary, *_) = _named("tree", "unary==chain")
-        labels = {point.label for point in unary.points}
-        assert "chain3 base state count" in labels
-        assert "chain8 base hop_inconsistency(8)" in labels
-        for point in unary.points:
-            assert point.tolerance == 0.0
-            assert point.expected == point.observed
+        # The chain is the unary tree: its shapes are direct tree points,
+        # with no reduction against a separate chain model.
+        assert not _named("tree", "unary==chain")
+        for check in _named("tree", "direct==referee"):
+            unary = [p for p in check.points if p.label.startswith(("chain3 ", "chain8 "))]
+            assert any(p.label == "chain8 base mean_leaf_inconsistency" for p in unary)
+            for point in unary:
+                assert point.tolerance == 0.0
+                assert point.expected == point.observed
 
     @pytest.mark.parametrize("tag", ["gilbert-singlehop", "gilbert-multihop"])
     def test_degenerate_metric_points_are_bitwise(self, tag):

@@ -49,10 +49,10 @@ class TestPlanWiring:
                 "iterative==referee",
                 "lumped~direct",
                 "iterative~direct",
-                "unary==chain",
                 "dense~sparse",
             ):
                 assert f"tree {protocol.value}: {relation}" in names
+            assert f"tree {protocol.value}: unary==chain" not in names
 
     def test_fast_adds_shapes_and_the_scale_cross_check(self):
         report = validate_scenario("tree_fanout", "fast")
