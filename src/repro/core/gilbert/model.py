@@ -34,6 +34,8 @@ product stationary distribution is synthesized in exact product form
 from __future__ import annotations
 
 import dataclasses
+import functools
+from collections.abc import Sequence
 
 from repro.core.gilbert.transitions import (
     CHANNEL_STATES,
@@ -44,13 +46,12 @@ from repro.core.gilbert.transitions import (
     build_gilbert_rates,
     channel_loss,
     gilbert_absorption_flow,
-    gilbert_states,
+    gilbert_space,
 )
-from repro.core.markov import ContinuousTimeMarkovChain
+from repro.core.markov import ContinuousTimeMarkovChain, RowSolution, StateSpace, ordered_sum
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import multihop_protocol
-from repro.core.multihop.tree_model import TreeModel
-from repro.core.multihop.tree_states import RECOVERY, TreeState
+from repro.core.multihop.tree_model import NodeViews, TreeModel
 from repro.core.parameters import MultiHopParameters, SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.model import FINITE_SESSION_REQUIRED, SingleHopModel
@@ -65,21 +66,18 @@ __all__ = [
 ]
 
 
-class _ProductSolution:
-    """The metrics both product solutions read the same way."""
+class _ProductSolution(RowSolution):
+    """The metrics both product solutions read the same way.
 
-    @property
-    def message_rate(self) -> float:
-        """Stationary message rate (messages/s; per-link transmissions on a chain)."""
-        return sum(self.message_breakdown.values())
+    ``row`` is the stationary mass of each product state of ``space``,
+    channel-major: one slice of the base's states per channel.
+    """
 
     def channel_occupancy(self, channel: ChannelState) -> float:
         """Total stationary mass of one channel slice."""
-        return sum(
-            probability
-            for (_, state_channel), probability in self.stationary.items()
-            if state_channel is channel
-        )
+        n = len(self.row) // len(CHANNEL_STATES)
+        offset = CHANNEL_STATES.index(channel) * n
+        return ordered_sum(self.row[offset : offset + n])
 
     def _cost(self, weight: float, messages: float) -> float:
         if weight < 0:
@@ -98,7 +96,8 @@ class GilbertSingleHopSolution(_ProductSolution):
     protocol: Protocol
     params: SignalingParameters
     gilbert: GilbertElliottParameters
-    stationary: dict[tuple[S, ChannelState], float]
+    row: Sequence[float]
+    space: StateSpace = dataclasses.field(repr=False, compare=False)
     inconsistency_ratio: float
     expected_receiver_lifetime: float
     message_breakdown: dict[str, float]
@@ -123,7 +122,7 @@ class GilbertSingleHopSolution(_ProductSolution):
 
 
 @dataclasses.dataclass(frozen=True)
-class GilbertMultiHopSolution(_ProductSolution):
+class GilbertMultiHopSolution(NodeViews, _ProductSolution):
     """Solved multi-hop metrics under a Gilbert-Elliott channel.
 
     All hops share one channel process (the model's bursts are
@@ -134,25 +133,10 @@ class GilbertMultiHopSolution(_ProductSolution):
     protocol: Protocol
     params: MultiHopParameters
     gilbert: GilbertElliottParameters
-    stationary: dict[tuple[object, ChannelState], float]
+    row: Sequence[float]
+    space: StateSpace = dataclasses.field(repr=False, compare=False)
     inconsistency_ratio: float
     message_breakdown: dict[str, float]
-
-    def node_inconsistency(self, node: int) -> float:
-        """Fraction of time relay ``node`` (1-based) is inconsistent."""
-        if not 1 <= node <= self.params.hops:
-            raise ValueError(f"node must be in [1, {self.params.hops}], got {node}")
-        total = 0.0
-        for (proto_state, _channel), probability in self.stationary.items():
-            if proto_state is RECOVERY:
-                total += probability
-            elif isinstance(proto_state, TreeState) and node not in proto_state.consistent:
-                total += probability
-        return total
-
-    def hop_profile(self) -> list[float]:
-        """:meth:`node_inconsistency` of every relay, in node order."""
-        return [self.node_inconsistency(node) for node in range(1, self.params.hops + 1)]
 
     def integrated_cost(self, weight: float = 10.0) -> float:
         """``weight * I + message_rate`` — the eq. (8) cost in this regime."""
@@ -173,10 +157,15 @@ class _GilbertModel:
         self.gilbert = gilbert
         self.shape = self.base.shape(params)
 
+    @functools.cached_property
+    def space(self) -> StateSpace:
+        """The product chain's state space."""
+        return gilbert_space(self.base, self.protocol, *self.shape)
+
     def chain(self) -> ContinuousTimeMarkovChain:
         """The recurrent product CTMC."""
         return ContinuousTimeMarkovChain(
-            gilbert_states(self.base, self.protocol, *self.shape),
+            self.space.states,
             build_gilbert_rates(self.base, self.protocol, self.params, self.gilbert),
         )
 
@@ -191,39 +180,44 @@ class _GilbertModel:
 
     def solution_from_stationary(self, stationary: dict):
         """Assemble the solution from a solved product stationary distribution."""
+        return self.solution_from_row([stationary[state] for state in self.space.states])
+
+    def solution_from_row(self, row: Sequence[float]):
+        """Assemble the solution from a solved product row (channel-major)."""
         base, protocol, params, gilbert = self.base, self.protocol, self.params, self.gilbert
-        consistent = base.consistent(*self.shape)
-        inconsistency = 1.0 - sum(
-            stationary.get((consistent, channel), 0.0) for channel in CHANNEL_STATES
-        )
+        proto = base.space(protocol, *self.shape)
+        # The consistent state's mass in each channel slice.
+        consistent = ordered_sum(row[proto.full :: len(proto.states)])
         metrics = {}
         if base.absorbing is not None:
-            flow = gilbert_absorption_flow(base, protocol, params, gilbert, stationary)
+            flow = gilbert_absorption_flow(base, protocol, params, gilbert, row)
             metrics["expected_receiver_lifetime"] = float("inf") if flow <= 0.0 else 1.0 / flow
         return self.solution(
             protocol=protocol,
             params=params,
             gilbert=gilbert,
-            stationary=stationary,
-            inconsistency_ratio=inconsistency,
-            message_breakdown=self._blended_breakdown(stationary),
+            row=row,
+            space=self.space,
+            inconsistency_ratio=1.0 - consistent,
+            message_breakdown=self._blended_breakdown(row, proto),
             **metrics,
         )
 
-    def _blended_breakdown(self, stationary: dict) -> dict[str, float]:
-        proto_states = self.base.states(self.protocol, *self.shape)
+    def _blended_breakdown(self, row: Sequence[float], proto: StateSpace) -> dict[str, float]:
+        """Each channel slice's conditional row through the base's
+        accounting at that channel's loss, weighted by its mass."""
+        n = len(proto.states)
         totals: dict[str, float] = {}
-        for channel in CHANNEL_STATES:
-            weight = sum(stationary.get((s, channel), 0.0) for s in proto_states)
+        for offset, channel in zip(range(0, len(row), n), CHANNEL_STATES):
+            block = row[offset : offset + n]
+            weight = ordered_sum(block)
             if weight <= 0.0:
                 continue
-            conditional = {
-                s: stationary.get((s, channel), 0.0) / weight for s in proto_states
-            }
             components = self.base.messages(
                 self.protocol,
                 self.params.replace(loss_rate=channel_loss(self.gilbert, channel)),
-                conditional,
+                [probability / weight for probability in block],
+                proto,
             )
             for key, value in components.items():
                 totals[key] = totals.get(key, 0.0) + weight * value
@@ -248,10 +242,8 @@ class _GilbertModel:
             protocol=iid.protocol,
             params=self.params,
             gilbert=self.gilbert,
-            stationary={
-                (proto_state, channel): weights[channel] * iid.stationary.get(proto_state, 0.0)
-                for proto_state, channel in gilbert_states(self.base, iid.protocol, *self.shape)
-            },
+            row=[weights[channel] * mass for channel in CHANNEL_STATES for mass in iid.row],
+            space=self.space,
             inconsistency_ratio=iid.inconsistency_ratio,
             message_breakdown=dict(iid.message_breakdown),
             **metrics,

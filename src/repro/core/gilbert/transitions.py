@@ -42,19 +42,19 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 
-from repro.core.markov import spec_rates, spec_tags
+from repro.core.markov import StateSpace, spec_rates, spec_tags
 from repro.core.multihop.topology import Topology
-from repro.core.multihop.tree_messages import tree_message_components
-from repro.core.multihop.tree_states import TreeState, tree_state_space
+from repro.core.multihop.messages import tree_message_components
+from repro.core.multihop.tree_states import tree_space
 from repro.core.multihop.tree_transitions import build_tree_rates, tree_transition_specs
 from repro.core.protocols import Protocol
 from repro.core.singlehop.messages import message_rate_components
 from repro.core.singlehop.states import SingleHopState as S
 from repro.core.singlehop.transitions import (
     build_transition_rates,
-    state_space,
+    recurrent_space,
     transition_specs,
 )
 from repro.faults.gilbert import GilbertElliottParameters
@@ -68,6 +68,7 @@ __all__ = [
     "build_gilbert_rates",
     "channel_loss",
     "gilbert_absorption_flow",
+    "gilbert_space",
     "gilbert_specs",
     "gilbert_states",
     "gilbert_tag_rates",
@@ -99,23 +100,22 @@ class BaseFamily:
 
     ``shape(params)`` is the tuple of discrete inputs besides the
     protocol that fix the family's state space: ``()`` on a single hop,
-    ``(hops,)`` on a chain.  ``states``, ``edges`` and ``consistent``
-    take it unpacked.  Records compare by identity; the two that exist
-    are :data:`SINGLEHOP` and :data:`MULTIHOP`.
+    ``(hops,)`` on a chain.  ``space`` and ``edges`` take it unpacked.
+    Records compare by identity; the two that exist are
+    :data:`SINGLEHOP` and :data:`MULTIHOP`.
     """
 
     shape: Callable[..., tuple]
-    #: ``(protocol, *shape)`` -> the recurrent protocol states, in order.
-    states: Callable[..., tuple]
+    #: ``(protocol, *shape)`` -> the recurrent protocol state space.
+    space: Callable[..., StateSpace]
     #: ``(protocol, *shape)`` -> the ``(origin, destination)`` pairs of
     #: the base's spec list, each once, in first-seen order.
     edges: Callable[..., tuple]
     #: ``(protocol, params)`` -> the reference rate dict.
     rates: Callable[..., dict]
-    #: ``(protocol, params, stationary)`` -> the message components.
+    #: ``(protocol, params, row, space)`` -> the message components of
+    #: a row over the base's space.
     messages: Callable[..., dict[str, float]]
-    #: ``(*shape)`` -> the all-consistent protocol state.
-    consistent: Callable[..., object]
     #: The absorbing state, whose edges are redirected to ``start``.
     absorbing: object = None
     start: object = None
@@ -133,24 +133,22 @@ def _chain(hops: int) -> Topology:
 
 SINGLEHOP = BaseFamily(
     shape=lambda params: (),
-    states=lambda protocol: tuple(s for s in state_space(protocol) if s is not S.ABSORBED),
+    space=recurrent_space,
     edges=lambda protocol: _spec_edges(transition_specs(protocol)),
     rates=build_transition_rates,
     messages=message_rate_components,
-    consistent=lambda: S.CONSISTENT,
     absorbing=S.ABSORBED,
     start=S.S10_FAST,
 )
 
 MULTIHOP = BaseFamily(
     shape=lambda params: (params.hops,),
-    states=lambda protocol, hops: tree_state_space(_chain(hops), protocol is Protocol.HS),
+    space=lambda protocol, hops: tree_space(_chain(hops), protocol is Protocol.HS),
     edges=lambda protocol, hops: _spec_edges(tree_transition_specs(protocol, _chain(hops))),
     rates=lambda protocol, params: build_tree_rates(protocol, params, _chain(params.hops)),
-    messages=lambda protocol, params, stationary: tree_message_components(
-        protocol, params, _chain(params.hops), stationary
+    messages=lambda protocol, params, row, space: tree_message_components(
+        protocol, params, _chain(params.hops), row, space
     ),
-    consistent=lambda hops: TreeState(tuple(range(1, hops + 1)), ()),
 )
 
 
@@ -159,40 +157,53 @@ MULTIHOP = BaseFamily(
 # ----------------------------------------------------------------------
 
 
-# Both memos share the bound of ``gilbert_multihop_template``, so a chain
+# The memos share the bound of ``gilbert_multihop_template``, so a chain
 # length the template cache lets go does not keep its spec list alive.
 @functools.lru_cache(maxsize=256)
 def gilbert_states(
     base: BaseFamily, protocol: Protocol, *shape: int
 ) -> tuple[tuple[object, ChannelState], ...]:
     """Recurrent product states, channel-major (all good, then all bad)."""
-    proto = base.states(protocol, *shape)
+    proto = base.space(protocol, *shape).states
     return tuple((state, channel) for channel in CHANNEL_STATES for state in proto)
+
+
+@functools.lru_cache(maxsize=256)
+def gilbert_space(base: BaseFamily, protocol: Protocol, *shape: int) -> StateSpace:
+    """The product's state space: :func:`gilbert_states`, with the base
+    space's consistent-node bitmasks laid out once per channel slice."""
+    consistent = base.space(protocol, *shape).consistent
+    return StateSpace(
+        gilbert_states(base, protocol, *shape), consistent=consistent * len(CHANNEL_STATES)
+    )
 
 
 @functools.lru_cache(maxsize=256)
 def gilbert_specs(
     base: BaseFamily, protocol: Protocol, *shape: int
 ) -> tuple[tuple[object, object, tuple], ...]:
-    """The product edge list in canonical build order."""
+    """The product edge list in canonical build order, naming every
+    state by its object of :func:`gilbert_states`."""
     edges = base.edges(protocol, *shape)
+    states = gilbert_states(base, protocol, *shape)
+    product = {(id(state[0]), state[1]): state for state in states}
     specs: list[tuple[object, object, tuple]] = []
     for channel in CHANNEL_STATES:
         for origin, dest in edges:
             absorbed = dest is base.absorbing
             specs.append(
                 (
-                    (origin, channel),
-                    (base.start if absorbed else dest, channel),
+                    product[id(origin), channel],
+                    product[id(base.start if absorbed else dest), channel],
                     ("absorb" if absorbed else "proto", channel, origin, dest),
                 )
             )
-    for state in gilbert_states(base, protocol, *shape):
+    for state in states:
         proto_state, channel = state
         if channel is ChannelState.GOOD:
-            specs.append((state, (proto_state, ChannelState.BAD), ("to_bad",)))
+            specs.append((state, product[id(proto_state), ChannelState.BAD], ("to_bad",)))
         else:
-            specs.append((state, (proto_state, ChannelState.GOOD), ("to_good",)))
+            specs.append((state, product[id(proto_state), ChannelState.GOOD], ("to_good",)))
     return tuple(specs)
 
 
@@ -252,16 +263,19 @@ def gilbert_absorption_flow(
     protocol: Protocol,
     params,
     gilbert: GilbertElliottParameters,
-    stationary: Mapping[tuple[object, ChannelState], float],
+    row,
 ) -> float:
-    """Stationary rate of renewal (absorption) events in the product chain.
+    """Stationary rate of renewal (absorption) events in the product
+    chain, of a solved ``row`` over :func:`gilbert_states`.
 
     By renewal-reward the expected receiver lifetime is the mean
     inter-absorption time, ``1 / flow``.
     """
+    shape = base.shape(params)
+    position = {id(state): i for i, state in enumerate(gilbert_states(base, protocol, *shape))}
     by_channel = _rates_by_channel(base, protocol, params, gilbert)
     flow = 0.0
-    for origin, _dest, tag in gilbert_specs(base, protocol, *base.shape(params)):
+    for origin, _dest, tag in gilbert_specs(base, protocol, *shape):
         if tag[0] == "absorb":
-            flow += by_channel[tag[1]].get(tag[2:], 0.0) * stationary.get(origin, 0.0)
+            flow += by_channel[tag[1]].get(tag[2:], 0.0) * row[position[id(origin)]]
     return flow

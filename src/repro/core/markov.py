@@ -36,6 +36,8 @@ transient chain.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import operator
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 
@@ -45,10 +47,13 @@ __all__ = [
     "ITERATIVE_RTOL",
     "SPARSE_STATE_THRESHOLD",
     "ContinuousTimeMarkovChain",
+    "RowSolution",
     "SparseStationarySystem",
+    "StateSpace",
     "batched_absorption_times_dense",
     "batched_stationary_chain",
     "batched_stationary_dense",
+    "ordered_sum",
     "spec_rates",
     "spec_tags",
 ]
@@ -103,6 +108,51 @@ def spec_rates(specs: Iterable[tuple], tag_rates) -> dict[tuple[State, State], f
             key = (origin, destination)
             rates[key] = rates.get(key, 0.0) + rate
     return rates
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class StateSpace:
+    """A chain's states in canonical order and what its metrics read of them.
+
+    Memoized with its enumeration, so a solution keeps just its solved
+    row: every metric adds row entries, in state order, against these
+    per-state tuples.  ``full`` and ``recovery`` are the positions of the
+    all-consistent state and of ``RECOVERY`` (``None``: none); multi-hop
+    spaces hold each state's in-flight (``fast``) and waiting (``slow``)
+    frontier edge counts, raw trees its consistent-node bitmask (bit
+    ``v`` for node ``v``).  A Gilbert product repeats its base's
+    bitmasks once per channel slice and leaves the positions unset.
+    """
+
+    states: tuple
+    full: int | None = None
+    recovery: int | None = None
+    fast: tuple[int, ...] = ()
+    slow: tuple[int, ...] = ()
+    consistent: tuple[int, ...] = ()
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from ``0.0``, on every interpreter
+    (Python 3.12's builtin ``sum`` compensates float rounding, 3.11's
+    does not), as every float sum that reaches a result is taken."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+class RowSolution:
+    """A solution keeping its solved ``row``, the stationary mass of each
+    state of its ``space`` in order; ``stationary`` maps it on first read."""
+
+    @functools.cached_property
+    def stationary(self) -> dict:
+        """The stationary mass of each state."""
+        return dict(zip(self.space.states, self.row))
+
+    @property
+    def message_rate(self) -> float:
+        """Total stationary message rate (messages/s; per-link
+        transmissions on a chain or tree)."""
+        return ordered_sum(self.message_breakdown.values())
 
 
 _NOT_UNIQUE = "stationary distribution is not unique or does not exist"

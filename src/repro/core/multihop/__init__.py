@@ -5,7 +5,11 @@ The paper's chain of ``N`` relays is the unary tree
 link profile for the heterogeneous chain.
 """
 
-from repro.core.multihop.messages import expected_link_crossings
+from repro.core.multihop.messages import (
+    expected_link_crossings,
+    tree_expected_link_crossings,
+    tree_message_components,
+)
 from repro.core.multihop.heterogeneous import HeterogeneousHop, hops_from_parameters
 from repro.core.multihop.lumping import (
     LumpedTreeModel,
@@ -23,10 +27,6 @@ from repro.core.multihop.transitions import (
     first_timeout_rate,
     slow_path_recovery_rate,
     supported_protocols,
-)
-from repro.core.multihop.tree_messages import (
-    tree_expected_link_crossings,
-    tree_message_components,
 )
 from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import (

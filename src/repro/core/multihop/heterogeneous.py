@@ -24,9 +24,9 @@ accumulate per hop).
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
-from repro.core.multihop.tree_states import RECOVERY, TreeState
+from repro.core.markov import StateSpace, ordered_sum
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
@@ -125,41 +125,41 @@ def expected_link_crossings_heterogeneous(
     """Mean links crossed by one end-to-end message (heterogeneous eq. 14)."""
     if reach is None:
         reach = reach_profile(hops)
-    return sum(reach[k] for k in range(len(hops)))
+    return ordered_sum(reach[: len(hops)])
 
 
 def heterogeneous_message_components(
     protocol: Protocol,
     params: MultiHopParameters,
     hops: Sequence[HeterogeneousHop],
-    stationary: Mapping[object, float],
+    row,
+    space: StateSpace,
     reach: Sequence[float] | None = None,
 ) -> dict[str, float]:
     """Per-kind per-link-transmission rates under per-hop loss/delay.
 
     The heterogeneous counterpart of
-    :func:`repro.core.multihop.tree_messages.tree_message_components` on
-    a chain: each state's frontier node ``v`` (the one past its
-    consistent prefix) sends over link ``hops[v - 1]``.
+    :func:`repro.core.multihop.messages.tree_message_components` on
+    a chain's solved ``row``: each state's frontier node ``v`` (the one
+    past its ``k`` consistent nodes, ``v = k + 1``) sends over link
+    ``hops[v - 1]``.
     """
     if reach is None:
         reach = reach_profile(hops)
-    n = params.hops
     retransmit = 1.0 / params.retransmission_interval
     fast_rate = 0.0
     slow_total = 0.0
     ack_rate = 0.0
-    for state, probability in stationary.items():
-        if not isinstance(state, TreeState):
-            continue
-        frontier = len(state.consistent) + 1
-        if not state.slow and frontier <= n:
-            hop = hops[frontier - 1]
+    for probability, fast, slow, consistent in zip(
+        row, space.fast, space.slow, space.consistent
+    ):
+        if fast:
+            hop = hops[consistent.bit_count()]
             fast_rate += probability / hop.delay
             ack_rate += probability * (1.0 - hop.loss_rate) / hop.delay
-        elif state.slow:
+        elif slow:
             slow_total += probability
-            hop = hops[frontier - 1]
+            hop = hops[consistent.bit_count()]
             ack_rate += probability * (1.0 - hop.loss_rate) * retransmit
     breakdown = {
         "trigger_hops": fast_rate,
@@ -176,8 +176,8 @@ def heterogeneous_message_components(
         breakdown["retransmissions"] = retransmit * slow_total
         breakdown["acks"] = ack_rate
     if protocol is Protocol.HS:
-        mean_delay = sum(h.delay for h in hops) / n
-        breakdown["recovery_traffic"] = stationary.get(RECOVERY, 0.0) / mean_delay
+        mean_delay = ordered_sum(h.delay for h in hops) / params.hops
+        breakdown["recovery_traffic"] = row[space.recovery] / mean_delay
     return breakdown
 
 
@@ -202,7 +202,7 @@ def heterogeneous_tag_rates(
     }
     single = {"update": params.update_rate}
     if protocol is Protocol.HS:
-        mean_delay = sum(h.delay for h in hops) / n
+        mean_delay = ordered_sum(h.delay for h in hops) / n
         single["to_recovery"] = n * params.external_false_signal_rate
         single["from_recovery"] = 1.0 / (2.0 * n * mean_delay)
     else:

@@ -58,11 +58,9 @@ import functools
 import itertools
 import math
 
-from repro.core.markov import spec_rates, spec_tags
-from repro.core.multihop.messages import link_message_components
+from repro.core.markov import StateSpace, ordered_sum, spec_rates, spec_tags
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import multihop_protocol
-from repro.core.multihop.tree_messages import tree_expected_link_crossings
 from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import (
     MAX_ENUMERATED_TREE_STATES,
@@ -70,6 +68,7 @@ from repro.core.multihop.tree_states import (
     RECOVERY,
     StateSpaceLimitError,
     TreeState,
+    append_recovery,
     projected_tree_states,
 )
 from repro.core.multihop.tree_transitions import tree_tag_rates
@@ -84,7 +83,7 @@ __all__ = [
     "LumpedTreeState",
     "build_lumped_rates",
     "lump_tree_state",
-    "lumped_message_components",
+    "lumped_space",
     "lumped_state_space",
     "lumped_transition_specs",
     "projected_lumped_states",
@@ -243,27 +242,6 @@ def _edge_lumped_configs(topology: Topology, node: int) -> tuple[Config, ...]:
     return tuple(sorted([FAST, SLOW] + [("C", below) for below in belows]))
 
 
-@functools.lru_cache(maxsize=1024)
-def _full_state(topology: Topology) -> LumpedTreeState:
-    """The everything-consistent orbit (``pi`` complement of eq. 12)."""
-
-    def full_config(node: int) -> Config:
-        return (
-            "C",
-            tuple(
-                tuple(full_config(group[0]) for _ in group)
-                for group in _sibling_groups(topology, node)
-            ),
-        )
-
-    return LumpedTreeState(
-        tuple(
-            tuple(full_config(group[0]) for _ in group)
-            for group in _sibling_groups(topology, 0)
-        )
-    )
-
-
 class _OrbitEvents:
     """The lifted edge events of one ``(topology, with_timeouts)``.
 
@@ -359,11 +337,10 @@ def _config_counts(config: Config) -> tuple[int, int, int]:
     return (consistent, fast, slow)
 
 
-def _state_counts(state: object) -> tuple[int, int, int]:
-    """``(consistent_edges, fast_edges, slow_edges)`` of one orbit
-    (RECOVERY: all 0)."""
+def _state_counts(state: LumpedTreeState) -> tuple[int, int, int]:
+    """``(consistent_edges, fast_edges, slow_edges)`` of one orbit."""
     consistent, fast, slow = 0, 0, 0
-    for group in state.groups if isinstance(state, LumpedTreeState) else ():
+    for group in state.groups:
         for member, run in itertools.groupby(group):
             count = len(tuple(run))
             member_consistent, member_fast, member_slow = _config_counts(member)
@@ -374,13 +351,11 @@ def _state_counts(state: object) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=128)
-def _state_space_counts(topology: Topology, with_recovery: bool) -> tuple:
-    """``(states, counts)``: the lumped state space past its cap check
-    and each orbit's :func:`_state_counts`, computed once per topology
-    (hard state appends ``RECOVERY`` to the soft-state space)."""
+def _lumped_space(topology: Topology, with_recovery: bool) -> StateSpace:
+    """:func:`lumped_space` past its cap check, computed once per
+    topology (hard state appends ``RECOVERY`` to the soft-state space)."""
     if with_recovery:
-        states, counts = _state_space_counts(topology, False)
-        return states + (RECOVERY,), counts + ((0, 0, 0),)
+        return append_recovery(_lumped_space(topology, False))
     belows: list[tuple[tuple[Config, ...], ...]] = [()]
     for group in _sibling_groups(topology, 0):
         member_configs = _edge_lumped_configs(topology, group[0])
@@ -394,7 +369,22 @@ def _state_space_counts(topology: Topology, with_recovery: bool) -> tuple:
         zip(map(_state_counts, orbits), orbits),
         key=lambda pair: (pair[0][2], pair[0][0], pair[1].groups),
     )
-    return tuple(state for _, state in counted), tuple(counts for counts, _ in counted)
+    consistent, fast, slow = zip(*(counts for counts, _ in counted))
+    return StateSpace(
+        tuple(state for _, state in counted),
+        full=consistent.index(topology.num_edges),
+        fast=fast,
+        slow=slow,
+    )
+
+
+def lumped_space(topology: Topology, with_recovery: bool) -> StateSpace:
+    """:func:`lumped_state_space` with each orbit's fast and slow edge
+    counts (an orbit holds no node bitmask)."""
+    projected = projected_lumped_states(topology)
+    if projected > MAX_LUMPED_TREE_STATES:
+        raise StateSpaceLimitError(topology, projected, MAX_LUMPED_TREE_STATES)
+    return _lumped_space(topology, with_recovery)
 
 
 def lumped_state_space(
@@ -409,10 +399,7 @@ def lumped_state_space(
     :func:`projected_lumped_states` before enumerating) beyond
     :data:`MAX_LUMPED_TREE_STATES`.
     """
-    projected = projected_lumped_states(topology)
-    if projected > MAX_LUMPED_TREE_STATES:
-        raise StateSpaceLimitError(topology, projected, MAX_LUMPED_TREE_STATES)
-    return _state_space_counts(topology, with_recovery)[0]
+    return lumped_space(topology, with_recovery).states
 
 
 def lumped_transition_specs(
@@ -568,97 +555,62 @@ def _consistent_fraction(
     return total
 
 
-def lumped_message_components(
-    protocol: Protocol,
-    params: MultiHopParameters,
-    topology: Topology,
-    stationary: dict[object, float],
-) -> dict[str, float]:
-    """Per-kind per-link-transmission rates from a lumped distribution.
-
-    The same eqs. 13-17 accounting as
-    :func:`~repro.core.multihop.tree_messages.tree_message_components`,
-    with the expected fast/slow frontier edge counts read off the orbit
-    structure (each ``("F",)``/``("S",)`` member *is* one frontier
-    edge).
-    """
-    # The orbit counts of a distribution over the whole state space in
-    # canonical order (as every model and template builds it) are
-    # computed once per state space; other mappings are counted here.
-    states, counts = _state_space_counts(topology, protocol is Protocol.HS)
-    if tuple(stationary) != states:
-        counts = [_state_counts(state) for state in stationary]
-    fast_edges = 0.0
-    slow_edges = 0.0
-    for probability, (_, fast, slow) in zip(stationary.values(), counts):
-        if fast:
-            fast_edges += probability * fast
-        if slow:
-            slow_edges += probability * slow
-    return link_message_components(
-        protocol,
-        params,
-        fast_edges,
-        slow_edges,
-        stationary.get(RECOVERY, 0.0),
-        tree_expected_link_crossings(topology, params),
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class LumpedTreeSolution(TreeSolution):
     """Tree metrics computed on the orbit (lumped) state space.
 
-    Same metric surface as :class:`TreeSolution`; the stationary keys
-    are :class:`LumpedTreeState` orbits, so the per-node views marginal
+    Same metric surface as :class:`TreeSolution`; the states are
+    :class:`LumpedTreeState` orbits, so the per-node views marginal
     through the orbit structure instead of filtering raw states.
     """
 
-    @property
-    def inconsistency_ratio(self) -> float:
-        """Any node inconsistent: ``1 - pi(full tree consistent)``."""
-        return 1.0 - self.stationary.get(_full_state(self.topology), 0.0)
+    @functools.cached_property
+    def _inconsistent_mass(self) -> list[float]:
+        """Every node's inconsistent mass, marginal through the orbits;
+        nodes on one group path share it."""
+        by_path: dict[tuple[int, ...], float] = {}
+        masses = [0.0]
+        for node in range(1, self.params.hops + 1):
+            path = _node_path(self.topology, node)
+            if path not in by_path:
+                reach = 0.0
+                for state, probability in self._orbit_masses():
+                    reach += probability * _consistent_fraction(state.groups, path)
+                by_path[path] = 1.0 - reach
+            masses.append(by_path[path])
+        return masses
 
-    def node_inconsistency(self, node: int) -> float:
-        """Fraction of time non-root ``node`` is inconsistent."""
-        if not 1 <= node <= self.topology.num_edges:
-            raise ValueError(
-                f"node must be in [1, {self.topology.num_edges}], got {node}"
-            )
-        path = _node_path(self.topology, node)
-        reach = 0.0
-        for state, probability in self.stationary.items():
-            if isinstance(state, LumpedTreeState):
-                reach += probability * _consistent_fraction(state.groups, path)
-        return 1.0 - reach
+    def _orbit_masses(self):
+        """``(orbit, mass)`` of every orbit, in state order (``RECOVERY``,
+        always last, holds no consistent node)."""
+        return zip(self.space.states[: self.space.recovery], self.row)
+
+    @functools.cached_property
+    def _consistent_leaves(self) -> tuple[float, float]:
+        """Expected consistent leaves, plain and fan-out weighted, from
+        one pass over the orbits instead of one per leaf."""
+        leaves = weighted = 0.0
+        for state, probability in self._orbit_masses():
+            count, weight = _state_leaf_stats(self.topology, state)
+            if count:
+                leaves += probability * count
+            if weight:
+                weighted += probability * weight
+        return leaves, weighted
 
     @property
     def mean_leaf_inconsistency(self) -> float:
-        """Average per-leaf inconsistency via expected consistent-leaf
-        counts (one pass over the orbits instead of one per leaf)."""
-        total_leaves = len(self.topology.leaves())
-        reach = 0.0
-        for state, probability in self.stationary.items():
-            if isinstance(state, LumpedTreeState):
-                leaves, _ = _state_leaf_stats(self.topology, state)
-                if leaves:
-                    reach += probability * leaves
-        return 1.0 - reach / total_leaves
+        """Average per-leaf inconsistency via expected consistent-leaf counts."""
+        return 1.0 - self._consistent_leaves[0] / len(self.topology.leaves())
 
     @property
     def fanout_weighted_inconsistency(self) -> float:
         """Fan-out-weighted leaf inconsistency from orbit leaf stats."""
-        leaves = self.topology.leaves()
-        total_weight = sum(
-            float(self.topology.fanout(self.topology.parent(leaf))) for leaf in leaves
+        total_weight = ordered_sum(
+            float(self.topology.fanout(self.topology.parent(leaf)))
+            for leaf in self.topology.leaves()
         )
-        reach = 0.0
-        for state, probability in self.stationary.items():
-            if isinstance(state, LumpedTreeState):
-                _, weighted = _state_leaf_stats(self.topology, state)
-                if weighted:
-                    reach += probability * weighted
-        return 1.0 - reach / total_weight
+        return 1.0 - self._consistent_leaves[1] / total_weight
 
 
 class LumpedTreeModel(TreeModel):
@@ -669,7 +621,6 @@ class LumpedTreeModel(TreeModel):
     """
 
     solution = LumpedTreeSolution
-    messages = staticmethod(lumped_message_components)
 
     def __init__(
         self,
@@ -680,9 +631,9 @@ class LumpedTreeModel(TreeModel):
     ) -> None:
         super().__init__(protocol, params, topology, solver=solver)
 
-    def state_space(self) -> tuple[object, ...]:
-        """The chain's orbits, in canonical order (the cap is checked here)."""
-        return lumped_state_space(self.topology, self.protocol is Protocol.HS)
+    def _enumerate(self) -> StateSpace:
+        """The chain's orbit space record (the cap is checked here)."""
+        return lumped_space(self.topology, self.protocol is Protocol.HS)
 
     def transition_rates(self) -> dict[tuple[object, object], float]:
         """The lumped chain's transition rates."""

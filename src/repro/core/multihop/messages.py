@@ -19,10 +19,19 @@ this.  Components:
   delivery;
 * HS recovery traffic: one receiver->everyone notification sweep plus
   the re-trigger — approximately ``2N`` link-crossings per recovery.
+
+On a tree several frontier edges can carry in-flight messages at once,
+and a refresh is *flooded* down every branch, so its link crossings sum
+reach probabilities over all edges (:func:`tree_expected_link_crossings`).
+:func:`tree_message_components` reads the mean fast and slow frontier
+edge counts off a solved row and its state space, raw tree or orbits;
+on a chain the counts are 0 or 1 and the sums are the paper's.
 """
 
 from __future__ import annotations
 
+from repro.core.markov import StateSpace, ordered_sum
+from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import multihop_protocol
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
@@ -30,6 +39,8 @@ from repro.core.protocols import Protocol
 __all__ = [
     "expected_link_crossings",
     "link_message_components",
+    "tree_expected_link_crossings",
+    "tree_message_components",
 ]
 
 
@@ -80,3 +91,46 @@ def link_message_components(
         # rate-out * 2E = pi_F * (1/(2*E*Delta)) * 2E = pi_F / Delta.
         components["recovery_traffic"] = recovery / delta
     return components
+
+
+def tree_expected_link_crossings(
+    topology: Topology, params: MultiHopParameters
+) -> float:
+    """Mean links crossed by one flooded end-to-end message.
+
+    An edge into a node at depth ``d`` carries the message iff it
+    survived the ``d - 1`` ancestor edges:
+    ``E = sum_v (1-p)^(depth(v) - 1)``.  On a chain this is the
+    geometric series of eqs. 14-15, so the chain's closed form is used
+    there.
+    """
+    if topology.is_chain:
+        return expected_link_crossings(params)
+    success = 1.0 - params.loss_rate
+    return ordered_sum(
+        success ** (topology.depth(node) - 1) for node in range(1, topology.num_nodes)
+    )
+
+
+def tree_message_components(
+    protocol: Protocol,
+    params: MultiHopParameters,
+    topology: Topology,
+    row,
+    space: StateSpace,
+) -> dict[str, float]:
+    """Per-kind per-link-transmission rates of a solved ``row`` over a
+    raw tree or orbit ``space``."""
+    # Mean in-flight (fast frontier) and waiting (slow frontier) edge
+    # counts, added in state order.  On a chain both counts are 0/1, so
+    # the sums are the paper's filtered probability sums.
+    fast_edges = ordered_sum(p * fast for p, fast in zip(row, space.fast) if fast)
+    slow_edges = ordered_sum(p * slow for p, slow in zip(row, space.slow) if slow)
+    return link_message_components(
+        protocol,
+        params,
+        fast_edges,
+        slow_edges,
+        0.0 if space.recovery is None else row[space.recovery],
+        tree_expected_link_crossings(topology, params),
+    )

@@ -30,7 +30,14 @@ import dataclasses
 import functools
 from collections.abc import Sequence
 
-from repro.core.markov import ContinuousTimeMarkovChain, spec_rates, spec_tags
+from repro.core.markov import (
+    ContinuousTimeMarkovChain,
+    RowSolution,
+    StateSpace,
+    ordered_sum,
+    spec_rates,
+    spec_tags,
+)
 from repro.core.multihop.heterogeneous import (
     HeterogeneousHop,
     heterogeneous_message_components,
@@ -38,23 +45,59 @@ from repro.core.multihop.heterogeneous import (
 )
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.transitions import multihop_protocol
-from repro.core.multihop.tree_messages import tree_message_components
-from repro.core.multihop.tree_states import RECOVERY, TreeState, tree_state_space
+from repro.core.multihop.messages import tree_message_components
+from repro.core.multihop.tree_states import tree_space
 from repro.core.multihop.tree_transitions import tree_tag_rates, tree_transition_specs
 from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 
-__all__ = ["TreeModel", "TreeSolution"]
+__all__ = ["NodeViews", "TreeModel", "TreeSolution"]
+
+
+class NodeViews:
+    """Per-node views of a row over raw tree states or their Gilbert
+    product, read off each state's consistent-node bitmask."""
+
+    def node_inconsistency(self, node: int) -> float:
+        """Fraction of time non-root ``node`` is inconsistent.
+
+        A node is inconsistent whenever it is outside the consistent
+        subtree; the HS recovery state counts for every node.  On a
+        chain this is the paper's per-hop view (Fig. 17).
+        """
+        if not 1 <= node <= self.params.hops:
+            raise ValueError(f"node must be in [1, {self.params.hops}], got {node}")
+        return self._inconsistent_mass[node]
+
+    @functools.cached_property
+    def _inconsistent_mass(self) -> list[float]:
+        """Every node's inconsistent mass, from one pass over the row:
+        node ``v`` adds, in state order, the mass of each state whose
+        bitmask lacks bit ``v`` (``RECOVERY``'s is 0)."""
+        totals = [0.0] * (self.params.hops + 1)
+        nodes = (1 << self.params.hops + 1) - 2
+        for probability, mask in zip(self.row, self.space.consistent):
+            outside = nodes & ~mask
+            while outside:
+                bit = outside & -outside
+                outside ^= bit
+                totals[bit.bit_length() - 1] += probability
+        return totals
+
+    def hop_profile(self) -> list[float]:
+        """:meth:`node_inconsistency` of every non-root node, in node order."""
+        return [self.node_inconsistency(node) for node in range(1, self.params.hops + 1)]
 
 
 @dataclasses.dataclass(frozen=True)
-class TreeSolution:
+class TreeSolution(NodeViews, RowSolution):
     """Solved metrics of one protocol on one tree configuration."""
 
     protocol: Protocol
     params: MultiHopParameters
     topology: Topology
-    stationary: dict[object, float]
+    row: Sequence[float]
+    space: StateSpace = dataclasses.field(repr=False, compare=False)
     message_breakdown: dict[str, float]
 
     @property
@@ -65,47 +108,7 @@ class TreeSolution:
         consistent" and "every node consistent" are the same event, so
         this is exactly the all-leaf consistency complement.
         """
-        full = TreeState(tuple(range(1, self.topology.num_nodes)), ())
-        return 1.0 - self.stationary.get(full, 0.0)
-
-    @property
-    def message_rate(self) -> float:
-        """Total per-link transmissions per second."""
-        return sum(self.message_breakdown.values())
-
-    def node_inconsistency(self, node: int) -> float:
-        """Fraction of time non-root ``node`` is inconsistent.
-
-        A node is inconsistent whenever it is outside the consistent
-        subtree; the HS recovery state counts for every node.  On a
-        chain this is the paper's per-hop view (Fig. 17).
-        """
-        if not 1 <= node <= self.topology.num_edges:
-            raise ValueError(
-                f"node must be in [1, {self.topology.num_edges}], got {node}"
-            )
-        return self._inconsistent_mass[node]
-
-    @functools.cached_property
-    def _inconsistent_mass(self) -> tuple[float, ...]:
-        """Every node's inconsistent mass, from one pass over the states:
-        each node's sum still adds its states' masses in state order."""
-        nodes = frozenset(range(1, self.topology.num_nodes))
-        totals = [0.0] * self.topology.num_nodes
-        for state, probability in self.stationary.items():
-            if state is RECOVERY:
-                outside = nodes
-            elif isinstance(state, TreeState):
-                outside = nodes.difference(state.consistent)
-            else:
-                continue
-            for node in outside:
-                totals[node] += probability
-        return tuple(totals)
-
-    def hop_profile(self) -> list[float]:
-        """:meth:`node_inconsistency` of every non-root node, in node order."""
-        return [self.node_inconsistency(node) for node in range(1, self.topology.num_nodes)]
+        return 1.0 - self.row[self.space.full]
 
     def leaf_inconsistency(self, leaf: int) -> float:
         """Fraction of time the given leaf is inconsistent."""
@@ -125,7 +128,7 @@ class TreeSolution:
     def mean_leaf_inconsistency(self) -> float:
         """Average per-leaf inconsistency (each receiver equal weight)."""
         profile = self.leaf_profile()
-        return sum(profile) / len(profile)
+        return ordered_sum(profile) / len(profile)
 
     @property
     def fanout_weighted_inconsistency(self) -> float:
@@ -138,11 +141,10 @@ class TreeSolution:
         """
         leaves = self.topology.leaves()
         weights = [float(self.topology.fanout(self.topology.parent(leaf))) for leaf in leaves]
-        weighted = sum(
-            weight * self.leaf_inconsistency(leaf)
-            for weight, leaf in zip(weights, leaves)
+        weighted = ordered_sum(
+            weight * self.leaf_inconsistency(leaf) for weight, leaf in zip(weights, leaves)
         )
-        return weighted / sum(weights)
+        return weighted / ordered_sum(weights)
 
     def integrated_cost(self, weight: float = 10.0) -> float:
         """``weight * I + message_rate`` — the eq. (8) cost shape."""
@@ -169,9 +171,8 @@ class TreeModel:
     list and :meth:`tag_rates`.
     """
 
-    #: The solution type and the message accounting it is filled with.
+    #: The solution type the model wraps a solved row in.
     solution = TreeSolution
-    messages = staticmethod(tree_message_components)
 
     def __init__(
         self,
@@ -202,11 +203,11 @@ class TreeModel:
         self.links = links
         self.max_states = max_states
         self.solver = solver
-        self.state_space()
+        self.space = self._enumerate()
 
-    def state_space(self) -> tuple[object, ...]:
-        """The chain's states, in canonical order (the cap is checked here)."""
-        return tree_state_space(self.topology, self.protocol is Protocol.HS, self.max_states)
+    def _enumerate(self) -> StateSpace:
+        """The chain's state space (the cap is checked here)."""
+        return tree_space(self.topology, self.protocol is Protocol.HS, self.max_states)
 
     def tag_rates(self, tags) -> list[float]:
         """The point's rate of each transition tag in ``tags``."""
@@ -223,33 +224,37 @@ class TreeModel:
     def chain(self) -> ContinuousTimeMarkovChain:
         """The recurrent tree CTMC."""
         return ContinuousTimeMarkovChain(
-            self.state_space(), self.transition_rates(), solver=self.solver
+            self.space.states, self.transition_rates(), solver=self.solver
         )
 
-    def message_breakdown(self, stationary: dict[object, float]) -> dict[str, float]:
-        """Per-kind per-link transmission rates under ``stationary``."""
-        if self.links is not None:
-            return heterogeneous_message_components(
-                self.protocol, self.params, self.links, stationary
+    def solution_from_row(self, row) -> TreeSolution:
+        """Wrap a solved row, the stationary mass of each state in
+        canonical order, with its per-link message rates."""
+        if self.links is None:
+            messages = tree_message_components(
+                self.protocol, self.params, self.topology, row, self.space
             )
-        return self.messages(self.protocol, self.params, self.topology, stationary)
+        else:
+            messages = heterogeneous_message_components(
+                self.protocol, self.params, self.links, row, self.space
+            )
+        return self.solution(
+            protocol=self.protocol,
+            params=self.params,
+            topology=self.topology,
+            row=row,
+            space=self.space,
+            message_breakdown=messages,
+        )
 
-    def solution_from_stationary(
-        self, stationary: dict[object, float]
-    ) -> TreeSolution:
+    def solution_from_stationary(self, stationary) -> TreeSolution:
         """Wrap an externally computed stationary distribution.
 
         The runtime's hardened solve path (``solve_chain_stationary``
         with its logged fallback chain) computes the distribution
         itself and hands it back here for the message accounting.
         """
-        return self.solution(
-            protocol=self.protocol,
-            params=self.params,
-            topology=self.topology,
-            stationary=stationary,
-            message_breakdown=self.message_breakdown(stationary),
-        )
+        return self.solution_from_row([stationary[state] for state in self.space.states])
 
     def solve(self) -> TreeSolution:
         """Compute the stationary distribution and message rates."""

@@ -37,6 +37,7 @@ import dataclasses
 import enum
 import functools
 
+from repro.core.markov import StateSpace
 from repro.core.multihop.topology import Topology
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "StateSpaceLimitError",
     "TreeState",
     "projected_tree_states",
+    "tree_space",
     "tree_state_space",
 ]
 
@@ -107,10 +109,20 @@ class TreeState:
     value (sorted); ``slow`` lists the frontier nodes whose installation
     message was lost and that now wait for the slow path (sorted).
     Frontier nodes not in ``slow`` have a message in flight.
+
+    The hash is the generated one, ``hash((consistent, slow))``, computed
+    once at construction: a chain state holds up to ``N`` node indices,
+    and the reference chain and rate dict hash each state many times.
     """
 
     consistent: tuple[int, ...]
     slow: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.consistent, self.slow)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         consistent = ",".join(str(v) for v in self.consistent) or "-"
@@ -165,6 +177,14 @@ def tree_state_space(
     :func:`projected_tree_states` *before* anything materializes;
     an overflow raises :class:`StateSpaceLimitError`.
     """
+    return tree_space(topology, with_recovery, max_states).states
+
+
+def tree_space(
+    topology: Topology, with_recovery: bool, max_states: int | None = None
+) -> StateSpace:
+    """:func:`tree_state_space` with each state's frontier counts and
+    consistent-node bitmask, one record per enumeration."""
     limit = MAX_TREE_STATES if max_states is None else max_states
     projected = projected_tree_states(topology)
     if projected > limit:
@@ -172,13 +192,23 @@ def tree_state_space(
     return _enumerated_tree_states(topology, with_recovery)
 
 
+def append_recovery(space: StateSpace) -> StateSpace:
+    """``space`` with ``RECOVERY`` appended: no frontier, no consistent node."""
+    fast, slow, consistent = (
+        counts and counts + (0,) for counts in (space.fast, space.slow, space.consistent)
+    )
+    return StateSpace(
+        space.states + (RECOVERY,), space.full, len(space.states), fast, slow, consistent
+    )
+
+
 @functools.lru_cache(maxsize=256)
-def _enumerated_tree_states(topology: Topology, with_recovery: bool) -> tuple[object, ...]:
-    """:func:`tree_state_space` past its cap check: one enumeration, and
-    one set of state objects, per topology whatever cap the caller set
-    (hard state appends ``RECOVERY`` to the soft-state space)."""
+def _enumerated_tree_states(topology: Topology, with_recovery: bool) -> StateSpace:
+    """:func:`tree_space` past its cap check: one enumeration, and one
+    set of state objects, per topology whatever cap the caller set (hard
+    state appends ``RECOVERY`` to the soft-state space)."""
     if with_recovery:
-        return _enumerated_tree_states(topology, False) + (RECOVERY,)
+        return append_recovery(_enumerated_tree_states(topology, False))
     # ``below[v]``: every ``(consistent, slow)`` contribution of the edge
     # into ``v`` once its parent is consistent — fast (in flight), slow
     # (lost), or crossed, each child edge then contributing
@@ -201,4 +231,18 @@ def _enumerated_tree_states(topology: Topology, with_recovery: bool) -> tuple[ob
         ((tuple(sorted(consistent)), tuple(sorted(slow))) for consistent, slow in configurations),
         key=lambda pair: (len(pair[1]), len(pair[0]), pair),
     )
-    return tuple(TreeState(consistent, slow) for consistent, slow in ordered)
+    nodes = range(topology.num_nodes)
+    bit = [1 << node for node in nodes]
+    masks = tuple(sum(map(bit.__getitem__, consistent)) for consistent, _ in ordered)
+    # The frontier: the children of the root and of every consistent
+    # node (the set is downward closed), less the consistent nodes.
+    fanout = [topology.fanout(node) for node in nodes]
+    return StateSpace(
+        tuple(TreeState(consistent, slow) for consistent, slow in ordered),
+        full=masks.index((1 << topology.num_nodes) - 2),
+        fast=tuple(
+            fanout[0] + sum(map(fanout.__getitem__, c)) - len(c) - len(s) for c, s in ordered
+        ),
+        slow=tuple(len(slow) for _, slow in ordered),
+        consistent=masks,
+    )

@@ -61,7 +61,6 @@ from repro.core.multihop.transitions import (
 )
 from repro.core.multihop.tree_states import (
     RECOVERY,
-    TreeState,
     _enumerated_tree_states,
     tree_state_space,
 )
@@ -123,17 +122,17 @@ def tree_transition_specs(
 def _tree_specs(topology: Topology, hard_state: bool) -> tuple[tuple[object, object, Tag], ...]:
     """:func:`tree_transition_specs` past its checks.
 
-    Each state is keyed by one integer, its consistent node bitmask
-    with its slow node bitmask above it, and every destination is found
-    by its key: an event is a few integer operations, never a scan of
-    the state's node sets.
+    Each state is keyed by one integer, its consistent node bitmask (the
+    state space record's) with its slow node bitmask above it, and every
+    destination is found by its key: an event is a few integer
+    operations, never a scan of the state's node sets.
     """
-    states = _enumerated_tree_states(topology, hard_state)
+    space = _enumerated_tree_states(topology, hard_state)
+    states = space.states
     start = states[0]
     nodes = range(topology.num_nodes)
     shift = topology.num_nodes
     children, subtree = _node_masks(topology)
-    consistent_bit = [1 << node for node in nodes]
     slow_bit = [1 << node + shift for node in nodes]
     # A timeout at ``node`` clears its subtree's consistent and slow bits.
     kept = [~(mask | mask << shift) for mask in subtree]
@@ -141,15 +140,12 @@ def _tree_specs(topology: Topology, hard_state: bool) -> tuple[tuple[object, obj
         [(kind, topology.depth(node)) for node in nodes]
         for kind in ("advance", "lose", "recover", "timeout")
     )
-    keyed: list[tuple[TreeState, int, int]] = []
-    by_key: dict[int, TreeState] = {}
-    for state in states:
-        if state is RECOVERY:
-            continue
-        consistent = sum(map(consistent_bit.__getitem__, state.consistent))
-        key = consistent + sum(map(slow_bit.__getitem__, state.slow))
-        keyed.append((state, key, consistent))
-        by_key[key] = state
+    keyed = [
+        (state, consistent + sum(map(slow_bit.__getitem__, state.slow)), consistent)
+        for state, consistent in zip(states, space.consistent)
+        if state is not RECOVERY
+    ]
+    by_key = {key: state for state, key, _ in keyed}
 
     # Sender-side updates restart installation from the root.
     specs: list[tuple[object, object, Tag]] = [

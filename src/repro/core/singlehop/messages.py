@@ -27,8 +27,9 @@ the prose description of the protocols.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Sequence
 
+from repro.core.markov import StateSpace
 from repro.core.parameters import SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.states import SingleHopState as S
@@ -40,16 +41,19 @@ __all__ = ["message_rate_components"]
 def message_rate_components(
     protocol: Protocol,
     params: SignalingParameters,
-    stationary: Mapping[S, float],
+    row: Sequence[float],
+    space: StateSpace,
 ) -> dict[str, float]:
     """Per-kind stationary message rates for ``protocol``.
 
-    ``stationary`` is the distribution of the *recurrent* chain (the
-    absorbing state merged into the start state).  Components that the
-    protocol does not use are reported as 0.0, so the breakdown always
-    has the same keys.
+    ``row`` is the distribution of the *recurrent* chain (the absorbing
+    state merged into the start state) over ``space``.  Components that
+    the protocol does not use are reported as 0.0, so the breakdown
+    always has the same keys.
     """
-    pi = {state: stationary.get(state, 0.0) for state in S}
+    # The equations name their states; a state outside the chain has 0.
+    pi = dict.fromkeys(S, 0.0)
+    pi.update(zip(space.states, row))
     success = 1.0 - params.loss_rate
     delta = params.delay
     refresh = 1.0 / params.refresh_interval

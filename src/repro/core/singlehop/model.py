@@ -16,13 +16,18 @@ carrying the paper's three metrics:
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
-from repro.core.markov import ContinuousTimeMarkovChain
+from repro.core.markov import ContinuousTimeMarkovChain, RowSolution, StateSpace
 from repro.core.parameters import SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.messages import message_rate_components
 from repro.core.singlehop.states import SingleHopState as S
-from repro.core.singlehop.transitions import build_transition_rates, state_space
+from repro.core.singlehop.transitions import (
+    build_transition_rates,
+    recurrent_space,
+    state_space,
+)
 
 __all__ = ["FINITE_SESSION_REQUIRED", "SingleHopModel", "SingleHopSolution"]
 
@@ -35,20 +40,16 @@ FINITE_SESSION_REQUIRED = (
 
 
 @dataclasses.dataclass(frozen=True)
-class SingleHopSolution:
+class SingleHopSolution(RowSolution):
     """Solved metrics of one protocol/parameter combination."""
 
     protocol: Protocol
     params: SignalingParameters
-    stationary: dict[S, float]
+    row: Sequence[float]
+    space: StateSpace = dataclasses.field(repr=False, compare=False)
     inconsistency_ratio: float
     expected_receiver_lifetime: float
     message_breakdown: dict[str, float]
-
-    @property
-    def message_rate(self) -> float:
-        """Stationary signaling message rate ``m`` (messages/s)."""
-        return sum(self.message_breakdown.values())
 
     @property
     def total_messages(self) -> float:
@@ -96,17 +97,18 @@ class SingleHopModel:
         """The chain's transition rates (Table I materialized)."""
         return build_transition_rates(self.protocol, self.params)
 
-    def solution_from_stationary(
-        self, stationary: dict[S, float], lifetime: float
-    ) -> SingleHopSolution:
-        """Wrap a solved recurrent distribution and receiver lifetime."""
+    def solution_from_row(self, row: Sequence[float], lifetime: float) -> SingleHopSolution:
+        """Wrap a solved recurrent row (the stationary mass of each
+        recurrent state, in order) and receiver lifetime."""
+        space = recurrent_space(self.protocol)
         return SingleHopSolution(
             protocol=self.protocol,
             params=self.params,
-            stationary=stationary,
-            inconsistency_ratio=1.0 - stationary[S.CONSISTENT],
+            row=row,
+            space=space,
+            inconsistency_ratio=1.0 - row[space.full],
             expected_receiver_lifetime=lifetime,
-            message_breakdown=message_rate_components(self.protocol, self.params, stationary),
+            message_breakdown=message_rate_components(self.protocol, self.params, row, space),
         )
 
     def solve(self) -> SingleHopSolution:
@@ -114,7 +116,7 @@ class SingleHopModel:
         transient = self.transient_chain()
         stationary = transient.merge_states(S.ABSORBED, S.S10_FAST).stationary_distribution()
         lifetime = transient.mean_time_to_absorption(S.S10_FAST, [S.ABSORBED])
-        return self.solution_from_stationary(stationary, lifetime)
+        return self.solution_from_row(list(stationary.values()), lifetime)
 
 
 def solve_all(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from repro.core.markov import spec_rates
+from repro.core.markov import StateSpace, spec_rates
 from repro.core.parameters import SignalingParameters
 from repro.core.protocols import Protocol
 from repro.core.singlehop.states import SingleHopState as S
@@ -23,6 +23,7 @@ from repro.core.singlehop.states import SingleHopState as S
 __all__ = [
     "build_transition_rates",
     "effective_false_removal_rate",
+    "recurrent_space",
     "slow_path_recovery_rate",
     "state_space",
     "transition_specs",
@@ -63,6 +64,14 @@ def state_space(protocol: Protocol) -> tuple[S, ...]:
         states.append(S.S01_SLOW)
     states.append(S.ABSORBED)
     return tuple(states)
+
+
+@functools.lru_cache(maxsize=None)
+def recurrent_space(protocol: Protocol) -> StateSpace:
+    """The recurrent chain's states (``(0,0)`` merged into the start
+    state, so dropped) and the position of ``C``."""
+    states = state_space(protocol)[:-1]
+    return StateSpace(states, full=states.index(S.CONSISTENT))
 
 
 def slow_path_recovery_rate(protocol: Protocol, params: SignalingParameters) -> float:

@@ -25,7 +25,7 @@ everything after that:
   backend) on the :class:`~repro.core.markov.SparseStationarySystem` of
   the point's positive-rate edges, compiled once per zero mask;
 * ``solve_batch``: each solved row is wrapped by the point's reference
-  model (``solution_from_stationary``), and any point the batch cannot
+  model (``solution_from_row``), and any point the batch cannot
   certify (singular matrix, residual check, non-finite result) is
   re-solved by that model, so failure diagnostics are exactly the
   reference's.
@@ -163,7 +163,7 @@ class _CompiledTemplate:
     reference model) and ``_derived(model)`` (the point's whole
     derived-rate row, one rate per tag of ``_tags``).  A solved row, its
     stationary masses in ``states`` order, goes to the model's
-    ``solution_from_stationary`` (:meth:`_solution`); a point the batch
+    ``solution_from_row`` (:meth:`_solution`); a point the batch
     cannot certify to ``model.solve()``.
     """
 
@@ -183,19 +183,11 @@ class _CompiledTemplate:
         do.  Each distinct tag is one derived slot, in first-seen order
         (``_tags``).
         """
-        # Spec lists that name their states by the objects of ``states``
-        # (single hop, tree, lumped) are indexed by identity, which never
-        # calls a state's hash; the Gilbert product's fresh tuples by value.
-        origins = list(map(operator.itemgetter(0), specs))
-        destinations = list(map(operator.itemgetter(1), specs))
-        try:
-            index = {id(state): i for i, state in enumerate(states)}
-            rows = list(map(index.__getitem__, map(id, origins)))
-            cols = list(map(index.__getitem__, map(id, destinations)))
-        except KeyError:
-            index = {state: i for i, state in enumerate(states)}
-            rows = list(map(index.__getitem__, origins))
-            cols = list(map(index.__getitem__, destinations))
+        # Every spec list names its states by the objects of ``states``,
+        # so they are indexed by identity, which never calls a state's hash.
+        index = {id(state): i for i, state in enumerate(states)}
+        rows = list(map(index.__getitem__, map(id, map(operator.itemgetter(0), specs))))
+        cols = list(map(index.__getitem__, map(id, map(operator.itemgetter(1), specs))))
         self._tags = spec_tags(specs)
         slot = {tag: i for i, tag in enumerate(self._tags)}
         self.states = states
@@ -313,7 +305,7 @@ class _CompiledTemplate:
         ]
 
     def _solution(self, model, solved: list):
-        return model.solution_from_stationary(dict(zip(self.states, solved)))
+        return model.solution_from_row(solved)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +355,7 @@ class SingleHopTemplate(_CompiledTemplate):
         return np.column_stack((pi, times[:, self._start])), bad_pi | bad_times
 
     def _solution(self, model: SingleHopModel, solved: list) -> SingleHopSolution:
-        return model.solution_from_stationary(dict(zip(self.states, solved[:-1])), solved[-1])
+        return model.solution_from_row(solved[:-1], solved[-1])
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable, Iterator
 
+from repro.core.markov import ordered_sum
 from repro.core.multihop.topology import Topology
 from repro.core.protocols import Protocol
 from repro.faults.schedule import NodeCrash
@@ -109,7 +110,7 @@ class TreeSimResult:
     def mean_leaf_inconsistency(self) -> float:
         """Average per-leaf inconsistency."""
         profile = self.leaf_profile()
-        return sum(profile) / len(profile)
+        return ordered_sum(profile) / len(profile)
 
 
 class _ReliableHop:

@@ -14,7 +14,6 @@ the parent's cache so later figures in the same process still hit.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from collections.abc import Hashable
 from typing import Any
@@ -22,19 +21,16 @@ from typing import Any
 __all__ = ["SolveCache", "cache_key", "global_cache"]
 
 
-def cache_key(kind: str, protocol: Any, params: Any, extra: Hashable = ()) -> tuple:
+def cache_key(kind: str, protocol: Any, params: Hashable, extra: Hashable = ()) -> tuple:
     """A hashable content key for one solve.
 
-    ``params`` may be a (frozen) dataclass — flattened to its field
-    values — or any hashable.  ``extra`` carries model inputs outside
-    the parameter object (e.g. a heterogeneous hop vector).
+    ``params`` is any hashable, usually a frozen parameter dataclass,
+    which compares and hashes by its field values.  ``extra`` carries
+    model inputs outside the parameter object (e.g. a heterogeneous hop
+    vector).
     """
-    if dataclasses.is_dataclass(params) and not isinstance(params, type):
-        params_key: Hashable = dataclasses.astuple(params)
-    else:
-        params_key = params
     protocol_key = getattr(protocol, "value", protocol)
-    return (kind, protocol_key, params_key, extra)
+    return (kind, protocol_key, params, extra)
 
 
 class SolveCache:

@@ -12,7 +12,9 @@ program imports neither ``scipy.stats`` nor ``scipy.special``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 
 __all__ = ["ConfidenceInterval", "ReplicationSet", "student_t_interval"]
 
@@ -44,6 +46,12 @@ class ConfidenceInterval:
         return f"{self.mean:.6g} ± {self.half_width:.2g} ({self.confidence:.0%}, n={self.n})"
 
 
+def _total(values) -> float:
+    """``values`` added left to right, on every interpreter: Python
+    3.12's builtin ``sum`` compensates float rounding, 3.11's does not."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def student_t_interval(
     samples: list[float] | tuple[float, ...],
     confidence: float = 0.95,
@@ -54,10 +62,10 @@ def student_t_interval(
     n = len(samples)
     if n == 0:
         raise ValueError("cannot build an interval from zero samples")
-    mean = sum(samples) / n
+    mean = _total(samples) / n
     if n == 1:
         return ConfidenceInterval(mean=mean, half_width=float("inf"), confidence=confidence, n=1)
-    variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    variance = _total((x - mean) ** 2 for x in samples) / (n - 1)
     std_err = math.sqrt(variance / n)
     from scipy.special import stdtrit
 
@@ -105,7 +113,7 @@ class ReplicationSet:
     def mean(self, metric: str) -> float:
         """Sample mean of ``metric`` (KeyError lists known metrics)."""
         values = self._recorded(metric)
-        return sum(values) / len(values)
+        return _total(values) / len(values)
 
     def interval(self, metric: str, confidence: float = 0.95) -> ConfidenceInterval:
         """Student-t interval for ``metric`` (KeyError lists known metrics)."""

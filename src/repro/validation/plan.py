@@ -33,7 +33,7 @@ import dataclasses
 import functools
 import math
 
-from repro.core.markov import SPARSE_STATE_THRESHOLD
+from repro.core.markov import SPARSE_STATE_THRESHOLD, ordered_sum
 from repro.core.protocols import Protocol
 from repro.experiments import run_scenario, scenario_ids
 from repro.experiments import spec as _spec
@@ -206,7 +206,7 @@ def _invariant_checks(plan: ValidationPlan) -> CheckResult:
         family = "multihop"
     solutions = solve_batch(family, [(p, *inputs) for p in plan.protocols])
     for protocol, solution in zip(plan.protocols, solutions):
-        total = sum(solution.stationary.values())
+        total = ordered_sum(solution.stationary.values())
         points.append(
             PointCheck(
                 label=f"{protocol.value} sum(pi)",

@@ -18,7 +18,7 @@ from repro.core.multihop import (
     tree_state_space,
 )
 from repro.core.multihop.messages import expected_link_crossings
-from repro.core.multihop.tree_states import MAX_TREE_STATES, TreeState
+from repro.core.multihop.tree_states import MAX_TREE_STATES, TreeState, tree_space
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
 
@@ -133,6 +133,51 @@ class TestStateSpace:
         topo = Topology.star(8)  # 6561 raw states
         states = tree_state_space(topo, False, max_states=10_000)
         assert len(states) == 6561
+
+    def test_states_built_apart_are_equal_and_hash_alike(self):
+        import pickle
+
+        enumerated = tree_state_space(Topology.chain(3), False)[2]
+        for state in (TreeState((1, 2), ()), pickle.loads(pickle.dumps(enumerated))):
+            assert state == enumerated and state is not enumerated
+            assert hash(state) == hash(enumerated) == hash(((1, 2), ()))
+            assert {enumerated: "found"}[state] == "found"
+
+    @pytest.mark.parametrize(
+        "topo", [Topology.chain(4), Topology.kary(2, 2), Topology.skewed(3)], ids=str
+    )
+    def test_record_counts_each_states_frontier(self, topo):
+        space = tree_space(topo, True)
+        assert space.states == tree_state_space(topo, True)
+        assert space.states[space.recovery] is RECOVERY
+        assert space.states[space.full] == TreeState(tuple(range(1, topo.num_nodes)), ())
+        for state, fast, slow, mask in zip(
+            space.states, space.fast, space.slow, space.consistent
+        ):
+            if state is RECOVERY:
+                assert (fast, slow, mask) == (0, 0, 0)
+                continue
+            members = {0, *state.consistent}
+            frontier = {
+                node
+                for node in range(1, topo.num_nodes)
+                if node not in members and topo.parent(node) in members
+            }
+            assert (fast, slow) == (len(frontier - set(state.slow)), len(state.slow))
+            assert mask == sum(1 << node for node in state.consistent)
+
+    @pytest.mark.parametrize("topo", [Topology.star(3), Topology.broom(2, 3)], ids=str)
+    def test_orbit_record_is_each_members_record(self, topo):
+        from repro.core.multihop import lump_tree_state
+        from repro.core.multihop.lumping import lumped_space
+
+        raw, lumped = tree_space(topo, True), lumped_space(topo, True)
+        orbits = {orbit: i for i, orbit in enumerate(lumped.states)}
+        for state, fast, slow in zip(raw.states, raw.fast, raw.slow):
+            i = orbits[lump_tree_state(topo, state)]
+            assert (lumped.fast[i], lumped.slow[i]) == (fast, slow)
+        assert orbits[lump_tree_state(topo, raw.states[raw.full])] == lumped.full
+        assert lumped.states[lumped.recovery] is RECOVERY
 
 
 class TestUnaryChainBitParity:
