@@ -1,15 +1,36 @@
-"""Benchmark: regenerate the transient scenarios (fast fidelity).
+"""Benchmark: the uniformization kernel and the transient scenarios.
 
 The transient stack is a different workload from the stationary
 sweeps: Poisson power sums over a piecewise-constant generator plus
-grid-sampled simulation replications.  The nightly bench job records
-this file separately as ``BENCH_transient.json`` so the uniformization
-path has its own performance trajectory.
+grid-sampled simulation replications.  One bench times the kernel
+alone on a call shaped like perfbench chain_sweep's; two regenerate
+scenarios at fast fidelity.  The nightly bench job records this file
+separately as ``BENCH_transient.json`` so the uniformization path has
+its own performance trajectory, and the bench-smoke job runs each body
+once on every change.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.parameters import reservation_defaults
+from repro.core.protocols import Protocol
+from repro.core.uniformization import uniformized_transient
 from repro.experiments import run_scenario
+from repro.transient.families import ChainTransientModel
+
+
+def test_bench_uniformized_transient_3hop_link_down(benchmark):
+    """A 3-hop SS chain with link 3 down, from the nominal chain's
+    stationary vector, on 13 times in [0.5, 90] s."""
+    model = ChainTransientModel(Protocol.SS, reservation_defaults().replace(hops=3))
+    chain = model.degraded_chain((3,))
+    initial = model.initial_vector("stationary")
+    times = tuple(float(t) for t in np.linspace(0.5, 90.0, 13))
+    result = benchmark(uniformized_transient, chain, initial, times)
+    assert result.probabilities.shape == (13, len(chain.states))
+    assert np.max(np.abs(result.probabilities.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_bench_time_to_consistency(run_once):
