@@ -33,6 +33,16 @@ many mixing times.
 Poisson weights are evaluated in log space
 (``exp(k ln(Lambda t) - Lambda t - ln k!)``) so large ``Lambda t``
 never underflows the leading terms.
+
+The series is summed a block of terms at a time: the weights, their
+running mass and the fold into the output are whole-block array
+operations, and only the products ``P^T v`` are paid term by term.
+Every float is the one a term-by-term loop computes: the weights use
+the same elementwise expression, the mass and the output add their
+terms in ``k`` order, and each step's L1 movement is a row sum, which
+adds pairwise like the 1-D sum.  The first block holds one term, so a
+start that is already stationary (a warmed-up recovery curve) stops
+after one product.
 """
 
 from __future__ import annotations
@@ -64,6 +74,13 @@ DEFAULT_REL_TOL = 1e-12
 #: declared stationary and the remaining tail assigned in closed form.
 DEFAULT_STEADY_STATE_TOL = 1e-12
 
+#: Poisson terms per block after the first, which holds one term.
+BLOCK_TERMS = 128
+
+#: Entries of the largest ``(terms, times, states)`` slab folded into
+#: the output at once: bigger slabs fall out of cache on long grids.
+FOLD_ENTRIES = 16 * 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class UniformizedTransient:
@@ -71,7 +88,8 @@ class UniformizedTransient:
 
     ``probabilities[i]`` is the state distribution at ``times[i]`` in
     the chain's state order, clipped to ``[0, 1]`` and renormalized.
-    ``iterations`` counts the powers of ``P`` actually formed;
+    ``iterations`` counts the power steps the series used, up to its
+    exit (a block's steps past a steady-state exit are not counted);
     ``steady_state_detected`` records whether the early exit fired.
     """
 
@@ -86,27 +104,43 @@ class UniformizedTransient:
 def _gammaln():
     """``scipy.special.gammaln``, loaded on the first transient curve
     rather than with the program, as :func:`_sparse_modules` loads
-    ``scipy.sparse``; cached, since the power iteration calls it once
-    per term."""
+    ``scipy.sparse``; cached, since the series calls it once per
+    block."""
     from scipy.special import gammaln
 
     return gammaln
 
 
-def _poisson_weights(k: int, rate_times: np.ndarray, log_rate_times: np.ndarray) -> np.ndarray:
-    """``Poisson(Lambda t; k)`` for every grid time, in log space.
+def _poisson_block(
+    first: int, count: int, rate_times: np.ndarray, log_rate_times: np.ndarray
+) -> np.ndarray:
+    """``Poisson(Lambda t; k)`` for ``count`` terms from ``k = first``
+    (rows) at every grid time (columns), in log space.
 
     ``rate_times`` entries of 0 get weight 1 at ``k=0`` and 0 beyond
     (the distribution at ``t=0`` is exactly the initial vector).
     """
-    positive = rate_times > 0.0
-    weights = np.zeros_like(rate_times)
-    if k == 0:
-        weights[~positive] = 1.0
-    weights[positive] = np.exp(
-        k * log_rate_times[positive] - rate_times[positive] - _gammaln()(k + 1)
-    )
+    ks = np.arange(first, first + count, dtype=float)[:, None]
+    with np.errstate(invalid="ignore"):
+        weights = np.exp(ks * log_rate_times - rate_times - _gammaln()(ks + 1.0))
+    weights[:, rate_times == 0.0] = ks == 0.0
     return weights
+
+
+def _fold(output: np.ndarray, weights: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """``output + sum_k weights[k][:, None] * powers[k]``, added in ``k``
+    order in slabs of at most :data:`FOLD_ENTRIES` entries.
+
+    ``np.add.reduce`` adds down axis 0 of a slab in sequence because
+    each term spans at least two states (it sums pairwise only along an
+    axis that is the sole one with more than one entry).
+    """
+    step = max(1, FOLD_ENTRIES // output.size)
+    for lo in range(0, len(weights), step):
+        slab = weights[lo : lo + step, :, None] * powers[lo : lo + step, None, :]
+        slab[0] += output
+        output = np.add.reduce(slab, axis=0) if len(slab) > 1 else slab[0]
+    return output
 
 
 def _transition_operator(chain: ContinuousTimeMarkovChain, rate: float):
@@ -187,23 +221,39 @@ def uniformized_transient(
     vector = initial
     iterations = 0
     steady_state = False
-    for k in range(cap + 1):
-        weights = _poisson_weights(k, rate_times, log_rate_times)
-        output += weights[:, None] * vector
-        accumulated += weights
-        if np.all(accumulated >= 1.0 - rel_tol):
-            break
-        advanced = operator @ vector
-        iterations += 1
-        if float(np.abs(advanced - vector).sum()) < steady_state_tol:
+    first, count = 0, 1
+    while first <= cap:
+        count = min(count, cap + 1 - first)
+        weights = _poisson_block(first, count, rate_times, log_rate_times)
+        mass = np.cumsum(np.vstack((accumulated, weights)), axis=0)[1:]
+        # The series stops at the first term whose mass reaches
+        # 1 - rel_tol at every grid time; no power is formed there.
+        reached = np.flatnonzero(np.all(mass >= 1.0 - rel_tol, axis=1))
+        terms = int(reached[0]) + 1 if reached.size else count
+        steps = terms - 1 if reached.size else count
+        products = [vector]
+        for _ in range(steps):
+            vector = operator @ vector
+            products.append(vector)
+        powers = np.array(products)
+        movement = np.abs(powers[1:] - powers[:-1]).sum(axis=1)
+        settled = np.flatnonzero(movement < steady_state_tol)
+        if settled.size:
             # The power iteration reached its fixed point: every later
             # term contributes the same vector, so the whole Poisson
             # tail collapses into one closed-form update.
-            output += (1.0 - accumulated)[:, None] * advanced
-            accumulated[:] = 1.0
+            terms = steps = int(settled[0]) + 1
             steady_state = True
+        output = _fold(output, weights[:terms], powers[:terms])
+        iterations += steps
+        if steady_state:
+            output += (1.0 - mass[terms - 1])[:, None] * powers[terms]
             break
-        vector = advanced
+        if reached.size:
+            break
+        accumulated = mass[-1]
+        first += count
+        count = BLOCK_TERMS
 
     output = np.clip(output, 0.0, None)
     output /= output.sum(axis=1, keepdims=True)
