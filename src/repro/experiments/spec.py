@@ -449,12 +449,30 @@ class ScenarioSpec:
 def base_parameters(
     spec: ScenarioSpec, overrides: Mapping[str, float] | None = None
 ) -> SignalingParameters | MultiHopParameters:
-    """The spec's base preset with spec-level then user overrides applied."""
+    """The spec's base preset with spec-level then user overrides applied.
+
+    A transient scenario's faults must hit the resolved chain's last
+    hop, the one position where its degraded chain and crash projection
+    are exact; an override that moves the chain's end off the fault
+    raises :class:`ScenarioError`.
+    """
     params = _PRESETS[spec.preset]()
     if spec.base_overrides:
         params = params.replace(**dict(spec.base_overrides))
     if overrides:
         params = apply_overrides(params, overrides)
+    if spec.transient is not None and spec.transient.faults is not None:
+        last = params.hops if isinstance(params, MultiHopParameters) else 1
+        faults = spec.transient.faults
+        elements = [("link", flap.link) for flap in faults.flaps]
+        elements += [("node", crash.node) for crash in faults.crashes]
+        for kind, element in elements:
+            if element != last:
+                raise ScenarioError(
+                    f"{spec.scenario_id} faults {kind} {element}, but hops={last} "
+                    f"makes {kind} {last} the last: its transient model holds "
+                    "only for a fault on the last hop"
+                )
     return params
 
 

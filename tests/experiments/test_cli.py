@@ -113,6 +113,33 @@ class TestExitCodes:
         assert main(["run", "fig17", "--protocols", "ss+er"]) == 2
         assert "does not model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario_id,hops,element",
+        [
+            ("recovery_flap", 2, "link 4"),
+            ("recovery_flap", 6, "link 4"),
+            ("recovery_crash", 2, "node 4"),
+            ("recovery_crash", 6, "node 4"),
+        ],
+    )
+    def test_hops_off_the_faulted_hop_exits_2(self, capsys, scenario_id, hops, element):
+        argv = ["run", scenario_id, "--fidelity", "smoke", "--set", f"hops={hops}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {scenario_id} faults {element}, but hops={hops}")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("scenario_id", ["recovery_flap", "recovery_crash"])
+    def test_hops_on_the_faulted_hop_runs(self, capsys, scenario_id):
+        argv = ["run", scenario_id, "--fidelity", "smoke", "--format", "json"]
+        assert main(argv) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--set", "hops=4"]) == 0
+        pinned = json.loads(capsys.readouterr().out)
+        assert pinned["panels"] == default["panels"]
+
 
 class TestStructuredOutput:
     def test_format_json_round_trips_with_provenance(self, capsys):

@@ -262,6 +262,17 @@ class TestOverrides:
         assert base_parameters(spec).refresh_interval == 5.0
         assert base_parameters(spec, {"refresh_interval": 9.0}).refresh_interval == 9.0
 
+    def test_transient_faults_must_hit_the_last_hop(self):
+        flap, crash = scenario("recovery_flap"), scenario("recovery_crash")
+        assert base_parameters(flap).hops == base_parameters(flap, {"hops": 4}).hops == 4
+        assert base_parameters(crash, {"refresh_interval": 9.0}).hops == 4
+        with pytest.raises(ScenarioError, match=r"recovery_flap faults link 4, but hops=3 "):
+            base_parameters(flap, {"hops": 3})
+        with pytest.raises(ScenarioError, match=r"recovery_crash faults node 4, but hops=5 "):
+            base_parameters(crash, {"hops": 5})
+        # A cold start has no fault to move.
+        assert base_parameters(scenario("time_to_consistency"), {"hops": 2}).hops == 2
+
 
 class TestProtocolParsing:
     @pytest.mark.parametrize(
