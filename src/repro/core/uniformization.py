@@ -131,9 +131,10 @@ def _fold(output: np.ndarray, weights: np.ndarray, powers: np.ndarray) -> np.nda
     """``output + sum_k weights[k][:, None] * powers[k]``, added in ``k``
     order in slabs of at most :data:`FOLD_ENTRIES` entries.
 
-    ``np.add.reduce`` adds down axis 0 of a slab in sequence because
-    each term spans at least two states (it sums pairwise only along an
-    axis that is the sole one with more than one entry).
+    ``np.add.reduce`` adds down axis 0 of a C-ordered slab row by row,
+    in sequence, because each term spans at least two states: were the
+    other axes a single entry, axis 0 would be numpy's inner loop and
+    be summed pairwise.
     """
     step = max(1, FOLD_ENTRIES // output.size)
     for lo in range(0, len(weights), step):
